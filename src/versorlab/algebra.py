@@ -4,6 +4,8 @@ Basis blades are indexed by bitmask: bit i set means the generator e_{i+1}
 is a factor of the blade, with factors stored in ascending index order.
 Generator e_{i+1} squares to +1 for i < p and to -1 otherwise.  A
 multivector is a dense float64 coefficient vector over all 2**(p+q) blades.
+Every geometric product, single or batched, is one contraction against a
+per-signature D x D sign table (``_Kernel``).
 
 Two tolerances matter throughout the package:
 
@@ -12,6 +14,11 @@ Two tolerances matter throughout the package:
   canonical integer key used for hashing and set membership.  Quantities in
   this package (coordinates built from halves, 1/sqrt(2), the golden ratio,
   ...) sit far from grid cell boundaries, which keeps the keys stable.
+
+The package's one set of key helpers sits next to ``quantize``: ``row_keys``
+(a void view of quantized rows), ``lex_order``, first-occurrence ``dedup``
+and ``KeyIndex`` (sorted keys plus searchsorted, for membership and index
+lookup).
 """
 
 from __future__ import annotations
@@ -84,18 +91,14 @@ class Signature:
         return iter((self.p, self.q))
 
 
-def _reorder_sign(a: int, b: int) -> int:
-    # Transpositions needed to merge two ascending blades into ascending order.
-    a >>= 1
-    total = 0
-    while a:
-        total += bin(a & b).count("1")
-        a >>= 1
-    return -1 if total & 1 else 1
-
-
 class _Kernel:
-    """Per-signature product tables, shared by all multivectors of that signature."""
+    """Per-signature product tables, shared by all multivectors of that signature.
+
+    The blade product e_a e_b is +-e_(a^b) (bitmap blades, Dorst, Fontijne &
+    Mann 2007, ch. 19).  With ``xor[a, k] = a ^ k`` and ``sign[a, k]`` the
+    sign of e_a e_(a^k), output blade k of A B is sum_a A[a] B[a^k] sign[a, k]:
+    every product, single, batched or all-pairs, is that one contraction.
+    """
 
     def __init__(self, p: int, q: int):
         self.p, self.q = p, q
@@ -103,63 +106,28 @@ class _Kernel:
         self.n = n
         D = 1 << n
         self.D = D
-        self.metric = np.array([1] * p + [-1] * q, dtype=np.int64)
-        self.grades = np.array([bin(m).count("1") for m in range(D)], dtype=np.int64)
+        blades = np.arange(D)
+        bits = blades[:, None] >> np.arange(n) & 1  # bits[a, i]: e_{i+1} divides blade a
+        self.grades = bits.sum(axis=1)
         # reverse flips blade factor order: sign (-1)^(k(k-1)/2) per grade k
         self.rev_sign = np.where((self.grades * (self.grades - 1) // 2) % 2, -1.0, 1.0)
-        sign = np.empty((D, D), dtype=np.float64)
-        xor = np.empty((D, D), dtype=np.int64)
-        for a in range(D):
-            for b in range(D):
-                s = _reorder_sign(a, b)
-                common = a & b
-                i = 0
-                while common:
-                    if common & 1:
-                        s *= int(self.metric[i])
-                    common >>= 1
-                    i += 1
-                sign[a, b] = s
-                xor[a, b] = a ^ b
-        self.sign = sign
-        self.xor = xor
-        self.xor_flat = xor.ravel()
-        # dense structure tensor for batched einsum products in small algebras
-        if D <= 16:
-            cayley = np.zeros((D, D, D))
-            for a in range(D):
-                for b in range(D):
-                    cayley[a, b, a ^ b] = sign[a, b]
-            self.cayley = cayley
-        else:
-            self.cayley = None
+        # e_a e_b: one transposition per factor pair (i in a, j in b) with i > j,
+        # and one -1 per shared generator that squares to -1
+        swaps = bits @ (np.cumsum(bits, axis=1) - bits).T
+        negs = (bits * (np.arange(n) >= p)) @ bits.T
+        self.xor = blades[:, None] ^ blades[None, :]
+        self.sign = np.where((swaps + negs) % 2, -1.0, 1.0)[blades[:, None], self.xor]
 
     def gp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        prod = np.multiply.outer(a, b) * self.sign
-        return np.bincount(self.xor_flat, weights=prod.ravel(), minlength=self.D)
+        return np.einsum("a,ak->k", a, b[self.xor] * self.sign)
 
     def gp_elemwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Broadcasting batched product over leading axes of (..., D) arrays."""
-        if self.cayley is not None:
-            return np.einsum("...i,...j,ijk->...k", A, B, self.cayley)
-        A, B = np.broadcast_arrays(A, B)
-        flat_a = A.reshape(-1, self.D)
-        flat_b = B.reshape(-1, self.D)
-        out = np.empty_like(flat_a)
-        for i in range(flat_a.shape[0]):
-            out[i] = self.gp(flat_a[i], flat_b[i])
-        return out.reshape(A.shape)
+        return np.einsum("...a,...ak->...k", A, B[..., self.xor] * self.sign)
 
     def gp_pairs(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """All pairwise products: (M, D) x (N, D) -> (M, N, D)."""
-        if self.cayley is not None:
-            return np.einsum("mi,nj,ijk->mnk", A, B, self.cayley)
-        M, N = A.shape[0], B.shape[0]
-        out = np.empty((M, N, self.D))
-        for i in range(M):
-            for j in range(N):
-                out[i, j] = self.gp(A[i], B[j])
-        return out
+        return self.gp_elemwise(A[:, None], B[None])
 
     def rev(self, A: np.ndarray) -> np.ndarray:
         return A * self.rev_sign
@@ -184,6 +152,42 @@ def quantize(arr: np.ndarray) -> np.ndarray:
 
 def qkey(arr: np.ndarray) -> bytes:
     return quantize(arr).tobytes()
+
+
+def row_keys(arr: np.ndarray) -> np.ndarray:
+    """One opaque ``np.void`` key per row of quantized coefficients.
+
+    Keys are equal exactly when the quantized rows are; they sort in a fixed
+    total order that is not the lexicographic one (see ``lex_order``).
+    """
+    q = np.ascontiguousarray(quantize(arr))
+    return q.view(np.dtype((np.void, q.itemsize * q.shape[-1]))).reshape(q.shape[:-1])
+
+
+def lex_order(arr: np.ndarray) -> np.ndarray:
+    """Stable row permutation sorting quantized rows lexicographically."""
+    return np.lexsort(quantize(arr).T[::-1])
+
+
+def dedup(arr: np.ndarray) -> np.ndarray:
+    """Rows with repeated quantized keys dropped, first occurrences kept in order."""
+    _, first = np.unique(row_keys(arr), return_index=True)
+    return arr[np.sort(first)]
+
+
+class KeyIndex:
+    """Row lookup in a fixed table: its sorted quantized keys plus searchsorted."""
+
+    def __init__(self, table: np.ndarray):
+        keys = row_keys(table)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Table index of each row (its first occurrence), or -1 where absent."""
+        keys = row_keys(rows)
+        pos = np.minimum(np.searchsorted(self._sorted, keys), self._sorted.size - 1)
+        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
 
 
 def blade_name(mask: int) -> str:

@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .errors import UnknownCatalogName, VersorlabError
-from .groups import generate_pin, generate_spin, group_table_dict, quotient_by_sign
+from .groups import MAX_GROUP, generate_pin, generate_spin, group_table_dict, quotient_by_sign
 from .induction import induce_4d, reflection_agreement, spinorial_automorphisms
 from .mckay import mckay_table
 from .roots import (
@@ -93,7 +93,13 @@ def _render(payload, headers, rows, md_lines, fmt: str) -> str:
     return "\n".join(md_lines) + "\n"
 
 
-def _load_rootsystem(spec: str, eps: float, max_roots: int):
+def _cap(args, default: int) -> int:
+    """--max-closure if given, else the closure's own default cap."""
+    return default if args.max_closure is None else args.max_closure
+
+
+def _load_rootsystem(args):
+    spec, eps, max_roots = args.system, args.tolerance, _cap(args, MAX_ROOTS)
     try:
         return catalog(spec, eps=eps, max_roots=max_roots)
     except UnknownCatalogName:
@@ -107,19 +113,14 @@ def _load_rootsystem(spec: str, eps: float, max_roots: int):
         f"or a readable file")
 
 
-def _resolve_group(name: str, kind: str, eps: float, max_roots: int):
-    rs = _load_rootsystem(name, eps, max_roots)
-    if kind == "pin":
-        return generate_pin(rs)
-    if kind == "spin":
-        return generate_spin(rs)
-    if kind == "chiral":
-        return quotient_by_sign(generate_spin(rs))
-    return quotient_by_sign(generate_pin(rs))
+def _resolve_group(args):
+    generate = generate_pin if args.kind in ("pin", "full") else generate_spin
+    g = generate(_load_rootsystem(args), max_elements=_cap(args, MAX_GROUP))
+    return g if args.kind in ("pin", "spin") else quotient_by_sign(g)
 
 
 def _cmd_roots(args):
-    rs = _load_rootsystem(args.system, args.tolerance, args.max_closure)
+    rs = _load_rootsystem(args)
     cm = cartan_matrix(rs)
     edges = diagram(rs, eps=args.tolerance)
     report = check_axioms(rs, eps=args.tolerance)
@@ -155,7 +156,7 @@ def _cmd_roots(args):
 
 
 def _cmd_group(args):
-    g = _resolve_group(args.system, args.kind, args.tolerance, args.max_closure)
+    g = _resolve_group(args)
     elements = [str(v.mv) for v in g.elements]
     payload = {
         "name": args.system,
@@ -172,7 +173,7 @@ def _cmd_group(args):
 
 
 def _cmd_classes(args):
-    g = _resolve_group(args.system, args.kind, args.tolerance, args.max_closure)
+    g = _resolve_group(args)
     table = group_table_dict(g, eps=args.tolerance)
     table["name"] = args.system
     classes = g.conjugacy_classes()
@@ -188,8 +189,8 @@ def _cmd_classes(args):
 
 
 def _cmd_induce(args):
-    rs = _load_rootsystem(args.system, args.tolerance, args.max_closure)
-    spin = generate_spin(rs)
+    rs = _load_rootsystem(args)
+    spin = generate_spin(rs, max_elements=_cap(args, MAX_GROUP))
     ind = induce_4d(spin)
     agreement = reflection_agreement(spin, eps=args.tolerance)
     if spin.order <= 48:
@@ -290,7 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tolerance", type=float, default=1e-9,
                        help="numerical comparison tolerance (default 1e-9)")
         if closure:
-            p.add_argument("--max-closure", type=int, default=MAX_ROOTS,
+            p.add_argument("--max-closure", type=int, default=None,
                            help="cap on closure enumeration size")
 
     p = sub.add_parser("roots", help="close a root system and report it")

@@ -20,12 +20,15 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_EPS,
+    KeyIndex,
     Multivector,
     Signature,
     Versor,
+    dedup,
     kernel_for,
+    lex_order,
+    qkey,
     quantize,
-    scalar_mv,
 )
 from .errors import ClosureCapExceeded, VersorlabError
 from .roots import RootSystem
@@ -54,22 +57,6 @@ def _snap(arr: np.ndarray) -> np.ndarray:
     return np.round(arr, 12)
 
 
-def _lex_order(arr: np.ndarray) -> np.ndarray:
-    q = quantize(arr)
-    return np.lexsort(tuple(q[:, i] for i in reversed(range(q.shape[1]))))
-
-
-def _keys(arr: np.ndarray) -> list[bytes]:
-    q = quantize(arr)
-    return [q[i].tobytes() for i in range(q.shape[0])]
-
-
-def _dedup(arr: np.ndarray) -> np.ndarray:
-    q = quantize(arr)
-    _, first = np.unique(q, axis=0, return_index=True)
-    return arr[np.sort(first)]
-
-
 def _sign_canonical(arr: np.ndarray) -> np.ndarray:
     """Flip each row so its first nonzero quantized coefficient is positive."""
     q = quantize(arr)
@@ -81,21 +68,17 @@ def _sign_canonical(arr: np.ndarray) -> np.ndarray:
 
 def _close_under_product(seeds: np.ndarray, kern, max_elements: int,
                          max_sweeps: int) -> np.ndarray:
-    arr = _dedup(_snap(seeds))
-    seen = set(_keys(arr))
+    arr = dedup(_snap(seeds))
     frontier = arr
     for _ in range(max_sweeps):
         prods = np.concatenate([
             kern.gp_pairs(frontier, arr).reshape(-1, kern.D),
             kern.gp_pairs(arr, frontier).reshape(-1, kern.D),
         ])
-        cand = _dedup(_snap(prods))
-        fresh = [row for row, key in zip(cand, _keys(cand)) if key not in seen]
-        if not fresh:
+        cand = dedup(np.round(prods, 12, out=prods))
+        fresh = cand[KeyIndex(arr).find(cand) < 0]
+        if not fresh.shape[0]:
             return arr
-        fresh = np.array(fresh)
-        for key in _keys(fresh):
-            seen.add(key)
         arr = np.vstack([arr, fresh])
         if arr.shape[0] > max_elements:
             raise ClosureCapExceeded(
@@ -115,7 +98,7 @@ class _GroupBase:
         self.sig = sig
         self._arr = arr
         self._arr.setflags(write=False)
-        self._index = {k: i for i, k in enumerate(_keys(arr))}
+        self._lookup = KeyIndex(arr)
         self._classes = None
         self._kern = kernel_for(sig)
 
@@ -142,15 +125,21 @@ class _GroupBase:
             return v.coeffs
         return np.asarray(v, dtype=np.float64)
 
-    def _canon(self, row: np.ndarray) -> np.ndarray:
-        return row
+    def _canon(self, rows: np.ndarray) -> np.ndarray:
+        return rows
+
+    def indices_of(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each row of an (n, D) array; raises unless all are elements."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.shape[-1:] != (self._kern.D,):
+            raise VersorlabError("element is not in the group")
+        idx = self._lookup.find(self._canon(rows))
+        if np.any(idx < 0):
+            raise VersorlabError("element is not in the group")
+        return idx
 
     def index_of(self, v) -> int:
-        row = self._canon(self._coerce_arr(v))
-        key = quantize(row).tobytes()
-        if key not in self._index:
-            raise VersorlabError("element is not in the group")
-        return self._index[key]
+        return int(self.indices_of(self._coerce_arr(v)[None, :])[0])
 
     def contains(self, v) -> bool:
         try:
@@ -167,10 +156,10 @@ class _GroupBase:
     def element_order(self, v) -> int:
         self.index_of(v)  # membership check
         row = self._coerce_arr(v)
-        ident = quantize(self._canon(np.eye(1, self._kern.D, 0)[0])).tobytes()
+        ident = qkey(self._canon(np.eye(1, self._kern.D, 0)))
         acc = row
         for k in range(1, self.order + 1):
-            if quantize(self._canon(_snap(acc))).tobytes() == ident:
+            if qkey(self._canon(_snap(acc)[None, :])) == ident:
                 return k
             acc = self._kern.gp(acc, row)
         raise VersorlabError("element order exceeded group order; inconsistent group")
@@ -187,17 +176,10 @@ class _GroupBase:
         for idx in range(n):
             if assigned[idx]:
                 continue
-            x = arr[idx]
-            mid = kern.gp_elemwise(rev_all, x[None, :])
-            conj = kern.gp_elemwise(mid, arr)
-            conj = _snap(conj)
-            members = set()
-            for row in conj:
-                members.add(self._index[quantize(self._canon(row)).tobytes()])
-            member_idx = sorted(members)
+            mid = kern.gp_elemwise(rev_all, arr[idx][None, :])
+            member_idx = np.unique(self.indices_of(_snap(kern.gp_elemwise(mid, arr))))
             assigned[member_idx] = True
-            rep_i = member_idx[0]
-            classes.append((len(member_idx), rep_i, member_idx))
+            classes.append((len(member_idx), int(member_idx[0]), member_idx))
         classes.sort(key=lambda t: (t[0], tuple(quantize(arr[t[1]]))))
         out = []
         for size, rep_i, member_idx in classes:
@@ -233,8 +215,8 @@ class QuotientGroup(_GroupBase):
         self.covering = covering
         self.source = covering.source
 
-    def _canon(self, row: np.ndarray) -> np.ndarray:
-        return _sign_canonical(row[None, :])[0]
+    def _canon(self, rows: np.ndarray) -> np.ndarray:
+        return _sign_canonical(rows)
 
     def __repr__(self):
         src = self.source.name if self.source is not None and self.source.name else "?"
@@ -261,7 +243,7 @@ def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP,
     """Multiplicative closure of the root vectors of a root system."""
     vecs = _root_vector_arr(rs)
     arr = _close_under_product(vecs, kernel_for(rs.sig), max_elements, max_sweeps)
-    arr = arr[_lex_order(arr)]
+    arr = arr[lex_order(arr)]
     return VersorGroup("pin", rs.sig, arr, source=rs)
 
 
@@ -272,7 +254,7 @@ def generate_spin(rs: RootSystem, *, max_elements: int = MAX_GROUP,
     kern = kernel_for(rs.sig)
     seeds = kern.gp_pairs(vecs, vecs).reshape(-1, kern.D)
     arr = _close_under_product(seeds, kern, max_elements, max_sweeps)
-    arr = arr[_lex_order(arr)]
+    arr = arr[lex_order(arr)]
     return VersorGroup("spin", rs.sig, arr, source=rs)
 
 
@@ -288,10 +270,10 @@ def quotient_by_sign(group: VersorGroup) -> QuotientGroup:
     """Collapse +-R pairs; spin groups map to rotation groups, pin to full ones."""
     if not isinstance(group, VersorGroup):
         raise VersorlabError("quotient_by_sign expects a pin or spin group")
-    arr = _dedup(_sign_canonical(group.element_arr()))
+    arr = dedup(_sign_canonical(group.element_arr()))
     if 2 * arr.shape[0] != group.order:
         raise VersorlabError("group is not symmetric under negation")
-    arr = arr[_lex_order(arr)]
+    arr = arr[lex_order(arr)]
     kind = "rotation" if group.kind == "spin" else "reflection"
     return QuotientGroup(kind, group, arr)
 

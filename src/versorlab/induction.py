@@ -18,14 +18,17 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_EPS,
+    KeyIndex,
     Multivector,
     Signature,
     Versor,
     kernel_for,
+    lex_order,
     quantize,
+    row_keys,
 )
 from .errors import SymmetrySweepFailure, VersorlabError
-from .groups import VersorGroup, _lex_order
+from .groups import VersorGroup
 from .roots import RootSystem, catalog, check_axioms
 
 __all__ = [
@@ -116,12 +119,10 @@ def _extract_simple_coords(coords: np.ndarray) -> np.ndarray:
     m = P.shape[0]
     gram = P @ P.T
     diag = np.diag(gram)
+    det = diag[:, None] * diag[None, :] - gram ** 2
     simple_rows = []
     for a in range(m):
         target = gram[:, a]
-        det = diag[:, None] * diag[None, :] - gram ** 2
-        c1 = np.empty_like(det)
-        c2 = np.empty_like(det)
         with np.errstate(divide="ignore", invalid="ignore"):
             c1 = (diag[None, :] * target[:, None] - gram * target[None, :]) / det
             c2 = (diag[:, None] * target[None, :] - gram * target[:, None]) / det
@@ -138,7 +139,7 @@ def _extract_simple_coords(coords: np.ndarray) -> np.ndarray:
     S = np.array(simple_rows)
     if S.shape[0] != coords.shape[1] or np.linalg.matrix_rank(S, tol=1e-8) != coords.shape[1]:
         raise VersorlabError(f"simple-root extraction found {S.shape[0]} indecomposables")
-    return S[_lex_order(S)]
+    return S[lex_order(S)]
 
 
 def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
@@ -146,7 +147,7 @@ def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
     if group.kind != "spin" or group.sig != _SIG3:
         raise VersorlabError("induce_4d expects a spin group in Cl(3,0)")
     coords = _coords_of_arr(group.element_arr())
-    coords = coords[_lex_order(coords)]
+    coords = coords[lex_order(coords)]
     simple = _extract_simple_coords(coords)
     rs = RootSystem(_SIG4, simple, coords)
     report = check_axioms(rs)
@@ -231,9 +232,7 @@ def reflection_agreement(group: VersorGroup, eps: float = DEFAULT_EPS) -> Reflec
     t1 = kern.gp_pairs(garr, kern.rev(garr))
     product = -kern.gp_elemwise(t1, garr[:, None, :])
     dev = float(np.max(np.abs(linear - product)))
-    gv = np.sort(_void_view(quantize(garr)))
-    pv = _void_view(quantize(product.reshape(-1, kern.D)))
-    all_in = bool(np.all(np.isin(pv, gv)))
+    all_in = bool(np.all(KeyIndex(garr).find(product.reshape(-1, kern.D)) >= 0))
     return ReflectionAgreement(n * n, dev, all_in)
 
 
@@ -243,11 +242,6 @@ class AutomorphismSweep(NamedTuple):
     exhaustive: bool
     distinct_images: Optional[int]
     failures: int = 0
-
-
-def _void_view(q: np.ndarray) -> np.ndarray:
-    q = np.ascontiguousarray(q)
-    return q.view([("", q.dtype)] * q.shape[-1]).reshape(q.shape[:-1])
 
 
 def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = None,
@@ -262,7 +256,7 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     garr = group.element_arr()
     n = group.order
     kern = kernel_for(_SIG3)
-    canon = np.sort(_void_view(quantize(r.base.coords)))
+    canon = np.sort(row_keys(r.base.coords))
 
     if pairs is not None:
         rng = np.random.default_rng(seed)
@@ -273,8 +267,8 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
             l, r = li[c0:c0 + chunk], ri[c0:c0 + chunk]
             mid = kern.gp_elemwise(garr[l][:, None, :], garr[None, :, :])
             img = kern.gp_elemwise(mid, garr[r][:, None, :])
-            q = quantize(_coords_of_arr(img.reshape(-1, kern.D)))
-            iv = np.sort(_void_view(q).reshape(len(l), n), axis=1)
+            iv = row_keys(_coords_of_arr(img.reshape(-1, kern.D))).reshape(len(l), n)
+            iv = np.sort(iv, axis=1)
             bad = np.nonzero(~np.all(iv == canon[None, :], axis=1))[0]
             if bad.size:
                 t = c0 + int(bad[0])
@@ -285,8 +279,7 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     for l in range(n):
         mid = kern.gp_elemwise(garr[l][None, :], garr)
         imgs = kern.gp_pairs(mid, garr)  # (roots, right, blades)
-        q = quantize(_coords_of_arr(np.round(imgs.reshape(-1, kern.D), 12)))
-        iv = _void_view(q).reshape(n, n)  # (roots, right)
+        iv = row_keys(_coords_of_arr(imgs.reshape(-1, kern.D))).reshape(n, n)  # (roots, right)
         sorted_cols = np.sort(iv, axis=0)
         bad = np.nonzero(~np.all(sorted_cols == canon[:, None], axis=0))[0]
         if bad.size:

@@ -42,9 +42,7 @@ def cayley_table(group) -> np.ndarray:
     """(n, n) index table with ``table[i, j] = index of g_i g_j``."""
     arr = group.element_arr()
     n = arr.shape[0]
-    prods = group._kern.gp_pairs(arr, arr).reshape(n * n, -1)
-    flat = np.fromiter((group.index_of(row) for row in prods), dtype=np.int64, count=n * n)
-    return flat.reshape(n, n)
+    return group.indices_of(group._kern.gp_pairs(arr, arr).reshape(n * n, -1)).reshape(n, n)
 
 
 def _commutator_subgroup_size(group) -> int:

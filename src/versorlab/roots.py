@@ -20,7 +20,16 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import DEFAULT_EPS, Multivector, Signature, quantize, vector
+from .algebra import (
+    DEFAULT_EPS,
+    KeyIndex,
+    Multivector,
+    Signature,
+    dedup,
+    lex_order,
+    row_keys,
+    vector,
+)
 from .errors import ClosureCapExceeded, UnknownCatalogName
 
 __all__ = [
@@ -42,16 +51,6 @@ MAX_ROOTS = 10_000
 MAX_SWEEPS = 100
 
 GOLDEN = (1 + math.sqrt(5)) / 2
-
-
-def _lex_order(coords: np.ndarray) -> np.ndarray:
-    q = quantize(coords)
-    return np.lexsort(tuple(q[:, i] for i in reversed(range(q.shape[1]))))
-
-
-def _row_keys(coords: np.ndarray) -> list[bytes]:
-    q = quantize(coords)
-    return [q[i].tobytes() for i in range(q.shape[0])]
 
 
 class RootSystem:
@@ -85,7 +84,7 @@ class RootSystem:
 
     def root_keys(self) -> frozenset:
         if self._keys is None:
-            self._keys = frozenset(_row_keys(self.coords))
+            self._keys = frozenset(row_keys(self.coords).tolist())
         return self._keys
 
     def __repr__(self):
@@ -136,29 +135,16 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
         raise ValueError("simple roots must be linearly independent")
     simple = simple / norms[:, None]
 
-    coords = np.vstack([simple, -simple])
-    q = quantize(coords)
-    _, first = np.unique(q, axis=0, return_index=True)
-    coords = coords[np.sort(first)]
-    seen = set(_row_keys(coords))
-
+    coords = dedup(np.vstack([simple, -simple]))
     for _ in range(max_sweeps):
         # reflect every root (axis 1) in every root (axis 0)
         dots = coords @ coords.T
         refl = coords[None, :, :] - 2.0 * dots.T[:, :, None] * coords[:, None, :]
-        cand = refl.reshape(-1, coords.shape[1])
-        qc = quantize(cand)
-        _, first = np.unique(qc, axis=0, return_index=True)
-        fresh_rows = []
-        for idx in np.sort(first):
-            key = qc[idx].tobytes()
-            if key not in seen:
-                seen.add(key)
-                fresh_rows.append(cand[idx])
-        if not fresh_rows:
-            order = _lex_order(coords)
-            return RootSystem(sig, simple, coords[order], name=name)
-        coords = np.vstack([coords, np.array(fresh_rows)])
+        cand = dedup(refl.reshape(-1, coords.shape[1]))
+        fresh = cand[KeyIndex(coords).find(cand) < 0]
+        if not fresh.shape[0]:
+            return RootSystem(sig, simple, coords[lex_order(coords)], name=name)
+        coords = np.vstack([coords, fresh])
         if coords.shape[0] > max_roots:
             raise ClosureCapExceeded(
                 f"reflection closure exceeded {max_roots} roots; seed is likely not a finite system")
@@ -200,50 +186,40 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     reflection in each of its members.
     """
     coords = _coerce_root_coords(roots)
-    n = coords.shape[0]
-    keys = _row_keys(coords)
-    keyset = set(keys)
-
-    scalar_ok, scalar_bad = True, None
+    n, d = coords.shape
+    index = KeyIndex(coords)
+    # ids[j] == neg_ids[i] iff root j has the quantized key of -root i
+    ids, neg_ids = index.find(coords), index.find(-coords)
     norms = np.linalg.norm(coords, axis=1)
-    for i in range(n):
-        if not scalar_ok:
-            break
-        neg_key = quantize(-coords[i]).tobytes()
-        if neg_key not in keyset:
-            scalar_ok = False
-            scalar_bad = AxiomViolation("missing antipode", (tuple(coords[i]),))
-            break
-        for j in range(n):
-            if i == j:
-                continue
-            cos = coords[i] @ coords[j]
-            if abs(abs(cos) - norms[i] * norms[j]) <= eps:
-                # parallel: must be the exact antipode
-                if quantize(coords[j]).tobytes() != neg_key:
-                    scalar_ok = False
-                    scalar_bad = AxiomViolation(
-                        "scalar multiple besides the antipode",
-                        (tuple(coords[i]), tuple(coords[j])))
-                    break
-
-    refl_ok, refl_bad = True, None
     unit = coords / norms[:, None]
-    for i in range(n):
-        # reflect all roots in root i
-        imgs = coords - 2.0 * (coords @ unit[i])[:, None] * unit[i]
-        qi = quantize(imgs)
-        for j in range(n):
-            if qi[j].tobytes() not in keyset:
-                refl_ok = False
+    scalar_bad = refl_bad = None
+    # roots i in blocks, scanned in order: each axiom keeps its first witness
+    step = max(1, (1 << 22) // (n * d))
+    for i0 in range(0, n, step):
+        rows = np.arange(i0, min(i0 + step, n))
+        if scalar_bad is None:
+            # parallel pairs must be exact antipodes; the antipode is tested first
+            par = np.abs(np.abs(coords[rows] @ coords.T) - norms[rows, None] * norms) <= eps
+            par[np.arange(rows.size), rows] = False
+            bad = np.column_stack([neg_ids[rows] < 0, par & (ids != neg_ids[rows, None])])
+            hits = np.argwhere(bad)
+            if hits.size:
+                i, j = rows[hits[0, 0]], hits[0, 1] - 1
+                scalar_bad = (AxiomViolation("missing antipode", (tuple(coords[i]),)) if j < 0
+                              else AxiomViolation("scalar multiple besides the antipode",
+                                                  (tuple(coords[i]), tuple(coords[j]))))
+        if refl_bad is None:
+            # reflect all roots in each root of the block
+            imgs = coords - 2.0 * (unit[rows] @ coords.T)[:, :, None] * unit[rows, None, :]
+            hits = np.argwhere(index.find(imgs) < 0)
+            if hits.size:
+                r, j = hits[0]
                 refl_bad = AxiomViolation(
                     "reflection image not in set",
-                    (tuple(coords[i]), tuple(coords[j]), tuple(imgs[j])))
-                break
-        if not refl_ok:
+                    (tuple(coords[rows[r]]), tuple(coords[j]), tuple(imgs[r, j])))
+        if scalar_bad is not None and refl_bad is not None:
             break
-
-    return AxiomReport(scalar_ok, refl_ok, scalar_bad, refl_bad)
+    return AxiomReport(scalar_bad is None, refl_bad is None, scalar_bad, refl_bad)
 
 
 class CartanMatrix:

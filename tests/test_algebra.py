@@ -1,5 +1,6 @@
 """Tests for the dense Clifford-algebra kernel."""
 
+import functools
 import json
 import math
 
@@ -24,6 +25,7 @@ from versorlab import (
     scalar_mv,
     vector,
 )
+from versorlab.algebra import kernel_for
 
 RNG = np.random.default_rng(20260814)
 
@@ -237,6 +239,73 @@ def test_exp_bivector_rejects_bad_arguments():
         exp_bivector(vector(SIG3, [1, 0, 0]), 1.0)
     with pytest.raises(ValueError):
         exp_bivector(2.0 * blade(SIG3, "e12"), 1.0)  # B^2 = -4, not -1
+
+
+# ---------------------------------------------------------------- kernel reference
+
+REFERENCE_SIGS = [(1, 0), (3, 0), (3, 1), (2, 3), (5, 0), (4, 4), (8, 0)]
+
+
+def reference_blade_sign(a, b, p):
+    """Sign of e_a e_b from the blade bitmaps, independent of the kernel.
+
+    Merging the ascending factors of a and b into ascending order takes one
+    transposition per pair (i in a, j in b) with i > j; each shared generator
+    e_{i+1} then contracts to its square, -1 for i >= p.
+    """
+    total = 0
+    shifted = a >> 1
+    while shifted:
+        total += bin(shifted & b).count("1")
+        shifted >>= 1
+    total += bin(a & b & ~((1 << p) - 1)).count("1")
+    return -1.0 if total & 1 else 1.0
+
+
+@functools.lru_cache(maxsize=None)
+def reference_sign_table(p, q):
+    """ref[a, b] = sign of e_a e_b (indexed by the second factor, not by a ^ b)."""
+    D = 1 << (p + q)
+    return np.array([[reference_blade_sign(a, b, p) for b in range(D)] for a in range(D)])
+
+
+def reference_gp(A, B, p, q):
+    """Geometric product summed blade pair by blade pair."""
+    ref = reference_sign_table(p, q)
+    out = np.zeros_like(A)
+    blades = np.arange(A.shape[0])
+    for a in blades:
+        out[a ^ blades] += A[a] * B * ref[a]
+    return out
+
+
+@pytest.mark.parametrize("p,q", REFERENCE_SIGS)
+def test_kernel_sign_table_matches_blade_rule(p, q):
+    k = kernel_for(Signature(p, q))
+    blades = np.arange(k.D)
+    assert np.array_equal(k.xor, blades[:, None] ^ blades[None, :])
+    # sign[a, k] is the sign of e_a e_(a^k)
+    ref = reference_sign_table(p, q)
+    assert np.array_equal(k.sign, ref[blades[:, None], k.xor])
+
+
+@pytest.mark.parametrize("p,q", REFERENCE_SIGS)
+def test_kernel_products_match_reference(p, q):
+    k = kernel_for(Signature(p, q))
+    rng = np.random.default_rng(100 * p + q)
+    A = rng.normal(size=(3, k.D))
+    B = rng.normal(size=(4, k.D))
+    want = np.array([[reference_gp(a, b, p, q) for b in B] for a in A])
+    close = dict(atol=1e-12, rtol=0.0)
+    assert np.allclose(k.gp_pairs(A, B), want, **close)
+    assert np.allclose(k.gp_elemwise(A[:, None, :], B[None, :, :]), want, **close)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[0]):
+            assert np.allclose(k.gp(A[i], B[j]), want[i, j], **close)
+    # batched over two leading axes, broadcasting B along the first
+    C = rng.normal(size=(2, 4, k.D))
+    want_c = np.array([[reference_gp(C[i, j], B[j], p, q) for j in range(4)] for i in range(2)])
+    assert np.allclose(k.gp_elemwise(C, B), want_c, **close)
 
 
 # ---------------------------------------------------------------- hashing / io

@@ -130,6 +130,13 @@ def test_error_bad_modular_input(capsys):
     assert rc == 2
 
 
+def test_max_closure_caps_group_closure(capsys):
+    rc, out, err = run_cli(capsys, "group", "H3", "--kind", "pin", "--max-closure", "100")
+    assert rc == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "ClosureCapExceeded"
+
+
 def test_error_payload_is_single_line(capsys):
     rc, _, err = run_cli(capsys, "roots", "nope")
     assert rc == 2

@@ -22,13 +22,13 @@ def spin(name):
 
 
 def test_cayley_table_is_a_latin_square():
-    g = spin("A1^3")
-    table = cayley_table(g)
-    n = g.order
-    assert table.shape == (n, n)
-    for i in range(n):
-        assert sorted(table[i]) == list(range(n))
-        assert sorted(table[:, i]) == list(range(n))
+    for g in (spin("A1^3"), quotient_by_sign(spin("A3"))):
+        table = cayley_table(g)
+        n = g.order
+        assert table.shape == (n, n)
+        for i in range(n):
+            assert sorted(table[i]) == list(range(n))
+            assert sorted(table[:, i]) == list(range(n))
 
 
 def test_cayley_table_identity_row():

@@ -20,6 +20,7 @@ from versorlab import (
     rootsystem_to_dict,
     vector,
 )
+from versorlab.algebra import qkey
 
 # name -> (rank, root count)
 CATALOG_EXPECTED = {
@@ -119,6 +120,56 @@ def test_axiom_reflection_violation_detected():
     rep = check_axioms(bad)
     assert not rep.reflection_closed
     assert rep.reflection_violation is not None
+
+
+def pairwise_axiom_witnesses(coords, eps=1e-9):
+    """First witness of each axiom from a plain scan over root pairs (i, j)."""
+    n = coords.shape[0]
+    keys = {qkey(r) for r in coords}
+    norms = np.linalg.norm(coords, axis=1)
+    scalar = None
+    for i in range(n):
+        if qkey(-coords[i]) not in keys:
+            scalar = ("missing antipode", (tuple(coords[i]),))
+            break
+        js = [j for j in range(n) if j != i
+              and abs(abs(coords[i] @ coords[j]) - norms[i] * norms[j]) <= eps
+              and qkey(coords[j]) != qkey(-coords[i])]
+        if js:
+            scalar = ("scalar multiple besides the antipode",
+                      (tuple(coords[i]), tuple(coords[js[0]])))
+            break
+    refl = None
+    for i in range(n):
+        u = coords[i] / norms[i]
+        imgs = coords - 2.0 * (coords @ u)[:, None] * u
+        js = [j for j in range(n) if qkey(imgs[j]) not in keys]
+        if js:
+            refl = ("reflection image not in set", (tuple(coords[i]), tuple(coords[js[0]])))
+            break
+    return scalar, refl
+
+
+def test_axiom_witnesses_match_pairwise_scan():
+    a3, b3 = catalog("A3").coords, catalog("B3").coords
+    tilted = a3.copy()
+    tilted[4] = (tilted[4] + [0.05, -0.02, 0.01]) / np.linalg.norm(tilted[4] + [0.05, -0.02, 0.01])
+    broken = {
+        "scaled": np.vstack([catalog("A1^3").coords, 2.0 * catalog("A1^3").coords[2:3]]),
+        "missing": np.delete(a3, 5, axis=0),
+        "tilted": tilted,
+        "repeated": np.vstack([b3, b3[7:8]]),
+    }
+    for name, coords in broken.items():
+        rep = check_axioms(coords)
+        scalar, refl = pairwise_axiom_witnesses(coords)
+        got_scalar = rep.scalar_violation and (rep.scalar_violation.reason,
+                                               rep.scalar_violation.witness)
+        got_refl = rep.reflection_violation and (rep.reflection_violation.reason,
+                                                 rep.reflection_violation.witness[:2])
+        assert got_scalar == scalar, name
+        assert got_refl == refl, name
+        assert rep.ok == (scalar is None and refl is None), name
 
 
 def test_cartan_matrix_a3():
