@@ -6,15 +6,18 @@ Elements are unit versors kept as explicit multivectors, with +R and -R
 distinct; quotient_by_sign collapses the double cover onto the plain
 rotation (from spin) or full reflection (from pin) group.
 
-Conjugacy classes partition a group by R -> ~G R G over all G.  Classes are
-ordered deterministically by (size, lexicographically smallest quantized
-representative) so tables print identically run to run.
+Each group has one integer multiplication table, ``table[i, j]`` = index of
+g_i g_j, and element orders and conjugacy classes are gathers on it.  Root
+systems are positive definite, so ~G = G^-1 and the classes R -> ~G R G are
+G^-1 R G.  Classes are ordered deterministically by (size, lexicographically
+smallest quantized representative) so tables print identically run to run.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Union
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,7 +30,6 @@ from .algebra import (
     dedup,
     kernel_for,
     lex_order,
-    qkey,
     quantize,
 )
 from .errors import ClosureCapExceeded, VersorlabError
@@ -53,10 +55,6 @@ MAX_GROUP = 20_000
 MAX_GROUP_SWEEPS = 100
 
 
-def _snap(arr: np.ndarray) -> np.ndarray:
-    return np.round(arr, 12)
-
-
 def _sign_canonical(arr: np.ndarray) -> np.ndarray:
     """Flip each row so its first nonzero quantized coefficient is positive."""
     q = quantize(arr)
@@ -68,7 +66,7 @@ def _sign_canonical(arr: np.ndarray) -> np.ndarray:
 
 def _close_under_product(seeds: np.ndarray, kern, max_elements: int,
                          max_sweeps: int) -> np.ndarray:
-    arr = dedup(_snap(seeds))
+    arr = dedup(np.round(seeds, 12))
     frontier = arr
     for _ in range(max_sweeps):
         prods = np.concatenate([
@@ -116,6 +114,10 @@ class _GroupBase:
     def element_arr(self) -> np.ndarray:
         return self._arr
 
+    def __repr__(self):
+        src = self.source.name if self.source is not None and self.source.name else "?"
+        return f"<{type(self).__name__} {self.kind}({src}) order {self.order}>"
+
     def _coerce_arr(self, v) -> np.ndarray:
         if isinstance(v, Versor):
             v = v.mv
@@ -149,38 +151,65 @@ class _GroupBase:
             return False
 
     def _identity_index(self) -> int:
-        one = np.zeros(self._kern.D)
-        one[0] = 1.0
-        return self.index_of(one)
+        return self.index_of(np.eye(1, self._kern.D)[0])
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Read-only (n, n) int64 table, ``table[i, j]`` = index of g_i g_j.
+
+        Only generator rows are float products: s g_j for all j, with s the
+        first element no row so far reaches, looked up by key (which checks
+        closure).  Every other row is ``table[i] = row_s[table[p]]``, g_i = s g_p.
+        """
+        arr, n, e = self._arr, self.order, self._identity_index()
+        t = np.empty((n, n), dtype=np.int64)
+        t[e] = np.arange(n)
+        filled = np.arange(n) == e
+        rows = []
+        while not filled.all():
+            s = int(np.argmin(filled))
+            rows.append(self.indices_of(self._kern.gp_pairs(arr[[s]], arr).reshape(n, -1)))
+            frontier = np.flatnonzero(filled)
+            while frontier.size:
+                grown = []
+                for row in rows:  # a permutation, so no target repeats
+                    src = frontier[~filled[row[frontier]]]
+                    dst = row[src]
+                    t[dst] = row[t[src]]
+                    filled[dst] = True
+                    grown.append(dst)
+                frontier = np.concatenate(grown)
+        t.setflags(write=False)
+        return t
+
+    def inverses(self) -> np.ndarray:
+        """Index of g_i^-1 for each i, read off the table."""
+        return np.argmax(self.table == self._identity_index(), axis=1)
 
     def element_order(self, v) -> int:
-        self.index_of(v)  # membership check
-        row = self._coerce_arr(v)
-        ident = qkey(self._canon(np.eye(1, self._kern.D, 0)))
-        acc = row
+        """Least k with v^k = 1, i.e. with v^(k+1) back at v."""
+        i = self.index_of(v)
+        col, acc = self.table[:, i], i
         for k in range(1, self.order + 1):
-            if qkey(self._canon(_snap(acc)[None, :])) == ident:
+            acc = col[acc]
+            if acc == i:
                 return k
-            acc = self._kern.gp(acc, row)
         raise VersorlabError("element order exceeded group order; inconsistent group")
 
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
         if self._classes is not None:
             return self._classes
-        arr = self._arr
-        n = self.order
-        kern = self._kern
-        rev_all = kern.rev(arr)
+        arr, n, t = self._arr, self.order, self.table
+        inv, every = self.inverses(), np.arange(n)
         assigned = np.zeros(n, dtype=bool)
         classes = []
         for idx in range(n):
             if assigned[idx]:
                 continue
-            mid = kern.gp_elemwise(rev_all, arr[idx][None, :])
-            member_idx = np.unique(self.indices_of(_snap(kern.gp_elemwise(mid, arr))))
+            member_idx = np.unique(t[t[inv, idx], every])  # g^-1 x g over all g
             assigned[member_idx] = True
             classes.append((len(member_idx), int(member_idx[0]), member_idx))
-        classes.sort(key=lambda t: (t[0], tuple(quantize(arr[t[1]]))))
+        classes.sort(key=lambda c: (c[0], tuple(quantize(arr[c[1]]))))
         out = []
         for size, rep_i, member_idx in classes:
             rep = Versor(Multivector(self.sig, arr[rep_i]))
@@ -201,10 +230,6 @@ class VersorGroup(_GroupBase):
         self.kind = kind
         self.source = source
 
-    def __repr__(self):
-        src = self.source.name if self.source is not None and self.source.name else "?"
-        return f"<VersorGroup {self.kind}({src}) order {self.order}>"
-
 
 class QuotientGroup(_GroupBase):
     """Versor group with R and -R identified; elements are sign-canonical reps."""
@@ -217,10 +242,6 @@ class QuotientGroup(_GroupBase):
 
     def _canon(self, rows: np.ndarray) -> np.ndarray:
         return _sign_canonical(rows)
-
-    def __repr__(self):
-        src = self.source.name if self.source is not None and self.source.name else "?"
-        return f"<QuotientGroup {self.kind}({src}) order {self.order}>"
 
 
 class ConjugacyClass(NamedTuple):

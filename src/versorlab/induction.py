@@ -6,7 +6,9 @@ of unit 4D vectors, and that set is itself a root system: the group-level
 identity -R1 ~R2 R1 = R2 - 2 (R1,R2)/(R1,R1) R1 shows closure of the set
 under 4D reflections.  The three irreducible rank-3 systems plus A1^3 induce
 exactly the 4D systems A1^4, D4, F4, H4 this way, and left/right group
-multiplication X -> L X R acts on the induced roots by symmetries.
+multiplication X -> L X R acts on the induced roots by symmetries.  The
+exhaustive L X R sweep reads the group's integer table; the sampled sweep
+and ``reflection_agreement`` are float witnesses independent of it.
 """
 
 from __future__ import annotations
@@ -248,9 +250,9 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
                             seed: Optional[int] = None) -> AutomorphismSweep:
     """Verify that X -> L X R permutes the induced roots for (L, R) pairs.
 
-    With ``pairs=None`` every pair in G x G is swept and the number of
-    distinct induced permutations is reported; otherwise ``pairs`` random
-    pairs are drawn from the given seed.
+    With ``pairs=None`` every pair in G x G is swept on the group's table and
+    the number of distinct index permutations is reported; otherwise ``pairs``
+    random pairs from the given seed are multiplied out in floats.
     """
     group = r.source
     garr = group.element_arr()
@@ -275,16 +277,14 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
                 raise SymmetrySweepFailure(f"pair (L={li[t]}, R={ri[t]}) is not a symmetry")
         return AutomorphismSweep(n, pairs, False, None)
 
+    if not np.array_equal(np.sort(row_keys(_coords_of_arr(garr))), canon):
+        raise SymmetrySweepFailure("the induced roots are not the spinor coordinates of the group")
+    t, ar = group.table, np.arange(n)
     perms = set()
     for l in range(n):
-        mid = kern.gp_elemwise(garr[l][None, :], garr)
-        imgs = kern.gp_pairs(mid, garr)  # (roots, right, blades)
-        iv = row_keys(_coords_of_arr(imgs.reshape(-1, kern.D))).reshape(n, n)  # (roots, right)
-        sorted_cols = np.sort(iv, axis=0)
-        bad = np.nonzero(~np.all(sorted_cols == canon[:, None], axis=0))[0]
+        imgs = t[t[l][None, :], ar[:, None]]  # imgs[r, x]: index of L X R
+        bad = np.nonzero(~np.all(np.sort(imgs, axis=1) == ar, axis=1))[0]
         if bad.size:
             raise SymmetrySweepFailure(f"pair (L={l}, R={int(bad[0])}) is not a symmetry")
-        ranks = np.searchsorted(canon, iv, sorter=None)
-        for rr in range(n):
-            perms.add(ranks[:, rr].astype(np.int16).tobytes())
+        perms.update(row.tobytes() for row in imgs.astype(np.int16))
     return AutomorphismSweep(n, n * n, True, len(perms))

@@ -8,7 +8,8 @@ data: there are as many dimensions as conjugacy classes, exactly
 Two classical theorems close the gap where raw counting is ambiguous
 (it is for 2I): every dimension divides the index of the center, and the
 dimension multiset of the rotation quotient G/{+-1} -- solvable by the same
-counting -- embeds in that of G, since quotient irreps pull back.
+counting -- embeds in that of G, since quotient irreps pull back.  The
+class and commutator counts are integer gathers on the group's table.
 
 The resulting numbers line up three ways: the sum of the irrep dimensions
 of the binary group equals the root count of the 3D system it came from,
@@ -40,38 +41,18 @@ __all__ = [
 
 def cayley_table(group) -> np.ndarray:
     """(n, n) index table with ``table[i, j] = index of g_i g_j``."""
-    arr = group.element_arr()
-    n = arr.shape[0]
-    return group.indices_of(group._kern.gp_pairs(arr, arr).reshape(n * n, -1)).reshape(n, n)
-
-
-def _commutator_subgroup_size(group) -> int:
-    table = cayley_table(group)
-    n = table.shape[0]
-    e = group._identity_index()
-    inv = np.empty(n, dtype=np.int64)
-    rows, cols = np.nonzero(table == e)
-    inv[rows] = cols
-    ii, jj = np.indices((n, n))
-    comm = table[table[table[ii, jj], inv[ii]], inv[jj]]
-    members = set(np.unique(comm).tolist()) | {e}
-    frontier = set(members)
-    while frontier:
-        rows = sorted(frontier)
-        cols = sorted(members)
-        fresh = set(np.unique(table[np.ix_(rows, cols)]).tolist()) - members
-        fresh |= set(np.unique(table[np.ix_(cols, rows)]).tolist()) - members
-        members |= fresh
-        frontier = fresh
-    return len(members)
+    return group.table
 
 
 def abelianization_order(group) -> int:
     """Order of G / [G,G], i.e. the number of linear characters of G."""
-    size = _commutator_subgroup_size(group)
-    if group.order % size:
+    t, inv = group.table, group.inverses()
+    members = np.unique(t[t[t, inv[:, None]], inv])  # every g h g^-1 h^-1
+    while (grown := np.unique(t[np.ix_(members, members)])).size > members.size:
+        members = grown
+    if group.order % members.size:
         raise VersorlabError("commutator closure is not a subgroup; inconsistent group")
-    return group.order // size
+    return group.order // members.size
 
 
 class IrrepDims(NamedTuple):
@@ -104,10 +85,6 @@ def _dimension_multisets(total: int, count: int, divisor_of: int) -> list:
     return out
 
 
-def _center_order(classes) -> int:
-    return sum(1 for c in classes if c.size == 1)
-
-
 def irrep_dimensions(group) -> IrrepDims:
     """Irrep dimensions of a finite versor group, from counting data alone.
 
@@ -120,7 +97,7 @@ def irrep_dimensions(group) -> IrrepDims:
     classes = group.conjugacy_classes()
     num_classes = len(classes)
     num_linear = abelianization_order(group)
-    center_index = group.order // _center_order(classes)
+    center_index = group.order // sum(1 for c in classes if c.size == 1)
     candidates = [(1,) * num_linear + tail for tail in _dimension_multisets(
         group.order - num_linear, num_classes - num_linear, center_index)]
 

@@ -1,6 +1,7 @@
 """Tests for Pin/Spin generation, conjugacy structure, and Coxeter numbers."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -125,6 +126,43 @@ def test_quotients_by_sign():
     # R and -R hit the same quotient element
     e12 = blade(SIG3, "e12")
     assert rot.index_of(e12) == rot.index_of(-e12)
+
+
+# (system, kind) -> (class sizes in table order, element-order census), as
+# computed by float power loops and float ~G R G products; pin and spin are
+# the covers, full and chiral their quotients by sign
+CENSUS = {
+    ("H3", "pin"): ([1, 1, 1, 1] + [12] * 8 + [20] * 4 + [30, 30],
+                    {1: 1, 2: 31, 3: 20, 4: 32, 5: 24, 6: 20, 10: 24, 12: 40, 20: 48}),
+    ("H3", "spin"): ([1, 1, 12, 12, 12, 12, 20, 20, 30],
+                     {1: 1, 2: 1, 3: 20, 4: 30, 5: 24, 6: 20, 10: 24}),
+    ("H3", "full"): ([1, 1, 12, 12, 12, 12, 15, 15, 20, 20],
+                     {1: 1, 2: 31, 3: 20, 5: 24, 6: 20, 10: 24}),
+    ("H3", "chiral"): ([1, 12, 12, 15, 20], {1: 1, 2: 15, 3: 20, 5: 24}),
+    ("D4", "pin"): ([1, 1, 2, 12, 12, 12, 12, 12, 24, 24, 32, 32, 32, 32, 48, 48, 48],
+                    {1: 1, 2: 27, 3: 32, 4: 84, 6: 96, 8: 144}),
+    ("D4", "spin"): ([1, 1, 1, 1, 6, 6, 6, 6, 12, 12, 12] + [16] * 8,
+                     {1: 1, 2: 3, 3: 32, 4: 60, 6: 96}),
+    ("D4", "full"): ([1, 1, 6, 6, 6, 12, 12, 12, 24, 24, 24, 32, 32],
+                     {1: 1, 2: 43, 3: 32, 4: 84, 6: 32}),
+    ("D4", "chiral"): ([1, 1, 6, 6, 6, 6, 6, 16, 16, 16, 16],
+                       {1: 1, 2: 19, 3: 32, 4: 12, 6: 32}),
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(CENSUS))
+def test_element_order_census_and_class_sizes(name, kind):
+    rs = catalog(name)
+    g = (generate_pin if kind in ("pin", "full") else generate_spin)(rs)
+    if kind in ("full", "chiral"):
+        g = quotient_by_sign(g)
+    sizes, census = CENSUS[name, kind]
+    classes = conjugacy_classes(g)
+    assert [c.size for c in classes] == sizes
+    assert Counter(g.element_order(row) for row in g.element_arr()) == census
+    # a class's listed order is that of each of its members
+    for c in classes:
+        assert {g.element_order(m) for m in c.members} == {c.element_order}
 
 
 def test_quotient_requires_versor_group():

@@ -134,14 +134,17 @@ def test_reflection_agreement_exhaustive():
         assert rep.all_in_group
 
 
-def test_automorphism_sweep_exhaustive_counts():
-    g = spin_group("A1^3")
+@pytest.mark.parametrize("src,images", [
+    ("A1^3", 32), ("A3", 288), ("B3", 1152), ("H3", 7200),
+])
+def test_automorphism_sweep_exhaustive_counts(src, images):
+    g = spin_group(src)
     sweep = spinorial_automorphisms(induce_4d(g))
     assert sweep.exhaustive
-    assert sweep.pairs_tested == g.order ** 2  # 64
+    assert sweep.pairs_tested == g.order ** 2
     assert sweep.failures == 0
     # (L, R) and (-L, -R) act identically, everything else is distinct
-    assert sweep.distinct_images == g.order ** 2 // 2
+    assert sweep.distinct_images == g.order ** 2 // 2 == images
 
 
 def test_automorphism_sweep_sampled_is_seed_deterministic():

@@ -7,11 +7,13 @@ from versorlab import (
     abelianization_order,
     catalog,
     cayley_table,
+    generate_pin,
     generate_spin,
     irrep_dimensions,
     mckay_table,
     quotient_by_sign,
 )
+from versorlab.algebra import kernel_for
 from versorlab.mckay import _dimension_multisets
 
 SPIN_SOURCES = ("A1", "A1^3", "A3", "B3", "H3")
@@ -22,13 +24,32 @@ def spin(name):
 
 
 def test_cayley_table_is_a_latin_square():
-    for g in (spin("A1^3"), quotient_by_sign(spin("A3"))):
+    for g in (spin("A1^3"), quotient_by_sign(spin("A3")), generate_pin(catalog("H3")),
+              spin("D4"), quotient_by_sign(generate_pin(catalog("B3")))):
         table = cayley_table(g)
         n = g.order
         assert table.shape == (n, n)
         for i in range(n):
             assert sorted(table[i]) == list(range(n))
             assert sorted(table[:, i]) == list(range(n))
+
+
+def test_cayley_table_matches_float_products():
+    # most entries follow by associativity from a few float rows; every one
+    # must equal the lookup of the float product g_i g_j
+    for g in (generate_pin(catalog("A3")), spin("H3"), quotient_by_sign(spin("B3"))):
+        arr = g.element_arr()
+        n = g.order
+        kern = kernel_for(g.sig)
+        ref = g.indices_of(kern.gp_pairs(arr, arr).reshape(n * n, -1)).reshape(n, n)
+        assert np.array_equal(cayley_table(g), ref)
+
+
+def test_cayley_table_is_read_only():
+    table = cayley_table(spin("A3"))
+    assert table.dtype == np.int64
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
 
 
 def test_cayley_table_identity_row():
