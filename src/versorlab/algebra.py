@@ -18,7 +18,7 @@ Two tolerances matter throughout the package:
 The package's one set of key helpers sits next to ``quantize``: ``row_keys``
 (a void view of quantized rows), ``lex_order``, first-occurrence ``dedup``
 and ``KeyIndex`` (sorted keys plus searchsorted, for membership and index
-lookup).
+lookup).  On them stands ``close``, the one closure routine for roots and groups.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotAVersor, SignatureMismatch
+from .errors import ClosureCapExceeded, NotAVersor, SignatureMismatch
 
 DEFAULT_EPS = 1e-9
 HASH_GRID = 1e-6
 MAX_DIM = 8
+BLOCK = 1 << 22  # floats per block of a batched computation
 
 __all__ = [
     "DEFAULT_EPS",
@@ -188,6 +189,34 @@ class KeyIndex:
         keys = row_keys(rows)
         pos = np.minimum(np.searchsorted(self._sorted, keys), self._sorted.size - 1)
         return np.where(self._sorted[pos] == keys, self._order[pos], -1)
+
+
+def close(seeds: np.ndarray, op, cap: int, message: str) -> np.ndarray:
+    """Rows of ``seeds`` closed under ``op`` by frontier search, at most ``cap`` rows.
+
+    ``op(A, B)`` gives all pairwise results, shape (len(A), len(B), width).
+    Each layer takes the (new, known) then the (known, new) pairs in row
+    blocks of at most ``BLOCK`` result floats, each deduplicated and filtered
+    against the known rows; rows keep their first-seen order.  Past ``cap``
+    rows it raises ``ClosureCapExceeded(message.format(cap=cap))`` at once.
+    """
+    known = new = dedup(seeds)
+    index = KeyIndex(known)
+    while new.shape[0]:
+        start = known.shape[0]
+        for a, b in ((new, known), (known, new)):
+            step = max(1, BLOCK // b.size)
+            for i in range(0, a.shape[0], step):
+                # checked before each block, so the seeds and every block count
+                if known.shape[0] > cap:
+                    raise ClosureCapExceeded(message.format(cap=cap))
+                cand = dedup(op(a[i:i + step], b).reshape(-1, b.shape[1]))
+                cand = cand[index.find(cand) < 0]
+                if cand.shape[0]:
+                    known = np.concatenate([known, cand])
+                    index = KeyIndex(known)
+        new = known[start:]
+    return known
 
 
 def blade_name(mask: int) -> str:

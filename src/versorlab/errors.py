@@ -14,7 +14,7 @@ class NotAVersor(VersorlabError):
 
 
 class ClosureCapExceeded(VersorlabError):
-    """A reflection or multiplicative closure blew past its size/sweep cap."""
+    """A reflection or multiplicative closure blew past its size cap."""
 
 
 class UnknownCatalogName(VersorlabError):

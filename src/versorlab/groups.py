@@ -27,6 +27,7 @@ from .algebra import (
     Multivector,
     Signature,
     Versor,
+    close,
     dedup,
     kernel_for,
     lex_order,
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 MAX_GROUP = 20_000
-MAX_GROUP_SWEEPS = 100
 
 
 def _sign_canonical(arr: np.ndarray) -> np.ndarray:
@@ -62,27 +62,6 @@ def _sign_canonical(arr: np.ndarray) -> np.ndarray:
     lead = q[np.arange(q.shape[0]), idx]
     s = np.where(lead < 0, -1.0, 1.0)
     return arr * s[:, None]
-
-
-def _close_under_product(seeds: np.ndarray, kern, max_elements: int,
-                         max_sweeps: int) -> np.ndarray:
-    arr = dedup(np.round(seeds, 12))
-    frontier = arr
-    for _ in range(max_sweeps):
-        prods = np.concatenate([
-            kern.gp_pairs(frontier, arr).reshape(-1, kern.D),
-            kern.gp_pairs(arr, frontier).reshape(-1, kern.D),
-        ])
-        cand = dedup(np.round(prods, 12, out=prods))
-        fresh = cand[KeyIndex(arr).find(cand) < 0]
-        if not fresh.shape[0]:
-            return arr
-        arr = np.vstack([arr, fresh])
-        if arr.shape[0] > max_elements:
-            raise ClosureCapExceeded(
-                f"versor closure exceeded {max_elements} elements")
-        frontier = fresh
-    raise ClosureCapExceeded(f"versor closure did not stabilize in {max_sweeps} sweeps")
 
 
 class _GroupBase:
@@ -252,31 +231,29 @@ class ConjugacyClass(NamedTuple):
 
 
 def _root_vector_arr(rs: RootSystem) -> np.ndarray:
-    kern = kernel_for(rs.sig)
-    arr = np.zeros((rs.root_count, kern.D))
-    for i in range(rs.sig.dim):
-        arr[:, 1 << i] = rs.coords[:, i]
+    arr = np.zeros((rs.root_count, kernel_for(rs.sig).D))
+    arr[:, 1 << np.arange(rs.sig.dim)] = rs.coords  # grade-1 blades are the bits 1 << i
     return arr
 
 
-def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP,
-                 max_sweeps: int = MAX_GROUP_SWEEPS) -> VersorGroup:
+def _generate(kind: str, rs: RootSystem, seeds: np.ndarray, cap: int) -> VersorGroup:
+    """Closure of ``seeds`` under the product, each layer rounded to 12 decimals."""
+    kern = kernel_for(rs.sig)
+    arr = close(np.round(seeds, 12), lambda a, b: np.round(kern.gp_pairs(a, b), 12), cap,
+                "versor closure exceeded {cap} elements")
+    return VersorGroup(kind, rs.sig, arr[lex_order(arr)], source=rs)
+
+
+def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """Multiplicative closure of the root vectors of a root system."""
-    vecs = _root_vector_arr(rs)
-    arr = _close_under_product(vecs, kernel_for(rs.sig), max_elements, max_sweeps)
-    arr = arr[lex_order(arr)]
-    return VersorGroup("pin", rs.sig, arr, source=rs)
+    return _generate("pin", rs, _root_vector_arr(rs), max_elements)
 
 
-def generate_spin(rs: RootSystem, *, max_elements: int = MAX_GROUP,
-                  max_sweeps: int = MAX_GROUP_SWEEPS) -> VersorGroup:
+def generate_spin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """Closure of pairwise products of root vectors (the even subgroup of Pin)."""
     vecs = _root_vector_arr(rs)
-    kern = kernel_for(rs.sig)
-    seeds = kern.gp_pairs(vecs, vecs).reshape(-1, kern.D)
-    arr = _close_under_product(seeds, kern, max_elements, max_sweeps)
-    arr = arr[lex_order(arr)]
-    return VersorGroup("spin", rs.sig, arr, source=rs)
+    seeds = kernel_for(rs.sig).gp_pairs(vecs, vecs).reshape(-1, vecs.shape[1])
+    return _generate("spin", rs, seeds, max_elements)
 
 
 def conjugacy_classes(group) -> tuple[ConjugacyClass, ...]:

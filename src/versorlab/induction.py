@@ -19,6 +19,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .algebra import (
+    BLOCK,
     DEFAULT_EPS,
     KeyIndex,
     Multivector,
@@ -264,7 +265,7 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
         rng = np.random.default_rng(seed)
         li = rng.integers(0, n, size=pairs)
         ri = rng.integers(0, n, size=pairs)
-        chunk = max(1, (1 << 22) // (n * kern.D * kern.D))
+        chunk = max(1, BLOCK // (n * kern.D * kern.D))
         for c0 in range(0, pairs, chunk):
             l, r = li[c0:c0 + chunk], ri[c0:c0 + chunk]
             mid = kern.gp_elemwise(garr[l][:, None, :], garr[None, :, :])

@@ -21,11 +21,12 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import (
+    BLOCK,
     DEFAULT_EPS,
     KeyIndex,
     Multivector,
     Signature,
-    dedup,
+    close,
     lex_order,
     row_keys,
     vector,
@@ -48,7 +49,6 @@ __all__ = [
 ]
 
 MAX_ROOTS = 10_000
-MAX_SWEEPS = 100
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -117,15 +117,20 @@ def _coerce_simple_coords(simple_roots, sig: Optional[Signature]):
     return sig, coords
 
 
+def _reflect_pairs(mirrors: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """[i, j] = root j reflected in unit mirror i (einsum: BLAS rounding varies by shape)."""
+    dots = np.einsum("id,jd->ij", mirrors, roots)
+    return roots[None, :, :] - 2.0 * dots[:, :, None] * mirrors[:, None, :]
+
+
 def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional[str] = None,
-                eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS,
-                max_sweeps: int = MAX_SWEEPS) -> RootSystem:
+                eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> RootSystem:
     """Reflection closure of +-(normalized simple roots).
 
-    Repeatedly reflects every known root in every known root until no new
-    unit vector appears.  Raises ClosureCapExceeded past ``max_roots``
-    elements or ``max_sweeps`` passes, which signals a non-finite (or
-    degenerate) seed configuration.
+    Each layer reflects the roots found so far in the newly found ones and
+    the new ones in the earlier ones, until no new unit vector appears.
+    Raises ClosureCapExceeded past ``max_roots`` roots, which signals a
+    non-finite (or degenerate) seed configuration.
     """
     sig, simple = _coerce_simple_coords(simple_roots, sig)
     norms = np.linalg.norm(simple, axis=1)
@@ -134,21 +139,9 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     if np.linalg.matrix_rank(simple, tol=1e-8) < simple.shape[0]:
         raise ValueError("simple roots must be linearly independent")
     simple = simple / norms[:, None]
-
-    coords = dedup(np.vstack([simple, -simple]))
-    for _ in range(max_sweeps):
-        # reflect every root (axis 1) in every root (axis 0)
-        dots = coords @ coords.T
-        refl = coords[None, :, :] - 2.0 * dots.T[:, :, None] * coords[:, None, :]
-        cand = dedup(refl.reshape(-1, coords.shape[1]))
-        fresh = cand[KeyIndex(coords).find(cand) < 0]
-        if not fresh.shape[0]:
-            return RootSystem(sig, simple, coords[lex_order(coords)], name=name)
-        coords = np.vstack([coords, fresh])
-        if coords.shape[0] > max_roots:
-            raise ClosureCapExceeded(
-                f"reflection closure exceeded {max_roots} roots; seed is likely not a finite system")
-    raise ClosureCapExceeded(f"reflection closure did not stabilize in {max_sweeps} sweeps")
+    coords = close(np.vstack([simple, -simple]), _reflect_pairs, max_roots,
+                   "reflection closure exceeded {cap} roots; seed is likely not a finite system")
+    return RootSystem(sig, simple, coords[lex_order(coords)], name=name)
 
 
 class AxiomViolation(NamedTuple):
@@ -194,7 +187,7 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     unit = coords / norms[:, None]
     scalar_bad = refl_bad = None
     # roots i in blocks, scanned in order: each axiom keeps its first witness
-    step = max(1, (1 << 22) // (n * d))
+    step = max(1, BLOCK // (n * d))
     for i0 in range(0, n, step):
         rows = np.arange(i0, min(i0 + step, n))
         if scalar_bad is None:

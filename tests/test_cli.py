@@ -1,6 +1,7 @@
 """End-to-end tests for the versorlab command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -135,6 +136,22 @@ def test_max_closure_caps_group_closure(capsys):
     assert rc == 2
     assert out == ""
     assert json.loads(err.strip())["error"] == "ClosureCapExceeded"
+
+
+def test_spin_closure_fails_fast_under_memory_limit():
+    # the closure works in blocks, so E6 Spin hits its 20 000-element cap
+    # well inside 1 GiB of address space; one BLAS thread keeps that space
+    # for the closure on machines with many cores
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run([sys.executable, "-m", "versorlab", "group", "E6", "--kind", "spin"],
+                         capture_output=True, text=True, preexec_fn=limit_address_space,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert out.returncode == 2, out.stderr
+    assert json.loads(out.stderr)["error"] == "ClosureCapExceeded"
 
 
 def test_error_payload_is_single_line(capsys):

@@ -6,7 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import versorlab.algebra
 from versorlab import (
+    ClosureCapExceeded,
     Multivector,
     Signature,
     Versor,
@@ -238,3 +240,29 @@ def test_closure_is_reverse_closed():
     g = generate_spin(catalog("B3"))
     for v in g.elements[:10]:
         assert g.contains(v.reverse())
+
+
+def test_closure_cap_boundary():
+    # the cap is checked before every block, partway through a layer
+    h3 = catalog("H3")
+    assert close_roots(h3.simple_coords, max_roots=30).root_count == 30
+    assert generate_spin(h3, max_elements=120).order == 120
+    with pytest.raises(ClosureCapExceeded):
+        close_roots(h3.simple_coords, max_roots=29)
+    with pytest.raises(ClosureCapExceeded):
+        generate_spin(h3, max_elements=119)  # its seed products are already all 120
+
+
+def test_closure_is_independent_of_block_size(monkeypatch):
+    def closures():
+        return [catalog("E8").coords, catalog("H4").coords,
+                generate_pin(catalog("H3")).element_arr(),
+                generate_spin(catalog("D4")).element_arr()]
+
+    default = closures()
+    monkeypatch.setattr(versorlab.algebra, "BLOCK", 512)  # one row per block for all four
+    for small, big in zip(closures(), default):
+        assert small.tobytes() == big.tobytes()
+    with pytest.raises(ClosureCapExceeded):  # the seed of test_closure_cap_trips_on_irrational_angle
+        close_roots([[1.0, 0.0], [-math.cos(1.0), math.sin(1.0)]], sig=Signature(2, 0),
+                    max_roots=500)
