@@ -19,12 +19,20 @@ T = translator(1,0) act on embedded points exactly as the Mobius maps
 tau -> -1/tau and tau -> tau + 1, which is checked against independent
 complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
 versors is a double cover of the group of maps, -1 acting as the identity.
+
+A word is evaluated one letter at a time, each letter one sandwich.  The
+letter versors S, T and t = T^-1 are built once, at import.  The checks on a
+point (X . X = 0, X . n = -1) and the normalizing scalar X . n read scalar
+parts off the metric diagonal (``_Kernel.scalar_part``) instead of forming
+whole geometric products; they are the same floats either way.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Tuple, Union
+
+import numpy as np
 
 from .algebra import (
     DEFAULT_EPS,
@@ -32,6 +40,7 @@ from .algebra import (
     Signature,
     Versor,
     blade,
+    kernel_for,
     sandwich,
     scalar_mv,
 )
@@ -81,8 +90,15 @@ VERSOR_KINDS = frozenset({
 })
 
 
+_KERNEL = kernel_for(CGA_SIG)
+
+
 def _inner_scalar(a: Multivector, b: Multivector) -> float:
-    return (a * b).scalar
+    return _KERNEL.scalar_part(a.coeffs, b.coeffs)
+
+
+def _max_abs(X: Multivector) -> float:
+    return float(np.abs(X.coeffs).max())
 
 
 class ConformalPoint:
@@ -93,7 +109,7 @@ class ConformalPoint:
     def __init__(self, X: Multivector, eps: float = DEFAULT_EPS):
         if X.sig != CGA_SIG or not X.is_grade(1, eps):
             raise VersorlabError("conformal points are grade-1 vectors of Cl(3,1)")
-        scale = max(1.0, float(max(abs(c) for c in X.coeffs)) ** 2)
+        scale = max(1.0, _max_abs(X) ** 2)
         if abs(_inner_scalar(X, X)) > eps * scale:
             raise VersorlabError("conformal points must be null")
         if abs(_inner_scalar(X, NINF) + 1.0) > eps * scale:
@@ -102,7 +118,7 @@ class ConformalPoint:
 
     @property
     def coords(self) -> Tuple[float, float]:
-        return (self.X.coeff("e1"), self.X.coeff("e2"))
+        return (float(self.X.coeffs[1]), float(self.X.coeffs[2]))  # e1, e2
 
     def __repr__(self):
         x1, x2 = self.coords
@@ -125,12 +141,12 @@ def extract(X: Union[ConformalPoint, Multivector],
     """
     if isinstance(X, ConformalPoint):
         return X.coords
-    scale = max(1.0, float(max(abs(c) for c in X.coeffs)))
+    scale = max(1.0, _max_abs(X))
     s = _inner_scalar(X, NINF)
     if abs(s) < eps * scale:
         raise PointAtInfinity("null vector has X . n = 0")
     Y = X * (-1.0 / s)
-    return (Y.coeff("e1"), Y.coeff("e2"))
+    return (float(Y.coeffs[1]), float(Y.coeffs[2]))  # e1, e2
 
 
 class ConformalVersor:
@@ -157,7 +173,7 @@ class ConformalVersor:
     def apply(self, p: ConformalPoint, eps: float = DEFAULT_EPS) -> ConformalPoint:
         """Sandwich and renormalize back to X . n = -1."""
         Y = self.apply_raw(p.X, eps=eps)
-        scale = max(1.0, float(max(abs(c) for c in Y.coeffs)))
+        scale = max(1.0, _max_abs(Y))
         s = _inner_scalar(Y, NINF)
         if abs(s) < eps * scale:
             raise PointAtInfinity("image point is at infinity")
@@ -229,7 +245,8 @@ def modular_T() -> ConformalVersor:
     return ConformalVersor(translator(1.0, 0.0).v, "translation")
 
 
-_LETTERS = {"S", "T", "t"}
+# the alphabet of modular words, each letter's versor built once
+_LETTERS = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}
 
 
 class ModularWord:
@@ -257,12 +274,6 @@ class ModularWord:
         return f"ModularWord({''.join(self.letters)!r})"
 
 
-def _letter_versors() -> dict:
-    S = modular_S()
-    T = modular_T()
-    return {"S": S, "T": T, "t": T.inverse()}
-
-
 def apply_word(word: Union[ModularWord, str], tau: Sequence[float],
                eps: float = DEFAULT_EPS) -> Tuple[float, float]:
     """Act on the point tau = (x1, x2), x2 > 0, by versor sandwiches, one
@@ -273,10 +284,9 @@ def apply_word(word: Union[ModularWord, str], tau: Sequence[float],
     x1, x2 = float(tau[0]), float(tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
-    versors = _letter_versors()
     p = embed(x1, x2)
     for letter in word.letters:
-        p = versors[letter].apply(p, eps=eps)
+        p = _LETTERS[letter].apply(p, eps=eps)
     return p.coords
 
 

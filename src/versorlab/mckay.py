@@ -20,7 +20,7 @@ diagram the McKay correspondence attaches to the group (D4, E6, E7, E8).
 from __future__ import annotations
 
 from collections import Counter
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -134,17 +134,23 @@ _ROWS = (
 )
 
 
-def mckay_table() -> tuple[McKayRow, ...]:
+def mckay_table(spins: Optional[Mapping[str, VersorGroup]] = None) -> tuple[McKayRow, ...]:
     """The four-row table tying |Phi_3D| = sum of binary-group irrep dims = h(ADE).
 
     Every entry is computed, none copied: root counts by reflection closure,
     irrep dimensions by class/abelianization counting, the 4D label by spinor
     induction, and h as the geometric order of a Coxeter element.
+
+    ``spins`` maps a 3D catalog name (A1^3, A3, B3, H3) to its already-built
+    ``generate_spin`` group, which is used, with the tables and classes it
+    has cached, instead of closing the group again; names it lacks are
+    built here.  The rows are the same either way.
     """
+    spins = spins or {}
     rows = []
     for three_d, ade, binary_name in _ROWS:
-        rs3 = catalog(three_d)
-        spin = generate_spin(rs3)
+        spin = spins[three_d] if three_d in spins else generate_spin(catalog(three_d))
+        rs3 = spin.source
         induced = induce_4d(spin)
         dims = irrep_dimensions(spin)
         h = coxeter_number(catalog(ade))

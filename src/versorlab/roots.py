@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .algebra import (
     row_keys,
     vector,
 )
-from .errors import ClosureCapExceeded, UnknownCatalogName
+from .errors import UnknownCatalogName
 
 __all__ = [
     "AxiomReport",

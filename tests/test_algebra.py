@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from versorlab import (
     scalar_mv,
     vector,
 )
+import versorlab.algebra
 from versorlab.algebra import kernel_for
 
 RNG = np.random.default_rng(20260814)
@@ -306,6 +308,52 @@ def test_kernel_products_match_reference(p, q):
     C = rng.normal(size=(2, 4, k.D))
     want_c = np.array([[reference_gp(C[i, j], B[j], p, q) for j in range(4)] for i in range(2)])
     assert np.allclose(k.gp_elemwise(C, B), want_c, **close)
+
+
+@pytest.mark.parametrize("p,q", REFERENCE_SIGS)
+def test_kernel_scalar_part_is_the_products_scalar_bitwise(p, q):
+    k = kernel_for(Signature(p, q))
+    assert np.array_equal(k.metric, k.sign[:, 0])
+    rng = np.random.default_rng(7 * p + q)
+    for _ in range(200):
+        # spread magnitudes, so a different summation order would show
+        a = rng.normal(size=k.D) * 10.0 ** rng.integers(-4, 5, size=k.D)
+        b = rng.normal(size=k.D) * 10.0 ** rng.integers(-4, 5, size=k.D)
+        assert k.scalar_part(a, b) == k.gp(a, b)[0]
+
+
+def unblocked_gp_pairs(k, A, B):
+    """All pairwise products with B expanded in one piece (len(B) * D**2 floats)."""
+    return np.einsum("...a,...ak->...k", A[:, None], B[None][..., k.xor] * k.sign)
+
+
+@pytest.mark.parametrize("p,q", [(3, 0), (3, 1), (5, 0), (8, 0)])
+def test_gp_pairs_blocks_are_bitwise_the_unblocked_product(p, q, monkeypatch):
+    k = kernel_for(Signature(p, q))
+    rng = np.random.default_rng(p + 10 * q)
+    A, B = rng.normal(size=(5, k.D)), rng.normal(size=(9, k.D))
+    want = unblocked_gp_pairs(k, A, B)
+    for block in (1, 2 * k.D * k.D, versorlab.algebra.BLOCK):  # 9, 5 and 1 blocks
+        monkeypatch.setattr(versorlab.algebra, "BLOCK", block)
+        got = k.gp_pairs(A, B)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert k.gp_pairs(A, B[:0]).shape == (5, 0, k.D)
+
+
+def test_gp_pairs_memory_is_bounded_by_the_block():
+    # unblocked, 300 right operands in Cl(8,0) would expand to 2 * 300 * 256**2
+    # floats (about 315 MB); blocked, the expansion stays within BLOCK floats
+    k = kernel_for(Signature(8, 0))
+    rng = np.random.default_rng(8)
+    A, B = rng.normal(size=(2, k.D)), rng.normal(size=(300, k.D))
+    tracemalloc.start()
+    try:
+        out = k.gp_pairs(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (2, 300, k.D)
+    assert peak <= 2 * versorlab.algebra.BLOCK * 8
 
 
 # ---------------------------------------------------------------- hashing / io

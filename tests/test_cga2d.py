@@ -253,3 +253,78 @@ def test_word_report_wire_format():
     assert rep["input"] == [0.5, 0.5]
     assert rep["max_deviation"] <= 1e-9
     assert rep["versor_result"][1] > 0
+
+
+# ---------------------------------------------------------------- bit identity
+
+def _reference_apply(versor, X, eps=1e-9):
+    """One letter or map the long way: the sandwich and every inner product
+    (X . X, X . n, the normalizing Y . n) as whole geometric products, and
+    coefficient scales from Python max over the coefficients."""
+    A = versor.mv
+    Y = ~A * X * A
+    Y = (-Y if versor.v.parity == 1 else Y).grade(1)
+    scale = max(1.0, float(max(abs(c) for c in Y.coeffs)))
+    s = (Y * NINF).scalar
+    if abs(s) < eps * scale:
+        raise PointAtInfinity("image point is at infinity")
+    Z = Y * (-1.0 / s)
+    scale = max(1.0, float(max(abs(c) for c in Z.coeffs)) ** 2)
+    if abs((Z * Z).scalar) > eps * scale or abs((Z * NINF).scalar + 1.0) > eps * scale:
+        raise VersorlabError("image is not a normalized null vector")
+    return Z
+
+
+def _reference_word(word, tau):
+    letters = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}  # rebuilt per call
+    X = embed(*tau).X
+    for letter in word:
+        X = _reference_apply(letters[letter], X)
+    return (X.coeff("e1"), X.coeff("e2"))
+
+
+def test_apply_word_matches_full_product_path():
+    # the fast path reads scalar parts off the metric diagonal and reuses the
+    # letter versors; every coordinate it returns must be the same float
+    rng = np.random.default_rng(2718)
+    letters = np.array(["S", "T", "t"])
+    compared = 0
+    for i in range(500):
+        word = "".join(rng.choice(letters, size=i % 17))
+        tau = (float(rng.uniform(-2, 2)), float(rng.uniform(0.05, 2)))
+        try:
+            want = _reference_word(word, tau)
+        except PointAtInfinity:
+            with pytest.raises(PointAtInfinity):
+                apply_word(word, tau)
+            continue
+        assert apply_word(word, tau) == want, (word, tau)
+        compared += 1
+    assert compared >= 450
+    # through tau = 0 the image runs off to infinity: both routes must give
+    # up at the same points, so the PointAtInfinity thresholds are the same
+    outcomes = set()
+    for k in range(48):
+        d = 10.0 ** (-k / 4)
+        for word in ("tS", "tSt", "tSTS"):
+            try:
+                want = _reference_word(word, (1.0 + d, d))
+            except PointAtInfinity:
+                with pytest.raises(PointAtInfinity):
+                    apply_word(word, (1.0 + d, d))
+                outcomes.add("infinity")
+                continue
+            assert apply_word(word, (1.0 + d, d)) == want, (word, d)
+            outcomes.add("finite")
+    assert outcomes == {"finite", "infinity"}
+    maps = (translator, rotation, dilator, special_conformal)
+    for i in range(200):
+        make = maps[i % 4]
+        reach = 0.3 if make is special_conformal else 2.0
+        params = rng.uniform(-reach, reach, size=2 if make in (translator, special_conformal) else 1)
+        versor, point = make(*params), embed(*rng.uniform(-1, 1, size=2))
+        want = _reference_apply(versor, point.X)
+        got = versor.apply(point).X
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), (make.__name__, params)
+        Y = want * (-1.0 / (want * NINF).scalar)  # extract renormalizes once more
+        assert extract(got) == (Y.coeff("e1"), Y.coeff("e2"))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import versorlab.mckay
 from versorlab import (
     abelianization_order,
     catalog,
@@ -120,6 +121,18 @@ def test_mckay_table_rows():
         (6, 6, 6), (12, 12, 12), (18, 18, 18), (30, 30, 30),
     ]
     assert [r.binary_group for r in rows] == ["Q8", "2T", "2O", "2I"]
+
+
+def test_mckay_table_uses_the_callers_spin_groups(monkeypatch):
+    want = mckay_table()
+    groups = {name: spin(name) for name in ("A1^3", "A3", "B3", "H3")}
+    built = []
+    monkeypatch.setattr(versorlab.mckay, "generate_spin",
+                        lambda rs: built.append(rs) or generate_spin(rs))
+    assert mckay_table(groups) == want
+    assert built == []  # nothing closed again
+    assert mckay_table({"A3": groups["A3"]}) == want
+    assert len(built) == 3  # the names the mapping lacks are built
 
 
 def test_mckay_table_dims_are_recomputed():
