@@ -18,7 +18,7 @@ Two tolerances matter throughout the package:
 The package's one set of key helpers sits next to ``quantize``: ``row_keys``
 (a void view of quantized rows), ``lex_order``, first-occurrence ``dedup``
 and ``KeyIndex`` (sorted keys plus searchsorted, for membership and index
-lookup).  On them stands ``close``, the one closure routine for roots and groups.
+lookup).  On them stands ``orbit``, the one closure routine for roots and groups.
 """
 
 from __future__ import annotations
@@ -221,30 +221,30 @@ class KeyIndex:
         return np.where(self._sorted[pos] == keys, self._order[pos], -1)
 
 
-def close(seeds: np.ndarray, op, cap: int, message: str) -> np.ndarray:
-    """Rows of ``seeds`` closed under ``op`` by frontier search, at most ``cap`` rows.
+def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int, message: str) -> np.ndarray:
+    """Orbit of the rows of ``seeds`` under ``gens`` by breadth-first search, at most ``cap`` rows.
 
-    ``op(A, B)`` gives all pairwise results, shape (len(A), len(B), width).
-    Each layer takes the (new, known) then the (known, new) pairs in row
-    blocks of at most ``BLOCK`` result floats, each deduplicated and filtered
-    against the known rows; rows keep their first-seen order.  Past ``cap``
-    rows it raises ``ClosureCapExceeded(message.format(cap=cap))`` at once.
+    ``act(A, gens)`` acts on each row of A by each generator, shape
+    (len(A), len(gens), width); each layer acts on the rows the last one
+    found, in row blocks of at most ``BLOCK`` result floats, each
+    deduplicated and filtered against the known rows.  Rows keep their
+    first-seen order and the value of their first path, whatever the block
+    size.  Past ``cap`` rows it raises ``ClosureCapExceeded(message.format(cap=cap))``.
     """
     known = new = dedup(seeds)
     index = KeyIndex(known)
+    step = max(1, BLOCK // max(gens.size, 1))
     while new.shape[0]:
         start = known.shape[0]
-        for a, b in ((new, known), (known, new)):
-            step = max(1, BLOCK // b.size)
-            for i in range(0, a.shape[0], step):
-                # checked before each block, so the seeds and every block count
-                if known.shape[0] > cap:
-                    raise ClosureCapExceeded(message.format(cap=cap))
-                cand = dedup(op(a[i:i + step], b).reshape(-1, b.shape[1]))
-                cand = cand[index.find(cand) < 0]
-                if cand.shape[0]:
-                    known = np.concatenate([known, cand])
-                    index = KeyIndex(known)
+        for i in range(0, new.shape[0], step):
+            # checked before each block, so the seeds and every block count
+            if known.shape[0] > cap:
+                raise ClosureCapExceeded(message.format(cap=cap))
+            cand = dedup(act(new[i:i + step], gens).reshape(-1, known.shape[1]))
+            cand = cand[index.find(cand) < 0]
+            if cand.shape[0]:
+                known = np.concatenate([known, cand])
+                index = KeyIndex(known)
         new = known[start:]
     return known
 

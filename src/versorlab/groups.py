@@ -1,9 +1,9 @@
 """Finite versor groups: Pin and Spin covers of reflection groups.
 
-Pin(rs) is the multiplicative closure of the unit root vectors of a root
-system; Spin(rs) is the closure of their pairwise products (the even part).
-Elements are unit versors kept as explicit multivectors, with +R and -R
-distinct; quotient_by_sign collapses the double cover onto the plain
+Pin(rs) is generated by the simple-root vectors s_i and Spin(rs), its even
+part, by the products s_i s_j (i < j): each is the orbit of +-1 under right
+products with its generators, unrounded.  Elements are unit versors, +R and
+-R distinct; quotient_by_sign collapses the double cover onto the plain
 rotation (from spin) or full reflection (from pin) group.
 
 Each group has one integer multiplication table, ``table[i, j]`` = index of
@@ -16,21 +16,22 @@ smallest quantized representative) so tables print identically run to run.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .algebra import (
+    BLOCK,
     DEFAULT_EPS,
     KeyIndex,
     Multivector,
     Signature,
     Versor,
-    close,
     dedup,
     kernel_for,
     lex_order,
+    orbit,
     quantize,
 )
 from .errors import ClosureCapExceeded, VersorlabError
@@ -134,16 +135,17 @@ class _GroupBase:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Read-only (n, n) int64 table, ``table[i, j]`` = index of g_i g_j.
+        """Read-only (n, n) int16/int32 table, ``table[i, j]`` = index of g_i g_j.
 
         Only generator rows are float products: s g_j for all j, with s the
         first element no row so far reaches, looked up by key (which checks
         closure).  Every other row is ``table[i] = row_s[table[p]]``, g_i = s g_p.
         """
         arr, n, e = self._arr, self.order, self._identity_index()
-        t = np.empty((n, n), dtype=np.int64)
+        t = np.empty((n, n), dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
         t[e] = np.arange(n)
         filled = np.arange(n) == e
+        step = max(1, BLOCK // n)
         rows = []
         while not filled.all():
             s = int(np.argmin(filled))
@@ -154,7 +156,8 @@ class _GroupBase:
                 for row in rows:  # a permutation, so no target repeats
                     src = frontier[~filled[row[frontier]]]
                     dst = row[src]
-                    t[dst] = row[t[src]]
+                    for k in range(0, src.size, step):
+                        t[dst[k:k + step]] = row[t[src[k:k + step]]]
                     filled[dst] = True
                     grown.append(dst)
                 frontier = np.concatenate(grown)
@@ -162,8 +165,10 @@ class _GroupBase:
         return t
 
     def inverses(self) -> np.ndarray:
-        """Index of g_i^-1 for each i, read off the table."""
-        return np.argmax(self.table == self._identity_index(), axis=1)
+        """Index of g_i^-1 for each i, read off the table in row blocks."""
+        t, e, step = self.table, self._identity_index(), max(1, BLOCK // self.order)
+        return np.concatenate([np.argmax(t[i:i + step] == e, axis=1)
+                               for i in range(0, self.order, step)])
 
     def element_order(self, v) -> int:
         """Least k with v^k = 1, i.e. with v^(k+1) back at v."""
@@ -230,30 +235,31 @@ class ConjugacyClass(NamedTuple):
     element_order: int
 
 
-def _root_vector_arr(rs: RootSystem) -> np.ndarray:
-    arr = np.zeros((rs.root_count, kernel_for(rs.sig).D))
-    arr[:, 1 << np.arange(rs.sig.dim)] = rs.coords  # grade-1 blades are the bits 1 << i
+def _simple_vectors(rs: RootSystem) -> np.ndarray:
+    """The simple roots as (rank, D) grade-1 rows; grade-1 blades are the bits 1 << i."""
+    arr = np.zeros((rs.rank, kernel_for(rs.sig).D))
+    arr[:, 1 << np.arange(rs.sig.dim)] = rs.simple_coords
     return arr
 
 
-def _generate(kind: str, rs: RootSystem, seeds: np.ndarray, cap: int) -> VersorGroup:
-    """Closure of ``seeds`` under the product, each layer rounded to 12 decimals."""
+def _generate(kind: str, rs: RootSystem, gens: np.ndarray, cap: int) -> VersorGroup:
+    """Orbit of +-1 under the right products g -> g s with each generator s."""
     kern = kernel_for(rs.sig)
-    arr = close(np.round(seeds, 12), lambda a, b: np.round(kern.gp_pairs(a, b), 12), cap,
-                "versor closure exceeded {cap} elements")
+    seeds = np.eye(1, kern.D) * [[1.0], [-1.0]]
+    arr = orbit(seeds, gens, kern.gp_pairs, cap, "versor closure exceeded {cap} elements")
     return VersorGroup(kind, rs.sig, arr[lex_order(arr)], source=rs)
 
 
 def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
-    """Multiplicative closure of the root vectors of a root system."""
-    return _generate("pin", rs, _root_vector_arr(rs), max_elements)
+    """The group generated by the simple-root vectors, with +-1."""
+    return _generate("pin", rs, _simple_vectors(rs), max_elements)
 
 
 def generate_spin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
-    """Closure of pairwise products of root vectors (the even subgroup of Pin)."""
-    vecs = _root_vector_arr(rs)
-    seeds = kernel_for(rs.sig).gp_pairs(vecs, vecs).reshape(-1, vecs.shape[1])
-    return _generate("spin", rs, seeds, max_elements)
+    """The even subgroup of Pin, generated by the products s_i s_j (i < j), with +-1."""
+    s = _simple_vectors(rs)
+    i, j = np.triu_indices(rs.rank, 1)
+    return _generate("spin", rs, kernel_for(rs.sig).gp_elemwise(s[i], s[j]), max_elements)
 
 
 def conjugacy_classes(group) -> tuple[ConjugacyClass, ...]:
@@ -345,24 +351,14 @@ def exp_decomposition(group: VersorGroup, eps: float = DEFAULT_EPS) -> ExpDecomp
 
 def coxeter_number(rs: RootSystem, max_power: int = 10_000) -> int:
     """Order of the sandwich action of the product of all simple-root vectors."""
-    kern = kernel_for(rs.sig)
-    n = rs.sig.dim
+    kern, n = kernel_for(rs.sig), rs.sig.dim
     if rs.rank != n:
         raise VersorlabError("coxeter_number needs a full-rank root system")
-    w = None
-    for row in rs.simple_coords:
-        arr = np.zeros(kern.D)
-        for i in range(n):
-            arr[1 << i] = row[i]
-        w = arr if w is None else kern.gp(w, arr)
+    w = reduce(kern.gp, _simple_vectors(rs))
     sign = -1.0 if rs.rank % 2 else 1.0
-    wrev = kern.rev(w)
-    mat = np.empty((n, n))
-    for j in range(n):
-        ej = np.zeros(kern.D)
-        ej[1 << j] = 1.0
-        img = sign * kern.gp(kern.gp(wrev, ej), w)
-        mat[:, j] = img[[1 << i for i in range(n)]]
+    grade1 = 1 << np.arange(n)  # column j of mat is the sandwich image of e_j
+    images = np.array([kern.gp(kern.gp(kern.rev(w), e), w) for e in np.eye(kern.D)[grade1]])
+    mat = sign * images[:, grade1].T
     power = mat.copy()
     eye = np.eye(n)
     for k in range(1, max_power + 1):

@@ -287,5 +287,5 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
         bad = np.nonzero(~np.all(np.sort(imgs, axis=1) == ar, axis=1))[0]
         if bad.size:
             raise SymmetrySweepFailure(f"pair (L={l}, R={int(bad[0])}) is not a symmetry")
-        perms.update(row.tobytes() for row in imgs.astype(np.int16))
+        perms.update(row.tobytes() for row in imgs)
     return AutomorphismSweep(n, n * n, True, len(perms))

@@ -26,8 +26,8 @@ from .algebra import (
     KeyIndex,
     Multivector,
     Signature,
-    close,
     lex_order,
+    orbit,
     row_keys,
     vector,
 )
@@ -117,20 +117,21 @@ def _coerce_simple_coords(simple_roots, sig: Optional[Signature]):
     return sig, coords
 
 
-def _reflect_pairs(mirrors: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """[i, j] = root j reflected in unit mirror i (einsum: BLAS rounding varies by shape)."""
-    dots = np.einsum("id,jd->ij", mirrors, roots)
-    return roots[None, :, :] - 2.0 * dots[:, :, None] * mirrors[:, None, :]
+def _reflect_pairs(roots: np.ndarray, mirrors: np.ndarray) -> np.ndarray:
+    """[i, j] = root i reflected in unit mirror j (einsum: BLAS rounding varies by shape)."""
+    dots = np.einsum("id,jd->ij", roots, mirrors)
+    return roots[:, None, :] - 2.0 * dots[:, :, None] * mirrors[None, :, :]
 
 
 def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional[str] = None,
                 eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> RootSystem:
     """Reflection closure of +-(normalized simple roots).
 
-    Each layer reflects the roots found so far in the newly found ones and
-    the new ones in the earlier ones, until no new unit vector appears.
-    Raises ClosureCapExceeded past ``max_roots`` roots, which signals a
-    non-finite (or degenerate) seed configuration.
+    The orbit of +-simple under the reflections in the simple mirrors.  The
+    reflection in w(s) is w s w^-1, so this is also the closure under
+    reflection in every root found (Humphreys 1990, section 1.5).  Raises
+    ClosureCapExceeded past ``max_roots`` roots, which signals a non-finite
+    (or degenerate) seed configuration.
     """
     sig, simple = _coerce_simple_coords(simple_roots, sig)
     norms = np.linalg.norm(simple, axis=1)
@@ -139,7 +140,7 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     if np.linalg.matrix_rank(simple, tol=1e-8) < simple.shape[0]:
         raise ValueError("simple roots must be linearly independent")
     simple = simple / norms[:, None]
-    coords = close(np.vstack([simple, -simple]), _reflect_pairs, max_roots,
+    coords = orbit(np.vstack([simple, -simple]), simple, _reflect_pairs, max_roots,
                    "reflection closure exceeded {cap} roots; seed is likely not a finite system")
     return RootSystem(sig, simple, coords[lex_order(coords)], name=name)
 

@@ -250,7 +250,7 @@ def test_closure_cap_boundary():
     with pytest.raises(ClosureCapExceeded):
         close_roots(h3.simple_coords, max_roots=29)
     with pytest.raises(ClosureCapExceeded):
-        generate_spin(h3, max_elements=119)  # its seed products are already all 120
+        generate_spin(h3, max_elements=119)  # its last layer reaches 120 before the next block
 
 
 def test_closure_is_independent_of_block_size(monkeypatch):
@@ -266,3 +266,51 @@ def test_closure_is_independent_of_block_size(monkeypatch):
     with pytest.raises(ClosureCapExceeded):  # the seed of test_closure_cap_trips_on_irrational_angle
         close_roots([[1.0, 0.0], [-math.cos(1.0), math.sin(1.0)]], sig=Signature(2, 0),
                     max_roots=500)
+
+
+@pytest.fixture(scope="module")
+def spin_h4():
+    return generate_spin(catalog("H4"))
+
+
+def test_spin_h4_order(spin_h4):
+    assert spin_h4.order == 14_400
+
+
+def test_spin_h4_class_count(spin_h4):
+    # Spin(H4) is 2I x 2I, and 2I has 9 classes
+    assert len(conjugacy_classes(spin_h4)) == 81
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4"])
+def test_coefficients_near_quarters_are_quarters(name):
+    # closure does no rounding of its own, so a coefficient that should be a
+    # multiple of 1/4 is one to a few ulps (Spin(D4) is the worst, at 6 ulps
+    # of 1.0 from its 1/sqrt(2) seeds); per-layer rounding left 2e-12
+    rs = catalog(name)
+    for g in (generate_pin(rs), generate_spin(rs)):
+        c = g.element_arr().ravel()
+        gap = np.abs(c - np.round(4 * c) / 4)
+        assert gap[gap <= 1e-9].max() <= 8 * np.finfo(float).eps, (name, g.kind)
+
+
+@pytest.mark.parametrize("name,kind,products", [
+    ("F4", "pin", 2304 * 4),
+    ("F4", "spin", 1152 * 6),
+    ("H3", "spin", 120 * 3),
+    ("A1", "spin", 0),
+])
+def test_closure_products_are_order_times_generators(name, kind, products, monkeypatch):
+    # each element is multiplied once by each generator: |G| * |gens| products
+    rs = catalog(name)
+    counted = []
+    gp_pairs = versorlab.algebra._Kernel.gp_pairs
+
+    def counting(self, A, B):
+        counted.append(A.shape[0] * B.shape[0])
+        return gp_pairs(self, A, B)
+
+    monkeypatch.setattr(versorlab.algebra._Kernel, "gp_pairs", counting)
+    g = (generate_pin if kind == "pin" else generate_spin)(rs)
+    assert sum(counted) == products
+    assert g.order * (rs.rank if kind == "pin" else rs.rank * (rs.rank - 1) // 2) == products

@@ -134,6 +134,14 @@ def test_reflection_agreement_exhaustive():
         assert rep.all_in_group
 
 
+def test_reflection_agreement_of_h3_is_drift_free():
+    # the two reflection routes agree to rounding: no element carries a
+    # per-layer rounding residual (that residual gave 5.8e-13 here)
+    rep = reflection_agreement(spin_group("H3"))
+    assert rep.all_in_group
+    assert rep.max_deviation <= 1e-14
+
+
 @pytest.mark.parametrize("src,images", [
     ("A1^3", 32), ("A3", 288), ("B3", 1152), ("H3", 7200),
 ])
