@@ -207,12 +207,23 @@ def dedup(arr: np.ndarray) -> np.ndarray:
 
 
 class KeyIndex:
-    """Row lookup in a fixed table: its sorted quantized keys plus searchsorted."""
+    """Row lookup in a growing table: its sorted quantized keys plus searchsorted."""
 
     def __init__(self, table: np.ndarray):
-        keys = row_keys(table)
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._order]
+        self._sorted, self._order = row_keys(table[:0]), np.zeros(0, dtype=np.intp)
+        self.extend(table)
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Index rows appended to the table; their keys merge in after equal known ones."""
+        keys = row_keys(rows)
+        order = np.argsort(keys, kind="stable")
+        at = np.searchsorted(self._sorted, keys[order], side="right") + np.arange(keys.size)
+        old = np.ones(self._sorted.size + keys.size, dtype=bool)
+        old[at] = False
+        merged = np.empty(old.size, dtype=keys.dtype), np.empty(old.size, dtype=np.intp)
+        merged[0][at], merged[0][old] = keys[order], self._sorted
+        merged[1][at], merged[1][old] = order + self._order.size, self._order
+        self._sorted, self._order = merged
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Table index of each row (its first occurrence), or -1 where absent."""
@@ -243,8 +254,8 @@ def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int, message: str) -> n
             cand = dedup(act(new[i:i + step], gens).reshape(-1, known.shape[1]))
             cand = cand[index.find(cand) < 0]
             if cand.shape[0]:
+                index.extend(cand)
                 known = np.concatenate([known, cand])
-                index = KeyIndex(known)
         new = known[start:]
     return known
 
@@ -461,19 +472,13 @@ def vector(sig: Signature, coords) -> Multivector:
     if coords.shape != (sig.dim,):
         raise ValueError(f"expected {sig.dim} coordinates, got {coords.shape}")
     arr = np.zeros(sig.blade_count)
-    for i, c in enumerate(coords):
-        arr[1 << i] = c
+    arr[1 << np.arange(sig.dim)] = coords
     return Multivector._wrap(sig, arr)
 
 
 def basis(sig: Signature) -> list[Multivector]:
     """Grade-1 basis vectors [e1, ..., en]."""
-    out = []
-    for i in range(sig.dim):
-        arr = np.zeros(sig.blade_count)
-        arr[1 << i] = 1.0
-        out.append(Multivector._wrap(sig, arr))
-    return out
+    return [blade(sig, 1 << i) for i in range(sig.dim)]
 
 
 def blade(sig: Signature, spec) -> Multivector:
@@ -622,6 +627,5 @@ def exp_bivector(B: Multivector, theta: float, eps: float = DEFAULT_EPS) -> Vers
     if abs(sq[0] + 1.0) > eps or np.max(np.abs(sq[1:])) > eps:
         raise ValueError(f"bivector must square to -1, got B^2 = {Multivector._wrap(B.sig, sq)}")
     arr = B.coeffs * math.sin(theta)
-    arr = arr.copy()
     arr[0] += math.cos(theta)
     return Versor(Multivector._wrap(B.sig, arr), eps)

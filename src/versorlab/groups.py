@@ -172,7 +172,9 @@ class _GroupBase:
 
     def element_order(self, v) -> int:
         """Least k with v^k = 1, i.e. with v^(k+1) back at v."""
-        i = self.index_of(v)
+        return self._order_of_index(self.index_of(v))
+
+    def _order_of_index(self, i: int) -> int:
         col, acc = self.table[:, i], i
         for k in range(1, self.order + 1):
             acc = col[acc]
@@ -192,14 +194,10 @@ class _GroupBase:
                 continue
             member_idx = np.unique(t[t[inv, idx], every])  # g^-1 x g over all g
             assigned[member_idx] = True
-            classes.append((len(member_idx), int(member_idx[0]), member_idx))
-        classes.sort(key=lambda c: (c[0], tuple(quantize(arr[c[1]]))))
-        out = []
-        for size, rep_i, member_idx in classes:
-            rep = Versor(Multivector(self.sig, arr[rep_i]))
-            members = tuple(Versor(Multivector(self.sig, arr[i])) for i in member_idx)
-            out.append(ConjugacyClass(rep, members, size, self.element_order(arr[rep_i])))
-        self._classes = tuple(out)
+            classes.append(member_idx)
+        classes.sort(key=lambda m: (m.size, tuple(quantize(arr[m[0]]))))
+        self._classes = tuple(ConjugacyClass(self.sig, arr, m, self._order_of_index(m[0]))
+                              for m in classes)
         return self._classes
 
 
@@ -228,11 +226,20 @@ class QuotientGroup(_GroupBase):
         return _sign_canonical(rows)
 
 
-class ConjugacyClass(NamedTuple):
-    representative: Versor
-    members: tuple
-    size: int
-    element_order: int
+class ConjugacyClass:
+    """Member indices into the group's rows (not the group: no cycle); Versors built when read."""
+
+    def __init__(self, sig: Signature, rows: np.ndarray, indices: np.ndarray, element_order: int):
+        self.sig, self.rows, self.indices, self.element_order = sig, rows, indices, element_order
+        self.size = len(indices)
+
+    @cached_property
+    def representative(self) -> Versor:
+        return Versor(Multivector(self.sig, self.rows[self.indices[0]]))
+
+    @cached_property
+    def members(self) -> tuple:
+        return tuple(Versor(Multivector(self.sig, self.rows[i])) for i in self.indices)
 
 
 def _simple_vectors(rs: RootSystem) -> np.ndarray:

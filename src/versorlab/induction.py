@@ -7,8 +7,9 @@ identity -R1 ~R2 R1 = R2 - 2 (R1,R2)/(R1,R1) R1 shows closure of the set
 under 4D reflections.  The three irreducible rank-3 systems plus A1^3 induce
 exactly the 4D systems A1^4, D4, F4, H4 this way, and left/right group
 multiplication X -> L X R acts on the induced roots by symmetries.  The
-exhaustive L X R sweep reads the group's integer table; the sampled sweep
-and ``reflection_agreement`` are float witnesses independent of it.
+L X R sweep reads the group's integer table, exhaustive or sampled; the
+sampled sweep's 32-pair float product and ``reflection_agreement`` are
+float witnesses independent of it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .algebra import (
-    BLOCK,
     DEFAULT_EPS,
     KeyIndex,
     Multivector,
@@ -49,8 +49,8 @@ __all__ = [
 
 _SIG3 = Signature(3, 0)
 _SIG4 = Signature(4, 0)
-_E12, _E13, _E23 = 0b011, 0b101, 0b110
-_COORD_COLS = (0, _E23, _E13, _E12)  # scalar, e2e3, e3e1 (negated), e1e2
+# scalar, e2e3, e3e1 = -e1e3 and e1e2: blades 0, 0b110, 0b101 (negated) and 0b011
+_COORD_COLS, _COORD_SIGNS = [0, 0b110, 0b101, 0b011], np.array([1.0, 1.0, -1.0, 1.0])
 
 
 def _even_coeffs(R: Union[Versor, Multivector]) -> np.ndarray:
@@ -64,14 +64,11 @@ def _even_coeffs(R: Union[Versor, Multivector]) -> np.ndarray:
 
 def spinor_coords(R: Union[Versor, Multivector]) -> np.ndarray:
     """4D coordinates (a0, a23, a31, a12) of an even Cl(3,0) element."""
-    c = _even_coeffs(R)
-    return np.array([c[0], c[_E23], -c[_E13], c[_E12]])
+    return _coords_of_arr(_even_coeffs(R))
 
 
 def _coords_of_arr(arr: np.ndarray) -> np.ndarray:
-    out = arr[:, list(_COORD_COLS)].copy()
-    out[:, 2] = -out[:, 2]
-    return out
+    return arr[..., _COORD_COLS] * _COORD_SIGNS
 
 
 def spinor_inner(R1, R2) -> float:
@@ -194,8 +191,7 @@ def reflection_closure_witness(group: VersorGroup, R1, R2,
     The 4D reflection formula R2 - 2 (R1,R2)/(R1,R1) R1 and the group-level
     product -R1 ~R2 R1 must agree; the common value is returned.
     """
-    c1 = _even_coeffs(R1)
-    c2 = _even_coeffs(R2)
+    c1, c2 = _even_coeffs(R1), _even_coeffs(R2)
     if not (group.contains(c1) and group.contains(c2)):
         raise VersorlabError("witness arguments must be group elements")
     k = kernel_for(_SIG3)
@@ -225,9 +221,7 @@ def reflection_agreement(group: VersorGroup, eps: float = DEFAULT_EPS) -> Reflec
     """
     if group.kind != "spin" or group.sig != _SIG3:
         raise VersorlabError("reflection_agreement expects a spin group in Cl(3,0)")
-    garr = group.element_arr()
-    n = group.order
-    kern = kernel_for(_SIG3)
+    garr, n, kern = group.element_arr(), group.order, kernel_for(_SIG3)
     coords = _coords_of_arr(garr)
     gram = coords @ coords.T
     ratio = gram / np.diag(gram)[:, None]
@@ -249,43 +243,40 @@ class AutomorphismSweep(NamedTuple):
 
 def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = None,
                             seed: Optional[int] = None) -> AutomorphismSweep:
-    """Verify that X -> L X R permutes the induced roots for (L, R) pairs.
+    """Verify on the group's table that X -> L X R permutes the induced roots.
 
-    With ``pairs=None`` every pair in G x G is swept on the group's table and
-    the number of distinct index permutations is reported; otherwise ``pairs``
-    random pairs from the given seed are multiplied out in floats.
+    Once the induced roots are checked to be the group's spinor coordinates,
+    row (L, R) of ``t[t[L], R]`` names the image of every X and must be a
+    permutation.  ``pairs=None`` sweeps all of G x G and counts the distinct
+    permutations; otherwise ``pairs`` pairs are drawn from ``seed``, and the
+    first 32 are multiplied out in floats, a witness that the table is right.
     """
     group = r.source
-    garr = group.element_arr()
-    n = group.order
-    kern = kernel_for(_SIG3)
-    canon = np.sort(row_keys(r.base.coords))
-
-    if pairs is not None:
-        rng = np.random.default_rng(seed)
-        li = rng.integers(0, n, size=pairs)
-        ri = rng.integers(0, n, size=pairs)
-        chunk = max(1, BLOCK // (n * kern.D * kern.D))
-        for c0 in range(0, pairs, chunk):
-            l, r = li[c0:c0 + chunk], ri[c0:c0 + chunk]
-            mid = kern.gp_elemwise(garr[l][:, None, :], garr[None, :, :])
-            img = kern.gp_elemwise(mid, garr[r][:, None, :])
-            iv = row_keys(_coords_of_arr(img.reshape(-1, kern.D))).reshape(len(l), n)
-            iv = np.sort(iv, axis=1)
-            bad = np.nonzero(~np.all(iv == canon[None, :], axis=1))[0]
-            if bad.size:
-                t = c0 + int(bad[0])
-                raise SymmetrySweepFailure(f"pair (L={li[t]}, R={ri[t]}) is not a symmetry")
-        return AutomorphismSweep(n, pairs, False, None)
-
-    if not np.array_equal(np.sort(row_keys(_coords_of_arr(garr))), canon):
+    garr, n, t = group.element_arr(), group.order, group.table
+    if not np.array_equal(np.sort(row_keys(_coords_of_arr(garr))),
+                          np.sort(row_keys(r.base.coords))):
         raise SymmetrySweepFailure("the induced roots are not the spinor coordinates of the group")
-    t, ar = group.table, np.arange(n)
-    perms = set()
-    for l in range(n):
-        imgs = t[t[l][None, :], ar[:, None]]  # imgs[r, x]: index of L X R
-        bad = np.nonzero(~np.all(np.sort(imgs, axis=1) == ar, axis=1))[0]
+    if pairs is None:
+        li, ri = np.divmod(np.arange(n * n), n)
+    else:
+        rng = np.random.default_rng(seed)
+        li, ri = rng.integers(0, n, size=pairs), rng.integers(0, n, size=pairs)
+    perms, cols = set(), t.T.copy()  # cols[R, Y]: index of Y R
+    for c0 in range(0, li.size, n):  # n pairs per gather, the size of the table
+        # imgs[k, x] = t[t[L_k, x], R_k], the index of L_k X R_k, as one flat take
+        imgs = cols.take(t[li[c0:c0 + n]] + n * ri[c0:c0 + n, None])
+        bad = np.flatnonzero(np.any(np.sort(imgs, axis=1) != np.arange(n), axis=1))
         if bad.size:
-            raise SymmetrySweepFailure(f"pair (L={l}, R={int(bad[0])}) is not a symmetry")
-        perms.update(row.tobytes() for row in imgs)
-    return AutomorphismSweep(n, n * n, True, len(perms))
+            k = c0 + int(bad[0])
+            raise SymmetrySweepFailure(f"pair (L={li[k]}, R={ri[k]}) is not a symmetry")
+        if pairs is None:
+            perms.update(map(bytes, imgs))
+    if pairs is None:
+        return AutomorphismSweep(n, n * n, True, len(perms))
+    l, r, kern = li[:32], ri[:32], kernel_for(_SIG3)
+    img = kern.gp_elemwise(kern.gp_elemwise(garr[l, None], garr[None]), garr[r, None])
+    bad = np.flatnonzero(np.any(row_keys(img) != row_keys(garr[t[t[l], r[:, None]]]), axis=1))
+    if bad.size:
+        raise SymmetrySweepFailure(f"pair (L={l[bad[0]]}, R={r[bad[0]]}): "
+                                   "the float product disagrees with the table")
+    return AutomorphismSweep(n, pairs, False, None)

@@ -169,13 +169,17 @@ def test_criterion_06_spinorial_symmetries():
     assert sweep_2t.pairs_tested == 24 ** 2
     assert sweep_2t.failures == 0
 
-    for src in ("B3", "H3"):
+    for src, n, distinct in (("B3", 48, 1152), ("H3", 120, 7200)):
         ind = induce_4d(generate_spin(catalog(src)))
-        sweep = spinorial_automorphisms(ind, pairs=10_000, seed=SEED)
-        assert sweep.pairs_tested >= 10_000
+        sweep = spinorial_automorphisms(ind)
+        assert sweep.exhaustive
+        assert sweep.pairs_tested == n ** 2
+        assert sweep.distinct_images == distinct
         assert sweep.failures == 0
+        # the float witness: 32 seeded pairs multiplied out against the table
+        assert spinorial_automorphisms(ind, pairs=32, seed=SEED).failures == 0
     print("criterion 06 PASS - all 576 pairs permute the 2T-induced roots; "
-          "10^4 sampled pairs each for 2O and 2I, zero failures")
+          "all 2304/14400 pairs for 2O/2I (1152/7200 distinct), zero failures")
 
 
 def test_criterion_07_mckay_numerology():

@@ -27,7 +27,7 @@ from versorlab import (
     vector,
 )
 import versorlab.algebra
-from versorlab.algebra import kernel_for
+from versorlab.algebra import KeyIndex, kernel_for
 
 RNG = np.random.default_rng(20260814)
 
@@ -392,3 +392,16 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(7, 3)  # dimension above 8 unsupported
     assert Signature(3, 1).blade_count == 16
+
+
+def test_key_index_extend_finds_what_a_fresh_index_finds():
+    # rows appended in three pieces, with repeats inside and across them:
+    # every lookup gives the first occurrence, as an index built in one go does
+    rng = np.random.default_rng(3)
+    base = rng.integers(-3, 4, size=(40, 4)) / 4.0
+    rows = np.concatenate([base, base[::-1], rng.integers(-3, 4, size=(30, 4)) / 4.0])
+    grown = KeyIndex(rows[:40])
+    grown.extend(rows[40:75])
+    grown.extend(rows[75:])
+    probes = np.concatenate([rows, rng.integers(-4, 5, size=(50, 4)) / 4.0])
+    assert np.array_equal(grown.find(probes), KeyIndex(rows).find(probes))

@@ -2,10 +2,11 @@
 
 Each file is the stdout of the listed command with VERSORLAB_SEED=42.  All
 but one use systems with explicit catalog seeds (and none runs ``verify``),
-so their digits do not depend on the machine's LAPACK.  The exception is
-``classes H3 --kind pin``, the class table of the largest binary group here:
-H3's seeds are the Cholesky factor of a 3x3 Gram matrix, which is taken to
-print the same to 12 decimals everywhere.  The three ``modular`` files pin
+so their digits do not depend on the machine's LAPACK.  The exceptions are
+``classes H3 --kind pin``, the class table of the largest binary group here,
+and ``induce H3``, which pins the seeded 2 000-pair sampled sweep: H3's
+seeds are the Cholesky factor of a 3x3 Gram matrix, which is taken to print
+the same to 12 decimals everywhere.  The three ``modular`` files pin
 the versor route of a word, which goes one sandwich per letter: a 7-letter
 and a 16-letter word, and ``tSt`` from 1.0001 + 0.0001i, which passes
 within 1.5e-4 of tau = 0 and lands near -5001 + 5000i, where the 12 printed
@@ -30,6 +31,7 @@ CASES = {
     "group_D4_spin.csv": ["group", "D4", "--kind", "spin", "--format", "csv"],
     "induce_A3.json": ["induce", "A3"],
     "induce_B3.json": ["induce", "B3"],
+    "induce_H3.json": ["induce", "H3"],
     "modular_STtSTTS.json": ["modular", "STtSTTS", "0.3", "0.7"],
     "modular_near_zero.json": ["modular", "tSt", "1.0001", "0.0001"],
     "modular_word16.json": ["modular", "STTtSTSTtSTSSTtT", "0.3", "0.7"],

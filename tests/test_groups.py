@@ -260,7 +260,9 @@ def test_closure_is_independent_of_block_size(monkeypatch):
                 generate_spin(catalog("D4")).element_arr()]
 
     default = closures()
-    monkeypatch.setattr(versorlab.algebra, "BLOCK", 512)  # one row per block for all four
+    # a block is max(1, BLOCK // gens.size) rows, and the smallest generator
+    # set of the four is H4's 4 x 4 mirrors: one row per block for all four
+    monkeypatch.setattr(versorlab.algebra, "BLOCK", 16)
     for small, big in zip(closures(), default):
         assert small.tobytes() == big.tobytes()
     with pytest.raises(ClosureCapExceeded):  # the seed of test_closure_cap_trips_on_irrational_angle

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import versorlab.algebra
 from versorlab import (
     InducedRootSystem4D,
     Signature,
@@ -173,6 +174,42 @@ def test_automorphism_sweep_detects_broken_symmetry():
         ind.base.sig, ind.base.simple_coords, coords, name=ind.base.name))
     with pytest.raises(SymmetrySweepFailure):
         spinorial_automorphisms(tampered)
+
+
+def test_sweep_multiplies_out_only_the_float_witness(monkeypatch):
+    # the sweep reads the table; only the first 32 sampled pairs are multiplied
+    # out, one product for L X and one for (L X) R per root: 2 * 32 * 120 on 2I
+    ind = induce_4d(spin_group("H3"))
+    ind.source.table  # its generator rows are float products of their own
+    counted = []
+    kernel = versorlab.algebra._Kernel
+    gp_pairs, gp_elemwise = kernel.gp_pairs, kernel.gp_elemwise
+
+    def counting_pairs(self, A, B):
+        counted.append(A.shape[0] * B.shape[0])
+        return gp_pairs(self, A, B)
+
+    def counting_elemwise(self, A, B):
+        counted.append(int(np.prod(np.broadcast_shapes(A.shape, B.shape)[:-1])))
+        return gp_elemwise(self, A, B)
+
+    monkeypatch.setattr(kernel, "gp_pairs", counting_pairs)
+    monkeypatch.setattr(kernel, "gp_elemwise", counting_elemwise)
+    assert spinorial_automorphisms(ind).distinct_images == 7200
+    assert sum(counted) == 0
+    assert spinorial_automorphisms(ind, pairs=2000, seed=5).pairs_tested == 2000
+    assert counted == [32 * 120, 32 * 120]
+
+
+def test_sampled_sweep_catches_a_table_with_swapped_columns():
+    g = spin_group("B3")
+    ind = induce_4d(g)
+    t = g.table.copy()
+    t[:, [3, 7]] = t[:, [7, 3]]
+    g.table = t  # still a Latin square, so every row of t[t[L], R] is a permutation
+    assert spinorial_automorphisms(ind).exhaustive
+    with pytest.raises(SymmetrySweepFailure, match="disagrees with the table"):
+        spinorial_automorphisms(ind, pairs=2000, seed=5)
 
 
 def test_induced_gram_spectra_match_catalog():
