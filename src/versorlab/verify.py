@@ -1,15 +1,23 @@
-"""Self-contained invariant battery behind the ``verify`` subcommand.
+"""The paper's checkable claims as one table, run by the ``verify`` subcommand.
 
-Each check exercises one contract of the library end to end and returns a
-pass/fail verdict with a one-line detail string.  Randomized checks draw
-from a seeded generator (VERSORLAB_SEED on the command line), so a given
-seed always produces byte-identical reports.
+Each ``Claim`` row in ``CLAIMS`` has a name, the acceptance criteria (01-10)
+it serves, ``compute(ctx)`` returning a dict of plain values, the expected
+value of each field, and a pass detail formatted from the computed fields.
+One comparer decides every row: a field expected as ``AtMost(bound)`` passes
+when no number in it exceeds the bound (``AtMost()``: the run's tolerance),
+any other field when it equals its expected value.  A row whose compute
+raises fails with ``"<ExcType>: <msg>"``.  ``run_battery`` runs the rows in
+table order, drawing from one seeded generator (VERSORLAB_SEED on the
+command line), so a given seed gives byte-identical reports;
+``tests/test_acceptance.py`` parametrizes over the same rows.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -18,6 +26,7 @@ from .algebra import (
     Signature,
     Versor,
     basis,
+    blade,
     exp_bivector,
     kernel_for,
     reflect,
@@ -29,6 +38,7 @@ from .cga2d import (
     CGA_SIG,
     E1,
     E2,
+    EPLUS,
     NBAR,
     apply_word,
     dilator,
@@ -49,11 +59,24 @@ from .groups import (
     quotient_by_sign,
 )
 from .induction import induce_4d, reflection_agreement, spinorial_automorphisms
-from .mckay import abelianization_order, irrep_dimensions, mckay_table
+from .mckay import _dimension_multisets, abelianization_order, irrep_dimensions, mckay_table
 from .roots import catalog, cartan_matrix, check_axioms, diagram
-from .errors import SymmetrySweepFailure
 
-__all__ = ["CheckResult", "BatteryReport", "run_battery"]
+__all__ = ["AtMost", "Claim", "CLAIMS", "CheckResult", "BatteryReport", "run_battery"]
+
+
+class AtMost(NamedTuple):
+    """Expected value of a measured residual; ``None`` is the run's tolerance."""
+
+    bound: Optional[float] = None
+
+
+class Claim(NamedTuple):
+    name: str
+    criteria: tuple      # acceptance criteria served, e.g. ("05",)
+    compute: Callable    # ctx -> dict of plain values
+    expected: dict       # field -> exact value or AtMost
+    detail: str          # pass detail, formatted with the computed fields
 
 
 class CheckResult(NamedTuple):
@@ -81,24 +104,14 @@ class BatteryReport(NamedTuple):
 
 
 class _Ctx:
+    """One run's seeded generator and tolerance, and the groups its rows share, each built once."""
+
     def __init__(self, seed: int, tol: float):
         self.rng = np.random.default_rng(seed)
         self.tol = tol
-        self._cache = {}
-
-    def _get(self, kind, name, make):
-        if (kind, name) not in self._cache:
-            self._cache[kind, name] = make(name)
-        return self._cache[kind, name]
-
-    def spin(self, name):
-        return self._get("spin", name, lambda n: generate_spin(catalog(n)))
-
-    def pin(self, name):
-        return self._get("pin", name, lambda n: generate_pin(catalog(n)))
-
-    def induced(self, name):
-        return self._get("induced", name, lambda n: induce_4d(self.spin(n)))
+        self.spin = spin = functools.cache(lambda name: generate_spin(catalog(name)))
+        self.pin = functools.cache(lambda name: generate_pin(catalog(name)))
+        self.induced = functools.cache(lambda name: induce_4d(spin(name)))
 
 
 def _random_mv(ctx, sig, grades=None):
@@ -116,7 +129,22 @@ def _random_unit_vector(ctx, sig):
     return vector(sig, v)
 
 
-def _check_reflection_formula(ctx) -> CheckResult:
+def _same_elements(got, expected, tol=1e-9) -> tuple:
+    """(same grid-key sets, each element within tol of exactly one on the other side)."""
+    keys_agree = {g.key() for g in got} == {x.key() for x in expected}
+    if len(got) != len(expected):
+        return keys_agree, False
+    a, b = np.array([g.coeffs for g in got]), np.array([x.coeffs for x in expected])
+    close = np.abs(a[:, None] - b[None]).max(axis=2) <= tol
+    return keys_agree, bool((close.sum(0) == 1).all() and (close.sum(1) == 1).all())
+
+
+def _by_field(results) -> dict:
+    """NamedTuple results transposed: each field name to the tuple of its values."""
+    return dict(zip(results[0]._fields, zip(*results)))
+
+
+def _reflection_formula(ctx):
     worst = 0.0
     for sig in (Signature(2, 0), Signature(3, 0), Signature(4, 0)):
         for _ in range(400):
@@ -126,11 +154,10 @@ def _check_reflection_formula(ctx) -> CheckResult:
             dot = (v * a + a * v).scalar * 0.5
             rhs = v - 2.0 * dot * a
             worst = max(worst, float(np.abs((lhs - rhs).coeffs).max()))
-    return CheckResult("kernel.reflection_formula", worst <= ctx.tol,
-                       f"1200 random mirrors, worst |{chr(0x2212)}ava - (v-2(v|a)a)| = {worst:.2e}")
+    return {"worst": worst}
 
 
-def _check_sandwich_isometry(ctx) -> CheckResult:
+def _sandwich_isometry(ctx):
     worst = 0.0
     sig = Signature(3, 0)
     for _ in range(1000):
@@ -142,11 +169,10 @@ def _check_sandwich_isometry(ctx) -> CheckResult:
         before = (u * v + v * u).scalar * 0.5
         after = (u2 * v2 + v2 * u2).scalar * 0.5
         worst = max(worst, abs(before - after))
-    return CheckResult("kernel.sandwich_isometry", worst <= ctx.tol,
-                       f"1000 random versors, worst inner-product drift = {worst:.2e}")
+    return {"worst": worst}
 
 
-def _check_reversal_antiautomorphism(ctx) -> CheckResult:
+def _reversal_antiautomorphism(ctx):
     worst = 0.0
     for sig in (Signature(3, 0), Signature(3, 1)):
         for _ in range(500):
@@ -154,11 +180,10 @@ def _check_reversal_antiautomorphism(ctx) -> CheckResult:
             B = _random_mv(ctx, sig)
             delta = (A * B).reverse() - B.reverse() * A.reverse()
             worst = max(worst, float(np.abs(delta.coeffs).max()))
-    return CheckResult("kernel.reversal_antiautomorphism", worst <= ctx.tol,
-                       f"1000 random products, worst |(AB)~ - ~B~A| = {worst:.2e}")
+    return {"worst": worst}
 
 
-def _check_exp_additivity(ctx) -> CheckResult:
+def _exp_additivity(ctx):
     worst = 0.0
     sig = Signature(3, 0)
     for _ in range(1000):
@@ -170,8 +195,7 @@ def _check_exp_additivity(ctx) -> CheckResult:
         lhs = (exp_bivector(B, t1) * exp_bivector(B, t2)).mv
         rhs = exp_bivector(B, t1 + t2).mv
         worst = max(worst, float(np.abs((lhs - rhs).coeffs).max()))
-    return CheckResult("kernel.exp_additivity", worst <= ctx.tol,
-                       f"1000 random rotor pairs, worst |e^Bt1 e^Bt2 - e^B(t1+t2)| = {worst:.2e}")
+    return {"worst": worst}
 
 
 _ROOT_COUNTS = {
@@ -181,215 +205,126 @@ _ROOT_COUNTS = {
 }
 
 
-def _check_root_counts(ctx) -> CheckResult:
-    got = {name: catalog(name).root_count for name in _ROOT_COUNTS}
-    ok = got == _ROOT_COUNTS
-    diffs = {k: (got[k], _ROOT_COUNTS[k]) for k in got if got[k] != _ROOT_COUNTS[k]}
-    return CheckResult("roots.closure_counts", ok,
-                       "13 catalog closures match" if ok else f"mismatches {diffs}")
-
-
-def _check_root_axioms(ctx) -> CheckResult:
-    for name in ("A3", "B3", "H3", "F4"):
-        if not check_axioms(catalog(name)).ok:
-            return CheckResult("roots.axioms", False, f"{name} failed the axiom check")
+def _root_axioms(ctx):
     spoiled = catalog("A3").coords.copy()
     spoiled[0] = spoiled[0] * 1.01
-    if check_axioms(spoiled).ok:
-        return CheckResult("roots.axioms", False,
-                           "perturbed A3 passed the axiom check (checker too weak)")
-    return CheckResult("roots.axioms", True,
-                       "A3/B3/H3/F4 pass; perturbed control set is rejected")
+    return {"ok": tuple(check_axioms(catalog(n)).ok for n in ("A3", "B3", "H3", "F4")),
+            "perturbed_ok": check_axioms(spoiled).ok}
 
 
-def _check_cartan_diagrams(ctx) -> CheckResult:
+_DIAGRAM_MARKS = {"A3": [3, 3], "B3": [3, 4], "H3": [3, 5], "F4": [3, 3, 4], "I2(7)": [7]}
+
+
+def _cartan_diagrams(ctx):
     a3 = cartan_matrix(catalog("A3"))
-    expect = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=float)
-    if not (a3.is_integral() and np.allclose(a3.entries, expect, atol=ctx.tol)):
-        return CheckResult("roots.cartan_diagram", False, f"A3 Cartan matrix {a3.entries}")
-    for name, marks in (("A3", [3, 3]), ("B3", [3, 4]), ("H3", [3, 5]),
-                        ("F4", [3, 4, 3]), ("I2(7)", [7])):
-        got = sorted(e.m for e in diagram(catalog(name)))
-        if got != sorted(marks):
-            return CheckResult("roots.cartan_diagram", False, f"{name} edge marks {got}")
-    return CheckResult("roots.cartan_diagram", True,
-                       "A3 Cartan integral; edge marks right for A3/B3/H3/F4/I2(7)")
+    a3_cartan = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=float)
+    return {"a3_integral": a3.is_integral() and np.allclose(a3.entries, a3_cartan, atol=ctx.tol),
+            "marks": {n: sorted(e.m for e in diagram(catalog(n))) for n in _DIAGRAM_MARKS}}
 
 
-def _check_group_orders(ctx) -> CheckResult:
-    expect = {("A1^3", "pin"): 16, ("A1^3", "spin"): 8,
-              ("A3", "pin"): 48, ("A3", "spin"): 24,
-              ("B3", "pin"): 96, ("B3", "spin"): 48,
-              ("H3", "pin"): 240, ("H3", "spin"): 120}
-    for (name, kind), order in expect.items():
-        g = ctx.pin(name) if kind == "pin" else ctx.spin(name)
-        if g.order != order:
-            return CheckResult("groups.orders", False, f"{kind}({name}) = {g.order} != {order}")
-    rot = quotient_by_sign(ctx.spin("A3"))
-    full = quotient_by_sign(ctx.pin("A3"))
-    if (rot.order, full.order) != (12, 24):
-        return CheckResult("groups.orders", False,
-                           f"A3 quotients ({rot.order}, {full.order}) != (12, 24)")
-    return CheckResult("groups.orders", True,
-                       "pin/spin orders 16/8, 48/24, 96/48, 240/120; A3 quotients 12/24")
+_GROUPS_3D = ("A1^3", "A3", "B3", "H3")
 
 
-def _check_conjugacy_tables(ctx) -> CheckResult:
-    spin = ctx.spin("A3")
-    sizes = sorted(c.size for c in spin.conjugacy_classes())
-    if sizes != [1, 1, 4, 4, 4, 4, 6]:
-        return CheckResult("groups.conjugacy_tables", False, f"Spin(A3) sizes {sizes}")
-    six = next(c for c in spin.conjugacy_classes() if c.size == 6)
-    e = basis(Signature(3, 0))
-    bivs = {(s * (e[i] * e[j])).key() for s in (1.0, -1.0)
-            for i, j in ((0, 1), (1, 2), (2, 0))}
-    if {m.mv.key() for m in six.members} != bivs:
-        return CheckResult("groups.conjugacy_tables", False,
-                           "size-6 class is not {+-e12, +-e23, +-e31}")
-    pin = ctx.pin("A3")
-    psizes = sorted(c.size for c in pin.conjugacy_classes())
-    if psizes != [1, 1, 6, 6, 6, 8, 8, 12]:
-        return CheckResult("groups.conjugacy_tables", False, f"Pin(A3) sizes {psizes}")
-    twelve = next(c for c in pin.conjugacy_classes() if c.size == 12)
-    root_keys = {r.key() for r in catalog("A3").roots}
-    if {m.mv.key() for m in twelve.members} != root_keys:
-        return CheckResult("groups.conjugacy_tables", False,
-                           "size-12 class is not the 12 root vectors")
-    rot_sizes = sorted(c.size for c in quotient_by_sign(spin).conjugacy_classes())
-    full_sizes = sorted(c.size for c in quotient_by_sign(pin).conjugacy_classes())
-    if rot_sizes != [1, 3, 4, 4] or full_sizes != [1, 3, 6, 6, 8]:
-        return CheckResult("groups.conjugacy_tables", False,
-                           f"quotient sizes {rot_sizes} / {full_sizes}")
-    return CheckResult("groups.conjugacy_tables", True,
-                       "Spin/Pin(A3) class tables and both quotients match, element-level")
+def _group_orders(ctx):
+    return {"pin": tuple(ctx.pin(n).order for n in _GROUPS_3D),
+            "spin": tuple(ctx.spin(n).order for n in _GROUPS_3D),
+            "quotients": (quotient_by_sign(ctx.spin("A3")).order,
+                          quotient_by_sign(ctx.pin("A3")).order)}
 
 
-def _check_exp_structure(ctx) -> CheckResult:
+def _a3_bivectors():
+    return [s * blade(Signature(3, 0), b) for s in (1.0, -1.0) for b in ("e12", "e13", "e23")]
+
+
+def _conjugacy_tables(ctx):
+    spin, pin = ctx.spin("A3"), ctx.pin("A3")
+    spin_classes, pin_classes = spin.conjugacy_classes(), pin.conjugacy_classes()
+    six = next(c for c in spin_classes if c.size == 6)
+    twelve = next(c for c in pin_classes if c.size == 12)
+    return {"spin_sizes": [c.size for c in spin_classes],
+            "pin_sizes": [c.size for c in pin_classes],
+            "size_6_bivectors": _same_elements([m.mv for m in six.members], _a3_bivectors()),
+            "size_12_roots": _same_elements([m.mv for m in twelve.members], catalog("A3").roots),
+            "quotient_sizes": tuple([c.size for c in quotient_by_sign(g).conjugacy_classes()]
+                                    for g in (spin, pin))}
+
+
+_PI3_PATTERNS = {tuple(round(s / math.sqrt(3.0), 9) for s in signs): [-1, 1]
+                 for signs in itertools.product((1.0, -1.0), repeat=3)}
+
+
+def _exp_structure(ctx):
     dec = exp_decomposition(ctx.spin("A3"))
     counts = dec.angle_counts()
-    n3 = counts.get(round(math.pi / 3, 9), 0)
-    n2 = counts.get(round(math.pi / 2, 9), 0)
-    ok = (n3, n2, len(dec.scalars())) == (16, 6, 2)
-    if not ok:
-        return CheckResult("groups.exp_structure", False,
-                           f"angle pi/3 x{n3}, pi/2 x{n2}, scalars x{len(dec.scalars())}")
-    s3 = 1.0 / math.sqrt(3.0)
-    expect = {tuple(s) for s in
-              (np.array(np.meshgrid([s3, -s3], [s3, -s3], [s3, -s3])).T.reshape(-1, 3)).tolist()}
-    got = set()
+    signs = {}
     for term in dec.at_angle(math.pi / 3):
         b = term.bivector
-        got.add((round(b.coeff("e23"), 9), round(-b.coeff("e13"), 9), round(b.coeff("e12"), 9)))
-    rounded = {tuple(round(x, 9) for x in s) for s in expect}
-    if got != rounded:
-        return CheckResult("groups.exp_structure", False, "pi/3 bivector sign patterns differ")
-    return CheckResult("groups.exp_structure", True,
-                       "16 at pi/3 over all 8 sign patterns, 6 at pi/2, 2 scalars")
+        pattern = (round(b.coeff("e23"), 9), round(-b.coeff("e13"), 9), round(b.coeff("e12"), 9))
+        signs.setdefault(pattern, []).append(term.sign)
+    return {"at_pi_3": counts.get(round(math.pi / 3, 9), 0),
+            "at_pi_2": counts.get(round(math.pi / 2, 9), 0),
+            "scalars": len(dec.scalars()),
+            "pi_3_signs": {p: sorted(s) for p, s in signs.items()},
+            "pi_2_bivectors": _same_elements([t.element for t in dec.at_angle(math.pi / 2)],
+                                             _a3_bivectors())}
 
 
-def _check_coxeter_numbers(ctx) -> CheckResult:
-    expect = {"A3": 4, "B3": 6, "H3": 10, "D4": 6, "F4": 12,
-              "E6": 12, "E7": 18, "E8": 30, "H4": 30}
-    got = {name: coxeter_number(catalog(name)) for name in expect}
-    ok = got == expect
-    return CheckResult("groups.coxeter_numbers", ok,
-                       "all nine geometric Coxeter numbers match" if ok
-                       else f"mismatches {got}")
+_COXETER_NUMBERS = {"A3": 4, "B3": 6, "H3": 10, "D4": 6, "F4": 12,
+                    "E6": 12, "E7": 18, "E8": 30, "H4": 30}
 
 
-def _check_induction(ctx) -> CheckResult:
-    expect = {"A1^3": (8, "A1^4"), "A3": (24, "D4"),
-              "B3": (48, "F4"), "H3": (120, "H4")}
-    for name, (count, label) in expect.items():
-        ind = ctx.induced(name)
-        if (ind.root_count, ind.identification) != (count, label):
-            return CheckResult("induction.counts", False,
-                               f"{name} gave {ind.root_count} roots labeled {ind.identification}")
-        if not check_axioms(ind.base).ok:
-            return CheckResult("induction.counts", False, f"{name} induced set fails axioms")
-    return CheckResult("induction.counts", True,
-                       "8/24/48/120 roots identified as A1^4/D4/F4/H4, axioms verified")
+def _induction(ctx):
+    induced = {name: ctx.induced(name) for name in _GROUPS_3D}
+    return {"induced": {n: (i.root_count, i.identification) for n, i in induced.items()},
+            "axioms": tuple(check_axioms(i.base).ok for i in induced.values())}
 
 
-def _check_reflection_agreement(ctx) -> CheckResult:
-    details = []
-    for name in ("A3", "H3"):
-        ra = reflection_agreement(ctx.spin(name))
-        if ra.max_deviation > ctx.tol or not ra.all_in_group:
-            return CheckResult("induction.reflection_agreement", False,
-                               f"{name}: dev {ra.max_deviation:.2e}, in-group {ra.all_in_group}")
-        details.append(f"{name} {ra.pairs_tested} pairs dev {ra.max_deviation:.1e}")
-    return CheckResult("induction.reflection_agreement", True, "; ".join(details))
+def _automorphism_sweeps(ctx):
+    sweeps = [spinorial_automorphisms(ctx.induced(n)) for n in ("A3", "B3", "H3")]
+    seed = int(ctx.rng.integers(0, 2**31))
+    witnesses = [spinorial_automorphisms(ctx.induced(name), pairs=32, seed=seed + k)
+                 for k, name in enumerate(("B3", "H3"))]  # float witnesses of the two tables
+    return {**_by_field(sweeps), "witness_failures": tuple(w.failures for w in witnesses)}
 
 
-def _check_automorphism_sweeps(ctx) -> CheckResult:
-    try:
-        sw_t, sw_o, sw_i = (spinorial_automorphisms(ctx.induced(n)) for n in ("A3", "B3", "H3"))
-        seed = int(ctx.rng.integers(0, 2**31))
-        for k, name in enumerate(("B3", "H3")):  # float witnesses of the two tables
-            spinorial_automorphisms(ctx.induced(name), pairs=32, seed=seed + k)
-    except SymmetrySweepFailure as exc:
-        return CheckResult("induction.automorphism_sweeps", False, str(exc))
-    detail = (f"2T exhaustive {sw_t.pairs_tested} pairs ({sw_t.distinct_images} distinct), 2O/2I "
-              f"exhaustive {sw_o.pairs_tested}/{sw_i.pairs_tested} ({sw_o.distinct_images}/"
-              f"{sw_i.distinct_images} distinct), 32-pair float witnesses agree, zero failures")
-    return CheckResult("induction.automorphism_sweeps", True, detail)
+def _mckay(ctx):
+    rows = mckay_table({n: ctx.spin(n) for n in _GROUPS_3D})
+    return {**_by_field(rows),
+            "dims_2t": irrep_dimensions(ctx.spin("A3")).dims,
+            "dims_2t_unique": _dimension_multisets(21, 4, 24),
+            "abelianizations": [abelianization_order(ctx.spin(n)) for n in _GROUPS_3D]}
 
 
-def _check_mckay(ctx) -> CheckResult:
-    rows = mckay_table({n: ctx.spin(n) for n in ("A1^3", "A3", "B3", "H3")})
-    triple = [(r.phi_count, r.sum_dims, r.coxeter_h) for r in rows]
-    if triple != [(6, 6, 6), (12, 12, 12), (18, 18, 18), (30, 30, 30)]:
-        return CheckResult("mckay.table", False, f"triples {triple}")
-    dims_2t = irrep_dimensions(ctx.spin("A3"))
-    if dims_2t.dims != (1, 1, 1, 2, 2, 2, 3):
-        return CheckResult("mckay.table", False, f"2T dims {dims_2t.dims}")
-    abel = [abelianization_order(ctx.spin(n)) for n in ("A1^3", "A3", "B3", "H3")]
-    if abel != [4, 3, 2, 1]:
-        return CheckResult("mckay.table", False, f"abelianizations {abel}")
-    return CheckResult("mckay.table", True,
-                       "rows (6,6,6)..(30,30,30); 2T dims 1,1,1,2,2,2,3; abelianizations 4,3,2,1")
-
-
-def _check_conformal_relations(ctx) -> CheckResult:
+def _conformal_relations(ctx):
     S, T = modular_S(), modular_T()
     minus_one = scalar_mv(CGA_SIG, -1.0)
-    if not (S * S).mv.close_to(minus_one, ctx.tol):
-        return CheckResult("cga2d.versor_relations", False, "S^2 != -1")
-    if not (S * T * S * T * S * T).mv.close_to(minus_one, ctx.tol):
-        return CheckResult("cga2d.versor_relations", False, "(ST)^3 != -1")
+    e1e = blade(CGA_SIG, "e1") * EPLUS
     a1, a2 = 0.8, -0.6
-    K = special_conformal(a1, a2)
     closed_form = scalar_mv(CGA_SIG, 1.0) + 0.5 * (NBAR * (a1 * E1 + a2 * E2))
-    if not K.mv.close_to(closed_form, ctx.tol):
-        return CheckResult("cga2d.versor_relations", False, "K != e T_a e closed form")
-    got = dilator(0.5).apply(embed(1.0, 0.0)).coords
-    if abs(got[0] - math.exp(0.5)) > 1e-9 or abs(got[1]) > 1e-9:
-        return CheckResult("cga2d.versor_relations", False, f"dilator(0.5) sent (1,0) to {got}")
-    inv = inversion_versor()
-    got = inv.apply(embed(2.0, 0.0)).coords
-    if abs(got[0] - 0.5) > 1e-9 or abs(got[1]) > 1e-9:
-        return CheckResult("cga2d.versor_relations", False, f"inversion sent (2,0) to {got}")
-    got = rotation(math.pi / 2).apply(embed(1.0, 0.0)).coords
-    if abs(got[0]) > 1e-9 or abs(got[1] - 1.0) > 1e-9:
-        return CheckResult("cga2d.versor_relations", False, f"rotation(pi/2) sent (1,0) to {got}")
-    return CheckResult("cga2d.versor_relations", True,
-                       "S^2 = (ST)^3 = -1; K = eT_ae; dilation e^{+a}; inversion and rotation act right")
+    dil = dilator(0.5).apply(embed(1.0, 0.0)).coords
+    inv = inversion_versor().apply(embed(2.0, 0.0)).coords
+    rot = rotation(math.pi / 2).apply(embed(1.0, 0.0)).coords
+    return {"s_squared": (S * S).mv.close_to(minus_one, ctx.tol),
+            "st_cubed": (S * T * S * T * S * T).mv.close_to(minus_one, ctx.tol),
+            "e1_eplus_squared": (e1e * e1e).close_to(minus_one, ctx.tol),
+            "k_closed_form": special_conformal(a1, a2).mv.close_to(closed_form, ctx.tol),
+            "dilator_error": (abs(dil[0] - math.exp(0.5)), abs(dil[1])),
+            "inversion_error": (abs(inv[0] - 0.5), abs(inv[1])),
+            "rotation_error": (abs(rot[0]), abs(rot[1] - 1.0))}
 
 
-def _check_translations(ctx) -> CheckResult:
+def _translations(ctx):
     worst = 0.0
     for _ in range(1000):
         a1, a2, x1, x2 = ctx.rng.uniform(-5, 5, size=4)
         got = translator(a1, a2).apply(embed(x1, x2)).coords
         worst = max(worst, abs(got[0] - (x1 + a1)), abs(got[1] - (x2 + a2)))
-    return CheckResult("cga2d.translations", worst <= ctx.tol,
-                       f"1000 random translations, worst coordinate error {worst:.2e}")
+    return {"worst": worst}
 
 
-def _check_modular_words(ctx) -> CheckResult:
+def _modular_words(ctx):
     letters = np.array(["S", "T", "t"])
-    worst = 0.0
+    worst, upper = 0.0, True
     for _ in range(1000):
         length = int(ctx.rng.integers(0, 13))
         word = "".join(ctx.rng.choice(letters, size=length))
@@ -397,45 +332,99 @@ def _check_modular_words(ctx) -> CheckResult:
         x2 = float(ctx.rng.uniform(0.05, 2.0))
         vx = apply_word(word, (x1, x2))
         ox = mobius_oracle(word, (x1, x2))
-        if not vx[1] > 0:
-            return CheckResult("cga2d.modular_words", False,
-                               f"word {word!r} left the upper half-plane: {vx}")
+        upper = upper and vx[1] > 0
         scale = max(1.0, abs(ox[0]), abs(ox[1]))
         worst = max(worst, max(abs(vx[0] - ox[0]), abs(vx[1] - ox[1])) / scale)
-    return CheckResult("cga2d.modular_words", worst <= 1e-6,
-                       f"1000 random words vs Mobius oracle, worst relative dev {worst:.2e}")
+    return {"upper_half_plane": upper, "worst": worst}
 
 
-_CHECKS: tuple = (
-    _check_reflection_formula,
-    _check_sandwich_isometry,
-    _check_reversal_antiautomorphism,
-    _check_exp_additivity,
-    _check_root_counts,
-    _check_root_axioms,
-    _check_cartan_diagrams,
-    _check_group_orders,
-    _check_conjugacy_tables,
-    _check_exp_structure,
-    _check_coxeter_numbers,
-    _check_induction,
-    _check_reflection_agreement,
-    _check_automorphism_sweeps,
-    _check_mckay,
-    _check_conformal_relations,
-    _check_translations,
-    _check_modular_words,
+CLAIMS: tuple = (
+    Claim("kernel.reflection_formula", ("10",), _reflection_formula, {"worst": AtMost()},
+          "1200 random mirrors, worst |\u2212ava - (v-2(v|a)a)| = {worst:.2e}"),
+    Claim("kernel.sandwich_isometry", ("10",), _sandwich_isometry, {"worst": AtMost()},
+          "1000 random versors, worst inner-product drift = {worst:.2e}"),
+    Claim("kernel.reversal_antiautomorphism", ("10",), _reversal_antiautomorphism,
+          {"worst": AtMost()}, "1000 random products, worst |(AB)~ - ~B~A| = {worst:.2e}"),
+    Claim("kernel.exp_additivity", ("10",), _exp_additivity, {"worst": AtMost()},
+          "1000 random rotor pairs, worst |e^Bt1 e^Bt2 - e^B(t1+t2)| = {worst:.2e}"),
+    Claim("roots.closure_counts", ("01",),
+          lambda ctx: {"counts": {n: catalog(n).root_count for n in _ROOT_COUNTS}},
+          {"counts": _ROOT_COUNTS}, "13 catalog closures match"),
+    Claim("roots.axioms", ("01",), _root_axioms,
+          {"ok": (True, True, True, True), "perturbed_ok": False},
+          "A3/B3/H3/F4 pass; perturbed control set is rejected"),
+    Claim("roots.cartan_diagram", ("01",), _cartan_diagrams,
+          {"a3_integral": True, "marks": _DIAGRAM_MARKS},
+          "A3 Cartan integral; edge marks right for A3/B3/H3/F4/I2(7)"),
+    Claim("groups.orders", ("02",), _group_orders,
+          {"pin": (16, 48, 96, 240), "spin": (8, 24, 48, 120), "quotients": (12, 24)},
+          "pin/spin orders 16/8, 48/24, 96/48, 240/120; A3 quotients 12/24"),
+    Claim("groups.conjugacy_tables", ("03",), _conjugacy_tables,
+          {"spin_sizes": [1, 1, 4, 4, 4, 4, 6], "pin_sizes": [1, 1, 6, 6, 6, 8, 8, 12],
+           "size_6_bivectors": (True, True), "size_12_roots": (True, True),
+           "quotient_sizes": ([1, 3, 4, 4], [1, 3, 6, 6, 8])},
+          "Spin/Pin(A3) class tables and both quotients match, element-level"),
+    Claim("groups.exp_structure", ("04",), _exp_structure,
+          {"at_pi_3": 16, "at_pi_2": 6, "scalars": 2, "pi_3_signs": _PI3_PATTERNS,
+           "pi_2_bivectors": (True, True)},
+          "16 at pi/3 over all 8 sign patterns, 6 at pi/2, 2 scalars"),
+    Claim("groups.coxeter_numbers", ("07",),
+          lambda ctx: {"h": {n: coxeter_number(catalog(n)) for n in _COXETER_NUMBERS}},
+          {"h": _COXETER_NUMBERS}, "all nine geometric Coxeter numbers match"),
+    Claim("induction.counts", ("05",), _induction,
+          {"induced": {"A1^3": (8, "A1^4"), "A3": (24, "D4"), "B3": (48, "F4"),
+                       "H3": (120, "H4")},
+           "axioms": (True, True, True, True)},
+          "8/24/48/120 roots identified as A1^4/D4/F4/H4, axioms verified"),
+    Claim("induction.reflection_agreement", ("05",),
+          lambda ctx: _by_field([reflection_agreement(ctx.spin(n)) for n in ("A3", "H3")]),
+          {"pairs_tested": (576, 14400), "max_deviation": AtMost(), "all_in_group": (True, True)},
+          "A3 {pairs_tested[0]} pairs dev {max_deviation[0]:.1e}; "
+          "H3 {pairs_tested[1]} pairs dev {max_deviation[1]:.1e}"),
+    Claim("induction.automorphism_sweeps", ("06",), _automorphism_sweeps,
+          {"pairs_tested": (576, 2304, 14400), "distinct_images": (288, 1152, 7200),
+           "exhaustive": (True, True, True), "failures": (0, 0, 0), "witness_failures": (0, 0)},
+          "2T exhaustive {pairs_tested[0]} pairs ({distinct_images[0]} distinct), 2O/2I "
+          "exhaustive {pairs_tested[1]}/{pairs_tested[2]} ({distinct_images[1]}/"
+          "{distinct_images[2]} distinct), 32-pair float witnesses agree, zero failures"),
+    Claim("mckay.table", ("07", "08"), _mckay,
+          {"phi_count": (6, 12, 18, 30), "sum_dims": (6, 12, 18, 30),
+           "coxeter_h": (6, 12, 18, 30), "lie": ("D4+", "E6+", "E7+", "E8+"),
+           "dims_2t": (1, 1, 1, 2, 2, 2, 3), "dims_2t_unique": [(2, 2, 2, 3)],
+           "abelianizations": [4, 3, 2, 1]},
+          "rows (6,6,6)..(30,30,30); 2T dims 1,1,1,2,2,2,3; abelianizations 4,3,2,1"),
+    Claim("cga2d.versor_relations", ("09",), _conformal_relations,
+          {"s_squared": True, "st_cubed": True, "e1_eplus_squared": True, "k_closed_form": True,
+           "dilator_error": AtMost(1e-9), "inversion_error": AtMost(1e-9),
+           "rotation_error": AtMost(1e-9)},
+          "S^2 = (ST)^3 = -1; K = eT_ae; dilation e^{{+a}}; inversion and rotation act right"),
+    Claim("cga2d.translations", ("09",), _translations, {"worst": AtMost()},
+          "1000 random translations, worst coordinate error {worst:.2e}"),
+    Claim("cga2d.modular_words", ("09",), _modular_words,
+          {"upper_half_plane": True, "worst": AtMost(1e-6)},
+          "1000 random words vs Mobius oracle, worst relative dev {worst:.2e}"),
 )
 
 
+def _miss(field: str, want, got, tol: float) -> Optional[str]:
+    """The one comparer: None when ``got`` meets ``want``, else what missed; NaN fails a bound."""
+    if isinstance(want, AtMost):
+        bound, worst = tol if want.bound is None else want.bound, np.max(got)
+        return None if worst <= bound else f"{field} {worst:.2e} exceeds {bound:.2e}"
+    return None if got == want else f"{field} = {got!r}, expected {want!r}"
+
+
+def _judge(claim: Claim, ctx: _Ctx) -> CheckResult:
+    try:
+        got = claim.compute(ctx)
+        misses = [m for field, want in claim.expected.items()
+                  if (m := _miss(field, want, got[field], ctx.tol))]
+        return CheckResult(claim.name, not misses, "; ".join(misses) or claim.detail.format(**got))
+    except Exception as exc:  # a crashed claim is a failed claim
+        return CheckResult(claim.name, False, f"{type(exc).__name__}: {exc}")
+
+
 def run_battery(seed: int = 42, tolerance: float = 1e-9) -> BatteryReport:
-    """Run every check; report is deterministic for a fixed seed."""
+    """Run every claim in table order; the report is deterministic for a fixed seed."""
     ctx = _Ctx(seed, tolerance)
-    results = []
-    for check in _CHECKS:
-        try:
-            results.append(check(ctx))
-        except Exception as exc:  # a crashed check is a failed check
-            name = check.__name__.replace("_check_", "", 1)
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
-    return BatteryReport(tuple(results), seed, tolerance)
+    return BatteryReport(tuple(_judge(claim, ctx) for claim in CLAIMS), seed, tolerance)

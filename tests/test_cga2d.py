@@ -105,6 +105,13 @@ def test_translator_moves_points():
     T = translator(2.0, -1.5)
     approx_pt(T.apply(embed(0.0, 0.0)).coords, (2.0, -1.5))
     approx_pt(T.apply(embed(1.0, 1.0)).coords, (3.0, -0.5))
+    # the raw null vector lands on embed(x + a), relative to its largest coefficient
+    rng = np.random.default_rng(42)
+    for _ in range(1000):
+        x, a = rng.uniform(-3, 3, size=2), rng.uniform(-3, 3, size=2)
+        moved = translator(*a).apply_raw(embed(*x).X).coeffs
+        target = embed(*(x + a)).X.coeffs
+        assert np.max(np.abs(moved - target)) <= 1e-9 * max(1.0, np.max(np.abs(target)))
 
 
 def test_translators_compose_additively():

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from versorlab import verify
 from versorlab.cli import main
+from versorlab.errors import SymmetrySweepFailure
+from versorlab.verify import AtMost, Claim
 
 
 def run_cli(capsys, *argv):
@@ -160,15 +163,45 @@ def test_error_payload_is_single_line(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_verify_subcommand_passes(capsys):
+def _rows(*worst):
+    """A battery table of rows that each report one fixed residual against the run's tolerance."""
+    return tuple(Claim(f"wiring.row{i}", ("10",), lambda ctx, w=w: {"worst": w},
+                       {"worst": AtMost()}, "worst {worst:.1e}") for i, w in enumerate(worst))
+
+
+def test_verify_passes_when_every_row_passes(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CLAIMS", _rows(0.0, 1e-12))
     d = run_json(capsys, "verify")
-    assert d["ok"] is True
-    assert d["failed"] == 0
-    assert d["passed"] == len(d["checks"])
-    names = {c["name"] for c in d["checks"]}
-    assert "kernel.reflection_formula" in names
-    assert "mckay.table" in names
-    assert all(c["passed"] for c in d["checks"])
+    assert d["ok"] is True and d["failed"] == 0
+    assert d["passed"] == len(d["checks"]) == 2
+    assert [c["detail"] for c in d["checks"]] == ["worst 0.0e+00", "worst 1.0e-12"]
+
+
+def test_verify_fails_when_one_row_fails(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CLAIMS", _rows(0.0, 1.0))
+    rc, out, _ = run_cli(capsys, "verify", "--format", "markdown")
+    assert rc == 1
+    assert "| wiring.row1 | FAIL |" in out and "| wiring.row0 | PASS |" in out
+
+
+def test_verify_tolerance_reaches_the_rows(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "CLAIMS", _rows(1e-7, 1e-7))
+    assert run_cli(capsys, "verify")[0] == 1  # default tolerance 1e-9
+    d = run_json(capsys, "verify", "--tolerance", "1e-6")
+    assert d["tolerance"] == 1e-6 and d["passed"] == 2
+
+
+def test_crashed_row_reports_under_its_own_name(monkeypatch, capsys):
+    def crash(ctx):
+        raise SymmetrySweepFailure("pair (L=1, R=2) is not a symmetry")
+
+    row = next(c for c in verify.CLAIMS if c.name == "induction.automorphism_sweeps")
+    monkeypatch.setattr(verify, "CLAIMS", (row._replace(compute=crash),))
+    rc, out, _ = run_cli(capsys, "verify")
+    assert rc == 1
+    assert json.loads(out)["checks"] == [{
+        "name": "induction.automorphism_sweeps", "passed": False,
+        "detail": "SymmetrySweepFailure: pair (L=1, R=2) is not a symmetry"}]
 
 
 def test_seed_env_round_trip(monkeypatch, capsys):
