@@ -255,10 +255,7 @@ class ModularWord:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Union[str, Iterable[str]] = ()):
-        if isinstance(letters, str):
-            letters = tuple(letters)
-        else:
-            letters = tuple(letters)
+        letters = tuple(letters)
         bad = [c for c in letters if c not in _LETTERS]
         if bad:
             raise VersorlabError(f"unknown modular letters {bad!r}; alphabet is S, T, t")

@@ -157,16 +157,16 @@ def _cmd_roots(args):
 
 def _cmd_group(args):
     g = _resolve_group(args)
-    elements = [str(v.mv) for v in g.elements]
+    elements = g.elements
     payload = {
         "name": args.system,
         "kind": g.kind,
         "signature": [g.sig.p, g.sig.q],
         "order": g.order,
-        "elements": [v.mv.to_json_dict(args.tolerance) for v in g.elements],
+        "elements": [v.mv.to_json_dict(args.tolerance) for v in elements],
     }
     headers = ["index", "element"]
-    rows = [[i, s] for i, s in enumerate(elements)]
+    rows = [[i, str(v.mv)] for i, v in enumerate(elements)]
     md = [f"# {g.kind} group over {args.system}: order {g.order}", ""]
     md += _md_table(headers, rows)
     return payload, headers, rows, md, 0

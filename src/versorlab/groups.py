@@ -16,6 +16,7 @@ smallest quantized representative) so tables print identically run to run.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import cached_property, reduce
 from typing import NamedTuple, Optional
 
@@ -289,9 +290,16 @@ def quotient_by_sign(group: VersorGroup) -> QuotientGroup:
     return QuotientGroup(kind, group, arr)
 
 
-# -- exponential structure ------------------------------------------------------
+# -- spinor coordinates and exponential structure ------------------------------
 
-_E23, _E13, _E12 = 0b110, 0b101, 0b011
+# (a0, a23, a31, a12) of an even Cl(3,0) element: the scalar, e2e3, e3e1 = -e1e3
+# and e1e2 coefficients, blades 0, 0b110, 0b101 (negated) and 0b011
+_SPINOR_COLS, _SPINOR_SIGNS = [0, 0b110, 0b101, 0b011], np.array([1.0, 1.0, -1.0, 1.0])
+
+
+def _spinor_coords(arr: np.ndarray) -> np.ndarray:
+    """Spinor coordinates of each row of an (..., 8) array of Cl(3,0) coefficients."""
+    return arr[..., _SPINOR_COLS] * _SPINOR_SIGNS
 
 
 class ExpTerm(NamedTuple):
@@ -313,12 +321,7 @@ class ExpDecomposition(NamedTuple):
                 if t.kind == "exponential" and abs(t.theta - theta) <= tol]
 
     def angle_counts(self) -> dict:
-        out = {}
-        for t in self.terms:
-            if t.kind == "exponential":
-                key = round(t.theta, 9)
-                out[key] = out.get(key, 0) + 1
-        return out
+        return dict(Counter(round(t.theta, 9) for t in self.terms if t.kind == "exponential"))
 
 
 def exp_decomposition(group: VersorGroup, eps: float = DEFAULT_EPS) -> ExpDecomposition:
@@ -330,11 +333,10 @@ def exp_decomposition(group: VersorGroup, eps: float = DEFAULT_EPS) -> ExpDecomp
     """
     if group.sig != Signature(3, 0) or group.kind != "spin":
         raise VersorlabError("exp_decomposition needs a spin group in Cl(3,0)")
-    sig = group.sig
+    sig, arr = group.sig, group.element_arr()
     terms = []
-    for row in group.element_arr():
-        a0 = row[0]
-        b = np.array([row[_E23], -row[_E13], row[_E12]])  # e23, e31, e12 parts
+    for row, coords in zip(arr, _spinor_coords(arr)):
+        a0, b = row[0], coords[1:]  # e23, e31, e12 parts
         bmag = float(np.linalg.norm(b))
         element = Multivector(sig, row)
         if bmag <= eps:
@@ -342,11 +344,10 @@ def exp_decomposition(group: VersorGroup, eps: float = DEFAULT_EPS) -> ExpDecomp
             continue
         s = -1 if a0 < -eps else 1
         theta = math.atan2(bmag, s * a0)
-        bu = s * b / bmag
-        arr = np.zeros(8)
-        arr[_E23], arr[_E13], arr[_E12] = bu[0], -bu[1], bu[2]
-        bhat = Multivector(sig, arr)
-        recon = s * (math.cos(theta) + 0.0) * np.eye(1, 8, 0)[0] + s * math.sin(theta) * arr
+        bu = np.zeros(8)
+        bu[_SPINOR_COLS[1:]] = s * b / bmag * _SPINOR_SIGNS[1:]
+        bhat = Multivector(sig, bu)
+        recon = s * (math.cos(theta) + 0.0) * np.eye(1, 8, 0)[0] + s * math.sin(theta) * bu
         if np.max(np.abs(recon - row)) > 1e-9:
             raise VersorlabError("exponential reconstruction failed")
         terms.append(ExpTerm(element, "exponential", s, bhat, theta))

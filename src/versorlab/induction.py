@@ -5,7 +5,10 @@ Reading (a0, a1, a2, a3) as coordinates turns a finite spin group into a set
 of unit 4D vectors, and that set is itself a root system: the group-level
 identity -R1 ~R2 R1 = R2 - 2 (R1,R2)/(R1,R1) R1 shows closure of the set
 under 4D reflections.  The three irreducible rank-3 systems plus A1^3 induce
-exactly the 4D systems A1^4, D4, F4, H4 this way, and left/right group
+exactly the 4D systems A1^4, D4, F4, H4 this way; the induced simple roots
+are the positive roots whose reflection sends only themselves to the negative
+side, since a reflection's length counts the positive roots it makes negative
+(Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).  Left/right group
 multiplication X -> L X R acts on the induced roots by symmetries.  The
 L X R sweep reads the group's integer table, exhaustive or sampled; the
 sampled sweep's 32-pair float product and ``reflection_agreement`` are
@@ -14,6 +17,7 @@ float witnesses independent of it.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple, Optional, Union
 
@@ -31,7 +35,7 @@ from .algebra import (
     row_keys,
 )
 from .errors import SymmetrySweepFailure, VersorlabError
-from .groups import VersorGroup
+from .groups import VersorGroup, _spinor_coords
 from .roots import RootSystem, catalog, check_axioms
 
 __all__ = [
@@ -49,26 +53,20 @@ __all__ = [
 
 _SIG3 = Signature(3, 0)
 _SIG4 = Signature(4, 0)
-# scalar, e2e3, e3e1 = -e1e3 and e1e2: blades 0, 0b110, 0b101 (negated) and 0b011
-_COORD_COLS, _COORD_SIGNS = [0, 0b110, 0b101, 0b011], np.array([1.0, 1.0, -1.0, 1.0])
 
 
 def _even_coeffs(R: Union[Versor, Multivector]) -> np.ndarray:
     mv = R.mv if isinstance(R, Versor) else R
     if mv.sig != _SIG3:
         raise VersorlabError("spinor operations live in Cl(3,0)")
-    if not {g for g in mv.grades_present()} <= {0, 2}:
+    if not mv.grades_present() <= {0, 2}:
         raise VersorlabError("spinor operations expect even multivectors")
     return mv.coeffs
 
 
 def spinor_coords(R: Union[Versor, Multivector]) -> np.ndarray:
     """4D coordinates (a0, a23, a31, a12) of an even Cl(3,0) element."""
-    return _coords_of_arr(_even_coeffs(R))
-
-
-def _coords_of_arr(arr: np.ndarray) -> np.ndarray:
-    return arr[..., _COORD_COLS] * _COORD_SIGNS
+    return _spinor_coords(_even_coeffs(R))
 
 
 def spinor_inner(R1, R2) -> float:
@@ -108,35 +106,20 @@ def _generic_functional(coords: np.ndarray) -> np.ndarray:
 
 
 def _extract_simple_coords(coords: np.ndarray) -> np.ndarray:
-    """Indecomposable positive roots for a generic positivity functional.
+    """Simple roots: the positive roots whose reflection makes one positive root negative.
 
-    A positive root is decomposable iff it is a strictly positive combination
-    of two other positive roots; in a reflection-closed unit-root set that
-    pairwise test characterizes the non-simple positive roots.
+    The length of w is the number of positive roots w sends to the negative
+    side (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7), and the
+    simple reflections are the reflections of length 1, so a positive root a
+    is simple exactly when s_a inverts a alone.  f(s_a b) = f(b) - 2 (a|b)/(a|a) f(a)
+    counts that for every pair at once; images of roots are roots, so no
+    value sits within the functional's margin of 0.
     """
     f = _generic_functional(coords)
     P = coords[coords @ f > 0]
-    m = P.shape[0]
-    gram = P @ P.T
-    diag = np.diag(gram)
-    det = diag[:, None] * diag[None, :] - gram ** 2
-    simple_rows = []
-    for a in range(m):
-        target = gram[:, a]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c1 = (diag[None, :] * target[:, None] - gram * target[None, :]) / det
-            c2 = (diag[:, None] * target[None, :] - gram * target[:, None]) / det
-        ok = (np.abs(det) > 1e-9) & (c1 > 1e-9) & (c2 > 1e-9)
-        ok[a, :] = False
-        ok[:, a] = False
-        decomposable = False
-        ii, jj = np.nonzero(ok)
-        if ii.size:
-            res = (c1[ii, jj, None] * P[ii] + c2[ii, jj, None] * P[jj]) - P[a]
-            decomposable = bool(np.any(np.max(np.abs(res), axis=1) <= 1e-8))
-        if not decomposable:
-            simple_rows.append(P[a])
-    S = np.array(simple_rows)
+    fp, gram = P @ f, P @ P.T
+    images = fp[None, :] - 2.0 * (gram / np.diag(gram)[:, None]) * fp[:, None]
+    S = P[np.count_nonzero(images < 0, axis=1) == 1]
     if S.shape[0] != coords.shape[1] or np.linalg.matrix_rank(S, tol=1e-8) != coords.shape[1]:
         raise VersorlabError(f"simple-root extraction found {S.shape[0]} indecomposables")
     return S[lex_order(S)]
@@ -146,7 +129,7 @@ def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
     """Read a Cl(3,0) spin group as a 4D root system and identify it."""
     if group.kind != "spin" or group.sig != _SIG3:
         raise VersorlabError("induce_4d expects a spin group in Cl(3,0)")
-    coords = _coords_of_arr(group.element_arr())
+    coords = _spinor_coords(group.element_arr())
     coords = coords[lex_order(coords)]
     simple = _extract_simple_coords(coords)
     rs = RootSystem(_SIG4, simple, coords)
@@ -158,21 +141,19 @@ def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
     return InducedRootSystem4D(rs, group, label)
 
 
-_IDENTIFY_CANDIDATES = ("A1^4", "D4", "F4", "H4")
-_FINGERPRINTS: dict = {}
-
-
 def _fingerprint(coords: np.ndarray) -> tuple:
     gram = (coords @ coords.T).ravel()
     return coords.shape[0], np.sort(quantize(gram)).tobytes()
 
 
+@functools.cache
+def _catalog_fingerprints() -> dict:
+    return {name: _fingerprint(catalog(name).coords) for name in ("A1^4", "D4", "F4", "H4")}
+
+
 def _identify_coords(coords: np.ndarray) -> str:
-    if not _FINGERPRINTS:
-        for name in _IDENTIFY_CANDIDATES:
-            _FINGERPRINTS[name] = _fingerprint(catalog(name).coords)
     fp = _fingerprint(coords)
-    for name, ref in _FINGERPRINTS.items():
+    for name, ref in _catalog_fingerprints().items():
         if fp == ref:
             return name
     raise VersorlabError("induced root system matches no 4D catalog entry")
@@ -222,7 +203,7 @@ def reflection_agreement(group: VersorGroup, eps: float = DEFAULT_EPS) -> Reflec
     if group.kind != "spin" or group.sig != _SIG3:
         raise VersorlabError("reflection_agreement expects a spin group in Cl(3,0)")
     garr, n, kern = group.element_arr(), group.order, kernel_for(_SIG3)
-    coords = _coords_of_arr(garr)
+    coords = _spinor_coords(garr)
     gram = coords @ coords.T
     ratio = gram / np.diag(gram)[:, None]
     linear = garr[None, :, :] - 2.0 * ratio[:, :, None] * garr[:, None, :]
@@ -253,7 +234,7 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     """
     group = r.source
     garr, n, t = group.element_arr(), group.order, group.table
-    if not np.array_equal(np.sort(row_keys(_coords_of_arr(garr))),
+    if not np.array_equal(np.sort(row_keys(_spinor_coords(garr))),
                           np.sort(row_keys(r.base.coords))):
         raise SymmetrySweepFailure("the induced roots are not the spinor coordinates of the group")
     if pairs is None:

@@ -6,6 +6,7 @@ import pytest
 import versorlab.algebra
 from versorlab import (
     InducedRootSystem4D,
+    RootSystem,
     Signature,
     SymmetrySweepFailure,
     Versor,
@@ -25,6 +26,9 @@ from versorlab import (
     spinor_inner,
     spinorial_automorphisms,
 )
+from versorlab.algebra import lex_order
+from versorlab.groups import _spinor_coords
+from versorlab.induction import _extract_simple_coords, _generic_functional
 
 RNG = np.random.default_rng(8821)
 SIG3 = Signature(3, 0)
@@ -90,6 +94,75 @@ def test_extracted_simple_roots_regenerate_the_system():
         ind = induce_4d(spin_group(src))
         reclosed = close_roots(ind.base.simple_coords, sig=Signature(4, 0))
         assert reclosed.root_keys() == ind.base.root_keys()
+
+
+def _decomposition_search(coords):
+    """Reference extraction: the positive roots that are no strictly positive
+    combination of two other positive roots, found by solving a 2x2 system
+    against every pair."""
+    f = _generic_functional(coords)
+    P = coords[coords @ f > 0]
+    gram = P @ P.T
+    diag = np.diag(gram)
+    det = diag[:, None] * diag[None, :] - gram ** 2
+    simple_rows = []
+    for a in range(P.shape[0]):
+        target = gram[:, a]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c1 = (diag[None, :] * target[:, None] - gram * target[None, :]) / det
+            c2 = (diag[:, None] * target[None, :] - gram * target[:, None]) / det
+        ok = (np.abs(det) > 1e-9) & (c1 > 1e-9) & (c2 > 1e-9)
+        ok[a, :] = False
+        ok[:, a] = False
+        decomposable = False
+        ii, jj = np.nonzero(ok)
+        if ii.size:
+            res = (c1[ii, jj, None] * P[ii] + c2[ii, jj, None] * P[jj]) - P[a]
+            decomposable = bool(np.any(np.max(np.abs(res), axis=1) <= 1e-8))
+        if not decomposable:
+            simple_rows.append(P[a])
+    S = np.array(simple_rows)
+    if S.shape[0] != coords.shape[1] or np.linalg.matrix_rank(S, tol=1e-8) != coords.shape[1]:
+        raise VersorlabError(f"simple-root extraction found {S.shape[0]} indecomposables")
+    return S[lex_order(S)]
+
+
+def _frames(count, seed):
+    """The identity, then count - 1 seeded random rotations of R^3."""
+    rng = np.random.default_rng(seed)
+    yield np.eye(3)
+    for _ in range(count - 1):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        yield q if np.linalg.det(q) > 0 else -q
+
+
+@pytest.mark.parametrize("src", INDUCTION_TABLE)
+def test_inversion_count_picks_the_search_roots_in_any_frame(src):
+    rs = catalog(src)
+    for frame in _frames(20, seed=4410):
+        turned = RootSystem(SIG3, rs.simple_coords @ frame.T, rs.coords @ frame.T)
+        coords = _spinor_coords(generate_spin(turned).element_arr())
+        coords = coords[lex_order(coords)]
+        got, want = _extract_simple_coords(coords), _decomposition_search(coords)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["A1^4", "A3", "B3", "H3", "D4", "F4", "H4",
+                                  "E6", "E7", "E8", "I2(7)"])
+def test_inversion_count_picks_the_search_roots_of_catalog_systems(name):
+    coords = catalog(name).coords
+    got, want = _extract_simple_coords(coords), _decomposition_search(coords)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_extraction_rejects_rank_deficient_and_unclosed_sets():
+    a3_in_4d = np.hstack([catalog("A3").coords, np.zeros((12, 1))])
+    half = np.full((1, 4), 0.5)
+    unclosed = np.vstack([np.eye(4), -np.eye(4), half, -half])  # not reflection-closed
+    for coords in (a3_in_4d, unclosed):
+        with pytest.raises(VersorlabError, match="simple-root extraction found 3"):
+            _extract_simple_coords(coords)
 
 
 def test_induce_requires_spin_in_cl3():
