@@ -7,13 +7,14 @@ multivector is a dense float64 coefficient vector over all 2**(p+q) blades.
 Every geometric product, single or batched, is one contraction against a
 per-signature D x D sign table (``_Kernel``).
 
-Two tolerances matter throughout the package:
+Two numbers decide sameness and closeness:
 
-* ``DEFAULT_EPS`` (1e-9): absolute tolerance for every floating comparison.
-* ``HASH_GRID`` (1e-6): coefficients are snapped to this grid to build the
-  canonical integer key used for hashing and set membership.  Quantities in
-  this package (coordinates built from halves, 1/sqrt(2), the golden ratio,
-  ...) sit far from grid cell boundaries, which keeps the keys stable.
+* ``HASH_GRID`` (1e-6): ``quantize`` rounds each coefficient once to this grid,
+  giving the integer key that is identity: ``==``, ``hash``, sets, ``dedup``
+  and ``KeyIndex`` all compare keys.  Quantities in this package (halves,
+  1/sqrt(2), the golden ratio, ...) sit far from cell boundaries.
+* ``DEFAULT_EPS`` (1e-9): tolerance of every floating comparison, ``close_to``
+  among them, unless a caller passes another (the CLI's ``--tolerance``).
 
 The package's one set of key helpers sits next to ``quantize``: ``row_keys``
 (a void view of quantized rows), ``lex_order``, first-occurrence ``dedup``
@@ -24,6 +25,7 @@ lookup).  On them stands ``orbit``, the one closure routine for roots and groups
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +36,7 @@ DEFAULT_EPS = 1e-9
 HASH_GRID = 1e-6
 MAX_DIM = 8
 BLOCK = 1 << 22  # floats per block of a batched computation
+_REAL = (int, float, numbers.Real)  # int and float first skip the slow ABC instance check
 
 __all__ = [
     "DEFAULT_EPS",
@@ -177,8 +180,8 @@ def kernel_for(sig: Signature) -> _Kernel:
 
 
 def quantize(arr: np.ndarray) -> np.ndarray:
-    """Snap float coefficients to the canonical integer grid."""
-    return np.round(np.round(arr, 12) / HASH_GRID).astype(np.int64)
+    """Snap float coefficients to the canonical integer grid, rounding once."""
+    return np.round(arr / HASH_GRID).astype(np.int64)
 
 
 def qkey(arr: np.ndarray) -> bytes:
@@ -285,9 +288,10 @@ def _blade_mask(name: str, n: int) -> int:
 class Multivector:
     """Immutable multivector over a fixed signature.
 
-    Supports +, -, scalar and geometric multiplication (*), ~ for reversal.
-    Equality compares coefficients within DEFAULT_EPS; hashing uses the
-    HASH_GRID quantized key, so use quantized keys (not ==) for dedup sets.
+    Supports +, -, scalar (any ``numbers.Real``) and geometric multiplication
+    (*), ~ for reversal.  ``==`` and ``hash`` are both the HASH_GRID key, so
+    ``==`` is transitive and equal objects hash alike; ``close_to`` is the
+    tolerant comparison.
     """
 
     __slots__ = ("sig", "coeffs", "_key")
@@ -323,43 +327,44 @@ class Multivector:
             raise SignatureMismatch(f"cannot combine Cl{tuple(self.sig)} with Cl{tuple(other.sig)}")
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, Multivector):
+            self._check_sig(other)
+            return Multivector._wrap(self.sig, self.coeffs + other.coeffs)
+        if isinstance(other, _REAL):
             arr = self.coeffs.copy()
             arr[0] += other
             return Multivector._wrap(self.sig, arr)
-        self._check_sig(other)
-        return Multivector._wrap(self.sig, self.coeffs + other.coeffs)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        self._check_sig(other)
-        return Multivector._wrap(self.sig, self.coeffs - other.coeffs)
+        if isinstance(other, Multivector):
+            self._check_sig(other)
+            return Multivector._wrap(self.sig, self.coeffs - other.coeffs)
+        return self.__add__(-other) if isinstance(other, _REAL) else NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __neg__(self):
         return Multivector._wrap(self.sig, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector._wrap(self.sig, self.coeffs * other)
         if isinstance(other, Versor):
             other = other.mv
+        if not isinstance(other, Multivector):
+            return self.__rmul__(other)
         self._check_sig(other)
-        k = kernel_for(self.sig)
-        return Multivector._wrap(self.sig, k.gp(self.coeffs, other.coeffs))
+        return Multivector._wrap(self.sig, kernel_for(self.sig).gp(self.coeffs, other.coeffs))
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _REAL):
             return Multivector._wrap(self.sig, self.coeffs * other)
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, _REAL):
             return Multivector._wrap(self.sig, self.coeffs / other)
         return NotImplemented
 
@@ -374,13 +379,10 @@ class Multivector:
         k = kernel_for(self.sig)
         return Multivector._wrap(self.sig, np.where(k.grade_mask(k_), self.coeffs, 0.0))
 
-    def grades_present(self, eps: float = DEFAULT_EPS):
+    def grades_present(self):
         k = kernel_for(self.sig)
-        out = set()
-        for g in range(k.n + 1):
-            if np.abs(self.coeffs[k.grade_mask(g)]).max(initial=0.0) > eps:
-                out.add(g)
-        return out
+        return {g for g in range(k.n + 1)
+                if np.abs(self.coeffs[k.grade_mask(g)]).max(initial=0.0) > DEFAULT_EPS}
 
     def is_grade(self, k_: int, eps: float = DEFAULT_EPS) -> bool:
         k = kernel_for(self.sig)
@@ -411,9 +413,7 @@ class Multivector:
     def __eq__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        if self.sig != other.sig:
-            return False
-        return float(np.max(np.abs(self.coeffs - other.coeffs))) <= DEFAULT_EPS
+        return self.sig == other.sig and self.key() == other.key()
 
     def __hash__(self):
         return hash((self.sig, self.key()))
@@ -527,7 +527,7 @@ class Versor(object):
         parity = 0 if even <= eps else 1
         norm = k.gp(mv.coeffs, k.rev(mv.coeffs))
         s = norm[0]
-        if abs(abs(s) - 1.0) > max(eps, 1e-9) or np.max(np.abs(norm[1:])) > max(eps, 1e-9):
+        if abs(abs(s) - 1.0) > eps or np.max(np.abs(norm[1:])) > eps:
             raise NotAVersor(f"mv * ~mv = {Multivector._wrap(mv.sig, norm)} is not a unit scalar")
         object.__setattr__(self, "mv", mv)
         object.__setattr__(self, "parity", parity)
@@ -537,13 +537,13 @@ class Versor(object):
         raise AttributeError("Versor is immutable")
 
     @classmethod
-    def from_vectors(cls, vectors: list[Multivector], eps: float = DEFAULT_EPS) -> "Versor":
+    def from_vectors(cls, vectors: list[Multivector]) -> "Versor":
         if not vectors:
             raise ValueError("need at least one vector")
         acc = vectors[0]
         for v in vectors[1:]:
             acc = acc * v
-        return cls(acc, eps)
+        return cls(acc)
 
     @property
     def sig(self) -> Signature:
@@ -575,12 +575,8 @@ class Versor(object):
     def __repr__(self):
         return f"<Versor {self.mv}>"
 
-    def apply(self, v: Multivector, eps: float = DEFAULT_EPS) -> Multivector:
-        return sandwich(v, self, eps)
-
-
-def _as_versor(A, eps: float = DEFAULT_EPS) -> Versor:
-    return A if isinstance(A, Versor) else Versor(A, eps)
+    def apply(self, v: Multivector) -> Multivector:
+        return sandwich(v, self)
 
 
 def sandwich(v: Multivector, A, eps: float = DEFAULT_EPS) -> Multivector:
@@ -590,7 +586,8 @@ def sandwich(v: Multivector, A, eps: float = DEFAULT_EPS) -> Multivector:
     versors makes a single unit vector act as the reflection that fixes its
     orthogonal hyperplane.
     """
-    A = _as_versor(A, eps)
+    if not isinstance(A, Versor):
+        A = Versor(A, eps)
     if v.sig != A.sig:
         raise SignatureMismatch("vector and versor signatures differ")
     if not v.is_grade(1, eps):
@@ -603,29 +600,29 @@ def sandwich(v: Multivector, A, eps: float = DEFAULT_EPS) -> Multivector:
     return Multivector._wrap(v.sig, out)
 
 
-def reflect(v: Multivector, alpha: Multivector, eps: float = DEFAULT_EPS) -> Multivector:
+def reflect(v: Multivector, alpha: Multivector) -> Multivector:
     """Reflection of v in the hyperplane orthogonal to the unit vector alpha."""
     if v.sig != alpha.sig:
         raise SignatureMismatch("vector and mirror signatures differ")
-    if not v.is_grade(1, eps) or not alpha.is_grade(1, eps):
+    if not v.is_grade(1) or not alpha.is_grade(1):
         raise ValueError("reflect expects grade-1 arguments")
     k = kernel_for(v.sig)
     n2 = k.scalar_part(alpha.coeffs, alpha.coeffs)
-    if abs(abs(n2) - 1.0) > eps:
+    if abs(abs(n2) - 1.0) > DEFAULT_EPS:
         raise ValueError(f"mirror vector must be unit, got alpha^2 = {n2}")
     out = -k.gp(k.gp(alpha.coeffs, v.coeffs), alpha.coeffs)
     out = np.where(k.grade_mask(1), out, 0.0)
     return Multivector._wrap(v.sig, out)
 
 
-def exp_bivector(B: Multivector, theta: float, eps: float = DEFAULT_EPS) -> Versor:
+def exp_bivector(B: Multivector, theta: float) -> Versor:
     """exp(B * theta) = cos(theta) + B sin(theta) for a unit bivector B (B^2 = -1)."""
-    if not B.is_grade(2, eps):
+    if not B.is_grade(2):
         raise ValueError("exp_bivector expects a grade-2 argument")
     k = kernel_for(B.sig)
     sq = k.gp(B.coeffs, B.coeffs)
-    if abs(sq[0] + 1.0) > eps or np.max(np.abs(sq[1:])) > eps:
+    if abs(sq[0] + 1.0) > DEFAULT_EPS or np.max(np.abs(sq[1:])) > DEFAULT_EPS:
         raise ValueError(f"bivector must square to -1, got B^2 = {Multivector._wrap(B.sig, sq)}")
     arr = B.coeffs * math.sin(theta)
     arr[0] += math.cos(theta)
-    return Versor(Multivector._wrap(B.sig, arr), eps)
+    return Versor(Multivector._wrap(B.sig, arr))

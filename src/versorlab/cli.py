@@ -26,6 +26,7 @@ import sys
 
 import numpy as np
 
+from .algebra import DEFAULT_EPS
 from .errors import UnknownCatalogName, VersorlabError
 from .groups import MAX_GROUP, generate_pin, generate_spin, group_table_dict, quotient_by_sign
 from .induction import induce_4d, reflection_agreement, spinorial_automorphisms
@@ -192,7 +193,7 @@ def _cmd_induce(args):
     rs = _load_rootsystem(args)
     spin = generate_spin(rs, max_elements=_cap(args, MAX_GROUP))
     ind = induce_4d(spin)
-    agreement = reflection_agreement(spin, eps=args.tolerance)
+    agreement = reflection_agreement(spin)
     if spin.order <= 48:
         sweep = spinorial_automorphisms(ind)
     else:
@@ -288,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, closure=True):
         p.add_argument("--format", choices=("json", "csv", "markdown"),
                        default="json", help="output format (default json)")
-        p.add_argument("--tolerance", type=float, default=1e-9,
+        p.add_argument("--tolerance", type=float, default=DEFAULT_EPS,
                        help="numerical comparison tolerance (default 1e-9)")
         if closure:
             p.add_argument("--max-closure", type=int, default=None,

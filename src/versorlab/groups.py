@@ -35,7 +35,7 @@ from .algebra import (
     orbit,
     quantize,
 )
-from .errors import ClosureCapExceeded, VersorlabError
+from .errors import VersorlabError
 from .roots import RootSystem
 
 __all__ = [
@@ -316,15 +316,15 @@ class ExpDecomposition(NamedTuple):
     def scalars(self) -> list[ExpTerm]:
         return [t for t in self.terms if t.kind == "scalar"]
 
-    def at_angle(self, theta: float, tol: float = 1e-9) -> list[ExpTerm]:
+    def at_angle(self, theta: float) -> list[ExpTerm]:
         return [t for t in self.terms
-                if t.kind == "exponential" and abs(t.theta - theta) <= tol]
+                if t.kind == "exponential" and abs(t.theta - theta) <= DEFAULT_EPS]
 
     def angle_counts(self) -> dict:
         return dict(Counter(round(t.theta, 9) for t in self.terms if t.kind == "exponential"))
 
 
-def exp_decomposition(group: VersorGroup, eps: float = DEFAULT_EPS) -> ExpDecomposition:
+def exp_decomposition(group: VersorGroup) -> ExpDecomposition:
     """Write each spin element of Cl(3,0) as +-exp(B theta), B a unit bivector.
 
     Scalars +-1 are reported as kind "scalar".  Every other element R has a
@@ -339,16 +339,16 @@ def exp_decomposition(group: VersorGroup, eps: float = DEFAULT_EPS) -> ExpDecomp
         a0, b = row[0], coords[1:]  # e23, e31, e12 parts
         bmag = float(np.linalg.norm(b))
         element = Multivector(sig, row)
-        if bmag <= eps:
+        if bmag <= DEFAULT_EPS:
             terms.append(ExpTerm(element, "scalar", 1 if a0 > 0 else -1, None, None))
             continue
-        s = -1 if a0 < -eps else 1
+        s = -1 if a0 < -DEFAULT_EPS else 1
         theta = math.atan2(bmag, s * a0)
         bu = np.zeros(8)
         bu[_SPINOR_COLS[1:]] = s * b / bmag * _SPINOR_SIGNS[1:]
         bhat = Multivector(sig, bu)
         recon = s * (math.cos(theta) + 0.0) * np.eye(1, 8, 0)[0] + s * math.sin(theta) * bu
-        if np.max(np.abs(recon - row)) > 1e-9:
+        if np.max(np.abs(recon - row)) > DEFAULT_EPS:
             raise VersorlabError("exponential reconstruction failed")
         terms.append(ExpTerm(element, "exponential", s, bhat, theta))
     return ExpDecomposition(tuple(terms))
@@ -357,23 +357,24 @@ def exp_decomposition(group: VersorGroup, eps: float = DEFAULT_EPS) -> ExpDecomp
 # -- Coxeter number --------------------------------------------------------------
 
 
-def coxeter_number(rs: RootSystem, max_power: int = 10_000) -> int:
-    """Order of the sandwich action of the product of all simple-root vectors."""
+def coxeter_number(rs: RootSystem) -> int:
+    """Order of the product of all simple-root vectors, as the order of the
+    permutation its sandwich action makes of the roots (looked up by key)."""
     kern, n = kernel_for(rs.sig), rs.sig.dim
     if rs.rank != n:
         raise VersorlabError("coxeter_number needs a full-rank root system")
     w = reduce(kern.gp, _simple_vectors(rs))
     sign = -1.0 if rs.rank % 2 else 1.0
-    grade1 = 1 << np.arange(n)  # column j of mat is the sandwich image of e_j
+    grade1 = 1 << np.arange(n)  # row j of mat is the sandwich image of e_j
     images = np.array([kern.gp(kern.gp(kern.rev(w), e), w) for e in np.eye(kern.D)[grade1]])
-    mat = sign * images[:, grade1].T
-    power = mat.copy()
-    eye = np.eye(n)
-    for k in range(1, max_power + 1):
-        if np.max(np.abs(power - eye)) <= 1e-9:
-            return k
-        power = power @ mat
-    raise ClosureCapExceeded(f"coxeter element order exceeded {max_power}")
+    mat = sign * images[:, grade1]
+    perm, every = KeyIndex(rs.coords).find(rs.coords @ mat), np.arange(rs.root_count)
+    if not np.array_equal(np.sort(perm), every):
+        raise VersorlabError("the Coxeter element does not permute the roots")
+    power, k = perm, 1
+    while not np.array_equal(power, every):
+        power, k = perm[power], k + 1
+    return k
 
 
 # -- serialization ---------------------------------------------------------------

@@ -74,7 +74,7 @@ def spinor_inner(R1, R2) -> float:
     c1, c2 = _even_coeffs(R1), _even_coeffs(R2)
     k = kernel_for(_SIG3)
     sym = 0.5 * (k.gp(c1, k.rev(c2)) + k.gp(c2, k.rev(c1)))
-    if np.max(np.abs(sym[1:])) > 1e-9:
+    if np.max(np.abs(sym[1:])) > DEFAULT_EPS:
         raise VersorlabError("symmetrized spinor product is not scalar")
     return float(sym[0])
 
@@ -165,8 +165,7 @@ def identify_4d(r: Union[InducedRootSystem4D, RootSystem]) -> str:
     return _identify_coords(coords)
 
 
-def reflection_closure_witness(group: VersorGroup, R1, R2,
-                               eps: float = DEFAULT_EPS) -> Versor:
+def reflection_closure_witness(group: VersorGroup, R1, R2) -> Versor:
     """Reflect R2 in R1 two ways and confirm the image stays in the group.
 
     The 4D reflection formula R2 - 2 (R1,R2)/(R1,R1) R1 and the group-level
@@ -180,7 +179,7 @@ def reflection_closure_witness(group: VersorGroup, R1, R2,
     inner11 = spinor_inner(R1, R1)
     linear = c2 - (2.0 * inner12 / inner11) * c1
     product = -k.gp(k.gp(c1, k.rev(c2)), c1)
-    if np.max(np.abs(linear - product)) > eps:
+    if np.max(np.abs(linear - product)) > DEFAULT_EPS:
         raise VersorlabError("reflection formulas disagree")
     if not group.contains(product):
         raise VersorlabError("reflection image left the group")
@@ -193,7 +192,7 @@ class ReflectionAgreement(NamedTuple):
     all_in_group: bool
 
 
-def reflection_agreement(group: VersorGroup, eps: float = DEFAULT_EPS) -> ReflectionAgreement:
+def reflection_agreement(group: VersorGroup) -> ReflectionAgreement:
     """Both reflection routes on every ordered pair of group elements.
 
     For each (R1, R2) the linear combination R2 - 2 (R1,R2)/(R1,R1) R1 and

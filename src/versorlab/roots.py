@@ -246,7 +246,7 @@ class DiagramEdge(NamedTuple):
     m: int
 
 
-def diagram(rs: RootSystem, eps: float = DEFAULT_EPS, angle_tol: float = 1e-6) -> list[DiagramEdge]:
+def diagram(rs: RootSystem, eps: float = DEFAULT_EPS) -> list[DiagramEdge]:
     """Coxeter diagram edges (i, j, m) for simple roots at angle pi - pi/m.
 
     Orthogonal pairs produce no edge.  Any other pair must sit at an obtuse
@@ -265,7 +265,7 @@ def diagram(rs: RootSystem, eps: float = DEFAULT_EPS, angle_tol: float = 1e-6) -
                     f"simple roots {i + 1},{j + 1} are not at an angle pi - pi/m (cos = {c})")
             m_real = math.pi / math.acos(-c)
             m = round(m_real)
-            if m < 3 or m > 1000 or abs(m_real - m) > angle_tol * m:
+            if m < 3 or m > 1000 or abs(m_real - m) > 1e-6 * m:
                 raise ValueError(
                     f"simple roots {i + 1},{j + 1} sit at angle with pi/(pi - angle) = {m_real}, "
                     "not an integer branch label")

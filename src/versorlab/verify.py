@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .algebra import (
+    DEFAULT_EPS,
     Multivector,
     Signature,
     Versor,
@@ -131,13 +132,13 @@ def _random_unit_vector(ctx, sig):
     return vector(sig, v)
 
 
-def _same_elements(got, expected, tol=1e-9) -> tuple:
-    """(same grid-key sets, each element within tol of exactly one on the other side)."""
+def _same_elements(got, expected) -> tuple:
+    """(same grid-key sets, each element within DEFAULT_EPS of exactly one on the other side)."""
     keys_agree = {g.key() for g in got} == {x.key() for x in expected}
     if len(got) != len(expected):
         return keys_agree, False
     a, b = np.array([g.coeffs for g in got]), np.array([x.coeffs for x in expected])
-    close = np.abs(a[:, None] - b[None]).max(axis=2) <= tol
+    close = np.abs(a[:, None] - b[None]).max(axis=2) <= DEFAULT_EPS
     return keys_agree, bool((close.sum(0) == 1).all() and (close.sum(1) == 1).all())
 
 
@@ -425,7 +426,7 @@ def _judge(claim: Claim, ctx: _Ctx) -> CheckResult:
         return CheckResult(claim.name, False, f"{type(exc).__name__}: {exc}")
 
 
-def run_battery(seed: int = 42, tolerance: float = 1e-9) -> BatteryReport:
+def run_battery(seed: int = 42, tolerance: float = DEFAULT_EPS) -> BatteryReport:
     """Run every claim in table order; the report is deterministic for a fixed seed."""
     ctx = _Ctx(seed, tolerance)
     return BatteryReport(tuple(_judge(claim, ctx) for claim in CLAIMS), seed, tolerance)

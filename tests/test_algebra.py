@@ -7,8 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versorlab import (
+    HASH_GRID,
     Multivector,
     NotAVersor,
     Signature,
@@ -364,6 +367,44 @@ def test_equality_and_hash_quantize_consistently():
     assert a == b and hash(a) == hash(b)
     c = vector(SIG3, [1.0 + 1e-4, 0.0, 0.0])
     assert a != c
+    # a pair 2e-12 apart that straddles the grid cell boundary at 3.5e-6:
+    # close, but two keys, so unequal, and a set keeps both
+    x = 3.5e-6
+    lo, hi = vector(SIG3, [x - 1e-12, 0.0, 0.0]), vector(SIG3, [x + 1e-12, 0.0, 0.0])
+    assert lo.close_to(hi) and lo != hi and len({lo, hi}) == 2
+    # equality is transitive: all three share one key, though the ends are 1.4e-9 apart
+    p, q, r = (vector(SIG3, [1.0 + d, 0.0, 0.0]) for d in (0.0, 5e-10, 1.4e-9))
+    assert p == q and q == r and p == r and len({p, q, r}) == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(cells=st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3),
+       offsets=st.lists(st.floats(-1e-10, 1e-10), min_size=6, max_size=6))
+def test_equality_is_key_identity_at_cell_boundaries(cells, offsets):
+    # coordinates on either side of a cell boundary (k + 1/2) * HASH_GRID
+    mid = (np.array(cells) + 0.5) * HASH_GRID
+    a, b = vector(SIG3, mid + offsets[:3]), vector(SIG3, mid + offsets[3:])
+    assert (a == b) == (a.key() == b.key())
+    assert a != b or hash(a) == hash(b)
+
+
+def test_numpy_scalars_are_scalars():
+    a = random_mv(SIG3)
+    assert np.array_equal((a * np.int64(2)).coeffs, (a * 2).coeffs)
+    assert np.array_equal((np.float64(2.0) * a).coeffs, (2.0 * a).coeffs)
+    assert np.array_equal((a * np.float32(2)).coeffs, (a * 2.0).coeffs)
+    assert np.array_equal((a + np.int64(1)).coeffs, (a + 1).coeffs)
+    assert np.array_equal((a - np.float64(0.5)).coeffs, (a - 0.5).coeffs)
+    assert np.array_equal((a / np.int64(4)).coeffs, (a / 4).coeffs)
+    for bad in ("x", None, [1.0]):
+        with pytest.raises(TypeError):
+            a * bad
+        with pytest.raises(TypeError):
+            a + bad
+        with pytest.raises(TypeError):
+            a - bad
+        with pytest.raises(TypeError):
+            a / bad
 
 
 def test_str_uses_blade_names():

@@ -156,6 +156,17 @@ def test_inversion_in_the_unit_circle():
     assert extract(J.apply_raw(NINF)) == pytest.approx((0.0, 0.0))
 
 
+def test_versor_route_reaches_about_one_over_root_eps():
+    # at the default eps 1e-9 an image with |tau| past about 1/sqrt(eps) ~ 3.2e4
+    # reads as the point at infinity; the oracle has no such limit
+    approx_pt(apply_word("S", (0.0, 1e-4)), (0.0, 1e4), tol=1e-5)
+    with pytest.raises(PointAtInfinity):
+        apply_word("S", (0.0, 2e-5))
+    assert mobius_oracle("S", (0.0, 2e-5)) == pytest.approx((0.0, 5e4))
+    # a smaller eps moves the limit out
+    assert apply_word("S", (0.0, 2e-5), eps=1e-12)[1] == pytest.approx(5e4, rel=1e-6)
+
+
 def test_special_conformal_matches_inversion_sandwich():
     a1, a2 = 0.7, -0.3
     K = special_conformal(a1, a2)

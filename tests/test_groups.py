@@ -10,6 +10,7 @@ import versorlab.algebra
 from versorlab import (
     ClosureCapExceeded,
     Multivector,
+    RootSystem,
     Signature,
     Versor,
     VersorlabError,
@@ -222,6 +223,15 @@ def test_coxeter_number_needs_full_rank():
                            sig=SIG3, name="A2 embedded")
     with pytest.raises(VersorlabError):
         coxeter_number(a2_in_3d)
+
+
+def test_coxeter_number_needs_the_roots_permuted():
+    # the element's order is read off its permutation of the roots, so a root
+    # set the Coxeter element does not map to itself is an error
+    rs = catalog("B3")
+    short = RootSystem(rs.sig, rs.simple_coords, rs.coords[1:], name="B3 less a root")
+    with pytest.raises(VersorlabError):
+        coxeter_number(short)
 
 
 def test_group_table_dict_shape():
