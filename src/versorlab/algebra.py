@@ -537,6 +537,22 @@ class Versor(object):
         raise AttributeError("Versor is immutable")
 
     @classmethod
+    def _trusted(cls, sig: Signature, rows: np.ndarray) -> tuple:
+        """Versors of rows the library built as unit versors, unchecked: the parity
+        from the odd mask, ``norm_sign`` from each row's scalar part of m ~m."""
+        k = kernel_for(sig)
+        odd = np.abs(rows[:, k.odd]).max(axis=1, initial=0.0) > DEFAULT_EPS
+        norms = np.einsum("na,na,a->n", rows, k.rev(rows), k.metric)
+        out = []
+        for row, parity, s in zip(rows, odd, norms):
+            self = object.__new__(cls)
+            object.__setattr__(self, "mv", Multivector._wrap(sig, row))
+            object.__setattr__(self, "parity", int(parity))
+            object.__setattr__(self, "norm_sign", 1 if s > 0 else -1)
+            out.append(self)
+        return tuple(out)
+
+    @classmethod
     def from_vectors(cls, vectors: list[Multivector]) -> "Versor":
         if not vectors:
             raise ValueError("need at least one vector")

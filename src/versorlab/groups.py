@@ -90,7 +90,7 @@ class _GroupBase:
 
     @property
     def elements(self) -> tuple[Versor, ...]:
-        return tuple(Versor(Multivector(self.sig, row)) for row in self._arr)
+        return Versor._trusted(self.sig, self._arr)
 
     def element_arr(self) -> np.ndarray:
         return self._arr
@@ -236,11 +236,11 @@ class ConjugacyClass:
 
     @cached_property
     def representative(self) -> Versor:
-        return Versor(Multivector(self.sig, self.rows[self.indices[0]]))
+        return Versor._trusted(self.sig, self.rows[self.indices[:1]])[0]
 
     @cached_property
     def members(self) -> tuple:
-        return tuple(Versor(Multivector(self.sig, self.rows[i])) for i in self.indices)
+        return Versor._trusted(self.sig, self.rows[self.indices])
 
 
 def _simple_vectors(rs: RootSystem) -> np.ndarray:

@@ -10,6 +10,22 @@ raises fails with ``"<ExcType>: <msg>"``.  ``run_battery`` runs the rows in
 table order, drawing from one seeded generator (VERSORLAB_SEED on the
 command line), so a given seed gives byte-identical reports;
 ``tests/test_acceptance.py`` parametrizes over the same rows.
+
+The six sampled rows (the four ``kernel.*`` rows, ``cga2d.translations`` and
+``cga2d.modular_words``) check the public route: ``reflect``, ``Versor``,
+``sandwich``, ``exp_bivector``, ``translator(...).apply(embed(...))`` and
+``apply_word``.  They draw their samples one at a time, in the order that
+route used to draw them, so a seed keeps its meaning.  Then they evaluate
+all draws at once as array expressions on ``_Kernel.gp_elemwise``, ``rev``,
+the grade masks and the batched scalar part, which give the route's floats
+bit for bit, and make each of the route's checks on all draws at once.
+Modular words step one letter position at a time over the words that long.
+When a check fails, the generator is rewound and the draws are replayed
+through the public route, drawing as they go, so the row fails with that
+route's own error.  The first 32 draws of each algebra a row samples also
+take the public route as a witness: ``witness_mismatches`` counts the draws
+whose outputs differ from the batch in any bit, and ``worst`` is the worst
+residual of the batch and the witness.
 """
 
 from __future__ import annotations
@@ -41,6 +57,8 @@ from .cga2d import (
     E2,
     EPLUS,
     NBAR,
+    NINF,
+    _LETTERS,
     apply_word,
     dilator,
     embed,
@@ -52,6 +70,7 @@ from .cga2d import (
     special_conformal,
     translator,
 )
+from .errors import VersorlabError
 from .groups import (
     _spinor_coords,
     coxeter_number,
@@ -117,19 +136,14 @@ class _Ctx:
         self.induced = functools.cache(lambda name: induce_4d(spin(name)))
 
 
-def _random_mv(ctx, sig, grades=None):
-    kern = kernel_for(sig)
-    coeffs = ctx.rng.normal(size=kern.D)
-    if grades is not None:
-        mask = np.isin(kern.grades, grades)
-        coeffs = coeffs * mask
-    return Multivector(sig, coeffs)
+def _unit(ctx, n) -> np.ndarray:
+    v = ctx.rng.normal(size=n)
+    return v / np.linalg.norm(v)
 
 
-def _random_unit_vector(ctx, sig):
-    v = ctx.rng.normal(size=sig.dim)
-    v = v / np.linalg.norm(v)
-    return vector(sig, v)
+def _normal(ctx, sig, grade=None) -> np.ndarray:
+    coeffs = ctx.rng.normal(size=sig.blade_count)
+    return coeffs if grade is None else coeffs * kernel_for(sig).grade_mask(grade)
 
 
 def _same_elements(got, expected) -> tuple:
@@ -147,58 +161,207 @@ def _by_field(results) -> dict:
     return dict(zip(results[0]._fields, zip(*results)))
 
 
+# -- the sampled rows: public route per draw, and the same floats as one batch ----
+
+_WITNESS = 32  # leading draws of each block that also take the public route
+_CL3, _CGA = Signature(3, 0), kernel_for(CGA_SIG)
+
+
+def _sampled(ctx, blocks, batch, public):
+    """Fields ``worst`` and ``witness_mismatches`` of (n, draw) blocks, and each block's records.
+
+    ``public`` takes one draw through the public route; ``batch`` takes a
+    block's draws to one record row each (outputs, then the residual), or to
+    None when a draw fails one of the public route's checks.  Then, or when
+    the batch raises, the generator is rewound and the block replayed through
+    ``public``, drawing as it goes, so the row fails with that route's error.
+    """
+    worst, mismatches, records = [], 0, []
+    for n, draw in blocks:
+        state = ctx.rng.bit_generator.state
+        drawn = [draw(ctx) for _ in range(n)]
+        try:
+            rec = batch(drawn)
+        except VersorlabError:  # the Mobius oracle's own point at infinity
+            rec = None
+        if rec is None:
+            ctx.rng.bit_generator.state = state
+            for _ in range(n):
+                public(draw(ctx))
+            raise VersorlabError("a batched check failed where the public route passed")
+        witness = np.array([public(d) for d in drawn[:_WITNESS]])
+        mismatches += int((witness != rec[:_WITNESS]).any(axis=1).sum())
+        worst += [rec[:, -1].max(), witness[:, -1].max()]
+        records.append(rec)
+    return {"worst": np.max(worst), "witness_mismatches": mismatches}, records
+
+
+def _grade1(sig, coords) -> np.ndarray:
+    """Coefficient rows of the vectors whose coordinate rows are ``coords``."""
+    out = np.zeros((len(coords), sig.blade_count))
+    out[:, 1 << np.arange(np.shape(coords)[1])] = coords
+    return out
+
+
+def _dot(kern, A, B) -> np.ndarray:
+    """Scalar part of each row product, bit for bit ``_Kernel.scalar_part``."""
+    return np.einsum("na,na,a->n", A, np.broadcast_to(B, A.shape), kern.metric)
+
+
+def _graded(kern, X, k) -> np.ndarray:
+    return np.abs(X[:, ~kern.grade_mask(k)]).max(axis=1, initial=0.0) <= DEFAULT_EPS
+
+
+def _versor_checks(kern, R):
+    """``Versor``'s checks on each row of R, and its parity: (passes, odd).
+
+    Like every batched check here it passes exactly where the public route's
+    own test passes (``~(x > bound)`` for its ``if x > bound: raise``), so a
+    NaN passes or fails both alike.
+    """
+    odd = np.abs(R[:, kern.odd]).max(axis=1, initial=0.0) > DEFAULT_EPS
+    even = np.abs(R[:, kern.even]).max(axis=1, initial=0.0) > DEFAULT_EPS
+    norm = np.abs(kern.gp_elemwise(R, kern.rev(R)))  # R ~R = +-1
+    return ~(odd & even) & ~(np.abs(norm - np.eye(1, kern.D)).max(axis=1) > DEFAULT_EPS), odd
+
+
+def _sandwich(kern, R, odd, X):
+    """``sandwich`` of each row of X by R's row, or by R: (images, X passes the grade-1 test)."""
+    R = np.broadcast_to(R, X.shape)
+    out = kern.gp_elemwise(kern.gp_elemwise(kern.rev(R), X), R)
+    out = np.where(np.reshape(odd, (-1, 1)), -out, out)
+    return np.where(kern.grade_mask(1), out, 0.0), _graded(kern, X, 1)
+
+
+def _points(X) -> np.ndarray:
+    """``ConformalPoint``'s checks on each row."""
+    scale = DEFAULT_EPS * np.maximum(1.0, np.abs(X).max(axis=1) ** 2)
+    return (_graded(_CGA, X, 1) & ~(np.abs(_dot(_CGA, X, X)) > scale)
+            & ~(np.abs(_dot(_CGA, X, NINF.coeffs) + 1.0) > scale))
+
+
+def _embed(x1, x2):
+    """``embed`` of each point, squaring as it does (Python's ``**`` is not numpy's square)."""
+    sq = np.array([float(a) ** 2 + float(b) ** 2 for a, b in zip(x1, x2)])
+    x = _grade1(CGA_SIG, np.column_stack([x1, x2]))
+    X = (sq[:, None] * NINF.coeffs + 2.0 * x - NBAR.coeffs) * 0.5
+    return X, _points(X)
+
+
+def _normalize(Y):
+    """``ConformalVersor.apply`` after its sandwich: (points at X . n = -1, finite and passing)."""
+    s = _dot(_CGA, Y, NINF.coeffs)
+    finite = ~(np.abs(s) < DEFAULT_EPS * np.maximum(1.0, np.abs(Y).max(axis=1)))
+    X = Y * (-1.0 / np.where(finite, s, -1.0))[:, None]
+    return X, finite & _points(X)
+
+
+def _reflection_public(draw):
+    sig, a, v = draw
+    a, v = vector(sig, a), Multivector(sig, v)
+    lhs = reflect(v, a)
+    dot = (v * a + a * v).scalar * 0.5
+    rhs = v - 2.0 * dot * a
+    return [*lhs.coeffs, np.abs((lhs - rhs).coeffs).max()]
+
+
+def _reflection_batch(drawn):
+    sigs, a, V = zip(*drawn)
+    kern, A, V = kernel_for(sigs[0]), _grade1(sigs[0], a), np.array(V)
+    lhs, graded = _sandwich(kern, A, True, V)  # ~a = a for a vector
+    unit = ~(np.abs(np.abs(_dot(kern, A, A)) - 1.0) > DEFAULT_EPS)
+    if not (graded & _graded(kern, A, 1) & unit).all():
+        return None
+    dot = (_dot(kern, V, A) + _dot(kern, A, V)) * 0.5
+    return np.column_stack([lhs, np.abs(lhs - (V - (2.0 * dot)[:, None] * A)).max(axis=1)])
+
+
 def _reflection_formula(ctx):
-    worst = []
-    for sig in (Signature(2, 0), Signature(3, 0), Signature(4, 0)):
-        for _ in range(400):
-            a = _random_unit_vector(ctx, sig)
-            v = _random_mv(ctx, sig, grades=[1])
-            lhs = reflect(v, a)
-            dot = (v * a + a * v).scalar * 0.5
-            rhs = v - 2.0 * dot * a
-            worst.append(np.abs((lhs - rhs).coeffs).max())
-    return {"worst": np.max(worst)}
+    blocks = [(400, lambda c, s=sig: (s, _unit(c, s.dim), _normal(c, s, 1)))
+              for sig in (Signature(2, 0), Signature(3, 0), Signature(4, 0))]
+    return _sampled(ctx, blocks, _reflection_batch, _reflection_public)[0]
+
+
+def _isometry_public(draw):
+    vectors, u, v = draw
+    A = Versor.from_vectors([vector(_CL3, w) for w in vectors])
+    u, v = Multivector(_CL3, u), Multivector(_CL3, v)
+    u2, v2 = sandwich(u, A), sandwich(v, A)
+    before = (u * v + v * u).scalar * 0.5
+    after = (u2 * v2 + v2 * u2).scalar * 0.5
+    return [*u2.coeffs, *v2.coeffs, abs(before - after)]
+
+
+def _isometry_batch(drawn):
+    vectors, U, V = zip(*drawn)
+    k, U, V = kernel_for(_CL3), np.array(U), np.array(V)
+    count = np.array([len(w) for w in vectors])
+    W = np.array([w + w[:1] * (4 - len(w)) for w in vectors])  # padded to 4 vectors each
+    R = _grade1(_CL3, W[:, 0])
+    for j in range(1, 4):  # Versor.from_vectors' left-to-right products
+        R = np.where((count > j)[:, None], k.gp_elemwise(R, _grade1(_CL3, W[:, j])), R)
+    ok, odd = _versor_checks(k, R)
+    (U2, u_graded), (V2, v_graded) = _sandwich(k, R, odd, U), _sandwich(k, R, odd, V)
+    if not (ok & u_graded & v_graded).all():
+        return None
+    drift = (_dot(k, U, V) + _dot(k, V, U)) * 0.5 - (_dot(k, U2, V2) + _dot(k, V2, U2)) * 0.5
+    return np.column_stack([U2, V2, np.abs(drift)])
 
 
 def _sandwich_isometry(ctx):
-    worst = []
-    sig = Signature(3, 0)
-    for _ in range(1000):
-        k = int(ctx.rng.integers(1, 5))
-        A = Versor.from_vectors([_random_unit_vector(ctx, sig) for _ in range(k)])
-        u = _random_mv(ctx, sig, grades=[1])
-        v = _random_mv(ctx, sig, grades=[1])
-        u2, v2 = sandwich(u, A), sandwich(v, A)
-        before = (u * v + v * u).scalar * 0.5
-        after = (u2 * v2 + v2 * u2).scalar * 0.5
-        worst.append(abs(before - after))
-    return {"worst": np.max(worst)}
+    draw = lambda c: ([_unit(c, 3) for _ in range(int(c.rng.integers(1, 5)))],
+                      _normal(c, _CL3, 1), _normal(c, _CL3, 1))
+    return _sampled(ctx, [(1000, draw)], _isometry_batch, _isometry_public)[0]
+
+
+def _reversal_public(draw):
+    sig, A, B = draw
+    A, B = Multivector(sig, A), Multivector(sig, B)
+    delta = (A * B).reverse() - B.reverse() * A.reverse()
+    return [*delta.coeffs, np.abs(delta.coeffs).max()]
+
+
+def _reversal_batch(drawn):
+    sigs, A, B = zip(*drawn)
+    k, A, B = kernel_for(sigs[0]), np.array(A), np.array(B)
+    delta = k.rev(k.gp_elemwise(A, B)) - k.gp_elemwise(k.rev(B), k.rev(A))
+    return np.column_stack([delta, np.abs(delta).max(axis=1)])
 
 
 def _reversal_antiautomorphism(ctx):
-    worst = []
-    for sig in (Signature(3, 0), Signature(3, 1)):
-        for _ in range(500):
-            A = _random_mv(ctx, sig)
-            B = _random_mv(ctx, sig)
-            delta = (A * B).reverse() - B.reverse() * A.reverse()
-            worst.append(np.abs(delta.coeffs).max())
-    return {"worst": np.max(worst)}
+    blocks = [(500, lambda c, s=sig: (s, _normal(c, s), _normal(c, s)))
+              for sig in (Signature(3, 0), Signature(3, 1))]
+    return _sampled(ctx, blocks, _reversal_batch, _reversal_public)[0]
+
+
+def _exp_public(draw):
+    b, t1, t2 = draw
+    e = basis(_CL3)
+    B = b[0] * (e[1] * e[2]) + b[1] * (e[2] * e[0]) + b[2] * (e[0] * e[1])
+    lhs = (exp_bivector(B, t1) * exp_bivector(B, t2)).mv
+    rhs = exp_bivector(B, t1 + t2).mv
+    return [*lhs.coeffs, *rhs.coeffs, np.abs((lhs - rhs).coeffs).max()]
+
+
+def _exp_batch(drawn):
+    (b, t1, t2), k, e = map(np.array, zip(*drawn)), kernel_for(_CL3), basis(_CL3)
+    B = (b[:, :1] * (e[1] * e[2]).coeffs + b[:, 1:2] * (e[2] * e[0]).coeffs
+         + b[:, 2:] * (e[0] * e[1]).coeffs)
+    rotors = []
+    for t in (t1, t2, t1 + t2):  # exp_bivector, with math's sin and cos
+        rotors.append(B * np.array([math.sin(x) for x in t])[:, None])
+        rotors[-1][:, 0] += [math.cos(x) for x in t]
+    lhs, rhs = k.gp_elemwise(rotors[0], rotors[1]), rotors[2]
+    square = np.abs(k.gp_elemwise(B, B) + np.eye(1, k.D)).max(axis=1)  # B^2 = -1
+    ok = _graded(k, B, 2) & ~(square > DEFAULT_EPS)
+    if not (ok & np.all([_versor_checks(k, R)[0] for R in (*rotors, lhs)], axis=0)).all():
+        return None
+    return np.column_stack([lhs, rhs, np.abs(lhs - rhs).max(axis=1)])
 
 
 def _exp_additivity(ctx):
-    worst = []
-    sig = Signature(3, 0)
-    for _ in range(1000):
-        b = ctx.rng.normal(size=3)
-        b = b / np.linalg.norm(b)
-        e = basis(sig)
-        B = b[0] * (e[1] * e[2]) + b[1] * (e[2] * e[0]) + b[2] * (e[0] * e[1])
-        t1, t2 = ctx.rng.uniform(-2, 2, size=2)
-        lhs = (exp_bivector(B, t1) * exp_bivector(B, t2)).mv
-        rhs = exp_bivector(B, t1 + t2).mv
-        worst.append(np.abs((lhs - rhs).coeffs).max())
-    return {"worst": np.max(worst)}
+    draw = lambda c: (_unit(c, 3), *c.rng.uniform(-2, 2, size=2))
+    return _sampled(ctx, [(1000, draw)], _exp_batch, _exp_public)[0]
 
 
 _ROOT_COUNTS = {
@@ -315,39 +478,79 @@ def _conformal_relations(ctx):
             "rotation_error": (abs(rot[0]), abs(rot[1] - 1.0))}
 
 
+def _translation_public(draw):
+    a1, a2, x1, x2 = draw
+    got = translator(a1, a2).apply(embed(x1, x2)).coords
+    return [*got, np.max([abs(got[0] - (x1 + a1)), abs(got[1] - (x2 + a2))])]
+
+
+def _translation_batch(drawn):
+    a1, a2, x1, x2 = np.array(drawn).T
+    na = _CGA.gp_elemwise(np.broadcast_to(NINF.coeffs, (len(a1), _CGA.D)),
+                          _grade1(CGA_SIG, np.column_stack([a1, a2])))
+    T = scalar_mv(CGA_SIG, 1.0).coeffs - 0.5 * na  # translator's 1 - n a / 2
+    (ok, odd), (X, on) = _versor_checks(_CGA, T), _embed(x1, x2)
+    Y, graded = _sandwich(_CGA, T, odd, X)
+    got, finite = _normalize(Y)
+    if not (ok & on & graded & finite).all():
+        return None
+    got = got[:, 1:3]
+    return np.column_stack([got, np.abs(got - np.column_stack([x1 + a1, x2 + a2])).max(axis=1)])
+
+
 def _translations(ctx):
-    worst = []
-    for _ in range(1000):
-        a1, a2, x1, x2 = ctx.rng.uniform(-5, 5, size=4)
-        got = translator(a1, a2).apply(embed(x1, x2)).coords
-        worst += [abs(got[0] - (x1 + a1)), abs(got[1] - (x2 + a2))]
-    return {"worst": np.max(worst)}
+    draw = lambda c: c.rng.uniform(-5, 5, size=4)
+    return _sampled(ctx, [(1000, draw)], _translation_batch, _translation_public)[0]
+
+
+_ALPHABET = np.array(["S", "T", "t"])
+
+
+def _word_draw(ctx):
+    word = "".join(ctx.rng.choice(_ALPHABET, size=int(ctx.rng.integers(0, 13))))
+    return word, (float(ctx.rng.uniform(-2, 2)), float(ctx.rng.uniform(0.05, 2.0)))
+
+
+def _word_public(draw):
+    vx, ox = apply_word(*draw), mobius_oracle(*draw)
+    scale = max(1.0, abs(ox[0]), abs(ox[1]))
+    return [*vx, np.max([abs(vx[0] - ox[0]) / scale, abs(vx[1] - ox[1]) / scale])]
+
+
+def _word_batch(drawn):
+    words, taus = zip(*drawn)
+    width = max(map(len, words))
+    (x1, x2), letters = np.array(taus).T, np.array([list(w.ljust(width)) for w in words])
+    X, ok = _embed(x1, x2)
+    if not (ok & (x2 > 0)).all():
+        return None
+    for column in letters.T:  # one letter position at a time, each letter's words at once
+        for letter, versor in _LETTERS.items():
+            rows = np.flatnonzero(column == letter)
+            Y, graded = _sandwich(_CGA, versor.mv.coeffs, versor.v.parity, X[rows])
+            X[rows], ok = _normalize(Y)
+            if not (graded & ok).all():
+                return None
+    ox = np.array([mobius_oracle(*d) for d in drawn])
+    res = np.abs(X[:, 1:3] - ox) / np.maximum(1.0, np.abs(ox).max(axis=1))[:, None]
+    return np.column_stack([X[:, 1:3], res.max(axis=1)])
 
 
 def _modular_words(ctx):
-    letters = np.array(["S", "T", "t"])
-    worst, upper = [], True
-    for _ in range(1000):
-        length = int(ctx.rng.integers(0, 13))
-        word = "".join(ctx.rng.choice(letters, size=length))
-        x1 = float(ctx.rng.uniform(-2, 2))
-        x2 = float(ctx.rng.uniform(0.05, 2.0))
-        vx = apply_word(word, (x1, x2))
-        ox = mobius_oracle(word, (x1, x2))
-        upper = upper and vx[1] > 0
-        scale = max(1.0, abs(ox[0]), abs(ox[1]))
-        worst += [abs(vx[0] - ox[0]) / scale, abs(vx[1] - ox[1]) / scale]
-    return {"upper_half_plane": upper, "worst": np.max(worst)}
+    fields, (records,) = _sampled(ctx, [(1000, _word_draw)], _word_batch, _word_public)
+    return {"upper_half_plane": bool((records[:, 1] > 0).all()), **fields}
 
+
+_SAMPLED = {"worst": AtMost(), "witness_mismatches": 0}
 
 CLAIMS: tuple = (
-    Claim("kernel.reflection_formula", ("10",), _reflection_formula, {"worst": AtMost()},
+    Claim("kernel.reflection_formula", ("10",), _reflection_formula, _SAMPLED,
           "1200 random mirrors, worst |\u2212ava - (v-2(v|a)a)| = {worst:.2e}"),
-    Claim("kernel.sandwich_isometry", ("10",), _sandwich_isometry, {"worst": AtMost()},
+    Claim("kernel.sandwich_isometry", ("10",), _sandwich_isometry, _SAMPLED,
           "1000 random versors, worst inner-product drift = {worst:.2e}"),
     Claim("kernel.reversal_antiautomorphism", ("10",), _reversal_antiautomorphism,
-          {"worst": AtMost()}, "1000 random products, worst |(AB)~ - ~B~A| = {worst:.2e}"),
-    Claim("kernel.exp_additivity", ("10",), _exp_additivity, {"worst": AtMost()},
+          _SAMPLED, "1000 random products, worst |(AB)~ - ~B~A| = {worst:.2e}"),
+    Claim("kernel.exp_additivity", ("10",), _exp_additivity, _SAMPLED,
           "1000 random rotor pairs, worst |e^Bt1 e^Bt2 - e^B(t1+t2)| = {worst:.2e}"),
     Claim("roots.closure_counts", ("01",),
           lambda ctx: {"counts": {n: ctx.catalog(n).root_count for n in _ROOT_COUNTS}},
@@ -400,10 +603,10 @@ CLAIMS: tuple = (
            "dilator_error": AtMost(1e-9), "inversion_error": AtMost(1e-9),
            "rotation_error": AtMost(1e-9)},
           "S^2 = (ST)^3 = -1; K = eT_ae; dilation e^{{+a}}; inversion and rotation act right"),
-    Claim("cga2d.translations", ("09",), _translations, {"worst": AtMost()},
+    Claim("cga2d.translations", ("09",), _translations, _SAMPLED,
           "1000 random translations, worst coordinate error {worst:.2e}"),
     Claim("cga2d.modular_words", ("09",), _modular_words,
-          {"upper_half_plane": True, "worst": AtMost(1e-6)},
+          {"upper_half_plane": True, "worst": AtMost(1e-6), "witness_mismatches": 0},
           "1000 random words vs Mobius oracle, worst relative dev {worst:.2e}"),
 )
 

@@ -14,7 +14,7 @@ import types
 import numpy as np
 import pytest
 
-from versorlab import Multivector, verify
+from versorlab import DEFAULT_EPS, Multivector, PointAtInfinity, apply_word, sandwich, verify
 from versorlab.verify import CLAIMS, run_battery
 
 CRITERIA = {
@@ -84,5 +84,47 @@ def test_a_nan_residual_fails_its_row(monkeypatch):
     monkeypatch.setattr(verify, "reflect", nan_reflect)
     monkeypatch.setattr(verify, "translator", nan_translator)
     failed = {r.name: r.detail for r in run_battery().results if not r.passed}
-    assert failed == {"kernel.reflection_formula": "worst nan exceeds 1.00e-09",
-                      "cga2d.translations": "worst nan exceeds 1.00e-09"}
+    # NaN from the public route reaches ``worst`` through the witness, which also
+    # counts each witnessed draw as a mismatch: 32 draws in each of three algebras
+    assert failed == {"kernel.reflection_formula": "worst nan exceeds 1.00e-09; "
+                                                   "witness_mismatches = 96, expected 0",
+                      "cga2d.translations": "worst nan exceeds 1.00e-09; "
+                                            "witness_mismatches = 32, expected 0"}
+
+
+def _claim(name):
+    return next(c for c in CLAIMS if c.name == name)
+
+
+def test_the_witness_compares_bits(monkeypatch):
+    """One ulp off in the public route's sandwich fails the row on the witness alone."""
+    def ulp_off(v, A):
+        out = sandwich(v, A)
+        return Multivector(out.sig, np.nextafter(out.coeffs, np.inf))
+
+    monkeypatch.setattr(verify, "sandwich", ulp_off)
+    result = verify._judge(_claim("kernel.sandwich_isometry"), verify._Ctx(42, DEFAULT_EPS))
+    assert (result.passed, result.detail) == (False, "witness_mismatches = 32, expected 0")
+
+
+def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
+    """A draw the batch rejects fails the row with the per-word route's own error."""
+    real, planted = verify._word_draw, ("STt", (0.0, 1e-5))  # S sends 1e-5 i to infinity
+
+    def draw(ctx):
+        word, tau = real(ctx)
+        return planted if 1.9 < tau[0] else (word, tau)
+
+    monkeypatch.setattr(verify, "_word_draw", draw)
+    with pytest.raises(PointAtInfinity) as exc:
+        apply_word(*planted)
+    ctx = verify._Ctx(42, DEFAULT_EPS)
+    result = verify._judge(_claim("cga2d.modular_words"), ctx)
+    assert (result.passed, result.detail) == (False, f"PointAtInfinity: {exc.value}")
+    assert result.detail == "PointAtInfinity: image point is at infinity"
+    # the replay drew as the per-word route does, stopping at the draw that raised
+    reference = verify._Ctx(42, DEFAULT_EPS)
+    with pytest.raises(PointAtInfinity):
+        while True:
+            verify._word_public(draw(reference))
+    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state

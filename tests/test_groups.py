@@ -168,6 +168,26 @@ def test_element_order_census_and_class_sizes(name, kind):
         assert {g.element_order(m) for m in c.members} == {c.element_order}
 
 
+@pytest.mark.parametrize("name,kind", [("H3", "pin"), ("D4", "spin"), ("A3", "full"),
+                                       ("A3", "chiral")])
+def test_elements_and_members_equal_the_validated_versors(name, kind):
+    """Rows the library closed are wrapped unchecked; the checked constructor agrees."""
+    g = (generate_pin if kind in ("pin", "full") else generate_spin)(catalog(name))
+    if kind in ("full", "chiral"):
+        g = quotient_by_sign(g)
+    read = list(g.elements)
+    for c in conjugacy_classes(g):
+        read += [*c.members, c.representative]
+        assert c.representative.mv.key() == c.members[0].mv.key()
+    assert len(read) == 2 * g.order + len(conjugacy_classes(g))
+    for v in read:
+        checked = Versor(Multivector(g.sig, v.mv.coeffs))
+        assert np.array_equal(v.mv.coeffs, checked.mv.coeffs)
+        assert (v.parity, v.norm_sign) == (checked.parity, checked.norm_sign)
+        assert type(v.parity) is type(v.norm_sign) is int
+    assert {v.parity for v in g.elements} == ({0} if kind in ("spin", "chiral") else {0, 1})
+
+
 def test_quotient_requires_versor_group():
     q = quotient_by_sign(generate_spin(catalog("A1^3")))
     with pytest.raises((VersorlabError, AttributeError, TypeError)):
