@@ -108,7 +108,8 @@ class _Kernel:
     masks ``odd`` and ``even``, and the metric diagonal ``metric``
     (``metric[a] = sign[a, 0]``, the scalar e_a e_a).  The scalar part of
     A B is sum_a A[a] B[a] metric[a]; ``scalar_part`` takes that sum in the
-    contraction's own order, so it equals ``gp(A, B)[0]`` bit for bit.
+    contraction's own order, so it equals ``gp(A, B)[0]`` bit for bit, and
+    ``scalar_parts`` gives the same floats row by row.
     """
 
     def __init__(self, p: int, q: int):
@@ -141,6 +142,10 @@ class _Kernel:
     def scalar_part(self, a: np.ndarray, b: np.ndarray) -> float:
         """``gp(a, b)[0]``, the same float, without the other D - 1 blades."""
         return float(np.einsum("a,a,a->", a, b, self.metric))
+
+    def scalar_parts(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """``scalar_part`` of each row of A with B's row (or with B), the same floats."""
+        return np.einsum("na,na,a->n", A, np.broadcast_to(B, A.shape), self.metric)
 
     def gp_elemwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Broadcasting batched product over leading axes of (..., D) arrays."""
@@ -542,7 +547,7 @@ class Versor(object):
         from the odd mask, ``norm_sign`` from each row's scalar part of m ~m."""
         k = kernel_for(sig)
         odd = np.abs(rows[:, k.odd]).max(axis=1, initial=0.0) > DEFAULT_EPS
-        norms = np.einsum("na,na,a->n", rows, k.rev(rows), k.metric)
+        norms = k.scalar_parts(rows, k.rev(rows))
         out = []
         for row, parity, s in zip(rows, odd, norms):
             self = object.__new__(cls)

@@ -203,11 +203,6 @@ def _grade1(sig, coords) -> np.ndarray:
     return out
 
 
-def _dot(kern, A, B) -> np.ndarray:
-    """Scalar part of each row product, bit for bit ``_Kernel.scalar_part``."""
-    return np.einsum("na,na,a->n", A, np.broadcast_to(B, A.shape), kern.metric)
-
-
 def _graded(kern, X, k) -> np.ndarray:
     return np.abs(X[:, ~kern.grade_mask(k)]).max(axis=1, initial=0.0) <= DEFAULT_EPS
 
@@ -236,8 +231,8 @@ def _sandwich(kern, R, odd, X):
 def _points(X) -> np.ndarray:
     """``ConformalPoint``'s checks on each row."""
     scale = DEFAULT_EPS * np.maximum(1.0, np.abs(X).max(axis=1) ** 2)
-    return (_graded(_CGA, X, 1) & ~(np.abs(_dot(_CGA, X, X)) > scale)
-            & ~(np.abs(_dot(_CGA, X, NINF.coeffs) + 1.0) > scale))
+    return (_graded(_CGA, X, 1) & ~(np.abs(_CGA.scalar_parts(X, X)) > scale)
+            & ~(np.abs(_CGA.scalar_parts(X, NINF.coeffs) + 1.0) > scale))
 
 
 def _embed(x1, x2):
@@ -250,7 +245,7 @@ def _embed(x1, x2):
 
 def _normalize(Y):
     """``ConformalVersor.apply`` after its sandwich: (points at X . n = -1, finite and passing)."""
-    s = _dot(_CGA, Y, NINF.coeffs)
+    s = _CGA.scalar_parts(Y, NINF.coeffs)
     finite = ~(np.abs(s) < DEFAULT_EPS * np.maximum(1.0, np.abs(Y).max(axis=1)))
     X = Y * (-1.0 / np.where(finite, s, -1.0))[:, None]
     return X, finite & _points(X)
@@ -269,10 +264,10 @@ def _reflection_batch(drawn):
     sigs, a, V = zip(*drawn)
     kern, A, V = kernel_for(sigs[0]), _grade1(sigs[0], a), np.array(V)
     lhs, graded = _sandwich(kern, A, True, V)  # ~a = a for a vector
-    unit = ~(np.abs(np.abs(_dot(kern, A, A)) - 1.0) > DEFAULT_EPS)
+    unit = ~(np.abs(np.abs(kern.scalar_parts(A, A)) - 1.0) > DEFAULT_EPS)
     if not (graded & _graded(kern, A, 1) & unit).all():
         return None
-    dot = (_dot(kern, V, A) + _dot(kern, A, V)) * 0.5
+    dot = (kern.scalar_parts(V, A) + kern.scalar_parts(A, V)) * 0.5
     return np.column_stack([lhs, np.abs(lhs - (V - (2.0 * dot)[:, None] * A)).max(axis=1)])
 
 
@@ -304,8 +299,9 @@ def _isometry_batch(drawn):
     (U2, u_graded), (V2, v_graded) = _sandwich(k, R, odd, U), _sandwich(k, R, odd, V)
     if not (ok & u_graded & v_graded).all():
         return None
-    drift = (_dot(k, U, V) + _dot(k, V, U)) * 0.5 - (_dot(k, U2, V2) + _dot(k, V2, U2)) * 0.5
-    return np.column_stack([U2, V2, np.abs(drift)])
+    before = (k.scalar_parts(U, V) + k.scalar_parts(V, U)) * 0.5
+    after = (k.scalar_parts(U2, V2) + k.scalar_parts(V2, U2)) * 0.5
+    return np.column_stack([U2, V2, np.abs(before - after)])
 
 
 def _sandwich_isometry(ctx):

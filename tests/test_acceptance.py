@@ -5,7 +5,9 @@ The claims, expected values and tolerances are the rows of
 does (seed 42, tolerance 1e-9), and each criterion's test is parametrized
 over the rows serving it: ``test_criterion_03_conjugacy_tables[groups.conjugacy_tables]``.
 The same run counts its catalog closures; a second run, with two residuals
-made NaN, checks that a NaN fails its row.
+made NaN, checks that a NaN fails its row.  Two single rows check that the
+sampled rows' public-route witness compares bits, and that a draw failing a
+batched check fails its row with the public route's own error.
 """
 
 import collections

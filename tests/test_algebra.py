@@ -318,11 +318,15 @@ def test_kernel_scalar_part_is_the_products_scalar_bitwise(p, q):
     k = kernel_for(Signature(p, q))
     assert np.array_equal(k.metric, k.sign[:, 0])
     rng = np.random.default_rng(7 * p + q)
-    for _ in range(200):
-        # spread magnitudes, so a different summation order would show
-        a = rng.normal(size=k.D) * 10.0 ** rng.integers(-4, 5, size=k.D)
-        b = rng.normal(size=k.D) * 10.0 ** rng.integers(-4, 5, size=k.D)
+    # spread magnitudes, so a different summation order would show
+    A, B = rng.normal(size=(2, 200, k.D)) * 10.0 ** rng.integers(-4, 5, size=(2, 200, k.D))
+    for a, b in zip(A, B):
         assert k.scalar_part(a, b) == k.gp(a, b)[0]
+    # the batched forms give the same floats row by row, B broadcast or not
+    assert np.array_equal(k.scalar_parts(A, B), [k.scalar_part(a, b) for a, b in zip(A, B)])
+    assert np.array_equal(k.scalar_parts(A, B[0]), [k.scalar_part(a, B[0]) for a in A])
+    # (20 rows: a batched product expands B to rows * D**2 floats)
+    assert np.array_equal(k.gp_elemwise(A[:20], B[:20]), [k.gp(a, b) for a, b in zip(A[:20], B)])
 
 
 def unblocked_gp_pairs(k, A, B):
