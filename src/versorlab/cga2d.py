@@ -20,11 +20,14 @@ tau -> -1/tau and tau -> tau + 1, which is checked against independent
 complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
 versors is a double cover of the group of maps, -1 acting as the identity.
 
-A word is evaluated one letter at a time, each letter one sandwich.  The
-letter versors S, T and t = T^-1 are built once, at import.  The checks on a
-point (X . X = 0, X . n = -1) and the normalizing scalar X . n read scalar
-parts off the metric diagonal (``_Kernel.scalar_part``) instead of forming
-whole geometric products; they are the same floats either way.
+A word is evaluated one letter at a time, through term plans built at import
+with the letter versors S, T and t = T^-1: the nonzero terms of the grade-1
+sandwich ~A v A from the kernel's sign and xor tables, in its einsum's order
+(from +0.0 by ascending index; a zero term changes no partial sum).  Each
+check of ``ConformalVersor.apply`` and ``ConformalPoint`` is made on the same
+floats; where one fails or a value is not finite, the word is replayed one
+sandwich per letter, raising that route's error.  Scalar parts (X . X, X . n)
+come off the metric diagonal (``_Kernel.scalar_part``), the same floats.
 """
 
 from __future__ import annotations
@@ -125,11 +128,12 @@ class ConformalPoint:
         return f"<ConformalPoint ({x1:.6g}, {x2:.6g})>"
 
 
-def embed(x1: float, x2: float) -> ConformalPoint:
-    """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1."""
+def embed(x1: float, x2: float, eps: float = DEFAULT_EPS) -> ConformalPoint:
+    """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1.
+    It squares with ``**``, libm's pow: x * x would change printed digits."""
     x = float(x1) * E1 + float(x2) * E2
     sq = float(x1) ** 2 + float(x2) ** 2
-    return ConformalPoint((sq * NINF + 2.0 * x - NBAR) * 0.5)
+    return ConformalPoint((sq * NINF + 2.0 * x - NBAR) * 0.5, eps=eps)
 
 
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
@@ -246,6 +250,59 @@ def modular_T() -> ConformalVersor:
 
 # the alphabet of modular words, each letter's versor built once
 _LETTERS = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}
+_GRADE1 = (1, 2, 4, 8)  # blades e1, e2, e3, e4: a point's four coordinates
+
+
+def _term_plan(versor: ConformalVersor) -> tuple:
+    """~A v A for grade-1 v as float terms: (v coordinate, +-coefficient) pairs
+    for each blade of ~A v, then (~A v blade, +-coefficient) pairs for e1..e4.
+    An odd A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
+    k, A, rev = _KERNEL, versor.mv.coeffs, _KERNEL.rev(versor.mv.coeffs)
+    inner = {j: terms for j in range(k.D) if (terms := tuple(
+        (_GRADE1.index(k.xor[a, j]), float(rev[a] * k.sign[a, j]))
+        for a in range(k.D) if rev[a] != 0.0 and k.xor[a, j] in _GRADE1))}
+    outer = tuple(tuple((i, float(A[k.xor[a, j]] * k.sign[a, j])) for i, a in enumerate(inner)
+                        if A[k.xor[a, j]] != 0.0) for j in _GRADE1)
+    return tuple(inner.values()), outer
+
+
+_PLANS = {letter: _term_plan(versor) for letter, versor in _LETTERS.items()}
+
+
+def _sum_terms(values, terms) -> float:
+    acc = 0.0
+    for i, c in terms:
+        acc += values[i] * c
+    return acc
+
+
+def _on_cone(z, eps: float) -> bool:
+    """``ConformalPoint``'s grade-1, null and X . n = -1 tests on finite e1..e4 floats."""
+    scale = max(1.0, max(map(abs, z)) ** 2)
+    return (eps >= 0.0 and math.isfinite(z[0] + z[1] + z[2] + z[3])
+            and not abs(0.0 + z[0] * z[0] + z[1] * z[1] + z[2] * z[2] - z[3] * z[3]) > eps * scale
+            and not abs(0.0 + z[2] - z[3] + 1.0) > eps * scale)
+
+
+def _planned(letters, x1: float, x2: float, eps: float):
+    """``apply_word``'s floats by the term plans, or None where its route would fail."""
+    try:
+        sq = x1 ** 2 + x2 ** 2
+        z = (x1 + 0.0, x2, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)  # embed's floats
+        if not _on_cone(z, eps):
+            return None
+        for letter in letters:
+            inner, outer = _PLANS[letter]
+            u = [_sum_terms(z, terms) for terms in inner]
+            y = [_sum_terms(u, terms) for terms in outer]
+            s = 0.0 + y[2] - y[3]  # Y . n
+            r = -1.0 / s
+            z = (y[0] * r, y[1] * r, y[2] * r, y[3] * r)
+            if abs(s) < eps * max(1.0, max(map(abs, y))) or not _on_cone(z, eps):
+                return None
+    except (OverflowError, ZeroDivisionError):  # from ** or -1 / s: the replay raises its own
+        return None
+    return z[0], z[1]
 
 
 class ModularWord:
@@ -282,7 +339,9 @@ def apply_word(word: Union[ModularWord, str], tau: Sequence[float],
     x1, x2 = float(tau[0]), float(tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
-    p = embed(x1, x2)
+    if (planned := _planned(word.letters, x1, x2, eps)) is not None:
+        return planned
+    p = embed(x1, x2, eps)  # the replay: one sandwich per letter, with its own errors
     for letter in word.letters:
         p = _LETTERS[letter].apply(p, eps=eps)
     return p.coords

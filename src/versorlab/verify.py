@@ -25,7 +25,8 @@ through the public route, drawing as they go, so the row fails with that
 route's own error.  The first 32 draws of each algebra a row samples also
 take the public route as a witness: ``witness_mismatches`` counts the draws
 whose outputs differ from the batch in any bit, and ``worst`` is the worst
-residual of the batch and the witness.
+residual of the batch and the witness.  For words the witness, ``apply_word``'s
+term plans in Python floats, is an implementation apart from the numpy batch.
 """
 
 from __future__ import annotations

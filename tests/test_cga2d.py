@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from versorlab import cga2d
 from versorlab import (
     EMINUS,
     EPLUS,
@@ -26,6 +27,7 @@ from versorlab import (
     modular_T,
     reflection,
     rotation,
+    sandwich,
     scalar_mv,
     special_conformal,
     translator,
@@ -288,22 +290,38 @@ def _reference_apply(versor, X, eps=1e-9):
         raise PointAtInfinity("image point is at infinity")
     Z = Y * (-1.0 / s)
     scale = max(1.0, float(max(abs(c) for c in Z.coeffs)) ** 2)
-    if abs((Z * Z).scalar) > eps * scale or abs((Z * NINF).scalar + 1.0) > eps * scale:
-        raise VersorlabError("image is not a normalized null vector")
+    if abs((Z * Z).scalar) > eps * scale:
+        raise VersorlabError("conformal points must be null")
+    if abs((Z * NINF).scalar + 1.0) > eps * scale:
+        raise VersorlabError("conformal points must satisfy X . n = -1")
     return Z
 
 
-def _reference_word(word, tau):
+def _reference_word(word, tau, eps=1e-9):
     letters = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}  # rebuilt per call
-    X = embed(*tau).X
+    X = embed(*tau, eps=eps).X
     for letter in word:
-        X = _reference_apply(letters[letter], X)
+        X = _reference_apply(letters[letter], X, eps)
     return (X.coeff("e1"), X.coeff("e2"))
 
 
+def _outcome(fn, *args):
+    """The floats with their signs (``==`` does not tell -0.0 from 0.0), or
+    the type and message of what was raised."""
+    try:
+        return [(v, math.copysign(1.0, v)) for v in fn(*args)]
+    except (ArithmeticError, VersorlabError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_words(rng, count):
+    return ["".join(rng.choice(["S", "T", "t"], size=i % 17)) for i in range(count)]
+
+
 def test_apply_word_matches_full_product_path():
-    # the fast path reads scalar parts off the metric diagonal and reuses the
-    # letter versors; every coordinate it returns must be the same float
+    # apply_word sums each letter's sandwich term by term in the kernel's
+    # order and makes the route's checks on four floats; every coordinate it
+    # returns, and every error it raises, must be the long way's
     rng = np.random.default_rng(2718)
     letters = np.array(["S", "T", "t"])
     compared = 0
@@ -316,7 +334,7 @@ def test_apply_word_matches_full_product_path():
             with pytest.raises(PointAtInfinity):
                 apply_word(word, tau)
             continue
-        assert apply_word(word, tau) == want, (word, tau)
+        assert _outcome(apply_word, word, tau) == _outcome(lambda: want), (word, tau)
         compared += 1
     assert compared >= 450
     # through tau = 0 the image runs off to infinity: both routes must give
@@ -335,6 +353,36 @@ def test_apply_word_matches_full_product_path():
             assert apply_word(word, (1.0 + d, d)) == want, (word, d)
             outcomes.add("finite")
     assert outcomes == {"finite", "infinity"}
+    # other tolerances, |x1| to 1e4, x2 down to 1e-9, and signed zeros; at
+    # 1e-17 the null and X . n checks fail, the first letter or the point
+    wide = np.random.default_rng(1414)
+    kinds = set()
+    for eps, words in ((1e-6, _random_words(wide, 300)), (1e-13, _random_words(wide, 300)),
+                       (1e-17, ["", "S", "T", "t"] * 75)):
+        for word in words:
+            tau = (float(wide.uniform(-1, 1) * 10.0 ** wide.uniform(-3, 4)),
+                   float(10.0 ** wide.uniform(-9, 1)))
+            want = _outcome(_reference_word, word, tau, eps)
+            assert _outcome(apply_word, word, tau, eps) == want, (word, tau, eps)
+            kinds.add(want[1] if isinstance(want, tuple) else "finite")
+        for word in ("", "S", "T", "t", "SS", "tT", "STS", "tSt", "STtS"):
+            for tau in ((0.0, 1.0), (-0.0, 1.0), (-0.0, 0.5), (1.0, 2.0), (-1.0, 1.0)):
+                want = _outcome(_reference_word, word, tau, eps)
+                assert _outcome(apply_word, word, tau, eps) == want, (word, tau, eps)
+    assert kinds == {"finite", "image point is at infinity", "conformal points must be null",
+                     "conformal points must satisfy X . n = -1"}, kinds
+    for eps in (-1e-9, math.nan):  # a tolerance no point can meet
+        for word in ("", "S", "TtS"):
+            want = _outcome(_reference_word, word, (0.5, 1.0), eps)
+            assert isinstance(want, tuple) and _outcome(apply_word, word, (0.5, 1.0), eps) == want
+    # NaN, infinite and overflowing tau raise the long way's error (embed's
+    # 0 * inf coefficients warn on the way; the error is what is compared)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for tau in ((math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.5, math.inf),
+                    (1e200, 1.0), (1.0, 1e200), (1e100, 1.0), (1e154, 1e154)):
+            for word in ("", "S", "TtS"):
+                want = _outcome(_reference_word, word, tau)
+                assert isinstance(want, tuple) and _outcome(apply_word, word, tau) == want, tau
     maps = (translator, rotation, dilator, special_conformal)
     for i in range(200):
         make = maps[i % 4]
@@ -346,3 +394,55 @@ def test_apply_word_matches_full_product_path():
         assert got.coeffs.tobytes() == want.coeffs.tobytes(), (make.__name__, params)
         Y = want * (-1.0 / (want * NINF).scalar)  # extract renormalizes once more
         assert extract(got) == (Y.coeff("e1"), Y.coeff("e2"))
+
+
+def test_apply_word_checks_the_start_point_at_its_eps():
+    tau = (0.3, 0.7)  # embed(0.3, 0.7) has X . X = -1.1e-16, not 0
+    assert apply_word("", tau) == tau
+    with pytest.raises(VersorlabError, match="conformal points must be null"):
+        apply_word("", tau, eps=1e-20)
+    with pytest.raises(VersorlabError, match="conformal points must be null"):
+        embed(*tau, eps=1e-20)
+
+
+def test_a_finite_word_makes_no_sandwich(monkeypatch):
+    # the term plans carry finite words; only a failed check replays the
+    # word through the per-letter sandwiches, which raise their own errors
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sandwich(*args, **kwargs)
+
+    monkeypatch.setattr(cga2d, "sandwich", counted)
+    for word in _random_words(np.random.default_rng(6), 34):
+        assert apply_word(word, (0.3, 0.7)) == _reference_word(word, (0.3, 0.7))
+    assert calls == []
+    with pytest.raises(PointAtInfinity, match="^image point is at infinity$"):
+        apply_word("tS", (1.0, 1e-6))
+    assert len(calls) >= 1
+
+
+@pytest.mark.parametrize("make, params", [(inversion_versor, ()), (reflection, (0.6, 0.8)),
+                                          (rotation, (0.3,)), (dilator, (0.4,)),
+                                          (special_conformal, (0.2, -0.1))])
+def test_term_plans_give_any_versors_floats(monkeypatch, make, params):
+    # the modular letters are all even; the plan of any conformal versor,
+    # odd ones included, must give that versor's own apply, bit for bit
+    versor = make(*params)
+    monkeypatch.setitem(cga2d._PLANS, "J", cga2d._term_plan(versor))
+    for x1, x2 in np.random.default_rng(17).uniform([-2, 0.2], [2, 2], size=(50, 2)):
+        want = versor.apply(embed(x1, x2)).coords
+        got = cga2d._planned("J", float(x1), float(x2), 1e-9)
+        assert got is not None and _outcome(lambda: got) == _outcome(lambda: want), (x1, x2)
+
+
+def test_pow_squares_give_the_same_floats_through_both_routes():
+    # embed squares with Python's **, the C library's pow, which is not
+    # always x * x; the term plans must square the same way
+    xs = [float(x) for x in np.random.default_rng(1675).uniform(-5, 5, size=200_000)]
+    off = [x for x in xs if x ** 2 != x * x]
+    words = _random_words(np.random.default_rng(9), len(off) // 2)
+    for word, x1, x2 in zip(words, off[0::2], off[1::2]):
+        tau = (x1, abs(x2))
+        assert _outcome(apply_word, word, tau) == _outcome(_reference_word, word, tau), tau
