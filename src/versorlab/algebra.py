@@ -10,16 +10,19 @@ per-signature D x D sign table (``_Kernel``).
 Two numbers decide sameness and closeness:
 
 * ``HASH_GRID`` (1e-6): ``quantize`` rounds each coefficient once to this grid,
-  giving the integer key that is identity: ``==``, ``hash``, sets, ``dedup``
+  giving the integer key that is identity: ``==``, ``hash``, sets, ``unique_rows``
   and ``KeyIndex`` all compare keys.  Quantities in this package (halves,
   1/sqrt(2), the golden ratio, ...) sit far from cell boundaries.
 * ``DEFAULT_EPS`` (1e-9): tolerance of every floating comparison, ``close_to``
   among them, unless a caller passes another (the CLI's ``--tolerance``).
 
 The package's one set of key helpers sits next to ``quantize``: ``row_keys``
-(a void view of quantized rows), ``lex_order``, first-occurrence ``dedup``
-and ``KeyIndex`` (sorted keys plus searchsorted, for membership and index
-lookup).  On them stands ``orbit``, the one closure routine for roots and groups.
+(a void view of quantized rows), ``lex_order``, first-occurrence
+``unique_rows`` and ``KeyIndex`` (sorted keys plus searchsorted, for
+membership and index lookup of many rows at once).  On them stands
+``orbit``, the one closure routine for roots and groups, which looks rows
+up one by one in a dict of key bytes and also returns the orbit's graph,
+which row each action hit.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ class _Kernel:
     every product, single, batched or all-pairs, is that one contraction.
 
     Built once per signature and cached with it: ``grades`` (the grade of
-    each blade), the read-only grade masks behind ``grade_mask``, the parity
+    each blade), ``blade_names`` (indexed by mask), the read-only grade masks behind ``grade_mask``, the parity
     masks ``odd`` and ``even``, and the metric diagonal ``metric``
     (``metric[a] = sign[a, 0]``, the scalar e_a e_a).  The scalar part of
     A B is sum_a A[a] B[a] metric[a]; ``scalar_part`` takes that sum in the
@@ -121,6 +124,7 @@ class _Kernel:
         blades = np.arange(D)
         bits = blades[:, None] >> np.arange(n) & 1  # bits[a, i]: e_{i+1} divides blade a
         self.grades = bits.sum(axis=1)
+        self.blade_names = tuple(blade_name(a) for a in range(D))
         # reverse flips blade factor order: sign (-1)^(k(k-1)/2) per grade k
         self.rev_sign = np.where((self.grades * (self.grades - 1) // 2) % 2, -1.0, 1.0)
         # e_a e_b: one transposition per factor pair (i in a, j in b) with i > j,
@@ -208,30 +212,22 @@ def lex_order(arr: np.ndarray) -> np.ndarray:
     return np.lexsort(quantize(arr).T[::-1])
 
 
-def dedup(arr: np.ndarray) -> np.ndarray:
-    """Rows with repeated quantized keys dropped, first occurrences kept in order."""
-    _, first = np.unique(row_keys(arr), return_index=True)
-    return arr[np.sort(first)]
+def unique_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each key's first row, in row order, and each row's position among those."""
+    _, first, inverse = np.unique(row_keys(arr), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    return first[order], at[inverse.ravel()]
 
 
 class KeyIndex:
-    """Row lookup in a growing table: its sorted quantized keys plus searchsorted."""
+    """Row lookup in a table: its sorted quantized keys plus searchsorted."""
 
     def __init__(self, table: np.ndarray):
-        self._sorted, self._order = row_keys(table[:0]), np.zeros(0, dtype=np.intp)
-        self.extend(table)
-
-    def extend(self, rows: np.ndarray) -> None:
-        """Index rows appended to the table; their keys merge in after equal known ones."""
-        keys = row_keys(rows)
-        order = np.argsort(keys, kind="stable")
-        at = np.searchsorted(self._sorted, keys[order], side="right") + np.arange(keys.size)
-        old = np.ones(self._sorted.size + keys.size, dtype=bool)
-        old[at] = False
-        merged = np.empty(old.size, dtype=keys.dtype), np.empty(old.size, dtype=np.intp)
-        merged[0][at], merged[0][old] = keys[order], self._sorted
-        merged[1][at], merged[1][old] = order + self._order.size, self._order
-        self._sorted, self._order = merged
+        keys = row_keys(table)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Table index of each row (its first occurrence), or -1 where absent."""
@@ -240,18 +236,24 @@ class KeyIndex:
         return np.where(self._sorted[pos] == keys, self._order[pos], -1)
 
 
-def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int, message: str) -> np.ndarray:
+def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
+          message: str) -> tuple[np.ndarray, np.ndarray]:
     """Orbit of the rows of ``seeds`` under ``gens`` by breadth-first search, at most ``cap`` rows.
 
     ``act(A, gens)`` acts on each row of A by each generator, shape
     (len(A), len(gens), width); each layer acts on the rows the last one
-    found, in row blocks of at most ``BLOCK`` result floats, each
-    deduplicated and filtered against the known rows.  Rows keep their
-    first-seen order and the value of their first path, whatever the block
-    size.  Past ``cap`` rows it raises ``ClosureCapExceeded(message.format(cap=cap))``.
+    found, in row blocks of at most ``BLOCK`` result floats.  Each result
+    is looked up by key in a dict of the known rows, where a new key takes
+    the next row index: rows keep their first-seen order and the value of
+    their first path, whatever the block size.  Past ``cap`` rows it raises
+    ``ClosureCapExceeded(message.format(cap=cap))``.
+
+    Returns the rows and the orbit's graph: ``graph[j, k]`` is the index of
+    the row that row j hit under generator k.
     """
-    known = new = dedup(seeds)
-    index = KeyIndex(known)
+    known = new = seeds[unique_rows(seeds)[0]]
+    index = {key: i for i, key in enumerate(row_keys(known).tolist())}
+    edges = []
     step = max(1, BLOCK // max(gens.size, 1))
     while new.shape[0]:
         start = known.shape[0]
@@ -259,13 +261,15 @@ def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int, message: str) -> n
             # checked before each block, so the seeds and every block count
             if known.shape[0] > cap:
                 raise ClosureCapExceeded(message.format(cap=cap))
-            cand = dedup(act(new[i:i + step], gens).reshape(-1, known.shape[1]))
-            cand = cand[index.find(cand) < 0]
-            if cand.shape[0]:
-                index.extend(cand)
-                known = np.concatenate([known, cand])
+            rows = new[i:i + step]
+            block = act(rows, gens).reshape(-1, known.shape[1])
+            hit = np.array([index.setdefault(key, len(index))
+                            for key in row_keys(block).tolist()], dtype=np.intp)
+            edges.append(hit.reshape(rows.shape[0], -1))
+            ids, first = np.unique(hit, return_index=True)
+            known = np.concatenate([known, block[first[ids >= known.shape[0]]]])
         new = known[start:]
-    return known
+    return known, np.concatenate(edges)
 
 
 def blade_name(mask: int) -> str:
@@ -430,13 +434,11 @@ class Multivector:
 
     def __str__(self):
         terms = []
-        for mask in range(self.coeffs.shape[0]):
-            c = self.coeffs[mask]
+        for name, c in zip(kernel_for(self.sig).blade_names, self.coeffs.tolist()):
             if abs(c) <= DEFAULT_EPS:
                 continue
-            name = blade_name(mask)
             mag = f"{abs(c):.6g}"
-            body = mag if mask == 0 else (name if mag == "1" else f"{mag}{name}")
+            body = mag if name == "1" else (name if mag == "1" else f"{mag}{name}")
             if not terms:
                 terms.append(body if c > 0 else f"-{body}")
             else:
@@ -447,12 +449,9 @@ class Multivector:
         return f"<Cl{tuple(self.sig)}: {self}>"
 
     def to_json_dict(self, eps: float = DEFAULT_EPS) -> dict:
-        coeffs = {}
-        for mask in range(self.coeffs.shape[0]):
-            c = float(self.coeffs[mask])
-            if abs(c) >= eps:
-                coeffs[blade_name(mask)] = c
-        return {"sig": [self.sig.p, self.sig.q], "coeffs": coeffs}
+        names = kernel_for(self.sig).blade_names
+        return {"sig": [self.sig.p, self.sig.q],
+                "coeffs": {names[m]: c for m, c in enumerate(self.coeffs.tolist()) if abs(c) >= eps}}
 
 
 def mv_from_json(d: dict) -> Multivector:

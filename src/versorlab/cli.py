@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -247,6 +248,8 @@ def _cmd_mckay(args):
 
 
 def _cmd_modular(args):
+    if not (math.isfinite(args.x1) and math.isfinite(args.x2)):
+        raise VersorlabError("tau must be finite")
     payload = word_report(args.word, (args.x1, args.x2), eps=args.tolerance)
     headers = ["word", "x1", "x2", "versor_x1", "versor_x2",
                "oracle_x1", "oracle_x2", "max_deviation"]
@@ -338,7 +341,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, headers, rows, md, code = args.fn(args)
-    except (VersorlabError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (VersorlabError, OSError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 2

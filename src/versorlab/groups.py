@@ -6,18 +6,23 @@ products with its generators, unrounded.  Elements are unit versors, +R and
 -R distinct; quotient_by_sign collapses the double cover onto the plain
 rotation (from spin) or full reflection (from pin) group.
 
-Each group has one integer multiplication table, ``table[i, j]`` = index of
-g_i g_j, and element orders and conjugacy classes are gathers on it.  Root
-systems are positive definite, so ~G = G^-1 and the classes R -> ~G R G are
-G^-1 R G.  Classes are ordered deterministically by (size, lexicographically
-smallest quantized representative) so tables print identically run to run.
+Each group keeps the graph its closure walked, ``graph[j, k]`` = index of
+g_j s_k, and answers in integers on it, with no float product: left
+products follow each element's first path from +-1, and give the lazy
+``table[i, j]`` = index of g_i g_j and the powers behind element orders.
+Root systems are positive definite, so ~G = G^-1 (inverses are a lookup of
+the reversed rows) and the classes R -> ~G R G are the orbits of
+x -> s^-1 x s over the generators s.  Classes are ordered by (size,
+lexicographically smallest quantized representative) so tables print
+identically run to run.  Elements are looked up in one dict of their
+``Multivector.key()`` bytes; a quotient holds the keys of both signs.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -29,14 +34,16 @@ from .algebra import (
     Multivector,
     Signature,
     Versor,
-    dedup,
     kernel_for,
     lex_order,
     orbit,
+    qkey,
     quantize,
+    row_keys,
+    unique_rows,
 )
 from .errors import VersorlabError
-from .roots import RootSystem
+from .roots import RootSystem, _reflect_pairs
 
 __all__ = [
     "ConjugacyClass",
@@ -67,19 +74,16 @@ def _sign_canonical(arr: np.ndarray) -> np.ndarray:
 
 
 class _GroupBase:
-    """Shared table machinery for VersorGroup and QuotientGroup."""
+    """Shared machinery for VersorGroup and QuotientGroup: lookup, graph, table, classes."""
 
-    kind: str
-    sig: Signature
-    source: Optional[RootSystem]
-
-    def __init__(self, sig: Signature, arr: np.ndarray):
-        self.sig = sig
-        self._arr = arr
-        self._arr.setflags(write=False)
-        self._lookup = KeyIndex(arr)
-        self._classes = None
-        self._kern = kernel_for(sig)
+    def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray,
+                 source: Optional[RootSystem]):
+        self.kind, self.sig, self.source, self._kern = kind, sig, source, kernel_for(sig)
+        self._arr, self._graph = arr, graph  # graph[j, k]: index of g_j s_k
+        arr.setflags(write=False)
+        graph.setflags(write=False)
+        self._lookup = {key: i for i, key in enumerate(row_keys(arr).tolist())}
+        self._e = self._lookup[qkey(np.eye(1, self._kern.D)[0])]  # the identity
 
     @property
     def order(self) -> int:
@@ -108,21 +112,20 @@ class _GroupBase:
             return v.coeffs
         return np.asarray(v, dtype=np.float64)
 
-    def _canon(self, rows: np.ndarray) -> np.ndarray:
-        return rows
-
     def indices_of(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row of an (n, D) array; raises unless all are elements."""
         rows = np.asarray(rows, dtype=np.float64)
-        if rows.shape[-1:] != (self._kern.D,):
+        idx = [self._lookup.get(key, -1) for key in row_keys(rows).tolist()]
+        if rows.shape[-1:] != (self._kern.D,) or -1 in idx:
             raise VersorlabError("element is not in the group")
-        idx = self._lookup.find(self._canon(rows))
-        if np.any(idx < 0):
-            raise VersorlabError("element is not in the group")
-        return idx
+        return np.array(idx, dtype=np.intp)
 
     def index_of(self, v) -> int:
-        return int(self.indices_of(self._coerce_arr(v)[None, :])[0])
+        row = self._coerce_arr(v)
+        i = self._lookup.get(qkey(row)) if row.shape[-1:] == (self._kern.D,) else None
+        if i is None:
+            raise VersorlabError("element is not in the group")
+        return i
 
     def contains(self, v) -> bool:
         try:
@@ -131,100 +134,95 @@ class _GroupBase:
         except VersorlabError:
             return False
 
-    def _identity_index(self) -> int:
-        return self.index_of(np.eye(1, self._kern.D)[0])
+    @cached_property
+    def _negatives(self) -> np.ndarray:
+        """Index of -g_i for each i."""
+        return self.indices_of(-self._arr)
+
+    def _left_products(self, starts: np.ndarray, dtype=np.intp) -> np.ndarray:
+        """``out[j, c]`` = index of g_starts[c] g_j: breadth-first from +-1, each
+        g_j first reached as g_q s_k gets row j = ``graph[out[q], k]``."""
+        graph, e, neg = self._graph, self._e, self._negatives
+        out = np.empty((self.order, starts.size), dtype=dtype)
+        out[neg[e]], out[e] = neg[starts], starts
+        seen = np.zeros(self.order, dtype=bool)
+        seen[[e, neg[e]]] = True
+        frontier, step = np.flatnonzero(seen), max(1, BLOCK // max(starts.size, 1))
+        while frontier.size:
+            j = graph[frontier].ravel()
+            fresh = np.flatnonzero(~seen[j])
+            j, first = np.unique(j[fresh], return_index=True)
+            q, k = np.divmod(fresh[first], graph.shape[1])
+            seen[j], q = True, frontier[q]
+            for a in range(0, j.size, step):
+                out[j[a:a + step]] = graph[out[q[a:a + step]], k[a:a + step, None]]
+            frontier = j
+        return out
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Read-only (n, n) int16/int32 table, ``table[i, j]`` = index of g_i g_j.
-
-        Only generator rows are float products: s g_j for all j, with s the
-        first element no row so far reaches, looked up by key (which checks
-        closure).  Every other row is ``table[i] = row_s[table[p]]``, g_i = s g_p.
-        """
-        arr, n, e = self._arr, self.order, self._identity_index()
-        t = np.empty((n, n), dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
-        t[e] = np.arange(n)
-        filled = np.arange(n) == e
-        step = max(1, BLOCK // n)
-        rows = []
-        while not filled.all():
-            s = int(np.argmin(filled))
-            rows.append(self.indices_of(self._kern.gp_pairs(arr[[s]], arr).reshape(n, -1)))
-            frontier = np.flatnonzero(filled)
-            while frontier.size:
-                grown = []
-                for row in rows:  # a permutation, so no target repeats
-                    src = frontier[~filled[row[frontier]]]
-                    dst = row[src]
-                    for k in range(0, src.size, step):
-                        t[dst[k:k + step]] = row[t[src[k:k + step]]]
-                    filled[dst] = True
-                    grown.append(dst)
-                frontier = np.concatenate(grown)
+        """Read-only (n, n) int16/int32 table, ``table[i, j]`` = index of g_i g_j:
+        the transpose of ``_left_products`` of every element, which writes rows."""
+        n = self.order
+        t = self._left_products(np.arange(n), np.int16 if n <= np.iinfo(np.int16).max else np.int32).T
         t.setflags(write=False)
         return t
 
     def inverses(self) -> np.ndarray:
-        """Index of g_i^-1 for each i, read off the table in row blocks."""
-        t, e, step = self.table, self._identity_index(), max(1, BLOCK // self.order)
-        return np.concatenate([np.argmax(t[i:i + step] == e, axis=1)
-                               for i in range(0, self.order, step)])
+        """Index of g_i^-1 for each i: ~g = g^-1 in a positive-definite group."""
+        return self.indices_of(self._kern.rev(self._arr))
 
     def element_order(self, v) -> int:
-        """Least k with v^k = 1, i.e. with v^(k+1) back at v."""
-        return self._order_of_index(self.index_of(v))
-
-    def _order_of_index(self, i: int) -> int:
-        col, acc = self.table[:, i], i
-        for k in range(1, self.order + 1):
-            acc = col[acc]
-            if acc == i:
-                return k
-        raise VersorlabError("element order exceeded group order; inconsistent group")
+        """Least k with v^k = 1."""
+        return int(self._class_split[1][self.index_of(v)])
 
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
-        if self._classes is not None:
-            return self._classes
-        arr, n, t = self._arr, self.order, self.table
-        inv, every = self.inverses(), np.arange(n)
-        assigned = np.zeros(n, dtype=bool)
-        classes = []
-        for idx in range(n):
-            if assigned[idx]:
-                continue
-            member_idx = np.unique(t[t[inv, idx], every])  # g^-1 x g over all g
-            assigned[member_idx] = True
-            classes.append(member_idx)
-        classes.sort(key=lambda m: (m.size, tuple(quantize(arr[m[0]]))))
-        self._classes = tuple(ConjugacyClass(self.sig, arr, m, self._order_of_index(m[0]))
-                              for m in classes)
-        return self._classes
+        return self._class_split[0]
+
+    @cached_property
+    def _class_split(self) -> tuple[tuple["ConjugacyClass", ...], np.ndarray]:
+        """The classes, each element labelled with the least index in its orbit
+        by label propagation, and every element's order from its class
+        representative r, whose powers are left multiplications by r."""
+        arr, n, e, graph = self._arr, self.order, self._e, self._graph
+        conj = graph[self._left_products(self.inverses()[graph[e]]), np.arange(graph.shape[1])]
+        label, last = np.arange(n), None
+        while not np.array_equal(label, last):
+            last, label = label, np.minimum(label, label[conj].min(axis=1, initial=n))
+            label = label[label]
+        by_class = np.argsort(label, kind="stable")
+        reps, first = np.unique(label[by_class], return_index=True)
+        powers, cols = self._left_products(reps), np.arange(reps.size)
+        acc, rep_orders, k = reps, np.zeros(reps.size, dtype=np.intp), 1
+        while not rep_orders.all():  # acc = r^k
+            if k > n:
+                raise VersorlabError("element order exceeded group order; inconsistent group")
+            rep_orders[(acc == e) & (rep_orders == 0)] = k
+            acc, k = powers[acc, cols], k + 1
+        ranked = sorted(zip(np.split(by_class, first[1:]), rep_orders.tolist()),
+                        key=lambda mo: (mo[0].size, tuple(quantize(arr[mo[0][0]]))))
+        classes = tuple(ConjugacyClass(self.sig, arr, m, o) for m, o in ranked)
+        return classes, rep_orders[np.searchsorted(reps, label)]
 
 
 class VersorGroup(_GroupBase):
     """A finite group of unit versors, closed under product and reverse."""
 
-    def __init__(self, kind: str, sig: Signature, arr: np.ndarray,
+    def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray,
                  source: Optional[RootSystem] = None):
         if kind not in ("pin", "spin"):
             raise ValueError(f"bad versor group kind {kind!r}")
-        super().__init__(sig, arr)
-        self.kind = kind
-        self.source = source
+        super().__init__(kind, sig, arr, graph, source)
 
 
 class QuotientGroup(_GroupBase):
-    """Versor group with R and -R identified; elements are sign-canonical reps."""
+    """Versor group with R and -R identified; elements are sign-canonical reps,
+    looked up by the key of either sign."""
 
-    def __init__(self, kind: str, covering: VersorGroup, arr: np.ndarray):
-        super().__init__(covering.sig, arr)
-        self.kind = kind
+    def __init__(self, kind: str, covering: VersorGroup, arr: np.ndarray, graph: np.ndarray):
+        super().__init__(kind, covering.sig, arr, graph, covering.source)
         self.covering = covering
-        self.source = covering.source
-
-    def _canon(self, rows: np.ndarray) -> np.ndarray:
-        return _sign_canonical(rows)
+        self._lookup.update(zip(row_keys(-arr).tolist(), range(self.order)))
 
 
 class ConjugacyClass:
@@ -250,12 +248,24 @@ def _simple_vectors(rs: RootSystem) -> np.ndarray:
     return arr
 
 
+def _lex_sorted(arr: np.ndarray, to: np.ndarray, graph: np.ndarray):
+    """Rows of arr in lex order, and the graph of rows ``to[i]`` of arr, renumbered to match."""
+    order = lex_order(arr)
+    at = np.empty_like(order)
+    at[order] = np.arange(order.size)
+    to = at[to]
+    out = np.empty((arr.shape[0], graph.shape[1]), dtype=graph.dtype)
+    out[to] = to[graph]
+    return arr[order], out
+
+
 def _generate(kind: str, rs: RootSystem, gens: np.ndarray, cap: int) -> VersorGroup:
     """Orbit of +-1 under the right products g -> g s with each generator s."""
     kern = kernel_for(rs.sig)
     seeds = np.eye(1, kern.D) * [[1.0], [-1.0]]
-    arr = orbit(seeds, gens, kern.gp_pairs, cap, "versor closure exceeded {cap} elements")
-    return VersorGroup(kind, rs.sig, arr[lex_order(arr)], source=rs)
+    arr, graph = orbit(seeds, gens, kern.gp_pairs, cap, "versor closure exceeded {cap} elements")
+    arr, graph = _lex_sorted(arr, np.arange(arr.shape[0]), graph)
+    return VersorGroup(kind, rs.sig, arr, graph, source=rs)
 
 
 def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
@@ -282,12 +292,13 @@ def quotient_by_sign(group: VersorGroup) -> QuotientGroup:
     """Collapse +-R pairs; spin groups map to rotation groups, pin to full ones."""
     if not isinstance(group, VersorGroup):
         raise VersorlabError("quotient_by_sign expects a pin or spin group")
-    arr = dedup(_sign_canonical(group.element_arr()))
-    if 2 * arr.shape[0] != group.order:
+    canon = _sign_canonical(group.element_arr())
+    first, to = unique_rows(canon)  # cover row i is row to[i] of canon[first]
+    if 2 * first.size != group.order:
         raise VersorlabError("group is not symmetric under negation")
-    arr = arr[lex_order(arr)]
+    arr, graph = _lex_sorted(canon[first], to, group._graph)  # [g] s = [g s]
     kind = "rotation" if group.kind == "spin" else "reflection"
-    return QuotientGroup(kind, group, arr)
+    return QuotientGroup(kind, group, arr, graph)
 
 
 # -- spinor coordinates and exponential structure ------------------------------
@@ -359,18 +370,18 @@ def exp_decomposition(group: VersorGroup) -> ExpDecomposition:
 
 def coxeter_number(rs: RootSystem) -> int:
     """Order of the product of all simple-root vectors, as the order of the
-    permutation its sandwich action makes of the roots (looked up by key)."""
-    kern, n = kernel_for(rs.sig), rs.sig.dim
-    if rs.rank != n:
+    permutation it makes of the roots: the product of the simple reflections'
+    root permutations, each looked up by key."""
+    if rs.rank != rs.sig.dim:
         raise VersorlabError("coxeter_number needs a full-rank root system")
-    w = reduce(kern.gp, _simple_vectors(rs))
-    sign = -1.0 if rs.rank % 2 else 1.0
-    grade1 = 1 << np.arange(n)  # row j of mat is the sandwich image of e_j
-    images = np.array([kern.gp(kern.gp(kern.rev(w), e), w) for e in np.eye(kern.D)[grade1]])
-    mat = sign * images[:, grade1]
-    perm, every = KeyIndex(rs.coords).find(rs.coords @ mat), np.arange(rs.root_count)
-    if not np.array_equal(np.sort(perm), every):
+    reflected = _reflect_pairs(rs.coords, rs.simple_coords).reshape(-1, rs.sig.dim)
+    images = KeyIndex(rs.coords).find(reflected).reshape(rs.root_count, rs.rank)
+    every = np.arange(rs.root_count)
+    if not np.all(np.sort(images, axis=0) == every[:, None]):
         raise VersorlabError("the Coxeter element does not permute the roots")
+    perm = every
+    for k in range(rs.rank):  # reflect in s_1 first, then s_2, ...
+        perm = images[perm, k]
     power, k = perm, 1
     while not np.array_equal(power, every):
         power, k = perm[power], k + 1
@@ -382,12 +393,12 @@ def coxeter_number(rs: RootSystem) -> int:
 
 def group_table_dict(group, eps: float = DEFAULT_EPS) -> dict:
     """Group-table JSON form: kind, order, and the conjugacy class list."""
-    classes = []
-    for cl in group.conjugacy_classes():
-        classes.append({
-            "size": cl.size,
-            "order": cl.element_order,
-            "representative": cl.representative.mv.to_json_dict(eps),
-            "members": [m.mv.to_json_dict(eps) for m in cl.members],
-        })
+    def coeffs(row):
+        return Multivector._wrap(group.sig, row).to_json_dict(eps)
+
+    classes = [{"size": cl.size,
+                "order": cl.element_order,
+                "representative": coeffs(cl.rows[cl.indices[0]]),
+                "members": [coeffs(row) for row in cl.rows[cl.indices]]}
+               for cl in group.conjugacy_classes()]
     return {"kind": group.kind, "order": group.order, "classes": classes}

@@ -140,7 +140,7 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     if np.linalg.matrix_rank(simple, tol=1e-8) < simple.shape[0]:
         raise ValueError("simple roots must be linearly independent")
     simple = simple / norms[:, None]
-    coords = orbit(np.vstack([simple, -simple]), simple, _reflect_pairs, max_roots,
+    coords, _ = orbit(np.vstack([simple, -simple]), simple, _reflect_pairs, max_roots,
                    "reflection closure exceeded {cap} roots; seed is likely not a finite system")
     return RootSystem(sig, simple, coords[lex_order(coords)], name=name)
 

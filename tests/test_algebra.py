@@ -19,6 +19,7 @@ from versorlab import (
     Versor,
     basis,
     blade,
+    catalog,
     exp_bivector,
     geometric_product,
     grade_project,
@@ -30,7 +31,8 @@ from versorlab import (
     vector,
 )
 import versorlab.algebra
-from versorlab.algebra import KeyIndex, kernel_for
+from versorlab.algebra import KeyIndex, kernel_for, orbit
+from versorlab.roots import _reflect_pairs
 
 RNG = np.random.default_rng(20260814)
 
@@ -439,14 +441,17 @@ def test_signature_validation():
     assert Signature(3, 1).blade_count == 16
 
 
-def test_key_index_extend_finds_what_a_fresh_index_finds():
-    # rows appended in three pieces, with repeats inside and across them:
-    # every lookup gives the first occurrence, as an index built in one go does
-    rng = np.random.default_rng(3)
-    base = rng.integers(-3, 4, size=(40, 4)) / 4.0
-    rows = np.concatenate([base, base[::-1], rng.integers(-3, 4, size=(30, 4)) / 4.0])
-    grown = KeyIndex(rows[:40])
-    grown.extend(rows[40:75])
-    grown.extend(rows[75:])
-    probes = np.concatenate([rows, rng.integers(-4, 5, size=(50, 4)) / 4.0])
-    assert np.array_equal(grown.find(probes), KeyIndex(rows).find(probes))
+def test_orbit_graph_is_each_rows_product_looked_up():
+    # graph[j, k] names the row that row j times generator k hit, as a fresh
+    # lookup of every product finds it, for roots and for a group alike
+    e8 = catalog("E8")
+    cases = [(e8.simple_coords, _reflect_pairs, np.vstack([e8.simple_coords, -e8.simple_coords]))]
+    kern = kernel_for(Signature(3, 0))
+    gens = np.zeros((3, 8))
+    gens[:, [1, 2, 4]] = catalog("H3").simple_coords
+    cases.append((gens, kern.gp_pairs, np.eye(1, 8) * [[1.0], [-1.0]]))
+    for gens, act, seeds in cases:
+        rows, graph = orbit(seeds, gens, act, 1000, "cap {cap}")
+        assert graph.shape == (rows.shape[0], gens.shape[0])
+        products = act(rows, gens).reshape(-1, rows.shape[1])
+        assert np.array_equal(graph.ravel(), KeyIndex(rows).find(products))

@@ -134,6 +134,21 @@ def test_error_bad_modular_input(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [("S", "1e200", "1"), ("", "1e100", "1")])
+def test_modular_overflow_is_a_json_error(argv, capsys):
+    rc, out, err = run_cli(capsys, "modular", *argv)
+    assert (rc, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "OverflowError"
+
+
+@pytest.mark.parametrize("argv", [("", "inf", "1"), ("S", "0.5", "inf"), ("S", "nan", "1")])
+def test_modular_non_finite_tau_is_one_json_line(argv, capsys):
+    # rejected before evaluating, so numpy prints no warning first
+    assert run_cli(capsys, "modular", *argv) == (
+        2, "", '{"error": "VersorlabError", "message": "tau must be finite"}\n')
+
+
 def test_max_closure_caps_group_closure(capsys):
     rc, out, err = run_cli(capsys, "group", "H3", "--kind", "pin", "--max-closure", "100")
     assert rc == 2

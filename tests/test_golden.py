@@ -12,8 +12,16 @@ and a 16-letter word, and ``tSt`` from 1.0001 + 0.0001i, which passes
 within 1.5e-4 of tau = 0 and lands near -5001 + 5000i, where the 12 printed
 decimals hold every digit of the float.  Regenerate a file only for an
 intended output change.
+
+``cli_digests.json`` pins many more commands by the sha256 of their stdout:
+``group`` and ``classes`` of A1^3, A3, B3, H3 and D4 in every kind (json),
+and pin in csv and markdown; ``induce`` on the four 3D systems; ``mckay``;
+and ``roots`` on every catalog name, with I2 as I2(5) and I2(7).  ``verify``
+and ``modular`` are left out: their low digits rest on the platform's libm.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -44,3 +52,14 @@ def test_cli_stdout_matches_golden(name, monkeypatch, capsys):
     monkeypatch.setenv("VERSORLAB_SEED", "42")
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+DIGESTS = json.loads((GOLDEN / "cli_digests.json").read_text())
+
+
+@pytest.mark.parametrize("command", list(DIGESTS))
+def test_cli_stdout_matches_digest(command, monkeypatch, capsys):
+    monkeypatch.setenv("VERSORLAB_SEED", "42")
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[command]

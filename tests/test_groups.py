@@ -1,6 +1,7 @@
 """Tests for Pin/Spin generation, conjugacy structure, and Coxeter numbers."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -28,6 +29,7 @@ from versorlab import (
     scalar_mv,
     vector,
 )
+from versorlab.algebra import BLOCK, blade_name, kernel_for, quantize
 
 SIG3 = Signature(3, 0)
 
@@ -238,6 +240,16 @@ def test_coxeter_numbers():
         assert h * rs.rank == rs.root_count
 
 
+# h, the order of a Coxeter element, for every full-rank catalog system
+COXETER_NUMBERS = {"A1": 2, "A1^3": 2, "A1^4": 2, "A3": 4, "B3": 6, "D4": 6, "F4": 12,
+                   "E6": 12, "E7": 18, "E8": 30, "H3": 10, "H4": 30,
+                   "I2(5)": 5, "I2(7)": 7, "I2(12)": 12}
+
+
+def test_coxeter_number_on_every_full_rank_catalog_system():
+    assert {n: coxeter_number(catalog(n)) for n in COXETER_NUMBERS} == COXETER_NUMBERS
+
+
 def test_coxeter_number_needs_full_rank():
     a2_in_3d = close_roots([[1.0, 0.0, 0.0], [-0.5, math.sqrt(3) / 2, 0.0]],
                            sig=SIG3, name="A2 embedded")
@@ -302,16 +314,40 @@ def test_closure_is_independent_of_block_size(monkeypatch):
 
 @pytest.fixture(scope="module")
 def spin_h4():
-    return generate_spin(catalog("H4"))
+    """Spin(H4) and its class split's peak traced memory and float products.
+
+    The split is made once here, traced: a 14 400-element group whose
+    (n, n) table alone would be 415 MB.
+    """
+    g = generate_spin(catalog("H4"))
+    with pytest.MonkeyPatch.context() as mp:
+        counted = count_products(mp)
+        tracemalloc.start()
+        try:
+            conjugacy_classes(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return g, peak, counted
 
 
 def test_spin_h4_order(spin_h4):
-    assert spin_h4.order == 14_400
+    assert spin_h4[0].order == 14_400
 
 
 def test_spin_h4_class_count(spin_h4):
     # Spin(H4) is 2I x 2I, and 2I has 9 classes
-    assert len(conjugacy_classes(spin_h4)) == 81
+    assert len(conjugacy_classes(spin_h4[0])) == 81
+
+
+def test_spin_h4_class_split_is_small_and_integer(spin_h4):
+    g, peak, products = spin_h4
+    assert peak < 64 << 20
+    assert products == []
+    # orders in 2I x 2I are lcm(a, b) of orders a, b in 2I
+    in_2i = (1, 2, 3, 4, 5, 6, 10)
+    assert {c.element_order for c in conjugacy_classes(g)} == {
+        math.lcm(a, b) for a in in_2i for b in in_2i}
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "D4", "F4"])
@@ -346,3 +382,111 @@ def test_closure_products_are_order_times_generators(name, kind, products, monke
     g = (generate_pin if kind == "pin" else generate_spin)(rs)
     assert sum(counted) == products
     assert g.order * (rs.rank if kind == "pin" else rs.rank * (rs.rank - 1) // 2) == products
+
+
+def count_products(mp) -> list:
+    """Name every float product call the kernel makes, by monkeypatching."""
+    counted = []
+    kernel = versorlab.algebra._Kernel
+    for name in ("gp", "gp_pairs", "gp_elemwise", "scalar_part", "scalar_parts"):
+        def counting(self, A, B, _f=getattr(kernel, name), _name=name):
+            counted.append(_name)
+            return _f(self, A, B)
+        mp.setattr(kernel, name, counting)
+    return counted
+
+
+# -- the float reference: the table multiplied out and the table-based class split
+
+
+def reference_table(g) -> np.ndarray:
+    """The (n, n) table with generator rows as float products, looked up by key."""
+    arr, n, kern = g.element_arr(), g.order, kernel_for(g.sig)
+    e = g.index_of(np.eye(1, kern.D)[0])
+    t = np.empty((n, n), dtype=np.int16 if n <= np.iinfo(np.int16).max else np.int32)
+    t[e] = np.arange(n)
+    filled = np.arange(n) == e
+    step = max(1, BLOCK // n)
+    rows = []
+    while not filled.all():
+        s = int(np.argmin(filled))
+        rows.append(g.indices_of(kern.gp_pairs(arr[[s]], arr).reshape(n, -1)))
+        frontier = np.flatnonzero(filled)
+        while frontier.size:
+            grown = []
+            for row in rows:
+                src = frontier[~filled[row[frontier]]]
+                dst = row[src]
+                for k in range(0, src.size, step):
+                    t[dst[k:k + step]] = row[t[src[k:k + step]]]
+                filled[dst] = True
+                grown.append(dst)
+            frontier = np.concatenate(grown)
+    return t
+
+
+def reference_split(g, t):
+    """Inverses by scanning the table, classes as g^-1 x g over all g, and element orders."""
+    arr, n = g.element_arr(), g.order
+    e = g.index_of(np.eye(1, kernel_for(g.sig).D)[0])
+    inv, every = np.argmax(t == e, axis=1), np.arange(n)
+    orders = np.zeros(n, dtype=int)
+    acc = every
+    for k in range(1, n + 1):  # acc[i] = g_i^k
+        orders[(acc == e) & (orders == 0)] = k
+        acc = t[acc, every]
+    assigned = np.zeros(n, dtype=bool)
+    classes = []
+    for idx in range(n):
+        if not assigned[idx]:
+            members = np.unique(t[t[inv, idx], every])
+            assigned[members] = True
+            classes.append(members)
+    classes.sort(key=lambda m: (m.size, tuple(quantize(arr[m[0]]))))
+    return inv, classes, orders
+
+
+def reference_json(sig, row, eps=1e-9) -> dict:
+    return {"sig": [sig.p, sig.q],
+            "coeffs": {blade_name(m): float(row[m]) for m in range(row.size) if abs(row[m]) >= eps}}
+
+
+GRAPH_GROUPS = ([(name, kind) for name in ("A1", "A1^3", "A1^4", "A3", "B3", "D4", "F4", "H3",
+                                          "I2(5)", "I2(7)") for kind in ("pin", "spin")]
+                + [(name, kind) for name in ("A3", "B3") for kind in ("full", "chiral")])
+
+
+def group_of(name, kind):
+    g = (generate_pin if kind in ("pin", "full") else generate_spin)(catalog(name))
+    return quotient_by_sign(g) if kind in ("full", "chiral") else g
+
+
+@pytest.mark.parametrize("name,kind", GRAPH_GROUPS)
+def test_graph_answers_equal_the_float_reference(name, kind):
+    g = group_of(name, kind)
+    t = reference_table(g)
+    assert np.array_equal(g.table, t) and g.table.dtype == t.dtype
+    inv, classes, orders = reference_split(g, t)
+    assert np.array_equal(g.inverses(), inv)
+    got = conjugacy_classes(g)
+    assert [c.indices.tolist() for c in got] == [m.tolist() for m in classes]
+    assert [c.element_order for c in got] == [int(orders[m[0]]) for m in classes]
+    assert [g.element_order(row) for row in g.element_arr()] == orders.tolist()
+    arr = g.element_arr()
+    assert group_table_dict(g) == {
+        "kind": g.kind, "order": g.order,
+        "classes": [{"size": m.size, "order": int(orders[m[0]]),
+                     "representative": reference_json(g.sig, arr[m[0]]),
+                     "members": [reference_json(g.sig, r) for r in arr[m]]} for m in classes]}
+
+
+@pytest.mark.parametrize("name,kind", [("F4", "pin"), ("H3", "spin"), ("B3", "full"), ("A1", "spin")])
+def test_table_classes_orders_and_coxeter_number_make_no_float_product(name, kind, monkeypatch):
+    g = group_of(name, kind)
+    rs = catalog(name)
+    counted = count_products(monkeypatch)
+    g.table
+    conjugacy_classes(g)
+    [g.element_order(row) for row in g.element_arr()]
+    coxeter_number(rs)
+    assert counted == []

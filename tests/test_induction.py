@@ -253,7 +253,7 @@ def test_sweep_multiplies_out_only_the_float_witness(monkeypatch):
     # the sweep reads the table; only the first 32 sampled pairs are multiplied
     # out, one product for L X and one for (L X) R per root: 2 * 32 * 120 on 2I
     ind = induce_4d(spin_group("H3"))
-    ind.source.table  # its generator rows are float products of their own
+    ind.source.table  # built before counting starts
     counted = []
     kernel = versorlab.algebra._Kernel
     gp_pairs, gp_elemwise = kernel.gp_pairs, kernel.gp_elemwise
