@@ -10,19 +10,18 @@ per-signature D x D sign table (``_Kernel``).
 Two numbers decide sameness and closeness:
 
 * ``HASH_GRID`` (1e-6): ``quantize`` rounds each coefficient once to this grid,
-  giving the integer key that is identity: ``==``, ``hash``, sets, ``unique_rows``
+  giving the integer key that is identity: ``==``, ``hash``, sets, ``key_ids``
   and ``KeyIndex`` all compare keys.  Quantities in this package (halves,
   1/sqrt(2), the golden ratio, ...) sit far from cell boundaries.
 * ``DEFAULT_EPS`` (1e-9): tolerance of every floating comparison, ``close_to``
   among them, unless a caller passes another (the CLI's ``--tolerance``).
 
 The package's one set of key helpers sits next to ``quantize``: ``row_keys``
-(a void view of quantized rows), ``lex_order``, first-occurrence
-``unique_rows`` and ``KeyIndex`` (sorted keys plus searchsorted, for
-membership and index lookup of many rows at once).  On them stands
-``orbit``, the one closure routine for roots and groups, which looks rows
-up one by one in a dict of key bytes and also returns the orbit's graph,
-which row each action hit.
+(a void view of quantized rows), ``lex_order``, ``key_ids`` (first-seen
+ids from a dict of key bytes) and ``KeyIndex`` (sorted keys plus
+searchsorted, for looking many rows up at once in a fixed table).  On them
+stands ``orbit``, the one closure routine for roots and groups, which also
+returns the orbit's graph, which row each action hit.
 """
 
 from __future__ import annotations
@@ -107,12 +106,13 @@ class _Kernel:
     every product, single, batched or all-pairs, is that one contraction.
 
     Built once per signature and cached with it: ``grades`` (the grade of
-    each blade), ``blade_names`` (indexed by mask), the read-only grade masks behind ``grade_mask``, the parity
-    masks ``odd`` and ``even``, and the metric diagonal ``metric``
-    (``metric[a] = sign[a, 0]``, the scalar e_a e_a).  The scalar part of
-    A B is sum_a A[a] B[a] metric[a]; ``scalar_part`` takes that sum in the
-    contraction's own order, so it equals ``gp(A, B)[0]`` bit for bit, and
-    ``scalar_parts`` gives the same floats row by row.
+    each blade), ``blade_names`` (indexed by mask), the read-only grade
+    masks behind ``grade_mask``, the parity masks ``odd`` and ``even``, and
+    the metric diagonal ``metric`` (``metric[a] = sign[a, 0]``, the scalar
+    e_a e_a).  The scalar part of A B is sum_a A[a] B[a] metric[a];
+    ``scalar_part`` takes that sum in the contraction's own order, so it
+    equals ``gp(A, B)[0]`` bit for bit, and ``scalar_parts`` gives the same
+    floats row by row.
     """
 
     def __init__(self, p: int, q: int):
@@ -212,13 +212,10 @@ def lex_order(arr: np.ndarray) -> np.ndarray:
     return np.lexsort(quantize(arr).T[::-1])
 
 
-def unique_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each key's first row, in row order, and each row's position among those."""
-    _, first, inverse = np.unique(row_keys(arr), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    at = np.empty_like(order)
-    at[order] = np.arange(order.size)
-    return first[order], at[inverse.ravel()]
+def key_ids(arr: np.ndarray, index: dict) -> np.ndarray:
+    """Each row's id in ``index``, a dict of key bytes; a new key gets the next id, in row order."""
+    return np.array([index.setdefault(key, len(index)) for key in row_keys(arr).tolist()],
+                    dtype=np.intp)
 
 
 class KeyIndex:
@@ -251,9 +248,8 @@ def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
     Returns the rows and the orbit's graph: ``graph[j, k]`` is the index of
     the row that row j hit under generator k.
     """
-    known = new = seeds[unique_rows(seeds)[0]]
-    index = {key: i for i, key in enumerate(row_keys(known).tolist())}
-    edges = []
+    index, edges = {}, []
+    known = new = seeds[np.unique(key_ids(seeds, index), return_index=True)[1]]
     step = max(1, BLOCK // max(gens.size, 1))
     while new.shape[0]:
         start = known.shape[0]
@@ -263,8 +259,7 @@ def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
                 raise ClosureCapExceeded(message.format(cap=cap))
             rows = new[i:i + step]
             block = act(rows, gens).reshape(-1, known.shape[1])
-            hit = np.array([index.setdefault(key, len(index))
-                            for key in row_keys(block).tolist()], dtype=np.intp)
+            hit = key_ids(block, index)
             edges.append(hit.reshape(rows.shape[0], -1))
             ids, first = np.unique(hit, return_index=True)
             known = np.concatenate([known, block[first[ids >= known.shape[0]]]])

@@ -37,10 +37,10 @@ from .algebra import (
     kernel_for,
     lex_order,
     orbit,
+    key_ids,
     qkey,
     quantize,
     row_keys,
-    unique_rows,
 )
 from .errors import VersorlabError
 from .roots import RootSystem, _reflect_pairs
@@ -293,7 +293,8 @@ def quotient_by_sign(group: VersorGroup) -> QuotientGroup:
     if not isinstance(group, VersorGroup):
         raise VersorlabError("quotient_by_sign expects a pin or spin group")
     canon = _sign_canonical(group.element_arr())
-    first, to = unique_rows(canon)  # cover row i is row to[i] of canon[first]
+    to = key_ids(canon, {})  # cover row i is row to[i] of canon[first]
+    first = np.unique(to, return_index=True)[1]
     if 2 * first.size != group.order:
         raise VersorlabError("group is not symmetric under negation")
     arr, graph = _lex_sorted(canon[first], to, group._graph)  # [g] s = [g s]
