@@ -52,10 +52,7 @@ __all__ = [
     "blade_name",
     "exp_bivector",
     "geometric_product",
-    "grade_project",
-    "mv_from_json",
     "reflect",
-    "reverse",
     "sandwich",
     "scalar_mv",
     "vector",
@@ -381,6 +378,8 @@ class Multivector:
 
     def grade(self, k_: int) -> "Multivector":
         k = kernel_for(self.sig)
+        if not 0 <= k_ <= k.n:
+            raise ValueError(f"grade {k_} out of range for Cl{tuple(self.sig)}")
         return Multivector._wrap(self.sig, np.where(k.grade_mask(k_), self.coeffs, 0.0))
 
     def grades_present(self):
@@ -449,14 +448,6 @@ class Multivector:
                 "coeffs": {names[m]: c for m, c in enumerate(self.coeffs.tolist()) if abs(c) >= eps}}
 
 
-def mv_from_json(d: dict) -> Multivector:
-    sig = Signature(*d["sig"])
-    arr = np.zeros(sig.blade_count)
-    for name, c in d["coeffs"].items():
-        arr[_blade_mask(name, sig.dim)] = float(c)
-    return Multivector(sig, arr)
-
-
 # -- constructors -------------------------------------------------------------
 
 
@@ -490,21 +481,8 @@ def blade(sig: Signature, spec) -> Multivector:
     return Multivector._wrap(sig, arr)
 
 
-# -- free-function forms of the core operations ----------------------------------
-
-
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return a * b
-
-
-def reverse(a: Multivector) -> Multivector:
-    return a.reverse()
-
-
-def grade_project(a: Multivector, k: int) -> Multivector:
-    if k < 0 or k > a.sig.dim:
-        raise ValueError(f"grade {k} out of range for Cl{tuple(a.sig)}")
-    return a.grade(k)
 
 
 class Versor(object):

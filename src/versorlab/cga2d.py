@@ -59,7 +59,6 @@ __all__ = [
     "NINF",
     "ConformalPoint",
     "ConformalVersor",
-    "ModularWord",
     "apply_word",
     "dilator",
     "embed",
@@ -169,13 +168,9 @@ class ConformalVersor:
     def mv(self) -> Multivector:
         return self.v.mv
 
-    def apply_raw(self, X: Multivector, eps: float = DEFAULT_EPS) -> Multivector:
-        """Sandwich a grade-1 vector; total (no renormalization, scale free)."""
-        return sandwich(X, self.v, eps=eps)
-
     def apply(self, p: ConformalPoint, eps: float = DEFAULT_EPS) -> ConformalPoint:
         """Sandwich and renormalize back to X . n = -1."""
-        Y = self.apply_raw(p.X, eps=eps)
+        Y = sandwich(p.X, self.v, eps=eps)
         scale = max(1.0, _max_abs(Y))
         s = _inner_scalar(Y, NINF)
         if abs(s) < eps * scale:
@@ -305,57 +300,42 @@ def _planned(letters, x1: float, x2: float, eps: float):
     return z[0], z[1]
 
 
-class ModularWord:
-    """Word over the alphabet S (tau -> -1/tau), T (tau -> tau+1), t = T^-1."""
-
-    __slots__ = ("letters",)
-
-    def __init__(self, letters: Union[str, Iterable[str]] = ()):
-        letters = tuple(letters)
-        bad = [c for c in letters if c not in _LETTERS]
-        if bad:
-            raise VersorlabError(f"unknown modular letters {bad!r}; alphabet is S, T, t")
-        self.letters = letters
-
-    def __str__(self):
-        return "".join(self.letters) or "(identity)"
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __repr__(self):
-        return f"ModularWord({''.join(self.letters)!r})"
+def _letters(word: Iterable[str]) -> tuple:
+    """The letters of a word over S (tau -> -1/tau), T (tau -> tau+1) and t = T^-1."""
+    letters = tuple(word)
+    bad = [c for c in letters if c not in _LETTERS]
+    if bad:
+        raise VersorlabError(f"unknown modular letters {bad!r}; alphabet is S, T, t")
+    return letters
 
 
-def apply_word(word: Union[ModularWord, str], tau: Sequence[float],
+def apply_word(word: Iterable[str], tau: Sequence[float],
                eps: float = DEFAULT_EPS) -> Tuple[float, float]:
     """Act on the point tau = (x1, x2), x2 > 0, by versor sandwiches, one
     letter at a time left to right; raises PointAtInfinity if an
     intermediate image has no finite coordinates.  Past |tau| of about
     1/sqrt(eps) an image counts as infinite: at the default eps, S at
     (0, 1e-4) gives 1e4 i but S at (0, 2e-5) raises (the oracle gives 5e4 i)."""
-    if not isinstance(word, ModularWord):
-        word = ModularWord(word)
+    letters = _letters(word)
     x1, x2 = float(tau[0]), float(tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
-    if (planned := _planned(word.letters, x1, x2, eps)) is not None:
+    if (planned := _planned(letters, x1, x2, eps)) is not None:
         return planned
     p = embed(x1, x2, eps)  # the replay: one sandwich per letter, with its own errors
-    for letter in word.letters:
+    for letter in letters:
         p = _LETTERS[letter].apply(p, eps=eps)
     return p.coords
 
 
-def mobius_oracle(word: Union[ModularWord, str], tau: Sequence[float],
+def mobius_oracle(word: Iterable[str], tau: Sequence[float],
                   eps: float = DEFAULT_EPS) -> Tuple[float, float]:
     """The same word evaluated by plain complex arithmetic on x1 + i x2."""
-    if not isinstance(word, ModularWord):
-        word = ModularWord(word)
+    letters = _letters(word)
     z = complex(float(tau[0]), float(tau[1]))
     if not z.imag > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
-    for letter in word.letters:
+    for letter in letters:
         if letter == "T":
             z = z + 1.0
         elif letter == "t":
@@ -367,17 +347,16 @@ def mobius_oracle(word: Union[ModularWord, str], tau: Sequence[float],
     return (z.real, z.imag)
 
 
-def word_report(word: Union[ModularWord, str], tau: Sequence[float],
+def word_report(word: Iterable[str], tau: Sequence[float],
                 eps: float = DEFAULT_EPS) -> dict:
     """Versor route vs complex-arithmetic route, with their max deviation."""
-    if not isinstance(word, ModularWord):
-        word = ModularWord(word)
+    word = _letters(word)
     versor_xy = apply_word(word, tau, eps=eps)
     oracle_xy = mobius_oracle(word, tau, eps=eps)
     dev = max(abs(versor_xy[0] - oracle_xy[0]), abs(versor_xy[1] - oracle_xy[1]))
     return {
         "input": [float(tau[0]), float(tau[1])],
-        "word": "".join(word.letters),
+        "word": "".join(word),
         "versor_result": [versor_xy[0], versor_xy[1]],
         "oracle_result": [oracle_xy[0], oracle_xy[1]],
         "max_deviation": dev,

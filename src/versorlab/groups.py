@@ -115,8 +115,10 @@ class _GroupBase:
     def indices_of(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row of an (n, D) array; raises unless all are elements."""
         rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self._kern.D:
+            raise VersorlabError(f"expected an (n, {self._kern.D}) array, got shape {rows.shape}")
         idx = [self._lookup.get(key, -1) for key in row_keys(rows).tolist()]
-        if rows.shape[-1:] != (self._kern.D,) or -1 in idx:
+        if -1 in idx:
             raise VersorlabError("element is not in the group")
         return np.array(idx, dtype=np.intp)
 

@@ -45,7 +45,6 @@ __all__ = [
     "identify_4d",
     "induce_4d",
     "reflection_agreement",
-    "reflection_closure_witness",
     "spinor_coords",
     "spinor_inner",
     "spinorial_automorphisms",
@@ -136,9 +135,8 @@ def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
     report = check_axioms(rs)
     if not report.ok:
         raise VersorlabError(f"induced point set violates the root axioms: {report}")
-    label = _identify_coords(coords)
-    rs.name = label
-    return InducedRootSystem4D(rs, group, label)
+    rs.name = identify_4d(rs)
+    return InducedRootSystem4D(rs, group, rs.name)
 
 
 def _fingerprint(coords: np.ndarray) -> tuple:
@@ -151,39 +149,13 @@ def _catalog_fingerprints() -> dict:
     return {name: _fingerprint(catalog(name).coords) for name in ("A1^4", "D4", "F4", "H4")}
 
 
-def _identify_coords(coords: np.ndarray) -> str:
-    fp = _fingerprint(coords)
+def identify_4d(r: Union[InducedRootSystem4D, RootSystem]) -> str:
+    """Catalog label of a 4D root system, by root count and inner-product multiset."""
+    fp = _fingerprint(r.base.coords if isinstance(r, InducedRootSystem4D) else r.coords)
     for name, ref in _catalog_fingerprints().items():
         if fp == ref:
             return name
     raise VersorlabError("induced root system matches no 4D catalog entry")
-
-
-def identify_4d(r: Union[InducedRootSystem4D, RootSystem]) -> str:
-    """Catalog label of a 4D root system, by root count and inner-product multiset."""
-    coords = r.base.coords if isinstance(r, InducedRootSystem4D) else r.coords
-    return _identify_coords(coords)
-
-
-def reflection_closure_witness(group: VersorGroup, R1, R2) -> Versor:
-    """Reflect R2 in R1 two ways and confirm the image stays in the group.
-
-    The 4D reflection formula R2 - 2 (R1,R2)/(R1,R1) R1 and the group-level
-    product -R1 ~R2 R1 must agree; the common value is returned.
-    """
-    c1, c2 = _even_coeffs(R1), _even_coeffs(R2)
-    if not (group.contains(c1) and group.contains(c2)):
-        raise VersorlabError("witness arguments must be group elements")
-    k = kernel_for(_SIG3)
-    inner12 = spinor_inner(R1, R2)
-    inner11 = spinor_inner(R1, R1)
-    linear = c2 - (2.0 * inner12 / inner11) * c1
-    product = -k.gp(k.gp(c1, k.rev(c2)), c1)
-    if np.max(np.abs(linear - product)) > DEFAULT_EPS:
-        raise VersorlabError("reflection formulas disagree")
-    if not group.contains(product):
-        raise VersorlabError("reflection image left the group")
-    return Versor(Multivector(_SIG3, product))
 
 
 class ReflectionAgreement(NamedTuple):

@@ -28,7 +28,6 @@ from .algebra import (
     Signature,
     lex_order,
     orbit,
-    row_keys,
     vector,
 )
 from .errors import UnknownCatalogName
@@ -45,7 +44,6 @@ __all__ = [
     "close_roots",
     "diagram",
     "rootsystem_from_dict",
-    "rootsystem_to_dict",
 ]
 
 MAX_ROOTS = 10_000
@@ -64,7 +62,6 @@ class RootSystem:
         self.coords = np.asarray(coords, dtype=np.float64)
         self.simple_coords.setflags(write=False)
         self.coords.setflags(write=False)
-        self._keys = None
 
     @property
     def rank(self) -> int:
@@ -81,11 +78,6 @@ class RootSystem:
     @property
     def roots(self) -> tuple[Multivector, ...]:
         return tuple(vector(self.sig, r) for r in self.coords)
-
-    def root_keys(self) -> frozenset:
-        if self._keys is None:
-            self._keys = frozenset(row_keys(self.coords).tolist())
-        return self._keys
 
     def __repr__(self):
         label = self.name or "?"
@@ -333,18 +325,6 @@ def catalog(name: str, eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> 
 
 
 # -- serialization -------------------------------------------------------------
-
-
-def rootsystem_to_dict(rs: RootSystem, include_roots: bool = True) -> dict:
-    out = {}
-    if rs.name is not None:
-        out["name"] = rs.name
-    out["sig"] = [rs.sig.p, rs.sig.q]
-    out["simple_roots"] = np.round(rs.simple_coords, 12).tolist()
-    if include_roots:
-        out["roots"] = np.round(rs.coords, 12).tolist()
-        out["cartan"] = np.round(cartan_matrix(rs).entries, 12).tolist()
-    return out
 
 
 def rootsystem_from_dict(d: dict, eps: float = DEFAULT_EPS,

@@ -12,7 +12,6 @@ from versorlab import (
     NBAR,
     NINF,
     ConformalPoint,
-    ModularWord,
     PointAtInfinity,
     Signature,
     VersorlabError,
@@ -111,7 +110,7 @@ def test_translator_moves_points():
     rng = np.random.default_rng(42)
     for _ in range(1000):
         x, a = rng.uniform(-3, 3, size=2), rng.uniform(-3, 3, size=2)
-        moved = translator(*a).apply_raw(embed(*x).X).coeffs
+        moved = sandwich(embed(*x).X, translator(*a).v).coeffs
         target = embed(*(x + a)).X.coeffs
         assert np.max(np.abs(moved - target)) <= 1e-9 * max(1.0, np.max(np.abs(target)))
 
@@ -124,7 +123,7 @@ def test_translators_compose_additively():
 
 def test_translator_fixes_infinity():
     T = translator(3.0, 4.0)
-    img = T.apply_raw(NINF)
+    img = sandwich(NINF, T.v)
     assert img.close_to(NINF)
 
 
@@ -155,7 +154,7 @@ def test_inversion_in_the_unit_circle():
     # inversion swaps the origin and infinity
     with pytest.raises(PointAtInfinity):
         J.apply(embed(0.0, 0.0))
-    assert extract(J.apply_raw(NINF)) == pytest.approx((0.0, 0.0))
+    assert extract(sandwich(NINF, J.v)) == pytest.approx((0.0, 0.0))
 
 
 def test_versor_route_reaches_about_one_over_root_eps():
@@ -229,15 +228,20 @@ def test_word_inverse_letter():
 
 
 def test_empty_word_is_identity():
-    w = ModularWord("")
-    assert len(w) == 0
-    assert str(w) == "(identity)"
-    approx_pt(apply_word(w, (0.2, 0.8)), (0.2, 0.8))
+    assert apply_word("", (0.2, 0.8)) == (0.2, 0.8)
+    assert apply_word([], (0.2, 0.8)) == (0.2, 0.8)
+    assert mobius_oracle("", (0.2, 0.8)) == (0.2, 0.8)
+    assert word_report("", (0.2, 0.8))["word"] == ""
 
 
 def test_word_validation():
-    with pytest.raises(VersorlabError):
-        ModularWord("SxT")
+    for fn in (apply_word, mobius_oracle, word_report):
+        with pytest.raises(VersorlabError) as info:
+            fn("SxT", (0.5, 1.0))
+        assert str(info.value) == "unknown modular letters ['x']; alphabet is S, T, t"
+    # letters are checked before the point
+    with pytest.raises(VersorlabError, match="unknown modular letters"):
+        apply_word("SxT", (0.5, -1.0))
     with pytest.raises(VersorlabError):
         apply_word("S", (0.5, -1.0))  # lower half-plane input
     with pytest.raises(VersorlabError):

@@ -81,6 +81,14 @@ def test_membership_and_index_errors():
         g.index_of(blade(SIG3, "e1"))  # odd element, not in spin
     assert not g.contains(vector(SIG3, [1.0, 0.0, 0.0]))
     assert g.contains(scalar_mv(SIG3, -1.0))
+    arr = g.element_arr()
+    assert g.indices_of(arr[[3, 0]]).tolist() == [3, 0]
+    with pytest.raises(VersorlabError, match="not in the group"):
+        g.indices_of(np.eye(1, 8, 1))  # e1
+    # one row is not a table of rows: the shape is named, not a missing element
+    for bad in (arr[0], arr[:, :4], arr[None]):
+        with pytest.raises(VersorlabError, match=r"expected an \(n, 8\) array, got shape"):
+            g.indices_of(bad)
 
 
 def test_element_orders():

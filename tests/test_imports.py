@@ -1,4 +1,5 @@
-"""Every name a versorlab module imports is used in that module.
+"""Every name a versorlab module imports is used in that module, and the
+package's top-level names run the README's quick start.
 
 A stdlib stand-in for a linter's unused-import rule.  A name counts as used
 when it appears as an identifier anywhere in the module (annotations
@@ -8,11 +9,15 @@ exempt, since its imports are the package's re-exports, and so are
 """
 
 import ast
+import contextlib
+import io
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "versorlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "versorlab"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -43,3 +48,16 @@ def test_checker_flags_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def test_readme_quick_start_prints_its_comments():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    lines = out.getvalue().splitlines()
+    printed = [m.group(1) for m in re.finditer(r"print\(.*#\s*(.+)$", block, re.M)]
+    assert printed == ["[1, 1, 4, 4, 4, 4, 6]", "24 D4"]
+    assert lines[:2] == printed
+    assert [line.split()[0] for line in lines[2:]] == ["A1^3", "A3", "B3", "H3"]  # McKay rows

@@ -1,5 +1,8 @@
 """Tests for Cayley tables, abelianization, irrep dimensions, and the ADE table."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,15 @@ SPIN_SOURCES = ("A1", "A1^3", "A3", "B3", "H3")
 
 def spin(name):
     return generate_spin(catalog(name))
+
+
+def test_mckay_does_not_import_numpy_ma():
+    # np.unique without options imports numpy.ma, 15-25 ms once per process
+    code = ("import contextlib, io, sys\nfrom versorlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main(['mckay']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_cayley_table_is_a_latin_square():
