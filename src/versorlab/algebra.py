@@ -11,17 +11,17 @@ Two numbers decide sameness and closeness:
 
 * ``HASH_GRID`` (1e-6): ``quantize`` rounds each coefficient once to this grid,
   giving the integer key that is identity: ``==``, ``hash``, sets, ``key_ids``
-  and ``KeyIndex`` all compare keys.  Quantities in this package (halves,
+  and ``find_ids`` all compare keys.  Quantities in this package (halves,
   1/sqrt(2), the golden ratio, ...) sit far from cell boundaries.
 * ``DEFAULT_EPS`` (1e-9): tolerance of every floating comparison, ``close_to``
   among them, unless a caller passes another (the CLI's ``--tolerance``).
 
 The package's one set of key helpers sits next to ``quantize``: ``row_keys``
-(a void view of quantized rows), ``lex_order``, ``key_ids`` (first-seen
-ids from a dict of key bytes) and ``KeyIndex`` (sorted keys plus
-searchsorted, for looking many rows up at once in a fixed table).  On them
-stands ``orbit``, the one closure routine for roots and groups, which also
-returns the orbit's graph, which row each action hit.
+(a void view of quantized rows), ``lex_order``, and one dict of key bytes
+per table, which ``key_ids`` fills (a new key takes the next id) and
+``find_ids`` reads (-1 where a key is absent), ``FIND_ROWS`` rows at a time.
+On them stands ``orbit``, the one closure routine for roots and groups,
+which also returns the orbit's graph, which row each action hit.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ DEFAULT_EPS = 1e-9
 HASH_GRID = 1e-6
 MAX_DIM = 8
 BLOCK = 1 << 22  # floats per block of a batched computation
+FIND_ROWS = 4096  # rows keyed at a time by find_ids
 _REAL = (int, float, numbers.Real)  # int and float first skip the slow ABC instance check
 
 __all__ = [
@@ -108,8 +109,7 @@ class _Kernel:
     the metric diagonal ``metric`` (``metric[a] = sign[a, 0]``, the scalar
     e_a e_a).  The scalar part of A B is sum_a A[a] B[a] metric[a];
     ``scalar_part`` takes that sum in the contraction's own order, so it
-    equals ``gp(A, B)[0]`` bit for bit, and ``scalar_parts`` gives the same
-    floats row by row.
+    equals ``gp(A, B)[0]`` bit for bit, row by row over leading axes.
     """
 
     def __init__(self, p: int, q: int):
@@ -140,13 +140,9 @@ class _Kernel:
     def gp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.einsum("a,ak->k", a, b[self.xor] * self.sign)
 
-    def scalar_part(self, a: np.ndarray, b: np.ndarray) -> float:
-        """``gp(a, b)[0]``, the same float, without the other D - 1 blades."""
-        return float(np.einsum("a,a,a->", a, b, self.metric))
-
-    def scalar_parts(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """``scalar_part`` of each row of A with B's row (or with B), the same floats."""
-        return np.einsum("na,na,a->n", A, np.broadcast_to(B, A.shape), self.metric)
+    def scalar_part(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """``gp(a, b)[0]``, the same floats, of each pair of rows over broadcast leading axes."""
+        return np.einsum("...a,...a,a->...", A, B, self.metric)
 
     def gp_elemwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Broadcasting batched product over leading axes of (..., D) arrays."""
@@ -215,19 +211,15 @@ def key_ids(arr: np.ndarray, index: dict) -> np.ndarray:
                     dtype=np.intp)
 
 
-class KeyIndex:
-    """Row lookup in a table: its sorted quantized keys plus searchsorted."""
-
-    def __init__(self, table: np.ndarray):
-        keys = row_keys(table)
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._order]
-
-    def find(self, rows: np.ndarray) -> np.ndarray:
-        """Table index of each row (its first occurrence), or -1 where absent."""
-        keys = row_keys(rows)
-        pos = np.minimum(np.searchsorted(self._sorted, keys), self._sorted.size - 1)
-        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
+def find_ids(arr: np.ndarray, index: dict) -> np.ndarray:
+    """Each row's id in ``index``, a dict of key bytes, or -1 where absent; rows are
+    keyed ``FIND_ROWS`` at a time, so the key bytes alive do not grow with the rows."""
+    rows = arr.reshape(-1, arr.shape[-1])
+    out = np.empty(rows.shape[0], dtype=np.intp)
+    for i in range(0, rows.shape[0], FIND_ROWS):
+        out[i:i + FIND_ROWS] = [index.get(key, -1)
+                                for key in row_keys(rows[i:i + FIND_ROWS]).tolist()]
+    return out.reshape(arr.shape[:-1])
 
 
 def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
@@ -457,13 +449,19 @@ def scalar_mv(sig: Signature, value: float) -> Multivector:
     return Multivector._wrap(sig, arr)
 
 
+def vector_rows(sig: Signature, coords) -> np.ndarray:
+    """Coefficients (..., D) of the vectors with coordinates (..., m) on e1..em, m <= dim."""
+    coords = np.asarray(coords, dtype=np.float64)
+    out = np.zeros(coords.shape[:-1] + (sig.blade_count,))
+    out[..., 1 << np.arange(coords.shape[-1])] = coords
+    return out
+
+
 def vector(sig: Signature, coords) -> Multivector:
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (sig.dim,):
         raise ValueError(f"expected {sig.dim} coordinates, got {coords.shape}")
-    arr = np.zeros(sig.blade_count)
-    arr[1 << np.arange(sig.dim)] = coords
-    return Multivector._wrap(sig, arr)
+    return Multivector._wrap(sig, vector_rows(sig, coords))
 
 
 def basis(sig: Signature) -> list[Multivector]:
@@ -519,7 +517,7 @@ class Versor(object):
         from the odd mask, ``norm_sign`` from each row's scalar part of m ~m."""
         k = kernel_for(sig)
         odd = np.abs(rows[:, k.odd]).max(axis=1, initial=0.0) > DEFAULT_EPS
-        norms = k.scalar_parts(rows, k.rev(rows))
+        norms = k.scalar_part(rows, k.rev(rows))
         out = []
         for row, parity, s in zip(rows, odd, norms):
             self = object.__new__(cls)
@@ -600,7 +598,7 @@ def reflect(v: Multivector, alpha: Multivector) -> Multivector:
     if not v.is_grade(1) or not alpha.is_grade(1):
         raise ValueError("reflect expects grade-1 arguments")
     k = kernel_for(v.sig)
-    n2 = k.scalar_part(alpha.coeffs, alpha.coeffs)
+    n2 = float(k.scalar_part(alpha.coeffs, alpha.coeffs))
     if abs(abs(n2) - 1.0) > DEFAULT_EPS:
         raise ValueError(f"mirror vector must be unit, got alpha^2 = {n2}")
     out = -k.gp(k.gp(alpha.coeffs, v.coeffs), alpha.coeffs)

@@ -96,7 +96,7 @@ _KERNEL = kernel_for(CGA_SIG)
 
 
 def _inner_scalar(a: Multivector, b: Multivector) -> float:
-    return _KERNEL.scalar_part(a.coeffs, b.coeffs)
+    return float(_KERNEL.scalar_part(a.coeffs, b.coeffs))
 
 
 def _max_abs(X: Multivector) -> float:

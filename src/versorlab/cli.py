@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .algebra import DEFAULT_EPS
+from .algebra import DEFAULT_EPS, row_keys
 from .errors import UnknownCatalogName, VersorlabError
 from .groups import MAX_GROUP, generate_pin, generate_spin, group_table_dict, quotient_by_sign
 from .induction import induce_4d, reflection_agreement, spinorial_automorphisms
@@ -138,11 +138,10 @@ def _cmd_roots(args):
         "diagram_edges": [{"i": e.i, "j": e.j, "m": e.m} for e in edges],
         "axioms_ok": report.ok,
     }
-    qsim = {tuple(np.round(r, 9)) for r in rs.simple_coords}
+    simple = set(row_keys(rs.simple_coords).tolist())
     headers = ["index"] + [f"x{i+1}" for i in range(rs.sig.dim)] + ["simple"]
-    rows = []
-    for i, r in enumerate(rs.coords):
-        rows.append([i] + list(r) + [tuple(np.round(r, 9)) in qsim])
+    rows = [[i] + list(r) + [key in simple]
+            for i, (r, key) in enumerate(zip(rs.coords, row_keys(rs.coords).tolist()))]
     label = rs.name or "root system"
     md = [f"# {label}: {rs.root_count} roots, rank {rs.rank} in Cl({rs.sig.p},{rs.sig.q})", ""]
     md += ["## Simple roots", ""]

@@ -30,17 +30,18 @@ import numpy as np
 from .algebra import (
     BLOCK,
     DEFAULT_EPS,
-    KeyIndex,
     Multivector,
     Signature,
     Versor,
+    find_ids,
     kernel_for,
+    key_ids,
     lex_order,
     orbit,
-    key_ids,
     qkey,
     quantize,
     row_keys,
+    vector_rows,
 )
 from .errors import VersorlabError
 from .roots import RootSystem, _reflect_pairs
@@ -82,7 +83,8 @@ class _GroupBase:
         self._arr, self._graph = arr, graph  # graph[j, k]: index of g_j s_k
         arr.setflags(write=False)
         graph.setflags(write=False)
-        self._lookup = {key: i for i, key in enumerate(row_keys(arr).tolist())}
+        self._lookup = {}
+        key_ids(arr, self._lookup)  # the elements are distinct: row i has id i
         self._e = self._lookup[qkey(np.eye(1, self._kern.D)[0])]  # the identity
 
     @property
@@ -117,10 +119,10 @@ class _GroupBase:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self._kern.D:
             raise VersorlabError(f"expected an (n, {self._kern.D}) array, got shape {rows.shape}")
-        idx = [self._lookup.get(key, -1) for key in row_keys(rows).tolist()]
-        if -1 in idx:
+        idx = find_ids(rows, self._lookup)
+        if np.any(idx < 0):
             raise VersorlabError("element is not in the group")
-        return np.array(idx, dtype=np.intp)
+        return idx
 
     def index_of(self, v) -> int:
         row = self._coerce_arr(v)
@@ -243,13 +245,6 @@ class ConjugacyClass:
         return Versor._trusted(self.sig, self.rows[self.indices])
 
 
-def _simple_vectors(rs: RootSystem) -> np.ndarray:
-    """The simple roots as (rank, D) grade-1 rows; grade-1 blades are the bits 1 << i."""
-    arr = np.zeros((rs.rank, kernel_for(rs.sig).D))
-    arr[:, 1 << np.arange(rs.sig.dim)] = rs.simple_coords
-    return arr
-
-
 def _lex_sorted(arr: np.ndarray, to: np.ndarray, graph: np.ndarray):
     """Rows of arr in lex order, and the graph of rows ``to[i]`` of arr, renumbered to match."""
     order = lex_order(arr)
@@ -272,12 +267,12 @@ def _generate(kind: str, rs: RootSystem, gens: np.ndarray, cap: int) -> VersorGr
 
 def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """The group generated by the simple-root vectors, with +-1."""
-    return _generate("pin", rs, _simple_vectors(rs), max_elements)
+    return _generate("pin", rs, vector_rows(rs.sig, rs.simple_coords), max_elements)
 
 
 def generate_spin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """The even subgroup of Pin, generated by the products s_i s_j (i < j), with +-1."""
-    s = _simple_vectors(rs)
+    s = vector_rows(rs.sig, rs.simple_coords)
     i, j = np.triu_indices(rs.rank, 1)
     return _generate("spin", rs, kernel_for(rs.sig).gp_elemwise(s[i], s[j]), max_elements)
 
@@ -377,8 +372,9 @@ def coxeter_number(rs: RootSystem) -> int:
     root permutations, each looked up by key."""
     if rs.rank != rs.sig.dim:
         raise VersorlabError("coxeter_number needs a full-rank root system")
-    reflected = _reflect_pairs(rs.coords, rs.simple_coords).reshape(-1, rs.sig.dim)
-    images = KeyIndex(rs.coords).find(reflected).reshape(rs.root_count, rs.rank)
+    index = {}
+    key_ids(rs.coords, index)
+    images = find_ids(_reflect_pairs(rs.coords, rs.simple_coords), index)
     every = np.arange(rs.root_count)
     if not np.all(np.sort(images, axis=0) == every[:, None]):
         raise VersorlabError("the Coxeter element does not permute the roots")

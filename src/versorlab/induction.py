@@ -25,11 +25,12 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_EPS,
-    KeyIndex,
     Multivector,
     Signature,
     Versor,
+    find_ids,
     kernel_for,
+    key_ids,
     lex_order,
     quantize,
     row_keys,
@@ -181,7 +182,9 @@ def reflection_agreement(group: VersorGroup) -> ReflectionAgreement:
     t1 = kern.gp_pairs(garr, kern.rev(garr))
     product = -kern.gp_elemwise(t1, garr[:, None, :])
     dev = float(np.max(np.abs(linear - product)))
-    all_in = bool(np.all(KeyIndex(garr).find(product.reshape(-1, kern.D)) >= 0))
+    index = {}
+    key_ids(garr, index)
+    all_in = bool(np.all(find_ids(product, index) >= 0))
     return ReflectionAgreement(n * n, dev, all_in)
 
 

@@ -23,14 +23,15 @@ import numpy as np
 from .algebra import (
     BLOCK,
     DEFAULT_EPS,
-    KeyIndex,
     Multivector,
     Signature,
+    find_ids,
+    key_ids,
     lex_order,
     orbit,
     vector,
 )
-from .errors import UnknownCatalogName
+from .errors import UnknownCatalogName, VersorlabError
 
 __all__ = [
     "AxiomReport",
@@ -72,10 +73,6 @@ class RootSystem:
         return self.coords.shape[0]
 
     @property
-    def simple_roots(self) -> tuple[Multivector, ...]:
-        return tuple(vector(self.sig, r) for r in self.simple_coords)
-
-    @property
     def roots(self) -> tuple[Multivector, ...]:
         return tuple(vector(self.sig, r) for r in self.coords)
 
@@ -85,8 +82,6 @@ class RootSystem:
 
 
 def _coerce_simple_coords(simple_roots, sig: Optional[Signature]):
-    if isinstance(simple_roots, RootSystem):
-        return simple_roots.sig, simple_roots.simple_coords.copy()
     rows = []
     for r in simple_roots:
         if isinstance(r, Multivector):
@@ -173,9 +168,9 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     """
     coords = _coerce_root_coords(roots)
     n, d = coords.shape
-    index = KeyIndex(coords)
+    index = {}
     # ids[j] == neg_ids[i] iff root j has the quantized key of -root i
-    ids, neg_ids = index.find(coords), index.find(-coords)
+    ids, neg_ids = key_ids(coords, index), find_ids(-coords, index)
     norms = np.linalg.norm(coords, axis=1)
     unit = coords / norms[:, None]
     scalar_bad = refl_bad = None
@@ -195,14 +190,14 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
                               else AxiomViolation("scalar multiple besides the antipode",
                                                   (tuple(coords[i]), tuple(coords[j]))))
         if refl_bad is None:
-            # reflect all roots in each root of the block
-            imgs = coords - 2.0 * (unit[rows] @ coords.T)[:, :, None] * unit[rows, None, :]
-            hits = np.argwhere(index.find(imgs) < 0)
+            # imgs[j, r]: every root j reflected in each root r of the block
+            imgs = _reflect_pairs(coords, unit[rows])
+            hits = np.argwhere(find_ids(imgs, index).T < 0)
             if hits.size:
                 r, j = hits[0]
                 refl_bad = AxiomViolation(
                     "reflection image not in set",
-                    (tuple(coords[rows[r]]), tuple(coords[j]), tuple(imgs[r, j])))
+                    (tuple(coords[rows[r]]), tuple(coords[j]), tuple(imgs[j, r])))
         if scalar_bad is not None and refl_bad is not None:
             break
     return AxiomReport(scalar_bad is None, refl_bad is None, scalar_bad, refl_bad)
@@ -329,6 +324,20 @@ def catalog(name: str, eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> 
 
 def rootsystem_from_dict(d: dict, eps: float = DEFAULT_EPS,
                          max_roots: int = MAX_ROOTS) -> RootSystem:
+    """Close ``{"simple_roots": [...], "sig": [p, q], "name": ...}`` (the last two optional);
+    a wrong field type raises ``VersorlabError`` and a bad number ``np.asarray``'s ValueError."""
+    if not isinstance(d, dict):
+        raise VersorlabError("a root system must be a JSON object")
+    if not isinstance(d.get("simple_roots"), (list, str)):
+        raise VersorlabError('"simple_roots" must be a list of coordinate rows')
+    if "sig" in d and not (isinstance(d["sig"], list) and len(d["sig"]) == 2
+                           and all(type(x) is int for x in d["sig"])):
+        raise VersorlabError('"sig" must be a pair of integers [p, q]')
+    if "name" in d and not isinstance(d["name"], str):
+        raise VersorlabError('"name" must be a string')
     sig = Signature(*d["sig"]) if "sig" in d else None
-    simple = np.asarray(d["simple_roots"], dtype=np.float64)
+    try:
+        simple = np.asarray(d["simple_roots"], dtype=np.float64)
+    except TypeError:  # an object or a list where a number belongs
+        raise VersorlabError('"simple_roots" must be a list of coordinate rows') from None
     return close_roots(simple, sig, name=d.get("name"), eps=eps, max_roots=max_roots)

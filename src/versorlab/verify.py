@@ -51,6 +51,7 @@ from .algebra import (
     sandwich,
     scalar_mv,
     vector,
+    vector_rows,
 )
 from .cga2d import (
     CGA_SIG,
@@ -197,13 +198,6 @@ def _sampled(ctx, blocks, batch, public):
     return {"worst": np.max(worst), "witness_mismatches": mismatches}, records
 
 
-def _grade1(sig, coords) -> np.ndarray:
-    """Coefficient rows of the vectors whose coordinate rows are ``coords``."""
-    out = np.zeros((len(coords), sig.blade_count))
-    out[:, 1 << np.arange(np.shape(coords)[1])] = coords
-    return out
-
-
 def _graded(kern, X, k) -> np.ndarray:
     return np.abs(X[:, ~kern.grade_mask(k)]).max(axis=1, initial=0.0) <= DEFAULT_EPS
 
@@ -232,21 +226,21 @@ def _sandwich(kern, R, odd, X):
 def _points(X) -> np.ndarray:
     """``ConformalPoint``'s checks on each row."""
     scale = DEFAULT_EPS * np.maximum(1.0, np.abs(X).max(axis=1) ** 2)
-    return (_graded(_CGA, X, 1) & ~(np.abs(_CGA.scalar_parts(X, X)) > scale)
-            & ~(np.abs(_CGA.scalar_parts(X, NINF.coeffs) + 1.0) > scale))
+    return (_graded(_CGA, X, 1) & ~(np.abs(_CGA.scalar_part(X, X)) > scale)
+            & ~(np.abs(_CGA.scalar_part(X, NINF.coeffs) + 1.0) > scale))
 
 
 def _embed(x1, x2):
     """``embed`` of each point, squaring as it does (Python's ``**`` is not numpy's square)."""
     sq = np.array([float(a) ** 2 + float(b) ** 2 for a, b in zip(x1, x2)])
-    x = _grade1(CGA_SIG, np.column_stack([x1, x2]))
+    x = vector_rows(CGA_SIG, np.column_stack([x1, x2]))
     X = (sq[:, None] * NINF.coeffs + 2.0 * x - NBAR.coeffs) * 0.5
     return X, _points(X)
 
 
 def _normalize(Y):
     """``ConformalVersor.apply`` after its sandwich: (points at X . n = -1, finite and passing)."""
-    s = _CGA.scalar_parts(Y, NINF.coeffs)
+    s = _CGA.scalar_part(Y, NINF.coeffs)
     finite = ~(np.abs(s) < DEFAULT_EPS * np.maximum(1.0, np.abs(Y).max(axis=1)))
     X = Y * (-1.0 / np.where(finite, s, -1.0))[:, None]
     return X, finite & _points(X)
@@ -263,12 +257,12 @@ def _reflection_public(draw):
 
 def _reflection_batch(drawn):
     sigs, a, V = zip(*drawn)
-    kern, A, V = kernel_for(sigs[0]), _grade1(sigs[0], a), np.array(V)
+    kern, A, V = kernel_for(sigs[0]), vector_rows(sigs[0], a), np.array(V)
     lhs, graded = _sandwich(kern, A, True, V)  # ~a = a for a vector
-    unit = ~(np.abs(np.abs(kern.scalar_parts(A, A)) - 1.0) > DEFAULT_EPS)
+    unit = ~(np.abs(np.abs(kern.scalar_part(A, A)) - 1.0) > DEFAULT_EPS)
     if not (graded & _graded(kern, A, 1) & unit).all():
         return None
-    dot = (kern.scalar_parts(V, A) + kern.scalar_parts(A, V)) * 0.5
+    dot = (kern.scalar_part(V, A) + kern.scalar_part(A, V)) * 0.5
     return np.column_stack([lhs, np.abs(lhs - (V - (2.0 * dot)[:, None] * A)).max(axis=1)])
 
 
@@ -293,15 +287,15 @@ def _isometry_batch(drawn):
     k, U, V = kernel_for(_CL3), np.array(U), np.array(V)
     count = np.array([len(w) for w in vectors])
     W = np.array([w + w[:1] * (4 - len(w)) for w in vectors])  # padded to 4 vectors each
-    R = _grade1(_CL3, W[:, 0])
+    R = vector_rows(_CL3, W[:, 0])
     for j in range(1, 4):  # Versor.from_vectors' left-to-right products
-        R = np.where((count > j)[:, None], k.gp_elemwise(R, _grade1(_CL3, W[:, j])), R)
+        R = np.where((count > j)[:, None], k.gp_elemwise(R, vector_rows(_CL3, W[:, j])), R)
     ok, odd = _versor_checks(k, R)
     (U2, u_graded), (V2, v_graded) = _sandwich(k, R, odd, U), _sandwich(k, R, odd, V)
     if not (ok & u_graded & v_graded).all():
         return None
-    before = (k.scalar_parts(U, V) + k.scalar_parts(V, U)) * 0.5
-    after = (k.scalar_parts(U2, V2) + k.scalar_parts(V2, U2)) * 0.5
+    before = (k.scalar_part(U, V) + k.scalar_part(V, U)) * 0.5
+    after = (k.scalar_part(U2, V2) + k.scalar_part(V2, U2)) * 0.5
     return np.column_stack([U2, V2, np.abs(before - after)])
 
 
@@ -484,7 +478,7 @@ def _translation_public(draw):
 def _translation_batch(drawn):
     a1, a2, x1, x2 = np.array(drawn).T
     na = _CGA.gp_elemwise(np.broadcast_to(NINF.coeffs, (len(a1), _CGA.D)),
-                          _grade1(CGA_SIG, np.column_stack([a1, a2])))
+                          vector_rows(CGA_SIG, np.column_stack([a1, a2])))
     T = scalar_mv(CGA_SIG, 1.0).coeffs - 0.5 * na  # translator's 1 - n a / 2
     (ok, odd), (X, on) = _versor_checks(_CGA, T), _embed(x1, x2)
     Y, graded = _sandwich(_CGA, T, odd, X)

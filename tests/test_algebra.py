@@ -28,7 +28,7 @@ from versorlab import (
     vector,
 )
 import versorlab.algebra
-from versorlab.algebra import KeyIndex, kernel_for, orbit
+from versorlab.algebra import find_ids, kernel_for, key_ids, orbit, quantize
 from versorlab.roots import _reflect_pairs
 
 RNG = np.random.default_rng(20260814)
@@ -331,8 +331,8 @@ def test_kernel_scalar_part_is_the_products_scalar_bitwise(p, q):
     for a, b in zip(A, B):
         assert k.scalar_part(a, b) == k.gp(a, b)[0]
     # the batched forms give the same floats row by row, B broadcast or not
-    assert np.array_equal(k.scalar_parts(A, B), [k.scalar_part(a, b) for a, b in zip(A, B)])
-    assert np.array_equal(k.scalar_parts(A, B[0]), [k.scalar_part(a, B[0]) for a in A])
+    assert np.array_equal(k.scalar_part(A, B), [k.scalar_part(a, b) for a, b in zip(A, B)])
+    assert np.array_equal(k.scalar_part(A, B[0]), [k.scalar_part(a, B[0]) for a in A])
     # (20 rows: a batched product expands B to rows * D**2 floats)
     assert np.array_equal(k.gp_elemwise(A[:20], B[:20]), [k.gp(a, b) for a, b in zip(A[:20], B)])
 
@@ -461,4 +461,44 @@ def test_orbit_graph_is_each_rows_product_looked_up():
         rows, graph = orbit(seeds, gens, act, 1000, "cap {cap}")
         assert graph.shape == (rows.shape[0], gens.shape[0])
         products = act(rows, gens).reshape(-1, rows.shape[1])
-        assert np.array_equal(graph.ravel(), KeyIndex(rows).find(products))
+        # the reference: the one row whose quantized coefficients equal the product's
+        same = (quantize(products)[:, None, :] == quantize(rows)[None, :, :]).all(axis=2)
+        assert np.all(same.sum(axis=1) == 1)
+        assert np.array_equal(graph.ravel(), same.argmax(axis=1))
+
+
+def test_find_ids_is_a_brute_force_lookup_at_every_block_size(monkeypatch):
+    rng = np.random.default_rng(15)
+    distinct = rng.normal(size=(35, 3))
+    table = np.vstack([distinct, distinct[:5] + 1e-12])  # 5 rows repeat a key
+    index = {}
+    assert np.array_equal(key_ids(table, index), np.r_[np.arange(35), np.arange(5)])
+    rows = np.vstack([table, rng.normal(size=(8, 3))])  # 48 rows, the last 8 absent
+    # the reference: the first table row with the row's quantized coordinates,
+    # whose id is its index, as the first 35 rows are distinct
+    same = (quantize(rows)[:, None, :] == quantize(table)[None, :, :]).all(axis=2)
+    want = np.where(same.any(axis=1), same.argmax(axis=1), -1)
+    assert np.array_equal(want[35:], np.r_[np.arange(5), [-1] * 8])
+    for block in (1, 16, versorlab.algebra.FIND_ROWS):  # 48, 3 and 1 blocks
+        monkeypatch.setattr(versorlab.algebra, "FIND_ROWS", block)
+        assert np.array_equal(find_ids(rows, index), want)
+        assert np.array_equal(find_ids(rows.reshape(6, 8, 3), index), want.reshape(6, 8))
+    assert len(index) == 35  # a lookup adds no key
+
+
+def test_find_ids_memory_is_bounded_by_its_block():
+    # E8's 57 600 reflection images, keyed at once, would hold 57 600 key
+    # bytes and their quantized copies (about 10 MB); in blocks of FIND_ROWS
+    # rows (about 170 bytes each) only the ids grow with the rows
+    e8 = catalog("E8")
+    index = {}
+    key_ids(e8.coords, index)
+    images = _reflect_pairs(e8.coords, e8.coords)
+    tracemalloc.start()
+    try:
+        ids = find_ids(images, index)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ids.shape == (240, 240) and np.all(ids >= 0)
+    assert peak <= ids.nbytes + 256 * versorlab.algebra.FIND_ROWS

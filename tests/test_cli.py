@@ -172,6 +172,20 @@ def test_spin_closure_fails_fast_under_memory_limit():
     assert json.loads(out.stderr)["error"] == "ClosureCapExceeded"
 
 
+@pytest.mark.parametrize("data,field", [([1, 2], "JSON object"), ({}, '"simple_roots"'),
+                                        ({"sig": 3, "simple_roots": [[1, 0]]}, '"sig"'),
+                                        ({"simple_roots": [{}]}, '"simple_roots"')])
+def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(data))
+    for cmd in ("roots", "group", "induce"):
+        rc, out, err = run_cli(capsys, cmd, str(f))
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "VersorlabError" and field in payload["message"]
+
+
 def test_error_payload_is_single_line(capsys):
     rc, _, err = run_cli(capsys, "roots", "nope")
     assert rc == 2

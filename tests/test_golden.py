@@ -16,7 +16,8 @@ intended output change.
 ``cli_digests.json`` pins many more commands by the sha256 of their stdout:
 ``group`` and ``classes`` of A1^3, A3, B3, H3 and D4 in every kind (json),
 and pin in csv and markdown; ``induce`` on the four 3D systems; ``mckay``;
-and ``roots`` on every catalog name, with I2 as I2(5) and I2(7).  ``verify``
+and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in json
+and in csv, whose ``simple`` column marks the simple roots.  ``verify``
 and ``modular`` are left out: their low digits rest on the platform's libm.
 """
 

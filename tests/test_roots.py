@@ -20,6 +20,8 @@ from versorlab import (
     rootsystem_from_dict,
     vector,
 )
+import versorlab.algebra
+import versorlab.roots
 from versorlab.algebra import qkey, row_keys
 
 # name -> (rank, root count)
@@ -169,6 +171,24 @@ def test_axiom_witnesses_match_pairwise_scan():
         assert got_scalar == scalar, name
         assert got_refl == refl, name
         assert rep.ok == (scalar is None and refl is None), name
+
+
+def test_axiom_reports_do_not_depend_on_the_block_size(monkeypatch):
+    # each block of mirrors reflects every root in its own einsum, and the
+    # images are keyed FIND_ROWS rows at a time: one-root blocks, 7-row keying
+    # and the defaults give the same reports, witness floats included
+    perturbed = []
+    for name in ("A3", "B3", "H3", "F4", "E8"):
+        coords = catalog(name).coords
+        tilted = coords.copy()
+        tilted[3] = (tilted[3] + 0.01) / np.linalg.norm(tilted[3] + 0.01)
+        perturbed += [tilted, np.delete(coords, 2, axis=0), np.vstack([coords, 1.5 * coords[1:2]]),
+                      np.vstack([coords, coords[5:6]]), coords]
+    default = [check_axioms(c) for c in perturbed]
+    assert [r.ok for r in default] == [False, False, False, False, True] * 5
+    monkeypatch.setattr(versorlab.roots, "BLOCK", 1)
+    monkeypatch.setattr(versorlab.algebra, "FIND_ROWS", 7)
+    assert [check_axioms(c) for c in perturbed] == default
 
 
 def test_cartan_matrix_a3():
