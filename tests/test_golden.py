@@ -6,19 +6,20 @@ so their digits do not depend on the machine's LAPACK.  The exceptions are
 ``classes H3 --kind pin``, the class table of the largest binary group here,
 and ``induce H3``, which pins the seeded 2 000-pair sampled sweep: H3's
 seeds are the Cholesky factor of a 3x3 Gram matrix, which is taken to print
-the same to 12 decimals everywhere.  The three ``modular`` files pin
-the versor route of a word, which goes one sandwich per letter: a 7-letter
-and a 16-letter word, and ``tSt`` from 1.0001 + 0.0001i, which passes
-within 1.5e-4 of tau = 0 and lands near -5001 + 5000i, where the 12 printed
-decimals hold every digit of the float.  Regenerate a file only for an
-intended output change.
+the same to 12 decimals everywhere.  The ``modular`` files pin the versor
+route of a word, which goes one sandwich per letter, in json, csv and
+markdown: a 7-letter and a 16-letter word, and ``tSt`` from 1.0001 +
+0.0001i, which passes within 1.5e-4 of tau = 0 and lands near -5001 +
+5000i, where the 12 printed decimals hold every digit of the float.
+Regenerate a file only for an intended output change.
 
 ``cli_digests.json`` pins many more commands by the sha256 of their stdout:
-``group`` and ``classes`` of A1^3, A3, B3, H3 and D4 in every kind (json),
-and pin in csv and markdown; ``induce`` on the four 3D systems; ``mckay``;
-and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in json
-and in csv, whose ``simple`` column marks the simple roots.  ``verify``
-and ``modular`` are left out: their low digits rest on the platform's libm.
+``group`` and ``classes`` of A1^3, A3, B3, H3 and D4 in every kind and every
+format; ``induce`` on the four 3D systems and ``mckay``, in every format;
+and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in every
+format (the csv's ``simple`` column marks the simple roots).  ``verify``
+is left out, and ``modular`` is pinned only by the files above: their low
+digits rest on the platform's libm.
 """
 
 import hashlib
@@ -41,9 +42,15 @@ CASES = {
     "induce_A3.json": ["induce", "A3"],
     "induce_B3.json": ["induce", "B3"],
     "induce_H3.json": ["induce", "H3"],
+    "modular_STtSTTS.csv": ["modular", "STtSTTS", "0.3", "0.7", "--format", "csv"],
     "modular_STtSTTS.json": ["modular", "STtSTTS", "0.3", "0.7"],
+    "modular_STtSTTS.md": ["modular", "STtSTTS", "0.3", "0.7", "--format", "markdown"],
+    "modular_near_zero.csv": ["modular", "tSt", "1.0001", "0.0001", "--format", "csv"],
     "modular_near_zero.json": ["modular", "tSt", "1.0001", "0.0001"],
+    "modular_near_zero.md": ["modular", "tSt", "1.0001", "0.0001", "--format", "markdown"],
+    "modular_word16.csv": ["modular", "STTtSTSTtSTSSTtT", "0.3", "0.7", "--format", "csv"],
     "modular_word16.json": ["modular", "STTtSTSTtSTSSTtT", "0.3", "0.7"],
+    "modular_word16.md": ["modular", "STTtSTSTtSTSSTtT", "0.3", "0.7", "--format", "markdown"],
     "roots_F4.json": ["roots", "F4"],
 }
 
