@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -60,19 +61,19 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class Signature:
     """Metric signature (p, q): p generators square to +1, q to -1."""
 
-    __slots__ = ("p", "q")
+    p: int
+    q: int = 0
 
-    def __init__(self, p: int, q: int = 0):
+    def __post_init__(self):
+        p, q = self.p, self.q
         if p < 0 or q < 0 or p + q < 1 or p + q > MAX_DIM:
             raise ValueError(f"signature ({p},{q}) out of range, need 1 <= p+q <= {MAX_DIM}")
         object.__setattr__(self, "p", int(p))
         object.__setattr__(self, "q", int(q))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Signature is immutable")
 
     @property
     def dim(self) -> int:
@@ -81,12 +82,6 @@ class Signature:
     @property
     def blade_count(self) -> int:
         return 1 << self.dim
-
-    def __eq__(self, other):
-        return isinstance(other, Signature) and (self.p, self.q) == (other.p, other.q)
-
-    def __hash__(self):
-        return hash((self.p, self.q))
 
     def __repr__(self):
         return f"Signature({self.p},{self.q})"

@@ -86,12 +86,6 @@ _N_BIVECTOR = EPLUS * EMINUS   # N = e ebar, generator of dilations
 
 _ONE = scalar_mv(CGA_SIG, 1.0)
 
-VERSOR_KINDS = frozenset({
-    "translation", "rotation", "dilation", "special_conformal",
-    "reflection", "inversion", "composite",
-})
-
-
 _KERNEL = kernel_for(CGA_SIG)
 
 
@@ -152,17 +146,14 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
 
 
 class ConformalVersor:
-    """A versor of Cl(3,1) tagged with the conformal map family it realizes."""
+    """A versor of Cl(3,1), acting on conformal points by sandwich."""
 
-    __slots__ = ("v", "kind")
+    __slots__ = ("v",)
 
-    def __init__(self, v: Versor, kind: str):
-        if kind not in VERSOR_KINDS:
-            raise VersorlabError(f"unknown versor kind {kind!r}")
+    def __init__(self, v: Versor):
         if v.mv.sig != CGA_SIG:
             raise VersorlabError("conformal versors live in Cl(3,1)")
         self.v = v
-        self.kind = kind
 
     @property
     def mv(self) -> Multivector:
@@ -180,36 +171,34 @@ class ConformalVersor:
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
         if not isinstance(other, ConformalVersor):
             return NotImplemented
-        return ConformalVersor(self.v * other.v, "composite")
+        return ConformalVersor(self.v * other.v)
 
     def reverse(self) -> "ConformalVersor":
-        return ConformalVersor(self.v.reverse(), self.kind)
+        return ConformalVersor(self.v.reverse())
 
     def inverse(self) -> "ConformalVersor":
-        return ConformalVersor(self.v.inverse(), self.kind)
+        return ConformalVersor(self.v.inverse())
 
     def __repr__(self):
-        return f"<ConformalVersor {self.kind}: {self.mv}>"
+        return f"<ConformalVersor {self.mv}>"
 
 
 def translator(a1: float, a2: float) -> ConformalVersor:
     """Versor acting as x -> x + a.  As a multivector it is 1 - na/2."""
     a = float(a1) * E1 + float(a2) * E2
-    return ConformalVersor(Versor(_ONE - 0.5 * (NINF * a)), "translation")
+    return ConformalVersor(Versor(_ONE - 0.5 * (NINF * a)))
 
 
 def rotation(theta: float) -> ConformalVersor:
     """Rotor acting as a counterclockwise rotation by theta in the plane."""
     h = 0.5 * float(theta)
-    return ConformalVersor(Versor(math.cos(h) * _ONE + math.sin(h) * (E1 * E2)),
-                           "rotation")
+    return ConformalVersor(Versor(math.cos(h) * _ONE + math.sin(h) * (E1 * E2)))
 
 
 def dilator(alpha: float) -> ConformalVersor:
     """Versor cosh(a/2) + sinh(a/2) e ebar, acting as x -> e^{+alpha} x."""
     h = 0.5 * float(alpha)
-    return ConformalVersor(Versor(math.cosh(h) * _ONE + math.sinh(h) * _N_BIVECTOR),
-                           "dilation")
+    return ConformalVersor(Versor(math.cosh(h) * _ONE + math.sinh(h) * _N_BIVECTOR))
 
 
 def reflection(a1: float, a2: float) -> ConformalVersor:
@@ -217,30 +206,29 @@ def reflection(a1: float, a2: float) -> ConformalVersor:
     norm = math.hypot(float(a1), float(a2))
     if norm < DEFAULT_EPS:
         raise VersorlabError("reflection mirror must be a nonzero plane vector")
-    return ConformalVersor(Versor((float(a1) * E1 + float(a2) * E2) * (1.0 / norm)),
-                           "reflection")
+    return ConformalVersor(Versor((float(a1) * E1 + float(a2) * E2) * (1.0 / norm)))
 
 
 def inversion_versor() -> ConformalVersor:
     """The odd versor e: its action sends x to x / x^2 (unit circle inversion)."""
-    return ConformalVersor(Versor(EPLUS), "inversion")
+    return ConformalVersor(Versor(EPLUS))
 
 
 def special_conformal(a1: float, a2: float) -> ConformalVersor:
     """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion."""
     t = translator(a1, a2)
     mv = EPLUS * t.mv * EPLUS
-    return ConformalVersor(Versor(mv), "special_conformal")
+    return ConformalVersor(Versor(mv))
 
 
 def modular_S() -> ConformalVersor:
     """The versor e e1, acting on tau = x1 + i x2 as tau -> -1/tau."""
-    return ConformalVersor(Versor(EPLUS * E1), "composite")
+    return ConformalVersor(Versor(EPLUS * E1))
 
 
 def modular_T() -> ConformalVersor:
     """translator(1, 0): acts on tau as tau -> tau + 1."""
-    return ConformalVersor(translator(1.0, 0.0).v, "translation")
+    return translator(1.0, 0.0)
 
 
 # the alphabet of modular words, each letter's versor built once

@@ -74,25 +74,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _md_table(headers, rows) -> list:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(_fmt(c) for c in row) + " |")
-    return lines
+def _render(fmt: str, title: str, tables, payload, code: int = 0, csv_table=None):
+    """(text, code) for ``fmt``, building only what that format prints.
 
-
-def _render(payload, headers, rows, md_lines, fmt: str) -> str:
+    ``tables`` is a list of ``(heading or None, headers, rows)``; markdown
+    prints the title and then each table, csv the first table or
+    ``csv_table``, and json the result of calling ``payload``.
+    """
     if fmt == "json":
-        return json.dumps(_clean(payload), indent=2) + "\n"
+        return json.dumps(_clean(payload()), indent=2) + "\n", code
     if fmt == "csv":
+        _, headers, rows = csv_table or tables[0]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
-        for row in rows:
-            writer.writerow([_fmt(c) for c in row])
-        return buf.getvalue()
-    return "\n".join(md_lines) + "\n"
+        writer.writerows([_fmt(c) for c in row] for row in rows)
+        return buf.getvalue(), code
+    lines = [f"# {title}"]
+    for heading, headers, rows in tables:
+        lines += [""] + ([f"## {heading}", ""] if heading else [])
+        lines += ["| " + " | ".join(headers) + " |",
+                  "| " + " | ".join("---" for _ in headers) + " |"]
+        lines += ["| " + " | ".join(_fmt(c) for c in row) + " |" for row in rows]
+    return "\n".join(lines) + "\n", code
 
 
 def _cap(args, default: int) -> int:
@@ -110,9 +114,8 @@ def _load_rootsystem(args):
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         return rootsystem_from_dict(data, eps=eps, max_roots=max_roots)
-    raise UnknownCatalogName(
-        f"{spec!r} is not a catalog name ({', '.join(catalog_names())}) "
-        f"or a readable file")
+    raise UnknownCatalogName(f"{spec!r} is not a catalog name "
+                             f"({', '.join(catalog_names())}) or a readable file")
 
 
 def _resolve_group(args):
@@ -125,68 +128,62 @@ def _cmd_roots(args):
     rs = _load_rootsystem(args)
     cm = cartan_matrix(rs)
     edges = diagram(rs, eps=args.tolerance)
-    report = check_axioms(rs, eps=args.tolerance)
-    payload = {
-        "name": rs.name,
-        "signature": [rs.sig.p, rs.sig.q],
-        "rank": rs.rank,
-        "root_count": rs.root_count,
-        "simple_roots": rs.simple_coords.tolist(),
-        "roots": rs.coords.tolist(),
-        "cartan_matrix": cm.entries.tolist(),
-        "cartan_integral": cm.is_integral(args.tolerance),
-        "diagram_edges": [{"i": e.i, "j": e.j, "m": e.m} for e in edges],
-        "axioms_ok": report.ok,
-    }
-    simple = set(row_keys(rs.simple_coords).tolist())
-    headers = ["index"] + [f"x{i+1}" for i in range(rs.sig.dim)] + ["simple"]
-    rows = [[i] + list(r) + [key in simple]
-            for i, (r, key) in enumerate(zip(rs.coords, row_keys(rs.coords).tolist()))]
+    integral = cm.is_integral(args.tolerance)
+    coord_headers = [f"x{i+1}" for i in range(rs.sig.dim)]
+
+    def listing():
+        simple = set(row_keys(rs.simple_coords).tolist())
+        for i, (r, key) in enumerate(zip(rs.coords, row_keys(rs.coords).tolist())):
+            yield [i, *r, key in simple]
+
     label = rs.name or "root system"
-    md = [f"# {label}: {rs.root_count} roots, rank {rs.rank} in Cl({rs.sig.p},{rs.sig.q})", ""]
-    md += ["## Simple roots", ""]
-    md += _md_table([f"x{i+1}" for i in range(rs.sig.dim)],
-                    [list(r) for r in rs.simple_coords])
-    md += ["", "## Cartan matrix" + (" (integral)" if payload["cartan_integral"] else ""), ""]
-    md += _md_table([f"a{j+1}" for j in range(rs.rank)], [list(r) for r in cm.entries])
-    md += ["", "## Diagram edges (Coxeter labels m > 2)", ""]
-    md += _md_table(["i", "j", "m"], [[e.i, e.j, e.m] for e in edges])
-    md += ["", f"## All {rs.root_count} roots", ""]
-    md += _md_table([f"x{i+1}" for i in range(rs.sig.dim)], [list(r) for r in rs.coords])
-    return payload, headers, rows, md, 0
+    return _render(
+        args.format,
+        f"{label}: {rs.root_count} roots, rank {rs.rank} in Cl({rs.sig.p},{rs.sig.q})",
+        [("Simple roots", coord_headers, rs.simple_coords),
+         ("Cartan matrix" + (" (integral)" if integral else ""),
+          [f"a{j+1}" for j in range(rs.rank)], cm.entries),
+         ("Diagram edges (Coxeter labels m > 2)", ["i", "j", "m"], edges),
+         (f"All {rs.root_count} roots", coord_headers, rs.coords)],
+        lambda: {
+            "name": rs.name,
+            "signature": [rs.sig.p, rs.sig.q],
+            "rank": rs.rank,
+            "root_count": rs.root_count,
+            "simple_roots": rs.simple_coords.tolist(),
+            "roots": rs.coords.tolist(),
+            "cartan_matrix": cm.entries.tolist(),
+            "cartan_integral": integral,
+            "diagram_edges": [{"i": e.i, "j": e.j, "m": e.m} for e in edges],
+            "axioms_ok": check_axioms(rs, eps=args.tolerance).ok,
+        },
+        csv_table=(None, ["index", *coord_headers, "simple"], listing()))
 
 
 def _cmd_group(args):
     g = _resolve_group(args)
-    elements = g.elements
-    payload = {
-        "name": args.system,
-        "kind": g.kind,
-        "signature": [g.sig.p, g.sig.q],
-        "order": g.order,
-        "elements": [v.mv.to_json_dict(args.tolerance) for v in elements],
-    }
-    headers = ["index", "element"]
-    rows = [[i, str(v.mv)] for i, v in enumerate(elements)]
-    md = [f"# {g.kind} group over {args.system}: order {g.order}", ""]
-    md += _md_table(headers, rows)
-    return payload, headers, rows, md, 0
+    return _render(
+        args.format, f"{g.kind} group over {args.system}: order {g.order}",
+        [(None, ["index", "element"], ((i, str(v.mv)) for i, v in enumerate(g.elements)))],
+        lambda: {
+            "name": args.system,
+            "kind": g.kind,
+            "signature": [g.sig.p, g.sig.q],
+            "order": g.order,
+            "elements": [v.mv.to_json_dict(args.tolerance) for v in g.elements],
+        })
 
 
 def _cmd_classes(args):
     g = _resolve_group(args)
-    table = group_table_dict(g, eps=args.tolerance)
-    table["name"] = args.system
     classes = g.conjugacy_classes()
-    headers = ["class", "size", "element_order", "representative", "members"]
-    rows = []
-    for i, cl in enumerate(classes):
-        rows.append([i, cl.size, cl.element_order, str(cl.representative.mv),
-                     "; ".join(str(m.mv) for m in cl.members)])
-    md = [f"# Conjugacy classes of the {g.kind} group over {args.system} "
-          f"(order {g.order}, {len(classes)} classes)", ""]
-    md += _md_table(headers, rows)
-    return table, headers, rows, md, 0
+    rows = ((i, cl.size, cl.element_order, str(cl.representative.mv),
+             "; ".join(str(m.mv) for m in cl.members)) for i, cl in enumerate(classes))
+    return _render(
+        args.format, f"Conjugacy classes of the {g.kind} group over {args.system} "
+                     f"(order {g.order}, {len(classes)} classes)",
+        [(None, ["class", "size", "element_order", "representative", "members"], rows)],
+        lambda: {**group_table_dict(g, eps=args.tolerance), "name": args.system})
 
 
 def _cmd_induce(args):
@@ -198,87 +195,76 @@ def _cmd_induce(args):
         sweep = spinorial_automorphisms(ind)
     else:
         sweep = spinorial_automorphisms(ind, pairs=2000, seed=_seed())
-    payload = {
-        "source": args.system,
-        "source_root_count": rs.root_count,
-        "spin_order": spin.order,
-        "identification": ind.identification,
-        "root_count": ind.root_count,
-        "simple_roots_4d": ind.base.simple_coords.tolist(),
-        "axioms_ok": check_axioms(ind.base, eps=args.tolerance).ok,
-        "reflection_agreement": {
-            "pairs_tested": agreement.pairs_tested,
-            "max_deviation": agreement.max_deviation,
-            "all_in_group": agreement.all_in_group,
-        },
-        "automorphism_sweep": {
-            "pairs_tested": sweep.pairs_tested,
-            "exhaustive": sweep.exhaustive,
-            "distinct_images": sweep.distinct_images,
-        },
-    }
-    headers = ["source", "3d_roots", "spin_order", "induced", "4d_roots",
-               "agreement_pairs", "max_deviation", "sweep_pairs"]
-    rows = [[args.system, rs.root_count, spin.order, ind.identification,
-             ind.root_count, agreement.pairs_tested, agreement.max_deviation,
-             sweep.pairs_tested]]
-    md = [f"# Spinor induction from {args.system}", ""]
-    md += _md_table(headers, rows)
-    md += ["", "## Induced simple roots", ""]
-    md += _md_table(["a0", "a1", "a2", "a3"], [list(r) for r in ind.base.simple_coords])
-    return payload, headers, rows, md, 0
+    return _render(
+        args.format, f"Spinor induction from {args.system}",
+        [(None, ["source", "3d_roots", "spin_order", "induced", "4d_roots",
+                 "agreement_pairs", "max_deviation", "sweep_pairs"],
+          [[args.system, rs.root_count, spin.order, ind.identification, ind.root_count,
+            agreement.pairs_tested, agreement.max_deviation, sweep.pairs_tested]]),
+         ("Induced simple roots", ["a0", "a1", "a2", "a3"], ind.base.simple_coords)],
+        lambda: {
+            "source": args.system,
+            "source_root_count": rs.root_count,
+            "spin_order": spin.order,
+            "identification": ind.identification,
+            "root_count": ind.root_count,
+            "simple_roots_4d": ind.base.simple_coords.tolist(),
+            "axioms_ok": check_axioms(ind.base, eps=args.tolerance).ok,
+            "reflection_agreement": {"pairs_tested": agreement.pairs_tested,
+                                     "max_deviation": agreement.max_deviation,
+                                     "all_in_group": agreement.all_in_group},
+            "automorphism_sweep": {"pairs_tested": sweep.pairs_tested,
+                                   "exhaustive": sweep.exhaustive,
+                                   "distinct_images": sweep.distinct_images},
+        })
 
 
 def _cmd_mckay(args):
-    rows_data = mckay_table()
-    payload = {"rows": [{
-        "threeD": r.threeD, "fourD": r.fourD, "lie": r.lie,
-        "binary_group": r.binary_group, "phi_count": r.phi_count,
-        "sum_dims": r.sum_dims, "coxeter_h": r.coxeter_h,
-        "irrep_dims": list(r.irrep_dims),
-    } for r in rows_data]}
-    headers = ["3D", "4D", "affine", "binary group", "|Phi|", "sum d_i", "h",
-               "irrep dims"]
-    rows = [[r.threeD, r.fourD, r.lie, r.binary_group, r.phi_count, r.sum_dims,
-             r.coxeter_h, "+".join(str(d) for d in r.irrep_dims)] for r in rows_data]
-    md = ["# McKay numerology: |Phi| = sum of irrep dims = Coxeter number", ""]
-    md += _md_table(headers, rows)
-    return payload, headers, rows, md, 0
+    table = mckay_table()
+    return _render(
+        args.format, "McKay numerology: |Phi| = sum of irrep dims = Coxeter number",
+        [(None, ["3D", "4D", "affine", "binary group", "|Phi|", "sum d_i", "h", "irrep dims"],
+          ((r.threeD, r.fourD, r.lie, r.binary_group, r.phi_count, r.sum_dims,
+            r.coxeter_h, "+".join(str(d) for d in r.irrep_dims)) for r in table))],
+        lambda: {"rows": [{
+            "threeD": r.threeD, "fourD": r.fourD, "lie": r.lie,
+            "binary_group": r.binary_group, "phi_count": r.phi_count,
+            "sum_dims": r.sum_dims, "coxeter_h": r.coxeter_h,
+            "irrep_dims": list(r.irrep_dims),
+        } for r in table]})
 
 
 def _cmd_modular(args):
     if not (math.isfinite(args.x1) and math.isfinite(args.x2)):
         raise VersorlabError("tau must be finite")
-    payload = word_report(args.word, (args.x1, args.x2), eps=args.tolerance)
-    headers = ["word", "x1", "x2", "versor_x1", "versor_x2",
-               "oracle_x1", "oracle_x2", "max_deviation"]
-    rows = [[payload["word"], payload["input"][0], payload["input"][1],
-             payload["versor_result"][0], payload["versor_result"][1],
-             payload["oracle_result"][0], payload["oracle_result"][1],
-             payload["max_deviation"]]]
-    md = [f"# Modular word `{payload['word'] or '(identity)'}` at "
-          f"({_fmt(payload['input'][0])}, {_fmt(payload['input'][1])})", ""]
-    md += _md_table(headers, rows)
-    return payload, headers, rows, md, 0
+    report = word_report(args.word, (args.x1, args.x2), eps=args.tolerance)
+    x1, x2 = report["input"]
+    return _render(
+        args.format, f"Modular word `{report['word'] or '(identity)'}` at ({_fmt(x1)}, {_fmt(x2)})",
+        [(None, ["word", "x1", "x2", "versor_x1", "versor_x2",
+                 "oracle_x1", "oracle_x2", "max_deviation"],
+          [[report["word"], x1, x2, *report["versor_result"], *report["oracle_result"],
+            report["max_deviation"]]])],
+        lambda: report)
 
 
 def _cmd_verify(args):
     report = run_battery(seed=_seed(), tolerance=args.tolerance)
-    payload = {
-        "seed": report.seed,
-        "tolerance": report.tolerance,
-        "passed": report.passed,
-        "failed": report.failed,
-        "ok": report.ok,
-        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                   for r in report.results],
-    }
-    headers = ["check", "result", "detail"]
-    rows = [[r.name, "PASS" if r.passed else "FAIL", r.detail] for r in report.results]
-    md = [f"# Verification battery: {report.passed} passed, {report.failed} failed "
-          f"(seed {report.seed})", ""]
-    md += _md_table(headers, rows)
-    return payload, headers, rows, md, (0 if report.ok else 1)
+    return _render(
+        args.format, f"Verification battery: {report.passed} passed, {report.failed} failed "
+                     f"(seed {report.seed})",
+        [(None, ["check", "result", "detail"],
+          ((r.name, "PASS" if r.passed else "FAIL", r.detail) for r in report.results))],
+        lambda: {
+            "seed": report.seed,
+            "tolerance": report.tolerance,
+            "passed": report.passed,
+            "failed": report.failed,
+            "ok": report.ok,
+            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                       for r in report.results],
+        },
+        code=0 if report.ok else 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -339,12 +325,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, headers, rows, md, code = args.fn(args)
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise VersorlabError(f"--tolerance must be finite and > 0, got {args.tolerance}")
+        if getattr(args, "max_closure", None) is not None and args.max_closure < 1:
+            raise VersorlabError(f"--max-closure must be >= 1, got {args.max_closure}")
+        text, code = args.fn(args)
     except (VersorlabError, OSError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 2
-    sys.stdout.write(_render(payload, headers, rows, md, args.format))
+    sys.stdout.write(text)
     return code
 
 

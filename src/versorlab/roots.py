@@ -82,19 +82,12 @@ class RootSystem:
 
 
 def _coerce_simple_coords(simple_roots, sig: Optional[Signature]):
-    rows = []
-    for r in simple_roots:
-        if isinstance(r, Multivector):
-            if sig is None:
-                sig = r.sig
-            elif sig != r.sig:
-                raise ValueError("simple roots live in different algebras")
-            if not r.is_grade(1):
-                raise ValueError("simple roots must be grade-1")
-            rows.append(r.vector_coords())
-        else:
-            rows.append(np.asarray(r, dtype=np.float64))
-    coords = np.vstack(rows)
+    coords = np.asarray(simple_roots, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        finite = coords.ndim == 2 and np.isfinite(np.sum(coords * coords, axis=1)).all()
+    if not (finite and coords.size):
+        raise VersorlabError("simple_roots must be a non-empty list of coordinate rows, "
+                             "finite and with finite squared lengths")
     if sig is None:
         sig = Signature(coords.shape[1], 0)
     if sig.q != 0:
@@ -150,15 +143,6 @@ class AxiomReport(NamedTuple):
         return self.scalar_multiples_ok and self.reflection_closed
 
 
-def _coerce_root_coords(roots) -> np.ndarray:
-    if isinstance(roots, RootSystem):
-        return roots.coords
-    rows = []
-    for r in roots:
-        rows.append(r.vector_coords() if isinstance(r, Multivector) else np.asarray(r, float))
-    return np.vstack(rows)
-
-
 def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     """Check the two defining axioms on an explicit root set.
 
@@ -166,7 +150,7 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     its antipode (which must be present).  Axiom 2: the set is closed under
     reflection in each of its members.
     """
-    coords = _coerce_root_coords(roots)
+    coords = roots.coords if isinstance(roots, RootSystem) else np.asarray(roots, np.float64)
     n, d = coords.shape
     index = {}
     # ids[j] == neg_ids[i] iff root j has the quantized key of -root i

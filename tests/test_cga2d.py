@@ -183,7 +183,6 @@ def test_versor_composition_and_kinds():
     # the product acts left factor first: (T * R).apply == R.apply after T.apply
     T, R = translator(1.0, 0.0), rotation(0.3)
     C = T * R
-    assert C.kind == "composite"
     p = embed(0.4, 1.2)
     step = R.apply(T.apply(p))
     assert np.allclose(C.apply(p).coords, step.coords, atol=1e-12)

@@ -186,6 +186,42 @@ def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, ca
         assert payload["error"] == "VersorlabError" and field in payload["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seeds", [[], [1, 2], [[]], [[[1, 0]]], [[float("nan"), 0], [0, 1]],
+                                   [[float("inf"), 0], [0, 1]], [[1e300, 0], [0, 1]],
+                                   [[1e200, 0], [0, 1]]])
+def test_malformed_seed_file_is_a_one_line_error(seeds, tmp_path, capsys):
+    # not 2-D, empty, non-finite, or a squared length past the float range
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"simple_roots": seeds}))
+    for cmd in ("roots", "group", "induce"):
+        rc, out, err = run_cli(capsys, cmd, str(f))
+        assert rc == 2 and out == "" and len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "VersorlabError" and "simple_roots" in payload["message"]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["group", "A3", "--tolerance", "nan"], "--tolerance"),
+    (["roots", "A3", "--tolerance", "-1"], "--tolerance"),
+    (["classes", "A3", "--tolerance=0", "--format", "csv"], "--tolerance"),
+    (["verify", "--tolerance", "inf"], "--tolerance"),
+    (["modular", "S", "0.5", "1", "--tolerance=-inf"], "--tolerance"),
+    (["roots", "A3", "--max-closure", "-5"], "--max-closure"),
+    (["group", "A3", "--max-closure", "0", "--format", "markdown"], "--max-closure"),
+])
+def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "VersorlabError" and payload["message"].startswith(flag)
+
+
+def test_smallest_tolerance_and_cap_are_accepted(capsys):
+    assert run_json(capsys, "roots", "A1", "--tolerance", "1e-300", "--max-closure", "2")[
+        "root_count"] == 2
+
+
 def test_error_payload_is_single_line(capsys):
     rc, _, err = run_cli(capsys, "roots", "nope")
     assert rc == 2

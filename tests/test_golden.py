@@ -28,6 +28,7 @@ from pathlib import Path
 
 import pytest
 
+from versorlab.algebra import Multivector
 from versorlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,3 +72,22 @@ def test_cli_stdout_matches_digest(command, monkeypatch, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
+
+
+def test_each_format_builds_only_what_it_prints(monkeypatch, capsys):
+    # json never formats an element as text; csv and markdown never build its JSON form
+    monkeypatch.setenv("VERSORLAB_SEED", "42")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built for a format that does not print it")
+
+    for method, formats in (("__str__", [[]]), ("to_json_dict", [["--format", "csv"],
+                                                                  ["--format", "markdown"]])):
+        with monkeypatch.context() as m:
+            m.setattr(Multivector, method, refuse)
+            for fmt in formats:
+                for cmd in ("group", "classes"):
+                    command = [cmd, "A3", "--kind", "pin", *fmt]
+                    assert main(command) == 0
+                    out = capsys.readouterr().out.encode()
+                    assert hashlib.sha256(out).hexdigest() == DIGESTS[" ".join(command)]

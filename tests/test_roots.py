@@ -18,7 +18,6 @@ from versorlab import (
     close_roots,
     diagram,
     rootsystem_from_dict,
-    vector,
 )
 import versorlab.algebra
 import versorlab.roots
@@ -76,13 +75,6 @@ def test_antipodes_always_present():
     rs = catalog("H3")
     neg = RootSystem(rs.sig, rs.simple_coords, -rs.coords)
     assert set(row_keys(neg.coords).tolist()) == set(row_keys(rs.coords).tolist())
-
-
-def test_closure_accepts_multivector_seeds():
-    sig = Signature(2, 0)
-    seeds = [vector(sig, [1.0, 0.0]), vector(sig, [-0.5, math.sqrt(3) / 2])]
-    rs = close_roots(seeds, name="A2")
-    assert rs.root_count == 6
 
 
 def test_closure_normalizes_seed_lengths():
