@@ -172,9 +172,14 @@ def test_spin_closure_fails_fast_under_memory_limit():
     assert json.loads(out.stderr)["error"] == "ClosureCapExceeded"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("data,field", [([1, 2], "JSON object"), ({}, '"simple_roots"'),
                                         ({"sig": 3, "simple_roots": [[1, 0]]}, '"sig"'),
-                                        ({"simple_roots": [{}]}, '"simple_roots"')])
+                                        ({"simple_roots": [{}]}, '"simple_roots"')] + [
+    # seeds not 2-D, empty, non-finite, or with a squared length past the float range
+    ({"simple_roots": seeds}, "simple_roots")
+    for seeds in ([], [1, 2], [[]], [[[1, 0]]], [[float("nan"), 0], [0, 1]],
+                  [[float("inf"), 0], [0, 1]], [[1e300, 0], [0, 1]], [[1e200, 0], [0, 1]])])
 def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(data))
@@ -184,21 +189,6 @@ def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, ca
         assert len(err.splitlines()) == 1
         payload = json.loads(err)
         assert payload["error"] == "VersorlabError" and field in payload["message"]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("seeds", [[], [1, 2], [[]], [[[1, 0]]], [[float("nan"), 0], [0, 1]],
-                                   [[float("inf"), 0], [0, 1]], [[1e300, 0], [0, 1]],
-                                   [[1e200, 0], [0, 1]]])
-def test_malformed_seed_file_is_a_one_line_error(seeds, tmp_path, capsys):
-    # not 2-D, empty, non-finite, or a squared length past the float range
-    f = tmp_path / "bad.json"
-    f.write_text(json.dumps({"simple_roots": seeds}))
-    for cmd in ("roots", "group", "induce"):
-        rc, out, err = run_cli(capsys, cmd, str(f))
-        assert rc == 2 and out == "" and len(err.splitlines()) == 1
-        payload = json.loads(err)
-        assert payload["error"] == "VersorlabError" and "simple_roots" in payload["message"]
 
 
 @pytest.mark.parametrize("argv,flag", [
