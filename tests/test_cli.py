@@ -207,7 +207,7 @@ def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
     assert payload["error"] == "VersorlabError" and payload["message"].startswith(flag)
 
 
-def test_smallest_tolerance_and_cap_are_accepted(capsys):
+def test_positive_tolerance_and_cap_pass_the_checks(capsys):
     assert run_json(capsys, "roots", "A1", "--tolerance", "1e-300", "--max-closure", "2")[
         "root_count"] == 2
 
