@@ -10,9 +10,10 @@ are the positive roots whose reflection sends only themselves to the negative
 side, since a reflection's length counts the positive roots it makes negative
 (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).  Left/right group
 multiplication X -> L X R acts on the induced roots by symmetries.  The
-L X R sweep reads the group's integer table, exhaustive or sampled; the
-sampled sweep's 32-pair float product and ``reflection_agreement`` are
-float witnesses independent of it.
+L X R sweep reads the group's integer table: its rows and columns decide
+every pair, the exhaustive count keys the n^2 composites as narrow byte rows
+in ``BLOCK``-bounded blocks, and the sampled sweep gathers only its 32-pair
+float product, a witness independent of the table like ``reflection_agreement``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .algebra import (
+    BLOCK,
     DEFAULT_EPS,
     Multivector,
     Signature,
@@ -201,10 +203,12 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     """Verify on the group's table that X -> L X R permutes the induced roots.
 
     Once the induced roots are checked to be the group's spinor coordinates,
-    row (L, R) of ``t[t[L], R]`` names the image of every X and must be a
-    permutation.  ``pairs=None`` sweeps all of G x G and counts the distinct
-    permutations; otherwise ``pairs`` pairs are drawn from ``seed``, and the
-    first 32 are multiplied out in floats, a witness that the table is right.
+    row (L, R) of ``t[t[L], R]`` names the image of every X; it is row L of t,
+    then column R, so t's rows and columns, sorted once, decide every pair.
+    ``pairs=None`` sweeps all of G x G and counts the distinct permutations,
+    keyed as byte rows in blocks of whole L rows, at most ``BLOCK`` entries
+    each; otherwise ``pairs`` pairs are drawn from ``seed`` and only the first
+    32 are gathered, multiplied out in floats: a witness that the table is right.
     """
     group = r.source
     garr, n, t = group.element_arr(), group.order, group.table
@@ -216,17 +220,17 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     else:
         rng = np.random.default_rng(seed)
         li, ri = rng.integers(0, n, size=pairs), rng.integers(0, n, size=pairs)
-    perms, cols = set(), t.T.copy()  # cols[R, Y]: index of Y R
-    for c0 in range(0, li.size, n):  # n pairs per gather, the size of the table
-        # imgs[k, x] = t[t[L_k, x], R_k], the index of L_k X R_k, as one flat take
-        imgs = cols.take(t[li[c0:c0 + n]] + n * ri[c0:c0 + n, None])
-        bad = np.flatnonzero(np.any(np.sort(imgs, axis=1) != np.arange(n), axis=1))
-        if bad.size:
-            k = c0 + int(bad[0])
-            raise SymmetrySweepFailure(f"pair (L={li[k]}, R={ri[k]}) is not a symmetry")
-        if pairs is None:
-            perms.update(map(bytes, imgs))
+    # row (L, R) is row L of t, then column R: a permutation exactly when both are
+    bad = np.flatnonzero(np.any(np.sort(t, axis=1) != np.arange(n), axis=1)[li]
+                         | np.any(np.sort(t.T, axis=1) != np.arange(n), axis=1)[ri])
+    if bad.size:
+        raise SymmetrySweepFailure(f"pair (L={li[bad[0]]}, R={ri[bad[0]]}) is not a symmetry")
     if pairs is None:
+        perms, step = set(), max(1, BLOCK // (n * n))  # whole L rows, at most BLOCK entries
+        cols = t.T.astype(np.min_scalar_type(n - 1))  # cols[R, Y]: index of Y R, narrow bytes
+        for l0 in range(0, n, step):
+            imgs = cols.take(t[l0:l0 + step], axis=1)  # imgs[R, L, x]: index of L X R
+            perms.update(imgs.view(np.dtype((np.void, n * imgs.itemsize))).ravel().tolist())
         return AutomorphismSweep(n, n * n, True, len(perms))
     l, r, kern = li[:32], ri[:32], kernel_for(_SIG3)
     img = kern.gp_elemwise(kern.gp_elemwise(garr[l, None], garr[None]), garr[r, None])

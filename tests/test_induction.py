@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import versorlab.algebra
+import versorlab.induction
 from versorlab import (
     InducedRootSystem4D,
     RootSystem,
@@ -27,7 +28,11 @@ from versorlab import (
 )
 from versorlab.algebra import lex_order, row_keys
 from versorlab.groups import _spinor_coords
-from versorlab.induction import _extract_simple_coords, _generic_functional
+from versorlab.induction import (
+    AutomorphismSweep,
+    _extract_simple_coords,
+    _generic_functional,
+)
 
 RNG = np.random.default_rng(8821)
 SIG3 = Signature(3, 0)
@@ -288,6 +293,80 @@ def test_sampled_sweep_catches_a_table_with_swapped_columns():
     assert spinorial_automorphisms(ind).exhaustive
     with pytest.raises(SymmetrySweepFailure, match="disagrees with the table"):
         spinorial_automorphisms(ind, pairs=2000, seed=5)
+
+
+def _per_pair_sweep(r, pairs=None, seed=None):
+    """Reference sweep: gather n pairs of t[t[L], R] at a time, sort each row
+    against 0..n-1, and key every exhaustive row as its bytes."""
+    group = r.source
+    garr, n, t = group.element_arr(), group.order, group.table
+    if not np.array_equal(np.sort(row_keys(_spinor_coords(garr))),
+                          np.sort(row_keys(r.base.coords))):
+        raise SymmetrySweepFailure("the induced roots are not the spinor coordinates of the group")
+    if pairs is None:
+        li, ri = np.divmod(np.arange(n * n), n)
+    else:
+        rng = np.random.default_rng(seed)
+        li, ri = rng.integers(0, n, size=pairs), rng.integers(0, n, size=pairs)
+    perms, cols = set(), t.T.copy()
+    for c0 in range(0, li.size, n):
+        imgs = cols.take(t[li[c0:c0 + n]] + n * ri[c0:c0 + n, None])
+        bad = np.flatnonzero(np.any(np.sort(imgs, axis=1) != np.arange(n), axis=1))
+        if bad.size:
+            k = c0 + int(bad[0])
+            raise SymmetrySweepFailure(f"pair (L={li[k]}, R={ri[k]}) is not a symmetry")
+        if pairs is None:
+            perms.update(map(bytes, imgs))
+    if pairs is None:
+        return AutomorphismSweep(n, n * n, True, len(perms))
+    l, r, kern = li[:32], ri[:32], versorlab.algebra.kernel_for(SIG3)
+    img = kern.gp_elemwise(kern.gp_elemwise(garr[l, None], garr[None]), garr[r, None])
+    bad = np.flatnonzero(np.any(row_keys(img) != row_keys(garr[t[t[l], r[:, None]]]), axis=1))
+    if bad.size:
+        raise SymmetrySweepFailure(f"pair (L={l[bad[0]]}, R={r[bad[0]]}): "
+                                   "the float product disagrees with the table")
+    return AutomorphismSweep(n, pairs, False, None)
+
+
+def _outcome(sweep, ind, **kw):
+    try:
+        return sweep(ind, **kw)
+    except SymmetrySweepFailure as exc:
+        return "raised", str(exc)
+
+
+@pytest.mark.parametrize("src", INDUCTION_TABLE)
+def test_sweep_matches_the_per_pair_scan_on_intact_and_corrupted_tables(src):
+    # 21 tables (the group's own, then 20 copies with one cell changed), each
+    # swept exhaustively and at 32 and 2000 pairs from two seeds
+    g = spin_group(src)
+    ind, n, intact = induce_4d(g), g.order, g.table
+    rng = np.random.default_rng(4417)
+    tables = [intact]
+    for _ in range(20):
+        t = intact.copy()
+        i, j = rng.integers(0, n, size=2)
+        t[i, j] = (t[i, j] + rng.integers(1, n)) % n
+        tables.append(t)
+    runs = [{}] + [{"pairs": p, "seed": s} for p in (32, 2000) for s in (3, 801)]
+    raised = 0
+    for t in tables:
+        g.table = t
+        for kw in runs:
+            want = _outcome(_per_pair_sweep, ind, **kw)
+            assert _outcome(spinorial_automorphisms, ind, **kw) == want, (src, kw)
+            raised += t is not intact and want[0] == "raised"
+    assert raised >= 20  # every corrupted table fails its exhaustive sweep at least
+
+
+@pytest.mark.parametrize("src,images", [("B3", 1152), ("H3", 7200)])
+def test_sweep_count_does_not_depend_on_the_block_size(src, images, monkeypatch):
+    # one L row per block (BLOCK = 1 and n * n), then 7 rows with a short last block
+    g = spin_group(src)
+    ind, n = induce_4d(g), g.order
+    for block in (1, n * n, 7 * n * n):
+        monkeypatch.setattr(versorlab.induction, "BLOCK", block)
+        assert spinorial_automorphisms(ind).distinct_images == images, block
 
 
 def test_induced_gram_spectra_match_catalog():
