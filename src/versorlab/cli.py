@@ -325,8 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-            raise VersorlabError(f"--tolerance must be finite and > 0, got {args.tolerance}")
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 1e-15):
+            raise VersorlabError(f"--tolerance must be finite and >= 1e-15, got {args.tolerance}")
         if getattr(args, "max_closure", None) is not None and args.max_closure < 1:
             raise VersorlabError(f"--max-closure must be >= 1, got {args.max_closure}")
         text, code = args.fn(args)

@@ -199,6 +199,9 @@ def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, ca
     (["modular", "S", "0.5", "1", "--tolerance=-inf"], "--tolerance"),
     (["roots", "A3", "--max-closure", "-5"], "--max-closure"),
     (["group", "A3", "--max-closure", "0", "--format", "markdown"], "--max-closure"),
+    (["roots", "A3", "--tolerance", "1e-16"], "--tolerance"),
+    (["modular", "S", "0.5", "1", "--tolerance", "1e-17"], "--tolerance"),
+    (["roots", "A1", "--tolerance", "1e-300", "--format", "csv"], "--tolerance"),
 ])
 def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
     rc, out, err = run_cli(capsys, *argv)
@@ -208,8 +211,11 @@ def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
 
 
 def test_positive_tolerance_and_cap_pass_the_checks(capsys):
-    assert run_json(capsys, "roots", "A1", "--tolerance", "1e-300", "--max-closure", "2")[
+    assert run_json(capsys, "roots", "A1", "--tolerance", "1e-15", "--max-closure", "2")[
         "root_count"] == 2
+    assert run_json(capsys, "roots", "A3", "--tolerance", "1e-15")["root_count"] == 12
+    assert run_json(capsys, "modular", "S", "0.5", "1", "--tolerance", "1e-15")[
+        "versor_result"] == [-0.4, 0.8]
 
 
 def test_error_payload_is_single_line(capsys):
