@@ -267,8 +267,13 @@ def _cmd_verify(args):
         code=0 if report.ok else 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is main's one JSON line, not argparse's usage text
+        raise VersorlabError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="versorlab",
         description="Root systems, versor groups, spinor induction, and the "
                     "conformal modular group, from the command line.")
@@ -323,8 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if not (math.isfinite(args.tolerance) and args.tolerance >= 1e-15):
             raise VersorlabError(f"--tolerance must be finite and >= 1e-15, got {args.tolerance}")
         if getattr(args, "max_closure", None) is not None and args.max_closure < 1:

@@ -148,14 +148,28 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
 
     Axiom 1: the only scalar multiples of a root in the set are itself and
     its antipode (which must be present).  Axiom 2: the set is closed under
-    reflection in each of its members.
+    reflection in each of its members.  Each reports the first witness of a
+    scan over (mirror, root) pairs in row order, skipping row i where the
+    first row with -row i's key is earlier and exactly -row i: as a mirror it
+    repeats that row's images and, with every antipode present, as a root it
+    fails where that row does.  E8 thus makes 14 400 images, not 57 600.
+    ``roots``: non-empty 2-D, rows of nonzero finite squared length; ``eps``: finite, >= 0.
     """
     coords = roots.coords if isinstance(roots, RootSystem) else np.asarray(roots, np.float64)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(coords, axis=1) if coords.ndim == 2 and coords.size else None
+    if norms is None or not (np.isfinite(norms) & (norms > 0)).all():
+        raise VersorlabError("roots must be a non-empty 2-D array of finite coordinate rows "
+                             "with nonzero, finite squared lengths")
+    if not (math.isfinite(eps) and eps >= 0):
+        raise VersorlabError(f"eps must be finite and >= 0, got {eps}")
     n, d = coords.shape
     index = {}
     # ids[j] == neg_ids[i] iff root j has the quantized key of -root i
     ids, neg_ids = key_ids(coords, index), find_ids(-coords, index)
-    norms = np.linalg.norm(coords, axis=1)
+    partner = np.unique(ids, return_index=True)[1][neg_ids]  # if absent, a row not -row i
+    mirror = ~((partner < np.arange(n)) & np.all(coords[partner] == -coords, axis=1))
+    src = np.flatnonzero(mirror) if np.all(neg_ids >= 0) else np.arange(n)
     unit = coords / norms[:, None]
     scalar_bad = refl_bad = None
     # roots i in blocks, scanned in order: each axiom keeps its first witness
@@ -174,14 +188,15 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
                               else AxiomViolation("scalar multiple besides the antipode",
                                                   (tuple(coords[i]), tuple(coords[j]))))
         if refl_bad is None:
-            # imgs[j, r]: every root j reflected in each root r of the block
-            imgs = _reflect_pairs(coords, unit[rows])
+            # imgs[j, r]: each source root j reflected in each mirror r of the block
+            mirrors = rows[mirror[rows]]
+            imgs = _reflect_pairs(coords[src], unit[mirrors])
             hits = np.argwhere(find_ids(imgs, index).T < 0)
             if hits.size:
                 r, j = hits[0]
                 refl_bad = AxiomViolation(
                     "reflection image not in set",
-                    (tuple(coords[rows[r]]), tuple(coords[j]), tuple(imgs[j, r])))
+                    (tuple(coords[mirrors[r]]), tuple(coords[src[j]]), tuple(imgs[j, r])))
         if scalar_bad is not None and refl_bad is not None:
             break
     return AxiomReport(scalar_bad is None, refl_bad is None, scalar_bad, refl_bad)

@@ -210,6 +210,32 @@ def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
     assert payload["error"] == "VersorlabError" and payload["message"].startswith(flag)
 
 
+@pytest.mark.parametrize("argv", [
+    ["roots", "A3", "--tolerance", "abc"],
+    ["roots", "A3", "--tolerance", "-inf"],  # argparse reads -inf as an option
+    ["roots"],
+    ["nosuch"],
+    [],
+    ["group", "A3", "--kind", "nope"],
+    ["roots", "A3", "--bogus"],
+    ["modular", "S", "x", "1"],
+], ids=["float", "negative float", "missing system", "unknown subcommand", "no subcommand",
+        "choice", "unknown flag", "positional float"])
+def test_usage_errors_are_one_json_line(argv, capsys):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "VersorlabError" and payload["message"].startswith("versorlab")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["roots", "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.out.startswith("usage: versorlab roots")
+    assert captured.err == ""
+
+
 def test_positive_tolerance_and_cap_pass_the_checks(capsys):
     assert run_json(capsys, "roots", "A1", "--tolerance", "1e-15", "--max-closure", "2")[
         "root_count"] == 2

@@ -11,17 +11,21 @@ from versorlab import (
     RootSystem,
     Signature,
     UnknownCatalogName,
+    VersorlabError,
     cartan_matrix,
     catalog,
     catalog_names,
     check_axioms,
     close_roots,
     diagram,
+    generate_spin,
+    induce_4d,
     rootsystem_from_dict,
 )
 import versorlab.algebra
 import versorlab.roots
-from versorlab.algebra import qkey, row_keys
+from versorlab.algebra import find_ids, key_ids, qkey, row_keys
+from versorlab.roots import _reflect_pairs
 
 # name -> (rank, root count)
 CATALOG_EXPECTED = {
@@ -143,15 +147,53 @@ def pairwise_axiom_witnesses(coords, eps=1e-9):
     return scalar, refl
 
 
+def full_scan_reflection_violation(coords):
+    """First (mirror, root) pair whose image key is absent, with every root reflected in every
+    root in one einsum: the scan ``check_axioms`` shortens, witness floats included."""
+    index = {}
+    key_ids(coords, index)
+    imgs = _reflect_pairs(coords, coords / np.linalg.norm(coords, axis=1)[:, None])
+    hits = np.argwhere(find_ids(imgs, index).T < 0)
+    if not hits.size:
+        return None
+    r, j = hits[0]
+    return ("reflection image not in set", (tuple(coords[r]), tuple(coords[j]), tuple(imgs[j, r])))
+
+
+def nudged(coords, row, delta):
+    """``coords`` with one row turned by ``delta`` toward e1 and renormalized."""
+    out = coords.copy()
+    out[row, 0] += delta
+    out[row] /= np.linalg.norm(out[row])
+    return out
+
+
 def test_axiom_witnesses_match_pairwise_scan():
-    a3, b3 = catalog("A3").coords, catalog("B3").coords
+    a3, b3, h3 = catalog("A3").coords, catalog("B3").coords, catalog("H3").coords
     tilted = a3.copy()
     tilted[4] = (tilted[4] + [0.05, -0.02, 0.01]) / np.linalg.norm(tilted[4] + [0.05, -0.02, 0.01])
+    a3_ulp = a3.copy()
+    a3_ulp[6] = np.nextafter(a3[6], np.inf)  # row 6 keeps its key but is no longer -row 5
+    tilted_ulp = tilted.copy()
+    tilted_ulp[[0, 9]] = np.nextafter(tilted[[0, 9]], -np.inf)
     broken = {
         "scaled": np.vstack([catalog("A1^3").coords, 2.0 * catalog("A1^3").coords[2:3]]),
         "missing": np.delete(a3, 5, axis=0),
         "tilted": tilted,
         "repeated": np.vstack([b3, b3[7:8]]),
+        # a pair one ulp from exact: both rows are mirrors and roots
+        "inexact by an ulp": a3_ulp,
+        "tilted, inexact by an ulp": tilted_ulp,
+        # row 6 stays in its key cell but is no mirror image of row 5 any more:
+        # the first image out of the set is row 6's own, in mirror 6
+        "inexact within the key cell": nudged(a3, 6, 3e-7),
+        # with row 1 gone, row 5 (the later of rows 4 and 5) fails in mirror 0 and row 4 passes
+        "missing antipode": np.delete(a3, 1, axis=0),
+        "missing antipode, H3": np.delete(h3, 0, axis=0),
+        # a repeated row first, so key ids are not row indices
+        "repeated early": np.vstack([b3[7:8], b3]),
+        "repeated early, tilted": np.vstack([tilted[4:5], tilted]),
+        "repeated early, H3 tilted": np.vstack([h3[11:12], nudged(h3, 13, 0.01)]),
     }
     for name, coords in broken.items():
         rep = check_axioms(coords)
@@ -163,6 +205,85 @@ def test_axiom_witnesses_match_pairwise_scan():
         assert got_scalar == scalar, name
         assert got_refl == refl, name
         assert rep.ok == (scalar is None and refl is None), name
+        # the image floats too, bit for bit: repr tells -0.0 from 0.0 and round-trips
+        full = full_scan_reflection_violation(coords)
+        assert repr(rep.reflection_violation and tuple(rep.reflection_violation)) == repr(full), name
+    cell = broken["inexact within the key cell"]
+    assert check_axioms(cell).reflection_violation.witness[0] == tuple(cell[6])
+    assert check_axioms(broken["inexact by an ulp"]).ok
+
+
+def exact_antipode_pairs(coords):
+    """(i, p) for each row i whose first row p with the key of -row i is -row i exactly."""
+    first = {}
+    for j, row in enumerate(coords):
+        first.setdefault(qkey(row), j)
+    return [(i, first[qkey(-row)]) for i, row in enumerate(coords)
+            if qkey(-row) in first and np.array_equal(coords[first[qkey(-row)]], -row)]
+
+
+def test_exact_antipodes_have_equal_mirror_images_and_negated_root_images():
+    # what lets check_axioms skip the later row of each pair: with u_p = -u_r,
+    # column p of the full image array equals column r, and row p is -row r;
+    # equal as floats, since a zero coordinate may carry either sign (same key)
+    names = [n for n in catalog_names() if n != "I2(n)"] + ["I2(5)", "I2(7)", "I2(12)"]
+    systems = {n: catalog(n).coords for n in names}
+    for n in ("A1^3", "A3", "B3", "H3"):
+        systems[f"induced from {n}"] = induce_4d(generate_spin(catalog(n))).base.coords
+    for seed in (3, 7, 801):
+        rng = np.random.default_rng(seed)
+        for n in ("A3", "B3", "H3", "D4", "F4", "H4", "E8", "I2(7)"):
+            simple = catalog(n).simple_coords
+            frame = np.linalg.qr(rng.normal(size=(simple.shape[1],) * 2))[0]
+            systems[f"{n} at seed {seed}"] = close_roots(simple @ frame).coords
+    for name, coords in systems.items():
+        pairs = np.array(exact_antipode_pairs(coords))
+        assert len(pairs) >= 0.7 * coords.shape[0], name
+        r, p = pairs.T
+        imgs = _reflect_pairs(coords, coords / np.linalg.norm(coords, axis=1)[:, None])
+        assert np.array_equal(imgs[:, p], imgs[:, r]), name
+        assert np.array_equal(imgs[p], -imgs[r]), name
+
+
+def test_axiom_check_reflects_one_root_of_each_pair_in_one_mirror_of_each(monkeypatch):
+    # a count gate: roots reflected x mirrors over every _reflect_pairs call
+    calls = []
+
+    def counted(roots, mirrors):
+        calls.append(roots.shape[0] * mirrors.shape[0])
+        return _reflect_pairs(roots, mirrors)
+
+    a3 = catalog("A3").coords
+    cases = {"E8": (catalog("E8"), 14_400), "H4": (catalog("H4"), 3_600),
+             # a missing antipode: every row is a root, one row of each whole pair a mirror
+             "A3 less row 5": (np.delete(a3, 5, axis=0), 11 * 6),
+             # B3's row 7 repeated first: the earlier row of each of the 9 pairs, and row 8,
+             # the copy of row 0, whose antipode (row 11) comes after it
+             "B3, row 7 first": (np.vstack([catalog("B3").coords[7:8], catalog("B3").coords]),
+                                 10 * 10)}
+    monkeypatch.setattr(versorlab.roots, "_reflect_pairs", counted)
+    for name, (roots, images) in cases.items():
+        calls.clear()
+        check_axioms(roots)
+        assert sum(calls) == images, name
+
+
+@pytest.mark.parametrize("roots", [
+    np.zeros((0, 3)), np.zeros((3, 0)), [], [1.0, 0.0], np.ones((2, 2, 2)), 1.0,
+    [[1.0, 0.0], [math.nan, 0.0]], [[1.0, 0.0], [-math.inf, 0.0]], [[1.0, 0.0], [0.0, 0.0]],
+    [[1e200, 0.0], [-1e200, 0.0]], [[1e-300, 0.0], [-1e-300, 0.0]],
+], ids=["0 rows", "0 columns", "empty list", "one row", "3-D", "scalar", "nan", "inf",
+        "zero row", "squared length overflows", "squared length underflows"])
+def test_axiom_check_rejects_rows_it_cannot_reflect_in(roots):
+    with pytest.raises(VersorlabError, match="^roots must be a non-empty 2-D array"):
+        check_axioms(roots)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-12])
+def test_axiom_check_rejects_a_bad_eps(eps):
+    with pytest.raises(VersorlabError, match=r"^eps must be finite and >= 0"):
+        check_axioms(catalog("A3"), eps=eps)
+    assert check_axioms(catalog("A3"), eps=0.0).ok
 
 
 def test_axiom_reports_do_not_depend_on_the_block_size(monkeypatch):
