@@ -37,6 +37,7 @@ from .errors import ClosureCapExceeded, NotAVersor, SignatureMismatch
 
 DEFAULT_EPS = 1e-9
 HASH_GRID = 1e-6
+KEY_BOUND = 2.0 ** 62 * HASH_GRID  # about 4.6e12: half the range where keys are int64
 MAX_DIM = 8
 BLOCK = 1 << 22  # floats per block of a batched computation
 FIND_ROWS = 4096  # rows keyed at a time by find_ids
@@ -177,7 +178,8 @@ def kernel_for(sig: Signature) -> _Kernel:
 
 
 def quantize(arr: np.ndarray) -> np.ndarray:
-    """Snap float coefficients to the canonical integer grid, rounding once."""
+    """Snap float coefficients to the canonical integer grid, rounding once: the int64
+    key has room for magnitudes below 2**63 * HASH_GRID, about 9.2e12 (see KEY_BOUND)."""
     return np.round(arr / HASH_GRID).astype(np.int64)
 
 

@@ -23,11 +23,12 @@ versors is a double cover of the group of maps, -1 acting as the identity.
 A word is evaluated one letter at a time, through term plans built at import
 with the letter versors S, T and t = T^-1: the nonzero terms of the grade-1
 sandwich ~A v A from the kernel's sign and xor tables, in its einsum's order
-(from +0.0 by ascending index; a zero term changes no partial sum).  Each
-check of ``ConformalVersor.apply`` and ``ConformalPoint`` is made on the same
-floats; where one fails or a value is not finite, the word is replayed one
-sandwich per letter, raising that route's error.  Scalar parts (X . X, X . n)
-come off the metric diagonal (``_Kernel.scalar_part``), the same floats.
+(from +0.0 by ascending index; a zero term changes no partial sum), ``exec``'d
+as one straight-line step each, ``0.0 + z2 * 1.0 + z0 * -0.5 + ...``, exact as
+a float's ``repr`` reads back as that float.  The checks of ``ConformalVersor.apply``
+and ``ConformalPoint`` are made inline on the same floats; where one fails or a
+value is not finite, the word is replayed one sandwich per letter, raising that
+route's error.  Scalar parts come off the metric diagonal, the same floats.
 """
 
 from __future__ import annotations
@@ -236,9 +237,10 @@ _LETTERS = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}
 _GRADE1 = (1, 2, 4, 8)  # blades e1, e2, e3, e4: a point's four coordinates
 
 
-def _term_plan(versor: ConformalVersor) -> tuple:
-    """~A v A for grade-1 v as float terms: (v coordinate, +-coefficient) pairs
-    for each blade of ~A v, then (~A v blade, +-coefficient) pairs for e1..e4.
+def _term_plan(versor: ConformalVersor):
+    """~A v A for grade-1 v as one straight-line ``step(z0, z1, z2, z3)``: each
+    blade u of ~A v a sum of (v coordinate * +-coefficient) terms, then e1..e4
+    sums of (u * +-coefficient) terms, each from 0.0 in the kernel's order.
     An odd A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
     k, A, rev = _KERNEL, versor.mv.coeffs, _KERNEL.rev(versor.mv.coeffs)
     inner = {j: terms for j in range(k.D) if (terms := tuple(
@@ -246,17 +248,17 @@ def _term_plan(versor: ConformalVersor) -> tuple:
         for a in range(k.D) if rev[a] != 0.0 and k.xor[a, j] in _GRADE1))}
     outer = tuple(tuple((i, float(A[k.xor[a, j]] * k.sign[a, j])) for i, a in enumerate(inner)
                         if A[k.xor[a, j]] != 0.0) for j in _GRADE1)
-    return tuple(inner.values()), outer
+
+    def total(var, terms):  # repr of a float reads back as that float
+        return " + ".join(["0.0", *(f"{var}{i} * {c!r}" for i, c in terms)])
+
+    body = [f"u{i} = {total('z', terms)}" for i, terms in enumerate(inner.values())]
+    exec("\n    ".join(["def step(z0, z1, z2, z3):", *body, "return " + ", ".join(
+        total("u", terms) for terms in outer)]), namespace := {})
+    return namespace["step"]
 
 
 _PLANS = {letter: _term_plan(versor) for letter, versor in _LETTERS.items()}
-
-
-def _sum_terms(values, terms) -> float:
-    acc = 0.0
-    for i, c in terms:
-        acc += values[i] * c
-    return acc
 
 
 def _on_cone(z, eps: float) -> bool:
@@ -268,24 +270,26 @@ def _on_cone(z, eps: float) -> bool:
 
 
 def _planned(letters, x1: float, x2: float, eps: float):
-    """``apply_word``'s floats by the term plans, or None where its route would fail."""
+    """``apply_word``'s floats by the letter steps, or None where its route would fail."""
     try:
         sq = x1 ** 2 + x2 ** 2
-        z = (x1 + 0.0, x2, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)  # embed's floats
-        if not _on_cone(z, eps):
+        z0, z1, z2, z3 = x1 + 0.0, x2, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5  # embed's floats
+        if not _on_cone((z0, z1, z2, z3), eps):  # eps >= 0 is tested once, here
             return None
         for letter in letters:
-            inner, outer = _PLANS[letter]
-            u = [_sum_terms(z, terms) for terms in inner]
-            y = [_sum_terms(u, terms) for terms in outer]
-            s = 0.0 + y[2] - y[3]  # Y . n
+            y0, y1, y2, y3 = _PLANS[letter](z0, z1, z2, z3)
+            s = 0.0 + y2 - y3  # Y . n
             r = -1.0 / s
-            z = (y[0] * r, y[1] * r, y[2] * r, y[3] * r)
-            if abs(s) < eps * max(1.0, max(map(abs, y))) or not _on_cone(z, eps):
+            z0, z1, z2, z3 = y0 * r, y1 * r, y2 * r, y3 * r
+            bound = eps * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
+            if (abs(s) < eps * max(1.0, max(abs(y0), abs(y1), abs(y2), abs(y3)))
+                    or not math.isfinite(z0 + z1 + z2 + z3)
+                    or abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
+                    or abs(0.0 + z2 - z3 + 1.0) > bound):
                 return None
     except (OverflowError, ZeroDivisionError):  # from ** or -1 / s: the replay raises its own
         return None
-    return z[0], z[1]
+    return z0, z1
 
 
 def _letters(word: Iterable[str]) -> tuple:

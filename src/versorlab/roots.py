@@ -23,6 +23,7 @@ import numpy as np
 from .algebra import (
     BLOCK,
     DEFAULT_EPS,
+    KEY_BOUND,
     Multivector,
     Signature,
     find_ids,
@@ -153,14 +154,14 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     first row with -row i's key is earlier and exactly -row i: as a mirror it
     repeats that row's images and, with every antipode present, as a root it
     fails where that row does.  E8 thus makes 14 400 images, not 57 600.
-    ``roots``: non-empty 2-D, rows of nonzero finite squared length; ``eps``: finite, >= 0.
+    ``roots``: non-empty 2-D, rows of length in (0, ``KEY_BOUND``); ``eps``: finite, >= 0.
     """
     coords = roots.coords if isinstance(roots, RootSystem) else np.asarray(roots, np.float64)
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(coords, axis=1) if coords.ndim == 2 and coords.size else None
-    if norms is None or not (np.isfinite(norms) & (norms > 0)).all():
+    if norms is None or not ((norms > 0) & (norms < KEY_BOUND)).all():  # NaN fails both
         raise VersorlabError("roots must be a non-empty 2-D array of finite coordinate rows "
-                             "with nonzero, finite squared lengths")
+                             f"with lengths above 0 and below KEY_BOUND = {KEY_BOUND:.4g}")
     if not (math.isfinite(eps) and eps >= 0):
         raise VersorlabError(f"eps must be finite and >= 0, got {eps}")
     n, d = coords.shape

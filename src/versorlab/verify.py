@@ -14,11 +14,11 @@ command line), so a given seed gives byte-identical reports;
 The six sampled rows (the four ``kernel.*`` rows, ``cga2d.translations`` and
 ``cga2d.modular_words``) check the public route: ``reflect``, ``Versor``,
 ``sandwich``, ``exp_bivector``, ``translator(...).apply(embed(...))`` and
-``apply_word``.  They draw their samples one at a time, in the order that
-route used to draw them, so a seed keeps its meaning.  Then they evaluate
-all draws at once as array expressions on ``_Kernel.gp_elemwise``, ``rev``,
-the grade masks and the batched scalar part, which give the route's floats
-bit for bit, and make each of the route's checks on all draws at once.
+``apply_word``.  They draw the numbers that route drew, in its order, so a seed
+keeps its meaning; a row drawing from one distribution draws a block as one array.
+Then they evaluate all draws at once as array expressions on ``gp_elemwise``,
+``rev``, the grade masks and the batched scalar part, which give the route's
+floats bit for bit, and make each of the route's checks on all draws at once.
 Modular words step one letter position at a time over the words that long.
 When a check fails, the generator is rewound and the draws are replayed
 through the public route, drawing as they go, so the row fails with that
@@ -26,7 +26,7 @@ route's own error.  The first 32 draws of each algebra a row samples also
 take the public route as a witness: ``witness_mismatches`` counts the draws
 whose outputs differ from the batch in any bit, and ``worst`` is the worst
 residual of the batch and the witness.  For words the witness, ``apply_word``'s
-term plans in Python floats, is an implementation apart from the numpy batch.
+letter steps in Python floats, is an implementation apart from the numpy batch.
 """
 
 from __future__ import annotations
@@ -140,12 +140,11 @@ class _Ctx:
 
 def _unit(ctx, n) -> np.ndarray:
     v = ctx.rng.normal(size=n)
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))  # np.linalg.norm's own floats for a 1-D vector
 
 
-def _normal(ctx, sig, grade=None) -> np.ndarray:
-    coeffs = ctx.rng.normal(size=sig.blade_count)
-    return coeffs if grade is None else coeffs * kernel_for(sig).grade_mask(grade)
+def _vector(ctx, sig) -> np.ndarray:
+    return ctx.rng.normal(size=sig.blade_count) * kernel_for(sig).grade_mask(1)
 
 
 def _same_elements(got, expected) -> tuple:
@@ -172,16 +171,16 @@ _CL3, _CGA = Signature(3, 0), kernel_for(CGA_SIG)
 def _sampled(ctx, blocks, batch, public):
     """Fields ``worst`` and ``witness_mismatches`` of (n, draw) blocks, and each block's records.
 
-    ``public`` takes one draw through the public route; ``batch`` takes a
-    block's draws to one record row each (outputs, then the residual), or to
-    None when a draw fails one of the public route's checks.  Then, or when
+    ``draw(ctx, n)`` gives n draws, ``public`` takes one through the public route,
+    ``batch`` takes a block's draws to one record row each (outputs, then the residual),
+    or to None when a draw fails one of the public route's checks.  Then, or when
     the batch raises, the generator is rewound and the block replayed through
-    ``public``, drawing as it goes, so the row fails with that route's error.
+    ``public``, one ``draw(ctx, 1)`` at a time, so the row fails with that route's error.
     """
     worst, mismatches, records = [], 0, []
     for n, draw in blocks:
         state = ctx.rng.bit_generator.state
-        drawn = [draw(ctx) for _ in range(n)]
+        drawn = draw(ctx, n)
         try:
             rec = batch(drawn)
         except VersorlabError:  # the Mobius oracle's own point at infinity
@@ -189,7 +188,7 @@ def _sampled(ctx, blocks, batch, public):
         if rec is None:
             ctx.rng.bit_generator.state = state
             for _ in range(n):
-                public(draw(ctx))
+                public(draw(ctx, 1)[0])
             raise VersorlabError("a batched check failed where the public route passed")
         witness = np.array([public(d) for d in drawn[:_WITNESS]])
         mismatches += int((witness != rec[:_WITNESS]).any(axis=1).sum())
@@ -266,8 +265,15 @@ def _reflection_batch(drawn):
     return np.column_stack([lhs, np.abs(lhs - (V - (2.0 * dot)[:, None] * A)).max(axis=1)])
 
 
+def _mirror_draws(ctx, n, sig):
+    """n draws of (sig, ``_unit``, ``_vector``) from one array, row by row the same floats."""
+    X = ctx.rng.normal(size=(n, sig.dim + sig.blade_count))
+    A, V = X[:, :sig.dim], X[:, sig.dim:] * kernel_for(sig).grade_mask(1)
+    return [(sig, a / math.sqrt(a.dot(a)), v) for a, v in zip(A, V)]
+
+
 def _reflection_formula(ctx):
-    blocks = [(400, lambda c, s=sig: (s, _unit(c, s.dim), _normal(c, s, 1)))
+    blocks = [(400, functools.partial(_mirror_draws, sig=sig))
               for sig in (Signature(2, 0), Signature(3, 0), Signature(4, 0))]
     return _sampled(ctx, blocks, _reflection_batch, _reflection_public)[0]
 
@@ -300,8 +306,8 @@ def _isometry_batch(drawn):
 
 
 def _sandwich_isometry(ctx):
-    draw = lambda c: ([_unit(c, 3) for _ in range(int(c.rng.integers(1, 5)))],
-                      _normal(c, _CL3, 1), _normal(c, _CL3, 1))
+    draw = lambda c, n: [([_unit(c, 3) for _ in range(int(c.rng.integers(1, 5)))],
+                          _vector(c, _CL3), _vector(c, _CL3)) for _ in range(n)]
     return _sampled(ctx, [(1000, draw)], _isometry_batch, _isometry_public)[0]
 
 
@@ -320,7 +326,8 @@ def _reversal_batch(drawn):
 
 
 def _reversal_antiautomorphism(ctx):
-    blocks = [(500, lambda c, s=sig: (s, _normal(c, s), _normal(c, s)))
+    blocks = [(500, lambda c, n, s=sig: [(s, *AB) for AB in
+                                         c.rng.normal(size=(n, 2, s.blade_count))])
               for sig in (Signature(3, 0), Signature(3, 1))]
     return _sampled(ctx, blocks, _reversal_batch, _reversal_public)[0]
 
@@ -351,7 +358,7 @@ def _exp_batch(drawn):
 
 
 def _exp_additivity(ctx):
-    draw = lambda c: (_unit(c, 3), *c.rng.uniform(-2, 2, size=2))
+    draw = lambda c, n: [(_unit(c, 3), *c.rng.uniform(-2, 2, size=2)) for _ in range(n)]
     return _sampled(ctx, [(1000, draw)], _exp_batch, _exp_public)[0]
 
 
@@ -490,7 +497,7 @@ def _translation_batch(drawn):
 
 
 def _translations(ctx):
-    draw = lambda c: c.rng.uniform(-5, 5, size=4)
+    draw = lambda c, n: c.rng.uniform(-5, 5, size=(n, 4))
     return _sampled(ctx, [(1000, draw)], _translation_batch, _translation_public)[0]
 
 
@@ -528,7 +535,8 @@ def _word_batch(drawn):
 
 
 def _modular_words(ctx):
-    fields, (records,) = _sampled(ctx, [(1000, _word_draw)], _word_batch, _word_public)
+    draw = lambda c, n: [_word_draw(c) for _ in range(n)]  # mixed: integers, choice, uniform
+    fields, (records,) = _sampled(ctx, [(1000, draw)], _word_batch, _word_public)
     return {"upper_half_plane": bool((records[:, 1] > 0).all()), **fields}
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versorlab import cga2d
 from versorlab import (
@@ -424,6 +426,33 @@ def test_a_finite_word_makes_no_sandwich(monkeypatch):
     with pytest.raises(PointAtInfinity, match="^image point is at infinity$"):
         apply_word("tS", (1.0, 1e-6))
     assert len(calls) >= 1
+
+
+def test_a_finite_word_calls_one_step_per_letter_and_no_numpy(monkeypatch):
+    # each letter is one compiled step and inline checks on four floats:
+    # n letters make n step calls, and no numpy call at all
+    words = _random_words(np.random.default_rng(11), 51)
+    want = [_outcome(_reference_word, word, (0.3, 0.7)) for word in words]
+    calls = []
+    for letter, step in list(cga2d._PLANS.items()):
+        def counted(*z, letter=letter, step=step):
+            calls.append(letter)
+            return step(*z)
+        monkeypatch.setitem(cga2d._PLANS, letter, counted)
+    monkeypatch.setattr(cga2d, "np", None)
+    for word, expected in zip(words, want):
+        calls.clear()
+        assert _outcome(apply_word, word, (0.3, 0.7)) == expected, word
+        assert calls == list(word)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(word=st.text(alphabet="STt", max_size=16),
+       x1=st.sampled_from([0.0, -0.0]) | st.floats(-1e4, 1e4),
+       x2=st.floats(1e-9, 1e3), eps=st.sampled_from([1e-6, 1e-9, 1e-13]))
+def test_apply_word_matches_the_full_product_path_anywhere(word, x1, x2, eps):
+    want = _outcome(_reference_word, word, (x1, x2), eps)
+    assert _outcome(apply_word, word, (x1, x2), eps) == want
 
 
 @pytest.mark.parametrize("make, params", [(inversion_versor, ()), (reflection, (0.6, 0.8)),

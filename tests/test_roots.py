@@ -24,7 +24,7 @@ from versorlab import (
 )
 import versorlab.algebra
 import versorlab.roots
-from versorlab.algebra import find_ids, key_ids, qkey, row_keys
+from versorlab.algebra import KEY_BOUND, find_ids, key_ids, qkey, row_keys
 from versorlab.roots import _reflect_pairs
 
 # name -> (rank, root count)
@@ -277,6 +277,26 @@ def test_axiom_check_reflects_one_root_of_each_pair_in_one_mirror_of_each(monkey
 def test_axiom_check_rejects_rows_it_cannot_reflect_in(roots):
     with pytest.raises(VersorlabError, match="^roots must be a non-empty 2-D array"):
         check_axioms(roots)
+
+
+@pytest.mark.parametrize("x", [1e13, 1e100, KEY_BOUND])
+def test_axiom_check_rejects_roots_past_the_key_range(x):
+    # a finite squared length is not enough: quantize's int64 cast needs
+    # |coordinate| < 2**63 * HASH_GRID, and KEY_BOUND is half of that
+    with pytest.raises(VersorlabError, match=r"^roots must be .* below KEY_BOUND = 4\.612e\+12$"):
+        check_axioms([[x, 0.0], [-x, 0.0]])
+
+
+def test_axiom_check_keys_roots_just_inside_the_key_range():
+    x = float(np.nextafter(KEY_BOUND, 0.0))
+    assert check_axioms([[x, 0.0], [-x, 0.0]]).ok
+    # a long row reflected onto an axis keeps its length in one coordinate,
+    # sqrt(8) times its largest: still keyed (a cast warning is an error here)
+    v = np.full(8, x * (1 - 1e-15) / math.sqrt(8.0))
+    u = v / np.linalg.norm(v) - np.eye(8)[0]
+    u /= np.linalg.norm(u)
+    report = check_axioms([v, -v, u, -u])
+    assert report.scalar_multiples_ok and not report.reflection_closed
 
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-12])
