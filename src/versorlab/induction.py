@@ -210,6 +210,8 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     each; otherwise ``pairs`` pairs are drawn from ``seed`` and only the first
     32 are gathered, multiplied out in floats: a witness that the table is right.
     """
+    if pairs is not None and not (isinstance(pairs, (int, np.integer)) and pairs >= 1):
+        raise VersorlabError(f"pairs must be None or an integer >= 1, got {pairs!r}")
     group = r.source
     garr, n, t = group.element_arr(), group.order, group.table
     if not np.array_equal(np.sort(row_keys(_spinor_coords(garr))),

@@ -98,6 +98,11 @@ def _coerce_simple_coords(simple_roots, sig: Optional[Signature]):
     return sig, coords
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0):
+        raise VersorlabError(f"eps must be finite and >= 0, got {eps}")
+
+
 def _reflect_pairs(roots: np.ndarray, mirrors: np.ndarray) -> np.ndarray:
     """[i, j] = root i reflected in unit mirror j (einsum: BLAS rounding varies by shape)."""
     dots = np.einsum("id,jd->ij", roots, mirrors)
@@ -115,6 +120,7 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     (or degenerate) seed configuration.
     """
     sig, simple = _coerce_simple_coords(simple_roots, sig)
+    _check_eps(eps)
     norms = np.linalg.norm(simple, axis=1)
     if np.any(norms < eps):
         raise ValueError("simple roots must be nonzero")
@@ -162,8 +168,7 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     if norms is None or not ((norms > 0) & (norms < KEY_BOUND)).all():  # NaN fails both
         raise VersorlabError("roots must be a non-empty 2-D array of finite coordinate rows "
                              f"with lengths above 0 and below KEY_BOUND = {KEY_BOUND:.4g}")
-    if not (math.isfinite(eps) and eps >= 0):
-        raise VersorlabError(f"eps must be finite and >= 0, got {eps}")
+    _check_eps(eps)
     n, d = coords.shape
     index = {}
     # ids[j] == neg_ids[i] iff root j has the quantized key of -root i
@@ -215,6 +220,7 @@ class CartanMatrix:
         return self.entries.shape[0]
 
     def is_integral(self, eps: float = DEFAULT_EPS) -> bool:
+        _check_eps(eps)
         return bool(np.max(np.abs(self.entries - np.round(self.entries))) <= eps)
 
     def __repr__(self):
@@ -239,6 +245,7 @@ def diagram(rs: RootSystem, eps: float = DEFAULT_EPS) -> list[DiagramEdge]:
     Orthogonal pairs produce no edge.  Any other pair must sit at an obtuse
     angle of the form pi - pi/m for an integer 3 <= m <= 1000.
     """
+    _check_eps(eps)
     s = rs.simple_coords
     norms = np.linalg.norm(s, axis=1)
     edges = []

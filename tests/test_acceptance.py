@@ -5,9 +5,10 @@ The claims, expected values and tolerances are the rows of
 does (seed 42, tolerance 1e-9), and each criterion's test is parametrized
 over the rows serving it: ``test_criterion_03_conjugacy_tables[groups.conjugacy_tables]``.
 The same run counts its catalog closures; a second run, with two residuals
-made NaN, checks that a NaN fails its row.  Two single rows check that the
-sampled rows' public-route witness compares bits, and that a draw failing a
-batched check fails its row with the public route's own error.
+made NaN, checks that a NaN fails its row.  Single rows check that the
+batched rows' public-route witness compares bits, that a draw failing a
+batched check fails its row with the public route's own error, and that the
+words row evaluates each word through ``apply_word`` alone, failing with its error.
 """
 
 import collections
@@ -16,7 +17,8 @@ import types
 import numpy as np
 import pytest
 
-from versorlab import DEFAULT_EPS, Multivector, PointAtInfinity, apply_word, sandwich, verify
+from versorlab import (DEFAULT_EPS, Multivector, PointAtInfinity, Signature, apply_word, sandwich,
+                       verify)
 from versorlab.verify import CLAIMS, run_battery
 
 CRITERIA = {
@@ -110,7 +112,33 @@ def test_the_witness_compares_bits(monkeypatch):
 
 
 def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
-    """A draw the batch rejects fails the row with the per-word route's own error."""
+    """A draw the batch rejects fails the row with the public route's own error."""
+    real, planted = verify._mirror_draws, []
+
+    def draws(ctx, n, sig):  # draw 200 of the Cl(3,0) block, by its floats, gets a doubled mirror
+        out = real(ctx, n, sig)
+        if sig == Signature(3, 0) and n > 1:
+            planted.append(out[200][1])
+        return [(s, 2.0 * a if any(np.array_equal(a, p) for p in planted) else a, v)
+                for s, a, v in out]
+
+    monkeypatch.setattr(verify, "_mirror_draws", draws)
+    ctx = verify._Ctx(42, DEFAULT_EPS)
+    result = verify._judge(_claim("kernel.reflection_formula"), ctx)
+    assert (result.passed, result.detail) == (
+        False, "ValueError: mirror vector must be unit, got alpha^2 = 4.0")
+    assert len(planted) == 1
+    # the replay drew as the public route does, stopping at the draw that raised
+    reference = verify._Ctx(42, DEFAULT_EPS)
+    with pytest.raises(ValueError, match="mirror vector must be unit"):
+        for sig in (Signature(2, 0), Signature(3, 0)):
+            for _ in range(400):
+                verify._reflection_public(draws(reference, 1, sig)[0])
+    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_a_rejected_word_fails_its_row_with_apply_words_error(monkeypatch):
+    """The words row takes each draw through ``apply_word``, which raises its own error."""
     real, planted = verify._word_draw, ("STt", (0.0, 1e-5))  # S sends 1e-5 i to infinity
 
     def draw(ctx):
@@ -124,9 +152,28 @@ def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
     result = verify._judge(_claim("cga2d.modular_words"), ctx)
     assert (result.passed, result.detail) == (False, f"PointAtInfinity: {exc.value}")
     assert result.detail == "PointAtInfinity: image point is at infinity"
-    # the replay drew as the per-word route does, stopping at the draw that raised
+    # the row stopped drawing at the draw that raised
     reference = verify._Ctx(42, DEFAULT_EPS)
     with pytest.raises(PointAtInfinity):
         while True:
-            verify._word_public(draw(reference))
+            apply_word(*draw(reference))
     assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_the_words_row_takes_the_public_route_alone(monkeypatch):
+    """1000 ``apply_word`` calls, and no batched sandwich or normalization beside them."""
+    calls = collections.Counter()
+
+    def counted(*args, **kwargs):
+        calls["apply_word"] += 1
+        return apply_word(*args, **kwargs)
+
+    def batched(*args):
+        raise AssertionError("the words row evaluated a word outside apply_word")
+
+    monkeypatch.setattr(verify, "apply_word", counted)
+    monkeypatch.setattr(verify, "_sandwich", batched)
+    monkeypatch.setattr(verify, "_normalize", batched)
+    result = verify._judge(_claim("cga2d.modular_words"), verify._Ctx(42, DEFAULT_EPS))
+    assert result.passed, result.detail
+    assert calls == {"apply_word": 1000}

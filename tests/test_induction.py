@@ -249,6 +249,14 @@ def test_automorphism_sweep_sampled_is_seed_deterministic():
     assert s1.failures == 0
 
 
+@pytest.mark.parametrize("pairs", [0, -1, 2.5])
+def test_automorphism_sweep_rejects_a_pairs_that_is_not_a_positive_integer(pairs):
+    ind = induce_4d(spin_group("A1^3"))
+    with pytest.raises(VersorlabError, match=rf"^pairs must be None or an integer >= 1, "
+                                             rf"got {pairs}$"):
+        spinorial_automorphisms(ind, pairs=pairs, seed=5)
+
+
 def test_automorphism_sweep_detects_broken_symmetry():
     ind = induce_4d(spin_group("A1^3"))
     coords = ind.base.coords.copy()

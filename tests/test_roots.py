@@ -306,6 +306,22 @@ def test_axiom_check_rejects_a_bad_eps(eps):
     assert check_axioms(catalog("A3"), eps=0.0).ok
 
 
+_EPS_TAKERS = {
+    "check_axioms": lambda eps: check_axioms(catalog("A3"), eps=eps),
+    "close_roots": lambda eps: close_roots([[1.0, 0.0], [0.0, 1.0]], eps=eps),
+    "diagram": lambda eps: diagram(catalog("B3"), eps=eps),  # B3's orthogonal pair is exact
+    "is_integral": lambda eps: cartan_matrix(catalog("A3")).is_integral(eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize("function", sorted(_EPS_TAKERS))
+def test_every_eps_taker_rejects_an_eps_that_is_not_finite_and_nonnegative(function, eps):
+    with pytest.raises(VersorlabError, match=rf"^eps must be finite and >= 0, got {eps}$"):
+        _EPS_TAKERS[function](eps)
+    _EPS_TAKERS[function](0.0)  # the range's floor is accepted
+
+
 def test_axiom_reports_do_not_depend_on_the_block_size(monkeypatch):
     # each block of mirrors reflects every root in its own einsum, and the
     # images are keyed FIND_ROWS rows at a time: one-root blocks, 7-row keying
