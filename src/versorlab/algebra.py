@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ClosureCapExceeded, NotAVersor, SignatureMismatch
+from .errors import ClosureCapExceeded, NotAVersor, SignatureMismatch, VersorlabError
 
 DEFAULT_EPS = 1e-9
 HASH_GRID = 1e-6
@@ -130,6 +130,7 @@ class _Kernel:
         self._grade_masks = tuple(self.grades == g for g in range(n + 1))
         self.odd = self.grades % 2 == 1
         self.even = ~self.odd
+        self.by_parity = np.concatenate([np.flatnonzero(self.odd), np.flatnonzero(self.even)])
         for arr in (self.metric, self.odd, self.even, *self._grade_masks):
             arr.setflags(write=False)
 
@@ -257,6 +258,12 @@ def blade_name(mask: int) -> str:
     if mask == 0:
         return "1"
     return "e" + "".join(str(i + 1) for i in range(MAX_DIM) if mask >> i & 1)
+
+
+def _check_eps(eps: float) -> None:
+    """The one check of a tolerance where it enters: finite and >= 0."""
+    if not (math.isfinite(eps) and eps >= 0):
+        raise VersorlabError(f"eps must be finite and >= 0, got {eps}")
 
 
 def _blade_mask(name: str, n: int) -> int:
@@ -484,23 +491,25 @@ class Versor(object):
     """A multivector that is (numerically) a product of unit vectors.
 
     Validated on construction: support purely even or purely odd, and
-    mv * ~mv equal to +1 or -1 within tolerance.  The sign is kept in
-    ``norm_sign`` (it can be -1 in mixed signatures such as Cl(3,1)).
+    mv * ~mv equal to +1 or -1 within tolerance.  Both tests fail closed, so a
+    NaN is no versor.  The sign is kept in ``norm_sign`` (it can be -1 in mixed
+    signatures such as Cl(3,1)).
     """
 
     __slots__ = ("mv", "parity", "norm_sign")
 
     def __init__(self, mv: Multivector, eps: float = DEFAULT_EPS):
         k = kernel_for(mv.sig)
-        even = np.abs(mv.coeffs[k.odd]).max(initial=0.0)
-        odd = np.abs(mv.coeffs[k.even]).max(initial=0.0)
-        if even > eps and odd > eps:
+        # the largest magnitudes on odd and on even blades, half of the blades each
+        even, odd = np.abs(mv.coeffs)[k.by_parity].reshape(2, -1).max(axis=1).tolist()
+        if not (even <= eps or odd <= eps):
             raise NotAVersor("mixed even/odd support")
         parity = 0 if even <= eps else 1
         norm = k.gp(mv.coeffs, k.rev(mv.coeffs))
-        s = norm[0]
-        if abs(abs(s) - 1.0) > eps or np.max(np.abs(norm[1:])) > eps:
-            raise NotAVersor(f"mv * ~mv = {Multivector._wrap(mv.sig, norm)} is not a unit scalar")
+        s = float(norm[0])
+        if not (abs(abs(s) - 1.0) <= eps and np.abs(norm[1:]).max() <= eps):
+            raise NotAVersor(f"mv * ~mv = {Multivector._wrap(mv.sig, norm)} is not a unit "
+                             f"scalar (scalar part {s!r})")
         object.__setattr__(self, "mv", mv)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "norm_sign", 1 if s > 0 else -1)
@@ -574,6 +583,7 @@ def sandwich(v: Multivector, A, eps: float = DEFAULT_EPS) -> Multivector:
     versors makes a single unit vector act as the reflection that fixes its
     orthogonal hyperplane.
     """
+    _check_eps(eps)
     if not isinstance(A, Versor):
         A = Versor(A, eps)
     if v.sig != A.sig:

@@ -20,20 +20,21 @@ tau -> -1/tau and tau -> tau + 1, which is checked against independent
 complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
 versors is a double cover of the group of maps, -1 acting as the identity.
 
-A word is evaluated one letter at a time, through term plans built at import
-with the letter versors S, T and t = T^-1: the nonzero terms of the grade-1
-sandwich ~A v A from the kernel's sign and xor tables, in its einsum's order
-(from +0.0 by ascending index; a zero term changes no partial sum), ``exec``'d
-as one straight-line step each, ``0.0 + z2 * 1.0 + z0 * -0.5 + ...``, exact as
-a float's ``repr`` reads back as that float.  The checks of ``ConformalVersor.apply``
-and ``ConformalPoint`` are made inline on the same floats; where one fails or a
-value is not finite, the word is replayed one sandwich per letter, raising that
-route's error.  Scalar parts come off the metric diagonal, the same floats.
+Every map acts through term plans, the nonzero terms of the grade-1 sandwich
+~A v A off the kernel's sign table, in its einsum's order (from +0.0 by ascending
+index; a zero term changes no partial sum).  The letters S, T, t = T^-1 have theirs
+``exec``'d at import as straight-line steps, ``0.0 + z2 * 1.0 + z0 * -0.5 + ...``
+(a float's ``repr`` reads back as that float); ``ConformalVersor.apply`` runs any
+other versor's in a plain loop.  Points are four floats, checked as
+``ConformalPoint`` checks them; where a check fails or a value is not finite, the
+numpy sandwich is replayed, raising that route's error.  ``translator``,
+``rotation`` and ``dilator`` write the floats of their multivector expressions.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,10 +44,10 @@ from .algebra import (
     Multivector,
     Signature,
     Versor,
+    _check_eps,
     blade,
     kernel_for,
     sandwich,
-    scalar_mv,
 )
 from .errors import PointAtInfinity, VersorlabError
 
@@ -60,6 +61,7 @@ __all__ = [
     "NINF",
     "ConformalPoint",
     "ConformalVersor",
+    "MAX_DILATION",
     "apply_word",
     "dilator",
     "embed",
@@ -83,9 +85,6 @@ EPLUS = blade(CGA_SIG, "e3")   # e, square +1
 EMINUS = blade(CGA_SIG, "e4")  # ebar, square -1
 NINF = EPLUS + EMINUS          # n, null direction at infinity
 NBAR = EPLUS - EMINUS          # nbar, null direction at the origin
-_N_BIVECTOR = EPLUS * EMINUS   # N = e ebar, generator of dilations
-
-_ONE = scalar_mv(CGA_SIG, 1.0)
 
 _KERNEL = kernel_for(CGA_SIG)
 
@@ -104,6 +103,7 @@ class ConformalPoint:
     __slots__ = ("X",)
 
     def __init__(self, X: Multivector, eps: float = DEFAULT_EPS):
+        _check_eps(eps)
         if X.sig != CGA_SIG or not X.is_grade(1, eps):
             raise VersorlabError("conformal points are grade-1 vectors of Cl(3,1)")
         scale = max(1.0, _max_abs(X) ** 2)
@@ -122,12 +122,57 @@ class ConformalPoint:
         return f"<ConformalPoint ({x1:.6g}, {x2:.6g})>"
 
 
+_GRADE1 = (1, 2, 4, 8)  # blades e1, e2, e3, e4: a point's four coordinates
+_COORDS, _OTHERS = itemgetter(*_GRADE1), itemgetter(0, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)
+
+
+def _mv(blades: dict, zero: float = 0.0) -> Multivector:
+    """The multivector with these coefficients by blade and ``zero`` on the others."""
+    coeffs = [zero] * _KERNEL.D
+    for b, c in blades.items():
+        coeffs[b] = c
+    return Multivector._wrap(CGA_SIG, np.array(coeffs))
+
+
+def _point(z, zero: float = 0.0) -> ConformalPoint:
+    """The point with the e1..e4 floats z, already checked as ``ConformalPoint`` checks."""
+    p = object.__new__(ConformalPoint)
+    p.X = _mv(dict(zip(_GRADE1, z)), zero)
+    return p
+
+
+def _on_cone(z0: float, z1: float, z2: float, z3: float, eps: float) -> bool:
+    """``ConformalPoint``'s null and X . n = -1 tests on e1..e4 floats, which must be finite."""
+    bound = eps * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
+    return (math.isfinite(z0 + z1 + z2 + z3)
+            and not abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
+            and not abs(0.0 + z2 - z3 + 1.0) > bound)
+
+
+def _embedding(x1: float, x2: float, eps: float):
+    """``embed``'s e1..e4 floats, or None where a coordinate is not finite or
+    ``ConformalPoint`` rejects them; a point whose squares overflow raises, named."""
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        return None
+    try:
+        sq = x1 ** 2 + x2 ** 2
+        z = (x1 + 0.0, x2 + 0.0, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)
+        if math.isfinite(sq):
+            return z if _on_cone(*z, eps) else None
+    except OverflowError:
+        pass
+    raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares overflow")
+
+
 def embed(x1: float, x2: float, eps: float = DEFAULT_EPS) -> ConformalPoint:
     """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1.
     It squares with ``**``, libm's pow: x * x would change printed digits."""
-    x = float(x1) * E1 + float(x2) * E2
-    sq = float(x1) ** 2 + float(x2) ** 2
-    return ConformalPoint((sq * NINF + 2.0 * x - NBAR) * 0.5, eps=eps)
+    _check_eps(eps)
+    x1, x2 = float(x1), float(x2)
+    if (z := _embedding(x1, x2, eps)) is not None:
+        return _point(z)
+    x = x1 * E1 + x2 * E2  # the multivector route, which raises
+    return ConformalPoint(((x1 ** 2 + x2 ** 2) * NINF + 2.0 * x - NBAR) * 0.5, eps=eps)
 
 
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
@@ -146,6 +191,40 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
     return (float(Y.coeffs[1]), float(Y.coeffs[2]))  # e1, e2
 
 
+_SIGN, _REV = _KERNEL.sign.tolist(), _KERNEL.rev_sign.tolist()
+# per blade a, each grade-1 b's (a ^ b, b's index, sign of a's term in ~A v, in (~A v) A)
+_INNER = [[(a ^ b, i, _REV[a] * _SIGN[a][a ^ b]) for i, b in enumerate(_GRADE1)] for a in range(16)]
+_OUTER = [[(a ^ b, i, _SIGN[a ^ b][b]) for i, b in enumerate(_GRADE1)] for a in range(16)]
+
+
+def _terms(A: list):
+    """~A v A's terms for grade-1 v, in the kernel's order, from A's nonzero coefficients:
+    (blade u of ~A v, v's index, +-coefficient), then (u, the image's index, +-coefficient).
+    An odd A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
+    nonzero = [(a, c) for a, c in enumerate(A) if c != 0.0]
+    inner = [(u, i, c * s) for a, c in nonzero for u, i, s in _INNER[a]]
+    return inner, sorted([(u, i, c * s) for a, c in nonzero for u, i, s in _OUTER[a]])
+
+
+def _checked(y: Sequence[float], eps: float):
+    """``apply``'s renormalization of an image's e1..e4 floats and its checks, those
+    of ``_on_cone`` inline: the point's floats and -1 / (Y . n), or None where a check
+    fails (the replay raises its error).  Division by zero and an overflowing
+    square raise here as in the replay."""
+    y0, y1, y2, y3 = y
+    s = 0.0 + y2 - y3  # Y . n
+    if abs(s) < eps * max(1.0, abs(y0), abs(y1), abs(y2), abs(y3)):
+        return None
+    r = -1.0 / s
+    z0, z1, z2, z3 = z = (y0 * r, y1 * r, y2 * r, y3 * r)
+    bound = eps * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
+    if (math.isfinite(z0 + z1 + z2 + z3)
+            and not abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
+            and not abs(0.0 + z2 - z3 + 1.0) > bound):
+        return z, r
+    return None
+
+
 class ConformalVersor:
     """A versor of Cl(3,1), acting on conformal points by sandwich."""
 
@@ -161,7 +240,20 @@ class ConformalVersor:
         return self.v.mv
 
     def apply(self, p: ConformalPoint, eps: float = DEFAULT_EPS) -> ConformalPoint:
-        """Sandwich and renormalize back to X . n = -1."""
+        """Sandwich and renormalize back to X . n = -1: the terms on the point's floats,
+        each sum from 0.0 term by term, or the numpy sandwich, which raises."""
+        _check_eps(eps)
+        X = p.X.coeffs.tolist()
+        if not any(_OTHERS(X)):
+            (inner, outer), z = _terms(self.mv.coeffs.tolist()), _COORDS(X)
+            u, y = [0.0] * _KERNEL.D, [0.0] * 4
+            for j, i, c in inner:
+                u[j] += z[i] * c
+            for j, i, c in outer:
+                y[i] += u[j] * c
+            if (checked := _checked(y, eps)) is not None:
+                z, r = checked  # the zero blades times -1 / (Y . n), an odd Y negated
+                return _point(z, 0.0 * (-r if self.v.parity else r))
         Y = sandwich(p.X, self.v, eps=eps)
         scale = max(1.0, _max_abs(Y))
         s = _inner_scalar(Y, NINF)
@@ -184,30 +276,48 @@ class ConformalVersor:
         return f"<ConformalVersor {self.mv}>"
 
 
+MAX_DILATION = 15.0  # past it cosh^2 - sinh^2 can miss 1 by over DEFAULT_EPS (first at 15.45)
+
+
+def _finite(**params) -> list:
+    """The parameters as floats; the first that is not finite raises, named."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise VersorlabError(f"{name} must be finite, got {float(value)!r}")
+    return [float(value) for value in params.values()]
+
+
 def translator(a1: float, a2: float) -> ConformalVersor:
     """Versor acting as x -> x + a.  As a multivector it is 1 - na/2."""
-    a = float(a1) * E1 + float(a2) * E2
-    return ConformalVersor(Versor(_ONE - 0.5 * (NINF * a)))
+    a1, a2 = _finite(a1=a1, a2=a2)
+    c1, c2 = 0.0 - 0.5 * (0.0 - a1), 0.0 - 0.5 * (0.0 - a2)  # n a = -a1 (e13 + e14) - a2 (e23 + e24)
+    return ConformalVersor(Versor(_mv({0: 1.0, 5: c1, 6: c2, 9: c1, 10: c2})))
 
 
 def rotation(theta: float) -> ConformalVersor:
-    """Rotor acting as a counterclockwise rotation by theta in the plane."""
-    h = 0.5 * float(theta)
-    return ConformalVersor(Versor(math.cos(h) * _ONE + math.sin(h) * (E1 * E2)))
+    """Rotor cos(theta/2) + sin(theta/2) e1 e2: a counterclockwise rotation by theta."""
+    theta, = _finite(theta=theta)
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    return ConformalVersor(Versor(_mv({0: c + 0.0 * s, 3: 0.0 * c + s}, 0.0 * c + 0.0 * s)))
 
 
 def dilator(alpha: float) -> ConformalVersor:
-    """Versor cosh(a/2) + sinh(a/2) e ebar, acting as x -> e^{+alpha} x."""
-    h = 0.5 * float(alpha)
-    return ConformalVersor(Versor(math.cosh(h) * _ONE + math.sinh(h) * _N_BIVECTOR))
+    """Versor cosh(a/2) + sinh(a/2) e ebar, acting as x -> e^{+alpha} x, for
+    |alpha| <= ``MAX_DILATION`` (a factor up to e^15, about 3.3e6)."""
+    alpha, = _finite(alpha=alpha)
+    if abs(alpha) > MAX_DILATION:
+        raise VersorlabError(f"alpha must be within +-{MAX_DILATION:g}, got {alpha!r}")
+    c, s = math.cosh(0.5 * alpha), math.sinh(0.5 * alpha)
+    return ConformalVersor(Versor(_mv({0: c + 0.0 * s, 12: 0.0 * c + s}, 0.0 * c + 0.0 * s)))
 
 
 def reflection(a1: float, a2: float) -> ConformalVersor:
     """Odd versor reflecting the plane in the line through 0 orthogonal to a."""
-    norm = math.hypot(float(a1), float(a2))
+    a1, a2 = _finite(a1=a1, a2=a2)
+    norm = math.hypot(a1, a2)
     if norm < DEFAULT_EPS:
         raise VersorlabError("reflection mirror must be a nonzero plane vector")
-    return ConformalVersor(Versor((float(a1) * E1 + float(a2) * E2) * (1.0 / norm)))
+    return ConformalVersor(Versor((a1 * E1 + a2 * E2) * (1.0 / norm)))
 
 
 def inversion_versor() -> ConformalVersor:
@@ -232,64 +342,36 @@ def modular_T() -> ConformalVersor:
     return translator(1.0, 0.0)
 
 
-# the alphabet of modular words, each letter's versor built once
-_LETTERS = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}
-_GRADE1 = (1, 2, 4, 8)  # blades e1, e2, e3, e4: a point's four coordinates
-
-
 def _term_plan(versor: ConformalVersor):
-    """~A v A for grade-1 v as one straight-line ``step(z0, z1, z2, z3)``: each
-    blade u of ~A v a sum of (v coordinate * +-coefficient) terms, then e1..e4
-    sums of (u * +-coefficient) terms, each from 0.0 in the kernel's order.
-    An odd A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
-    k, A, rev = _KERNEL, versor.mv.coeffs, _KERNEL.rev(versor.mv.coeffs)
-    inner = {j: terms for j in range(k.D) if (terms := tuple(
-        (_GRADE1.index(k.xor[a, j]), float(rev[a] * k.sign[a, j]))
-        for a in range(k.D) if rev[a] != 0.0 and k.xor[a, j] in _GRADE1))}
-    outer = tuple(tuple((i, float(A[k.xor[a, j]] * k.sign[a, j])) for i, a in enumerate(inner)
-                        if A[k.xor[a, j]] != 0.0) for j in _GRADE1)
-
-    def total(var, terms):  # repr of a float reads back as that float
-        return " + ".join(["0.0", *(f"{var}{i} * {c!r}" for i, c in terms)])
-
-    body = [f"u{i} = {total('z', terms)}" for i, terms in enumerate(inner.values())]
-    exec("\n    ".join(["def step(z0, z1, z2, z3):", *body, "return " + ", ".join(
-        total("u", terms) for terms in outer)]), namespace := {})
+    """``versor``'s terms as one straight-line ``step(z0, z1, z2, z3)``: each sum
+    written out from 0.0 in the terms' order, each coefficient as its ``repr``."""
+    inner, outer = _terms(versor.mv.coeffs.tolist())
+    blades, images = {}, [["0.0"] for _ in _GRADE1]
+    for j, i, c in inner:  # repr of a float reads back as that float
+        blades.setdefault(j, ["0.0"]).append(f"z{i} * {c!r}")
+    for j, i, c in outer:
+        images[i].append(f"u{j} * {c!r}")
+    exec("\n    ".join(["def step(z0, z1, z2, z3):",
+                        *(f"u{j} = {' + '.join(terms)}" for j, terms in blades.items()),
+                        "return " + ", ".join(" + ".join(terms) for terms in images)]),
+         namespace := {})
     return namespace["step"]
 
 
+# the alphabet of modular words, each letter's versor and compiled step built once
+_LETTERS = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}
 _PLANS = {letter: _term_plan(versor) for letter, versor in _LETTERS.items()}
-
-
-def _on_cone(z, eps: float) -> bool:
-    """``ConformalPoint``'s grade-1, null and X . n = -1 tests on finite e1..e4 floats."""
-    scale = max(1.0, max(map(abs, z)) ** 2)
-    return (eps >= 0.0 and math.isfinite(z[0] + z[1] + z[2] + z[3])
-            and not abs(0.0 + z[0] * z[0] + z[1] * z[1] + z[2] * z[2] - z[3] * z[3]) > eps * scale
-            and not abs(0.0 + z[2] - z[3] + 1.0) > eps * scale)
 
 
 def _planned(letters, x1: float, x2: float, eps: float):
     """``apply_word``'s floats by the letter steps, or None where its route would fail."""
-    try:
-        sq = x1 ** 2 + x2 ** 2
-        z0, z1, z2, z3 = x1 + 0.0, x2, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5  # embed's floats
-        if not _on_cone((z0, z1, z2, z3), eps):  # eps >= 0 is tested once, here
-            return None
-        for letter in letters:
-            y0, y1, y2, y3 = _PLANS[letter](z0, z1, z2, z3)
-            s = 0.0 + y2 - y3  # Y . n
-            r = -1.0 / s
-            z0, z1, z2, z3 = y0 * r, y1 * r, y2 * r, y3 * r
-            bound = eps * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
-            if (abs(s) < eps * max(1.0, max(abs(y0), abs(y1), abs(y2), abs(y3)))
-                    or not math.isfinite(z0 + z1 + z2 + z3)
-                    or abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
-                    or abs(0.0 + z2 - z3 + 1.0) > bound):
-                return None
-    except (OverflowError, ZeroDivisionError):  # from ** or -1 / s: the replay raises its own
+    if (z := _embedding(x1, x2, eps)) is None:
         return None
-    return z0, z1
+    for letter in letters:
+        if (checked := _checked(_PLANS[letter](*z), eps)) is None:
+            return None
+        z = checked[0]
+    return z[0], z[1]
 
 
 def _letters(word: Iterable[str]) -> tuple:
@@ -309,6 +391,7 @@ def apply_word(word: Iterable[str], tau: Sequence[float],
     1/sqrt(eps) an image counts as infinite: at the default eps, S at
     (0, 1e-4) gives 1e4 i but S at (0, 2e-5) raises (the oracle gives 5e4 i)."""
     letters = _letters(word)
+    _check_eps(eps)
     x1, x2 = float(tau[0]), float(tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
@@ -324,6 +407,7 @@ def mobius_oracle(word: Iterable[str], tau: Sequence[float],
                   eps: float = DEFAULT_EPS) -> Tuple[float, float]:
     """The same word evaluated by plain complex arithmetic on x1 + i x2."""
     letters = _letters(word)
+    _check_eps(eps)
     z = complex(float(tau[0]), float(tau[1]))
     if not z.imag > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")

@@ -26,6 +26,7 @@ from .algebra import (
     KEY_BOUND,
     Multivector,
     Signature,
+    _check_eps,
     find_ids,
     key_ids,
     lex_order,
@@ -96,11 +97,6 @@ def _coerce_simple_coords(simple_roots, sig: Optional[Signature]):
     if coords.shape[1] != sig.dim:
         raise ValueError("coordinate length does not match signature dimension")
     return sig, coords
-
-
-def _check_eps(eps: float) -> None:
-    if not (math.isfinite(eps) and eps >= 0):
-        raise VersorlabError(f"eps must be finite and >= 0, got {eps}")
 
 
 def _reflect_pairs(roots: np.ndarray, mirrors: np.ndarray) -> np.ndarray:
@@ -242,8 +238,9 @@ class DiagramEdge(NamedTuple):
 def diagram(rs: RootSystem, eps: float = DEFAULT_EPS) -> list[DiagramEdge]:
     """Coxeter diagram edges (i, j, m) for simple roots at angle pi - pi/m.
 
-    Orthogonal pairs produce no edge.  Any other pair must sit at an obtuse
-    angle of the form pi - pi/m for an integer 3 <= m <= 1000.
+    Orthogonal pairs produce no edge: a cosine within eps, or within 1e-15 at
+    any eps (A3's orthogonal pair has -4.3e-17).  Any other pair must sit at an
+    obtuse angle of the form pi - pi/m for an integer 3 <= m <= 1000.
     """
     _check_eps(eps)
     s = rs.simple_coords
@@ -252,7 +249,7 @@ def diagram(rs: RootSystem, eps: float = DEFAULT_EPS) -> list[DiagramEdge]:
     for i in range(rs.rank):
         for j in range(i + 1, rs.rank):
             c = float(s[i] @ s[j] / (norms[i] * norms[j]))
-            if abs(c) <= eps:
+            if abs(c) <= max(eps, 1e-15):  # rounding of a unit cosine, the CLI's floor
                 continue
             if c > 0 or c <= -1:
                 raise ValueError(

@@ -199,13 +199,14 @@ def _versor_checks(kern, R):
     """``Versor``'s checks on each row of R, and its parity: (passes, odd).
 
     Like every batched check here it passes exactly where the public route's
-    own test passes (``~(x > bound)`` for its ``if x > bound: raise``), so a
-    NaN passes or fails both alike.
+    own test passes (``x <= bound`` for Versor's fail-closed tests, elsewhere
+    ``~(x > bound)`` for ``if x > bound: raise``), so a NaN passes or fails both alike.
     """
-    odd = np.abs(R[:, kern.odd]).max(axis=1, initial=0.0) > DEFAULT_EPS
-    even = np.abs(R[:, kern.even]).max(axis=1, initial=0.0) > DEFAULT_EPS
+    odd = np.abs(R[:, kern.odd]).max(axis=1, initial=0.0)
+    even = np.abs(R[:, kern.even]).max(axis=1, initial=0.0)
     norm = np.abs(kern.gp_elemwise(R, kern.rev(R)))  # R ~R = +-1
-    return ~(odd & even) & ~(np.abs(norm - np.eye(1, kern.D)).max(axis=1) > DEFAULT_EPS), odd
+    return (((odd <= DEFAULT_EPS) | (even <= DEFAULT_EPS))
+            & (np.abs(norm - np.eye(1, kern.D)).max(axis=1) <= DEFAULT_EPS)), odd > DEFAULT_EPS
 
 
 def _sandwich(kern, R, odd, X):

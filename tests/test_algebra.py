@@ -170,6 +170,16 @@ def test_versor_rejects_mixed_parity_and_non_unit():
         Versor(vector(SIG3, [2.0, 0, 0]))
 
 
+def test_versor_rejects_nan_and_names_the_failing_scalar():
+    # every comparison with NaN is False: both tests must fail closed
+    for coeffs in ([math.nan] * 8, [math.nan] + [0.0] * 7, [0.0, math.nan] + [0.0] * 6,
+                   [1.0] + [0.0] * 6 + [math.nan], [math.inf] + [0.0] * 7):
+        with pytest.raises(NotAVersor):
+            Versor(Multivector(SIG3, coeffs))
+    with pytest.raises(NotAVersor, match=r"\(scalar part 1\.0000001\)$"):
+        Versor(scalar_mv(SIG3, math.sqrt(1.0000001)))
+
+
 def test_versor_inverse_undoes_product():
     V = Versor.from_vectors([random_unit_vector(SIG3) for _ in range(2)])
     assert (V * V.inverse()).mv.close_to(scalar_mv(SIG3, 1.0))

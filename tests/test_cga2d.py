@@ -16,6 +16,7 @@ from versorlab import (
     ConformalPoint,
     PointAtInfinity,
     Signature,
+    Versor,
     VersorlabError,
     apply_word,
     blade,
@@ -478,3 +479,196 @@ def test_pow_squares_give_the_same_floats_through_both_routes():
     for word, x1, x2 in zip(words, off[0::2], off[1::2]):
         tau = (x1, abs(x2))
         assert _outcome(apply_word, word, tau) == _outcome(_reference_word, word, tau), tau
+
+
+# ---------------------------------------------------------------- maps on the term plans
+
+_MAP_KINDS = {  # constructor, parameter count, parameter reach
+    "translator": (translator, 2, 3.0), "rotation": (rotation, 1, 7.0),
+    "dilator": (dilator, 1, 3.0), "special_conformal": (special_conformal, 2, 1.5),
+    "reflection": (reflection, 2, 3.0), "inversion": (inversion_versor, 0, 0.0),
+}
+_factor = st.sampled_from(sorted(_MAP_KINDS)).flatmap(lambda kind: st.tuples(
+    st.just(kind), st.lists(st.floats(-_MAP_KINDS[kind][2], _MAP_KINDS[kind][2]),
+                            min_size=_MAP_KINDS[kind][1], max_size=_MAP_KINDS[kind][1])))
+
+
+def _bytes_or_error(fn):
+    """Every coefficient's bytes of fn(), signed zeros included, or the type and message raised."""
+    try:
+        return fn().coeffs.tobytes()
+    except (ArithmeticError, VersorlabError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(factors=st.lists(_factor, min_size=1, max_size=3),
+       x1=st.sampled_from([0.0, -0.0]) | st.floats(-3, 3), x2=st.sampled_from([0.0, -0.0]) | st.floats(-3, 3),
+       near_pole=st.booleans(), offset=st.sampled_from([0.0, -0.0, 1e-15, -1e-12, 1e-9, 1e-6, 1e-3]),
+       eps=st.sampled_from([1e-6, 1e-9, 1e-13, 1e-17]))
+def test_apply_matches_the_full_product_path_for_every_map(factors, x1, x2, near_pole, offset, eps):
+    # any conformal versor runs its term plan on four floats: every coefficient
+    # and every error must be the long way's, points sent to infinity included
+    made = []
+    for kind, params in factors:
+        make = _MAP_KINDS[kind][0]
+        if make is reflection and math.hypot(*params) < 1e-3:
+            params = [1.0, params[1]]
+        made.append(make(*params))
+    versor = made[0]
+    for other in made[1:]:
+        versor = versor * other
+    if near_pole:  # the point the map sends to infinity, nudged by offset
+        try:
+            x1, x2 = extract(sandwich(NINF, versor.inverse().v))
+        except PointAtInfinity:
+            pass
+        x1 += offset
+    point = embed(x1, x2)
+    assert _bytes_or_error(lambda: versor.apply(point, eps).X) == _bytes_or_error(
+        lambda: ConformalPoint(_reference_apply(versor, point.X, eps), eps).X)
+
+
+def test_maps_reach_every_outcome_of_the_long_way():
+    # one fixed case per outcome of the long way, whatever the property draws
+    K = special_conformal(0.5, -0.25)
+    cases = {"finite": (translator(1.0, 2.0), (0.5, 0.5), 1e-9),
+             "inversion's pole": (inversion_versor(), (0.0, 0.0), 1e-9),
+             "K's pole": (K, extract(sandwich(NINF, K.inverse().v)), 1e-9),
+             "not null": (dilator(0.3), (1.4, 0.7), 1e-17),
+             "Y . n = 0 at eps 0": (inversion_versor(), (0.0, 0.0), 0.0)}
+    seen = set()
+    for name, (versor, tau, eps) in cases.items():
+        point = embed(*tau)
+        want = _bytes_or_error(lambda: ConformalPoint(_reference_apply(versor, point.X, eps), eps).X)
+        assert _bytes_or_error(lambda: versor.apply(point, eps).X) == want, name
+        seen.add(want[1] if isinstance(want, tuple) else "finite")
+    assert seen == {"finite", "image point is at infinity", "conformal points must be null",
+                    "float division by zero"}
+
+
+def test_a_finite_map_makes_no_sandwich(monkeypatch):
+    # the interpreted term plans carry finite maps; only a failed check
+    # replays the numpy sandwich, which raises its own error
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sandwich(*args, **kwargs)
+
+    monkeypatch.setattr(cga2d, "sandwich", counted)
+    rng = np.random.default_rng(23)
+    maps = [translator(*rng.uniform(-2, 2, 2)), rotation(1.1), dilator(-0.7),
+            special_conformal(0.2, 0.1), reflection(0.3, -0.4), inversion_versor(),
+            translator(0.5, 0.5) * rotation(0.3) * dilator(0.2)]
+    for versor in maps:
+        point = embed(*rng.uniform(0.2, 1.5, 2))
+        want = ConformalPoint(_reference_apply(versor, point.X))
+        assert versor.apply(point).X.coeffs.tobytes() == want.X.coeffs.tobytes()
+    assert calls == []
+    with pytest.raises(PointAtInfinity, match="^image point is at infinity$"):
+        inversion_versor().apply(embed(0.0, 0.0))
+    assert len(calls) == 1
+    # a point with a stray non-vector part takes the numpy route too
+    X = embed(0.5, 0.5).X + 1e-12
+    translator(1.0, 0.0).apply(ConformalPoint(X))
+    assert len(calls) == 2
+
+
+def _multivector_route(kind, *params):
+    """translator, rotation and dilator, and embed's point, as multivector expressions."""
+    one = scalar_mv(SIG31, 1.0)
+    e1, e2 = cga2d.E1, cga2d.E2
+    if kind == "translator":
+        return one - 0.5 * (NINF * (float(params[0]) * e1 + float(params[1]) * e2))
+    if kind == "embed":
+        x1, x2 = map(float, params)
+        return ((x1 ** 2 + x2 ** 2) * NINF + 2.0 * (x1 * e1 + x2 * e2) - NBAR) * 0.5
+    h = 0.5 * float(params[0])
+    if kind == "rotation":
+        return math.cos(h) * one + math.sin(h) * (e1 * e2)
+    return math.cosh(h) * one + math.sinh(h) * (EPLUS * EMINUS)
+
+
+def test_constructors_and_embed_write_the_multivector_routes_floats():
+    # the direct coefficient lists must be the multivector expressions' floats,
+    # bit for bit, or raise the same error: random, signed-zero, tiny, huge
+    # and pow-sensitive inputs (translators past |a| of about 1.6e4 fail
+    # Versor's unit test either way: 1 + c^2 - c^2 loses the 1)
+    rng = np.random.default_rng(88)
+    zeros = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
+    xs = [float(x) for x in rng.uniform(-5, 5, size=100_000)]
+    pow_off = [x for x in xs if x ** 2 != x * x][:400]
+    scalars = (zeros + pow_off + [float(x) for x in rng.normal(scale=3, size=400)]
+               + [float(x) for x in rng.uniform(-1, 1, 200) * 10.0 ** rng.uniform(-8, 8, 200)])
+    pairs = ([(a, b) for a in zeros for b in zeros] + list(zip(scalars, scalars[::-1]))
+             + list(zip(pow_off[0::2], pow_off[1::2])))
+    errors = 0
+    for a1, a2 in pairs:
+        want = _bytes_or_error(lambda: Versor(_multivector_route("translator", a1, a2)).mv)
+        assert _bytes_or_error(lambda: translator(a1, a2).mv) == want, (a1, a2)
+        errors += isinstance(want, tuple)
+        if abs(a1) < 1e7 and abs(a2) < 1e7:
+            want = _bytes_or_error(lambda: ConformalPoint(_multivector_route("embed", a1, a2)).X)
+            assert _bytes_or_error(lambda: embed(a1, a2).X) == want, (a1, a2)
+    assert 0 < errors < len(pairs) // 4
+    for theta in scalars:
+        assert rotation(theta).mv.coeffs.tobytes() == Versor(
+            _multivector_route("rotation", theta)).mv.coeffs.tobytes(), theta
+        if abs(theta) <= cga2d.MAX_DILATION:
+            assert dilator(theta).mv.coeffs.tobytes() == Versor(
+                _multivector_route("dilator", theta)).mv.coeffs.tobytes(), theta
+
+
+def test_embed_names_a_point_whose_squares_overflow():
+    for tau in ((1e200, 1.0), (1.0, 1e200), (1e154, 1e154), (1e100, 1.0), (-2e77, 0.5)):
+        message = f"point {tau!r} is too far out to embed: its squares overflow"
+        for fn in (lambda: embed(*tau), lambda: apply_word("S", tau), lambda: apply_word("", tau)):
+            with pytest.raises(VersorlabError) as info:
+                fn()
+            assert str(info.value) == message
+    assert embed(1e76, 0.5).coords == (1e76, 0.5)  # the largest squares still check
+
+
+_EPS_TAKERS = {
+    "embed": lambda eps: embed(0.0, 1.0, eps=eps),
+    "ConformalPoint": lambda eps: ConformalPoint(embed(0.0, 1.0).X, eps=eps),
+    "apply": lambda eps: translator(1.0, 0.0).apply(embed(0.0, 1.0), eps=eps),  # exact floats
+    "apply_word": lambda eps: apply_word("ST", (0.0, 1.0), eps=eps),
+    "mobius_oracle": lambda eps: mobius_oracle("ST", (0.0, 1.0), eps=eps),
+    "sandwich": lambda eps: sandwich(embed(0.0, 1.0).X, translator(1.0, 0.0).v, eps=eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, -1e-9, math.inf])
+@pytest.mark.parametrize("taker", sorted(_EPS_TAKERS))
+def test_every_conformal_eps_taker_checks_eps_where_it_enters(taker, eps):
+    # the one message of roots' eps takers, not a verdict on the point
+    with pytest.raises(VersorlabError, match=rf"^eps must be finite and >= 0, got {eps}$"):
+        _EPS_TAKERS[taker](eps)
+    _EPS_TAKERS[taker](0.0)  # the range's floor is accepted
+
+
+@pytest.mark.parametrize("make, params, name", [
+    (translator, (math.nan, 0.0), "a1"), (translator, (0.0, math.inf), "a2"),
+    (rotation, (math.inf,), "theta"), (rotation, (math.nan,), "theta"),
+    (dilator, (-math.inf,), "alpha"), (reflection, (math.nan, 1.0), "a1"),
+    (special_conformal, (1.0, -math.inf), "a2")])
+def test_conformal_constructors_name_a_parameter_that_is_not_finite(make, params, name):
+    bad = [p for p in params if not math.isfinite(p)][0]
+    with pytest.raises(VersorlabError, match=rf"^{name} must be finite, got {bad!r}$"):
+        make(*params)
+
+
+def test_dilator_accepts_its_range_and_names_alpha_past_it():
+    # cosh^2 - sinh^2 rounds away from 1 past about 15.45; within +-15 every
+    # dilator is a unit versor and scales by e^alpha
+    for alpha in np.arange(-300, 301) * 0.05:
+        assert dilator(alpha).v.norm_sign == 1
+    for alpha in (15.0, -15.0):
+        D = dilator(alpha)
+        assert (D * D.inverse()).mv.close_to(scalar_mv(SIG31, 1.0))
+    approx_pt(dilator(-15.0).apply(embed(1.0, 0.5)).coords, (math.exp(-15.0), 0.5 * math.exp(-15.0)))
+    for alpha in (20.0, -20.0, 37.0, -37.0, 15.5):
+        with pytest.raises(VersorlabError, match=rf"^alpha must be within \+-15, got {alpha!r}$"):
+            dilator(alpha)

@@ -136,10 +136,13 @@ def test_error_bad_modular_input(capsys):
 
 @pytest.mark.parametrize("argv", [("S", "1e200", "1"), ("", "1e100", "1")])
 def test_modular_overflow_is_a_json_error(argv, capsys):
+    # embed's error, naming tau, which apply_word shares
     rc, out, err = run_cli(capsys, "modular", *argv)
     assert (rc, out) == (2, "")
     assert err.count("\n") == 1
-    assert json.loads(err)["error"] == "OverflowError"
+    tau = (float(argv[1]), float(argv[2]))
+    assert json.loads(err) == {"error": "VersorlabError", "message":
+                               f"point {tau!r} is too far out to embed: its squares overflow"}
 
 
 @pytest.mark.parametrize("argv", [("", "inf", "1"), ("S", "0.5", "inf"), ("S", "nan", "1")])

@@ -368,6 +368,20 @@ def test_diagram_edges():
     assert len(d4) == 3 and all(m == 3 for _, _, m in d4)
 
 
+def test_diagram_reads_a_rounded_orthogonal_pair_at_any_eps():
+    # A3's pair 1,3 has a cosine of -4.3e-17, not 0: a cosine within float
+    # rounding of 0 counts as orthogonal even at eps = 0
+    for name in [n for n in catalog_names() if n != "I2(n)"] + ["I2(5)", "I2(7)"]:
+        assert diagram(catalog(name), eps=0.0) == diagram(catalog(name)), name
+    # past the rounding floor eps still decides
+    sig = Signature(2, 0)
+    c = 1e-12  # a pair 1e-12 off orthogonal
+    rs = RootSystem(sig, np.array([[1.0, 0.0], [-c, math.sqrt(1 - c * c)]]), np.eye(2))
+    assert diagram(rs) == []
+    with pytest.raises(ValueError, match="not an integer branch label"):
+        diagram(rs, eps=1e-13)
+
+
 def test_diagram_rejects_acute_simple_roots():
     sig = Signature(2, 0)
     rs = RootSystem(sig, np.array([[1.0, 0.0], [0.8, 0.6]]), np.eye(2))
