@@ -10,8 +10,8 @@ Run:  python3 demos/03_tetrahedral_groups.py
 import math
 
 from versorlab import (
-    catalog, conjugacy_classes, exp_decomposition, generate_pin, generate_spin,
-    quotient_by_sign,
+    blade, catalog, conjugacy_classes, generate_pin, generate_spin, quotient_by_sign,
+    spinor_coords,
 )
 
 rs = catalog("A3")
@@ -29,16 +29,25 @@ for c in conjugacy_classes(spin):
 
 print()
 print("== every spinor is +-exp(B theta) ==")
-dec = exp_decomposition(spin)
-print("scalars:", [str(t.element) for t in dec.scalars()])
-counts = dec.angle_counts()
+# each element's spinor coordinates (a0, b) give R = sign(a0) (cos theta + B sin theta),
+# theta = atan2(|b|, |a0|) and B = sign(a0) (b1 e23 + b2 e31 + b3 e12) / |b|
+e23, e31, e12 = blade(rs.sig, "e23"), -blade(rs.sig, "e13"), blade(rs.sig, "e12")
+scalars, counts, axes = [], {}, set()
+for v in spin.elements:
+    a0, *b = spinor_coords(v).tolist()
+    bmag = math.hypot(*b)
+    if bmag <= 1e-9:
+        scalars.append(str(v.mv))
+        continue
+    theta = round(math.atan2(bmag, abs(a0)), 9)
+    counts[theta] = counts.get(theta, 0) + 1
+    if math.isclose(theta, math.pi / 3):
+        s = math.copysign(1.0, a0) / bmag
+        axes.add(str(s * b[0] * e23 + s * b[1] * e31 + s * b[2] * e12))
+print("scalars:", scalars)
 for theta, n in sorted(counts.items()):
-    frac = theta / math.pi
-    print(f"  theta = {frac:.4f} pi : {n} elements")
+    print(f"  theta = {theta / math.pi:.4f} pi : {n} elements")
 print()
 print("the 16 elements at pi/3 use the 8 diagonal bivector axes:")
-seen = set()
-for t in dec.at_angle(math.pi / 3):
-    seen.add(str(t.bivector))
-for s in sorted(seen):
+for s in sorted(axes):
     print("  B =", s)

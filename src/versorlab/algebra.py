@@ -266,6 +266,12 @@ def _check_eps(eps: float) -> None:
         raise VersorlabError(f"eps must be finite and >= 0, got {eps}")
 
 
+def _check_cap(name: str, cap: int) -> None:
+    """The one check of a size cap where it enters: an integer (not a bool) >= 1."""
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        raise VersorlabError(f"{name} must be an integer >= 1, got {cap!r}")
+
+
 def _blade_mask(name: str, n: int) -> int:
     if name == "1":
         return 0
@@ -384,6 +390,7 @@ class Multivector:
                 if np.abs(self.coeffs[k.grade_mask(g)]).max(initial=0.0) > DEFAULT_EPS}
 
     def is_grade(self, k_: int, eps: float = DEFAULT_EPS) -> bool:
+        _check_eps(eps)
         k = kernel_for(self.sig)
         return np.abs(self.coeffs).max(where=~k.grade_mask(k_), initial=0.0) <= eps
 
@@ -404,6 +411,9 @@ class Multivector:
 
     def key(self) -> bytes:
         if self._key is None:
+            if not (peak := float(np.abs(self.coeffs).max())) <= KEY_BOUND:  # NaN fails too
+                raise VersorlabError(f"Multivector.key() needs coefficients within KEY_BOUND = "
+                                     f"{KEY_BOUND:.4g}, got one of magnitude {peak!r}")
             object.__setattr__(self, "_key", qkey(self.coeffs))
         return self._key
 
@@ -418,6 +428,7 @@ class Multivector:
         return hash((self.sig, self.key()))
 
     def close_to(self, other: "Multivector", eps: float = DEFAULT_EPS) -> bool:
+        _check_eps(eps)
         return self.sig == other.sig and float(np.max(np.abs(self.coeffs - other.coeffs))) <= eps
 
     # -- formatting / serialization ------------------------------------------
@@ -439,6 +450,7 @@ class Multivector:
         return f"<Cl{tuple(self.sig)}: {self}>"
 
     def to_json_dict(self, eps: float = DEFAULT_EPS) -> dict:
+        _check_eps(eps)
         names = kernel_for(self.sig).blade_names
         return {"sig": [self.sig.p, self.sig.q],
                 "coeffs": {names[m]: c for m, c in enumerate(self.coeffs.tolist()) if abs(c) >= eps}}
@@ -499,6 +511,7 @@ class Versor(object):
     __slots__ = ("mv", "parity", "norm_sign")
 
     def __init__(self, mv: Multivector, eps: float = DEFAULT_EPS):
+        _check_eps(eps)
         k = kernel_for(mv.sig)
         # the largest magnitudes on odd and on even blades, half of the blades each
         even, odd = np.abs(mv.coeffs)[k.by_parity].reshape(2, -1).max(axis=1).tolist()

@@ -27,8 +27,10 @@ index; a zero term changes no partial sum).  The letters S, T, t = T^-1 have the
 (a float's ``repr`` reads back as that float); ``ConformalVersor.apply`` runs any
 other versor's in a plain loop.  Points are four floats, checked as
 ``ConformalPoint`` checks them; where a check fails or a value is not finite, the
-numpy sandwich is replayed, raising that route's error.  ``translator``,
-``rotation`` and ``dilator`` write the floats of their multivector expressions.
+numpy sandwich is replayed, raising that route's error; its tests and renormalization
+are ``_point_tests`` and ``_renormalized`` over (..., 16) rows, which ``verify`` shares.
+``translator``, ``rotation``, ``dilator`` and ``special_conformal`` write the floats
+of their multivector expressions.
 """
 
 from __future__ import annotations
@@ -89,12 +91,27 @@ NBAR = EPLUS - EMINUS          # nbar, null direction at the origin
 _KERNEL = kernel_for(CGA_SIG)
 
 
-def _inner_scalar(a: Multivector, b: Multivector) -> float:
-    return float(_KERNEL.scalar_part(a.coeffs, b.coeffs))
+def _bounds(eps: float, peak: np.ndarray, power: int) -> np.ndarray:
+    """eps max(1, peak ** power) of each row's largest |coefficient|, in Python floats as
+    ``_on_cone`` takes them: ``**`` is libm's pow, and a finite square can overflow."""
+    return np.reshape([eps * max(1.0, m ** power) for m in peak.ravel().tolist()], peak.shape)
 
 
-def _max_abs(X: Multivector) -> float:
-    return float(np.abs(X.coeffs).max())
+def _point_tests(X: np.ndarray, eps: float) -> tuple:
+    """``ConformalPoint``'s three tests on each row of (..., 16) coefficients: grade 1,
+    null and X . n = -1, each failing as its ``if x > bound: raise`` does."""
+    bound = _bounds(eps, np.abs(X).max(axis=-1), 2)
+    return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_mask(1), initial=0.0) <= eps,
+            ~(np.abs(_KERNEL.scalar_part(X, X)) > bound),
+            ~(np.abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound))
+
+
+def _renormalized(Y: np.ndarray, eps: float) -> tuple:
+    """Each row of (..., 16) coefficients scaled to X . n = -1, and whether it is finite,
+    |Y . n| not below eps max(1, max |Y|): a row at infinity is left as it is."""
+    s = _KERNEL.scalar_part(Y, NINF.coeffs)
+    finite = ~(np.abs(s) < _bounds(eps, np.abs(Y).max(axis=-1), 1))
+    return Y * (-1.0 / np.where(finite, s, -1.0))[..., None], finite
 
 
 class ConformalPoint:
@@ -104,13 +121,12 @@ class ConformalPoint:
 
     def __init__(self, X: Multivector, eps: float = DEFAULT_EPS):
         _check_eps(eps)
-        if X.sig != CGA_SIG or not X.is_grade(1, eps):
-            raise VersorlabError("conformal points are grade-1 vectors of Cl(3,1)")
-        scale = max(1.0, _max_abs(X) ** 2)
-        if abs(_inner_scalar(X, X)) > eps * scale:
-            raise VersorlabError("conformal points must be null")
-        if abs(_inner_scalar(X, NINF) + 1.0) > eps * scale:
-            raise VersorlabError("conformal points must satisfy X . n = -1")
+        tests = _point_tests(X.coeffs, eps) if X.sig == CGA_SIG else (False,)
+        for passed, message in zip(tests, ("conformal points are grade-1 vectors of Cl(3,1)",
+                                           "conformal points must be null",
+                                           "conformal points must satisfy X . n = -1")):
+            if not passed:
+                raise VersorlabError(message)
         self.X = X
 
     @property
@@ -183,12 +199,10 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
     """
     if isinstance(X, ConformalPoint):
         return X.coords
-    scale = max(1.0, _max_abs(X))
-    s = _inner_scalar(X, NINF)
-    if abs(s) < DEFAULT_EPS * scale:
+    Y, finite = _renormalized(X.coeffs, DEFAULT_EPS)
+    if not finite:
         raise PointAtInfinity("null vector has X . n = 0")
-    Y = X * (-1.0 / s)
-    return (float(Y.coeffs[1]), float(Y.coeffs[2]))  # e1, e2
+    return (float(Y[1]), float(Y[2]))  # e1, e2
 
 
 _SIGN, _REV = _KERNEL.sign.tolist(), _KERNEL.rev_sign.tolist()
@@ -254,12 +268,10 @@ class ConformalVersor:
             if (checked := _checked(y, eps)) is not None:
                 z, r = checked  # the zero blades times -1 / (Y . n), an odd Y negated
                 return _point(z, 0.0 * (-r if self.v.parity else r))
-        Y = sandwich(p.X, self.v, eps=eps)
-        scale = max(1.0, _max_abs(Y))
-        s = _inner_scalar(Y, NINF)
-        if abs(s) < eps * scale:
+        Y, finite = _renormalized(sandwich(p.X, self.v, eps=eps).coeffs, eps)
+        if not finite:
             raise PointAtInfinity("image point is at infinity")
-        return ConformalPoint(Y * (-1.0 / s), eps=eps)
+        return ConformalPoint(Multivector._wrap(CGA_SIG, Y), eps=eps)
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
         if not isinstance(other, ConformalVersor):
@@ -326,10 +338,10 @@ def inversion_versor() -> ConformalVersor:
 
 
 def special_conformal(a1: float, a2: float) -> ConformalVersor:
-    """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion."""
-    t = translator(a1, a2)
-    mv = EPLUS * t.mv * EPLUS
-    return ConformalVersor(Versor(mv))
+    """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion.  Its
+    coefficients are e T_a e's floats: the translator's, negated on e13 and e23."""
+    c1, c2 = (0.0 - 0.5 * (0.0 - a) for a in _finite(a1=a1, a2=a2))  # never -0.0
+    return ConformalVersor(Versor(_mv({0: 1.0, 5: 0.0 - c1, 6: 0.0 - c2, 9: c1, 10: c2})))
 
 
 def modular_S() -> ConformalVersor:

@@ -20,10 +20,8 @@ identically run to run.  Elements are looked up in one dict of their
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -33,6 +31,8 @@ from .algebra import (
     Multivector,
     Signature,
     Versor,
+    _check_cap,
+    _check_eps,
     find_ids,
     kernel_for,
     key_ids,
@@ -48,14 +48,11 @@ from .roots import RootSystem, _reflect_pairs
 
 __all__ = [
     "ConjugacyClass",
-    "ExpDecomposition",
-    "ExpTerm",
     "QuotientGroup",
     "VersorGroup",
     "conjugacy_classes",
     "coxeter_number",
     "element_order",
-    "exp_decomposition",
     "generate_pin",
     "generate_spin",
     "group_table_dict",
@@ -258,6 +255,7 @@ def _lex_sorted(arr: np.ndarray, to: np.ndarray, graph: np.ndarray):
 
 def _generate(kind: str, rs: RootSystem, gens: np.ndarray, cap: int) -> VersorGroup:
     """Orbit of +-1 under the right products g -> g s with each generator s."""
+    _check_cap("max_elements", cap)
     kern = kernel_for(rs.sig)
     seeds = np.eye(1, kern.D) * [[1.0], [-1.0]]
     arr, graph = orbit(seeds, gens, kern.gp_pairs, cap, "versor closure exceeded {cap} elements")
@@ -299,7 +297,7 @@ def quotient_by_sign(group: VersorGroup) -> QuotientGroup:
     return QuotientGroup(kind, group, arr, graph)
 
 
-# -- spinor coordinates and exponential structure ------------------------------
+# -- spinor coordinates ---------------------------------------------------------
 
 # (a0, a23, a31, a12) of an even Cl(3,0) element: the scalar, e2e3, e3e1 = -e1e3
 # and e1e2 coefficients, blades 0, 0b110, 0b101 (negated) and 0b011
@@ -309,58 +307,6 @@ _SPINOR_COLS, _SPINOR_SIGNS = [0, 0b110, 0b101, 0b011], np.array([1.0, 1.0, -1.0
 def _spinor_coords(arr: np.ndarray) -> np.ndarray:
     """Spinor coordinates of each row of an (..., 8) array of Cl(3,0) coefficients."""
     return arr[..., _SPINOR_COLS] * _SPINOR_SIGNS
-
-
-class ExpTerm(NamedTuple):
-    element: Multivector
-    kind: str  # "scalar" or "exponential"
-    sign: int
-    bivector: Optional[Multivector]
-    theta: Optional[float]
-
-
-class ExpDecomposition(NamedTuple):
-    terms: tuple
-
-    def scalars(self) -> list[ExpTerm]:
-        return [t for t in self.terms if t.kind == "scalar"]
-
-    def at_angle(self, theta: float) -> list[ExpTerm]:
-        return [t for t in self.terms
-                if t.kind == "exponential" and abs(t.theta - theta) <= DEFAULT_EPS]
-
-    def angle_counts(self) -> dict:
-        return dict(Counter(round(t.theta, 9) for t in self.terms if t.kind == "exponential"))
-
-
-def exp_decomposition(group: VersorGroup) -> ExpDecomposition:
-    """Write each spin element of Cl(3,0) as +-exp(B theta), B a unit bivector.
-
-    Scalars +-1 are reported as kind "scalar".  Every other element R has a
-    unique form sign * (cos theta + B sin theta) with theta in (0, pi/2] and
-    cos theta >= 0; theta = pi/2 picks out the pure bivectors.
-    """
-    if group.sig != Signature(3, 0) or group.kind != "spin":
-        raise VersorlabError("exp_decomposition needs a spin group in Cl(3,0)")
-    sig, arr = group.sig, group.element_arr()
-    terms = []
-    for row, coords in zip(arr, _spinor_coords(arr)):
-        a0, b = row[0], coords[1:]  # e23, e31, e12 parts
-        bmag = float(np.linalg.norm(b))
-        element = Multivector(sig, row)
-        if bmag <= DEFAULT_EPS:
-            terms.append(ExpTerm(element, "scalar", 1 if a0 > 0 else -1, None, None))
-            continue
-        s = -1 if a0 < -DEFAULT_EPS else 1
-        theta = math.atan2(bmag, s * a0)
-        bu = np.zeros(8)
-        bu[_SPINOR_COLS[1:]] = s * b / bmag * _SPINOR_SIGNS[1:]
-        bhat = Multivector(sig, bu)
-        recon = s * (math.cos(theta) + 0.0) * np.eye(1, 8, 0)[0] + s * math.sin(theta) * bu
-        if np.max(np.abs(recon - row)) > DEFAULT_EPS:
-            raise VersorlabError("exponential reconstruction failed")
-        terms.append(ExpTerm(element, "exponential", s, bhat, theta))
-    return ExpDecomposition(tuple(terms))
 
 
 # -- Coxeter number --------------------------------------------------------------
@@ -392,6 +338,7 @@ def coxeter_number(rs: RootSystem) -> int:
 
 def group_table_dict(group, eps: float = DEFAULT_EPS) -> dict:
     """Group-table JSON form: kind, order, and the conjugacy class list."""
+    _check_eps(eps)
     def coeffs(row):
         return Multivector._wrap(group.sig, row).to_json_dict(eps)
 

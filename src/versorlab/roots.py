@@ -26,6 +26,7 @@ from .algebra import (
     KEY_BOUND,
     Multivector,
     Signature,
+    _check_cap,
     _check_eps,
     find_ids,
     key_ids,
@@ -117,6 +118,7 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     """
     sig, simple = _coerce_simple_coords(simple_roots, sig)
     _check_eps(eps)
+    _check_cap("max_roots", max_roots)
     norms = np.linalg.norm(simple, axis=1)
     if np.any(norms < eps):
         raise ValueError("simple roots must be nonzero")

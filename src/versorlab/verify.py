@@ -18,14 +18,16 @@ in its order, so a seed keeps its meaning; a row drawing from one distribution
 draws a block as one array.  Then they evaluate all draws at once as array
 expressions on ``gp_elemwise``, ``rev``, the grade masks and the batched scalar
 part, which give the route's floats bit for bit, and make each of the route's
-checks on all draws at once.  When a check fails, the generator is rewound and
+checks on all draws at once (``cga2d.translations`` with ``cga2d``'s own point tests
+and renormalization).  When a check fails, the generator is rewound and
 the draws are replayed through the public route, drawing as they go, so the row
 fails with that route's own error.  The first 32 draws of each algebra a row
 samples also take the public route as a witness: ``witness_mismatches`` counts
 the draws whose outputs differ from the batch in any bit, and ``worst`` is the
 worst residual of the batch and the witness.  ``cga2d.modular_words`` takes each
 draw through ``apply_word`` and ``mobius_oracle`` as it is drawn, so a word the
-route rejects fails the row with that route's own error.
+route rejects fails the row with that route's own error.  ``groups.exp_structure``
+reads each element of Spin(A3) as +-exp(B theta) off its spinor coordinates.
 """
 
 from __future__ import annotations
@@ -59,6 +61,8 @@ from .cga2d import (
     EPLUS,
     NBAR,
     NINF,
+    _point_tests,
+    _renormalized,
     apply_word,
     dilator,
     embed,
@@ -74,7 +78,6 @@ from .errors import VersorlabError
 from .groups import (
     _spinor_coords,
     coxeter_number,
-    exp_decomposition,
     generate_pin,
     generate_spin,
     quotient_by_sign,
@@ -215,29 +218,6 @@ def _sandwich(kern, R, odd, X):
     out = kern.gp_elemwise(kern.gp_elemwise(kern.rev(R), X), R)
     out = np.where(np.reshape(odd, (-1, 1)), -out, out)
     return np.where(kern.grade_mask(1), out, 0.0), _graded(kern, X, 1)
-
-
-def _points(X) -> np.ndarray:
-    """``ConformalPoint``'s checks on each row."""
-    scale = DEFAULT_EPS * np.maximum(1.0, np.abs(X).max(axis=1) ** 2)
-    return (_graded(_CGA, X, 1) & ~(np.abs(_CGA.scalar_part(X, X)) > scale)
-            & ~(np.abs(_CGA.scalar_part(X, NINF.coeffs) + 1.0) > scale))
-
-
-def _embed(x1, x2):
-    """``embed`` of each point, squaring as it does (Python's ``**`` is not numpy's square)."""
-    sq = np.array([float(a) ** 2 + float(b) ** 2 for a, b in zip(x1, x2)])
-    x = vector_rows(CGA_SIG, np.column_stack([x1, x2]))
-    X = (sq[:, None] * NINF.coeffs + 2.0 * x - NBAR.coeffs) * 0.5
-    return X, _points(X)
-
-
-def _normalize(Y):
-    """``ConformalVersor.apply`` after its sandwich: (points at X . n = -1, finite and passing)."""
-    s = _CGA.scalar_part(Y, NINF.coeffs)
-    finite = ~(np.abs(s) < DEFAULT_EPS * np.maximum(1.0, np.abs(Y).max(axis=1)))
-    X = Y * (-1.0 / np.where(finite, s, -1.0))[:, None]
-    return X, finite & _points(X)
 
 
 def _reflection_public(draw):
@@ -413,18 +393,20 @@ _PI3_PATTERNS = {tuple(round(s / math.sqrt(3.0), 9) for s in signs): [-1, 1]
 
 
 def _exp_structure(ctx):
-    dec = exp_decomposition(ctx.spin("A3"))
-    counts = dec.angle_counts()
-    signs = {}
-    for term in dec.at_angle(math.pi / 3):
-        pattern = tuple(round(float(c), 9) for c in _spinor_coords(term.bivector.coeffs)[1:])
-        signs.setdefault(pattern, []).append(term.sign)
-    return {"at_pi_3": counts.get(round(math.pi / 3, 9), 0),
-            "at_pi_2": counts.get(round(math.pi / 2, 9), 0),
-            "scalars": len(dec.scalars()),
+    """Each element of Spin(A3) as sign (cos theta + B sin theta), read off its spinor
+    coordinates (a0, b): theta = atan2(|b|, |a0|), the sign of a0 and B's axis b / |b|."""
+    rows = ctx.spin("A3").element_arr()
+    a0, b = _spinor_coords(rows)[:, 0], _spinor_coords(rows)[:, 1:]
+    bmag, sign = np.linalg.norm(b, axis=1), np.where(a0 < -DEFAULT_EPS, -1, 1)
+    pi_3, pi_2 = (np.flatnonzero(np.abs(np.arctan2(bmag, np.abs(a0)) - t) <= DEFAULT_EPS)
+                  for t in (math.pi / 3, math.pi / 2))
+    signs, bivectors = {}, [Multivector(_CL3, row) for row in rows[pi_2]]
+    for i in pi_3.tolist():
+        axis = tuple(round(c, 9) for c in (sign[i] * b[i] / bmag[i]).tolist())
+        signs.setdefault(axis, []).append(int(sign[i]))
+    return {"at_pi_3": pi_3.size, "at_pi_2": pi_2.size, "scalars": int((bmag <= DEFAULT_EPS).sum()),
             "pi_3_signs": {p: sorted(s) for p, s in signs.items()},
-            "pi_2_bivectors": _same_elements([t.element for t in dec.at_angle(math.pi / 2)],
-                                             _a3_bivectors())}
+            "pi_2_bivectors": _same_elements(bivectors, _a3_bivectors())}
 
 
 _COXETER_NUMBERS = {"A3": 4, "B3": 6, "H3": 10, "D4": 6, "F4": 12,
@@ -482,10 +464,14 @@ def _translation_batch(drawn):
     na = _CGA.gp_elemwise(np.broadcast_to(NINF.coeffs, (len(a1), _CGA.D)),
                           vector_rows(CGA_SIG, np.column_stack([a1, a2])))
     T = scalar_mv(CGA_SIG, 1.0).coeffs - 0.5 * na  # translator's 1 - n a / 2
-    (ok, odd), (X, on) = _versor_checks(_CGA, T), _embed(x1, x2)
+    sq = np.array([float(a) ** 2 + float(b) ** 2 for a, b in zip(x1, x2)])  # embed's ** squares
+    X = (sq[:, None] * NINF.coeffs + 2.0 * vector_rows(CGA_SIG, np.column_stack([x1, x2]))
+         - NBAR.coeffs) * 0.5
+    ok, odd = _versor_checks(_CGA, T)
     Y, graded = _sandwich(_CGA, T, odd, X)
-    got, finite = _normalize(Y)
-    if not (ok & on & graded & finite).all():
+    got, finite = _renormalized(Y, DEFAULT_EPS)
+    if not np.all([ok, graded, finite, *_point_tests(X, DEFAULT_EPS),
+                   *_point_tests(got, DEFAULT_EPS)]):
         return None
     got = got[:, 1:3]
     return np.column_stack([got, np.abs(got - np.column_stack([x1 + a1, x2 + a2])).max(axis=1)])

@@ -173,7 +173,7 @@ def test_the_words_row_takes_the_public_route_alone(monkeypatch):
 
     monkeypatch.setattr(verify, "apply_word", counted)
     monkeypatch.setattr(verify, "_sandwich", batched)
-    monkeypatch.setattr(verify, "_normalize", batched)
+    monkeypatch.setattr(verify, "_renormalized", batched)
     result = verify._judge(_claim("cga2d.modular_words"), verify._Ctx(42, DEFAULT_EPS))
     assert result.passed, result.detail
     assert calls == {"apply_word": 1000}

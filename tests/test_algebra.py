@@ -17,6 +17,7 @@ from versorlab import (
     Signature,
     SignatureMismatch,
     Versor,
+    VersorlabError,
     basis,
     blade,
     catalog,
@@ -28,7 +29,7 @@ from versorlab import (
     vector,
 )
 import versorlab.algebra
-from versorlab.algebra import find_ids, kernel_for, key_ids, orbit, quantize
+from versorlab.algebra import KEY_BOUND, find_ids, kernel_for, key_ids, orbit, quantize
 from versorlab.roots import _reflect_pairs
 
 RNG = np.random.default_rng(20260814)
@@ -178,6 +179,36 @@ def test_versor_rejects_nan_and_names_the_failing_scalar():
             Versor(Multivector(SIG3, coeffs))
     with pytest.raises(NotAVersor, match=r"\(scalar part 1\.0000001\)$"):
         Versor(scalar_mv(SIG3, math.sqrt(1.0000001)))
+
+
+_EPS_TAKERS = {
+    "Versor": lambda eps: Versor(blade(SIG3, "e1"), eps=eps),
+    "close_to": lambda eps: blade(SIG3, "e1").close_to(blade(SIG3, "e2"), eps),
+    "is_grade": lambda eps: blade(SIG3, "e1").is_grade(1, eps),
+    "to_json_dict": lambda eps: blade(SIG3, "e1").to_json_dict(eps),
+}
+
+
+@pytest.mark.parametrize("eps", [math.nan, -1e-9, math.inf])
+@pytest.mark.parametrize("taker", sorted(_EPS_TAKERS))
+def test_every_multivector_eps_taker_checks_eps_where_it_enters(taker, eps):
+    # before: Versor(e1, eps=nan) blamed "mixed even/odd support" and
+    # e1.close_to(e2, eps=inf) was True
+    with pytest.raises(VersorlabError, match=rf"^eps must be finite and >= 0, got {eps}$"):
+        _EPS_TAKERS[taker](eps)
+    _EPS_TAKERS[taker](0.0)  # the range's floor is accepted
+
+
+def test_a_key_past_key_bound_names_it():
+    # the int64 cast would wrap or warn ("invalid value encountered in cast")
+    for c in (1e13, -1e13, 1e300, math.inf, math.nan):
+        mv = Multivector(Signature(2, 0), [0.0, c, 0.0, 0.0])
+        for use in (mv.key, lambda: hash(mv), lambda: mv == mv):
+            with pytest.raises(VersorlabError, match=r"^Multivector\.key\(\) needs coefficients "
+                                                     r"within KEY_BOUND = 4\.612e\+12, got one"):
+                use()
+    at_bound = Multivector(Signature(2, 0), [KEY_BOUND, -KEY_BOUND, 0.0, 0.0])
+    assert at_bound == Multivector(Signature(2, 0), [KEY_BOUND, -KEY_BOUND, 0.0, 0.0])
 
 
 def test_versor_inverse_undoes_product():

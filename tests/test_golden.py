@@ -20,10 +20,16 @@ and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in every
 format (the csv's ``simple`` column marks the simple roots).  ``verify``
 is left out, and ``modular`` is pinned only by the files above: their low
 digits rest on the platform's libm.
+
+``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``, run in
+process: A3's seeds are explicit, so its digits do not depend on LAPACK.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -32,6 +38,7 @@ from versorlab.algebra import Multivector
 from versorlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 CASES = {
     "classes_A3_chiral.json": ["classes", "A3", "--kind", "chiral"],
@@ -91,3 +98,10 @@ def test_each_format_builds_only_what_it_prints(monkeypatch, capsys):
                     assert main(command) == 0
                     out = capsys.readouterr().out.encode()
                     assert hashlib.sha256(out).hexdigest() == DIGESTS[" ".join(command)]
+
+
+def test_demo_03_stdout_matches_golden():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / "03_tetrahedral_groups.py"), run_name="__main__")
+    assert out.getvalue().encode() == (GOLDEN / "demo_03.txt").read_bytes()

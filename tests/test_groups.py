@@ -1,6 +1,8 @@
 """Tests for Pin/Spin generation, conjugacy structure, and Coxeter numbers."""
 
+import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -21,12 +23,13 @@ from versorlab import (
     conjugacy_classes,
     coxeter_number,
     element_order,
-    exp_decomposition,
     generate_pin,
     generate_spin,
     group_table_dict,
     quotient_by_sign,
+    rootsystem_from_dict,
     scalar_mv,
+    spinor_coords,
     vector,
 )
 from versorlab.algebra import BLOCK, blade_name, kernel_for, quantize
@@ -204,38 +207,62 @@ def test_quotient_requires_versor_group():
         quotient_by_sign(q)
 
 
-def test_exp_decomposition_structure():
+def test_spin_a3_elements_are_signed_exponentials_of_unit_bivectors():
+    # every element of 2T is sign (cos theta + B sin theta), read off its spinor
+    # coordinates (a0, b): theta = atan2(|b|, |a0|), the sign of a0, B along b / |b|
     g = generate_spin(catalog("A3"))
-    dec = exp_decomposition(g)
-    assert len(dec.terms) == 24
-    assert len(dec.scalars()) == 2
-    assert dec.angle_counts() == {round(math.pi / 3, 9): 16, round(math.pi / 2, 9): 6}
-    # the 16 angle-pi/3 bivectors are the eight (+-e12 +-e23 +-e13)/sqrt3 axes
-    axes = set()
-    for t in dec.at_angle(math.pi / 3):
-        b = t.bivector
-        key = tuple(int(round(c * math.sqrt(3))) for c in
-                    (b.coeff("e12"), b.coeff("e13"), b.coeff("e23")))
-        assert all(abs(k) == 1 for k in key)
-        axes.add(key)
-    assert len(axes) == 8
+    assert g.order == 24
+    e23, e31, e12 = blade(SIG3, "e23"), -blade(SIG3, "e13"), blade(SIG3, "e12")
+    one, scalars, angles, axes = scalar_mv(SIG3, 1.0), 0, Counter(), {}
+    for v in g.elements:
+        a0, *b = spinor_coords(v).tolist()
+        sign, bmag = math.copysign(1.0, a0), math.hypot(*b)
+        if bmag <= 1e-9:
+            scalars += 1
+            assert v.mv.close_to(sign * one)
+            continue
+        theta = math.atan2(bmag, abs(a0))
+        B = (sign / bmag) * (b[0] * e23 + b[1] * e31 + b[2] * e12)
+        assert B.is_grade(2) and (B * B).close_to(-1.0 * one)
+        assert v.mv.close_to(sign * (math.cos(theta) * one + math.sin(theta) * B))
+        angles[round(theta, 9)] += 1
+        if math.isclose(theta, math.pi / 3):  # B on one of the 8 axes (+-1, +-1, +-1)/sqrt3
+            axis = tuple(round(c * sign / bmag * math.sqrt(3.0), 9) for c in b)
+            axes.setdefault(axis, set()).add(sign)
+    assert scalars == 2
+    assert angles == {round(math.pi / 3, 9): 16, round(math.pi / 2, 9): 6}
+    assert axes == {axis: {-1.0, 1.0} for axis in itertools.product((1.0, -1.0), repeat=3)}
 
 
-def test_exp_decomposition_reconstructs_elements():
-    g = generate_spin(catalog("A3"))
-    for t in exp_decomposition(g).terms:
-        if t.kind == "scalar":
-            assert t.element.close_to(scalar_mv(SIG3, float(t.sign)))
-        else:
-            recon = float(t.sign) * (math.cos(t.theta) * scalar_mv(SIG3, 1.0)
-                                     + math.sin(t.theta) * t.bivector)
-            assert t.element.close_to(recon)
-            assert (t.bivector * t.bivector).scalar == pytest.approx(-1.0)
+@pytest.mark.parametrize("eps", [math.nan, -1e-9, math.inf])
+def test_group_table_dict_checks_eps_where_it_enters(eps):
+    # before: eps=nan gave every member an empty coefficient map
+    spin = generate_spin(catalog("A1^3"))
+    with pytest.raises(VersorlabError, match=rf"^eps must be finite and >= 0, got {eps}$"):
+        group_table_dict(spin, eps=eps)
+    assert group_table_dict(spin, eps=0.0)["order"] == 8
 
 
-def test_exp_decomposition_rejects_pin():
-    with pytest.raises(VersorlabError):
-        exp_decomposition(generate_pin(catalog("A3")))
+_CAP_TAKERS = {
+    "generate_pin": ("max_elements", lambda cap: generate_pin(catalog("A3"), max_elements=cap)),
+    "generate_spin": ("max_elements", lambda cap: generate_spin(catalog("A3"), max_elements=cap)),
+    "close_roots": ("max_roots", lambda cap: close_roots(np.eye(3), max_roots=cap)),
+    "catalog": ("max_roots", lambda cap: catalog("A3", max_roots=cap)),
+    "rootsystem_from_dict": ("max_roots", lambda cap: rootsystem_from_dict(
+        {"simple_roots": [[1.0, 0.0], [0.0, 1.0]]}, max_roots=cap)),
+}
+
+
+@pytest.mark.parametrize("cap", [0, -5, 2.5, math.nan, True, None, "100"])
+@pytest.mark.parametrize("taker", sorted(_CAP_TAKERS))
+def test_every_cap_taker_checks_its_cap_where_it_enters(taker, cap):
+    # before: max_elements=-5 said "versor closure exceeded -5 elements" and
+    # max_roots=0 "seed is likely not a finite system"
+    name, take = _CAP_TAKERS[taker]
+    with pytest.raises(VersorlabError, match=rf"^{name} must be an integer >= 1, got "
+                                             rf"{re.escape(repr(cap))}$"):
+        take(cap)
+    take(np.int64(100))  # any integer type
 
 
 def test_coxeter_numbers():
