@@ -207,31 +207,46 @@ def test_quotient_requires_versor_group():
         quotient_by_sign(q)
 
 
-def test_spin_a3_elements_are_signed_exponentials_of_unit_bivectors():
-    # every element of 2T is sign (cos theta + B sin theta), read off its spinor
-    # coordinates (a0, b): theta = atan2(|b|, |a0|), the sign of a0, B along b / |b|
+def _spin_a3_exponentials():
+    # every element of 2T as sign (cos theta + B sin theta), read off its spinor
+    # coordinates (a0, b): theta = atan2(|b|, |a0|), the sign of a0, B along b / |b|;
+    # theta and B are None for the two scalars
     g = generate_spin(catalog("A3"))
-    assert g.order == 24
     e23, e31, e12 = blade(SIG3, "e23"), -blade(SIG3, "e13"), blade(SIG3, "e12")
-    one, scalars, angles, axes = scalar_mv(SIG3, 1.0), 0, Counter(), {}
     for v in g.elements:
         a0, *b = spinor_coords(v).tolist()
         sign, bmag = math.copysign(1.0, a0), math.hypot(*b)
         if bmag <= 1e-9:
-            scalars += 1
-            assert v.mv.close_to(sign * one)
+            yield v, sign, None, None, None
             continue
-        theta = math.atan2(bmag, abs(a0))
         B = (sign / bmag) * (b[0] * e23 + b[1] * e31 + b[2] * e12)
-        assert B.is_grade(2) and (B * B).close_to(-1.0 * one)
-        assert v.mv.close_to(sign * (math.cos(theta) * one + math.sin(theta) * B))
+        axis = tuple(c * sign / bmag for c in b)
+        yield v, sign, math.atan2(bmag, abs(a0)), B, axis
+
+
+def test_exp_decomposition_structure():
+    terms = list(_spin_a3_exponentials())
+    assert len(terms) == 24
+    assert sum(theta is None for _, _, theta, _, _ in terms) == 2
+    angles, axes = Counter(), {}
+    for _, sign, theta, _, axis in terms:
+        if theta is None:
+            continue
         angles[round(theta, 9)] += 1
         if math.isclose(theta, math.pi / 3):  # B on one of the 8 axes (+-1, +-1, +-1)/sqrt3
-            axis = tuple(round(c * sign / bmag * math.sqrt(3.0), 9) for c in b)
-            axes.setdefault(axis, set()).add(sign)
-    assert scalars == 2
+            axes.setdefault(tuple(round(c * math.sqrt(3.0), 9) for c in axis), set()).add(sign)
     assert angles == {round(math.pi / 3, 9): 16, round(math.pi / 2, 9): 6}
     assert axes == {axis: {-1.0, 1.0} for axis in itertools.product((1.0, -1.0), repeat=3)}
+
+
+def test_exp_decomposition_reconstructs_elements():
+    one = scalar_mv(SIG3, 1.0)
+    for v, sign, theta, B, _ in _spin_a3_exponentials():
+        if theta is None:
+            assert v.mv.close_to(sign * one)
+            continue
+        assert B.is_grade(2) and (B * B).close_to(-1.0 * one)
+        assert v.mv.close_to(sign * (math.cos(theta) * one + math.sin(theta) * B))
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1e-9, math.inf])
