@@ -20,8 +20,8 @@ The package's one set of key helpers sits next to ``quantize``: ``row_keys``
 (a void view of quantized rows), ``lex_order``, and one dict of key bytes
 per table, which ``key_ids`` fills (a new key takes the next id) and
 ``find_ids`` reads (-1 where a key is absent), ``FIND_ROWS`` rows at a time.
-On them stands ``orbit``, the one closure routine for roots and groups,
-which also returns the orbit's graph, which row each action hit.
+On them stands ``orbit``, the one closure routine for roots and reflection
+groups, which also returns the orbit's graph, which row each action hit.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class _Kernel:
     The blade product e_a e_b is +-e_(a^b) (bitmap blades, Dorst, Fontijne &
     Mann 2007, ch. 19).  With ``xor[a, k] = a ^ k`` and ``sign[a, k]`` the
     sign of e_a e_(a^k), output blade k of A B is sum_a A[a] B[a^k] sign[a, k]:
-    every product, single, batched or all-pairs, is that one contraction.
+    every product, single or batched, is that one contraction.
 
     Built once per signature and cached with it: ``grades`` (the grade of
     each blade), ``blade_names`` (indexed by mask), the read-only grade
@@ -145,23 +145,6 @@ class _Kernel:
         """Broadcasting batched product over leading axes of (..., D) arrays."""
         return np.einsum("...a,...ak->...k", A, B[..., self.xor] * self.sign)
 
-    def gp_pairs(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """All pairwise products: (M, D) x (N, D) -> (M, N, D).
-
-        B is expanded to its signed D x D product matrices in row blocks of
-        at most ``BLOCK`` floats, so memory does not grow with len(B) * D**2.
-        """
-        step = max(1, BLOCK // (self.D * self.D))
-        blocks = []
-        for j in range(0, max(B.shape[0], 1), step):
-            mats = B[j:j + step, self.xor]
-            mats *= self.sign
-            blocks.append(np.einsum("ma,nak->mnk", A, mats))
-            del mats  # freed before the next block is gathered
-        # one block is returned as is: writing into a preallocated output,
-        # with einsum's out= or by assignment, made Cl(4) gp_pairs 2-3x slower
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-
     def rev(self, A: np.ndarray) -> np.ndarray:
         return A * self.rev_sign
 
@@ -181,7 +164,7 @@ def kernel_for(sig: Signature) -> _Kernel:
 def quantize(arr: np.ndarray) -> np.ndarray:
     """Snap float coefficients to the canonical integer grid, rounding once: the int64
     key has room for magnitudes below 2**63 * HASH_GRID, about 9.2e12 (see KEY_BOUND)."""
-    return np.round(arr / HASH_GRID).astype(np.int64)
+    return np.rint(arr / HASH_GRID).astype(np.int64)
 
 
 def qkey(arr: np.ndarray) -> bytes:
@@ -226,11 +209,11 @@ def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
 
     ``act(A, gens)`` acts on each row of A by each generator, shape
     (len(A), len(gens), width); each layer acts on the rows the last one
-    found, in row blocks of at most ``BLOCK`` result floats.  Each result
-    is looked up by key in a dict of the known rows, where a new key takes
-    the next row index: rows keep their first-seen order and the value of
-    their first path, whatever the block size.  Past ``cap`` rows it raises
-    ``ClosureCapExceeded(message.format(cap=cap))``.
+    found, in row blocks of at most ``BLOCK`` results (none is wider than a
+    generator).  Each result is looked up by key in a dict of the known rows,
+    where a new key takes the next row index: rows keep their first-seen
+    order and the value of their first path, whatever the block size.  Past
+    ``cap`` rows it raises ``ClosureCapExceeded(message.format(cap=cap))``.
 
     Returns the rows and the orbit's graph: ``graph[j, k]`` is the index of
     the row that row j hit under generator k.

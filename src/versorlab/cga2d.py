@@ -98,12 +98,13 @@ def _bounds(eps: float, peak: np.ndarray, power: int) -> np.ndarray:
 
 
 def _point_tests(X: np.ndarray, eps: float) -> tuple:
-    """``ConformalPoint``'s three tests on each row of (..., 16) coefficients: grade 1,
-    null and X . n = -1, each failing as its ``if x > bound: raise`` does."""
+    """``ConformalPoint``'s four tests on each row of (..., 16) coefficients: grade 1, null
+    and X . n = -1, each failing as its ``if x > bound: raise`` does, and finite."""
     bound = _bounds(eps, np.abs(X).max(axis=-1), 2)
     return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_mask(1), initial=0.0) <= eps,
             ~(np.abs(_KERNEL.scalar_part(X, X)) > bound),
-            ~(np.abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound))
+            ~(np.abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound),
+            np.isfinite(X).all(-1))
 
 
 def _renormalized(Y: np.ndarray, eps: float) -> tuple:
@@ -124,7 +125,8 @@ class ConformalPoint:
         tests = _point_tests(X.coeffs, eps) if X.sig == CGA_SIG else (False,)
         for passed, message in zip(tests, ("conformal points are grade-1 vectors of Cl(3,1)",
                                            "conformal points must be null",
-                                           "conformal points must satisfy X . n = -1")):
+                                           "conformal points must satisfy X . n = -1",
+                                           "conformal points must have finite coefficients")):
             if not passed:
                 raise VersorlabError(message)
         self.X = X

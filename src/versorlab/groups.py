@@ -1,14 +1,16 @@
 """Finite versor groups: Pin and Spin covers of reflection groups.
 
 Pin(rs) is generated by the simple-root vectors s_i and Spin(rs), its even
-part, by the products s_i s_j (i < j): each is the orbit of +-1 under right
-products with its generators, unrounded.  Elements are unit versors, +R and
--R distinct; quotient_by_sign collapses the double cover onto the plain
-rotation (from spin) or full reflection (from pin) group.
+part, by the products s_i s_j (i < j): each is {+-v_w} over the reflection
+group W, or its rotation subgroup, closed in integers as permutations of the
+roots, on which W acts faithfully (Humphreys 1990, 1.5-1.7), so every
+antipode is exact.  Elements are unit versors, +R and -R distinct;
+quotient_by_sign collapses the double cover onto the plain rotation (from
+spin) or full reflection (from pin) group.
 
-Each group keeps the graph its closure walked, ``graph[j, k]`` = index of
-g_j s_k, and answers in integers on it, with no float product: left
-products follow each element's first path from +-1, and give the lazy
+Each group keeps W's graph lifted by each edge's sign, ``graph[j, k]`` =
+index of g_j s_k, and answers in integers on it, with no float product:
+left products follow each element's first path from +-1, and give the lazy
 ``table[i, j]`` = index of g_i g_j and the powers behind element orders.
 Root systems are positive definite, so ~G = G^-1 (inverses are a lookup of
 the reversed rows) and the classes R -> ~G R G are the orbits of
@@ -20,7 +22,7 @@ identically run to run.  Elements are looked up in one dict of their
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -44,7 +46,7 @@ from .algebra import (
     vector_rows,
 )
 from .errors import VersorlabError
-from .roots import RootSystem, _reflect_pairs
+from .roots import RootSystem, _simple_permutations
 
 __all__ = [
     "ConjugacyClass",
@@ -60,15 +62,6 @@ __all__ = [
 ]
 
 MAX_GROUP = 20_000
-
-
-def _sign_canonical(arr: np.ndarray) -> np.ndarray:
-    """Flip each row so its first nonzero quantized coefficient is positive."""
-    q = quantize(arr)
-    idx = np.argmax(q != 0, axis=1)
-    lead = q[np.arange(q.shape[0]), idx]
-    s = np.where(lead < 0, -1.0, 1.0)
-    return arr * s[:, None]
 
 
 class _GroupBase:
@@ -217,8 +210,8 @@ class VersorGroup(_GroupBase):
 
 
 class QuotientGroup(_GroupBase):
-    """Versor group with R and -R identified; elements are sign-canonical reps,
-    looked up by the key of either sign."""
+    """Versor group with R and -R identified; each element is the one of +-R whose
+    first nonzero quantized coefficient is positive, looked up by the key of either sign."""
 
     def __init__(self, kind: str, covering: VersorGroup, arr: np.ndarray, graph: np.ndarray):
         super().__init__(kind, covering.sig, arr, graph, covering.source)
@@ -242,37 +235,54 @@ class ConjugacyClass:
         return Versor._trusted(self.sig, self.rows[self.indices])
 
 
-def _lex_sorted(arr: np.ndarray, to: np.ndarray, graph: np.ndarray):
-    """Rows of arr in lex order, and the graph of rows ``to[i]`` of arr, renumbered to match."""
+def _lex_sorted(arr: np.ndarray, graph: np.ndarray):
+    """Rows of arr in lex order, and their graph renumbered to match."""
     order = lex_order(arr)
-    at = np.empty_like(order)
-    at[order] = np.arange(order.size)
-    to = at[to]
-    out = np.empty((arr.shape[0], graph.shape[1]), dtype=graph.dtype)
-    out[to] = to[graph]
-    return arr[order], out
+    return arr[order], np.argsort(order)[graph[order]]
 
 
-def _generate(kind: str, rs: RootSystem, gens: np.ndarray, cap: int) -> VersorGroup:
-    """Orbit of +-1 under the right products g -> g s with each generator s."""
+def _generate(kind: str, rs: RootSystem, simple: np.ndarray, perms: np.ndarray,
+              factors: np.ndarray, cap: int) -> VersorGroup:
+    """{+-v_w} over W, the orbit of the simple roots' indices under the root
+    permutations ``perms`` (w, then generator k maps images b to perms[k][b]).
+    Versor generator k, the product of the rows ``factors[k]``, lifts each
+    element along its first edge (q, k), v = v_q s_k, from rows whose versors
+    are known, in blocks of at most ``BLOCK`` floats.  Each edge's product must
+    be +-v of its end to 1e-9, and that sign lifts W's graph to the cover's."""
     _check_cap("max_elements", cap)
-    kern = kernel_for(rs.sig)
-    seeds = np.eye(1, kern.D) * [[1.0], [-1.0]]
-    arr, graph = orbit(seeds, gens, kern.gp_pairs, cap, "versor closure exceeded {cap} elements")
-    arr, graph = _lex_sorted(arr, np.arange(arr.shape[0]), graph)
+    images, graph = orbit(simple[None], perms, lambda b, p: p[:, b].swapaxes(0, 1), cap // 2,
+                          f"versor closure exceeded {cap} elements")
+    kern, (n, m) = kernel_for(rs.sig), graph.shape
+    gens = reduce(kern.gp_elemwise, factors.swapaxes(0, 1))
+    first = np.unique(graph, return_index=True)[1][1:]  # q * m + k of each first edge (q, k)
+    v, dots = np.zeros((n, kern.D)), np.empty((n, m))
+    v[0, 0], step, a, known = 1.0, max(1, BLOCK // max(m * kern.D, 1)), 0, 1
+    while a < n:
+        b = min(known, a + step)
+        prod = kern.gp_elemwise(v[a:b, None], gens)
+        lo, hi = np.searchsorted(first, [a * m, b * m])  # the elements first reached from a..b-1
+        v[1 + lo:1 + hi], known = prod.reshape(-1, kern.D)[first[lo:hi] - a * m], 1 + hi
+        dots[a:b] = np.einsum("qkd,qkd->qk", prod, v[graph[a:b]])
+        a = b
+    if not np.all(np.abs(np.abs(dots) - 1.0) <= 1e-9):  # NaN fails too
+        raise VersorlabError("the versor generators do not lift the root permutations")
+    cover = graph + np.where(dots < 0, n, 0)  # row i + n is -v_i
+    arr, graph = _lex_sorted(np.vstack([v, -v]), np.vstack([cover, (cover + n) % (2 * n)]))
     return VersorGroup(kind, rs.sig, arr, graph, source=rs)
 
 
 def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """The group generated by the simple-root vectors, with +-1."""
-    return _generate("pin", rs, vector_rows(rs.sig, rs.simple_coords), max_elements)
+    (simple, perms), s = _simple_permutations(rs), vector_rows(rs.sig, rs.simple_coords)
+    return _generate("pin", rs, simple, perms, s[:, None], max_elements)
 
 
 def generate_spin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """The even subgroup of Pin, generated by the products s_i s_j (i < j), with +-1."""
-    s = vector_rows(rs.sig, rs.simple_coords)
-    i, j = np.triu_indices(rs.rank, 1)
-    return _generate("spin", rs, kernel_for(rs.sig).gp_elemwise(s[i], s[j]), max_elements)
+    (simple, perms), s = _simple_permutations(rs), vector_rows(rs.sig, rs.simple_coords)
+    i, j = np.triu_indices(rs.rank, 1)  # s_i s_j permutes the roots as s_i, then s_j
+    return _generate("spin", rs, simple, perms[j[:, None], perms[i]], np.stack([s[i], s[j]], 1),
+                     max_elements)
 
 
 def conjugacy_classes(group) -> tuple[ConjugacyClass, ...]:
@@ -287,14 +297,12 @@ def quotient_by_sign(group: VersorGroup) -> QuotientGroup:
     """Collapse +-R pairs; spin groups map to rotation groups, pin to full ones."""
     if not isinstance(group, VersorGroup):
         raise VersorlabError("quotient_by_sign expects a pin or spin group")
-    canon = _sign_canonical(group.element_arr())
-    to = key_ids(canon, {})  # cover row i is row to[i] of canon[first]
-    first = np.unique(to, return_index=True)[1]
-    if 2 * first.size != group.order:
-        raise VersorlabError("group is not symmetric under negation")
-    arr, graph = _lex_sorted(canon[first], to, group._graph)  # [g] s = [g s]
+    neg = group._negatives
+    # of each pair the later row in lex order, whose leading coefficient is positive
+    keep = np.flatnonzero(neg < np.arange(group.order))
+    to = np.searchsorted(keep, np.maximum(neg, np.arange(group.order)))  # [g] = [-g]; [g] s = [g s]
     kind = "rotation" if group.kind == "spin" else "reflection"
-    return QuotientGroup(kind, group, arr, graph)
+    return QuotientGroup(kind, group, group.element_arr()[keep], to[group._graph[keep]])
 
 
 # -- spinor coordinates ---------------------------------------------------------
@@ -315,18 +323,11 @@ def _spinor_coords(arr: np.ndarray) -> np.ndarray:
 def coxeter_number(rs: RootSystem) -> int:
     """Order of the product of all simple-root vectors, as the order of the
     permutation it makes of the roots: the product of the simple reflections'
-    root permutations, each looked up by key."""
+    root permutations."""
     if rs.rank != rs.sig.dim:
         raise VersorlabError("coxeter_number needs a full-rank root system")
-    index = {}
-    key_ids(rs.coords, index)
-    images = find_ids(_reflect_pairs(rs.coords, rs.simple_coords), index)
-    every = np.arange(rs.root_count)
-    if not np.all(np.sort(images, axis=0) == every[:, None]):
-        raise VersorlabError("the Coxeter element does not permute the roots")
-    perm = every
-    for k in range(rs.rank):  # reflect in s_1 first, then s_2, ...
-        perm = images[perm, k]
+    every = np.arange(rs.root_count)  # reflect in s_1 first, then s_2, ...
+    perm = reduce(lambda acc, p: p[acc], _simple_permutations(rs)[1], every)
     power, k = perm, 1
     while not np.array_equal(power, every):
         power, k = perm[power], k + 1

@@ -181,7 +181,7 @@ def reflection_agreement(group: VersorGroup) -> ReflectionAgreement:
     gram = coords @ coords.T
     ratio = gram / np.diag(gram)[:, None]
     linear = garr[None, :, :] - 2.0 * ratio[:, :, None] * garr[:, None, :]
-    t1 = kern.gp_pairs(garr, kern.rev(garr))
+    t1 = kern.gp_elemwise(garr[:, None], kern.rev(garr)[None])
     product = -kern.gp_elemwise(t1, garr[:, None, :])
     dev = float(np.max(np.abs(linear - product)))
     index = {}

@@ -130,6 +130,18 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     return RootSystem(sig, simple, coords[lex_order(coords)], name=name)
 
 
+def _simple_permutations(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The simple roots' indices, and ``perms[k, i]`` = index of root i reflected in
+    simple root k, looked up in one key dict of the roots; each must be a permutation."""
+    index = {}
+    key_ids(rs.coords, index)
+    simple = find_ids(rs.simple_coords, index)
+    perms = find_ids(_reflect_pairs(rs.coords, rs.simple_coords), index).T
+    if np.any(simple < 0) or not np.all(np.sort(perms, axis=1) == np.arange(rs.root_count)):
+        raise VersorlabError("the simple reflections do not permute the roots")
+    return simple, perms
+
+
 class AxiomViolation(NamedTuple):
     reason: str
     witness: tuple

@@ -30,7 +30,7 @@ from versorlab import (
 )
 import versorlab.algebra
 from versorlab.algebra import KEY_BOUND, find_ids, kernel_for, key_ids, orbit, quantize
-from versorlab.roots import _reflect_pairs
+from versorlab.roots import _reflect_pairs, _simple_permutations
 
 RNG = np.random.default_rng(20260814)
 
@@ -351,7 +351,6 @@ def test_kernel_products_match_reference(p, q):
     B = rng.normal(size=(4, k.D))
     want = np.array([[reference_gp(a, b, p, q) for b in B] for a in A])
     close = dict(atol=1e-12, rtol=0.0)
-    assert np.allclose(k.gp_pairs(A, B), want, **close)
     assert np.allclose(k.gp_elemwise(A[:, None, :], B[None, :, :]), want, **close)
     for i in range(A.shape[0]):
         for j in range(B.shape[0]):
@@ -376,40 +375,6 @@ def test_kernel_scalar_part_is_the_products_scalar_bitwise(p, q):
     assert np.array_equal(k.scalar_part(A, B[0]), [k.scalar_part(a, B[0]) for a in A])
     # (20 rows: a batched product expands B to rows * D**2 floats)
     assert np.array_equal(k.gp_elemwise(A[:20], B[:20]), [k.gp(a, b) for a, b in zip(A[:20], B)])
-
-
-def unblocked_gp_pairs(k, A, B):
-    """All pairwise products with B expanded in one piece (len(B) * D**2 floats)."""
-    return np.einsum("...a,...ak->...k", A[:, None], B[None][..., k.xor] * k.sign)
-
-
-@pytest.mark.parametrize("p,q", [(3, 0), (3, 1), (5, 0), (8, 0)])
-def test_gp_pairs_blocks_are_bitwise_the_unblocked_product(p, q, monkeypatch):
-    k = kernel_for(Signature(p, q))
-    rng = np.random.default_rng(p + 10 * q)
-    A, B = rng.normal(size=(5, k.D)), rng.normal(size=(9, k.D))
-    want = unblocked_gp_pairs(k, A, B)
-    for block in (1, 2 * k.D * k.D, versorlab.algebra.BLOCK):  # 9, 5 and 1 blocks
-        monkeypatch.setattr(versorlab.algebra, "BLOCK", block)
-        got = k.gp_pairs(A, B)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert k.gp_pairs(A, B[:0]).shape == (5, 0, k.D)
-
-
-def test_gp_pairs_memory_is_bounded_by_the_block():
-    # unblocked, 300 right operands in Cl(8,0) would expand to 2 * 300 * 256**2
-    # floats (about 315 MB); blocked, the expansion stays within BLOCK floats
-    k = kernel_for(Signature(8, 0))
-    rng = np.random.default_rng(8)
-    A, B = rng.normal(size=(2, k.D)), rng.normal(size=(300, k.D))
-    tracemalloc.start()
-    try:
-        out = k.gp_pairs(A, B)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (2, 300, k.D)
-    assert peak <= 2 * versorlab.algebra.BLOCK * 8
 
 
 # ---------------------------------------------------------------- hashing / io
@@ -491,13 +456,17 @@ def test_signature_validation():
 
 def test_orbit_graph_is_each_rows_product_looked_up():
     # graph[j, k] names the row that row j times generator k hit, as a fresh
-    # lookup of every product finds it, for roots and for a group alike
-    e8 = catalog("E8")
+    # lookup of every product finds it, for roots, a group of versors and a
+    # group of root permutations alike
+    e8, h3 = catalog("E8"), catalog("H3")
     cases = [(e8.simple_coords, _reflect_pairs, np.vstack([e8.simple_coords, -e8.simple_coords]))]
     kern = kernel_for(Signature(3, 0))
     gens = np.zeros((3, 8))
-    gens[:, [1, 2, 4]] = catalog("H3").simple_coords
-    cases.append((gens, kern.gp_pairs, np.eye(1, 8) * [[1.0], [-1.0]]))
+    gens[:, [1, 2, 4]] = h3.simple_coords
+    cases.append((gens, lambda A, B: kern.gp_elemwise(A[:, None], B[None]),
+                  np.eye(1, 8) * [[1.0], [-1.0]]))
+    simple, perms = _simple_permutations(h3)
+    cases.append((perms, lambda b, p: p[:, b].swapaxes(0, 1), simple[None]))
     for gens, act, seeds in cases:
         rows, graph = orbit(seeds, gens, act, 1000, "cap {cap}")
         assert graph.shape == (rows.shape[0], gens.shape[0])

@@ -14,6 +14,7 @@ from versorlab import (
     NBAR,
     NINF,
     ConformalPoint,
+    Multivector,
     NotAVersor,
     PointAtInfinity,
     Signature,
@@ -102,6 +103,18 @@ def test_conformal_point_validation():
         ConformalPoint(NBAR)  # null, but X . n = 2 instead of -1
     with pytest.raises(VersorlabError):
         ConformalPoint(scalar_mv(SIG31, 1.0))  # not grade 1
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3])
+def test_conformal_point_needs_finite_coefficients(eps):
+    # an infinite bound, or a NaN, passes the other three tests
+    inf_e1 = np.zeros(16)
+    inf_e1[1] = math.inf  # X . n = 0
+    nan_e1 = embed(0.5, 2.0).X.coeffs.copy()
+    nan_e1[1] = math.nan  # X . n = -1 but for the NaN
+    for coeffs in (inf_e1, nan_e1):
+        with pytest.raises(VersorlabError, match="^conformal points must have finite coefficients$"):
+            ConformalPoint(Multivector(SIG31, coeffs), eps=eps)
 
 
 # ---------------------------------------------------------------- versors

@@ -160,9 +160,9 @@ def test_max_closure_caps_group_closure(capsys):
 
 
 def test_spin_closure_fails_fast_under_memory_limit():
-    # the closure works in blocks, so E6 Spin hits its 20 000-element cap
-    # well inside 1 GiB of address space; one BLAS thread keeps that space
-    # for the closure on machines with many cores
+    # W+(E6) closes as root permutations and hits half the 20 000-element
+    # cap before any float product, well inside 1 GiB of address space; one
+    # BLAS thread keeps that space for the closure on machines with many cores
     resource = pytest.importorskip("resource")
 
     def limit_address_space():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import versorlab.algebra
+import versorlab.groups
 from versorlab import (
     ClosureCapExceeded,
     Multivector,
@@ -32,7 +33,9 @@ from versorlab import (
     spinor_coords,
     vector,
 )
-from versorlab.algebra import BLOCK, blade_name, kernel_for, quantize
+from versorlab.algebra import BLOCK, blade_name, kernel_for, orbit, quantize, row_keys, vector_rows
+from versorlab.groups import MAX_GROUP, _lex_sorted
+from versorlab.roots import _simple_permutations
 
 SIG3 = Signature(3, 0)
 
@@ -335,7 +338,7 @@ def test_closure_cap_boundary():
     with pytest.raises(ClosureCapExceeded):
         close_roots(h3.simple_coords, max_roots=29)
     with pytest.raises(ClosureCapExceeded):
-        generate_spin(h3, max_elements=119)  # its last layer reaches 120 before the next block
+        generate_spin(h3, max_elements=119)  # a cap of 59 on W+(H3), whose 60 rows are all reached
 
 
 def test_closure_is_independent_of_block_size(monkeypatch):
@@ -345,9 +348,11 @@ def test_closure_is_independent_of_block_size(monkeypatch):
                 generate_spin(catalog("D4")).element_arr()]
 
     default = closures()
-    # a block is max(1, BLOCK // gens.size) rows, and the smallest generator
-    # set of the four is H4's 4 x 4 mirrors: one row per block for all four
+    # an orbit block is max(1, BLOCK // gens.size) rows, and the smallest
+    # generator set of the four is H4's 4 x 4 mirrors; a lift block is
+    # max(1, BLOCK // (|gens| * D)) rows: one row per block for all four
     monkeypatch.setattr(versorlab.algebra, "BLOCK", 16)
+    monkeypatch.setattr(versorlab.groups, "BLOCK", 16)
     for small, big in zip(closures(), default):
         assert small.tobytes() == big.tobytes()
     with pytest.raises(ClosureCapExceeded):  # the seed of test_closure_cap_trips_on_irrational_angle
@@ -405,33 +410,36 @@ def test_coefficients_near_quarters_are_quarters(name):
         assert gap[gap <= 1e-9].max() <= 8 * np.finfo(float).eps, (name, g.kind)
 
 
-@pytest.mark.parametrize("name,kind,products", [
+@pytest.mark.parametrize("name,kind,edges", [
     ("F4", "pin", 2304 * 4),
     ("F4", "spin", 1152 * 6),
     ("H3", "spin", 120 * 3),
     ("A1", "spin", 0),
 ])
-def test_closure_products_are_order_times_generators(name, kind, products, monkeypatch):
-    # each element is multiplied once by each generator: |G| * |gens| products
+def test_closure_products_are_order_times_generators(name, kind, edges, monkeypatch):
+    # the cover's graph has |G| * |gens| edges, and W's half as many: each
+    # element of W is multiplied once by each generator, |W| * |gens|
+    # products, and each of Spin's generators is the product of two vectors
     rs = catalog(name)
     counted = []
-    gp_pairs = versorlab.algebra._Kernel.gp_pairs
+    gp_elemwise = versorlab.algebra._Kernel.gp_elemwise
 
     def counting(self, A, B):
-        counted.append(A.shape[0] * B.shape[0])
-        return gp_pairs(self, A, B)
+        counted.append(int(np.prod(np.broadcast_shapes(A.shape, B.shape)[:-1])))
+        return gp_elemwise(self, A, B)
 
-    monkeypatch.setattr(versorlab.algebra._Kernel, "gp_pairs", counting)
+    monkeypatch.setattr(versorlab.algebra._Kernel, "gp_elemwise", counting)
     g = (generate_pin if kind == "pin" else generate_spin)(rs)
-    assert sum(counted) == products
-    assert g.order * (rs.rank if kind == "pin" else rs.rank * (rs.rank - 1) // 2) == products
+    gens = rs.rank if kind == "pin" else rs.rank * (rs.rank - 1) // 2
+    assert g.order * gens == g._graph.size == edges
+    assert sum(counted) == edges // 2 + (0 if kind == "pin" else gens)
 
 
 def count_products(mp) -> list:
     """Name every float product call the kernel makes, by monkeypatching."""
     counted = []
     kernel = versorlab.algebra._Kernel
-    for name in ("gp", "gp_pairs", "gp_elemwise", "scalar_part"):
+    for name in ("gp", "gp_elemwise", "scalar_part"):
         def counting(self, A, B, _f=getattr(kernel, name), _name=name):
             counted.append(_name)
             return _f(self, A, B)
@@ -453,7 +461,7 @@ def reference_table(g) -> np.ndarray:
     rows = []
     while not filled.all():
         s = int(np.argmin(filled))
-        rows.append(g.indices_of(kern.gp_pairs(arr[[s]], arr).reshape(n, -1)))
+        rows.append(g.indices_of(kern.gp_elemwise(arr[s], arr)))
         frontier = np.flatnonzero(filled)
         while frontier.size:
             grown = []
@@ -532,4 +540,60 @@ def test_table_classes_orders_and_coxeter_number_make_no_float_product(name, kin
     conjugacy_classes(g)
     [g.element_order(row) for row in g.element_arr()]
     coxeter_number(rs)
+    assert counted == []
+
+
+# -- the construction: W closed in integers, lifted to {+-v_w}
+
+
+def reference_closure(kind, rs):
+    """The group as a float orbit of +-1 under right products with its versor
+    generators, lex-sorted: each element the value of its first path."""
+    kern = kernel_for(rs.sig)
+    s = vector_rows(rs.sig, rs.simple_coords)
+    i, j = np.triu_indices(rs.rank, 1)
+    gens = s if kind == "pin" else kern.gp_elemwise(s[i], s[j])
+    arr, graph = orbit(np.eye(1, kern.D) * [[1.0], [-1.0]], gens,
+                       lambda A, B: kern.gp_elemwise(A[:, None], B[None]), MAX_GROUP, "{cap}")
+    return _lex_sorted(arr, graph)
+
+
+LIFTED = ([(name, kind) for name in ("A1", "A1^3", "A1^4", "A3", "B3", "D4", "F4", "H3",
+                                     "I2(5)", "I2(7)", "I2(12)") for kind in ("pin", "spin")]
+          + [("H4", "spin")])
+
+
+@pytest.mark.parametrize("name,kind", LIFTED)
+def test_lifted_closure_equals_the_float_versor_orbit(name, kind):
+    rs = catalog(name)
+    g = (generate_pin if kind == "pin" else generate_spin)(rs)
+    arr, graph = reference_closure(kind, rs)
+    assert np.array_equal(row_keys(g.element_arr()), row_keys(arr))
+    assert np.array_equal(g._graph, graph)
+    assert np.abs(g.element_arr() - arr).max() <= 1e-14
+    # every antipode exact, where the float orbit reaches g and -g by different paths
+    assert np.array_equal(g.element_arr()[g._negatives], -g.element_arr())
+
+
+@pytest.mark.parametrize("kind", ["pin", "spin"])
+def test_generators_that_disagree_with_the_permutations_are_refused(kind):
+    rs = catalog("A3")
+    simple, perms = _simple_permutations(rs)
+    s = vector_rows(rs.sig, rs.simple_coords)
+    i, j = np.triu_indices(rs.rank, 1)
+    if kind == "pin":  # s_1 and s_2 swapped (reversing all three is A3's diagram automorphism)
+        factors = s[[1, 0, 2], None]
+    else:  # s_j s_i where the permutations say s_i first, then s_j
+        perms, factors = perms[j[:, None], perms[i]], np.stack([s[j], s[i]], 1)
+    with pytest.raises(VersorlabError, match="^the versor generators do not lift the root "
+                                             "permutations$"):
+        versorlab.groups._generate(kind, rs, simple, perms, factors, MAX_GROUP)
+
+
+@pytest.mark.parametrize("name,generate", [("E6", generate_spin), ("E8", generate_pin)])
+def test_a_group_past_the_cap_fails_before_any_float_product(name, generate, monkeypatch):
+    rs = catalog(name)
+    counted = count_products(monkeypatch)
+    with pytest.raises(ClosureCapExceeded, match=f"^versor closure exceeded {MAX_GROUP} elements$"):
+        generate(rs)
     assert counted == []

@@ -54,7 +54,7 @@ def test_cayley_table_matches_float_products():
         arr = g.element_arr()
         n = g.order
         kern = kernel_for(g.sig)
-        ref = g.indices_of(kern.gp_pairs(arr, arr).reshape(n * n, -1)).reshape(n, n)
+        ref = g.indices_of(kern.gp_elemwise(arr[:, None], arr[None]).reshape(n * n, -1)).reshape(n, n)
         assert np.array_equal(cayley_table(g), ref)
 
 

@@ -245,6 +245,13 @@ def test_exact_antipodes_have_equal_mirror_images_and_negated_root_images():
         assert np.array_equal(imgs[p], -imgs[r]), name
 
 
+@pytest.mark.parametrize("src,rows", [("A3", 24), ("B3", 48), ("H3", 120)])
+def test_induced_systems_pair_every_row_with_an_exact_negation(src, rows):
+    # the spin group is {+-v_w}, so every spinor coordinate row's antipode is exact
+    coords = induce_4d(generate_spin(catalog(src))).base.coords
+    assert len(exact_antipode_pairs(coords)) == coords.shape[0] == rows
+
+
 def test_axiom_check_reflects_one_root_of_each_pair_in_one_mirror_of_each(monkeypatch):
     # a count gate: roots reflected x mirrors over every _reflect_pairs call
     calls = []
@@ -255,6 +262,7 @@ def test_axiom_check_reflects_one_root_of_each_pair_in_one_mirror_of_each(monkey
 
     a3 = catalog("A3").coords
     cases = {"E8": (catalog("E8"), 14_400), "H4": (catalog("H4"), 3_600),
+             "induced H4": (induce_4d(generate_spin(catalog("H3"))).base, 3_600),
              # a missing antipode: every row is a root, one row of each whole pair a mirror
              "A3 less row 5": (np.delete(a3, 5, axis=0), 11 * 6),
              # B3's row 7 repeated first: the earlier row of each of the 9 pairs, and row 8,
