@@ -243,6 +243,29 @@ def blade_name(mask: int) -> str:
     return "e" + "".join(str(i + 1) for i in range(MAX_DIM) if mask >> i & 1)
 
 
+def _kept_terms(names, values: list, eps: float) -> list:
+    """(name, c) of each float c in ``values`` not below ``eps`` in size, tested on the raw
+    float (a NaN is kept): the one mask behind every multivector's text and JSON form."""
+    return [(name, c) for name, c in zip(names, values) if not abs(c) < eps]
+
+
+_TEXT_EPS = math.nextafter(DEFAULT_EPS, math.inf)  # |c| >= _TEXT_EPS is |c| > DEFAULT_EPS
+
+
+def _text_rows(sig: Signature, rows: np.ndarray) -> list:
+    """``str`` of each row of (n, D) coefficients, through one ``tolist()``: each c with
+    |c| > DEFAULT_EPS in blade order, magnitudes to 6 significant digits."""
+    names, out = kernel_for(sig).blade_names, []
+    for values in rows.tolist():
+        terms = []
+        for name, c in _kept_terms(names, values, _TEXT_EPS):
+            mag = f"{abs(c):.6g}"
+            body = mag if name == "1" else (name if mag == "1" else mag + name)
+            terms.append((("+ " if c > 0 else "- ") if terms else ("" if c > 0 else "-")) + body)
+        out.append(" ".join(terms) or "0")
+    return out
+
+
 def _check_eps(eps: float) -> None:
     """The one check of a tolerance where it enters: finite and >= 0."""
     if not (math.isfinite(eps) and eps >= 0):
@@ -417,17 +440,7 @@ class Multivector:
     # -- formatting / serialization ------------------------------------------
 
     def __str__(self):
-        terms = []
-        for name, c in zip(kernel_for(self.sig).blade_names, self.coeffs.tolist()):
-            if abs(c) <= DEFAULT_EPS:
-                continue
-            mag = f"{abs(c):.6g}"
-            body = mag if name == "1" else (name if mag == "1" else f"{mag}{name}")
-            if not terms:
-                terms.append(body if c > 0 else f"-{body}")
-            else:
-                terms.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(terms) if terms else "0"
+        return _text_rows(self.sig, self.coeffs[None])[0]
 
     def __repr__(self):
         return f"<Cl{tuple(self.sig)}: {self}>"
@@ -436,7 +449,7 @@ class Multivector:
         _check_eps(eps)
         names = kernel_for(self.sig).blade_names
         return {"sig": [self.sig.p, self.sig.q],
-                "coeffs": {names[m]: c for m, c in enumerate(self.coeffs.tolist()) if abs(c) >= eps}}
+                "coeffs": dict(_kept_terms(names, self.coeffs.tolist(), eps))}
 
 
 # -- constructors -------------------------------------------------------------

@@ -100,7 +100,11 @@ def _bounds(eps: float, peak: np.ndarray, power: int) -> np.ndarray:
 def _point_tests(X: np.ndarray, eps: float) -> tuple:
     """``ConformalPoint``'s four tests on each row of (..., 16) coefficients: grade 1, null
     and X . n = -1, each failing as its ``if x > bound: raise`` does, and finite."""
-    bound = _bounds(eps, np.abs(X).max(axis=-1), 2)
+    try:
+        bound = _bounds(eps, peak := np.abs(X).max(axis=-1), 2)
+    except OverflowError:
+        raise VersorlabError(f"conformal points must be null: the test's bound overflows squaring "
+                             f"a coefficient of magnitude {float(peak.max())!r}") from None
     return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_mask(1), initial=0.0) <= eps,
             ~(np.abs(_KERNEL.scalar_part(X, X)) > bound),
             ~(np.abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound),

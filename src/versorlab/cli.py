@@ -10,9 +10,11 @@
 
 Output is JSON by default (``--format csv|markdown`` for tables) and is
 byte-identical across runs: element orderings are canonical upstream and
-floats are rounded to 12 decimals before serialization.  Randomized checks
-in ``verify`` read VERSORLAB_SEED (default 42).  Failures print a one-line
-JSON object on stderr and exit nonzero.
+floats are rounded to 12 decimals (-0.0 as 0.0).  ``group`` and ``classes``
+are written straight from the element arrays, JSON in ``json.dumps(indent=2)``'s
+layout listing each coefficient with |c| >= --tolerance, and csv and markdown
+each element's ``str``.  Randomized checks in ``verify`` read VERSORLAB_SEED
+(default 42).  Failures print a one-line JSON object on stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .algebra import DEFAULT_EPS, row_keys
+from .algebra import DEFAULT_EPS, _kept_terms, _text_rows, kernel_for, row_keys
 from .errors import UnknownCatalogName, VersorlabError
-from .groups import MAX_GROUP, generate_pin, generate_spin, group_table_dict, quotient_by_sign
+from .groups import MAX_GROUP, generate_pin, generate_spin, quotient_by_sign
 from .induction import induce_4d, reflection_agreement, spinorial_automorphisms
 from .mckay import mckay_table
 from .roots import (
@@ -74,15 +77,30 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_rows(sig, rows: np.ndarray, eps: float, pad: str) -> list:
+    """Each row of (n, D) coefficients as ``json.dumps(_clean(mv.to_json_dict(eps)), indent=2)``
+    writes it at indent ``pad``, through one ``tolist()``, each distinct float formatted once."""
+    inner, deep, memo, out = pad + "  ", pad + "    ", {}, []
+    keys = [f"\n{deep}{_quote(name)}: " for name in kernel_for(sig).blade_names]
+    head = f'{{\n{inner}"sig": [\n{deep}{sig.p},\n{deep}{sig.q}\n{inner}],\n{inner}"coeffs": {{'
+    tail, empty = f"\n{inner}}}\n{pad}}}", f"}}\n{pad}}}"
+    for values in rows.tolist():
+        terms = ",".join([key + (memo.get(c) or memo.setdefault(c, repr(round(c, 12) + 0.0)))
+                          for key, c in _kept_terms(keys, values, eps)])
+        out.append(head + (terms + tail if terms else empty))
+    return out
+
+
 def _render(fmt: str, title: str, tables, payload, code: int = 0, csv_table=None):
     """(text, code) for ``fmt``, building only what that format prints.
 
     ``tables`` is a list of ``(heading or None, headers, rows)``; markdown
     prints the title and then each table, csv the first table or
-    ``csv_table``, and json the result of calling ``payload``.
+    ``csv_table``, and json the result of calling ``payload`` (if not yet text).
     """
     if fmt == "json":
-        return json.dumps(_clean(payload()), indent=2) + "\n", code
+        body = payload()
+        return (body if isinstance(body, str) else json.dumps(_clean(body), indent=2)) + "\n", code
     if fmt == "csv":
         _, headers, rows = csv_table or tables[0]
         buf = io.StringIO()
@@ -162,28 +180,49 @@ def _cmd_roots(args):
 
 def _cmd_group(args):
     g = _resolve_group(args)
+
+    def listing():
+        yield from enumerate(_text_rows(g.sig, g.element_arr()))
+
+    def payload():
+        elements = ",\n    ".join(_json_rows(g.sig, g.element_arr(), args.tolerance, "    "))
+        return (f'{{\n  "name": {_quote(args.system)},\n  "kind": {_quote(g.kind)},\n'
+                f'  "signature": [\n    {g.sig.p},\n    {g.sig.q}\n  ],\n  "order": {g.order},\n'
+                f'  "elements": [\n    {elements}\n  ]\n}}')
+
     return _render(
         args.format, f"{g.kind} group over {args.system}: order {g.order}",
-        [(None, ["index", "element"], ((i, str(v.mv)) for i, v in enumerate(g.elements)))],
-        lambda: {
-            "name": args.system,
-            "kind": g.kind,
-            "signature": [g.sig.p, g.sig.q],
-            "order": g.order,
-            "elements": [v.mv.to_json_dict(args.tolerance) for v in g.elements],
-        })
+        [(None, ["index", "element"], listing())],
+        payload)
 
 
 def _cmd_classes(args):
     g = _resolve_group(args)
     classes = g.conjugacy_classes()
-    rows = ((i, cl.size, cl.element_order, str(cl.representative.mv),
-             "; ".join(str(m.mv) for m in cl.members)) for i, cl in enumerate(classes))
+
+    def listing():
+        text = _text_rows(g.sig, g.element_arr())
+        for i, cl in enumerate(classes):
+            yield (i, cl.size, cl.element_order, text[cl.indices[0]],
+                   "; ".join([text[j] for j in cl.indices.tolist()]))
+
+    def payload():
+        arr, eps = g.element_arr(), args.tolerance
+        members = _json_rows(g.sig, arr, eps, " " * 8)
+        reps = _json_rows(g.sig, arr[[cl.indices[0] for cl in classes]], eps, " " * 6)
+        listed = [f'{{\n      "size": {cl.size},\n      "order": {cl.element_order},\n'
+                  f'      "representative": {rep},\n      "members": [\n        '
+                  + ",\n        ".join([members[j] for j in cl.indices.tolist()])
+                  + "\n      ]\n    }"
+                  for cl, rep in zip(classes, reps)]
+        return (f'{{\n  "kind": {_quote(g.kind)},\n  "order": {g.order},\n  "classes": [\n    '
+                + ",\n    ".join(listed) + f'\n  ],\n  "name": {_quote(args.system)}\n}}')
+
     return _render(
         args.format, f"Conjugacy classes of the {g.kind} group over {args.system} "
                      f"(order {g.order}, {len(classes)} classes)",
-        [(None, ["class", "size", "element_order", "representative", "members"], rows)],
-        lambda: {**group_table_dict(g, eps=args.tolerance), "name": args.system})
+        [(None, ["class", "size", "element_order", "representative", "members"], listing())],
+        payload)
 
 
 def _cmd_induce(args):

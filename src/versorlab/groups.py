@@ -35,6 +35,7 @@ from .algebra import (
     Versor,
     _check_cap,
     _check_eps,
+    _kept_terms,
     find_ids,
     kernel_for,
     key_ids,
@@ -128,11 +129,6 @@ class _GroupBase:
         except VersorlabError:
             return False
 
-    @cached_property
-    def _negatives(self) -> np.ndarray:
-        """Index of -g_i for each i."""
-        return self.indices_of(-self._arr)
-
     def _left_products(self, starts: np.ndarray, dtype=np.intp) -> np.ndarray:
         """``out[j, c]`` = index of g_starts[c] g_j: breadth-first from +-1, each
         g_j first reached as g_q s_k gets row j = ``graph[out[q], k]``."""
@@ -200,13 +196,15 @@ class _GroupBase:
 
 
 class VersorGroup(_GroupBase):
-    """A finite group of unit versors, closed under product and reverse."""
+    """A finite group of unit versors, closed under product, reverse and negation, its rows
+    in lex order, which negation reverses (``np.rint`` is symmetric): -g_i is row n-1-i."""
 
     def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray,
                  source: Optional[RootSystem] = None):
         if kind not in ("pin", "spin"):
             raise ValueError(f"bad versor group kind {kind!r}")
         super().__init__(kind, sig, arr, graph, source)
+        self._negatives = np.arange(self.order)[::-1]  # index of -g_i for each i
 
 
 class QuotientGroup(_GroupBase):
@@ -215,7 +213,7 @@ class QuotientGroup(_GroupBase):
 
     def __init__(self, kind: str, covering: VersorGroup, arr: np.ndarray, graph: np.ndarray):
         super().__init__(kind, covering.sig, arr, graph, covering.source)
-        self.covering = covering
+        self.covering, self._negatives = covering, np.arange(self.order)  # [-g] = [g]
         self._lookup.update(zip(row_keys(-arr).tolist(), range(self.order)))
 
 
@@ -338,14 +336,17 @@ def coxeter_number(rs: RootSystem) -> int:
 
 
 def group_table_dict(group, eps: float = DEFAULT_EPS) -> dict:
-    """Group-table JSON form: kind, order, and the conjugacy class list."""
+    """Group-table JSON form: kind, order, and the conjugacy class list, each element
+    as its ``Multivector.to_json_dict(eps)``, one ``tolist()`` per class."""
     _check_eps(eps)
-    def coeffs(row):
-        return Multivector._wrap(group.sig, row).to_json_dict(eps)
+    (p, q), names = group.sig, kernel_for(group.sig).blade_names
+
+    def coeffs(values):
+        return {"sig": [p, q], "coeffs": dict(_kept_terms(names, values, eps))}
 
     classes = [{"size": cl.size,
                 "order": cl.element_order,
-                "representative": coeffs(cl.rows[cl.indices[0]]),
-                "members": [coeffs(row) for row in cl.rows[cl.indices]]}
+                "representative": coeffs(cl.rows[cl.indices[0]].tolist()),
+                "members": [coeffs(values) for values in cl.rows[cl.indices].tolist()]}
                for cl in group.conjugacy_classes()]
     return {"kind": group.kind, "order": group.order, "classes": classes}

@@ -482,11 +482,9 @@ def _translations(ctx):
     return _sampled(ctx, [(1000, draw)], _translation_batch, _translation_public)
 
 
-_ALPHABET = np.array(["S", "T", "t"])
-
-
 def _word_draw(ctx):
-    word = "".join(ctx.rng.choice(_ALPHABET, size=int(ctx.rng.integers(0, 13))))
+    letters = ctx.rng.integers(0, 3, size=int(ctx.rng.integers(0, 13)))
+    word = "".join(["STt"[i] for i in letters.tolist()])
     return word, (float(ctx.rng.uniform(-2, 2)), float(ctx.rng.uniform(0.05, 2.0)))
 
 

@@ -117,6 +117,18 @@ def test_conformal_point_needs_finite_coefficients(eps):
             ConformalPoint(Multivector(SIG31, coeffs), eps=eps)
 
 
+def test_a_point_whose_squares_overflow_is_refused_by_name():
+    # before: a bare OverflowError "(34, 'Numerical result out of range')" from the bound
+    big_e4 = embed(1.0, 0.0).X.coeffs.copy()
+    big_e4[8] = 2e154  # a coefficient whose square passes the float range
+    cases = ((1e200 * blade(SIG31, "e1"), r"1e\+200"), (Multivector(SIG31, big_e4), r"2e\+154"))
+    for X, peak in cases:
+        with pytest.raises(VersorlabError, match=r"^conformal points must be null: the test's "
+                                                 r"bound overflows squaring a coefficient of "
+                                                 rf"magnitude {peak}$"):
+            ConformalPoint(X)
+
+
 # ---------------------------------------------------------------- versors
 
 def test_translator_moves_points():

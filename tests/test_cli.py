@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from versorlab import verify
@@ -312,3 +313,12 @@ def test_console_entry_point_runs():
     out = subprocess.run([sys.executable, "-m", "versorlab", "roots", "A1",
                           "--format", "csv"], capture_output=True, check=True)
     assert out.stdout.decode().splitlines()[0].startswith("index")
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 801])
+def test_word_draws_are_the_stream_of_a_choice_over_the_alphabet(seed):
+    ctx, ref = verify._Ctx(seed, 1e-9), np.random.default_rng(seed)
+    for _ in range(500):  # interleaved with the tau draws, as the modular-words row takes them
+        word = "".join(ref.choice(np.array(["S", "T", "t"]), size=int(ref.integers(0, 13))))
+        tau = (float(ref.uniform(-2, 2)), float(ref.uniform(0.05, 2.0)))
+        assert verify._word_draw(ctx) == (word, tau)

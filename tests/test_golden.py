@@ -14,12 +14,15 @@ markdown: a 7-letter and a 16-letter word, and ``tSt`` from 1.0001 +
 Regenerate a file only for an intended output change.
 
 ``cli_digests.json`` pins many more commands by the sha256 of their stdout:
-``group`` and ``classes`` of A1^3, A3, B3, H3 and D4 in every kind and every
-format; ``induce`` on the four 3D systems and ``mckay``, in every format;
+``group`` and ``classes`` of A1^3, A3, B3, H3, D4 and F4 in every kind and
+every format; ``induce`` on the four 3D systems and ``mckay``, in every format;
 and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in every
 format (the csv's ``simple`` column marks the simple roots).  ``verify``
 is left out, and ``modular`` is pinned only by the files above: their low
-digits rest on the platform's libm.
+digits rest on the platform's libm.  ``h4_digests.json`` pins ``group`` and
+``classes`` of Spin(H4) in json and csv (H4's seeds, like H3's, are a
+Cholesky factor); CI checks it in child processes, so this suite does not
+pay for H4.
 
 ``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``, run in
 process: A3's seeds are explicit, so its digits do not depend on LAPACK.
@@ -34,6 +37,7 @@ from pathlib import Path
 
 import pytest
 
+from versorlab import cli
 from versorlab.algebra import Multivector
 from versorlab.cli import main
 
@@ -82,16 +86,19 @@ def test_cli_stdout_matches_digest(command, monkeypatch, capsys):
 
 
 def test_each_format_builds_only_what_it_prints(monkeypatch, capsys):
-    # json never formats an element as text; csv and markdown never build its JSON form
+    # json never writes an element's text form, csv and markdown never its JSON form,
+    # and no format goes through Multivector's own str or JSON form
     monkeypatch.setenv("VERSORLAB_SEED", "42")
 
     def refuse(*args, **kwargs):
         raise AssertionError("built for a format that does not print it")
 
-    for method, formats in (("__str__", [[]]), ("to_json_dict", [["--format", "csv"],
-                                                                  ["--format", "markdown"]])):
+    for writer, formats in (("_text_rows", [[]]), ("_json_rows", [["--format", "csv"],
+                                                                   ["--format", "markdown"]])):
         with monkeypatch.context() as m:
-            m.setattr(Multivector, method, refuse)
+            m.setattr(cli, writer, refuse)
+            m.setattr(Multivector, "__str__", refuse)
+            m.setattr(Multivector, "to_json_dict", refuse)
             for fmt in formats:
                 for cmd in ("group", "classes"):
                     command = [cmd, "A3", "--kind", "pin", *fmt]

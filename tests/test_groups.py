@@ -573,6 +573,12 @@ def test_lifted_closure_equals_the_float_versor_orbit(name, kind):
     assert np.abs(g.element_arr() - arr).max() <= 1e-14
     # every antipode exact, where the float orbit reaches g and -g by different paths
     assert np.array_equal(g.element_arr()[g._negatives], -g.element_arr())
+    # -g_i is row n-1-i, and in the quotient [-g] = [g]: what a lookup of -arr finds
+    q = quotient_by_sign(g)
+    assert np.array_equal(g._negatives, np.arange(g.order)[::-1])
+    assert np.array_equal(q._negatives, np.arange(q.order))
+    for h in (g, q):
+        assert np.array_equal(h._negatives, h.indices_of(-h.element_arr()))
 
 
 @pytest.mark.parametrize("kind", ["pin", "spin"])

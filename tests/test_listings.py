@@ -1,0 +1,142 @@
+"""``group`` and ``classes`` listings, written straight from the element arrays,
+against the route they replace.
+
+The references live here only: each element's coefficient dict, every c with
+|c| >= eps, rounded and through ``json.dumps(..., indent=2)``; and the text form
+of a multivector, every c with |c| > DEFAULT_EPS in blade order, magnitudes to
+6 significant digits.  Every catalog group within the caps is checked in all
+four kinds, except H4's, whose listings CI pins by digest.
+"""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from versorlab import (
+    Multivector,
+    Signature,
+    catalog,
+    generate_pin,
+    generate_spin,
+    group_table_dict,
+    quotient_by_sign,
+)
+from versorlab.algebra import DEFAULT_EPS, _text_rows, blade_name
+from versorlab.cli import _json_rows, main
+
+NAMES = ("A1", "A1^3", "A1^4", "A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)")
+KINDS = ("pin", "spin", "chiral", "full")
+
+
+def clean(obj):
+    """Floats rounded to 12 decimals, -0.0 as 0.0, as the CLI's ``_clean`` rounds them."""
+    if isinstance(obj, float):
+        return round(obj, 12) + 0.0
+    if isinstance(obj, dict):
+        return {k: clean(v) for k, v in obj.items()}
+    return [clean(v) for v in obj] if isinstance(obj, list) else obj
+
+
+def reference_dict(sig, values, eps):
+    return {"sig": [sig.p, sig.q],
+            "coeffs": {blade_name(m): c for m, c in enumerate(values) if abs(c) >= eps}}
+
+
+def reference_str(sig, values):
+    terms = []
+    for m, c in enumerate(values):
+        if abs(c) <= DEFAULT_EPS:
+            continue
+        name, mag = blade_name(m), f"{abs(c):.6g}"
+        body = mag if name == "1" else (name if mag == "1" else f"{mag}{name}")
+        if not terms:
+            terms.append(body if c > 0 else f"-{body}")
+        else:
+            terms.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(terms) if terms else "0"
+
+
+def reference_table(g, eps):
+    rows = g.element_arr().tolist()
+    return {"kind": g.kind, "order": g.order,
+            "classes": [{"size": cl.size, "order": cl.element_order,
+                         "representative": reference_dict(g.sig, rows[cl.indices[0]], eps),
+                         "members": [reference_dict(g.sig, rows[j], eps) for j in cl.indices]}
+                        for cl in g.conjugacy_classes()]}
+
+
+def build(name, kind):
+    g = (generate_pin if kind in ("pin", "full") else generate_spin)(catalog(name))
+    return g if kind in ("pin", "spin") else quotient_by_sign(g)
+
+
+def cli_out(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("name", NAMES)
+def test_listings_match_the_reference_route(name, kind, capsys):
+    g = build(name, kind)
+    rows = g.element_arr().tolist()
+    text = [reference_str(g.sig, values) for values in rows]
+    classes = g.conjugacy_classes()
+    want_json = {
+        "group": {"name": name, "kind": g.kind, "signature": [g.sig.p, g.sig.q], "order": g.order,
+                  "elements": [reference_dict(g.sig, values, DEFAULT_EPS) for values in rows]},
+        "classes": {**reference_table(g, DEFAULT_EPS), "name": name},
+    }
+    want_cells = {
+        "group": [[str(i), t] for i, t in enumerate(text)],
+        "classes": [[str(i), str(cl.size), str(cl.element_order), text[cl.indices[0]],
+                     "; ".join(text[j] for j in cl.indices)] for i, cl in enumerate(classes)],
+    }
+    for cmd in ("group", "classes"):
+        out = cli_out(capsys, cmd, name, "--kind", kind)
+        assert out == json.dumps(clean(want_json[cmd]), indent=2) + "\n"
+        cells = list(csv.reader(io.StringIO(cli_out(capsys, cmd, name, "--kind", kind,
+                                                    "--format", "csv"))))
+        assert cells[1:] == want_cells[cmd]
+        markdown = cli_out(capsys, cmd, name, "--kind", kind, "--format", "markdown")
+        assert markdown.splitlines()[4:] == ["| " + " | ".join(c) + " |" for c in cells[1:]]
+    assert [str(v.mv) for v in g.elements] == text
+    for eps in (DEFAULT_EPS, 0.0):
+        assert group_table_dict(g, eps=eps) == reference_table(g, eps)
+
+
+SIG3 = Signature(3, 0)
+PLANTED = np.array([
+    [-0.0, 1e-9, -1e-9, math.nextafter(1e-9, 0.0), 0.1234567890123456, -0.0, 1 / 3, -2.0],
+    [0.0] * 8,
+    [-0.0] * 8,
+    [1.0, -1.0, 0.5, -0.5, 1e-12, -1e-12, 123456.789, math.nextafter(1e-9, 1.0)],
+])
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 0.5])
+@pytest.mark.parametrize("pad", ["", "  ", " " * 8])
+def test_the_writer_keeps_signed_zeros_and_the_eps_boundary_as_the_reference(eps, pad):
+    # -0.0 is listed as 0.0 at eps 0, and a coefficient exactly at eps is kept
+    want = json.dumps(clean([reference_dict(SIG3, values, eps) for values in PLANTED.tolist()]),
+                      indent=2).replace("\n", "\n" + pad)
+    rows = _json_rows(SIG3, PLANTED, eps, pad + "  ")
+    got = f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
+    assert got == want
+    first = json.loads(got)[0]["coeffs"]
+    if eps == 0.0:
+        assert first["1"] == 0.0 and "-0.0" not in got
+    if eps == 1e-9:
+        assert list(first) == ["e1", "e2", "e3", "e23", "e123"]
+
+
+def test_the_text_writer_matches_the_reference_and_str():
+    want = [reference_str(SIG3, values) for values in PLANTED.tolist()]
+    assert _text_rows(SIG3, PLANTED) == want
+    assert [str(Multivector(SIG3, values)) for values in PLANTED] == want
+    # coefficients at DEFAULT_EPS and signed zeros are not printed
+    assert want[:3] == ["0.123457e3 + 0.333333e23 - 2e123", "0", "0"]
