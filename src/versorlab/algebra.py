@@ -261,7 +261,7 @@ def _text_rows(sig: Signature, rows: np.ndarray) -> list:
         for name, c in _kept_terms(names, values, _TEXT_EPS):
             mag = f"{abs(c):.6g}"
             body = mag if name == "1" else (name if mag == "1" else mag + name)
-            terms.append((("+ " if c > 0 else "- ") if terms else ("" if c > 0 else "-")) + body)
+            terms.append((("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")) + body)
         out.append(" ".join(terms) or "0")
     return out
 

@@ -9,15 +9,15 @@ quotient_by_sign collapses the double cover onto the plain rotation (from
 spin) or full reflection (from pin) group.
 
 Each group keeps W's graph lifted by each edge's sign, ``graph[j, k]`` =
-index of g_j s_k, and answers in integers on it, with no float product:
-left products follow each element's first path from +-1, and give the lazy
-``table[i, j]`` = index of g_i g_j and the powers behind element orders.
-Root systems are positive definite, so ~G = G^-1 (inverses are a lookup of
-the reversed rows) and the classes R -> ~G R G are the orbits of
-x -> s^-1 x s over the generators s.  Classes are ordered by (size,
-lexicographically smallest quantized representative) so tables print
-identically run to run.  Elements are looked up in one dict of their
-``Multivector.key()`` bytes; a quotient holds the keys of both signs.
+index of g_j s_k, and the breadth-first tree its closure walked, each
+g_j = g_p s_k from the layer before.  Integer answers replay the tree, with
+no float product or search: left products give the lazy ``table[i, j]`` =
+index of g_i g_j and the powers behind element orders; inverses follow
+(g_p s_k)^-1 = s_k^-1 g_p^-1.  Root systems are positive definite, so the
+classes R -> ~G R G are the orbits of x -> s^-1 x s over the generators s,
+ordered by (size, lexicographically smallest quantized representative) to
+print identically run to run.  The dict of ``Multivector.key()`` bytes that
+looks elements up by value is built on first use; a quotient's holds both signs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .algebra import (
     _kept_terms,
     find_ids,
     kernel_for,
-    key_ids,
     lex_order,
     orbit,
     qkey,
@@ -68,15 +67,18 @@ MAX_GROUP = 20_000
 class _GroupBase:
     """Shared machinery for VersorGroup and QuotientGroup: lookup, graph, table, classes."""
 
-    def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray,
+    def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray, tree: tuple,
                  source: Optional[RootSystem]):
         self.kind, self.sig, self.source, self._kern = kind, sig, source, kernel_for(sig)
         self._arr, self._graph = arr, graph  # graph[j, k]: index of g_j s_k
         arr.setflags(write=False)
         graph.setflags(write=False)
-        self._lookup = {}
-        key_ids(arr, self._lookup)  # the elements are distinct: row i has id i
-        self._e = self._lookup[qkey(np.eye(1, self._kern.D)[0])]  # the identity
+        self._e, *self._tree, self._layers = tree  # e; edges g_j = g_p s_k; layers' edge bounds
+
+    @cached_property
+    def _lookup(self) -> dict:
+        """Element key bytes -> index, built on the first value lookup."""
+        return dict(zip(row_keys(self._arr).tolist(), range(self.order)))
 
     @property
     def order(self) -> int:
@@ -129,25 +131,24 @@ class _GroupBase:
         except VersorlabError:
             return False
 
-    def _left_products(self, starts: np.ndarray, dtype=np.intp) -> np.ndarray:
-        """``out[j, c]`` = index of g_starts[c] g_j: breadth-first from +-1, each
-        g_j first reached as g_q s_k gets row j = ``graph[out[q], k]``."""
-        graph, e, neg = self._graph, self._e, self._negatives
-        out = np.empty((self.order, starts.size), dtype=dtype)
-        out[neg[e]], out[e] = neg[starts], starts
-        seen = np.zeros(self.order, dtype=bool)
-        seen[[e, neg[e]]] = True
-        frontier, step = np.flatnonzero(seen), max(1, BLOCK // max(starts.size, 1))
-        while frontier.size:
-            j = graph[frontier].ravel()
-            fresh = np.flatnonzero(~seen[j])
-            j, first = np.unique(j[fresh], return_index=True)
-            q, k = np.divmod(fresh[first], graph.shape[1])
-            seen[j], q = True, frontier[q]
-            for a in range(0, j.size, step):
-                out[j[a:a + step]] = graph[out[q[a:a + step]], k[a:a + step, None]]
-            frontier = j
+    def _left_products(self, starts: np.ndarray, dtype=np.intp, hops=None) -> np.ndarray:
+        """``out[j, c]`` = index of g_starts[c] g_j: out[e] = starts, then down the tree by layers,
+        out[j] = ``hops[out[p], k]`` for g_j = g_p s_k (hops: the graph) and out[-g_j] = -out[j]."""
+        (j, p, k), neg, hops = self._tree, self._negatives, self._graph if hops is None else hops
+        out, step = np.empty((self.order, starts.size), dtype), max(1, BLOCK // max(starts.size, 1))
+        out[self._e] = starts
+        for lo, hi in zip(self._layers, self._layers[1:]):
+            for a in range(lo, hi, step):
+                edges = slice(a, min(hi, a + step))
+                out[j[edges]] = hops[out[p[edges]], k[edges, None]]
+        w = np.append(j, self._e)  # the tree's elements; in a quotient all, each its own -g
+        out[neg[w]] = neg[out[w]]
         return out
+
+    @cached_property
+    def _left_by_inverses(self) -> np.ndarray:
+        """``[j, k]`` = index of s_k^-1 g_j; s_k^-1 is the row whose k-th product is e."""
+        return self._left_products(np.argmax(self._graph == self._e, axis=0))
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -159,8 +160,8 @@ class _GroupBase:
         return t
 
     def inverses(self) -> np.ndarray:
-        """Index of g_i^-1 for each i: ~g = g^-1 in a positive-definite group."""
-        return self.indices_of(self._kern.rev(self._arr))
+        """Index of g_i^-1 for each i, replayed on the tree: (g_p s_k)^-1 = s_k^-1 g_p^-1."""
+        return self._left_products(np.array([self._e]), hops=self._left_by_inverses)[:, 0]
 
     def element_order(self, v) -> int:
         """Least k with v^k = 1."""
@@ -175,7 +176,7 @@ class _GroupBase:
         by label propagation, and every element's order from its class
         representative r, whose powers are left multiplications by r."""
         arr, n, e, graph = self._arr, self.order, self._e, self._graph
-        conj = graph[self._left_products(self.inverses()[graph[e]]), np.arange(graph.shape[1])]
+        conj = graph[self._left_by_inverses, np.arange(graph.shape[1])]
         label, last = np.arange(n), None
         while not np.array_equal(label, last):
             last, label = label, np.minimum(label, label[conj].min(axis=1, initial=n))
@@ -199,11 +200,11 @@ class VersorGroup(_GroupBase):
     """A finite group of unit versors, closed under product, reverse and negation, its rows
     in lex order, which negation reverses (``np.rint`` is symmetric): -g_i is row n-1-i."""
 
-    def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray,
+    def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray, tree: tuple,
                  source: Optional[RootSystem] = None):
         if kind not in ("pin", "spin"):
             raise ValueError(f"bad versor group kind {kind!r}")
-        super().__init__(kind, sig, arr, graph, source)
+        super().__init__(kind, sig, arr, graph, tree, source)
         self._negatives = np.arange(self.order)[::-1]  # index of -g_i for each i
 
 
@@ -211,10 +212,15 @@ class QuotientGroup(_GroupBase):
     """Versor group with R and -R identified; each element is the one of +-R whose
     first nonzero quantized coefficient is positive, looked up by the key of either sign."""
 
-    def __init__(self, kind: str, covering: VersorGroup, arr: np.ndarray, graph: np.ndarray):
-        super().__init__(kind, covering.sig, arr, graph, covering.source)
+    def __init__(self, kind: str, covering: VersorGroup, arr: np.ndarray, graph: np.ndarray,
+                 tree: tuple):
+        super().__init__(kind, covering.sig, arr, graph, tree, covering.source)
         self.covering, self._negatives = covering, np.arange(self.order)  # [-g] = [g]
-        self._lookup.update(zip(row_keys(-arr).tolist(), range(self.order)))
+
+    @cached_property
+    def _lookup(self) -> dict:  # the keys of both signs: [-g] = [g]
+        keys = row_keys(np.vstack([self._arr, -self._arr])).tolist()
+        return dict(zip(keys, [*range(self.order)] * 2))
 
 
 class ConjugacyClass:
@@ -233,40 +239,49 @@ class ConjugacyClass:
         return Versor._trusted(self.sig, self.rows[self.indices])
 
 
-def _lex_sorted(arr: np.ndarray, graph: np.ndarray):
-    """Rows of arr in lex order, and their graph renumbered to match."""
+def _lex_sorted(arr: np.ndarray, graph: np.ndarray, *indices: np.ndarray) -> tuple:
+    """Rows of arr in lex order, and their graph (and any arrays of row indices) renumbered."""
     order = lex_order(arr)
-    return arr[order], np.argsort(order)[graph[order]]
+    rank = np.argsort(order)
+    return (arr[order], rank[graph[order]], *(rank[i] for i in indices))
 
 
 def _generate(kind: str, rs: RootSystem, simple: np.ndarray, perms: np.ndarray,
               factors: np.ndarray, cap: int) -> VersorGroup:
     """{+-v_w} over W, the orbit of the simple roots' indices under the root
     permutations ``perms`` (w, then generator k maps images b to perms[k][b]).
-    Versor generator k, the product of the rows ``factors[k]``, lifts each
-    element along its first edge (q, k), v = v_q s_k, from rows whose versors
-    are known, in blocks of at most ``BLOCK`` floats.  Each edge's product must
-    be +-v of its end to 1e-9, and that sign lifts W's graph to the cover's."""
+    Versor generator k, the product of the rows ``factors[k]``, lifts W down the
+    breadth-first tree of first edges (q, k), v = v_q s_k, which the group keeps,
+    in blocks of at most ``BLOCK`` floats.  Each edge's product must be +-v of
+    its end to 1e-9, checked per ``BLOCK`` of held products, whose ends are all
+    known, and that sign lifts W's graph to the cover's."""
     _check_cap("max_elements", cap)
     images, graph = orbit(simple[None], perms, lambda b, p: p[:, b].swapaxes(0, 1), cap // 2,
                           f"versor closure exceeded {cap} elements")
     kern, (n, m) = kernel_for(rs.sig), graph.shape
     gens = reduce(kern.gp_elemwise, factors.swapaxes(0, 1))
     first = np.unique(graph, return_index=True)[1][1:]  # q * m + k of each first edge (q, k)
-    v, dots = np.zeros((n, kern.D)), np.empty((n, m))
-    v[0, 0], step, a, known = 1.0, max(1, BLOCK // max(m * kern.D, 1)), 0, 1
-    while a < n:
-        b = min(known, a + step)
-        prod = kern.gp_elemwise(v[a:b, None], gens)
-        lo, hi = np.searchsorted(first, [a * m, b * m])  # the elements first reached from a..b-1
-        v[1 + lo:1 + hi], known = prod.reshape(-1, kern.D)[first[lo:hi] - a * m], 1 + hi
-        dots[a:b] = np.einsum("qkd,qkd->qk", prod, v[graph[a:b]])
-        a = b
+    v, dots, held, layers = np.zeros((n, kern.D)), np.empty((n, m)), [], [0, 1]  # rows by layer
+    v[0, 0], step, checked = 1.0, max(1, BLOCK // max(m * kern.D, 1)), 0
+    while layers[-1] > layers[-2]:
+        lo, hi = layers[-2:]
+        for a in range(lo, hi, step):
+            b = min(hi, a + step)
+            if b - checked > step:  # the held products' ends are all known: check them
+                dots[checked:a], held, checked = np.einsum(
+                    "qkd,qkd->qk", np.concatenate(held), v[graph[checked:a]]), [], a
+            held.append(kern.gp_elemwise(v[a:b, None], gens))
+            c, d = np.searchsorted(first, [a * m, b * m])  # the rows first reached from a..b-1
+            v[1 + c:1 + d] = held[-1].reshape(-1, kern.D)[first[c:d] - a * m]
+        layers.append(1 + int(d))  # the next layer: the rows first reached from this one
+    dots[checked:] = np.einsum("qkd,qkd->qk", np.concatenate(held), v[graph[checked:]])
     if not np.all(np.abs(np.abs(dots) - 1.0) <= 1e-9):  # NaN fails too
         raise VersorlabError("the versor generators do not lift the root permutations")
     cover = graph + np.where(dots < 0, n, 0)  # row i + n is -v_i
-    arr, graph = _lex_sorted(np.vstack([v, -v]), np.vstack([cover, (cover + n) % (2 * n)]))
-    return VersorGroup(kind, rs.sig, arr, graph, source=rs)
+    arr, graph, plus = _lex_sorted(np.vstack([v, -v]), np.vstack([cover, (cover + n) % (2 * n)]),
+                                   np.arange(n))  # plus[i]: the row of +v_i
+    tree = (int(plus[0]), plus[1:], plus[first // m], first % m, np.subtract(layers[1:-1], 1))
+    return VersorGroup(kind, rs.sig, arr, graph, tree, source=rs)
 
 
 def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
@@ -300,7 +315,9 @@ def quotient_by_sign(group: VersorGroup) -> QuotientGroup:
     keep = np.flatnonzero(neg < np.arange(group.order))
     to = np.searchsorted(keep, np.maximum(neg, np.arange(group.order)))  # [g] = [-g]; [g] s = [g s]
     kind = "rotation" if group.kind == "spin" else "reflection"
-    return QuotientGroup(kind, group, group.element_arr()[keep], to[group._graph[keep]])
+    (j, p, k), layers = group._tree, group._layers
+    return QuotientGroup(kind, group, group.element_arr()[keep], to[group._graph[keep]],
+                         (int(to[group._e]), to[j], to[p], k, layers))
 
 
 # -- spinor coordinates ---------------------------------------------------------

@@ -32,7 +32,6 @@ from .algebra import (
     Versor,
     find_ids,
     kernel_for,
-    key_ids,
     lex_order,
     quantize,
     row_keys,
@@ -184,9 +183,7 @@ def reflection_agreement(group: VersorGroup) -> ReflectionAgreement:
     t1 = kern.gp_elemwise(garr[:, None], kern.rev(garr)[None])
     product = -kern.gp_elemwise(t1, garr[:, None, :])
     dev = float(np.max(np.abs(linear - product)))
-    index = {}
-    key_ids(garr, index)
-    all_in = bool(np.all(find_ids(product, index) >= 0))
+    all_in = bool(np.all(find_ids(product, group._lookup) >= 0))
     return ReflectionAgreement(n * n, dev, all_in)
 
 

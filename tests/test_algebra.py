@@ -431,6 +431,13 @@ def test_str_uses_blade_names():
     assert str(scalar_mv(SIG3, 0.0)) == "0"
 
 
+def test_str_signs_nan_as_not_negative():
+    # a NaN is neither < 0 nor > 0: it prints with a plus, like any coefficient not below zero
+    x = Multivector(SIG3, [math.nan, 0, math.nan, 0, 0, 0, 0, 1.0])
+    assert str(x) == "nan + nane2 + e123"
+    assert str(Multivector(SIG3, [-1.5, 0, 2, 0, 0, 0, 0, -1.0])) == "-1.5 + 2e2 - e123"
+
+
 def test_to_json_dict_of_a_known_multivector():
     x = 0.5 - 2.0 * blade(SIG31, "e13") + 1e-12 * blade(SIG31, "e2") + 3.0 * blade(SIG31, "e1234")
     d = x.to_json_dict()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import versorlab.algebra
+import versorlab.cli
 import versorlab.groups
 from versorlab import (
     ClosureCapExceeded,
@@ -34,6 +35,7 @@ from versorlab import (
     vector,
 )
 from versorlab.algebra import BLOCK, blade_name, kernel_for, orbit, quantize, row_keys, vector_rows
+from versorlab.cli import main
 from versorlab.groups import MAX_GROUP, _lex_sorted
 from versorlab.roots import _simple_permutations
 
@@ -350,11 +352,13 @@ def test_closure_is_independent_of_block_size(monkeypatch):
     default = closures()
     # an orbit block is max(1, BLOCK // gens.size) rows, and the smallest
     # generator set of the four is H4's 4 x 4 mirrors; a lift block is
-    # max(1, BLOCK // (|gens| * D)) rows: one row per block for all four
-    monkeypatch.setattr(versorlab.algebra, "BLOCK", 16)
-    monkeypatch.setattr(versorlab.groups, "BLOCK", 16)
-    for small, big in zip(closures(), default):
-        assert small.tobytes() == big.tobytes()
+    # max(1, BLOCK // (|gens| * D)) rows: one row per block for all four at
+    # 16, and at 1024 blocks that split layers and sign checks that hold several
+    for block in (16, 1024):
+        monkeypatch.setattr(versorlab.algebra, "BLOCK", block)
+        monkeypatch.setattr(versorlab.groups, "BLOCK", block)
+        for small, big in zip(closures(), default):
+            assert small.tobytes() == big.tobytes()
     with pytest.raises(ClosureCapExceeded):  # the seed of test_closure_cap_trips_on_irrational_angle
         close_roots([[1.0, 0.0], [-math.cos(1.0), math.sin(1.0)]], sig=Signature(2, 0),
                     max_roots=500)
@@ -529,6 +533,64 @@ def test_graph_answers_equal_the_float_reference(name, kind):
         "classes": [{"size": m.size, "order": int(orders[m[0]]),
                      "representative": reference_json(g.sig, arr[m[0]]),
                      "members": [reference_json(g.sig, r) for r in arr[m]]} for m in classes]}
+
+
+def assert_spanning_tree(g):
+    """The closure's breadth-first tree: each edge g_j = g_p s_k is a graph edge, the layers
+    list each element of W but the identity once, each parent sits in the layer before, and
+    the tree from +-1 reaches every element."""
+    (j, p, k), layers, e, neg = g._tree, g._layers, g._e, g._negatives
+    assert np.array_equal(g._graph[p, k], j)
+    w = np.append(j, e)  # one element of each +-pair: W
+    assert np.unique(w).size == w.size == np.unique(np.minimum(neg, np.arange(g.order))).size
+    assert layers[0] == 0 and layers[-1] == j.size and np.all(np.diff(layers) > 0)
+    depth = np.full(g.order, -1)
+    depth[e] = 0
+    for t, (lo, hi) in enumerate(zip(layers, layers[1:])):
+        assert np.all(depth[p[lo:hi]] == t) and np.all(depth[j[lo:hi]] == -1)
+        depth[j[lo:hi]] = t + 1
+    depth[neg[w]] = depth[w]
+    assert depth.min() == 0
+
+
+@pytest.mark.parametrize("name,kind", GRAPH_GROUPS)
+def test_the_stored_tree_spans_the_group(name, kind):
+    assert_spanning_tree(group_of(name, kind))
+
+
+def test_the_stored_tree_spans_spin_h4(spin_h4):
+    g = spin_h4[0]
+    assert_spanning_tree(g)
+    assert_spanning_tree(quotient_by_sign(g))
+
+
+@pytest.mark.parametrize("name,generate", [("F4", generate_pin), ("H3", generate_spin)])
+def test_integer_answers_build_no_key_dict(name, generate):
+    g = generate(catalog(name))
+    q = quotient_by_sign(g)
+    for h in (g, q):
+        h.table
+        conjugacy_classes(h)
+        h.inverses()
+    assert "_lookup" not in g.__dict__ and "_lookup" not in q.__dict__
+    assert q.index_of(-g.element_arr()[1]) == q.index_of(g.element_arr()[1])
+    assert "_lookup" in q.__dict__ and "_lookup" not in g.__dict__
+
+
+@pytest.mark.parametrize("kind", ["pin", "spin", "full", "chiral"])
+@pytest.mark.parametrize("command", ["group", "classes"])
+def test_listings_build_no_key_dict(command, kind, monkeypatch, capsys):
+    built = []
+    for name in ("generate_pin", "generate_spin", "quotient_by_sign"):
+        def recording(*args, _f=getattr(versorlab.cli, name), **kwargs):
+            built.append(_f(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(versorlab.cli, name, recording)
+    for fmt in ("json", "csv", "markdown"):
+        assert main([command, "H3", "--kind", kind, "--format", fmt]) == 0
+    assert capsys.readouterr().out
+    assert len(built) == (3 if kind in ("pin", "spin") else 6)
+    assert not [h for h in built if "_lookup" in h.__dict__]
 
 
 @pytest.mark.parametrize("name,kind", [("F4", "pin"), ("H3", "spin"), ("B3", "full"), ("A1", "spin")])
