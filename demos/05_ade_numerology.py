@@ -3,8 +3,9 @@
 Three numbers coincide row by row: the root count of the 3D system, the sum
 of irreducible-representation dimensions of its binary (spinor) group, and
 the Coxeter number of a matching simply-laced diagram.  Everything here is
-computed from scratch -- closure for the counts, class/abelianization
-counting for the dimensions, and the order of a Coxeter versor for h.
+computed from scratch -- closure for the counts, Burnside's method on the
+group's integer table for the dimensions, and the order of a Coxeter versor
+for h -- except the diagram label, which is copied.
 
 Run:  python3 demos/05_ade_numerology.py
 """

@@ -64,6 +64,7 @@ __all__ = [
     "ConformalPoint",
     "ConformalVersor",
     "MAX_DILATION",
+    "MAX_TRANSLATION",
     "apply_word",
     "dilator",
     "embed",
@@ -295,6 +296,7 @@ class ConformalVersor:
 
 
 MAX_DILATION = 15.0  # past it cosh^2 - sinh^2 can miss 1 by over DEFAULT_EPS (first at 15.45)
+MAX_TRANSLATION = 1000.0  # T ~T is 1 within 3e-11 up to it, within DEFAULT_EPS only to 5.8e3
 
 
 def _finite(**params) -> list:
@@ -305,10 +307,17 @@ def _finite(**params) -> list:
     return [float(value) for value in params.values()]
 
 
-def translator(a1: float, a2: float) -> ConformalVersor:
-    """Versor acting as x -> x + a.  As a multivector it is 1 - na/2."""
+def _half_shift(a1: float, a2: float) -> list:
+    """a/2 as 1 - na/2 writes it (never -0.0), for finite a with |a| <= ``MAX_TRANSLATION``."""
     a1, a2 = _finite(a1=a1, a2=a2)
-    c1, c2 = 0.0 - 0.5 * (0.0 - a1), 0.0 - 0.5 * (0.0 - a2)  # n a = -a1 (e13 + e14) - a2 (e23 + e24)
+    if math.hypot(a1, a2) > MAX_TRANSLATION:
+        raise VersorlabError(f"(a1, a2) must be within {MAX_TRANSLATION:g} of 0, got {(a1, a2)!r}")
+    return [0.0 - 0.5 * (0.0 - a) for a in (a1, a2)]
+
+
+def translator(a1: float, a2: float) -> ConformalVersor:
+    """Versor acting as x -> x + a, |a| <= ``MAX_TRANSLATION``.  As a multivector it is 1 - na/2."""
+    c1, c2 = _half_shift(a1, a2)  # n a = -a1 (e13 + e14) - a2 (e23 + e24)
     return ConformalVersor(Versor(_mv({0: 1.0, 5: c1, 6: c2, 9: c1, 10: c2})))
 
 
@@ -344,9 +353,9 @@ def inversion_versor() -> ConformalVersor:
 
 
 def special_conformal(a1: float, a2: float) -> ConformalVersor:
-    """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion.  Its
-    coefficients are e T_a e's floats: the translator's, negated on e13 and e23."""
-    c1, c2 = (0.0 - 0.5 * (0.0 - a) for a in _finite(a1=a1, a2=a2))  # never -0.0
+    """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion.  It takes a as
+    ``translator`` does; its floats are e T_a e's, the translator's negated on e13 and e23."""
+    c1, c2 = _half_shift(a1, a2)
     return ConformalVersor(Versor(_mv({0: 1.0, 5: 0.0 - c1, 6: 0.0 - c2, 9: c1, 10: c2})))
 
 

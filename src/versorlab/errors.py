@@ -26,7 +26,7 @@ class PointAtInfinity(VersorlabError):
 
 
 class AmbiguousIrrepDims(VersorlabError):
-    """The irrep dimension constraints admit zero or several solutions."""
+    """Burnside's method failed a check: integral dimensions, sum of squares or orthogonality."""
 
 
 class McKayMismatch(VersorlabError):

@@ -1,15 +1,11 @@
 """Binary polyhedral group character data and the ADE numerology table.
 
 The finite spin groups over A1^3, A3, B3, H3 are the binary polyhedral
-groups Q8, 2T, 2O, 2I.  Their irreducible representation dimensions are
-pinned down without character tables, by constraint solving on counting
-data: there are as many dimensions as conjugacy classes, exactly
-``|G / [G,G]|`` of them equal 1, and the squares sum to the group order.
-Two classical theorems close the gap where raw counting is ambiguous
-(it is for 2I): every dimension divides the index of the center, and the
-dimension multiset of the rotation quotient G/{+-1} -- solvable by the same
-counting -- embeds in that of G, since quotient irreps pull back.  The
-class and commutator counts are integer gathers on the group's table.
+groups Q8, 2T, 2O, 2I.  Their irrep dimensions come from the group's integer
+table by Burnside's method: the class algebra's structure constants, counted
+with one ``bincount``, and one eigenvector solve; no character table is
+written down, and Pin, Spin and their quotients go the same route.  The
+commutator subgroup is an integer closure on the same table.
 
 The resulting numbers line up three ways: the sum of the irrep dimensions
 of the binary group equals the root count of the 3D system it came from,
@@ -19,13 +15,12 @@ diagram the McKay correspondence attaches to the group (D4, E6, E7, E8).
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import AmbiguousIrrepDims, McKayMismatch, VersorlabError
-from .groups import VersorGroup, coxeter_number, generate_spin, quotient_by_sign
+from .groups import VersorGroup, coxeter_number, generate_spin
 from .induction import induce_4d
 from .roots import catalog
 
@@ -69,54 +64,29 @@ class IrrepDims(NamedTuple):
         return int(sum(self.dims))
 
 
-def _dimension_multisets(total: int, count: int, divisor_of: int) -> list:
-    """Nondecreasing tuples of `count` integers >= 2, each dividing
-    `divisor_of`, with squares summing to `total`."""
-    out = []
-
-    def rec(prefix, k, s, lo):
-        if k == 0:
-            if s == 0:
-                out.append(tuple(prefix))
-            return
-        d = lo
-        while d * d * k <= s:
-            if divisor_of % d == 0:
-                rec(prefix + [d], k - 1, s - d * d, d)
-            d += 1
-
-    rec([], count, total, 2)
-    return out
-
-
 def irrep_dimensions(group) -> IrrepDims:
-    """Irrep dimensions of a finite versor group, from counting data alone.
-
-    Besides the class count, abelianization order and sum-of-squares rule,
-    the solver applies Ito's theorem (each dimension divides the index of
-    the center, read off as the size-1 classes) and, for groups containing
-    -1, the fact that irreps of the rotation quotient pull back, so the
-    quotient's counting-solved dimensions must embed in the answer.
-    """
+    """Irrep dimensions by Burnside's method (Dixon 1967): each irrep chi gives omega_l =
+    |C_l| chi(z_l) / chi(1), z_l in C_l, an eigenvector of every class-sum matrix (c_jlm)_lm,
+    c_jlm = #{x in C_j : x^-1 z_m in C_l}, so of one fixed generic combination of them, and
+    chi(1)^2 = |G| / sum_l |omega_l|^2 / |C_l|.  Raises ``AmbiguousIrrepDims`` unless every
+    dimension is integral to 1e-6, the squares sum to |G| and the characters meet the first
+    orthogonality relation to 1e-9 |G|."""
     classes = group.conjugacy_classes()
-    num_classes = len(classes)
-    num_linear = abelianization_order(group)
-    center_index = group.order // sum(1 for c in classes if c.size == 1)
-    candidates = [(1,) * num_linear + tail for tail in _dimension_multisets(
-        group.order - num_linear, num_classes - num_linear, center_index)]
-
-    if len(candidates) > 1 and isinstance(group, VersorGroup):
-        has_central_involution = any(
-            c.size == 1 and c.element_order == 2 for c in classes)
-        if has_central_involution:
-            quotient_dims = Counter(irrep_dimensions(quotient_by_sign(group)).dims)
-            candidates = [c for c in candidates if not quotient_dims - Counter(c)]
-
-    if len(candidates) != 1:
-        raise AmbiguousIrrepDims(
-            f"{len(candidates)} dimension multisets fit order {group.order} with "
-            f"{num_classes} classes and {num_linear} linear characters: {candidates}")
-    return IrrepDims(candidates[0], group.order, num_classes)
+    r, n = len(classes), group.order
+    sizes, label = np.array([c.size for c in classes]), np.empty(n, np.intp)
+    label[np.concatenate([c.indices for c in classes])] = np.repeat(np.arange(r), sizes)
+    lm = label[group.table[group.inverses()[:, None], [c.indices[0] for c in classes]]]  # x^-1 z_m
+    counts = np.bincount(((label[:, None] * r + lm) * r + np.arange(r)).ravel(), minlength=r ** 3)
+    mix = np.random.default_rng(0).standard_normal(r) @ counts.reshape(r, r * r)
+    omega = np.linalg.eig(mix.reshape(r, r))[1]
+    omega = omega / omega[[c.element_order for c in classes].index(1)]
+    dims = np.sqrt(n / (np.abs(omega) ** 2 / sizes[:, None]).sum(axis=0))
+    chi, whole = omega * dims / sizes[:, None], np.rint(dims)  # chi[l, i]: irrep i on C_l
+    orth = np.abs(chi.T @ (sizes[:, None] * chi.conj()) - n * np.eye(r)).max()
+    if not (np.abs(dims - whole).max() <= 1e-6 and (whole ** 2).sum() == n and orth <= 1e-9 * n):
+        raise AmbiguousIrrepDims(f"order {n}, {r} classes: dimensions {np.round(dims, 6).tolist()}"
+                                 f", orthogonality error {orth:.1e}")
+    return IrrepDims(tuple(sorted(int(d) for d in whole)), n, r)
 
 
 class McKayRow(NamedTuple):
@@ -141,9 +111,10 @@ _ROWS = (
 def mckay_table(spins: Optional[Mapping[str, VersorGroup]] = None) -> tuple[McKayRow, ...]:
     """The four-row table tying |Phi_3D| = sum of binary-group irrep dims = h(ADE).
 
-    Every entry is computed, none copied: root counts by reflection closure,
-    irrep dimensions by class/abelianization counting, the 4D label by spinor
-    induction, and h as the geometric order of a Coxeter element.
+    Root counts come from reflection closure, irrep dimensions from Burnside's method,
+    the 4D label from spinor induction and h from a Coxeter element's order.  Only ``lie``
+    is copied: ``_ROWS``' ADE label plus "+" for the affine diagram, on which h is computed.
+    No McKay graph is computed from the irreps.
 
     ``spins`` maps a 3D catalog name (A1^3, A3, B3, H3) to its already-built
     ``generate_spin`` group, which is used, with the tables and classes it

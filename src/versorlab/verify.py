@@ -83,7 +83,7 @@ from .groups import (
     quotient_by_sign,
 )
 from .induction import induce_4d, reflection_agreement, spinorial_automorphisms
-from .mckay import _dimension_multisets, abelianization_order, irrep_dimensions, mckay_table
+from .mckay import abelianization_order, irrep_dimensions, mckay_table
 from .roots import catalog, cartan_matrix, check_axioms, diagram
 
 __all__ = ["AtMost", "Claim", "CLAIMS", "CheckResult", "BatteryReport", "run_battery"]
@@ -431,7 +431,6 @@ def _mckay(ctx):
     rows = mckay_table({n: ctx.spin(n) for n in _GROUPS_3D})
     return {**_by_field(rows),
             "dims_2t": irrep_dimensions(ctx.spin("A3")).dims,
-            "dims_2t_unique": _dimension_multisets(21, 4, 24),
             "abelianizations": [abelianization_order(ctx.spin(n)) for n in _GROUPS_3D]}
 
 
@@ -549,8 +548,7 @@ CLAIMS: tuple = (
     Claim("mckay.table", ("07", "08"), _mckay,
           {"phi_count": (6, 12, 18, 30), "sum_dims": (6, 12, 18, 30),
            "coxeter_h": (6, 12, 18, 30), "lie": ("D4+", "E6+", "E7+", "E8+"),
-           "dims_2t": (1, 1, 1, 2, 2, 2, 3), "dims_2t_unique": [(2, 2, 2, 3)],
-           "abelianizations": [4, 3, 2, 1]},
+           "dims_2t": (1, 1, 1, 2, 2, 2, 3), "abelianizations": [4, 3, 2, 1]},
           "rows (6,6,6)..(30,30,30); 2T dims 1,1,1,2,2,2,3; abelianizations 4,3,2,1"),
     Claim("cga2d.versor_relations", ("09",), _conformal_relations,
           {"s_squared": True, "st_cubed": True, "e1_eplus_squared": True, "k_closed_form": True,

@@ -15,7 +15,6 @@ from versorlab import (
     NINF,
     ConformalPoint,
     Multivector,
-    NotAVersor,
     PointAtInfinity,
     Signature,
     Versor,
@@ -38,6 +37,7 @@ from versorlab import (
     vector,
     word_report,
 )
+from versorlab.algebra import DEFAULT_EPS, kernel_for
 
 RNG = np.random.default_rng(31415)
 SIG31 = Signature(3, 1)
@@ -619,8 +619,7 @@ def _multivector_route(kind, *params):
 def test_constructors_and_embed_write_the_multivector_routes_floats():
     # the direct coefficient lists must be the multivector expressions' floats,
     # bit for bit, or raise the same error: random, signed-zero, tiny, huge
-    # and pow-sensitive inputs (translators past |a| of about 1.6e4 fail
-    # Versor's unit test either way: 1 + c^2 - c^2 loses the 1)
+    # and pow-sensitive inputs; a translation past MAX_TRANSLATION is named
     rng = np.random.default_rng(88)
     zeros = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
     xs = [float(x) for x in rng.uniform(-5, 5, size=100_000)]
@@ -629,27 +628,59 @@ def test_constructors_and_embed_write_the_multivector_routes_floats():
                + [float(x) for x in rng.uniform(-1, 1, 200) * 10.0 ** rng.uniform(-8, 8, 200)])
     pairs = ([(a, b) for a in zeros for b in zeros] + list(zip(scalars, scalars[::-1]))
              + list(zip(pow_off[0::2], pow_off[1::2])))
-    errors = 0
+    past = 0
     for a1, a2 in pairs:
-        want = _bytes_or_error(lambda: Versor(_multivector_route("translator", a1, a2)).mv)
-        assert _bytes_or_error(lambda: translator(a1, a2).mv) == want, (a1, a2)
-        errors += isinstance(want, tuple)
-        # special_conformal is e T e's floats, and fails Versor's unit test where T does
-        K = _bytes_or_error(lambda: special_conformal(a1, a2).mv)
-        if isinstance(want, tuple):
-            assert K[0] is want[0] is NotAVersor, (a1, a2)
+        if math.hypot(a1, a2) > cga2d.MAX_TRANSLATION:
+            past += 1
+            named = (VersorlabError, f"(a1, a2) must be within 1000 of 0, got {(a1, a2)!r}")
+            assert _bytes_or_error(lambda: translator(a1, a2).mv) == named, (a1, a2)
+            assert _bytes_or_error(lambda: special_conformal(a1, a2).mv) == named, (a1, a2)
         else:
-            assert K == _bytes_or_error(lambda: EPLUS * translator(a1, a2).mv * EPLUS), (a1, a2)
+            want = _bytes_or_error(lambda: Versor(_multivector_route("translator", a1, a2)).mv)
+            assert not isinstance(want, tuple), (a1, a2, want)
+            assert _bytes_or_error(lambda: translator(a1, a2).mv) == want, (a1, a2)
+            # special_conformal is e T e's floats
+            assert _bytes_or_error(lambda: special_conformal(a1, a2).mv) == _bytes_or_error(
+                lambda: EPLUS * translator(a1, a2).mv * EPLUS), (a1, a2)
         if abs(a1) < 1e7 and abs(a2) < 1e7:
             want = _bytes_or_error(lambda: ConformalPoint(_multivector_route("embed", a1, a2)).X)
             assert _bytes_or_error(lambda: embed(a1, a2).X) == want, (a1, a2)
-    assert 0 < errors < len(pairs) // 4
+    assert 0 < past < len(pairs) // 4
     for theta in scalars:
         assert rotation(theta).mv.coeffs.tobytes() == Versor(
             _multivector_route("rotation", theta)).mv.coeffs.tobytes(), theta
         if abs(theta) <= cga2d.MAX_DILATION:
             assert dilator(theta).mv.coeffs.tobytes() == Versor(
                 _multivector_route("dilator", theta)).mv.coeffs.tobytes(), theta
+
+
+def test_translations_up_to_the_limit_are_versors():
+    # 100 000 seeded directions, half at |a| = MAX_TRANSLATION (a hair inside),
+    # half at log-uniform |a| below it: T ~T, batched as Versor computes it, is
+    # 1 within DEFAULT_EPS for T and e T e; the 100 worst and 200 more take the
+    # public constructors, whose rows and T ~T match the batch bit for bit
+    rng, kern = np.random.default_rng(27), kernel_for(SIG31)
+    theta = rng.uniform(-math.pi, math.pi, 100_000)
+    radius = cga2d.MAX_TRANSLATION * np.concatenate(
+        [np.full(50_000, 1 - 1e-12), 10.0 ** rng.uniform(-6, 0, 50_000)])
+    a = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], 1)
+    c = 0.0 - 0.5 * (0.0 - a)
+    for make, c_near in ((translator, c), (special_conformal, 0.0 - c)):  # on e13, e23
+        rows = np.zeros((a.shape[0], 16))
+        rows[:, 0], rows[:, [5, 6]], rows[:, [9, 10]] = 1.0, c_near, c
+        norm = np.concatenate([kern.gp_elemwise(b, kern.rev(b)) for b in np.split(rows, 10)])
+        dev = np.maximum(np.abs(norm[:, 0] - 1.0), np.abs(norm[:, 1:]).max(axis=1))
+        assert dev.max() <= 0.05 * DEFAULT_EPS, make  # 3e-11: a 30-fold margin
+        for i in np.concatenate([np.argsort(dev)[-100:], np.arange(200)]):
+            got = make(*a[i].tolist()).mv.coeffs
+            assert got.tobytes() == rows[i].tobytes(), (make, a[i])
+            assert kern.gp(got, kern.rev(got)).tobytes() == norm[i].tobytes(), (make, a[i])
+    for a1, a2 in ((1000.0, 0.0), (0.0, -1000.0), (600.0, -800.0)):  # |a| exactly at the limit
+        approx_pt(translator(a1, a2).apply(embed(0.5, 0.25)).coords, (a1 + 0.5, a2 + 0.25))
+        assert special_conformal(a1, a2).v.norm_sign == 1
+    with pytest.raises(VersorlabError, match=r"^\(a1, a2\) must be within 1000 of 0, "
+                                             r"got \(600.0, 800.000001\)$"):
+        special_conformal(600.0, 800.000001)
 
 
 def test_embed_names_a_point_whose_squares_overflow():

@@ -26,6 +26,8 @@ pay for H4.
 
 ``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``, run in
 process: A3's seeds are explicit, so its digits do not depend on LAPACK.
+``demo_05.txt`` is the stdout of ``demos/05_ade_numerology.py``, which prints
+only integers and labels.
 """
 
 import contextlib
@@ -107,8 +109,16 @@ def test_each_format_builds_only_what_it_prints(monkeypatch, capsys):
                     assert hashlib.sha256(out).hexdigest() == DIGESTS[" ".join(command)]
 
 
-def test_demo_03_stdout_matches_golden():
+def _demo_stdout(script: str) -> bytes:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        runpy.run_path(str(DEMOS / "03_tetrahedral_groups.py"), run_name="__main__")
-    assert out.getvalue().encode() == (GOLDEN / "demo_03.txt").read_bytes()
+        runpy.run_path(str(DEMOS / script), run_name="__main__")
+    return out.getvalue().encode()
+
+
+def test_demo_03_stdout_matches_golden():
+    assert _demo_stdout("03_tetrahedral_groups.py") == (GOLDEN / "demo_03.txt").read_bytes()
+
+
+def test_demo_05_stdout_matches_golden():
+    assert _demo_stdout("05_ade_numerology.py") == (GOLDEN / "demo_05.txt").read_bytes()

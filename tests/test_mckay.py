@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from versorlab import (
     quotient_by_sign,
 )
 from versorlab.algebra import kernel_for
-from versorlab.mckay import _dimension_multisets
+from versorlab.errors import AmbiguousIrrepDims
 
 SPIN_SOURCES = ("A1", "A1^3", "A3", "B3", "H3")
 
@@ -106,19 +107,52 @@ def test_irrep_dimensions_of_rotation_quotients():
         assert irrep_dimensions(quotient_by_sign(spin(name))).dims == dims, name
 
 
-def test_counting_alone_is_ambiguous_for_binary_icosahedral():
-    # 8 dims >= 2 with squares summing to 119: divisibility by |G| leaves 3
-    # multisets, the center-index refinement leaves 2, and only the lift
-    # constraint from the A5 quotient singles out the true one.
-    raw = _dimension_multisets(119, 8, 120)
-    assert len(raw) == 3
-    ito = _dimension_multisets(119, 8, 60)
-    assert len(ito) == 2
-    assert (2, 2, 3, 3, 4, 4, 5, 6) in ito
+@pytest.mark.parametrize("name", ["A1", "A1^3", "A1^4", "A3", "B3", "H3", "D4", "F4",
+                                  "I2(5)", "I2(7)", "I2(12)"])
+def test_irrep_dimensions_obey_the_counting_theorems(name):
+    # Pin, Spin and their quotients by -1: as many irreps as classes, squares
+    # summing to |G|, |G / [G,G]| linear ones, each dividing |G / Z(G)| (Ito),
+    # and the quotient's irreps pulled back among the cover's
+    for cover in (generate_pin(catalog(name)), spin(name)):
+        quotient = quotient_by_sign(cover)
+        for g in (cover, quotient):
+            got = irrep_dimensions(g)
+            center = sum(1 for c in g.conjugacy_classes() if c.size == 1)
+            assert len(got.dims) == got.class_count == len(g.conjugacy_classes()), g
+            assert sum(d * d for d in got.dims) == got.group_order == g.order, g
+            assert got.dims.count(1) == abelianization_order(g), g
+            assert all((g.order // center) % d == 0 for d in got.dims), g
+        unlifted = Counter(irrep_dimensions(quotient).dims) - Counter(irrep_dimensions(cover).dims)
+        assert not unlifted, cover
 
 
-def test_counting_is_unique_for_binary_tetrahedral():
-    assert _dimension_multisets(21, 4, 24) == [(2, 2, 2, 3)]
+def test_irrep_dimensions_match_the_literature():
+    # Geck & Pfeiffer (2000): the Weyl groups of D4 and F4.  e123 is central in
+    # Pin(H3) with e123^2 = -1, so each irrep of 2I extends twice (e123 acting
+    # as either square root of -1's sign); W(H3) = A5 x {+-1}
+    two_i, a5 = (1, 2, 2, 3, 3, 4, 4, 5, 6), (1, 3, 3, 4, 5)
+    twice = lambda dims: tuple(sorted(dims * 2))
+    assert irrep_dimensions(quotient_by_sign(generate_pin(catalog("D4")))).dims == (
+        1, 1, 2, 3, 3, 3, 3, 3, 3, 4, 4, 6, 8)
+    assert irrep_dimensions(quotient_by_sign(generate_pin(catalog("F4")))).dims == (
+        (1,) * 4 + (2,) * 4 + (4,) * 5 + (6,) * 2 + (8,) * 4 + (9,) * 4 + (12, 16))
+    pin_h3 = generate_pin(catalog("H3"))
+    assert irrep_dimensions(pin_h3).dims == twice(two_i)
+    assert irrep_dimensions(quotient_by_sign(pin_h3)).dims == twice(a5)
+
+
+def test_irrep_dimensions_raise_where_eigenvectors_mix(monkeypatch):
+    # two eigenvectors mixed, as a repeated eigenvalue would leave them, give
+    # no irreps: the integrality and orthogonality checks raise
+    eig = np.linalg.eig
+
+    def mixing(m):
+        w, v = eig(m)
+        return w, np.hstack([v[:, :1] + v[:, 1:2], v[:, :1] - v[:, 1:2], v[:, 2:]])
+
+    monkeypatch.setattr(np.linalg, "eig", mixing)
+    with pytest.raises(AmbiguousIrrepDims, match=r"^order 24, 7 classes: dimensions \["):
+        irrep_dimensions(spin("A3"))
 
 
 def test_mckay_table_rows():
