@@ -20,17 +20,16 @@ tau -> -1/tau and tau -> tau + 1, which is checked against independent
 complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
 versors is a double cover of the group of maps, -1 acting as the identity.
 
-Every map acts through term plans, the nonzero terms of the grade-1 sandwich
-~A v A off the kernel's sign table, in its einsum's order (from +0.0 by ascending
-index; a zero term changes no partial sum).  The letters S, T, t = T^-1 have theirs
-``exec``'d at import as straight-line steps, ``0.0 + z2 * 1.0 + z0 * -0.5 + ...``
-(a float's ``repr`` reads back as that float); ``ConformalVersor.apply`` runs any
-other versor's in a plain loop.  Points are four floats, checked as
-``ConformalPoint`` checks them; where a check fails or a value is not finite, the
-numpy sandwich is replayed, raising that route's error; its tests and renormalization
-are ``_point_tests`` and ``_renormalized`` over (..., 16) rows, which ``verify`` shares.
-``translator``, ``rotation``, ``dilator`` and ``special_conformal`` write the floats
-of their multivector expressions.
+Every map acts through term plans, the nonzero terms of the sandwich ~A X A off the
+kernel's sign table, in its einsum's order (from +0.0 by ascending index; a zero term
+changes no partial sum).  The letters S, T, t = T^-1 have theirs ``exec``'d at import as
+straight-line steps, ``0.0 + z2 * 1.0 + z0 * -0.5 + ...`` (a float's ``repr`` reads back
+as that float); ``ConformalVersor.apply`` runs any other versor's in a plain loop, over
+all 16 blades of a point with stray off-grade coefficients within eps (past eps,
+``sandwich``'s grade-1 ``ValueError``).  Points are four floats, checked as
+``ConformalPoint`` checks them, that raise every error themselves: one failing a check
+is built for ``ConformalPoint`` to refuse.  ``translator``, ``rotation``, ``dilator``
+and ``special_conformal`` write the floats of their multivector expressions.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .algebra import (
     _check_eps,
     blade,
     kernel_for,
-    sandwich,
 )
 from .errors import PointAtInfinity, VersorlabError
 
@@ -172,16 +170,19 @@ def _on_cone(z0: float, z1: float, z2: float, z3: float, eps: float) -> bool:
             and not abs(0.0 + z2 - z3 + 1.0) > bound)
 
 
-def _embedding(x1: float, x2: float, eps: float):
-    """``embed``'s e1..e4 floats, or None where a coordinate is not finite or
-    ``ConformalPoint`` rejects them; a point whose squares overflow raises, named."""
+def _embedding(x1: float, x2: float, eps: float) -> tuple:
+    """``embed``'s e1..e4 floats, which are (x^2 n + 2x - nbar)/2's.  A coordinate that is
+    not finite raises as that expression does, its 0 * inf landing off grade 1; a point
+    whose squares overflow raises, named; ``ConformalPoint`` refuses a point off the cone."""
     if not (math.isfinite(x1) and math.isfinite(x2)):
-        return None
+        raise VersorlabError("conformal points are grade-1 vectors of Cl(3,1)")
     try:
         sq = x1 ** 2 + x2 ** 2
         z = (x1 + 0.0, x2 + 0.0, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)
         if math.isfinite(sq):
-            return z if _on_cone(*z, eps) else None
+            if not _on_cone(*z, eps):
+                ConformalPoint(_mv(dict(zip(_GRADE1, z))), eps)
+            return z
     except OverflowError:
         pass
     raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares overflow")
@@ -191,11 +192,7 @@ def embed(x1: float, x2: float, eps: float = DEFAULT_EPS) -> ConformalPoint:
     """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1.
     It squares with ``**``, libm's pow: x * x would change printed digits."""
     _check_eps(eps)
-    x1, x2 = float(x1), float(x2)
-    if (z := _embedding(x1, x2, eps)) is not None:
-        return _point(z)
-    x = x1 * E1 + x2 * E2  # the multivector route, which raises
-    return ConformalPoint(((x1 ** 2 + x2 ** 2) * NINF + 2.0 * x - NBAR) * 0.5, eps=eps)
+    return _point(_embedding(float(x1), float(x2), eps))
 
 
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
@@ -213,37 +210,39 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
 
 
 _SIGN, _REV = _KERNEL.sign.tolist(), _KERNEL.rev_sign.tolist()
-# per blade a, each grade-1 b's (a ^ b, b's index, sign of a's term in ~A v, in (~A v) A)
-_INNER = [[(a ^ b, i, _REV[a] * _SIGN[a][a ^ b]) for i, b in enumerate(_GRADE1)] for a in range(16)]
+# per blade a of A: each blade b of X's (a ^ b, b, sign of A_a X_b in ~A X), and each
+# grade-1 blade b's (a ^ b, b's index, sign of (~A X)_(a^b) A_a in (~A X) A)
+_INNER = [[(a ^ b, b, _REV[a] * _SIGN[a][a ^ b]) for b in range(16)] for a in range(16)]
+_VECTOR_INNER = [_COORDS(row) for row in _INNER]  # the rows of X's grade-1 blades
 _OUTER = [[(a ^ b, i, _SIGN[a ^ b][b]) for i, b in enumerate(_GRADE1)] for a in range(16)]
 
 
-def _terms(A: list):
-    """~A v A's terms for grade-1 v, in the kernel's order, from A's nonzero coefficients:
-    (blade u of ~A v, v's index, +-coefficient), then (u, the image's index, +-coefficient).
-    An odd A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
+def _terms(A: list, inner_rows: list = _VECTOR_INNER):
+    """~A X A's grade-1 terms, in the kernel's order, from A's nonzero coefficients: (blade
+    u of ~A X, X's blade in ``inner_rows``, +-coefficient), then (u, the image's index,
+    +-coefficient).  An odd A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
     nonzero = [(a, c) for a, c in enumerate(A) if c != 0.0]
-    inner = [(u, i, c * s) for a, c in nonzero for u, i, s in _INNER[a]]
+    inner = [(u, b, c * s) for a, c in nonzero for u, b, s in inner_rows[a]]
     return inner, sorted([(u, i, c * s) for a, c in nonzero for u, i, s in _OUTER[a]])
 
 
-def _checked(y: Sequence[float], eps: float):
-    """``apply``'s renormalization of an image's e1..e4 floats and its checks, those
-    of ``_on_cone`` inline: the point's floats and -1 / (Y . n), or None where a check
-    fails (the replay raises its error).  Division by zero and an overflowing
-    square raise here as in the replay."""
+def _checked(y: Sequence[float], eps: float) -> tuple:
+    """``apply``'s renormalization of an image's e1..e4 floats and its checks, those of
+    ``_on_cone`` inline: the point's floats and -1 / (Y . n).  An image at infinity raises
+    ``PointAtInfinity``; ``ConformalPoint`` refuses one failing a check, built from these
+    floats (no zero's sign changes a check).  Division by zero and an overflowing square raise."""
     y0, y1, y2, y3 = y
     s = 0.0 + y2 - y3  # Y . n
     if abs(s) < eps * max(1.0, abs(y0), abs(y1), abs(y2), abs(y3)):
-        return None
+        raise PointAtInfinity("image point is at infinity")
     r = -1.0 / s
     z0, z1, z2, z3 = z = (y0 * r, y1 * r, y2 * r, y3 * r)
     bound = eps * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
-    if (math.isfinite(z0 + z1 + z2 + z3)
+    if not (math.isfinite(z0 + z1 + z2 + z3)
             and not abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
             and not abs(0.0 + z2 - z3 + 1.0) > bound):
-        return z, r
-    return None
+        ConformalPoint(_mv(dict(zip(_GRADE1, z)), 0.0 * r), eps)
+    return z, r
 
 
 class ConformalVersor:
@@ -261,24 +260,21 @@ class ConformalVersor:
         return self.v.mv
 
     def apply(self, p: ConformalPoint, eps: float = DEFAULT_EPS) -> ConformalPoint:
-        """Sandwich and renormalize back to X . n = -1: the terms on the point's floats,
-        each sum from 0.0 term by term, or the numpy sandwich, which raises."""
+        """Sandwich and renormalize back to X . n = -1: the terms on the point's floats, each
+        sum from 0.0 term by term, over all 16 blades if stray off-grade coefficients are
+        within eps (exact zeros add nothing), or ``sandwich``'s error if one is past eps."""
         _check_eps(eps)
         X = p.X.coeffs.tolist()
-        if not any(_OTHERS(X)):
-            (inner, outer), z = _terms(self.mv.coeffs.tolist()), _COORDS(X)
-            u, y = [0.0] * _KERNEL.D, [0.0] * 4
-            for j, i, c in inner:
-                u[j] += z[i] * c
-            for j, i, c in outer:
-                y[i] += u[j] * c
-            if (checked := _checked(y, eps)) is not None:
-                z, r = checked  # the zero blades times -1 / (Y . n), an odd Y negated
-                return _point(z, 0.0 * (-r if self.v.parity else r))
-        Y, finite = _renormalized(sandwich(p.X, self.v, eps=eps).coeffs, eps)
-        if not finite:
-            raise PointAtInfinity("image point is at infinity")
-        return ConformalPoint(Multivector._wrap(CGA_SIG, Y), eps=eps)
+        if any(stray := _OTHERS(X)) and max(map(abs, stray)) > eps:
+            raise ValueError("sandwich expects a grade-1 argument")
+        inner, outer = _terms(self.mv.coeffs.tolist(), _INNER if any(stray) else _VECTOR_INNER)
+        u, y = [0.0] * _KERNEL.D, [0.0] * 4
+        for j, b, c in inner:
+            u[j] += X[b] * c
+        for j, i, c in outer:
+            y[i] += u[j] * c
+        z, r = _checked(y, eps)  # the zero blades times -1 / (Y . n), an odd Y negated
+        return _point(z, 0.0 * (-r if self.v.parity else r))
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
         if not isinstance(other, ConformalVersor):
@@ -374,8 +370,8 @@ def _term_plan(versor: ConformalVersor):
     written out from 0.0 in the terms' order, each coefficient as its ``repr``."""
     inner, outer = _terms(versor.mv.coeffs.tolist())
     blades, images = {}, [["0.0"] for _ in _GRADE1]
-    for j, i, c in inner:  # repr of a float reads back as that float
-        blades.setdefault(j, ["0.0"]).append(f"z{i} * {c!r}")
+    for j, b, c in inner:  # repr of a float reads back as that float
+        blades.setdefault(j, ["0.0"]).append(f"z{_GRADE1.index(b)} * {c!r}")
     for j, i, c in outer:
         images[i].append(f"u{j} * {c!r}")
     exec("\n    ".join(["def step(z0, z1, z2, z3):",
@@ -388,17 +384,6 @@ def _term_plan(versor: ConformalVersor):
 # the alphabet of modular words, each letter's versor and compiled step built once
 _LETTERS = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}
 _PLANS = {letter: _term_plan(versor) for letter, versor in _LETTERS.items()}
-
-
-def _planned(letters, x1: float, x2: float, eps: float):
-    """``apply_word``'s floats by the letter steps, or None where its route would fail."""
-    if (z := _embedding(x1, x2, eps)) is None:
-        return None
-    for letter in letters:
-        if (checked := _checked(_PLANS[letter](*z), eps)) is None:
-            return None
-        z = checked[0]
-    return z[0], z[1]
 
 
 def _letters(word: Iterable[str]) -> tuple:
@@ -422,12 +407,10 @@ def apply_word(word: Iterable[str], tau: Sequence[float],
     x1, x2 = float(tau[0]), float(tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
-    if (planned := _planned(letters, x1, x2, eps)) is not None:
-        return planned
-    p = embed(x1, x2, eps)  # the replay: one sandwich per letter, with its own errors
+    z = _embedding(x1, x2, eps)
     for letter in letters:
-        p = _LETTERS[letter].apply(p, eps=eps)
-    return p.coords
+        z = _checked(_PLANS[letter](*z), eps)[0]
+    return z[0], z[1]
 
 
 def mobius_oracle(word: Iterable[str], tau: Sequence[float],

@@ -120,8 +120,10 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     _check_eps(eps)
     _check_cap("max_roots", max_roots)
     norms = np.linalg.norm(simple, axis=1)
-    if np.any(norms < eps):
-        raise ValueError("simple roots must be nonzero")
+    if np.any(short := norms < eps):
+        i = int(np.argmax(short))
+        raise ValueError(f"simple root {i + 1} has length {float(norms[i])!r}, below the "
+                         f"tolerance {eps!r}")
     if np.linalg.matrix_rank(simple, tol=1e-8) < simple.shape[0]:
         raise ValueError("simple roots must be linearly independent")
     simple = simple / norms[:, None]

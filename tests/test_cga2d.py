@@ -437,22 +437,26 @@ def test_apply_word_checks_the_start_point_at_its_eps():
         embed(*tau, eps=1e-20)
 
 
+def _no_products(monkeypatch):
+    """``cga2d`` without ``sandwich``, and every ``Multivector`` product raising."""
+    def product(*args):
+        raise AssertionError("a Multivector product")
+
+    monkeypatch.delattr(cga2d, "sandwich", raising=False)
+    monkeypatch.setattr(Multivector, "__mul__", product)
+    monkeypatch.setattr(Multivector, "__rmul__", product)
+
+
 def test_a_finite_word_makes_no_sandwich(monkeypatch):
-    # the term plans carry finite words; only a failed check replays the
-    # word through the per-letter sandwiches, which raise their own errors
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sandwich(*args, **kwargs)
-
-    monkeypatch.setattr(cga2d, "sandwich", counted)
-    for word in _random_words(np.random.default_rng(6), 34):
-        assert apply_word(word, (0.3, 0.7)) == _reference_word(word, (0.3, 0.7))
-    assert calls == []
-    with pytest.raises(PointAtInfinity, match="^image point is at infinity$"):
-        apply_word("tS", (1.0, 1e-6))
-    assert len(calls) >= 1
+    # the term plans carry every word, and raise every error themselves: a
+    # finite word and one sent to infinity go through no Multivector product
+    words = _random_words(np.random.default_rng(6), 34)
+    cases = [(word, (0.3, 0.7)) for word in words] + [("tS", (1.0, 1e-6))]
+    want = [_outcome(_reference_word, word, tau) for word, tau in cases]
+    assert want[-1] == (PointAtInfinity, "image point is at infinity")
+    _no_products(monkeypatch)
+    for (word, tau), expected in zip(cases, want):
+        assert _outcome(apply_word, word, tau) == expected, (word, tau)
 
 
 def test_a_finite_word_calls_one_step_per_letter_and_no_numpy(monkeypatch):
@@ -489,11 +493,11 @@ def test_term_plans_give_any_versors_floats(monkeypatch, make, params):
     # the modular letters are all even; the plan of any conformal versor,
     # odd ones included, must give that versor's own apply, bit for bit
     versor = make(*params)
+    monkeypatch.setitem(cga2d._LETTERS, "J", versor)
     monkeypatch.setitem(cga2d._PLANS, "J", cga2d._term_plan(versor))
     for x1, x2 in np.random.default_rng(17).uniform([-2, 0.2], [2, 2], size=(50, 2)):
         want = versor.apply(embed(x1, x2)).coords
-        got = cga2d._planned("J", float(x1), float(x2), 1e-9)
-        assert got is not None and _outcome(lambda: got) == _outcome(lambda: want), (x1, x2)
+        assert _outcome(apply_word, "J", (x1, x2)) == _outcome(lambda: want), (x1, x2)
 
 
 def test_pow_squares_give_the_same_floats_through_both_routes():
@@ -574,31 +578,62 @@ def test_maps_reach_every_outcome_of_the_long_way():
 
 
 def test_a_finite_map_makes_no_sandwich(monkeypatch):
-    # the interpreted term plans carry finite maps; only a failed check
-    # replays the numpy sandwich, which raises its own error
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return sandwich(*args, **kwargs)
-
-    monkeypatch.setattr(cga2d, "sandwich", counted)
+    # the interpreted term plans carry every map, and raise every error
+    # themselves: finite images, a point sent to infinity, a point with a
+    # stray non-vector part and one with a part past eps go through no
+    # Multivector product
     rng = np.random.default_rng(23)
     maps = [translator(*rng.uniform(-2, 2, 2)), rotation(1.1), dilator(-0.7),
             special_conformal(0.2, 0.1), reflection(0.3, -0.4), inversion_versor(),
             translator(0.5, 0.5) * rotation(0.3) * dilator(0.2)]
-    for versor in maps:
-        point = embed(*rng.uniform(0.2, 1.5, 2))
-        want = ConformalPoint(_reference_apply(versor, point.X))
-        assert versor.apply(point).X.coeffs.tobytes() == want.X.coeffs.tobytes()
-    assert calls == []
-    with pytest.raises(PointAtInfinity, match="^image point is at infinity$"):
-        inversion_versor().apply(embed(0.0, 0.0))
-    assert len(calls) == 1
-    # a point with a stray non-vector part takes the numpy route too
-    X = embed(0.5, 0.5).X + 1e-12
-    translator(1.0, 0.0).apply(ConformalPoint(X))
-    assert len(calls) == 2
+    stray = ConformalPoint(embed(0.5, 0.5).X + 1e-12)
+    cases = ([(versor, embed(*rng.uniform(0.2, 1.5, 2))) for versor in maps]
+             + [(inversion_versor(), embed(0.0, 0.0)), (translator(1.0, 0.0), stray)])
+    want = [_bytes_or_error(lambda: ConformalPoint(_reference_apply(v, p.X)).X) for v, p in cases]
+    assert want[-2] == (PointAtInfinity, "image point is at infinity")
+    assert not isinstance(want[-1], tuple)
+    _no_products(monkeypatch)
+    for (versor, point), expected in zip(cases, want):
+        assert _bytes_or_error(lambda: versor.apply(point).X) == expected, (versor, point)
+    with pytest.raises(ValueError, match="^sandwich expects a grade-1 argument$"):
+        translator(1.0, 0.0).apply(stray, 1e-13)
+
+
+def test_apply_takes_points_with_stray_off_grade_coefficients():
+    # 2 000 seeded points with 1 to 3 stray non-vector coefficients, built at
+    # eps 1e-9 or 1e-6 (half of those for inversions and special conformal maps
+    # at the map's pole), each applied at four tolerances: within eps the terms
+    # of all 16 blades give the long way's bytes or error; a stray part past eps
+    # raises sandwich's grade-1 error
+    rng = np.random.default_rng(909)
+    strays = np.array([1e-12, -1e-12, 3e-10, -3e-10, 1e-9, 5e-7])
+    off_grade = [b for b in range(16) if b not in (1, 2, 4, 8)]
+    kinds = sorted(_MAP_KINDS)
+    seen = set()
+    for i in range(2000):
+        make, count, reach = _MAP_KINDS[kinds[i % len(kinds)]]
+        params = rng.uniform(-reach, reach, count)
+        versor = make(*params) if make is not reflection else make(1.0, params[1])
+        x = rng.uniform(-2, 2, 2)
+        if i // 6 % 2 and make in (special_conformal, inversion_versor):
+            x = extract(sandwich(NINF, versor.inverse().v))
+        build_eps = (1e-9, 1e-6)[i % 2]
+        coeffs = embed(*x).X.coeffs.copy()
+        blades = rng.choice(off_grade, size=int(rng.integers(1, 4)), replace=False)
+        coeffs[blades] = rng.choice(strays[np.abs(strays) <= build_eps], size=len(blades))
+        point = ConformalPoint(Multivector(SIG31, coeffs), build_eps)
+        stray = np.abs(coeffs[off_grade]).max()
+        for eps in (1e-6, 1e-9, 1e-13, 1e-17):
+            if stray > eps:
+                with pytest.raises(ValueError, match="^sandwich expects a grade-1 argument$"):
+                    versor.apply(point, eps)
+                seen.add("past eps")
+                continue
+            want = _bytes_or_error(
+                lambda: ConformalPoint(_reference_apply(versor, point.X, eps), eps).X)
+            assert _bytes_or_error(lambda: versor.apply(point, eps).X) == want, (i, eps)
+            seen.add(want[1] if isinstance(want, tuple) else "finite")
+    assert seen == {"finite", "past eps", "image point is at infinity"}, seen
 
 
 def _multivector_route(kind, *params):
@@ -691,6 +726,10 @@ def test_embed_names_a_point_whose_squares_overflow():
                 fn()
             assert str(info.value) == message
     assert embed(1e76, 0.5).coords == (1e76, 0.5)  # the largest squares still check
+    # a coordinate that is not finite is refused as such, beside a square that overflows too
+    for tau in ((math.inf, 1e200), (1e200, math.nan), (-math.inf, -1e300)):
+        with pytest.raises(VersorlabError, match=r"^conformal points are grade-1 vectors of Cl\(3,1\)$"):
+            embed(*tau)
 
 
 _EPS_TAKERS = {

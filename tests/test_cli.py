@@ -240,6 +240,17 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("argv", [["classes", "A3", "--tolerance", "1"],
+                                  ["roots", "A3", "--tolerance", "1e10"]])
+def test_a_tolerance_past_a_roots_length_names_the_root(argv, capsys):
+    # A3's first unit root has length 0.9999999999999999, which a tolerance
+    # at or above 1 cannot tell from zero
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": (
+        f"simple root 1 has length 0.9999999999999999, below the tolerance {float(argv[3])!r}")}
+
+
 def test_positive_tolerance_and_cap_pass_the_checks(capsys):
     assert run_json(capsys, "roots", "A1", "--tolerance", "1e-15", "--max-closure", "2")[
         "root_count"] == 2

@@ -99,6 +99,13 @@ def test_closure_rejects_dependent_seeds():
         close_roots([[1.0, 0.0], [-1.0, 0.0]], sig=Signature(2, 0))
 
 
+def test_closure_names_a_seed_root_shorter_than_the_tolerance():
+    # a zero seed still raises, naming the root, its length and the tolerance
+    with pytest.raises(ValueError,
+                       match=r"^simple root 2 has length 0\.0, below the tolerance 1e-09$"):
+        close_roots([[1.0, 0.0], [0.0, 0.0]], sig=Signature(2, 0))
+
+
 def test_axiom_scalar_multiple_violation_detected():
     rs = catalog("A1^3")
     bad = np.vstack([rs.coords, 2.0 * rs.coords[:1]])
