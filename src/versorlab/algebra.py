@@ -186,6 +186,13 @@ def lex_order(arr: np.ndarray) -> np.ndarray:
     return np.lexsort(quantize(arr).T[::-1])
 
 
+def lex_sorted(arr: np.ndarray, graph: np.ndarray, *indices: np.ndarray) -> tuple:
+    """Rows of arr in lex order, and their graph (and any arrays of row indices) renumbered."""
+    order = lex_order(arr)
+    rank = np.argsort(order)
+    return (arr[order], rank[graph[order]], *(rank[i] for i in indices))
+
+
 def key_ids(arr: np.ndarray, index: dict) -> np.ndarray:
     """Each row's id in ``index``, a dict of key bytes; a new key gets the next id, in row order."""
     return np.array([index.setdefault(key, len(index)) for key in row_keys(arr).tolist()],

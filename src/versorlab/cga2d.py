@@ -228,12 +228,12 @@ def _terms(A: list, inner_rows: list = _VECTOR_INNER):
 
 def _checked(y: Sequence[float], eps: float) -> tuple:
     """``apply``'s renormalization of an image's e1..e4 floats and its checks, those of
-    ``_on_cone`` inline: the point's floats and -1 / (Y . n).  An image at infinity raises
-    ``PointAtInfinity``; ``ConformalPoint`` refuses one failing a check, built from these
-    floats (no zero's sign changes a check).  Division by zero and an overflowing square raise."""
+    ``_on_cone`` inline: the point's floats and -1 / (Y . n).  An image at infinity, Y . n = 0
+    at any eps included, raises ``PointAtInfinity``; ``ConformalPoint`` refuses one failing a
+    check, built from these floats (no zero's sign changes a check); an overflow raises."""
     y0, y1, y2, y3 = y
     s = 0.0 + y2 - y3  # Y . n
-    if abs(s) < eps * max(1.0, abs(y0), abs(y1), abs(y2), abs(y3)):
+    if s == 0 or abs(s) < eps * max(1.0, abs(y0), abs(y1), abs(y2), abs(y3)):
         raise PointAtInfinity("image point is at infinity")
     r = -1.0 / s
     z0, z1, z2, z3 = z = (y0 * r, y1 * r, y2 * r, y3 * r)
@@ -427,7 +427,7 @@ def mobius_oracle(word: Iterable[str], tau: Sequence[float],
         elif letter == "t":
             z = z - 1.0
         else:
-            if abs(z) < eps:
+            if z == 0 or abs(z) < eps:
                 raise PointAtInfinity("Mobius map sends the point to infinity")
             z = -1.0 / z
     return (z.real, z.imag)

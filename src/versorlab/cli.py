@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .algebra import DEFAULT_EPS, _kept_terms, _text_rows, kernel_for, row_keys
+from .algebra import DEFAULT_EPS, _kept_terms, _text_rows, kernel_for
 from .errors import UnknownCatalogName, VersorlabError
 from .groups import MAX_GROUP, generate_pin, generate_spin, quotient_by_sign
 from .induction import induce_4d, reflection_agreement, spinorial_automorphisms
@@ -147,13 +147,7 @@ def _cmd_roots(args):
     cm = cartan_matrix(rs)
     edges = diagram(rs, eps=args.tolerance)
     integral = cm.is_integral(args.tolerance)
-    coord_headers = [f"x{i+1}" for i in range(rs.sig.dim)]
-
-    def listing():
-        simple = set(row_keys(rs.simple_coords).tolist())
-        for i, (r, key) in enumerate(zip(rs.coords, row_keys(rs.coords).tolist())):
-            yield [i, *r, key in simple]
-
+    coord_headers, simple = [f"x{i+1}" for i in range(rs.sig.dim)], set(rs.simple.tolist())
     label = rs.name or "root system"
     return _render(
         args.format,
@@ -175,7 +169,8 @@ def _cmd_roots(args):
             "diagram_edges": [{"i": e.i, "j": e.j, "m": e.m} for e in edges],
             "axioms_ok": check_axioms(rs, eps=args.tolerance).ok,
         },
-        csv_table=(None, ["index", *coord_headers, "simple"], listing()))
+        csv_table=(None, ["index", *coord_headers, "simple"],
+                   ([i, *r, i in simple] for i, r in enumerate(rs.coords))))
 
 
 def _cmd_group(args):

@@ -4,7 +4,8 @@ Pin(rs) is generated by the simple-root vectors s_i and Spin(rs), its even
 part, by the products s_i s_j (i < j): each is {+-v_w} over the reflection
 group W, or its rotation subgroup, closed in integers as permutations of the
 roots, on which W acts faithfully (Humphreys 1990, 1.5-1.7), so every
-antipode is exact.  Elements are unit versors, +R and -R distinct;
+antipode is exact; the simple reflections' permutations are the graph
+``close_roots`` kept.  Elements are unit versors, +R and -R distinct;
 quotient_by_sign collapses the double cover onto the plain rotation (from
 spin) or full reflection (from pin) group.
 
@@ -38,7 +39,7 @@ from .algebra import (
     _kept_terms,
     find_ids,
     kernel_for,
-    lex_order,
+    lex_sorted,
     orbit,
     qkey,
     quantize,
@@ -46,7 +47,7 @@ from .algebra import (
     vector_rows,
 )
 from .errors import VersorlabError
-from .roots import RootSystem, _simple_permutations
+from .roots import RootSystem
 
 __all__ = [
     "ConjugacyClass",
@@ -159,9 +160,15 @@ class _GroupBase:
         t.setflags(write=False)
         return t
 
+    @cached_property
+    def _inverses(self) -> np.ndarray:
+        inv = self._left_products(np.array([self._e]), hops=self._left_by_inverses)[:, 0]
+        inv.setflags(write=False)
+        return inv
+
     def inverses(self) -> np.ndarray:
-        """Index of g_i^-1 for each i, replayed on the tree: (g_p s_k)^-1 = s_k^-1 g_p^-1."""
-        return self._left_products(np.array([self._e]), hops=self._left_by_inverses)[:, 0]
+        """Index of g_i^-1 for each i, replayed once on the tree: (g_p s_k)^-1 = s_k^-1 g_p^-1."""
+        return self._inverses
 
     def element_order(self, v) -> int:
         """Least k with v^k = 1."""
@@ -239,13 +246,6 @@ class ConjugacyClass:
         return Versor._trusted(self.sig, self.rows[self.indices])
 
 
-def _lex_sorted(arr: np.ndarray, graph: np.ndarray, *indices: np.ndarray) -> tuple:
-    """Rows of arr in lex order, and their graph (and any arrays of row indices) renumbered."""
-    order = lex_order(arr)
-    rank = np.argsort(order)
-    return (arr[order], rank[graph[order]], *(rank[i] for i in indices))
-
-
 def _generate(kind: str, rs: RootSystem, simple: np.ndarray, perms: np.ndarray,
               factors: np.ndarray, cap: int) -> VersorGroup:
     """{+-v_w} over W, the orbit of the simple roots' indices under the root
@@ -278,21 +278,21 @@ def _generate(kind: str, rs: RootSystem, simple: np.ndarray, perms: np.ndarray,
     if not np.all(np.abs(np.abs(dots) - 1.0) <= 1e-9):  # NaN fails too
         raise VersorlabError("the versor generators do not lift the root permutations")
     cover = graph + np.where(dots < 0, n, 0)  # row i + n is -v_i
-    arr, graph, plus = _lex_sorted(np.vstack([v, -v]), np.vstack([cover, (cover + n) % (2 * n)]),
-                                   np.arange(n))  # plus[i]: the row of +v_i
+    arr, graph, plus = lex_sorted(np.vstack([v, -v]), np.vstack([cover, (cover + n) % (2 * n)]),
+                                  np.arange(n))  # plus[i]: the row of +v_i
     tree = (int(plus[0]), plus[1:], plus[first // m], first % m, np.subtract(layers[1:-1], 1))
     return VersorGroup(kind, rs.sig, arr, graph, tree, source=rs)
 
 
 def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """The group generated by the simple-root vectors, with +-1."""
-    (simple, perms), s = _simple_permutations(rs), vector_rows(rs.sig, rs.simple_coords)
+    (simple, perms), s = rs.simple_reflections(), vector_rows(rs.sig, rs.simple_coords)
     return _generate("pin", rs, simple, perms, s[:, None], max_elements)
 
 
 def generate_spin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """The even subgroup of Pin, generated by the products s_i s_j (i < j), with +-1."""
-    (simple, perms), s = _simple_permutations(rs), vector_rows(rs.sig, rs.simple_coords)
+    (simple, perms), s = rs.simple_reflections(), vector_rows(rs.sig, rs.simple_coords)
     i, j = np.triu_indices(rs.rank, 1)  # s_i s_j permutes the roots as s_i, then s_j
     return _generate("spin", rs, simple, perms[j[:, None], perms[i]], np.stack([s[i], s[j]], 1),
                      max_elements)
@@ -338,11 +338,11 @@ def _spinor_coords(arr: np.ndarray) -> np.ndarray:
 def coxeter_number(rs: RootSystem) -> int:
     """Order of the product of all simple-root vectors, as the order of the
     permutation it makes of the roots: the product of the simple reflections'
-    root permutations."""
+    root permutations, which ``close_roots`` kept."""
     if rs.rank != rs.sig.dim:
         raise VersorlabError("coxeter_number needs a full-rank root system")
     every = np.arange(rs.root_count)  # reflect in s_1 first, then s_2, ...
-    perm = reduce(lambda acc, p: p[acc], _simple_permutations(rs)[1], every)
+    perm = reduce(lambda acc, p: p[acc], rs.simple_reflections()[1], every)
     power, k = perm, 1
     while not np.array_equal(power, every):
         power, k = perm[power], k + 1

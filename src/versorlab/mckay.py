@@ -40,18 +40,23 @@ def cayley_table(group) -> np.ndarray:
 
 
 def abelianization_order(group) -> int:
-    """Order of G / [G,G], i.e. the number of linear characters of G."""
-    t, inv = group.table, group.inverses()
+    """Order of G / [G,G], i.e. the number of linear characters of G.
 
-    def distinct(x):  # sorted, as np.unique, which would import numpy.ma
-        return np.flatnonzero(np.bincount(x.ravel()))
-
-    members = distinct(t[t[t, inv[:, None]], inv])  # every g h g^-1 h^-1
-    while (grown := distinct(t[np.ix_(members, members)])).size > members.size:
-        members = grown
-    if group.order % members.size:
+    H = <[g, s_k]>, from the commutators g s_k g^-1 s_k^-1 of each element with each
+    generator, is [G,G]: H lies in [G,G] and is normal, x [g, s] x^-1 = [xg, s] [x, s]^-1,
+    and modulo H each s_k, like the central -1, commutes with every element, so G / H is
+    abelian.  H is closed from its n m generators by breadth-first right products."""
+    t, inv, graph, e, n = group.table, group.inverses(), group._graph, group._e, group.order
+    comm = t[t[graph, inv[:, None]], inv[graph[e]]]  # every [g, s_k]: g s_k is graph[g, k]
+    gens = np.flatnonzero(np.bincount(comm.ravel(), minlength=n))  # np.unique imports numpy.ma
+    member, new = np.arange(n) == e, np.array([e])
+    while new.size:  # H, from e by breadth-first right products
+        hit = t[new[:, None], gens].ravel()
+        new = np.flatnonzero(np.bincount(hit[~member[hit]], minlength=n))
+        member[new] = True
+    if n % (size := int(np.count_nonzero(member))):
         raise VersorlabError("commutator closure is not a subgroup; inconsistent group")
-    return group.order // members.size
+    return n // size
 
 
 class IrrepDims(NamedTuple):
@@ -111,10 +116,10 @@ _ROWS = (
 def mckay_table(spins: Optional[Mapping[str, VersorGroup]] = None) -> tuple[McKayRow, ...]:
     """The four-row table tying |Phi_3D| = sum of binary-group irrep dims = h(ADE).
 
-    Root counts come from reflection closure, irrep dimensions from Burnside's method,
-    the 4D label from spinor induction and h from a Coxeter element's order.  Only ``lie``
-    is copied: ``_ROWS``' ADE label plus "+" for the affine diagram, on which h is computed.
-    No McKay graph is computed from the irreps.
+    Root counts come from reflection closure, irrep dimensions from Burnside's method, the
+    4D label from spinor induction and h from a Coxeter element's order on the reflection
+    graph of the root closure.  Only ``lie`` is copied: ``_ROWS``' ADE label plus "+" for
+    the affine diagram, on which h is computed.  No McKay graph is computed from the irreps.
 
     ``spins`` maps a 3D catalog name (A1^3, A3, B3, H3) to its already-built
     ``generate_spin`` group, which is used, with the tables and classes it
@@ -125,12 +130,9 @@ def mckay_table(spins: Optional[Mapping[str, VersorGroup]] = None) -> tuple[McKa
     rows = []
     for three_d, ade, binary_name in _ROWS:
         spin = spins[three_d] if three_d in spins else generate_spin(catalog(three_d))
-        rs3 = spin.source
-        induced = induce_4d(spin)
-        dims = irrep_dimensions(spin)
-        h = coxeter_number(catalog(ade))
-        row = McKayRow(three_d, induced.identification, ade + "+",
-                       rs3.root_count, dims.sum, h, binary_name, dims.dims)
+        induced, dims = induce_4d(spin), irrep_dimensions(spin)
+        row = McKayRow(three_d, induced.identification, ade + "+", spin.source.root_count,
+                       dims.sum, coxeter_number(catalog(ade)), binary_name, dims.dims)
         if not (row.phi_count == row.sum_dims == row.coxeter_h):
             raise McKayMismatch(
                 f"row {three_d}: root count {row.phi_count}, irrep-dim sum "

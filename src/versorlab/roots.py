@@ -30,7 +30,7 @@ from .algebra import (
     _check_eps,
     find_ids,
     key_ids,
-    lex_order,
+    lex_sorted,
     orbit,
     vector,
 )
@@ -56,16 +56,30 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 class RootSystem:
-    """Finite reflection-closed set of unit vectors, with its simple-root seed."""
+    """Finite reflection-closed set of unit vectors, with its simple-root seed and, from
+    ``close_roots``, its closure's reflection graph: ``simple[k]``, the row of simple root k,
+    and ``reflections[k, i]``, the row of root i reflected in simple root k.  A system built
+    by hand has neither, and Pin, Spin and ``coxeter_number``, which read them, refuse it."""
 
     def __init__(self, sig: Signature, simple_coords: np.ndarray, coords: np.ndarray,
-                 name: Optional[str] = None):
-        self.sig = sig
-        self.name = name
+                 name: Optional[str] = None, simple=None, reflections=None):
+        self.sig, self.name, self.simple, self.reflections = sig, name, simple, reflections
         self.simple_coords = np.asarray(simple_coords, dtype=np.float64)
         self.coords = np.asarray(coords, dtype=np.float64)
-        self.simple_coords.setflags(write=False)
-        self.coords.setflags(write=False)
+        for arr in (self.simple_coords, self.coords, simple, reflections):
+            if arr is not None:
+                arr.setflags(write=False)
+        if reflections is not None and not (
+                (self.coords[simple] == self.simple_coords).all()
+                and (np.sort(reflections, axis=1) == np.arange(self.root_count)).all()):
+            raise VersorlabError("the simple reflections do not permute the roots")
+
+    def simple_reflections(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(simple, reflections)``, or a ``VersorlabError`` for a system built by hand."""
+        if self.reflections is None:
+            raise VersorlabError(f"{self!r} was built by hand and has no reflection graph; "
+                                 "build it with close_roots or catalog")
+        return self.simple, self.reflections
 
     @property
     def rank(self) -> int:
@@ -84,22 +98,6 @@ class RootSystem:
         return f"<RootSystem {label}: rank {self.rank}, {self.root_count} roots in Cl{tuple(self.sig)}>"
 
 
-def _coerce_simple_coords(simple_roots, sig: Optional[Signature]):
-    coords = np.asarray(simple_roots, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        finite = coords.ndim == 2 and np.isfinite(np.sum(coords * coords, axis=1)).all()
-    if not (finite and coords.size):
-        raise VersorlabError("simple_roots must be a non-empty list of coordinate rows, "
-                             "finite and with finite squared lengths")
-    if sig is None:
-        sig = Signature(coords.shape[1], 0)
-    if sig.q != 0:
-        raise ValueError("root systems require a positive-definite signature")
-    if coords.shape[1] != sig.dim:
-        raise ValueError("coordinate length does not match signature dimension")
-    return sig, coords
-
-
 def _reflect_pairs(roots: np.ndarray, mirrors: np.ndarray) -> np.ndarray:
     """[i, j] = root i reflected in unit mirror j (einsum: BLAS rounding varies by shape)."""
     dots = np.einsum("id,jd->ij", roots, mirrors)
@@ -112,11 +110,21 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
 
     The orbit of +-simple under the reflections in the simple mirrors.  The
     reflection in w(s) is w s w^-1, so this is also the closure under
-    reflection in every root found (Humphreys 1990, section 1.5).  Raises
-    ClosureCapExceeded past ``max_roots`` roots, which signals a non-finite
-    (or degenerate) seed configuration.
+    reflection in every root found (Humphreys 1990, section 1.5), and the orbit's
+    graph is W acting on the roots.  Raises ClosureCapExceeded past ``max_roots``
+    roots, which signals a non-finite (or degenerate) seed configuration.
     """
-    sig, simple = _coerce_simple_coords(simple_roots, sig)
+    simple = np.asarray(simple_roots, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        finite = simple.ndim == 2 and np.isfinite(np.sum(simple * simple, axis=1)).all()
+    if not (finite and simple.size):
+        raise VersorlabError("simple_roots must be a non-empty list of coordinate rows, "
+                             "finite and with finite squared lengths")
+    sig = Signature(simple.shape[1], 0) if sig is None else sig
+    if sig.q != 0:
+        raise ValueError("root systems require a positive-definite signature")
+    if simple.shape[1] != sig.dim:
+        raise ValueError("coordinate length does not match signature dimension")
     _check_eps(eps)
     _check_cap("max_roots", max_roots)
     norms = np.linalg.norm(simple, axis=1)
@@ -127,21 +135,11 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     if np.linalg.matrix_rank(simple, tol=1e-8) < simple.shape[0]:
         raise ValueError("simple roots must be linearly independent")
     simple = simple / norms[:, None]
-    coords, _ = orbit(np.vstack([simple, -simple]), simple, _reflect_pairs, max_roots,
+    coords, graph = orbit(np.vstack([simple, -simple]), simple, _reflect_pairs, max_roots,
                    "reflection closure exceeded {cap} roots; seed is likely not a finite system")
-    return RootSystem(sig, simple, coords[lex_order(coords)], name=name)
-
-
-def _simple_permutations(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The simple roots' indices, and ``perms[k, i]`` = index of root i reflected in
-    simple root k, looked up in one key dict of the roots; each must be a permutation."""
-    index = {}
-    key_ids(rs.coords, index)
-    simple = find_ids(rs.simple_coords, index)
-    perms = find_ids(_reflect_pairs(rs.coords, rs.simple_coords), index).T
-    if np.any(simple < 0) or not np.all(np.sort(perms, axis=1) == np.arange(rs.root_count)):
-        raise VersorlabError("the simple reflections do not permute the roots")
-    return simple, perms
+    # the orbit's first rows are its distinct seeds: simple root k is row k (RootSystem checks)
+    coords, graph, ids = lex_sorted(coords, graph, np.arange(simple.shape[0]))
+    return RootSystem(sig, simple, coords, name=name, simple=ids, reflections=graph.T)
 
 
 class AxiomViolation(NamedTuple):
@@ -326,16 +324,13 @@ def catalog(name: str, eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> 
         seeds = np.asarray(_EXPLICIT_SEEDS[name], dtype=np.float64)
     elif name in _DIAGRAM_SEEDS:
         seeds = _seeds_from_diagram(*_DIAGRAM_SEEDS[name])
+    elif m := _I2_RE.match(name):
+        if int(m.group(1)) < 3:
+            raise UnknownCatalogName(f"I2(n) needs n >= 3, got {name}")
+        seeds = _seeds_from_diagram(2, [(1, 2, int(m.group(1)))])
     else:
-        m = _I2_RE.match(name)
-        if m:
-            n = int(m.group(1))
-            if n < 3:
-                raise UnknownCatalogName(f"I2(n) needs n >= 3, got {name}")
-            seeds = _seeds_from_diagram(2, [(1, 2, n)])
-        else:
-            raise UnknownCatalogName(
-                f"unknown root system {name!r}; known: {', '.join(catalog_names())}")
+        raise UnknownCatalogName(
+            f"unknown root system {name!r}; known: {', '.join(catalog_names())}")
     return close_roots(seeds, name=name, eps=eps, max_roots=max_roots)
 
 

@@ -30,7 +30,7 @@ from versorlab import (
 )
 import versorlab.algebra
 from versorlab.algebra import KEY_BOUND, find_ids, kernel_for, key_ids, orbit, quantize
-from versorlab.roots import _reflect_pairs, _simple_permutations
+from versorlab.roots import _reflect_pairs
 
 RNG = np.random.default_rng(20260814)
 
@@ -472,7 +472,7 @@ def test_orbit_graph_is_each_rows_product_looked_up():
     gens[:, [1, 2, 4]] = h3.simple_coords
     cases.append((gens, lambda A, B: kern.gp_elemwise(A[:, None], B[None]),
                   np.eye(1, 8) * [[1.0], [-1.0]]))
-    simple, perms = _simple_permutations(h3)
+    simple, perms = h3.simple_reflections()  # the graph close_roots kept
     cases.append((perms, lambda b, p: p[:, b].swapaxes(0, 1), simple[None]))
     for gens, act, seeds in cases:
         rows, graph = orbit(seeds, gens, act, 1000, "cap {cap}")

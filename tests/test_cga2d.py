@@ -318,7 +318,7 @@ def _reference_apply(versor, X, eps=1e-9):
     Y = (-Y if versor.v.parity == 1 else Y).grade(1)
     scale = max(1.0, float(max(abs(c) for c in Y.coeffs)))
     s = (Y * NINF).scalar
-    if abs(s) < eps * scale:
+    if s == 0 or abs(s) < eps * scale:
         raise PointAtInfinity("image point is at infinity")
     Z = Y * (-1.0 / s)
     scale = max(1.0, float(max(abs(c) for c in Z.coeffs)) ** 2)
@@ -573,8 +573,21 @@ def test_maps_reach_every_outcome_of_the_long_way():
         want = _bytes_or_error(lambda: ConformalPoint(_reference_apply(versor, point.X, eps), eps).X)
         assert _bytes_or_error(lambda: versor.apply(point, eps).X) == want, name
         seen.add(want[1] if isinstance(want, tuple) else "finite")
-    assert seen == {"finite", "image point is at infinity", "conformal points must be null",
-                    "float division by zero"}
+    assert seen == {"finite", "image point is at infinity", "conformal points must be null"}
+
+
+def test_a_point_sent_exactly_to_infinity_raises_at_eps_zero():
+    # Y . n = 0 (or z = 0 for the oracle) is a point at infinity at every eps, 0 included,
+    # not a division by zero; a NaN Y . n is no point at infinity
+    cases = [lambda: inversion_versor().apply(embed(0.0, 0.0), eps=0.0),
+             lambda: apply_word("S", (0.0, 1e-100), eps=0.0),  # S sends it to 1e100 i
+             lambda: mobius_oracle("SSS", (0.0, 5e-324), eps=0.0)]  # 5e-324 i, inf i, 0
+    for case in cases:
+        with pytest.raises(PointAtInfinity):
+            case()
+    for eps in (0.0, 1e-9):
+        with pytest.raises(VersorlabError, match="^conformal points are grade-1 vectors"):
+            cga2d._checked((0.0, 0.0, math.nan, 0.0), eps)
 
 
 def test_a_finite_map_makes_no_sandwich(monkeypatch):

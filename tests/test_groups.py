@@ -12,6 +12,7 @@ import pytest
 import versorlab.algebra
 import versorlab.cli
 import versorlab.groups
+import versorlab.roots
 from versorlab import (
     ClosureCapExceeded,
     Multivector,
@@ -21,6 +22,7 @@ from versorlab import (
     VersorlabError,
     blade,
     catalog,
+    catalog_names,
     close_roots,
     conjugacy_classes,
     coxeter_number,
@@ -28,16 +30,17 @@ from versorlab import (
     generate_pin,
     generate_spin,
     group_table_dict,
+    induce_4d,
     quotient_by_sign,
     rootsystem_from_dict,
     scalar_mv,
     spinor_coords,
     vector,
 )
-from versorlab.algebra import BLOCK, blade_name, kernel_for, orbit, quantize, row_keys, vector_rows
+from versorlab.algebra import (BLOCK, blade_name, kernel_for, lex_sorted, orbit, quantize,
+                               row_keys, vector_rows)
 from versorlab.cli import main
-from versorlab.groups import MAX_GROUP, _lex_sorted
-from versorlab.roots import _simple_permutations
+from versorlab.groups import MAX_GROUP
 
 SIG3 = Signature(3, 0)
 
@@ -306,12 +309,48 @@ def test_coxeter_number_needs_full_rank():
 
 
 def test_coxeter_number_needs_the_roots_permuted():
-    # the element's order is read off its permutation of the roots, so a root
-    # set the Coxeter element does not map to itself is an error
+    # the element's order is read off the simple reflections' permutations of
+    # the roots, which only close_roots builds: a root set made by hand has none
     rs = catalog("B3")
     short = RootSystem(rs.sig, rs.simple_coords, rs.coords[1:], name="B3 less a root")
-    with pytest.raises(VersorlabError):
+    with pytest.raises(VersorlabError, match="has no reflection graph; build it with "
+                                             "close_roots or catalog$"):
         coxeter_number(short)
+
+
+WITHIN_CAPS = ("A1", "A1^3", "A1^4", "A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)", "I2(12)")
+
+
+def test_closures_and_coxeter_number_key_no_root_again(monkeypatch):
+    # Pin, Spin and h read the reflection graph close_roots kept: with the roots'
+    # key helpers and reflections broken after closing, every one still answers
+    systems = {name: catalog(name) for name in catalog_names() if name != "I2(n)"}
+    systems.update((name, catalog(name)) for name in WITHIN_CAPS)
+
+    def broken(*args):
+        raise AssertionError("the roots were keyed or reflected again")
+    for name in ("_reflect_pairs", "key_ids", "find_ids"):
+        monkeypatch.setattr(versorlab.roots, name, broken)
+    for name, rs in systems.items():
+        assert coxeter_number(rs) * rs.rank == rs.root_count, name
+    for name in WITHIN_CAPS:
+        assert generate_pin(systems[name]).order == 2 * generate_spin(systems[name]).order, name
+    assert generate_spin(systems["H4"]).order == 14_400  # Pin(H4), E6, E7 and E8 pass MAX_GROUP
+
+
+def test_hand_built_root_systems_have_no_reflection_graph():
+    # a RootSystem built from coordinates, as induce_4d's base, has no closure
+    # graph: the group closures and h refuse it with one typed error
+    rs = catalog("B3")
+    by_hand = [RootSystem(rs.sig, rs.simple_coords, rs.coords, name="B3 by hand"),
+               induce_4d(generate_spin(catalog("A3"))).base]
+    for base in by_hand:
+        assert base.simple is None and base.reflections is None
+        for answer in (generate_pin, generate_spin, coxeter_number):
+            with pytest.raises(VersorlabError, match=r"^<RootSystem (B3 by hand|D4): .*> was "
+                                                     r"built by hand and has no reflection graph; "
+                                                     r"build it with close_roots or catalog$"):
+                answer(base)
 
 
 def test_group_table_dict_shape():
@@ -617,7 +656,7 @@ def reference_closure(kind, rs):
     gens = s if kind == "pin" else kern.gp_elemwise(s[i], s[j])
     arr, graph = orbit(np.eye(1, kern.D) * [[1.0], [-1.0]], gens,
                        lambda A, B: kern.gp_elemwise(A[:, None], B[None]), MAX_GROUP, "{cap}")
-    return _lex_sorted(arr, graph)
+    return lex_sorted(arr, graph)
 
 
 LIFTED = ([(name, kind) for name in ("A1", "A1^3", "A1^4", "A3", "B3", "D4", "F4", "H3",
@@ -646,7 +685,7 @@ def test_lifted_closure_equals_the_float_versor_orbit(name, kind):
 @pytest.mark.parametrize("kind", ["pin", "spin"])
 def test_generators_that_disagree_with_the_permutations_are_refused(kind):
     rs = catalog("A3")
-    simple, perms = _simple_permutations(rs)
+    simple, perms = rs.simple_reflections()
     s = vector_rows(rs.sig, rs.simple_coords)
     i, j = np.triu_indices(rs.rank, 1)
     if kind == "pin":  # s_1 and s_2 swapped (reversing all three is A3's diagram automorphism)

@@ -7,7 +7,6 @@ import versorlab.algebra
 import versorlab.induction
 from versorlab import (
     InducedRootSystem4D,
-    RootSystem,
     Signature,
     SymmetrySweepFailure,
     Versor,
@@ -145,7 +144,7 @@ def _frames(count, seed):
 def test_inversion_count_picks_the_search_roots_in_any_frame(src):
     rs = catalog(src)
     for frame in _frames(20, seed=4410):
-        turned = RootSystem(SIG3, rs.simple_coords @ frame.T, rs.coords @ frame.T)
+        turned = close_roots(rs.simple_coords @ frame.T, SIG3)
         coords = _spinor_coords(generate_spin(turned).element_arr())
         coords = coords[lex_order(coords)]
         got, want = _extract_simple_coords(coords), _decomposition_search(coords)

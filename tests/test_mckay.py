@@ -2,11 +2,13 @@
 
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import versorlab.groups
 import versorlab.mckay
 from versorlab import (
     abelianization_order,
@@ -72,6 +74,37 @@ def test_cayley_table_identity_row():
     e = int(np.where([str(v.mv) == "1" for v in g.elements])[0][0])
     assert np.array_equal(table[e], np.arange(g.order))
     assert np.array_equal(table[:, e], np.arange(g.order))
+
+
+def test_abelianization_builds_no_n_by_n_array():
+    # the commutators [g, s_k] are n m entries and H is closed by breadth-first
+    # right products: Pin(F4), n = 2304, stays far below one n x n intp array (42 MB)
+    g = generate_pin(catalog("F4"))
+    g.table, g.inverses()
+    tracemalloc.start()
+    try:
+        assert abelianization_order(g) == 4
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+
+
+def test_one_inverse_replay_serves_every_answer(monkeypatch):
+    # inverses() is replayed down the tree once per group, then read by
+    # irrep_dimensions and abelianization_order alike
+    calls = []
+    real = versorlab.groups._GroupBase._left_products
+    for g in (generate_pin(catalog("F4")), quotient_by_sign(spin("B3"))):
+        g.table, g.conjugacy_classes()
+        calls.clear()
+        monkeypatch.setattr(versorlab.groups._GroupBase, "_left_products",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        first = g.inverses()
+        irrep_dimensions(g), abelianization_order(g)
+        assert g.inverses() is first and not first.flags.writeable
+        assert len(calls) == 1, g
+        monkeypatch.undo()
 
 
 def test_abelianization_orders():

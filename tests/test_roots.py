@@ -81,6 +81,50 @@ def test_antipodes_always_present():
     assert set(row_keys(neg.coords).tolist()) == set(row_keys(rs.coords).tolist())
 
 
+def keyed_reflection_graph(rs):
+    """The reference: the simple roots' rows and each root reflected in each simple
+    root, looked up again by key in one dict of the roots."""
+    index = {}
+    key_ids(rs.coords, index)
+    return (find_ids(rs.simple_coords, index),
+            find_ids(_reflect_pairs(rs.coords, rs.simple_coords), index).T)
+
+
+def random_frame(dim, rng):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    return q * np.sign(np.diag(r))  # det +-1: rotations and reflections alike
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if n != "I2(n)"]
+                         + ["I2(5)", "I2(7)", "I2(12)", "I2(60)"])
+def test_the_stored_reflection_graph_is_a_keyed_lookup_in_any_frame(name):
+    # the graph close_roots keeps from its orbit is what a second keying of the
+    # roots would find, in the catalog frame and in 20 seeded random frames
+    rs, rng = catalog(name), np.random.default_rng(2029)
+    frames = [np.eye(rs.sig.dim)] + [random_frame(rs.sig.dim, rng) for _ in range(20)]
+    for frame in frames:
+        turned = close_roots(rs.simple_coords @ frame.T, rs.sig)
+        simple, reflections = keyed_reflection_graph(turned)
+        assert np.array_equal(turned.simple, simple) and np.array_equal(turned.reflections,
+                                                                        reflections)
+        assert turned.reflections.shape == (rs.rank, rs.root_count)
+        assert not turned.reflections.flags.writeable and not turned.simple.flags.writeable
+
+
+def test_a_planted_graph_that_is_no_permutation_is_refused(monkeypatch):
+    # close_roots checks the graph the orbit hands it: a reflection that sends
+    # two roots to one row, or simple roots that are not the orbit's first rows
+    real = versorlab.roots.orbit
+    for plant in (lambda coords, graph: (coords, np.where(graph == 3, 4, graph)),
+                  lambda coords, graph: (coords[::-1], graph[::-1])):
+        monkeypatch.setattr(versorlab.roots, "orbit", lambda *a, plant=plant: plant(*real(*a)))
+        with pytest.raises(VersorlabError, match="^the simple reflections do not permute the "
+                                                 "roots$"):
+            catalog("B3")
+    monkeypatch.setattr(versorlab.roots, "orbit", real)
+    assert catalog("B3").reflections.shape == (3, 18)
+
+
 def test_closure_normalizes_seed_lengths():
     rs = close_roots([[2.0, 0.0], [-3.0, 3.0]], sig=Signature(2, 0))
     assert rs.root_count == 8  # B2
