@@ -418,10 +418,6 @@ class Multivector:
         k = kernel_for(self.sig)
         return self.coeffs[[1 << i for i in range(k.n)]].copy()
 
-    def coeff(self, name: str) -> float:
-        mask = _blade_mask(name, self.sig.dim)
-        return float(self.coeffs[mask])
-
     def key(self) -> bytes:
         if self._key is None:
             if not (peak := float(np.abs(self.coeffs).max())) <= KEY_BOUND:  # NaN fails too
@@ -561,10 +557,6 @@ class Versor(object):
     @property
     def sig(self) -> Signature:
         return self.mv.sig
-
-    @property
-    def is_even(self) -> bool:
-        return self.parity == 0
 
     def __mul__(self, other):
         if isinstance(other, Versor):

@@ -14,7 +14,8 @@ floats are rounded to 12 decimals (-0.0 as 0.0).  ``group`` and ``classes``
 are written straight from the element arrays, JSON in ``json.dumps(indent=2)``'s
 layout listing each coefficient with |c| >= --tolerance, and csv and markdown
 each element's ``str``.  Randomized checks in ``verify`` read VERSORLAB_SEED
-(default 42).  Failures print a one-line JSON object on stderr and exit nonzero.
+(default 42).  Failures print a one-line JSON object on stderr and exit nonzero;
+a reader that closes the pipe early gets exit 141 (as SIGPIPE), stderr empty.
 """
 
 from __future__ import annotations
@@ -369,11 +370,15 @@ def main(argv=None) -> int:
         if getattr(args, "max_closure", None) is not None and args.max_closure < 1:
             raise VersorlabError(f"--max-closure must be >= 1, got {args.max_closure}")
         text, code = args.fn(args)
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left: point stdout at devnull for the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (VersorlabError, OSError, ValueError, OverflowError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__,
                                      "message": str(exc)}) + "\n")
         return 2
-    sys.stdout.write(text)
     return code
 
 

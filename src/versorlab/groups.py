@@ -335,18 +335,22 @@ def _spinor_coords(arr: np.ndarray) -> np.ndarray:
 # -- Coxeter number --------------------------------------------------------------
 
 
+def _order(perms: np.ndarray) -> np.ndarray:
+    """Least k with perm^k the identity, for each permutation along the last axis."""
+    power, k, out = perms, 1, np.zeros(perms.shape[:-1], dtype=np.intp)
+    while not out.all():
+        out[(out == 0) & (power == np.arange(perms.shape[-1])).all(axis=-1)] = k
+        power, k = np.take_along_axis(perms, power, axis=-1), k + 1
+    return out
+
+
 def coxeter_number(rs: RootSystem) -> int:
     """Order of the product of all simple-root vectors, as the order of the
     permutation it makes of the roots: the product of the simple reflections'
     root permutations, which ``close_roots`` kept."""
     if rs.rank != rs.sig.dim:
         raise VersorlabError("coxeter_number needs a full-rank root system")
-    every = np.arange(rs.root_count)  # reflect in s_1 first, then s_2, ...
-    perm = reduce(lambda acc, p: p[acc], rs.simple_reflections()[1], every)
-    power, k = perm, 1
-    while not np.array_equal(power, every):
-        power, k = perm[power], k + 1
-    return k
+    return int(_order(reduce(lambda acc, p: p[acc], rs.simple_reflections()[1])))  # s_1 first
 
 
 # -- serialization ---------------------------------------------------------------

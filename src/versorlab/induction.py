@@ -4,21 +4,21 @@ An even element of Cl(3,0) is a spinor R = a0 + a1 e2e3 + a2 e3e1 + a3 e1e2.
 Reading (a0, a1, a2, a3) as coordinates turns a finite spin group into a set
 of unit 4D vectors, and that set is itself a root system: the group-level
 identity -R1 ~R2 R1 = R2 - 2 (R1,R2)/(R1,R1) R1 shows closure of the set
-under 4D reflections.  The three irreducible rank-3 systems plus A1^3 induce
-exactly the 4D systems A1^4, D4, F4, H4 this way; the induced simple roots
-are the positive roots whose reflection sends only themselves to the negative
-side, since a reflection's length counts the positive roots it makes negative
-(Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7).  Left/right group
-multiplication X -> L X R acts on the induced roots by symmetries.  The
-L X R sweep reads the group's integer table: its rows and columns decide
-every pair, the exhaustive count keys the n^2 composites as narrow byte rows
-in ``BLOCK``-bounded blocks, and the sampled sweep gathers only its 32-pair
-float product, a witness independent of the table like ``reflection_agreement``.
+under 4D reflections, each a permutation of the group's integer table.  The
+three irreducible rank-3 systems plus A1^3 induce exactly A1^4, D4, F4, H4
+this way, named by their Coxeter matrices, the orders of the products of two
+simple reflections (Humphreys, Reflection Groups and Coxeter Groups, 5.3).
+Left/right multiplication X -> L X R permutes the induced roots; the sweep
+reads the table: its rows and columns decide every pair, the exhaustive count
+keys the n^2 composites as narrow byte rows in ``BLOCK``-bounded blocks, and
+the sampled sweep gathers only its 32-pair float product, a witness
+independent of the table like ``reflection_agreement``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple, Optional, Union
 
@@ -33,12 +33,12 @@ from .algebra import (
     find_ids,
     kernel_for,
     lex_order,
-    quantize,
+    lex_sorted,
     row_keys,
 )
 from .errors import SymmetrySweepFailure, VersorlabError
-from .groups import VersorGroup, _spinor_coords
-from .roots import RootSystem, catalog, check_axioms
+from .groups import VersorGroup, _order, _spinor_coords
+from .roots import RootSystem, catalog
 
 __all__ = [
     "AutomorphismSweep",
@@ -99,65 +99,64 @@ def _generic_functional(coords: np.ndarray) -> np.ndarray:
     n = coords.shape[1]
     f = np.array([math.pi ** -i for i in range(n)])
     for attempt in range(64):
-        vals = coords @ f
-        if np.min(np.abs(vals)) > 1e-8:
+        if np.min(np.abs(coords @ f)) > 1e-8:
             return f
         f = f + (attempt + 1) * 1e-3 * np.arange(1, n + 1)
     raise VersorlabError("could not find a functional separating the roots")
 
 
 def _extract_simple_coords(coords: np.ndarray) -> np.ndarray:
-    """Simple roots: the positive roots whose reflection makes one positive root negative.
+    """Rows of the simple roots: positive roots whose reflection makes one positive root negative.
 
     The length of w is the number of positive roots w sends to the negative
     side (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7), and the
     simple reflections are the reflections of length 1, so a positive root a
     is simple exactly when s_a inverts a alone.  f(s_a b) = f(b) - 2 (a|b)/(a|a) f(a)
     counts that for every pair at once; images of roots are roots, so no
-    value sits within the functional's margin of 0.
+    value sits within the functional's margin of 0.  Rows come in their roots' lex order.
     """
     f = _generic_functional(coords)
-    P = coords[coords @ f > 0]
+    P = coords[pos := np.flatnonzero(coords @ f > 0)]
     fp, gram = P @ f, P @ P.T
     images = fp[None, :] - 2.0 * (gram / np.diag(gram)[:, None]) * fp[:, None]
-    S = P[np.count_nonzero(images < 0, axis=1) == 1]
-    if S.shape[0] != coords.shape[1] or np.linalg.matrix_rank(S, tol=1e-8) != coords.shape[1]:
-        raise VersorlabError(f"simple-root extraction found {S.shape[0]} indecomposables")
-    return S[lex_order(S)]
+    S = pos[np.count_nonzero(images < 0, axis=1) == 1]
+    if S.size != coords.shape[1] or np.linalg.matrix_rank(coords[S], tol=1e-8) != coords.shape[1]:
+        raise VersorlabError(f"simple-root extraction found {S.size} indecomposables")
+    return S[lex_order(coords[S])]
 
 
 def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
-    """Read a Cl(3,0) spin group as a 4D root system and identify it."""
+    """Read a Cl(3,0) spin group as a 4D root system, its reflection graph off the table."""
     if group.kind != "spin" or group.sig != _SIG3:
         raise VersorlabError("induce_4d expects a spin group in Cl(3,0)")
-    coords = _spinor_coords(group.element_arr())
-    coords = coords[lex_order(coords)]
+    coords, t = _spinor_coords(group.element_arr()), group.table
     simple = _extract_simple_coords(coords)
-    rs = RootSystem(_SIG4, simple, coords)
-    report = check_axioms(rs)
-    if not report.ok:
-        raise VersorlabError(f"induced point set violates the root axioms: {report}")
+    refl = group._negatives[t[t[simple][:, group.inverses()], simple[:, None]]]  # -R_k ~R_j R_k
+    coords, refl, simple = lex_sorted(coords, refl.T, simple)
+    rs = RootSystem(_SIG4, coords[simple], coords, simple=simple, reflections=refl.T)
     rs.name = identify_4d(rs)
     return InducedRootSystem4D(rs, group, rs.name)
 
 
-def _fingerprint(coords: np.ndarray) -> tuple:
-    gram = (coords @ coords.T).ravel()
-    return coords.shape[0], np.sort(quantize(gram)).tobytes()
+def _coxeter_matrix(rs: RootSystem) -> tuple:
+    """m_ab = the order of s_a s_b on the roots; of its relabellings m[o_a, o_b], the least."""
+    refl = rs.simple_reflections()[1]
+    m = _order(np.take_along_axis(refl[:, None], refl[None], axis=-1))  # s_a s_b: s_b, then s_a
+    o = np.array(list(itertools.permutations(range(rs.rank))))
+    return min(map(tuple, m[o[:, :, None], o[:, None]].reshape(len(o), -1).tolist()))
 
 
 @functools.cache
-def _catalog_fingerprints() -> dict:
-    return {name: _fingerprint(catalog(name).coords) for name in ("A1^4", "D4", "F4", "H4")}
+def _catalog_coxeter_matrices() -> dict:
+    return {_coxeter_matrix(catalog(name)): name for name in ("A1^4", "D4", "F4", "H4")}
 
 
 def identify_4d(r: Union[InducedRootSystem4D, RootSystem]) -> str:
-    """Catalog label of a 4D root system, by root count and inner-product multiset."""
-    fp = _fingerprint(r.base.coords if isinstance(r, InducedRootSystem4D) else r.coords)
-    for name, ref in _catalog_fingerprints().items():
-        if fp == ref:
-            return name
-    raise VersorlabError("induced root system matches no 4D catalog entry")
+    """The name of A1^4, D4, F4 or H4 whose Coxeter matrix, up to relabelling, is the system's."""
+    rs = r.base if isinstance(r, InducedRootSystem4D) else r
+    if rs.rank != 4 or (name := _catalog_coxeter_matrices().get(_coxeter_matrix(rs))) is None:
+        raise VersorlabError("induced root system matches no 4D catalog entry")
+    return name
 
 
 class ReflectionAgreement(NamedTuple):

@@ -326,6 +326,43 @@ def test_console_entry_point_runs():
     assert out.stdout.decode().splitlines()[0].startswith("index")
 
 
+class _ClosedPipe:
+    """A stdout whose reader has left: every write raises, over a real descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_pipe_exits_141_with_nothing_on_stderr(monkeypatch, capsys, tmp_path):
+    with open(tmp_path / "stdout", "wb") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno()))
+        assert main(["roots", "A3"]) == 141
+        os.write(f.fileno(), b"after")  # the descriptor now writes to devnull
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["roots", "A3"], ["group", "H3"]])
+def test_a_closed_pipe_in_a_child_process_leaves_stderr_empty(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader leaves before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "versorlab", *argv], stdout=write,
+                              stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 @pytest.mark.parametrize("seed", [0, 7, 42, 801])
 def test_word_draws_are_the_stream_of_a_choice_over_the_alphabet(seed):
     ctx, ref = verify._Ctx(seed, 1e-9), np.random.default_rng(seed)

@@ -18,8 +18,10 @@ from versorlab import (
     coxeter_number,
     generate_pin,
     generate_spin,
+    induce_4d,
     mckay_table,
 )
+from versorlab.induction import _coxeter_matrix
 
 FRAMES = settings(derandomize=True, database=None, deadline=None, max_examples=3)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -55,6 +57,16 @@ def reference(name: str) -> dict:
     return invariants(catalog(name))
 
 
+def induced(spin) -> tuple:
+    base = induce_4d(spin).base
+    return base.name, _coxeter_matrix(base), coxeter_number(base)
+
+
+@functools.cache
+def catalog_induced(name: str) -> tuple:
+    return induced(generate_spin(catalog(name)))
+
+
 @functools.cache
 def catalog_mckay() -> tuple:
     return mckay_table()
@@ -68,6 +80,8 @@ def test_3d_systems_are_frame_invariant(seed):
         rs = framed(name, seed)
         assert invariants(rs) == reference(name)
         spins[name] = generate_spin(rs)
+        # the induced 4D system's name, Coxeter matrix (up to relabelling) and h
+        assert induced(spins[name]) == catalog_induced(name)
     # each row holds the induced 4D label, |Phi|, the irrep dimensions and h
     assert mckay_table(spins) == catalog_mckay()
 

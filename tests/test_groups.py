@@ -30,7 +30,6 @@ from versorlab import (
     generate_pin,
     generate_spin,
     group_table_dict,
-    induce_4d,
     quotient_by_sign,
     rootsystem_from_dict,
     scalar_mv,
@@ -73,7 +72,7 @@ def test_spin_of_a1_cubed_is_quaternion_group():
 def test_spin_elements_are_even_pin_mixed():
     rs = catalog("A3")
     spin = generate_spin(rs)
-    assert all(v.is_even for v in spin.elements)
+    assert all(v.parity == 0 for v in spin.elements)
     pin = generate_pin(rs)
     parities = {v.parity for v in pin.elements}
     assert parities == {0, 1}
@@ -339,15 +338,14 @@ def test_closures_and_coxeter_number_key_no_root_again(monkeypatch):
 
 
 def test_hand_built_root_systems_have_no_reflection_graph():
-    # a RootSystem built from coordinates, as induce_4d's base, has no closure
-    # graph: the group closures and h refuse it with one typed error
-    rs = catalog("B3")
-    by_hand = [RootSystem(rs.sig, rs.simple_coords, rs.coords, name="B3 by hand"),
-               induce_4d(generate_spin(catalog("A3"))).base]
+    # a RootSystem built from coordinates has no closure graph: the group
+    # closures and h refuse it with one typed error
+    by_hand = [RootSystem(rs.sig, rs.simple_coords, rs.coords, name=f"{name} by hand")
+               for name, rs in (("B3", catalog("B3")), ("D4", catalog("D4")))]
     for base in by_hand:
         assert base.simple is None and base.reflections is None
         for answer in (generate_pin, generate_spin, coxeter_number):
-            with pytest.raises(VersorlabError, match=r"^<RootSystem (B3 by hand|D4): .*> was "
+            with pytest.raises(VersorlabError, match=r"^<RootSystem (B3|D4) by hand: .*> was "
                                                      r"built by hand and has no reflection graph; "
                                                      r"build it with close_roots or catalog$"):
                 answer(base)

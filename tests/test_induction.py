@@ -15,6 +15,7 @@ from versorlab import (
     catalog,
     check_axioms,
     close_roots,
+    coxeter_number,
     generate_pin,
     generate_spin,
     identify_4d,
@@ -147,7 +148,7 @@ def test_inversion_count_picks_the_search_roots_in_any_frame(src):
         turned = close_roots(rs.simple_coords @ frame.T, SIG3)
         coords = _spinor_coords(generate_spin(turned).element_arr())
         coords = coords[lex_order(coords)]
-        got, want = _extract_simple_coords(coords), _decomposition_search(coords)
+        got, want = coords[_extract_simple_coords(coords)], _decomposition_search(coords)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -155,7 +156,7 @@ def test_inversion_count_picks_the_search_roots_in_any_frame(src):
                                   "E6", "E7", "E8", "I2(7)"])
 def test_inversion_count_picks_the_search_roots_of_catalog_systems(name):
     coords = catalog(name).coords
-    got, want = _extract_simple_coords(coords), _decomposition_search(coords)
+    got, want = coords[_extract_simple_coords(coords)], _decomposition_search(coords)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -180,6 +181,39 @@ def test_identify_4d_on_catalog_systems():
     assert identify_4d(catalog("H4")) == "H4"
     with pytest.raises(VersorlabError):
         identify_4d(catalog("I2(5)"))
+
+
+def test_induced_bases_carry_the_reflection_graph():
+    # the base's graph comes from the table, so h and Pin answer on it as on the catalog
+    for src, h in (("A1^3", 2), ("A3", 6), ("B3", 12), ("H3", 30)):
+        ind = induce_4d(spin_group(src))
+        simple, refl = ind.base.simple_reflections()
+        assert np.array_equal(ind.base.coords[simple], ind.base.simple_coords)
+        assert coxeter_number(ind.base) == coxeter_number(catalog(ind.identification)) == h
+        if src != "H3":
+            assert generate_pin(ind.base).order == generate_pin(catalog(ind.identification)).order
+
+
+def test_the_coxeter_matrix_decides_not_the_root_count():
+    # I2(6) x I2(6) has D4's 24 roots in rank 4, but its Coxeter matrix is not D4's
+    g2 = catalog("I2(6)").simple_coords
+    seed = np.zeros((4, 4))
+    seed[:2, :2], seed[2:, 2:] = g2, g2
+    rs = close_roots(seed)
+    assert rs.root_count == catalog("D4").root_count == 24
+    with pytest.raises(VersorlabError, match="matches no 4D catalog entry"):
+        identify_4d(rs)
+
+
+def test_a_table_cell_that_breaks_a_reflection_is_refused():
+    # refl[k, j] reads t[s_k, inv[j]]: a duplicate there makes s_k no permutation
+    g = spin_group("A3")
+    simple = _extract_simple_coords(_spinor_coords(g.element_arr()))
+    inv, t = g.inverses(), g.table.copy()
+    t[simple[0], inv[0]] = t[simple[0], inv[1]]
+    g.table = t
+    with pytest.raises(VersorlabError, match="do not permute the roots"):
+        induce_4d(g)
 
 
 def test_reflection_agreement_covers_single_pairs():
@@ -372,7 +406,8 @@ def test_sweep_count_does_not_depend_on_the_block_size(src, images, monkeypatch)
 
 
 def test_induced_gram_spectra_match_catalog():
-    # fingerprint check: induced D4 and catalog D4 have identical Gram multisets
+    # a float witness beside the Coxeter matrix that names the system: induced D4
+    # and catalog D4 have identical Gram multisets
     ind = induce_4d(spin_group("A3"))
     cat = catalog("D4")
     gi = np.sort(np.round(ind.base.coords @ ind.base.coords.T, 9).ravel())
