@@ -14,8 +14,8 @@ floats are rounded to 12 decimals (-0.0 as 0.0).  ``group`` and ``classes``
 are written straight from the element arrays, JSON in ``json.dumps(indent=2)``'s
 layout listing each coefficient with |c| >= --tolerance, and csv and markdown
 each element's ``str``.  Randomized checks in ``verify`` read VERSORLAB_SEED
-(default 42).  Failures print a one-line JSON object on stderr and exit nonzero;
-a reader that closes the pipe early gets exit 141 (as SIGPIPE), stderr empty.
+(default 42).  Failures print one JSON line on stderr and exit 2, even if its reader
+has left; a reader that closes stdout early gets exit 141 (as SIGPIPE), stderr empty.
 """
 
 from __future__ import annotations
@@ -376,8 +376,10 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (VersorlabError, OSError, ValueError, OverflowError, json.JSONDecodeError) as exc:
-        sys.stderr.write(json.dumps({"error": type(exc).__name__,
-                                     "message": str(exc)}) + "\n")
+        try:
+            sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        except BrokenPipeError:  # the reader left stderr too: devnull likewise, still exit 2
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
         return 2
     return code
 

@@ -12,7 +12,7 @@ Left/right multiplication X -> L X R permutes the induced roots; the sweep
 reads the table: its rows and columns decide every pair, the exhaustive count
 keys the n^2 composites as narrow byte rows in ``BLOCK``-bounded blocks, and
 the sampled sweep gathers only its 32-pair float product, a witness
-independent of the table like ``reflection_agreement``.
+independent of the table like ``reflection_agreement``'s quaternion products.
 """
 
 from __future__ import annotations
@@ -168,21 +168,27 @@ class ReflectionAgreement(NamedTuple):
 def reflection_agreement(group: VersorGroup) -> ReflectionAgreement:
     """Both reflection routes on every ordered pair of group elements.
 
-    For each (R1, R2) the linear combination R2 - 2 (R1,R2)/(R1,R1) R1 and
-    the product -R1 ~R2 R1 are compared, and every image is looked up in the
-    group; returns the worst coefficient deviation and the membership verdict.
+    For each (R1, R2) the linear combination R2 - 2 (R1,R2)/(R1,R1) R1 and the product
+    -R1 ~R2 R1 are compared as quaternions, R's being the even blades of ~R (Cl(0,2) under
+    e12, e13, e23 -> -f1, -f2, -f1f2): that skips only exact zeros of the 8-blade floats.
+    An image the table does not name is looked up by value; returns the worst coefficient
+    deviation and the membership verdict.
     """
-    if group.kind != "spin" or group.sig != _SIG3:
-        raise VersorlabError("reflection_agreement expects a spin group in Cl(3,0)")
-    garr, n, kern = group.element_arr(), group.order, kernel_for(_SIG3)
-    coords = _spinor_coords(garr)
+    garr, n, k3 = group.element_arr(), group.order, kernel_for(_SIG3)
+    if group.kind != "spin" or group.sig != _SIG3 or garr[:, k3.odd].any():
+        raise VersorlabError("reflection_agreement expects a spin group in Cl(3,0), no odd part")
+    q, rq, t = k3.rev(garr)[:, k3.even], garr[:, k3.even], group.table  # R and ~R as quaternions
+    kern, coords = kernel_for(Signature(0, 2)), _spinor_coords(garr)
     gram = coords @ coords.T
     ratio = gram / np.diag(gram)[:, None]
-    linear = garr[None, :, :] - 2.0 * ratio[:, :, None] * garr[:, None, :]
-    t1 = kern.gp_elemwise(garr[:, None], kern.rev(garr)[None])
-    product = -kern.gp_elemwise(t1, garr[:, None, :])
+    linear = q[None, :, :] - 2.0 * ratio[:, :, None] * q[:, None, :]
+    product = -kern.gp_elemwise(kern.gp_elemwise(q[:, None], rq[None]), q[:, None, :])
     dev = float(np.max(np.abs(linear - product)))
-    all_in = bool(np.all(find_ids(product, group._lookup) >= 0))
+    named = group._negatives[t[t[:, group.inverses()], np.arange(n)[:, None]]]  # -R1 ~R2 R1
+    off = row_keys(product) != row_keys(q[named])  # images the table does not name
+    miss = np.zeros((np.count_nonzero(off), k3.D))
+    miss[:, k3.even] = product[off]  # the even blades of ~image
+    all_in = not off.any() or bool(np.all(find_ids(k3.rev(miss), group._lookup) >= 0))
     return ReflectionAgreement(n * n, dev, all_in)
 
 

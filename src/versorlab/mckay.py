@@ -9,8 +9,8 @@ commutator subgroup is an integer closure on the same table.
 
 The resulting numbers line up three ways: the sum of the irrep dimensions
 of the binary group equals the root count of the 3D system it came from,
-and equals the Coxeter number of the simply-laced 4D system whose affine
-diagram the McKay correspondence attaches to the group (D4, E6, E7, E8).
+and equals the Coxeter number h of the simply-laced system whose affine diagram
+McKay attaches to the group (D4, E6, E7, E8), an integer Coxeter element's order.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from typing import Mapping, NamedTuple, Optional
 import numpy as np
 
 from .errors import AmbiguousIrrepDims, McKayMismatch, VersorlabError
-from .groups import VersorGroup, coxeter_number, generate_spin
+from .groups import VersorGroup, generate_spin
 from .induction import induce_4d
-from .roots import catalog
+from .roots import _catalog_seed, catalog
 
 __all__ = [
     "IrrepDims",
@@ -94,6 +94,23 @@ def irrep_dimensions(group) -> IrrepDims:
     return IrrepDims(tuple(sorted(int(d) for d in whole)), n, r)
 
 
+def _coxeter_h(name: str) -> int:
+    """h, the order of the Coxeter element s_1...s_n (Humphreys 3.16-3.19), as an integer
+    matrix on a catalog seed's simple-root lattice: s_i x = x - (A x)_i e_i, with A the Cartan
+    matrix 2 (a_i|a_j) of the unit seed, which is integral exactly when it is simply laced."""
+    a = _catalog_seed(name)
+    cartan = 2.0 * (a @ a.T)
+    if np.abs(cartan - np.rint(cartan)).max() > 1e-9:
+        raise McKayMismatch(f"{name} is not simply laced: its Cartan matrix is not integral")
+    eye = np.eye(len(a), dtype=np.int64)
+    s = eye - eye[:, :, None] * np.rint(cartan).astype(np.int64)[:, None]  # s[i] = I - e_i A_i
+    c = power = np.linalg.multi_dot([eye, *s])  # s_1 s_2 ... s_n
+    h = 1
+    while not np.array_equal(power, eye):
+        power, h = power @ c, h + 1
+    return h
+
+
 class McKayRow(NamedTuple):
     threeD: str
     fourD: str
@@ -117,9 +134,9 @@ def mckay_table(spins: Optional[Mapping[str, VersorGroup]] = None) -> tuple[McKa
     """The four-row table tying |Phi_3D| = sum of binary-group irrep dims = h(ADE).
 
     Root counts come from reflection closure, irrep dimensions from Burnside's method, the
-    4D label from spinor induction and h from a Coxeter element's order on the reflection
-    graph of the root closure.  Only ``lie`` is copied: ``_ROWS``' ADE label plus "+" for
-    the affine diagram, on which h is computed.  No McKay graph is computed from the irreps.
+    4D label from spinor induction and h from an integer Coxeter element's order on the
+    catalog seed's simple roots, with no ADE system closed.  Only ``lie`` is copied: the
+    ``_ROWS`` label plus "+" for the affine diagram.  No McKay graph is computed from the irreps.
 
     ``spins`` maps a 3D catalog name (A1^3, A3, B3, H3) to its already-built
     ``generate_spin`` group, which is used, with the tables and classes it
@@ -132,7 +149,7 @@ def mckay_table(spins: Optional[Mapping[str, VersorGroup]] = None) -> tuple[McKa
         spin = spins[three_d] if three_d in spins else generate_spin(catalog(three_d))
         induced, dims = induce_4d(spin), irrep_dimensions(spin)
         row = McKayRow(three_d, induced.identification, ade + "+", spin.source.root_count,
-                       dims.sum, coxeter_number(catalog(ade)), binary_name, dims.dims)
+                       dims.sum, _coxeter_h(ade), binary_name, dims.dims)
         if not (row.phi_count == row.sum_dims == row.coxeter_h):
             raise McKayMismatch(
                 f"row {three_d}: root count {row.phi_count}, irrep-dim sum "

@@ -318,20 +318,22 @@ def catalog_names() -> list[str]:
     return sorted(_EXPLICIT_SEEDS) + sorted(_DIAGRAM_SEEDS) + ["I2(n)"]
 
 
-def catalog(name: str, eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> RootSystem:
-    """Build a named root system by closing its standard simple-root seed."""
+def _catalog_seed(name: str) -> np.ndarray:  # the name's standard simple roots, one per row
     if name in _EXPLICIT_SEEDS:
-        seeds = np.asarray(_EXPLICIT_SEEDS[name], dtype=np.float64)
-    elif name in _DIAGRAM_SEEDS:
-        seeds = _seeds_from_diagram(*_DIAGRAM_SEEDS[name])
-    elif m := _I2_RE.match(name):
+        return np.asarray(_EXPLICIT_SEEDS[name], dtype=np.float64)
+    if name in _DIAGRAM_SEEDS:
+        return _seeds_from_diagram(*_DIAGRAM_SEEDS[name])
+    if m := _I2_RE.match(name):
         if int(m.group(1)) < 3:
             raise UnknownCatalogName(f"I2(n) needs n >= 3, got {name}")
-        seeds = _seeds_from_diagram(2, [(1, 2, int(m.group(1)))])
-    else:
-        raise UnknownCatalogName(
-            f"unknown root system {name!r}; known: {', '.join(catalog_names())}")
-    return close_roots(seeds, name=name, eps=eps, max_roots=max_roots)
+        return _seeds_from_diagram(2, [(1, 2, int(m.group(1)))])
+    raise UnknownCatalogName(
+        f"unknown root system {name!r}; known: {', '.join(catalog_names())}")
+
+
+def catalog(name: str, eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> RootSystem:
+    """Build a named root system by closing its standard simple-root seed."""
+    return close_roots(_catalog_seed(name), name=name, eps=eps, max_roots=max_roots)
 
 
 # -- serialization -------------------------------------------------------------

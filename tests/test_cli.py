@@ -363,6 +363,29 @@ def test_a_closed_pipe_in_a_child_process_leaves_stderr_empty(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+@pytest.mark.parametrize("argv", [["nosuch"], ["roots", "A3", "--tolerance", "abc"],
+                                  ["roots", "A3", "--tolerance", "0"]])
+def test_an_error_whose_stderr_reader_left_exits_2(monkeypatch, capsys, tmp_path, argv):
+    with open(tmp_path / "stderr", "wb") as f:
+        monkeypatch.setattr(sys, "stderr", _ClosedPipe(f.fileno()))
+        assert main(argv) == 2
+        os.write(f.fileno(), b"after")  # the descriptor now writes to devnull
+    assert (tmp_path / "stderr").read_bytes() == b""
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["nosuch"], ["roots", "A3", "--tolerance", "abc"]])
+def test_an_error_whose_stderr_reader_left_exits_2_in_a_child_process(argv):
+    read, write = os.pipe()
+    os.close(read)  # the reader leaves before the error is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "versorlab", *argv],
+                              stdout=subprocess.PIPE, stderr=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 @pytest.mark.parametrize("seed", [0, 7, 42, 801])
 def test_word_draws_are_the_stream_of_a_choice_over_the_alphabet(seed):
     ctx, ref = verify._Ctx(seed, 1e-9), np.random.default_rng(seed)

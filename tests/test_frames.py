@@ -23,6 +23,8 @@ from versorlab import (
 )
 from versorlab.induction import _coxeter_matrix
 
+from test_induction import agreement_fields, eight_blade_agreement
+
 FRAMES = settings(derandomize=True, database=None, deadline=None, max_examples=3)
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -84,6 +86,14 @@ def test_3d_systems_are_frame_invariant(seed):
         assert induced(spins[name]) == catalog_induced(name)
     # each row holds the induced 4D label, |Phi|, the irrep dimensions and h
     assert mckay_table(spins) == catalog_mckay()
+
+
+@FRAMES
+@given(seed=SEEDS)
+def test_quaternion_reflection_agreement_is_the_eight_blade_one_in_any_frame(seed):
+    for name in ("A1^3", "A3", "B3", "H3"):
+        spin = generate_spin(framed(name, seed))
+        assert agreement_fields(spin) == eight_blade_agreement(spin)
 
 
 @FRAMES

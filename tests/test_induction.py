@@ -259,6 +259,67 @@ def test_reflection_agreement_of_h3_is_drift_free():
     assert rep.max_deviation <= 1e-14
 
 
+def eight_blade_agreement(g) -> tuple:
+    """``reflection_agreement``'s fields, with max_deviation's bits, from full Cl(3,0) rows:
+    both routes on all 8 blades and every image looked up by value."""
+    garr, kern = g.element_arr(), versorlab.algebra.kernel_for(SIG3)
+    coords = _spinor_coords(garr)
+    gram = coords @ coords.T
+    ratio = gram / np.diag(gram)[:, None]
+    linear = garr[None, :, :] - 2.0 * ratio[:, :, None] * garr[:, None, :]
+    product = -kern.gp_elemwise(kern.gp_elemwise(garr[:, None], kern.rev(garr)[None]),
+                                garr[:, None, :])
+    found = versorlab.algebra.find_ids(product, g._lookup)
+    return g.order ** 2, float(np.max(np.abs(linear - product))).hex(), bool(np.all(found >= 0))
+
+
+def agreement_fields(g) -> tuple:
+    rep = reflection_agreement(g)
+    return rep.pairs_tested, rep.max_deviation.hex(), rep.all_in_group
+
+
+@pytest.mark.parametrize("src", sorted(INDUCTION_TABLE))
+def test_quaternion_reflection_agreement_is_the_eight_blade_one_bit_for_bit(src):
+    g = spin_group(src)
+    assert agreement_fields(g) == eight_blade_agreement(g)
+
+
+def test_a_wrong_table_cell_is_caught_by_the_value_lookup(monkeypatch):
+    g = spin_group("A3")
+    t = g.table.copy()
+    t[0, 1] = t[0, 2]  # every cell names some pair's image: -R_i ~R_j R_i uses t[i, inv[j]]
+    g.table = t
+    looked_up = []
+
+    def find_ids(rows, index):
+        looked_up.append(len(rows))
+        return versorlab.algebra.find_ids(rows, index)
+
+    monkeypatch.setattr(versorlab.induction, "find_ids", find_ids)
+    rep = reflection_agreement(g)
+    assert rep.all_in_group and looked_up[0] > 0
+    assert agreement_fields(g) == eight_blade_agreement(g)
+
+
+def test_images_outside_the_group_fail_the_membership_verdict():
+    g = spin_group("A3")
+    turn = Versor(scalar_mv(SIG3, 0.8) + blade(SIG3, "e12") * 0.6).mv.coeffs
+    arr = g.element_arr().copy()
+    arr[5] = versorlab.algebra.kernel_for(SIG3).gp(turn, arr[5])  # one element moved off the group
+    g._arr = arr
+    assert not reflection_agreement(g).all_in_group
+    assert agreement_fields(g) == eight_blade_agreement(g)
+
+
+def test_reflection_agreement_rejects_a_spin_element_with_an_odd_part():
+    g = spin_group("A3")
+    arr = g.element_arr().copy()
+    arr[3, 1] = 1e-3  # an e1 coefficient
+    g._arr = arr
+    with pytest.raises(VersorlabError, match="Cl\\(3,0\\), no odd part"):
+        reflection_agreement(g)
+
+
 @pytest.mark.parametrize("src,images", [
     ("A1^3", 32), ("A3", 288), ("B3", 1152), ("H3", 7200),
 ])

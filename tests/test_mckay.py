@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import versorlab.groups
+import versorlab.induction
 import versorlab.mckay
+import versorlab.roots
 from versorlab import (
     abelianization_order,
     catalog,
     cayley_table,
+    coxeter_number,
     generate_pin,
     generate_spin,
     irrep_dimensions,
@@ -21,7 +24,7 @@ from versorlab import (
     quotient_by_sign,
 )
 from versorlab.algebra import kernel_for
-from versorlab.errors import AmbiguousIrrepDims
+from versorlab.errors import AmbiguousIrrepDims, McKayMismatch
 
 SPIN_SOURCES = ("A1", "A1^3", "A3", "B3", "H3")
 
@@ -212,6 +215,27 @@ def test_mckay_table_uses_the_callers_spin_groups(monkeypatch):
     assert built == []  # nothing closed again
     assert mckay_table({"A3": groups["A3"]}) == want
     assert len(built) == 3  # the names the mapping lacks are built
+
+
+def test_mckay_table_closes_only_the_3d_systems(monkeypatch):
+    versorlab.induction._catalog_coxeter_matrices()  # the 4D catalog matrices, closed once
+    closed = []
+    close_roots = versorlab.roots.close_roots
+    monkeypatch.setattr(versorlab.roots, "close_roots",
+                        lambda *a, **k: closed.append(k["name"]) or close_roots(*a, **k))
+    mckay_table()
+    assert Counter(closed) == Counter(["A1^3", "A3", "B3", "H3"])  # no D4, E6, E7 or E8
+
+
+@pytest.mark.parametrize("name", ["A1", "A1^3", "A1^4", "A3", "D4", "E6", "E7", "E8"])
+def test_integer_coxeter_element_order_is_the_closures_coxeter_number(name):
+    assert versorlab.mckay._coxeter_h(name) == coxeter_number(catalog(name))
+
+
+@pytest.mark.parametrize("name", ["B3", "F4", "H3"])
+def test_integer_coxeter_element_needs_a_simply_laced_seed(name):
+    with pytest.raises(McKayMismatch, match=f"^{name} is not simply laced"):
+        versorlab.mckay._coxeter_h(name)
 
 
 def test_mckay_table_dims_are_recomputed():
