@@ -402,10 +402,9 @@ class Multivector:
         return {g for g in range(k.n + 1)
                 if np.abs(self.coeffs[k.grade_mask(g)]).max(initial=0.0) > DEFAULT_EPS}
 
-    def is_grade(self, k_: int, eps: float = DEFAULT_EPS) -> bool:
-        _check_eps(eps)
+    def is_grade(self, k_: int) -> bool:
         k = kernel_for(self.sig)
-        return np.abs(self.coeffs).max(where=~k.grade_mask(k_), initial=0.0) <= eps
+        return np.abs(self.coeffs).max(where=~k.grade_mask(k_), initial=0.0) <= DEFAULT_EPS
 
     # -- views --------------------------------------------------------------
 
@@ -448,11 +447,10 @@ class Multivector:
     def __repr__(self):
         return f"<Cl{tuple(self.sig)}: {self}>"
 
-    def to_json_dict(self, eps: float = DEFAULT_EPS) -> dict:
-        _check_eps(eps)
+    def to_json_dict(self) -> dict:
         names = kernel_for(self.sig).blade_names
         return {"sig": [self.sig.p, self.sig.q],
-                "coeffs": dict(_kept_terms(names, self.coeffs.tolist(), eps))}
+                "coeffs": dict(_kept_terms(names, self.coeffs.tolist(), DEFAULT_EPS))}
 
 
 # -- constructors -------------------------------------------------------------
@@ -509,9 +507,8 @@ class Versor(object):
 
     __slots__ = ("mv", "parity", "norm_sign")
 
-    def __init__(self, mv: Multivector, eps: float = DEFAULT_EPS):
-        _check_eps(eps)
-        k = kernel_for(mv.sig)
+    def __init__(self, mv: Multivector):
+        k, eps = kernel_for(mv.sig), DEFAULT_EPS
         # the largest magnitudes on odd and on even blades, half of the blades each
         even, odd = np.abs(mv.coeffs)[k.by_parity].reshape(2, -1).max(axis=1).tolist()
         if not (even <= eps or odd <= eps):
@@ -584,19 +581,18 @@ class Versor(object):
         return sandwich(v, self)
 
 
-def sandwich(v: Multivector, A, eps: float = DEFAULT_EPS) -> Multivector:
+def sandwich(v: Multivector, A) -> Multivector:
     """Orthogonal action of a unit versor on a vector.
 
     Returns ~A v A for even A and -~A v A for odd A; the extra sign for odd
     versors makes a single unit vector act as the reflection that fixes its
     orthogonal hyperplane.
     """
-    _check_eps(eps)
     if not isinstance(A, Versor):
-        A = Versor(A, eps)
+        A = Versor(A)
     if v.sig != A.sig:
         raise SignatureMismatch("vector and versor signatures differ")
-    if not v.is_grade(1, eps):
+    if not v.is_grade(1):
         raise ValueError("sandwich expects a grade-1 argument")
     k = kernel_for(v.sig)
     out = k.gp(k.gp(k.rev(A.mv.coeffs), v.coeffs), A.mv.coeffs)

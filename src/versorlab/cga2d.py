@@ -25,7 +25,7 @@ kernel's sign table, in its einsum's order (from +0.0 by ascending index; a zero
 changes no partial sum).  The letters S, T, t = T^-1 have theirs ``exec``'d at import as
 straight-line steps, ``0.0 + z2 * 1.0 + z0 * -0.5 + ...`` (a float's ``repr`` reads back
 as that float); ``ConformalVersor.apply`` runs any other versor's in a plain loop, over
-all 16 blades of a point with stray off-grade coefficients within eps (past eps,
+all 16 blades of a point with stray off-grade coefficients within DEFAULT_EPS (past it,
 ``sandwich``'s grade-1 ``ValueError``).  Points are four floats, checked as
 ``ConformalPoint`` checks them, that raise every error themselves: one failing a check
 is built for ``ConformalPoint`` to refuse.  ``translator``, ``rotation``, ``dilator``
@@ -110,11 +110,11 @@ def _point_tests(X: np.ndarray, eps: float) -> tuple:
             np.isfinite(X).all(-1))
 
 
-def _renormalized(Y: np.ndarray, eps: float) -> tuple:
+def _renormalized(Y: np.ndarray) -> tuple:
     """Each row of (..., 16) coefficients scaled to X . n = -1, and whether it is finite,
-    |Y . n| not below eps max(1, max |Y|): a row at infinity is left as it is."""
+    |Y . n| not below DEFAULT_EPS max(1, max |Y|): a row at infinity is left as it is."""
     s = _KERNEL.scalar_part(Y, NINF.coeffs)
-    finite = ~(np.abs(s) < _bounds(eps, np.abs(Y).max(axis=-1), 1))
+    finite = ~(np.abs(s) < _bounds(DEFAULT_EPS, np.abs(Y).max(axis=-1), 1))
     return Y * (-1.0 / np.where(finite, s, -1.0))[..., None], finite
 
 
@@ -188,11 +188,10 @@ def _embedding(x1: float, x2: float, eps: float) -> tuple:
     raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares overflow")
 
 
-def embed(x1: float, x2: float, eps: float = DEFAULT_EPS) -> ConformalPoint:
+def embed(x1: float, x2: float) -> ConformalPoint:
     """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1.
     It squares with ``**``, libm's pow: x * x would change printed digits."""
-    _check_eps(eps)
-    return _point(_embedding(float(x1), float(x2), eps))
+    return _point(_embedding(float(x1), float(x2), DEFAULT_EPS))
 
 
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
@@ -203,7 +202,7 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
     """
     if isinstance(X, ConformalPoint):
         return X.coords
-    Y, finite = _renormalized(X.coeffs, DEFAULT_EPS)
+    Y, finite = _renormalized(X.coeffs)
     if not finite:
         raise PointAtInfinity("null vector has X . n = 0")
     return (float(Y[1]), float(Y[2]))  # e1, e2
@@ -259,13 +258,12 @@ class ConformalVersor:
     def mv(self) -> Multivector:
         return self.v.mv
 
-    def apply(self, p: ConformalPoint, eps: float = DEFAULT_EPS) -> ConformalPoint:
+    def apply(self, p: ConformalPoint) -> ConformalPoint:
         """Sandwich and renormalize back to X . n = -1: the terms on the point's floats, each
         sum from 0.0 term by term, over all 16 blades if stray off-grade coefficients are
-        within eps (exact zeros add nothing), or ``sandwich``'s error if one is past eps."""
-        _check_eps(eps)
+        within DEFAULT_EPS (exact zeros add nothing), or ``sandwich``'s error if one is past."""
         X = p.X.coeffs.tolist()
-        if any(stray := _OTHERS(X)) and max(map(abs, stray)) > eps:
+        if any(stray := _OTHERS(X)) and max(map(abs, stray)) > DEFAULT_EPS:
             raise ValueError("sandwich expects a grade-1 argument")
         inner, outer = _terms(self.mv.coeffs.tolist(), _INNER if any(stray) else _VECTOR_INNER)
         u, y = [0.0] * _KERNEL.D, [0.0] * 4
@@ -273,7 +271,7 @@ class ConformalVersor:
             u[j] += X[b] * c
         for j, i, c in outer:
             y[i] += u[j] * c
-        z, r = _checked(y, eps)  # the zero blades times -1 / (Y . n), an odd Y negated
+        z, r = _checked(y, DEFAULT_EPS)  # the zero blades times -1 / (Y . n), an odd Y negated
         return _point(z, 0.0 * (-r if self.v.parity else r))
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":

@@ -79,8 +79,8 @@ def _fmt(x) -> str:
 
 
 def _json_rows(sig, rows: np.ndarray, eps: float, pad: str) -> list:
-    """Each row of (n, D) coefficients as ``json.dumps(_clean(mv.to_json_dict(eps)), indent=2)``
-    writes it at indent ``pad``, through one ``tolist()``, each distinct float formatted once."""
+    """Each row of (n, D) coefficients as ``json.dumps(_clean(mv.to_json_dict()), indent=2)``
+    writes it, at eps and indent ``pad``, through one ``tolist()``, each float formatted once."""
     inner, deep, memo, out = pad + "  ", pad + "    ", {}, []
     keys = [f"\n{deep}{_quote(name)}: " for name in kernel_for(sig).blade_names]
     head = f'{{\n{inner}"sig": [\n{deep}{sig.p},\n{deep}{sig.q}\n{inner}],\n{inner}"coeffs": {{'

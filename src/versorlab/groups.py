@@ -35,7 +35,6 @@ from .algebra import (
     Signature,
     Versor,
     _check_cap,
-    _check_eps,
     _kept_terms,
     find_ids,
     kernel_for,
@@ -143,7 +142,7 @@ class _GroupBase:
                 edges = slice(a, min(hi, a + step))
                 out[j[edges]] = hops[out[p[edges]], k[edges, None]]
         w = np.append(j, self._e)  # the tree's elements; in a quotient all, each its own -g
-        out[neg[w]] = neg[out[w]]
+        out[neg[w]] = neg.astype(dtype)[out[w]]
         return out
 
     @cached_property
@@ -356,14 +355,13 @@ def coxeter_number(rs: RootSystem) -> int:
 # -- serialization ---------------------------------------------------------------
 
 
-def group_table_dict(group, eps: float = DEFAULT_EPS) -> dict:
+def group_table_dict(group) -> dict:
     """Group-table JSON form: kind, order, and the conjugacy class list, each element
-    as its ``Multivector.to_json_dict(eps)``, one ``tolist()`` per class."""
-    _check_eps(eps)
+    as its ``Multivector.to_json_dict()``, one ``tolist()`` per class."""
     (p, q), names = group.sig, kernel_for(group.sig).blade_names
 
     def coeffs(values):
-        return {"sig": [p, q], "coeffs": dict(_kept_terms(names, values, eps))}
+        return {"sig": [p, q], "coeffs": dict(_kept_terms(names, values, DEFAULT_EPS))}
 
     classes = [{"size": cl.size,
                 "order": cl.element_order,

@@ -2,10 +2,10 @@
 
 The finite spin groups over A1^3, A3, B3, H3 are the binary polyhedral
 groups Q8, 2T, 2O, 2I.  Their irrep dimensions come from the group's integer
-table by Burnside's method: the class algebra's structure constants, counted
+products by Burnside's method: the class algebra's structure constants, counted
 with one ``bincount``, and one eigenvector solve; no character table is
 written down, and Pin, Spin and their quotients go the same route.  The
-commutator subgroup is an integer closure on the same table.
+commutator subgroup is an integer closure on the group's table.
 
 The resulting numbers line up three ways: the sum of the irrep dimensions
 of the binary group equals the root count of the 3D system it came from,
@@ -73,14 +73,16 @@ def irrep_dimensions(group) -> IrrepDims:
     """Irrep dimensions by Burnside's method (Dixon 1967): each irrep chi gives omega_l =
     |C_l| chi(z_l) / chi(1), z_l in C_l, an eigenvector of every class-sum matrix (c_jlm)_lm,
     c_jlm = #{x in C_j : x^-1 z_m in C_l}, so of one fixed generic combination of them, and
-    chi(1)^2 = |G| / sum_l |omega_l|^2 / |C_l|.  Raises ``AmbiguousIrrepDims`` unless every
+    chi(1)^2 = |G| / sum_l |omega_l|^2 / |C_l|.  The class of z_m x^-1 is read in place of
+    x^-1 z_m's, its conjugate by x, from one n x r replay of the representatives' left
+    products: the n x n table is never built.  Raises ``AmbiguousIrrepDims`` unless every
     dimension is integral to 1e-6, the squares sum to |G| and the characters meet the first
     orthogonality relation to 1e-9 |G|."""
     classes = group.conjugacy_classes()
     r, n = len(classes), group.order
     sizes, label = np.array([c.size for c in classes]), np.empty(n, np.intp)
     label[np.concatenate([c.indices for c in classes])] = np.repeat(np.arange(r), sizes)
-    lm = label[group.table[group.inverses()[:, None], [c.indices[0] for c in classes]]]  # x^-1 z_m
+    lm = label[group._left_products(np.array([c.indices[0] for c in classes]))[group.inverses()]]
     counts = np.bincount(((label[:, None] * r + lm) * r + np.arange(r)).ravel(), minlength=r ** 3)
     mix = np.random.default_rng(0).standard_normal(r) @ counts.reshape(r, r * r)
     omega = np.linalg.eig(mix.reshape(r, r))[1]

@@ -468,7 +468,7 @@ def _translation_batch(drawn):
          - NBAR.coeffs) * 0.5
     ok, odd = _versor_checks(_CGA, T)
     Y, graded = _sandwich(_CGA, T, odd, X)
-    got, finite = _renormalized(Y, DEFAULT_EPS)
+    got, finite = _renormalized(Y)
     if not np.all([ok, graded, finite, *_point_tests(X, DEFAULT_EPS),
                    *_point_tests(got, DEFAULT_EPS)]):
         return None

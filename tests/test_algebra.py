@@ -30,6 +30,7 @@ from versorlab import (
 )
 import versorlab.algebra
 from versorlab.algebra import KEY_BOUND, find_ids, kernel_for, key_ids, orbit, quantize
+from versorlab.cli import _json_rows
 from versorlab.roots import _reflect_pairs
 
 RNG = np.random.default_rng(20260814)
@@ -182,18 +183,14 @@ def test_versor_rejects_nan_and_names_the_failing_scalar():
 
 
 _EPS_TAKERS = {
-    "Versor": lambda eps: Versor(blade(SIG3, "e1"), eps=eps),
     "close_to": lambda eps: blade(SIG3, "e1").close_to(blade(SIG3, "e2"), eps),
-    "is_grade": lambda eps: blade(SIG3, "e1").is_grade(1, eps),
-    "to_json_dict": lambda eps: blade(SIG3, "e1").to_json_dict(eps),
 }
 
 
 @pytest.mark.parametrize("eps", [math.nan, -1e-9, math.inf])
 @pytest.mark.parametrize("taker", sorted(_EPS_TAKERS))
 def test_every_multivector_eps_taker_checks_eps_where_it_enters(taker, eps):
-    # before: Versor(e1, eps=nan) blamed "mixed even/odd support" and
-    # e1.close_to(e2, eps=inf) was True
+    # before: e1.close_to(e2, eps=inf) was True
     with pytest.raises(VersorlabError, match=rf"^eps must be finite and >= 0, got {eps}$"):
         _EPS_TAKERS[taker](eps)
     _EPS_TAKERS[taker](0.0)  # the range's floor is accepted
@@ -443,9 +440,11 @@ def test_to_json_dict_of_a_known_multivector():
     d = x.to_json_dict()
     assert d == {"sig": [3, 1], "coeffs": {"1": 0.5, "e13": -2.0, "e1234": 3.0}}
     assert json.loads(json.dumps(d)) == d  # serializable as-is
-    # coefficients below eps are dropped; eps is inclusive
-    assert x.to_json_dict(eps=1e-12)["coeffs"]["e2"] == 1e-12
-    assert x.to_json_dict(eps=1.0)["coeffs"] == {"e13": -2.0, "e1234": 3.0}
+    # the CLI's writer, at --tolerance: coefficients below eps are dropped; eps is inclusive
+    at = {eps: json.loads(_json_rows(SIG31, x.coeffs[None], eps, "")[0])["coeffs"]
+          for eps in (1e-12, 1.0)}
+    assert at[1e-12]["e2"] == 1e-12
+    assert at[1.0] == {"e13": -2.0, "e1234": 3.0}
 
 
 def test_blade_parsing_variants():

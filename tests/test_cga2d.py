@@ -309,13 +309,18 @@ def test_word_report_wire_format():
 
 # ---------------------------------------------------------------- bit identity
 
+def _reference_image(versor, X):
+    """The sandwich the long way, as whole geometric products: ~A X A, negated for an odd A."""
+    A = versor.mv
+    Y = ~A * X * A
+    return (-Y if versor.v.parity == 1 else Y).grade(1)
+
+
 def _reference_apply(versor, X, eps=1e-9):
     """One letter or map the long way: the sandwich and every inner product
     (X . X, X . n, the normalizing Y . n) as whole geometric products, and
     coefficient scales from Python max over the coefficients."""
-    A = versor.mv
-    Y = ~A * X * A
-    Y = (-Y if versor.v.parity == 1 else Y).grade(1)
+    Y = _reference_image(versor, X)
     scale = max(1.0, float(max(abs(c) for c in Y.coeffs)))
     s = (Y * NINF).scalar
     if s == 0 or abs(s) < eps * scale:
@@ -331,7 +336,7 @@ def _reference_apply(versor, X, eps=1e-9):
 
 def _reference_word(word, tau, eps=1e-9):
     letters = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}  # rebuilt per call
-    X = embed(*tau, eps=eps).X
+    X = ConformalPoint(embed(*tau).X, eps).X  # the start point checked at eps
     for letter in word:
         X = _reference_apply(letters[letter], X, eps)
     return (float(X.coeffs[0b01]), float(X.coeffs[0b10]))  # e1, e2
@@ -434,7 +439,7 @@ def test_apply_word_checks_the_start_point_at_its_eps():
     with pytest.raises(VersorlabError, match="conformal points must be null"):
         apply_word("", tau, eps=1e-20)
     with pytest.raises(VersorlabError, match="conformal points must be null"):
-        embed(*tau, eps=1e-20)
+        ConformalPoint(embed(*tau).X, eps=1e-20)
 
 
 def _no_products(monkeypatch):
@@ -555,8 +560,12 @@ def test_apply_matches_the_full_product_path_for_every_map(factors, x1, x2, near
             pass
         x1 += offset
     point = embed(x1, x2)
-    assert _bytes_or_error(lambda: versor.apply(point, eps).X) == _bytes_or_error(
-        lambda: ConformalPoint(_reference_apply(versor, point.X, eps), eps).X)
+    assert _bytes_or_error(lambda: versor.apply(point).X) == _bytes_or_error(
+        lambda: ConformalPoint(_reference_apply(versor, point.X)).X)
+    # apply checks its image at DEFAULT_EPS with _checked, which takes any eps
+    y = _reference_image(versor, point.X).coeffs[[1, 2, 4, 8]].tolist()
+    assert _outcome(lambda: cga2d._checked(y, eps)[0]) == _outcome(
+        lambda: ConformalPoint(_reference_apply(versor, point.X, eps), eps).X.coeffs[[1, 2, 4, 8]])
 
 
 def test_maps_reach_every_outcome_of_the_long_way():
@@ -571,7 +580,11 @@ def test_maps_reach_every_outcome_of_the_long_way():
     for name, (versor, tau, eps) in cases.items():
         point = embed(*tau)
         want = _bytes_or_error(lambda: ConformalPoint(_reference_apply(versor, point.X, eps), eps).X)
-        assert _bytes_or_error(lambda: versor.apply(point, eps).X) == want, name
+        if eps == DEFAULT_EPS:
+            assert _bytes_or_error(lambda: versor.apply(point).X) == want, name
+        else:  # apply's checks at another eps: _checked on the image's floats
+            y = _reference_image(versor, point.X).coeffs[[1, 2, 4, 8]].tolist()
+            assert isinstance(want, tuple) and _outcome(lambda: cga2d._checked(y, eps)) == want, name
         seen.add(want[1] if isinstance(want, tuple) else "finite")
     assert seen == {"finite", "image point is at infinity", "conformal points must be null"}
 
@@ -579,7 +592,8 @@ def test_maps_reach_every_outcome_of_the_long_way():
 def test_a_point_sent_exactly_to_infinity_raises_at_eps_zero():
     # Y . n = 0 (or z = 0 for the oracle) is a point at infinity at every eps, 0 included,
     # not a division by zero; a NaN Y . n is no point at infinity
-    cases = [lambda: inversion_versor().apply(embed(0.0, 0.0), eps=0.0),
+    cases = [lambda: inversion_versor().apply(embed(0.0, 0.0)),
+             lambda: cga2d._checked((0.0, 0.0, 0.5, 0.5), 0.0),  # inversion's image of 0
              lambda: apply_word("S", (0.0, 1e-100), eps=0.0),  # S sends it to 1e100 i
              lambda: mobius_oracle("SSS", (0.0, 5e-324), eps=0.0)]  # 5e-324 i, inf i, 0
     for case in cases:
@@ -600,6 +614,7 @@ def test_a_finite_map_makes_no_sandwich(monkeypatch):
             special_conformal(0.2, 0.1), reflection(0.3, -0.4), inversion_versor(),
             translator(0.5, 0.5) * rotation(0.3) * dilator(0.2)]
     stray = ConformalPoint(embed(0.5, 0.5).X + 1e-12)
+    past = ConformalPoint(embed(0.5, 0.5).X + 5e-7, 1e-6)  # strays past apply's DEFAULT_EPS
     cases = ([(versor, embed(*rng.uniform(0.2, 1.5, 2))) for versor in maps]
              + [(inversion_versor(), embed(0.0, 0.0)), (translator(1.0, 0.0), stray)])
     want = [_bytes_or_error(lambda: ConformalPoint(_reference_apply(v, p.X)).X) for v, p in cases]
@@ -609,14 +624,14 @@ def test_a_finite_map_makes_no_sandwich(monkeypatch):
     for (versor, point), expected in zip(cases, want):
         assert _bytes_or_error(lambda: versor.apply(point).X) == expected, (versor, point)
     with pytest.raises(ValueError, match="^sandwich expects a grade-1 argument$"):
-        translator(1.0, 0.0).apply(stray, 1e-13)
+        translator(1.0, 0.0).apply(past)
 
 
 def test_apply_takes_points_with_stray_off_grade_coefficients():
     # 2 000 seeded points with 1 to 3 stray non-vector coefficients, built at
     # eps 1e-9 or 1e-6 (half of those for inversions and special conformal maps
-    # at the map's pole), each applied at four tolerances: within eps the terms
-    # of all 16 blades give the long way's bytes or error; a stray part past eps
+    # at the map's pole): within DEFAULT_EPS, at which apply runs, the terms of
+    # all 16 blades give the long way's bytes or error; a stray part past it
     # raises sandwich's grade-1 error
     rng = np.random.default_rng(909)
     strays = np.array([1e-12, -1e-12, 3e-10, -3e-10, 1e-9, 5e-7])
@@ -635,17 +650,14 @@ def test_apply_takes_points_with_stray_off_grade_coefficients():
         blades = rng.choice(off_grade, size=int(rng.integers(1, 4)), replace=False)
         coeffs[blades] = rng.choice(strays[np.abs(strays) <= build_eps], size=len(blades))
         point = ConformalPoint(Multivector(SIG31, coeffs), build_eps)
-        stray = np.abs(coeffs[off_grade]).max()
-        for eps in (1e-6, 1e-9, 1e-13, 1e-17):
-            if stray > eps:
-                with pytest.raises(ValueError, match="^sandwich expects a grade-1 argument$"):
-                    versor.apply(point, eps)
-                seen.add("past eps")
-                continue
-            want = _bytes_or_error(
-                lambda: ConformalPoint(_reference_apply(versor, point.X, eps), eps).X)
-            assert _bytes_or_error(lambda: versor.apply(point, eps).X) == want, (i, eps)
-            seen.add(want[1] if isinstance(want, tuple) else "finite")
+        if np.abs(coeffs[off_grade]).max() > DEFAULT_EPS:
+            with pytest.raises(ValueError, match="^sandwich expects a grade-1 argument$"):
+                versor.apply(point)
+            seen.add("past eps")
+            continue
+        want = _bytes_or_error(lambda: ConformalPoint(_reference_apply(versor, point.X)).X)
+        assert _bytes_or_error(lambda: versor.apply(point).X) == want, i
+        seen.add(want[1] if isinstance(want, tuple) else "finite")
     assert seen == {"finite", "past eps", "image point is at infinity"}, seen
 
 
@@ -746,12 +758,9 @@ def test_embed_names_a_point_whose_squares_overflow():
 
 
 _EPS_TAKERS = {
-    "embed": lambda eps: embed(0.0, 1.0, eps=eps),
     "ConformalPoint": lambda eps: ConformalPoint(embed(0.0, 1.0).X, eps=eps),
-    "apply": lambda eps: translator(1.0, 0.0).apply(embed(0.0, 1.0), eps=eps),  # exact floats
     "apply_word": lambda eps: apply_word("ST", (0.0, 1.0), eps=eps),
     "mobius_oracle": lambda eps: mobius_oracle("ST", (0.0, 1.0), eps=eps),
-    "sandwich": lambda eps: sandwich(embed(0.0, 1.0).X, translator(1.0, 0.0).v, eps=eps),
 }
 
 

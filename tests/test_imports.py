@@ -12,6 +12,11 @@ And one for a dead-code rule: a module-level ``_name`` function or class
 counts as used when some module names it outside its own definition, as an
 identifier where that module's own binding or its ``from .module import``
 resolves to it, or in such an import.
+
+And one for a dead-tolerance rule: an ``eps``, ``tol`` or ``tolerance``
+parameter counts as set when some call in the package passes it a value, by
+keyword, by position or through a starred argument, that is neither
+``DEFAULT_EPS`` nor another such unset parameter of the function making the call.
 """
 
 import ast
@@ -69,6 +74,87 @@ def dead_names(sources: dict) -> list:
                                else origin.get(node.id, module)), node.id))
     return sorted((module, line, name) for (module, name), line in defined.items()
                   if (module, name) not in used)
+
+
+TOLERANCES = ("eps", "tol", "tolerance")
+
+
+def _collect(module, node, scope, klass, takers, calls):
+    """Fill ``takers`` (callee name -> [(key, positional index or None)]) with each tolerance
+    parameter under ``node``, a class's ``__init__``'s under the class's name, and ``calls``
+    with (call, {tolerance parameter -> key} of the innermost function around it)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = [a.arg for a in child.args.posonlyargs + child.args.args]
+            skip = int(klass is not None and not any(
+                getattr(d, "id", None) == "staticmethod" for d in child.decorator_list))
+            name = klass if klass is not None and child.name == "__init__" else child.name
+            own = {}
+            for p in params + [a.arg for a in child.args.kwonlyargs]:
+                if p in TOLERANCES:
+                    own[p] = (module, child.lineno, child.name, p)
+                    index = params.index(p) - skip if p in params else None
+                    takers.setdefault(name, []).append((own[p], index))
+            _collect(module, child, own, None, takers, calls)
+        else:
+            if isinstance(child, ast.Call):
+                calls.append((child, scope))
+            _collect(module, child, scope, child.name if isinstance(child, ast.ClassDef) else None,
+                     takers, calls)
+
+
+def _passed(call, param, index):
+    """The expressions ``call`` may pass to ``param``, at ``index`` among the positionals."""
+    values = [k.value for k in call.keywords if k.arg in (param, None)]
+    if index is not None:
+        star = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                    len(call.args))
+        values += call.args[index:index + 1] if index < star else call.args[star:]
+    return values
+
+
+def unset_tolerances(sources: dict) -> list:
+    """(module, line, function, parameter) of each tolerance parameter in ``sources``
+    (module name -> source) that no call sets, to a fixpoint: a parameter whose only
+    settings pass through unset parameters is unset too."""
+    takers, calls = {}, []
+    for module, source in sources.items():
+        _collect(module, ast.parse(source), {}, None, takers, calls)
+    every, unset = {key for entries in takers.values() for key, _ in entries}, set()
+    while True:
+        kept = set()
+        for call, scope in calls:
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for key, index in takers.get(name, ()):
+                for value in _passed(call, key[3], index):
+                    named = getattr(value, "id", None) or getattr(value, "attr", None)
+                    if named != "DEFAULT_EPS" and scope.get(named) not in unset:
+                        kept.add(key)
+        if every - kept == unset:
+            return sorted(unset)
+        unset = every - kept
+
+
+def test_tolerance_checker_flags_a_parameter_nothing_sets():
+    sources = {"a": "def f(x, eps=DEFAULT_EPS):\n    return g(x, eps)\n\n\n"
+                    "def g(x, tol):\n    return x\n\n\n"
+                    "def h(x, *, tolerance):\n    return x\n\n\n"
+                    "class P:\n    def __init__(self, eps):\n        pass\n\n"
+                    "    def m(self, v, eps):\n        return P(eps)\n\n\n"
+                    "def s(z0, z1, eps):\n    return z0\n\n\n"
+                    "f(1)\nf(2, DEFAULT_EPS)\nh(3, tolerance=0.5)\ns(*(1, 2), 1e-3)\n",
+               "b": "def k(eps):\n    return obj.m(0, eps)\n\n\n"
+                    "def q(v, tol):\n    return k(tol)\n\n\nq(1, tol=DEFAULT_EPS)\n"}
+    # f's eps is passed only DEFAULT_EPS, and g's tol only f's eps; P's eps
+    # only m's, which k's passes through, which q's does, which nothing sets
+    assert unset_tolerances(sources) == [
+        ("a", 1, "f", "eps"), ("a", 5, "g", "tol"), ("a", 14, "__init__", "eps"),
+        ("a", 17, "m", "eps"), ("b", 1, "k", "eps"), ("b", 5, "q", "tol")]
+
+
+def test_every_tolerance_parameter_is_set_by_some_call():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unset_tolerances(sources) == []
 
 
 def test_dead_name_checker_flags_a_helper_nothing_calls():

@@ -105,8 +105,9 @@ def test_listings_match_the_reference_route(name, kind, capsys):
         markdown = cli_out(capsys, cmd, name, "--kind", kind, "--format", "markdown")
         assert markdown.splitlines()[4:] == ["| " + " | ".join(c) + " |" for c in cells[1:]]
     assert [str(v.mv) for v in g.elements] == text
-    for eps in (DEFAULT_EPS, 0.0):
-        assert group_table_dict(g, eps=eps) == reference_table(g, eps)
+    assert group_table_dict(g) == reference_table(g, DEFAULT_EPS)
+    assert ([json.loads(row) for row in _json_rows(g.sig, g.element_arr(), 0.0, "")]
+            == clean([reference_dict(g.sig, values, 0.0) for values in rows]))
 
 
 SIG3 = Signature(3, 0)

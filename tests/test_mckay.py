@@ -93,20 +93,38 @@ def test_abelianization_builds_no_n_by_n_array():
     assert peak < 4 << 20, peak
 
 
+def test_irrep_dimensions_builds_no_table():
+    # the class of z_m x^-1 is read off one n x r replay of the representatives'
+    # left products: Pin(F4), n = 2304, stays far below its n x n table (10.6 MB)
+    g = generate_pin(catalog("F4"))
+    g.conjugacy_classes(), g.inverses()
+    tracemalloc.start()
+    try:
+        dims = irrep_dimensions(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert "table" not in g.__dict__
+    assert sum(d * d for d in dims.dims) == g.order
+
+
 def test_one_inverse_replay_serves_every_answer(monkeypatch):
     # inverses() is replayed down the tree once per group, then read by
-    # irrep_dimensions and abelianization_order alike
+    # irrep_dimensions and abelianization_order alike; irrep_dimensions adds
+    # one n x r replay of the r class representatives
     calls = []
     real = versorlab.groups._GroupBase._left_products
     for g in (generate_pin(catalog("F4")), quotient_by_sign(spin("B3"))):
         g.table, g.conjugacy_classes()
         calls.clear()
         monkeypatch.setattr(versorlab.groups._GroupBase, "_left_products",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+                            lambda self, starts, **k: calls.append((starts.size, "hops" in k))
+                            or real(self, starts, **k))
         first = g.inverses()
         irrep_dimensions(g), abelianization_order(g)
         assert g.inverses() is first and not first.flags.writeable
-        assert len(calls) == 1, g
+        assert calls == [(1, True), (len(g.conjugacy_classes()), False)], g
         monkeypatch.undo()
 
 
