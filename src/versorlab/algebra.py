@@ -250,13 +250,17 @@ def blade_name(mask: int) -> str:
     return "e" + "".join(str(i + 1) for i in range(MAX_DIM) if mask >> i & 1)
 
 
-def _kept_terms(names, values: list, eps: float) -> list:
-    """(name, c) of each float c in ``values`` not below ``eps`` in size, tested on the raw
+def _kept_terms(names, values: list) -> list:
+    """(name, c) of each float c in ``values`` with |c| > DEFAULT_EPS, tested on the raw
     float (a NaN is kept): the one mask behind every multivector's text and JSON form."""
-    return [(name, c) for name, c in zip(names, values) if not abs(c) < eps]
+    eps = DEFAULT_EPS
+    return [(name, c) for name, c in zip(names, values) if not abs(c) <= eps]
 
 
-_TEXT_EPS = math.nextafter(DEFAULT_EPS, math.inf)  # |c| >= _TEXT_EPS is |c| > DEFAULT_EPS
+def _json_dicts(sig: Signature, rows: np.ndarray) -> list:
+    """``to_json_dict()`` of each row of (n, D) coefficients, through one ``tolist()``."""
+    (p, q), names = sig, kernel_for(sig).blade_names
+    return [{"sig": [p, q], "coeffs": dict(_kept_terms(names, values))} for values in rows.tolist()]
 
 
 def _text_rows(sig: Signature, rows: np.ndarray) -> list:
@@ -265,7 +269,7 @@ def _text_rows(sig: Signature, rows: np.ndarray) -> list:
     names, out = kernel_for(sig).blade_names, []
     for values in rows.tolist():
         terms = []
-        for name, c in _kept_terms(names, values, _TEXT_EPS):
+        for name, c in _kept_terms(names, values):
             mag = f"{abs(c):.6g}"
             body = mag if name == "1" else (name if mag == "1" else mag + name)
             terms.append((("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")) + body)
@@ -448,9 +452,7 @@ class Multivector:
         return f"<Cl{tuple(self.sig)}: {self}>"
 
     def to_json_dict(self) -> dict:
-        names = kernel_for(self.sig).blade_names
-        return {"sig": [self.sig.p, self.sig.q],
-                "coeffs": dict(_kept_terms(names, self.coeffs.tolist(), DEFAULT_EPS))}
+        return _json_dicts(self.sig, self.coeffs[None])[0]
 
 
 # -- constructors -------------------------------------------------------------

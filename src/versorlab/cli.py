@@ -12,10 +12,11 @@ Output is JSON by default (``--format csv|markdown`` for tables) and is
 byte-identical across runs: element orderings are canonical upstream and
 floats are rounded to 12 decimals (-0.0 as 0.0).  ``group`` and ``classes``
 are written straight from the element arrays, JSON in ``json.dumps(indent=2)``'s
-layout listing each coefficient with |c| >= --tolerance, and csv and markdown
-each element's ``str``.  Randomized checks in ``verify`` read VERSORLAB_SEED
-(default 42).  Failures print one JSON line on stderr and exit 2, even if its reader
-has left; a reader that closes stdout early gets exit 141 (as SIGPIPE), stderr empty.
+layout and csv and markdown as each element's ``str``; every format lists each
+coefficient with |c| > 1e-9: there ``--tolerance`` only bounds the seeds' zero-length
+check.  Randomized checks in ``verify`` read VERSORLAB_SEED (default 42).  Failures
+print one JSON line on stderr and exit 2, even if its reader has left; a reader that
+closes stdout early gets exit 141 (as SIGPIPE), stderr empty.
 """
 
 from __future__ import annotations
@@ -78,16 +79,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _json_rows(sig, rows: np.ndarray, eps: float, pad: str) -> list:
+def _json_rows(sig, rows: np.ndarray, pad: str) -> list:
     """Each row of (n, D) coefficients as ``json.dumps(_clean(mv.to_json_dict()), indent=2)``
-    writes it, at eps and indent ``pad``, through one ``tolist()``, each float formatted once."""
+    writes it, at indent ``pad``, through one ``tolist()``, each float formatted once."""
     inner, deep, memo, out = pad + "  ", pad + "    ", {}, []
     keys = [f"\n{deep}{_quote(name)}: " for name in kernel_for(sig).blade_names]
     head = f'{{\n{inner}"sig": [\n{deep}{sig.p},\n{deep}{sig.q}\n{inner}],\n{inner}"coeffs": {{'
     tail, empty = f"\n{inner}}}\n{pad}}}", f"}}\n{pad}}}"
     for values in rows.tolist():
         terms = ",".join([key + (memo.get(c) or memo.setdefault(c, repr(round(c, 12) + 0.0)))
-                          for key, c in _kept_terms(keys, values, eps)])
+                          for key, c in _kept_terms(keys, values)])
         out.append(head + (terms + tail if terms else empty))
     return out
 
@@ -181,7 +182,7 @@ def _cmd_group(args):
         yield from enumerate(_text_rows(g.sig, g.element_arr()))
 
     def payload():
-        elements = ",\n    ".join(_json_rows(g.sig, g.element_arr(), args.tolerance, "    "))
+        elements = ",\n    ".join(_json_rows(g.sig, g.element_arr(), "    "))
         return (f'{{\n  "name": {_quote(args.system)},\n  "kind": {_quote(g.kind)},\n'
                 f'  "signature": [\n    {g.sig.p},\n    {g.sig.q}\n  ],\n  "order": {g.order},\n'
                 f'  "elements": [\n    {elements}\n  ]\n}}')
@@ -203,9 +204,9 @@ def _cmd_classes(args):
                    "; ".join([text[j] for j in cl.indices.tolist()]))
 
     def payload():
-        arr, eps = g.element_arr(), args.tolerance
-        members = _json_rows(g.sig, arr, eps, " " * 8)
-        reps = _json_rows(g.sig, arr[[cl.indices[0] for cl in classes]], eps, " " * 6)
+        arr = g.element_arr()
+        members = _json_rows(g.sig, arr, " " * 8)
+        reps = _json_rows(g.sig, arr[[cl.indices[0] for cl in classes]], " " * 6)
         listed = [f'{{\n      "size": {cl.size},\n      "order": {cl.element_order},\n'
                   f'      "representative": {rep},\n      "members": [\n        '
                   + ",\n        ".join([members[j] for j in cl.indices.tolist()])

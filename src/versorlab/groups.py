@@ -30,13 +30,11 @@ import numpy as np
 
 from .algebra import (
     BLOCK,
-    DEFAULT_EPS,
     Multivector,
     Signature,
     Versor,
     _check_cap,
-    _kept_terms,
-    find_ids,
+    _json_dicts,
     kernel_for,
     lex_sorted,
     orbit,
@@ -107,29 +105,12 @@ class _GroupBase:
             return v.coeffs
         return np.asarray(v, dtype=np.float64)
 
-    def indices_of(self, rows: np.ndarray) -> np.ndarray:
-        """Index of each row of an (n, D) array; raises unless all are elements."""
-        rows = np.asarray(rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != self._kern.D:
-            raise VersorlabError(f"expected an (n, {self._kern.D}) array, got shape {rows.shape}")
-        idx = find_ids(rows, self._lookup)
-        if np.any(idx < 0):
-            raise VersorlabError("element is not in the group")
-        return idx
-
     def index_of(self, v) -> int:
         row = self._coerce_arr(v)
         i = self._lookup.get(qkey(row)) if row.shape[-1:] == (self._kern.D,) else None
         if i is None:
             raise VersorlabError("element is not in the group")
         return i
-
-    def contains(self, v) -> bool:
-        try:
-            self.index_of(v)
-            return True
-        except VersorlabError:
-            return False
 
     def _left_products(self, starts: np.ndarray, dtype=np.intp, hops=None) -> np.ndarray:
         """``out[j, c]`` = index of g_starts[c] g_j: out[e] = starts, then down the tree by layers,
@@ -171,16 +152,18 @@ class _GroupBase:
 
     def element_order(self, v) -> int:
         """Least k with v^k = 1."""
-        return int(self._class_split[1][self.index_of(v)])
+        classes, label, _ = self._class_split
+        return classes[label[self.index_of(v)]].element_order
 
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
         return self._class_split[0]
 
     @cached_property
-    def _class_split(self) -> tuple[tuple["ConjugacyClass", ...], np.ndarray]:
-        """The classes, each element labelled with the least index in its orbit
-        by label propagation, and every element's order from its class
-        representative r, whose powers are left multiplications by r."""
+    def _class_split(self) -> tuple[tuple["ConjugacyClass", ...], np.ndarray, np.ndarray]:
+        """The classes, ranked by (size, quantized representative), found by labelling each
+        element with the least index in its orbit by label propagation; each element's
+        ranked class; and ``powers[j, c]`` = index of z_c g_j, z_c the representative of
+        class c, whose powers are left multiplications by z_c."""
         arr, n, e, graph = self._arr, self.order, self._e, self._graph
         conj = graph[self._left_by_inverses, np.arange(graph.shape[1])]
         label, last = np.arange(n), None
@@ -188,18 +171,22 @@ class _GroupBase:
             last, label = label, np.minimum(label, label[conj].min(axis=1, initial=n))
             label = label[label]
         by_class = np.argsort(label, kind="stable")
-        reps, first = np.unique(label[by_class], return_index=True)
-        powers, cols = self._left_products(reps), np.arange(reps.size)
+        first = np.unique(label[by_class], return_index=True)[1]
+        members = sorted(np.split(by_class, first[1:]),
+                         key=lambda m: (m.size, tuple(quantize(arr[m[0]]))))
+        reps, cols = np.array([m[0] for m in members]), np.arange(len(members))
+        powers = self._left_products(reps)
         acc, rep_orders, k = reps, np.zeros(reps.size, dtype=np.intp), 1
-        while not rep_orders.all():  # acc = r^k
+        while not rep_orders.all():  # acc = z^k
             if k > n:
                 raise VersorlabError("element order exceeded group order; inconsistent group")
             rep_orders[(acc == e) & (rep_orders == 0)] = k
             acc, k = powers[acc, cols], k + 1
-        ranked = sorted(zip(np.split(by_class, first[1:]), rep_orders.tolist()),
-                        key=lambda mo: (mo[0].size, tuple(quantize(arr[mo[0][0]]))))
-        classes = tuple(ConjugacyClass(self.sig, arr, m, o) for m, o in ranked)
-        return classes, rep_orders[np.searchsorted(reps, label)]
+        classes = tuple(ConjugacyClass(self.sig, arr, m, o)
+                        for m, o in zip(members, rep_orders.tolist()))
+        ranked = np.empty(n, np.intp)
+        ranked[reps] = cols
+        return classes, ranked[label], powers
 
 
 class VersorGroup(_GroupBase):
@@ -357,15 +344,13 @@ def coxeter_number(rs: RootSystem) -> int:
 
 def group_table_dict(group) -> dict:
     """Group-table JSON form: kind, order, and the conjugacy class list, each element
-    as its ``Multivector.to_json_dict()``, one ``tolist()`` per class."""
-    (p, q), names = group.sig, kernel_for(group.sig).blade_names
-
-    def coeffs(values):
-        return {"sig": [p, q], "coeffs": dict(_kept_terms(names, values, DEFAULT_EPS))}
-
-    classes = [{"size": cl.size,
-                "order": cl.element_order,
-                "representative": coeffs(cl.rows[cl.indices[0]].tolist()),
-                "members": [coeffs(values) for values in cl.rows[cl.indices].tolist()]}
-               for cl in group.conjugacy_classes()]
-    return {"kind": group.kind, "order": group.order, "classes": classes}
+    as its ``Multivector.to_json_dict()``, written for every element and representative."""
+    classes, arr = group.conjugacy_classes(), group.element_arr()
+    members = _json_dicts(group.sig, arr)
+    reps = _json_dicts(group.sig, arr[[cl.indices[0] for cl in classes]])
+    return {"kind": group.kind, "order": group.order,
+            "classes": [{"size": cl.size,
+                         "order": cl.element_order,
+                         "representative": rep,
+                         "members": [members[j] for j in cl.indices.tolist()]}
+                        for cl, rep in zip(classes, reps)]}

@@ -74,15 +74,13 @@ def irrep_dimensions(group) -> IrrepDims:
     |C_l| chi(z_l) / chi(1), z_l in C_l, an eigenvector of every class-sum matrix (c_jlm)_lm,
     c_jlm = #{x in C_j : x^-1 z_m in C_l}, so of one fixed generic combination of them, and
     chi(1)^2 = |G| / sum_l |omega_l|^2 / |C_l|.  The class of z_m x^-1 is read in place of
-    x^-1 z_m's, its conjugate by x, from one n x r replay of the representatives' left
-    products: the n x n table is never built.  Raises ``AmbiguousIrrepDims`` unless every
-    dimension is integral to 1e-6, the squares sum to |G| and the characters meet the first
-    orthogonality relation to 1e-9 |G|."""
-    classes = group.conjugacy_classes()
-    r, n = len(classes), group.order
-    sizes, label = np.array([c.size for c in classes]), np.empty(n, np.intp)
-    label[np.concatenate([c.indices for c in classes])] = np.repeat(np.arange(r), sizes)
-    lm = label[group._left_products(np.array([c.indices[0] for c in classes]))[group.inverses()]]
+    x^-1 z_m's, its conjugate by x, off the n x r left products of the representatives that
+    the class split replayed for element orders: the n x n table is never built.  Raises
+    ``AmbiguousIrrepDims`` unless every dimension is integral to 1e-6, the squares sum to |G|
+    and the characters meet the first orthogonality relation to 1e-9 |G|."""
+    classes, label, powers = group._class_split
+    r, n, sizes = len(classes), group.order, np.array([c.size for c in classes])
+    lm = label[powers[group.inverses()]]
     counts = np.bincount(((label[:, None] * r + lm) * r + np.arange(r)).ravel(), minlength=r ** 3)
     mix = np.random.default_rng(0).standard_normal(r) @ counts.reshape(r, r * r)
     omega = np.linalg.eig(mix.reshape(r, r))[1]

@@ -52,8 +52,6 @@ __all__ = [
 
 MAX_ROOTS = 10_000
 
-GOLDEN = (1 + math.sqrt(5)) / 2
-
 
 class RootSystem:
     """Finite reflection-closed set of unit vectors, with its simple-root seed and, from

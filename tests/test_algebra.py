@@ -30,7 +30,7 @@ from versorlab import (
 )
 import versorlab.algebra
 from versorlab.algebra import KEY_BOUND, find_ids, kernel_for, key_ids, orbit, quantize
-from versorlab.cli import _json_rows
+from versorlab.cli import _clean, _json_rows
 from versorlab.roots import _reflect_pairs
 
 RNG = np.random.default_rng(20260814)
@@ -437,14 +437,14 @@ def test_str_signs_nan_as_not_negative():
 
 def test_to_json_dict_of_a_known_multivector():
     x = 0.5 - 2.0 * blade(SIG31, "e13") + 1e-12 * blade(SIG31, "e2") + 3.0 * blade(SIG31, "e1234")
+    x = x + 1e-9 * blade(SIG31, "e3") - math.nextafter(1e-9, 1.0) * blade(SIG31, "e4")
     d = x.to_json_dict()
-    assert d == {"sig": [3, 1], "coeffs": {"1": 0.5, "e13": -2.0, "e1234": 3.0}}
+    # one rule, |c| > 1e-9: exactly 1e-9 is dropped, the next float up is kept
+    assert d == {"sig": [3, 1], "coeffs": {"1": 0.5, "e13": -2.0, "e4": -math.nextafter(1e-9, 1.0),
+                                           "e1234": 3.0}}
     assert json.loads(json.dumps(d)) == d  # serializable as-is
-    # the CLI's writer, at --tolerance: coefficients below eps are dropped; eps is inclusive
-    at = {eps: json.loads(_json_rows(SIG31, x.coeffs[None], eps, "")[0])["coeffs"]
-          for eps in (1e-12, 1.0)}
-    assert at[1e-12]["e2"] == 1e-12
-    assert at[1.0] == {"e13": -2.0, "e1234": 3.0}
+    # the CLI's writer lists the same coefficients, rounded to 12 decimals
+    assert _json_rows(SIG31, x.coeffs[None], "") == [json.dumps(_clean(d), indent=2)]
 
 
 def test_blade_parsing_variants():

@@ -22,7 +22,9 @@ is left out, and ``modular`` is pinned only by the files above: their low
 digits rest on the platform's libm.  ``h4_digests.json`` pins ``group`` and
 ``classes`` of Spin(H4) in json and csv (H4's seeds, like H3's, are a
 Cholesky factor); CI checks it in child processes, so this suite does not
-pay for H4.
+pay for H4.  ``--tolerance`` does not decide what a listing prints: ``group
+H3`` and ``classes H3 --kind pin`` at 0.4 and 1e-3 must match the default's
+digests.
 
 ``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``, run in
 process: A3's seeds are explicit, so its digits do not depend on LAPACK.
@@ -85,6 +87,19 @@ def test_cli_stdout_matches_digest(command, monkeypatch, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("tolerance", ["0.4", "1e-3"])
+@pytest.mark.parametrize("command", ["group H3 --kind spin", "classes H3 --kind pin"],
+                         ids=["group", "classes"])
+def test_listings_ignore_the_tolerance(command, tolerance, fmt, monkeypatch, capsys):
+    # --tolerance compares and does not print: every listing keeps |c| > 1e-9
+    monkeypatch.setenv("VERSORLAB_SEED", "42")
+    default = command if fmt == "json" else f"{command} --format {fmt}"
+    assert main([*default.split(), "--tolerance", tolerance]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[default]
 
 
 def test_each_format_builds_only_what_it_prints(monkeypatch, capsys):

@@ -36,8 +36,8 @@ from versorlab import (
     spinor_coords,
     vector,
 )
-from versorlab.algebra import (BLOCK, blade_name, kernel_for, lex_sorted, orbit, quantize,
-                               row_keys, vector_rows)
+from versorlab.algebra import (BLOCK, blade_name, find_ids, kernel_for, lex_sorted, orbit,
+                               quantize, row_keys, vector_rows)
 from versorlab.cli import main
 from versorlab.groups import MAX_GROUP
 
@@ -82,23 +82,21 @@ def test_pin_contains_all_root_vectors():
     rs = catalog("B3")
     pin = generate_pin(rs)
     for row in rs.coords:
-        assert pin.contains(vector(SIG3, row))
+        pin.index_of(vector(SIG3, row))  # raises unless an element
 
 
 def test_membership_and_index_errors():
     g = generate_spin(catalog("A1^3"))
     with pytest.raises(VersorlabError):
         g.index_of(blade(SIG3, "e1"))  # odd element, not in spin
-    assert not g.contains(vector(SIG3, [1.0, 0.0, 0.0]))
-    assert g.contains(scalar_mv(SIG3, -1.0))
     arr = g.element_arr()
-    assert g.indices_of(arr[[3, 0]]).tolist() == [3, 0]
-    with pytest.raises(VersorlabError, match="not in the group"):
-        g.indices_of(np.eye(1, 8, 1))  # e1
-    # one row is not a table of rows: the shape is named, not a missing element
-    for bad in (arr[0], arr[:, :4], arr[None]):
-        with pytest.raises(VersorlabError, match=r"expected an \(n, 8\) array, got shape"):
-            g.indices_of(bad)
+    assert arr[g.index_of(scalar_mv(SIG3, -1.0))].tolist() == [-1.0] + [0.0] * 7
+    assert find_ids(arr[[3, 0]], g._lookup).tolist() == [3, 0]
+    assert find_ids(np.eye(1, 8, 1), g._lookup).tolist() == [-1]  # e1
+    # a vector, a short row and a table of rows are no element
+    for bad in (vector(SIG3, [1.0, 0.0, 0.0]), arr[0, :4], arr, arr[None]):
+        with pytest.raises(VersorlabError, match="not in the group"):
+            g.index_of(bad)
 
 
 def test_element_orders():
@@ -356,8 +354,8 @@ def test_group_table_dict_shape():
 
 def test_closure_is_reverse_closed():
     g = generate_spin(catalog("B3"))
-    for v in g.elements[:10]:
-        assert g.contains(v.reverse())
+    for i, v in enumerate(g.elements[:10]):
+        assert g.index_of(v.reverse()) == g.inverses()[i]
 
 
 def test_closure_cap_boundary():
@@ -493,7 +491,8 @@ def reference_table(g) -> np.ndarray:
     rows = []
     while not filled.all():
         s = int(np.argmin(filled))
-        rows.append(g.indices_of(kern.gp_elemwise(arr[s], arr)))
+        rows.append(find_ids(kern.gp_elemwise(arr[s], arr), g._lookup))
+        assert (rows[-1] >= 0).all()
         frontier = np.flatnonzero(filled)
         while frontier.size:
             grown = []
@@ -542,6 +541,15 @@ GRAPH_GROUPS = ([(name, kind) for name in ("A1", "A1^3", "A1^4", "A3", "B3", "D4
 def group_of(name, kind):
     g = (generate_pin if kind in ("pin", "full") else generate_spin)(catalog(name))
     return quotient_by_sign(g) if kind in ("full", "chiral") else g
+
+
+def test_the_class_split_keeps_each_representatives_left_products():
+    # one replay serves element orders and irrep_dimensions: powers[j, c] is the index of
+    # z_c g_j for the representative z_c of ranked class c
+    for g in (group_of("H3", "spin"), group_of("F4", "pin"), group_of("B3", "full")):
+        classes, label, powers = g._class_split
+        assert np.array_equal(powers, g.table[[cl.indices[0] for cl in classes]].T)
+        assert all((label[cl.indices] == c).all() for c, cl in enumerate(classes))
 
 
 def test_building_the_table_peaks_at_most_two_and_a_half_tables():
@@ -682,7 +690,7 @@ def test_lifted_closure_equals_the_float_versor_orbit(name, kind):
     assert np.array_equal(g._negatives, np.arange(g.order)[::-1])
     assert np.array_equal(q._negatives, np.arange(q.order))
     for h in (g, q):
-        assert np.array_equal(h._negatives, h.indices_of(-h.element_arr()))
+        assert np.array_equal(h._negatives, find_ids(-h.element_arr(), h._lookup))
 
 
 @pytest.mark.parametrize("kind", ["pin", "spin"])

@@ -8,10 +8,11 @@ included) or is listed in the module's ``__all__``.  ``__init__.py`` is
 exempt, since its imports are the package's re-exports, and so are
 ``from __future__`` imports.
 
-And one for a dead-code rule: a module-level ``_name`` function or class
-counts as used when some module names it outside its own definition, as an
-identifier where that module's own binding or its ``from .module import``
-resolves to it, or in such an import.
+And one for a dead-code rule: a module-level ``_name`` function or class, and
+every name but a dunder that a module-level assignment binds, counts as used
+when some module reads it outside its own definition, as an identifier where
+that module's own binding or its ``from .module import`` resolves to it, or in
+such an import.
 
 And one for a dead-tolerance rule: an ``eps``, ``tol`` or ``tolerance``
 parameter counts as set when some call in the package passes it a value, by
@@ -51,13 +52,24 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _bound(top) -> list:
+    """The names the dead-code rule checks of a module-level statement: a private
+    function's or class's, and each name an assignment binds."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name] if top.name.startswith("_") else []
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
 def dead_names(sources: dict) -> list:
-    """(module, line, name) of each private module-level function or class in
-    ``sources`` (module name -> source) that no module uses outside its own definition."""
+    """(module, line, name) of each private module-level function or class, and each
+    non-dunder name a module-level assignment binds, in ``sources`` (module name -> source)
+    that no module reads outside its own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    defined = {(module, top.name): top.lineno for module, tree in trees.items() for top in tree.body
-               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
-               and top.name.startswith("_") and not top.name.startswith("__")}
+    defined = {(module, name): top.lineno for module, tree in trees.items() for top in tree.body
+               for name in _bound(top) if not name.startswith("__")}
     used = set()
     for module, tree in trees.items():
         origin = {}  # a name imported from a sibling module -> that module
@@ -69,7 +81,7 @@ def dead_names(sources: dict) -> list:
         for top in tree.body:
             own = getattr(top, "name", None)
             for node in ast.walk(top):
-                if isinstance(node, ast.Name) and node.id != own:
+                if isinstance(node, ast.Name) and node.id != own and not isinstance(node.ctx, ast.Store):
                     used.add(((module if (module, node.id) in defined
                                else origin.get(node.id, module)), node.id))
     return sorted((module, line, name) for (module, name), line in defined.items()
@@ -159,10 +171,13 @@ def test_every_tolerance_parameter_is_set_by_some_call():
 
 def test_dead_name_checker_flags_a_helper_nothing_calls():
     sources = {"a": "def _used():\n    pass\n\n\ndef _dead(n):\n    return _dead(n - 1)\n\n\n"
-                    "class _Gone:\n    pass\n\n\ndef _imported():\n    pass\n\n\nx = _used()\n",
+                    "class _Gone:\n    pass\n\n\ndef _imported():\n    pass\n\n\n"
+                    "LIMIT, _SPARE = 3, 4\n__all__ = ['LIMIT']\nx = _used() + LIMIT\n",
                "b": "from .a import _imported\n\n\ndef _used():\n    return _imported()\n\n\n"
-                    "y = _used()\n"}
-    assert dead_names(sources) == [("a", 5, "_dead"), ("a", 9, "_Gone")]
+                    "y: int = _used()\nprint(y)\n"}
+    # a constant counts as read only where some module loads it; dunders are exempt
+    assert dead_names(sources) == [("a", 5, "_dead"), ("a", 9, "_Gone"), ("a", 17, "_SPARE"),
+                                   ("a", 19, "x")]
 
 
 def test_no_private_function_or_class_is_dead():

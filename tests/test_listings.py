@@ -1,10 +1,10 @@
 """``group`` and ``classes`` listings, written straight from the element arrays,
 against the route they replace.
 
-The references live here only: each element's coefficient dict, every c with
-|c| >= eps, rounded and through ``json.dumps(..., indent=2)``; and the text form
-of a multivector, every c with |c| > DEFAULT_EPS in blade order, magnitudes to
-6 significant digits.  Every catalog group within the caps is checked in all
+The references live here only: each element's coefficient dict, rounded and
+through ``json.dumps(..., indent=2)``, and the text form of a multivector, in
+blade order with magnitudes to 6 significant digits.  Both keep one set of
+coefficients, every c with |c| > DEFAULT_EPS, a NaN included.  Every catalog group within the caps is checked in all
 four kinds, except H4's, whose listings CI pins by digest.
 """
 
@@ -26,7 +26,7 @@ from versorlab import (
     quotient_by_sign,
 )
 from versorlab.algebra import DEFAULT_EPS, _text_rows, blade_name
-from versorlab.cli import _json_rows, main
+from versorlab.cli import _clean, _json_rows, main
 
 NAMES = ("A1", "A1^3", "A1^4", "A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)")
 KINDS = ("pin", "spin", "chiral", "full")
@@ -41,9 +41,9 @@ def clean(obj):
     return [clean(v) for v in obj] if isinstance(obj, list) else obj
 
 
-def reference_dict(sig, values, eps):
+def reference_dict(sig, values):
     return {"sig": [sig.p, sig.q],
-            "coeffs": {blade_name(m): c for m, c in enumerate(values) if abs(c) >= eps}}
+            "coeffs": {blade_name(m): c for m, c in enumerate(values) if not abs(c) <= DEFAULT_EPS}}
 
 
 def reference_str(sig, values):
@@ -54,18 +54,18 @@ def reference_str(sig, values):
         name, mag = blade_name(m), f"{abs(c):.6g}"
         body = mag if name == "1" else (name if mag == "1" else f"{mag}{name}")
         if not terms:
-            terms.append(body if c > 0 else f"-{body}")
+            terms.append(f"-{body}" if c < 0 else body)
         else:
-            terms.append(f"+ {body}" if c > 0 else f"- {body}")
+            terms.append(f"- {body}" if c < 0 else f"+ {body}")
     return " ".join(terms) if terms else "0"
 
 
-def reference_table(g, eps):
+def reference_table(g):
     rows = g.element_arr().tolist()
     return {"kind": g.kind, "order": g.order,
             "classes": [{"size": cl.size, "order": cl.element_order,
-                         "representative": reference_dict(g.sig, rows[cl.indices[0]], eps),
-                         "members": [reference_dict(g.sig, rows[j], eps) for j in cl.indices]}
+                         "representative": reference_dict(g.sig, rows[cl.indices[0]]),
+                         "members": [reference_dict(g.sig, rows[j]) for j in cl.indices]}
                         for cl in g.conjugacy_classes()]}
 
 
@@ -88,8 +88,8 @@ def test_listings_match_the_reference_route(name, kind, capsys):
     classes = g.conjugacy_classes()
     want_json = {
         "group": {"name": name, "kind": g.kind, "signature": [g.sig.p, g.sig.q], "order": g.order,
-                  "elements": [reference_dict(g.sig, values, DEFAULT_EPS) for values in rows]},
-        "classes": {**reference_table(g, DEFAULT_EPS), "name": name},
+                  "elements": [reference_dict(g.sig, values) for values in rows]},
+        "classes": {**reference_table(g), "name": name},
     }
     want_cells = {
         "group": [[str(i), t] for i, t in enumerate(text)],
@@ -105,9 +105,9 @@ def test_listings_match_the_reference_route(name, kind, capsys):
         markdown = cli_out(capsys, cmd, name, "--kind", kind, "--format", "markdown")
         assert markdown.splitlines()[4:] == ["| " + " | ".join(c) + " |" for c in cells[1:]]
     assert [str(v.mv) for v in g.elements] == text
-    assert group_table_dict(g) == reference_table(g, DEFAULT_EPS)
-    assert ([json.loads(row) for row in _json_rows(g.sig, g.element_arr(), 0.0, "")]
-            == clean([reference_dict(g.sig, values, 0.0) for values in rows]))
+    assert group_table_dict(g) == reference_table(g)
+    assert _json_rows(g.sig, g.element_arr(), "") == [
+        json.dumps(_clean(v.mv.to_json_dict()), indent=2) for v in g.elements]
 
 
 SIG3 = Signature(3, 0)
@@ -117,27 +117,34 @@ PLANTED = np.array([
     [-0.0] * 8,
     [1.0, -1.0, 0.5, -0.5, 1e-12, -1e-12, 123456.789, math.nextafter(1e-9, 1.0)],
 ])
+NAN_ROW = [math.nan, -1e-9, -math.nan, 0.0, -math.nextafter(1e-9, 1.0), -0.0, 1e-9, 0.25]
 
 
-@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 0.5])
-@pytest.mark.parametrize("pad", ["", "  ", " " * 8])
-def test_the_writer_keeps_signed_zeros_and_the_eps_boundary_as_the_reference(eps, pad):
-    # -0.0 is listed as 0.0 at eps 0, and a coefficient exactly at eps is kept
-    want = json.dumps(clean([reference_dict(SIG3, values, eps) for values in PLANTED.tolist()]),
+@pytest.mark.parametrize("pad", ["", "  ", " " * 8], ids=["0", "2", "8"])
+def test_the_writer_keeps_signed_zeros_and_the_eps_boundary_as_the_reference(pad):
+    # one rule, |c| > DEFAULT_EPS: exactly 1e-9 is dropped and the next float up
+    # kept, and a signed zero is never listed
+    want = json.dumps(clean([reference_dict(SIG3, values) for values in PLANTED.tolist()]),
                       indent=2).replace("\n", "\n" + pad)
-    rows = _json_rows(SIG3, PLANTED, eps, pad + "  ")
+    rows = _json_rows(SIG3, PLANTED, pad + "  ")
     got = f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
     assert got == want
-    first = json.loads(got)[0]["coeffs"]
-    if eps == 0.0:
-        assert first["1"] == 0.0 and "-0.0" not in got
-    if eps == 1e-9:
-        assert list(first) == ["e1", "e2", "e3", "e23", "e123"]
+    assert _json_rows(SIG3, PLANTED, "") == [
+        json.dumps(_clean(Multivector(SIG3, values).to_json_dict()), indent=2) for values in PLANTED]
+    coeffs = [row["coeffs"] for row in json.loads(got)]
+    assert list(coeffs[0]) == ["e3", "e23", "e123"] and coeffs[1] == coeffs[2] == {}
+    assert list(coeffs[3]) == ["1", "e1", "e2", "e12", "e23", "e123"]
+    assert coeffs[3]["e123"] == 1e-9 and "-0.0" not in got  # rounded to 12 decimals
 
 
 def test_the_text_writer_matches_the_reference_and_str():
-    want = [reference_str(SIG3, values) for values in PLANTED.tolist()]
-    assert _text_rows(SIG3, PLANTED) == want
-    assert [str(Multivector(SIG3, values)) for values in PLANTED] == want
-    # coefficients at DEFAULT_EPS and signed zeros are not printed
+    rows = np.vstack([PLANTED, NAN_ROW])
+    want = [reference_str(SIG3, values) for values in rows.tolist()]
+    assert _text_rows(SIG3, rows) == want
+    assert [str(Multivector(SIG3, values)) for values in rows] == want
+    # coefficients at DEFAULT_EPS and signed zeros are not printed, a NaN is, unsigned
     assert want[:3] == ["0.123457e3 + 0.333333e23 - 2e123", "0", "0"]
+    assert want[4] == "nan + nane2 - 1e-09e3 + 0.25e123"
+    # the dict form keeps the same coefficients as the text form, a NaN among them
+    assert ([list(Multivector(SIG3, values).to_json_dict()["coeffs"]) for values in rows]
+            == [list(reference_dict(SIG3, values)["coeffs"]) for values in rows.tolist()])
