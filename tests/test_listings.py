@@ -120,21 +120,36 @@ PLANTED = np.array([
 NAN_ROW = [math.nan, -1e-9, -math.nan, 0.0, -math.nextafter(1e-9, 1.0), -0.0, 1e-9, 0.25]
 
 
-@pytest.mark.parametrize("pad", ["", "  ", " " * 8], ids=["0", "2", "8"])
-def test_the_writer_keeps_signed_zeros_and_the_eps_boundary_as_the_reference(pad):
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 0.5])
+@pytest.mark.parametrize("pad", ["", "  ", " " * 8])
+def test_the_writer_keeps_signed_zeros_and_the_eps_boundary_as_the_reference(eps, pad):
     # one rule, |c| > DEFAULT_EPS: exactly 1e-9 is dropped and the next float up
-    # kept, and a signed zero is never listed
-    want = json.dumps(clean([reference_dict(SIG3, values) for values in PLANTED.tolist()]),
+    # kept, and a signed zero is never listed; a coefficient at a tolerance eps,
+    # or just above it, is listed by that rule and not by eps
+    planted = np.vstack([PLANTED, [eps, -eps, math.nextafter(eps, 1.0), -0.0,
+                                   1e-9, -math.nextafter(1e-9, 1.0), 0.0, 0.0]])
+    want = json.dumps(clean([reference_dict(SIG3, values) for values in planted.tolist()]),
                       indent=2).replace("\n", "\n" + pad)
-    rows = _json_rows(SIG3, PLANTED, pad + "  ")
+    rows = _json_rows(SIG3, planted, pad + "  ")
     got = f"[\n{pad}  " + f",\n{pad}  ".join(rows) + f"\n{pad}]"
     assert got == want
-    assert _json_rows(SIG3, PLANTED, "") == [
-        json.dumps(_clean(Multivector(SIG3, values).to_json_dict()), indent=2) for values in PLANTED]
+    assert _json_rows(SIG3, planted, "") == [
+        json.dumps(_clean(Multivector(SIG3, values).to_json_dict()), indent=2) for values in planted]
     coeffs = [row["coeffs"] for row in json.loads(got)]
     assert list(coeffs[0]) == ["e3", "e23", "e123"] and coeffs[1] == coeffs[2] == {}
     assert list(coeffs[3]) == ["1", "e1", "e2", "e12", "e23", "e123"]
     assert coeffs[3]["e123"] == 1e-9 and "-0.0" not in got  # rounded to 12 decimals
+    above = ["1", "e1", "e2"] if eps > DEFAULT_EPS else ["e2"] if eps == DEFAULT_EPS else []
+    assert list(coeffs[4]) == above + ["e13"]
+
+
+@pytest.mark.parametrize("eps", ["1e-15", "1e-12", "1e-9", "0.5"])
+def test_every_accepted_tolerance_prints_the_default_listings(eps, capsys):
+    # H3's spin elements have coefficients of size 0.309, below 0.5
+    for cmd in ("group", "classes"):
+        default = cli_out(capsys, cmd, "H3", "--kind", "spin")
+        assert cli_out(capsys, cmd, "H3", "--kind", "spin", "--tolerance", eps) == default
+    assert "0.309016994375" in default
 
 
 def test_the_text_writer_matches_the_reference_and_str():
