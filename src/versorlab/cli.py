@@ -13,10 +13,11 @@ byte-identical across runs: element orderings are canonical upstream and
 floats are rounded to 12 decimals (-0.0 as 0.0).  ``group`` and ``classes``
 are written straight from the element arrays, JSON in ``json.dumps(indent=2)``'s
 layout and csv and markdown as each element's ``str``; every format lists each
-coefficient with |c| > 1e-9: there ``--tolerance`` only bounds the seeds' zero-length
-check.  Randomized checks in ``verify`` read VERSORLAB_SEED (default 42).  Failures
-print one JSON line on stderr and exit 2, even if its reader has left; a reader that
-closes stdout early gets exit 141 (as SIGPIPE), stderr empty.
+coefficient with |c| > 1e-9.  ``roots`` and ``induce`` read their verdicts off the exact
+Coxeter matrix or at ``DEFAULT_EPS``: in all four ``--tolerance`` only bounds the seeds'
+zero-length check.  Randomized checks in ``verify`` read VERSORLAB_SEED (default 42).
+Failures print one JSON line on stderr and exit 2, even if its reader has left; a reader
+that closes stdout early gets exit 141 (as SIGPIPE), stderr empty.
 """
 
 from __future__ import annotations
@@ -146,9 +147,8 @@ def _resolve_group(args):
 
 def _cmd_roots(args):
     rs = _load_rootsystem(args)
-    cm = cartan_matrix(rs)
-    edges = diagram(rs, eps=args.tolerance)
-    integral = cm.is_integral(args.tolerance)
+    cm, edges = cartan_matrix(rs), diagram(rs)
+    integral = bool((rs.coxeter_matrix <= 3).all())  # unit roots: -2cos(pi/m) is whole iff m <= 3
     coord_headers, simple = [f"x{i+1}" for i in range(rs.sig.dim)], set(rs.simple.tolist())
     label = rs.name or "root system"
     return _render(
@@ -169,7 +169,7 @@ def _cmd_roots(args):
             "cartan_matrix": cm.entries.tolist(),
             "cartan_integral": integral,
             "diagram_edges": [{"i": e.i, "j": e.j, "m": e.m} for e in edges],
-            "axioms_ok": check_axioms(rs, eps=args.tolerance).ok,
+            "axioms_ok": check_axioms(rs).ok,
         },
         csv_table=(None, ["index", *coord_headers, "simple"],
                    ([i, *r, i in simple] for i, r in enumerate(rs.coords))))
@@ -245,7 +245,7 @@ def _cmd_induce(args):
             "identification": ind.identification,
             "root_count": ind.root_count,
             "simple_roots_4d": ind.base.simple_coords.tolist(),
-            "axioms_ok": check_axioms(ind.base, eps=args.tolerance).ok,
+            "axioms_ok": check_axioms(ind.base).ok,
             "reflection_agreement": {"pairs_tested": agreement.pairs_tested,
                                      "max_deviation": agreement.max_deviation,
                                      "all_in_group": agreement.all_in_group},

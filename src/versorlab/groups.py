@@ -16,7 +16,7 @@ no float product or search: left products give the lazy ``table[i, j]`` =
 index of g_i g_j and the powers behind element orders; inverses follow
 (g_p s_k)^-1 = s_k^-1 g_p^-1.  Root systems are positive definite, so the
 classes R -> ~G R G are the orbits of x -> s^-1 x s over the generators s,
-ordered by (size, lexicographically smallest quantized representative) to
+ordered by (size, least index), the rows being in quantized lex order, to
 print identically run to run.  The dict of ``Multivector.key()`` bytes that
 looks elements up by value is built on first use; a quotient's holds both signs.
 """
@@ -39,7 +39,6 @@ from .algebra import (
     lex_sorted,
     orbit,
     qkey,
-    quantize,
     row_keys,
     vector_rows,
 )
@@ -160,7 +159,7 @@ class _GroupBase:
 
     @cached_property
     def _class_split(self) -> tuple[tuple["ConjugacyClass", ...], np.ndarray, np.ndarray]:
-        """The classes, ranked by (size, quantized representative), found by labelling each
+        """The classes, ranked by (size, least index), found by labelling each
         element with the least index in its orbit by label propagation; each element's
         ranked class; and ``powers[j, c]`` = index of z_c g_j, z_c the representative of
         class c, whose powers are left multiplications by z_c."""
@@ -172,8 +171,7 @@ class _GroupBase:
             label = label[label]
         by_class = np.argsort(label, kind="stable")
         first = np.unique(label[by_class], return_index=True)[1]
-        members = sorted(np.split(by_class, first[1:]),
-                         key=lambda m: (m.size, tuple(quantize(arr[m[0]]))))
+        members = sorted(np.split(by_class, first[1:]), key=lambda m: (m.size, m[0]))
         reps, cols = np.array([m[0] for m in members]), np.arange(len(members))
         powers = self._left_products(reps)
         acc, rep_orders, k = reps, np.zeros(reps.size, dtype=np.intp), 1

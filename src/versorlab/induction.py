@@ -37,7 +37,7 @@ from .algebra import (
     row_keys,
 )
 from .errors import SymmetrySweepFailure, VersorlabError
-from .groups import VersorGroup, _order, _spinor_coords
+from .groups import VersorGroup, _spinor_coords
 from .roots import RootSystem, catalog
 
 __all__ = [
@@ -139,10 +139,8 @@ def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
 
 
 def _coxeter_matrix(rs: RootSystem) -> tuple:
-    """m_ab = the order of s_a s_b on the roots; of its relabellings m[o_a, o_b], the least."""
-    refl = rs.simple_reflections()[1]
-    m = _order(np.take_along_axis(refl[:, None], refl[None], axis=-1))  # s_a s_b: s_b, then s_a
-    o = np.array(list(itertools.permutations(range(rs.rank))))
+    """Of the relabellings m[o_a, o_b] of ``rs.coxeter_matrix``, the least."""
+    m, o = rs.coxeter_matrix, np.array(list(itertools.permutations(range(rs.rank))))
     return min(map(tuple, m[o[:, :, None], o[:, None]].reshape(len(o), -1).tolist()))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -57,7 +58,7 @@ class RootSystem:
     """Finite reflection-closed set of unit vectors, with its simple-root seed and, from
     ``close_roots``, its closure's reflection graph: ``simple[k]``, the row of simple root k,
     and ``reflections[k, i]``, the row of root i reflected in simple root k.  A system built
-    by hand has neither, and Pin, Spin and ``coxeter_number``, which read them, refuse it."""
+    by hand has neither, and Pin, Spin, ``coxeter_matrix`` and all else that reads them refuse it."""
 
     def __init__(self, sig: Signature, simple_coords: np.ndarray, coords: np.ndarray,
                  name: Optional[str] = None, simple=None, reflections=None):
@@ -78,6 +79,20 @@ class RootSystem:
             raise VersorlabError(f"{self!r} was built by hand and has no reflection graph; "
                                  "build it with close_roots or catalog")
         return self.simple, self.reflections
+
+    @cached_property
+    def coxeter_matrix(self) -> np.ndarray:
+        """Read-only m[a, b], the order of s_a s_b (Humphreys 1990, 5.3), 1 on the diagonal.
+        s_a s_b rotates the plane of simple roots a and b and fixes its complement, so m_ab is
+        the least k with (s_a s_b)^k a = a: one gather per step on the graph, every pair at once."""
+        simple, refl = self.simple_reflections()
+        a, b = np.indices((self.rank, self.rank))
+        m, x, k = np.zeros(a.shape, dtype=np.intp), simple[a], 0
+        while not m.all():  # each s_a s_b permutes the roots, so every pair returns
+            x, k = refl[a, refl[b, x]], k + 1
+            m[(m == 0) & (x == simple[a])] = k
+        m.setflags(write=False)
+        return m
 
     @property
     def rank(self) -> int:
@@ -158,7 +173,7 @@ class AxiomReport(NamedTuple):
         return self.scalar_multiples_ok and self.reflection_closed
 
 
-def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
+def check_axioms(roots) -> AxiomReport:
     """Check the two defining axioms on an explicit root set.
 
     Axiom 1: the only scalar multiples of a root in the set are itself and
@@ -167,8 +182,8 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     scan over (mirror, root) pairs in row order, skipping row i where the
     first row with -row i's key is earlier and exactly -row i: as a mirror it
     repeats that row's images and, with every antipode present, as a root it
-    fails where that row does.  E8 thus makes 14 400 images, not 57 600.
-    ``roots``: non-empty 2-D, rows of length in (0, ``KEY_BOUND``); ``eps``: finite, >= 0.
+    fails where that row does.  E8 thus makes 14 400 images, not 57 600.  Parallel means
+    within ``DEFAULT_EPS``.  ``roots``: non-empty 2-D, rows of length in (0, ``KEY_BOUND``).
     """
     coords = roots.coords if isinstance(roots, RootSystem) else np.asarray(roots, np.float64)
     with np.errstate(over="ignore"):
@@ -176,7 +191,6 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
     if norms is None or not ((norms > 0) & (norms < KEY_BOUND)).all():  # NaN fails both
         raise VersorlabError("roots must be a non-empty 2-D array of finite coordinate rows "
                              f"with lengths above 0 and below KEY_BOUND = {KEY_BOUND:.4g}")
-    _check_eps(eps)
     n, d = coords.shape
     index = {}
     # ids[j] == neg_ids[i] iff root j has the quantized key of -root i
@@ -192,7 +206,7 @@ def check_axioms(roots, eps: float = DEFAULT_EPS) -> AxiomReport:
         rows = np.arange(i0, min(i0 + step, n))
         if scalar_bad is None:
             # parallel pairs must be exact antipodes; the antipode is tested first
-            par = np.abs(np.abs(coords[rows] @ coords.T) - norms[rows, None] * norms) <= eps
+            par = np.abs(np.abs(coords[rows] @ coords.T) - norms[rows, None] * norms) <= DEFAULT_EPS
             par[np.arange(rows.size), rows] = False
             bad = np.column_stack([neg_ids[rows] < 0, par & (ids != neg_ids[rows, None])])
             hits = np.argwhere(bad)
@@ -227,9 +241,8 @@ class CartanMatrix:
     def rank(self) -> int:
         return self.entries.shape[0]
 
-    def is_integral(self, eps: float = DEFAULT_EPS) -> bool:
-        _check_eps(eps)
-        return bool(np.max(np.abs(self.entries - np.round(self.entries))) <= eps)
+    def is_integral(self) -> bool:
+        return bool(np.max(np.abs(self.entries - np.round(self.entries))) <= DEFAULT_EPS)
 
     def __repr__(self):
         return f"CartanMatrix({np.round(self.entries, 6).tolist()})"
@@ -247,32 +260,22 @@ class DiagramEdge(NamedTuple):
     m: int
 
 
-def diagram(rs: RootSystem, eps: float = DEFAULT_EPS) -> list[DiagramEdge]:
-    """Coxeter diagram edges (i, j, m) for simple roots at angle pi - pi/m.
-
-    Orthogonal pairs produce no edge: a cosine within eps, or within 1e-15 at
-    any eps (A3's orthogonal pair has -4.3e-17).  Any other pair must sit at an
-    obtuse angle of the form pi - pi/m for an integer 3 <= m <= 1000.
-    """
-    _check_eps(eps)
-    s = rs.simple_coords
-    norms = np.linalg.norm(s, axis=1)
-    edges = []
+def diagram(rs: RootSystem) -> list[DiagramEdge]:
+    """Coxeter diagram edges (i, j, m), 1-based, for each pair with m > 2 in
+    ``rs.coxeter_matrix``.  Each pair of simple roots must sit at the angle pi - pi/m its m
+    names: a cosine within ``DEFAULT_EPS`` of 0 for m = 2, else pi / acos(-cos) within 1e-6 m
+    of m.  An acute or non-simple seed raises ValueError naming the pair."""
+    s, m, edges = rs.simple_coords, rs.coxeter_matrix.tolist(), []
+    cos = (s @ s.T).tolist()  # unit roots
     for i in range(rs.rank):
         for j in range(i + 1, rs.rank):
-            c = float(s[i] @ s[j] / (norms[i] * norms[j]))
-            if abs(c) <= max(eps, 1e-15):  # rounding of a unit cosine, the CLI's floor
+            c, mij = cos[i][j], m[i][j]
+            if mij == 2 and abs(c) <= DEFAULT_EPS:
                 continue
-            if c > 0 or c <= -1:
-                raise ValueError(
-                    f"simple roots {i + 1},{j + 1} are not at an angle pi - pi/m (cos = {c})")
-            m_real = math.pi / math.acos(-c)
-            m = round(m_real)
-            if m < 3 or m > 1000 or abs(m_real - m) > 1e-6 * m:
-                raise ValueError(
-                    f"simple roots {i + 1},{j + 1} sit at angle with pi/(pi - angle) = {m_real}, "
-                    "not an integer branch label")
-            edges.append(DiagramEdge(i + 1, j + 1, m))
+            if not (mij > 2 and -1 < c < 0 and abs(math.pi / math.acos(-c) - mij) <= 1e-6 * mij):
+                raise ValueError(f"simple roots {i + 1},{j + 1} are not at the angle "
+                                 f"pi - pi/{mij} of their Coxeter label (cos = {c})")
+            edges.append(DiagramEdge(i + 1, j + 1, mij))
     return edges
 
 

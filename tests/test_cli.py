@@ -1,6 +1,7 @@
 """End-to-end tests for the versorlab command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -64,6 +65,19 @@ def test_roots_from_file(tmp_path, capsys):
     d = run_json(capsys, "roots", str(f))
     assert d["name"] == "custom-B2"
     assert d["root_count"] == 8
+
+
+@pytest.mark.parametrize("angle, m", [(math.pi / 3, 3), (3 * math.pi / 5, 5)],
+                         ids=["acute", "non-simple"])
+def test_a_seed_file_off_its_coxeter_angle_names_the_pair(angle, m, tmp_path, capsys):
+    # A2's mirrors at 60 degrees, I2(5)'s at 108: each closes, but diagram refuses the pair
+    f = tmp_path / "seed.json"
+    f.write_text(json.dumps({"simple_roots": [[1.0, 0.0], [math.cos(angle), math.sin(angle)]]}))
+    rc, out, err = run_cli(capsys, "roots", str(f))
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    payload = json.loads(err)
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith(f"simple roots 1,2 are not at the angle pi - pi/{m} ")
 
 
 def test_group_kind_orders(capsys):

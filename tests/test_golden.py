@@ -24,10 +24,12 @@ digits rest on the platform's libm.  ``h4_digests.json`` pins ``group`` and
 Cholesky factor); CI checks it in child processes, so this suite does not
 pay for H4.  ``--tolerance`` does not decide what a listing prints: ``group
 H3`` and ``classes H3 --kind pin`` at 0.4 and 1e-3 must match the default's
-digests.
+digests, and so must ``roots`` and ``induce`` at 0.1, 0.5 and 0.99.
 
-``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``, run in
-process: A3's seeds are explicit, so its digits do not depend on LAPACK.
+``demo_02.txt`` is the stdout of ``demos/02_root_systems.py``, run in process:
+its diagrams, Cartan matrix and axiom verdict, and H3's inner products to 6
+decimals.  ``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``,
+run in process: A3's seeds are explicit, so its digits do not depend on LAPACK.
 ``demo_05.txt`` is the stdout of ``demos/05_ade_numerology.py``, which prints
 only integers and labels.
 """
@@ -102,6 +104,18 @@ def test_listings_ignore_the_tolerance(command, tolerance, fmt, monkeypatch, cap
     assert hashlib.sha256(out).hexdigest() == DIGESTS[default]
 
 
+@pytest.mark.parametrize("tolerance", ["0.1", "0.5", "0.99"])
+@pytest.mark.parametrize("command", [f"roots {n}" for n in ("A3", "B3", "F4", "H4", "E8", "I2(7)")]
+                         + [f"induce {n}" for n in ("A1^3", "A3", "B3", "H3")])
+def test_roots_and_induce_ignore_the_tolerance(command, tolerance, monkeypatch, capsys):
+    # the diagram, cartan_integral and axioms_ok are read at fixed bounds: --tolerance
+    # reaches these only through the seeds' zero-length check
+    monkeypatch.setenv("VERSORLAB_SEED", "42")
+    assert main([*command.split(), "--tolerance", tolerance]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
+
+
 def test_each_format_builds_only_what_it_prints(monkeypatch, capsys):
     # json never writes an element's text form, csv and markdown never its JSON form,
     # and no format goes through Multivector's own str or JSON form
@@ -129,6 +143,10 @@ def _demo_stdout(script: str) -> bytes:
     with contextlib.redirect_stdout(out):
         runpy.run_path(str(DEMOS / script), run_name="__main__")
     return out.getvalue().encode()
+
+
+def test_demo_02_stdout_matches_golden():
+    assert _demo_stdout("02_root_systems.py") == (GOLDEN / "demo_02.txt").read_bytes()
 
 
 def test_demo_03_stdout_matches_golden():

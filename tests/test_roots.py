@@ -25,6 +25,7 @@ from versorlab import (
 import versorlab.algebra
 import versorlab.roots
 from versorlab.algebra import KEY_BOUND, find_ids, key_ids, qkey, row_keys
+from versorlab.groups import _order
 from versorlab.roots import _reflect_pairs
 
 # name -> (rank, root count)
@@ -358,18 +359,8 @@ def test_axiom_check_keys_roots_just_inside_the_key_range():
     assert report.scalar_multiples_ok and not report.reflection_closed
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-12])
-def test_axiom_check_rejects_a_bad_eps(eps):
-    with pytest.raises(VersorlabError, match=r"^eps must be finite and >= 0"):
-        check_axioms(catalog("A3"), eps=eps)
-    assert check_axioms(catalog("A3"), eps=0.0).ok
-
-
 _EPS_TAKERS = {
-    "check_axioms": lambda eps: check_axioms(catalog("A3"), eps=eps),
     "close_roots": lambda eps: close_roots([[1.0, 0.0], [0.0, 1.0]], eps=eps),
-    "diagram": lambda eps: diagram(catalog("B3"), eps=eps),  # B3's orthogonal pair is exact
-    "is_integral": lambda eps: cartan_matrix(catalog("A3")).is_integral(eps),
 }
 
 
@@ -427,25 +418,69 @@ def test_diagram_edges():
     assert len(d4) == 3 and all(m == 3 for _, _, m in d4)
 
 
-def test_diagram_reads_a_rounded_orthogonal_pair_at_any_eps():
-    # A3's pair 1,3 has a cosine of -4.3e-17, not 0: a cosine within float
-    # rounding of 0 counts as orthogonal even at eps = 0
-    for name in [n for n in catalog_names() if n != "I2(n)"] + ["I2(5)", "I2(7)"]:
-        assert diagram(catalog(name), eps=0.0) == diagram(catalog(name)), name
-    # past the rounding floor eps still decides
-    sig = Signature(2, 0)
-    c = 1e-12  # a pair 1e-12 off orthogonal
-    rs = RootSystem(sig, np.array([[1.0, 0.0], [-c, math.sqrt(1 - c * c)]]), np.eye(2))
-    assert diagram(rs) == []
-    with pytest.raises(ValueError, match="not an integer branch label"):
-        diagram(rs, eps=1e-13)
+# every catalog name, with I2 as I2(5), I2(7), I2(12) and I2(60)
+MATRIX_NAMES = [n for n in catalog_names() if n != "I2(n)"] + [f"I2({m})" for m in (5, 7, 12, 60)]
+
+
+def assert_matrix_reads_the_diagram(rs):
+    # the reference: the order of each whole permutation s_a s_b (s_b, then s_a), all r^2 pairs
+    refl = rs.simple_reflections()[1]
+    m = rs.coxeter_matrix
+    assert np.array_equal(m, _order(np.take_along_axis(refl[:, None], refl[None], axis=-1))), rs
+    edges = [(i + 1, j + 1, int(m[i, j])) for i in range(rs.rank)
+             for j in range(i + 1, rs.rank) if m[i, j] > 2]
+    got = diagram(rs)
+    assert got == edges, rs
+    assert all(type(x) is int for e in got for x in e)
+
+
+@pytest.mark.parametrize("name", MATRIX_NAMES)
+def test_coxeter_matrix_is_the_order_of_each_pair_and_gives_the_diagram(name):
+    assert_matrix_reads_the_diagram(catalog(name))
+
+
+@pytest.mark.parametrize("src", ["A1^3", "A3", "B3", "H3"])
+def test_coxeter_matrix_of_an_induced_base_gives_its_diagram(src):
+    assert_matrix_reads_the_diagram(induce_4d(generate_spin(catalog(src))).base)
+
+
+def test_diagram_reads_the_graph_not_the_other_coordinates():
+    # the same simple rows and graph, every other root moved: the same matrix and diagram
+    rs = catalog("F4")
+    coords = rs.coords + np.random.default_rng(5).normal(scale=0.3, size=rs.coords.shape)
+    coords[rs.simple] = rs.coords[rs.simple]
+    moved = RootSystem(rs.sig, rs.simple_coords, coords, simple=rs.simple.copy(),
+                       reflections=rs.reflections.copy())
+    assert np.array_equal(moved.coxeter_matrix, rs.coxeter_matrix)
+    assert diagram(moved) == diagram(rs) == [(1, 2, 3), (2, 3, 4), (3, 4, 3)]
+
+
+def test_coxeter_matrix_is_read_only():
+    m = catalog("H3").coxeter_matrix
+    assert m.tolist() == [[1, 5, 2], [5, 1, 3], [2, 3, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        m[0, 1] = 3
+    assert catalog("A1").coxeter_matrix.tolist() == [[1]]
+
+
+def test_diagram_refuses_a_system_built_by_hand():
+    rs = RootSystem(Signature(2, 0), np.eye(2), np.vstack([np.eye(2), -np.eye(2)]))
+    with pytest.raises(VersorlabError, match="built by hand and has no reflection graph"):
+        diagram(rs)
 
 
 def test_diagram_rejects_acute_simple_roots():
-    sig = Signature(2, 0)
-    rs = RootSystem(sig, np.array([[1.0, 0.0], [0.8, 0.6]]), np.eye(2))
-    with pytest.raises(ValueError):
+    # an acute A2 seed closes to A2's six roots, but its pair is not at pi - pi/3
+    rs = close_roots([[1.0, 0.0], [0.5, math.sqrt(3) / 2]])
+    assert rs.root_count == 6 and rs.coxeter_matrix[0, 1] == 3
+    with pytest.raises(ValueError, match=r"^simple roots 1,2 are not at the angle pi - pi/3 "):
         diagram(rs)
+
+
+def test_diagram_reads_a_pair_1e_12_off_orthogonal_as_orthogonal():
+    c = 1e-12
+    rs = close_roots([[1.0, 0.0], [-c, math.sqrt(1 - c * c)]])
+    assert rs.root_count == 4 and diagram(rs) == []
 
 
 def test_catalog_unknown_name():
