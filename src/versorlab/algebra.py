@@ -14,7 +14,8 @@ Two numbers decide sameness and closeness:
   and ``find_ids`` all compare keys.  Quantities in this package (halves,
   1/sqrt(2), the golden ratio, ...) sit far from cell boundaries.
 * ``DEFAULT_EPS`` (1e-9): tolerance of every floating comparison, ``close_to``
-  among them, unless a caller passes another (the CLI's ``--tolerance``).
+  among them; only ``cga2d``'s conformal checks take another (the CLI's
+  ``modular --tolerance``).
 
 The package's one set of key helpers sits next to ``quantize``: ``row_keys``
 (a void view of quantized rows), ``lex_order``, and one dict of key bytes
@@ -439,9 +440,9 @@ class Multivector:
     def __hash__(self):
         return hash((self.sig, self.key()))
 
-    def close_to(self, other: "Multivector", eps: float = DEFAULT_EPS) -> bool:
-        _check_eps(eps)
-        return self.sig == other.sig and float(np.max(np.abs(self.coeffs - other.coeffs))) <= eps
+    def close_to(self, other: "Multivector") -> bool:
+        return (self.sig == other.sig
+                and float(np.max(np.abs(self.coeffs - other.coeffs))) <= DEFAULT_EPS)
 
     # -- formatting / serialization ------------------------------------------
 

@@ -20,16 +20,16 @@ tau -> -1/tau and tau -> tau + 1, which is checked against independent
 complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
 versors is a double cover of the group of maps, -1 acting as the identity.
 
-Every map acts through term plans, the nonzero terms of the sandwich ~A X A off the
-kernel's sign table, in its einsum's order (from +0.0 by ascending index; a zero term
-changes no partial sum).  The letters S, T, t = T^-1 have theirs ``exec``'d at import as
-straight-line steps, ``0.0 + z2 * 1.0 + z0 * -0.5 + ...`` (a float's ``repr`` reads back
-as that float); ``ConformalVersor.apply`` runs any other versor's in a plain loop, over
-all 16 blades of a point with stray off-grade coefficients within DEFAULT_EPS (past it,
-``sandwich``'s grade-1 ``ValueError``).  Points are four floats, checked as
-``ConformalPoint`` checks them, that raise every error themselves: one failing a check
-is built for ``ConformalPoint`` to refuse.  ``translator``, ``rotation``, ``dilator``
-and ``special_conformal`` write the floats of their multivector expressions.
+The letters S, T, t = T^-1 act through term plans, the nonzero terms of the sandwich
+~A X A off the kernel's sign table, in its einsum's order (from +0.0 by ascending index;
+a zero term changes no partial sum), ``exec``'d at import as straight-line steps,
+``0.0 + z2 * 1.0 + z0 * -0.5 + ...`` (a float's ``repr`` reads back as that float), so
+they give the floats of ``ConformalVersor.apply``, which takes any versor through the
+kernel's two products, over all 16 blades of a point with stray off-grade coefficients
+within DEFAULT_EPS (past it, ``sandwich``'s grade-1 ``ValueError``).  Points are four
+floats, checked as ``ConformalPoint`` checks them, that raise every error themselves: one
+failing a check is built for ``ConformalPoint`` to refuse.  ``translator``, ``rotation``,
+``dilator`` and ``special_conformal`` write the floats of their multivector expressions.
 """
 
 from __future__ import annotations
@@ -208,23 +208,6 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
     return (float(Y[1]), float(Y[2]))  # e1, e2
 
 
-_SIGN, _REV = _KERNEL.sign.tolist(), _KERNEL.rev_sign.tolist()
-# per blade a of A: each blade b of X's (a ^ b, b, sign of A_a X_b in ~A X), and each
-# grade-1 blade b's (a ^ b, b's index, sign of (~A X)_(a^b) A_a in (~A X) A)
-_INNER = [[(a ^ b, b, _REV[a] * _SIGN[a][a ^ b]) for b in range(16)] for a in range(16)]
-_VECTOR_INNER = [_COORDS(row) for row in _INNER]  # the rows of X's grade-1 blades
-_OUTER = [[(a ^ b, i, _SIGN[a ^ b][b]) for i, b in enumerate(_GRADE1)] for a in range(16)]
-
-
-def _terms(A: list, inner_rows: list = _VECTOR_INNER):
-    """~A X A's grade-1 terms, in the kernel's order, from A's nonzero coefficients: (blade
-    u of ~A X, X's blade in ``inner_rows``, +-coefficient), then (u, the image's index,
-    +-coefficient).  An odd A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
-    nonzero = [(a, c) for a, c in enumerate(A) if c != 0.0]
-    inner = [(u, b, c * s) for a, c in nonzero for u, b, s in inner_rows[a]]
-    return inner, sorted([(u, i, c * s) for a, c in nonzero for u, i, s in _OUTER[a]])
-
-
 def _checked(y: Sequence[float], eps: float) -> tuple:
     """``apply``'s renormalization of an image's e1..e4 floats and its checks, those of
     ``_on_cone`` inline: the point's floats and -1 / (Y . n).  An image at infinity, Y . n = 0
@@ -259,20 +242,16 @@ class ConformalVersor:
         return self.v.mv
 
     def apply(self, p: ConformalPoint) -> ConformalPoint:
-        """Sandwich and renormalize back to X . n = -1: the terms on the point's floats, each
-        sum from 0.0 term by term, over all 16 blades if stray off-grade coefficients are
-        within DEFAULT_EPS (exact zeros add nothing), or ``sandwich``'s error if one is past."""
-        X = p.X.coeffs.tolist()
-        if any(stray := _OTHERS(X)) and max(map(abs, stray)) > DEFAULT_EPS:
+        """Sandwich ~A X A by the kernel's products and renormalize back to X . n = -1,
+        stray off-grade coefficients of X within DEFAULT_EPS included, or ``sandwich``'s
+        error if one is past.  An odd A's sign is left out, as in ``_term_plan``."""
+        X = p.X.coeffs
+        if any(stray := _OTHERS(X.tolist())) and max(map(abs, stray)) > DEFAULT_EPS:
             raise ValueError("sandwich expects a grade-1 argument")
-        inner, outer = _terms(self.mv.coeffs.tolist(), _INNER if any(stray) else _VECTOR_INNER)
-        u, y = [0.0] * _KERNEL.D, [0.0] * 4
-        for j, b, c in inner:
-            u[j] += X[b] * c
-        for j, i, c in outer:
-            y[i] += u[j] * c
-        z, r = _checked(y, DEFAULT_EPS)  # the zero blades times -1 / (Y . n), an odd Y negated
-        return _point(z, 0.0 * (-r if self.v.parity else r))
+        A = self.mv.coeffs
+        y = _KERNEL.gp(_KERNEL.gp(A * _KERNEL.rev_sign, X), A)
+        z, r = _checked(_COORDS(y.tolist()), DEFAULT_EPS)  # the zero blades times -1 / (Y . n),
+        return _point(z, 0.0 * (-r if self.v.parity else r))  # an odd Y negated
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
         if not isinstance(other, ConformalVersor):
@@ -363,15 +342,26 @@ def modular_T() -> ConformalVersor:
     return translator(1.0, 0.0)
 
 
+_SIGN, _REV = _KERNEL.sign.tolist(), _KERNEL.rev_sign.tolist()
+# per blade a of A, for each grade-1 blade b, i its index: (a ^ b, i, sign of A_a X_b in
+# ~A X), and (a ^ b, i, sign of (~A X)_(a^b) A_a in (~A X) A)
+_INNER = [[(a ^ b, i, _REV[a] * _SIGN[a][a ^ b]) for i, b in enumerate(_GRADE1)]
+          for a in range(16)]
+_OUTER = [[(a ^ b, i, _SIGN[a ^ b][b]) for i, b in enumerate(_GRADE1)] for a in range(16)]
+
+
 def _term_plan(versor: ConformalVersor):
-    """``versor``'s terms as one straight-line ``step(z0, z1, z2, z3)``: each sum
-    written out from 0.0 in the terms' order, each coefficient as its ``repr``."""
-    inner, outer = _terms(versor.mv.coeffs.tolist())
+    """``versor``'s grade-1 sandwich ~A X A as one straight-line ``step(z0, z1, z2, z3)``:
+    A's nonzero coefficients' terms, each sum (a blade u of ~A X, then an image coordinate)
+    written out from 0.0 in the kernel's order, each coefficient as its ``repr``.  An odd
+    A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
+    nonzero = [(a, c) for a, c in enumerate(versor.mv.coeffs.tolist()) if c != 0.0]
     blades, images = {}, [["0.0"] for _ in _GRADE1]
-    for j, b, c in inner:  # repr of a float reads back as that float
-        blades.setdefault(j, ["0.0"]).append(f"z{_GRADE1.index(b)} * {c!r}")
-    for j, i, c in outer:
-        images[i].append(f"u{j} * {c!r}")
+    for a, c in nonzero:  # repr of a float reads back as that float
+        for u, i, s in _INNER[a]:
+            blades.setdefault(u, ["0.0"]).append(f"z{i} * {c * s!r}")
+    for u, i, c in sorted([(u, i, c * s) for a, c in nonzero for u, i, s in _OUTER[a]]):
+        images[i].append(f"u{u} * {c!r}")
     exec("\n    ".join(["def step(z0, z1, z2, z3):",
                         *(f"u{j} = {' + '.join(terms)}" for j, terms in blades.items()),
                         "return " + ", ".join(" + ".join(terms) for terms in images)]),

@@ -13,9 +13,9 @@ byte-identical across runs: element orderings are canonical upstream and
 floats are rounded to 12 decimals (-0.0 as 0.0).  ``group`` and ``classes``
 are written straight from the element arrays, JSON in ``json.dumps(indent=2)``'s
 layout and csv and markdown as each element's ``str``; every format lists each
-coefficient with |c| > 1e-9.  ``roots`` and ``induce`` read their verdicts off the exact
-Coxeter matrix or at ``DEFAULT_EPS``: in all four ``--tolerance`` only bounds the seeds'
-zero-length check.  Randomized checks in ``verify`` read VERSORLAB_SEED (default 42).
+coefficient with |c| > 1e-9.  Only ``modular`` takes ``--tolerance``: it bounds the
+conformal point checks and the point-at-infinity test.  Randomized checks in ``verify``
+read VERSORLAB_SEED (default 42).
 Failures print one JSON line on stderr and exit 2, even if its reader has left; a reader
 that closes stdout early gets exit 141 (as SIGPIPE), stderr empty.
 """
@@ -126,15 +126,15 @@ def _cap(args, default: int) -> int:
 
 
 def _load_rootsystem(args):
-    spec, eps, max_roots = args.system, args.tolerance, _cap(args, MAX_ROOTS)
+    spec, max_roots = args.system, _cap(args, MAX_ROOTS)
     try:
-        return catalog(spec, eps=eps, max_roots=max_roots)
+        return catalog(spec, max_roots=max_roots)
     except UnknownCatalogName:
         pass
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return rootsystem_from_dict(data, eps=eps, max_roots=max_roots)
+        return rootsystem_from_dict(data, max_roots=max_roots)
     raise UnknownCatalogName(f"{spec!r} is not a catalog name "
                              f"({', '.join(catalog_names())}) or a readable file")
 
@@ -271,6 +271,8 @@ def _cmd_mckay(args):
 
 
 def _cmd_modular(args):
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 1e-15):
+        raise VersorlabError(f"--tolerance must be finite and >= 1e-15, got {args.tolerance}")
     if not (math.isfinite(args.x1) and math.isfinite(args.x2)):
         raise VersorlabError("tau must be finite")
     report = word_report(args.word, (args.x1, args.x2), eps=args.tolerance)
@@ -285,7 +287,7 @@ def _cmd_modular(args):
 
 
 def _cmd_verify(args):
-    report = run_battery(seed=_seed(), tolerance=args.tolerance)
+    report = run_battery(seed=_seed())
     return _render(
         args.format, f"Verification battery: {report.passed} passed, {report.failed} failed "
                      f"(seed {report.seed})",
@@ -293,7 +295,7 @@ def _cmd_verify(args):
           ((r.name, "PASS" if r.passed else "FAIL", r.detail) for r in report.results))],
         lambda: {
             "seed": report.seed,
-            "tolerance": report.tolerance,
+            "tolerance": DEFAULT_EPS,
             "passed": report.passed,
             "failed": report.failed,
             "ok": report.ok,
@@ -318,8 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, closure=True):
         p.add_argument("--format", choices=("json", "csv", "markdown"),
                        default="json", help="output format (default json)")
-        p.add_argument("--tolerance", type=float, default=DEFAULT_EPS,
-                       help="numerical comparison tolerance (default 1e-9)")
         if closure:
             p.add_argument("--max-closure", type=int, default=None,
                            help="cap on closure enumeration size")
@@ -354,6 +354,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x1", type=float, help="real part of tau")
     p.add_argument("x2", type=float, help="imaginary part of tau (> 0)")
     common(p, closure=False)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_EPS,
+                   help="bound of the conformal point checks and of the point-at-infinity "
+                        "test (default 1e-9)")
     p.set_defaults(fn=_cmd_modular)
 
     p = sub.add_parser("verify", help="run the invariant battery")
@@ -366,8 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if not (math.isfinite(args.tolerance) and args.tolerance >= 1e-15):
-            raise VersorlabError(f"--tolerance must be finite and >= 1e-15, got {args.tolerance}")
         if getattr(args, "max_closure", None) is not None and args.max_closure < 1:
             raise VersorlabError(f"--max-closure must be >= 1, got {args.max_closure}")
         text, code = args.fn(args)

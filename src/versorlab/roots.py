@@ -28,7 +28,6 @@ from .algebra import (
     Multivector,
     Signature,
     _check_cap,
-    _check_eps,
     find_ids,
     key_ids,
     lex_sorted,
@@ -118,7 +117,7 @@ def _reflect_pairs(roots: np.ndarray, mirrors: np.ndarray) -> np.ndarray:
 
 
 def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional[str] = None,
-                eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> RootSystem:
+                max_roots: int = MAX_ROOTS) -> RootSystem:
     """Reflection closure of +-(normalized simple roots).
 
     The orbit of +-simple under the reflections in the simple mirrors.  The
@@ -138,13 +137,12 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
         raise ValueError("root systems require a positive-definite signature")
     if simple.shape[1] != sig.dim:
         raise ValueError("coordinate length does not match signature dimension")
-    _check_eps(eps)
     _check_cap("max_roots", max_roots)
     norms = np.linalg.norm(simple, axis=1)
-    if np.any(short := norms < eps):
+    if np.any(short := norms < DEFAULT_EPS):
         i = int(np.argmax(short))
         raise ValueError(f"simple root {i + 1} has length {float(norms[i])!r}, below the "
-                         f"tolerance {eps!r}")
+                         f"tolerance {DEFAULT_EPS!r}")
     if np.linalg.matrix_rank(simple, tol=1e-8) < simple.shape[0]:
         raise ValueError("simple roots must be linearly independent")
     simple = simple / norms[:, None]
@@ -332,16 +330,15 @@ def _catalog_seed(name: str) -> np.ndarray:  # the name's standard simple roots,
         f"unknown root system {name!r}; known: {', '.join(catalog_names())}")
 
 
-def catalog(name: str, eps: float = DEFAULT_EPS, max_roots: int = MAX_ROOTS) -> RootSystem:
+def catalog(name: str, max_roots: int = MAX_ROOTS) -> RootSystem:
     """Build a named root system by closing its standard simple-root seed."""
-    return close_roots(_catalog_seed(name), name=name, eps=eps, max_roots=max_roots)
+    return close_roots(_catalog_seed(name), name=name, max_roots=max_roots)
 
 
 # -- serialization -------------------------------------------------------------
 
 
-def rootsystem_from_dict(d: dict, eps: float = DEFAULT_EPS,
-                         max_roots: int = MAX_ROOTS) -> RootSystem:
+def rootsystem_from_dict(d: dict, max_roots: int = MAX_ROOTS) -> RootSystem:
     """Close ``{"simple_roots": [...], "sig": [p, q], "name": ...}`` (the last two optional);
     a wrong field type raises ``VersorlabError`` and a bad number ``np.asarray``'s ValueError."""
     if not isinstance(d, dict):
@@ -358,4 +355,4 @@ def rootsystem_from_dict(d: dict, eps: float = DEFAULT_EPS,
         simple = np.asarray(d["simple_roots"], dtype=np.float64)
     except TypeError:  # an object or a list where a number belongs
         raise VersorlabError('"simple_roots" must be a list of coordinate rows') from None
-    return close_roots(simple, sig, name=d.get("name"), eps=eps, max_roots=max_roots)
+    return close_roots(simple, sig, name=d.get("name"), max_roots=max_roots)

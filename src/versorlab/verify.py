@@ -4,7 +4,7 @@ Each ``Claim`` row in ``CLAIMS`` has a name, the acceptance criteria (01-10)
 it serves, ``compute(ctx)`` returning a dict of plain values, the expected
 value of each field, and a pass detail formatted from the computed fields.
 One comparer decides every row: a field expected as ``AtMost(bound)`` passes
-when no number in it exceeds the bound (``AtMost()``: the run's tolerance),
+when no number in it exceeds the bound (``AtMost()``: ``DEFAULT_EPS``),
 any other field when it equals its expected value.  A row whose compute
 raises fails with ``"<ExcType>: <msg>"``.  ``run_battery`` runs the rows in
 table order, drawing from one seeded generator (VERSORLAB_SEED on the
@@ -90,9 +90,9 @@ __all__ = ["AtMost", "Claim", "CLAIMS", "CheckResult", "BatteryReport", "run_bat
 
 
 class AtMost(NamedTuple):
-    """Expected value of a measured residual; ``None`` is the run's tolerance."""
+    """Expected value of a measured residual: no number in it exceeds ``bound``."""
 
-    bound: Optional[float] = None
+    bound: float = DEFAULT_EPS
 
 
 class Claim(NamedTuple):
@@ -112,7 +112,6 @@ class CheckResult(NamedTuple):
 class BatteryReport(NamedTuple):
     results: tuple
     seed: int
-    tolerance: float
 
     @property
     def passed(self) -> int:
@@ -128,11 +127,10 @@ class BatteryReport(NamedTuple):
 
 
 class _Ctx:
-    """One run's seeded generator and tolerance, and the systems and groups its rows share."""
+    """One run's seeded generator, and the systems and groups its rows share."""
 
-    def __init__(self, seed: int, tol: float):
+    def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
-        self.tol = tol
         self.catalog = systems = functools.cache(catalog)
         self.spin = spin = functools.cache(lambda name: generate_spin(systems(name)))
         self.pin = functools.cache(lambda name: generate_pin(systems(name)))
@@ -357,7 +355,7 @@ _DIAGRAM_MARKS = {"A3": [3, 3], "B3": [3, 4], "H3": [3, 5], "F4": [3, 3, 4], "I2
 def _cartan_diagrams(ctx):
     a3 = cartan_matrix(ctx.catalog("A3"))
     a3_cartan = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=float)
-    return {"a3_integral": a3.is_integral() and np.allclose(a3.entries, a3_cartan, atol=ctx.tol),
+    return {"a3_integral": a3.is_integral() and np.allclose(a3.entries, a3_cartan, atol=DEFAULT_EPS),
             "marks": {n: sorted(e.m for e in diagram(ctx.catalog(n))) for n in _DIAGRAM_MARKS}}
 
 
@@ -443,10 +441,10 @@ def _conformal_relations(ctx):
     dil = dilator(0.5).apply(embed(1.0, 0.0)).coords
     inv = inversion_versor().apply(embed(2.0, 0.0)).coords
     rot = rotation(math.pi / 2).apply(embed(1.0, 0.0)).coords
-    return {"s_squared": (S * S).mv.close_to(minus_one, ctx.tol),
-            "st_cubed": (S * T * S * T * S * T).mv.close_to(minus_one, ctx.tol),
-            "e1_eplus_squared": (e1e * e1e).close_to(minus_one, ctx.tol),
-            "k_closed_form": special_conformal(a1, a2).mv.close_to(closed_form, ctx.tol),
+    return {"s_squared": (S * S).mv.close_to(minus_one),
+            "st_cubed": (S * T * S * T * S * T).mv.close_to(minus_one),
+            "e1_eplus_squared": (e1e * e1e).close_to(minus_one),
+            "k_closed_form": special_conformal(a1, a2).mv.close_to(closed_form),
             "dilator_error": (abs(dil[0] - math.exp(0.5)), abs(dil[1])),
             "inversion_error": (abs(inv[0] - 0.5), abs(inv[1])),
             "rotation_error": (abs(rot[0]), abs(rot[1] - 1.0))}
@@ -552,8 +550,7 @@ CLAIMS: tuple = (
           "rows (6,6,6)..(30,30,30); 2T dims 1,1,1,2,2,2,3; abelianizations 4,3,2,1"),
     Claim("cga2d.versor_relations", ("09",), _conformal_relations,
           {"s_squared": True, "st_cubed": True, "e1_eplus_squared": True, "k_closed_form": True,
-           "dilator_error": AtMost(1e-9), "inversion_error": AtMost(1e-9),
-           "rotation_error": AtMost(1e-9)},
+           "dilator_error": AtMost(), "inversion_error": AtMost(), "rotation_error": AtMost()},
           "S^2 = (ST)^3 = -1; K = eT_ae; dilation e^{{+a}}; inversion and rotation act right"),
     Claim("cga2d.translations", ("09",), _translations, _SAMPLED,
           "1000 random translations, worst coordinate error {worst:.2e}"),
@@ -563,11 +560,11 @@ CLAIMS: tuple = (
 )
 
 
-def _miss(field: str, want, got, tol: float) -> Optional[str]:
+def _miss(field: str, want, got) -> Optional[str]:
     """The one comparer: None when ``got`` meets ``want``, else what missed; NaN fails a bound."""
     if isinstance(want, AtMost):
-        bound, worst = tol if want.bound is None else want.bound, np.max(got)
-        return None if worst <= bound else f"{field} {worst:.2e} exceeds {bound:.2e}"
+        worst = np.max(got)
+        return None if worst <= want.bound else f"{field} {worst:.2e} exceeds {want.bound:.2e}"
     return None if got == want else f"{field} = {got!r}, expected {want!r}"
 
 
@@ -575,13 +572,13 @@ def _judge(claim: Claim, ctx: _Ctx) -> CheckResult:
     try:
         got = claim.compute(ctx)
         misses = [m for field, want in claim.expected.items()
-                  if (m := _miss(field, want, got[field], ctx.tol))]
+                  if (m := _miss(field, want, got[field]))]
         return CheckResult(claim.name, not misses, "; ".join(misses) or claim.detail.format(**got))
     except Exception as exc:  # a crashed claim is a failed claim
         return CheckResult(claim.name, False, f"{type(exc).__name__}: {exc}")
 
 
-def run_battery(seed: int = 42, tolerance: float = DEFAULT_EPS) -> BatteryReport:
+def run_battery(seed: int = 42) -> BatteryReport:
     """Run every claim in table order; the report is deterministic for a fixed seed."""
-    ctx = _Ctx(seed, tolerance)
-    return BatteryReport(tuple(_judge(claim, ctx) for claim in CLAIMS), seed, tolerance)
+    ctx = _Ctx(seed)
+    return BatteryReport(tuple(_judge(claim, ctx) for claim in CLAIMS), seed)

@@ -17,8 +17,7 @@ import types
 import numpy as np
 import pytest
 
-from versorlab import (DEFAULT_EPS, Multivector, PointAtInfinity, Signature, apply_word, sandwich,
-                       verify)
+from versorlab import Multivector, PointAtInfinity, Signature, apply_word, sandwich, verify
 from versorlab.verify import CLAIMS, run_battery
 
 CRITERIA = {
@@ -107,7 +106,7 @@ def test_the_witness_compares_bits(monkeypatch):
         return Multivector(out.sig, np.nextafter(out.coeffs, np.inf))
 
     monkeypatch.setattr(verify, "sandwich", ulp_off)
-    result = verify._judge(_claim("kernel.sandwich_isometry"), verify._Ctx(42, DEFAULT_EPS))
+    result = verify._judge(_claim("kernel.sandwich_isometry"), verify._Ctx(42))
     assert (result.passed, result.detail) == (False, "witness_mismatches = 32, expected 0")
 
 
@@ -123,13 +122,13 @@ def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
                 for s, a, v in out]
 
     monkeypatch.setattr(verify, "_mirror_draws", draws)
-    ctx = verify._Ctx(42, DEFAULT_EPS)
+    ctx = verify._Ctx(42)
     result = verify._judge(_claim("kernel.reflection_formula"), ctx)
     assert (result.passed, result.detail) == (
         False, "ValueError: mirror vector must be unit, got alpha^2 = 4.0")
     assert len(planted) == 1
     # the replay drew as the public route does, stopping at the draw that raised
-    reference = verify._Ctx(42, DEFAULT_EPS)
+    reference = verify._Ctx(42)
     with pytest.raises(ValueError, match="mirror vector must be unit"):
         for sig in (Signature(2, 0), Signature(3, 0)):
             for _ in range(400):
@@ -148,12 +147,12 @@ def test_a_rejected_word_fails_its_row_with_apply_words_error(monkeypatch):
     monkeypatch.setattr(verify, "_word_draw", draw)
     with pytest.raises(PointAtInfinity) as exc:
         apply_word(*planted)
-    ctx = verify._Ctx(42, DEFAULT_EPS)
+    ctx = verify._Ctx(42)
     result = verify._judge(_claim("cga2d.modular_words"), ctx)
     assert (result.passed, result.detail) == (False, f"PointAtInfinity: {exc.value}")
     assert result.detail == "PointAtInfinity: image point is at infinity"
     # the row stopped drawing at the draw that raised
-    reference = verify._Ctx(42, DEFAULT_EPS)
+    reference = verify._Ctx(42)
     with pytest.raises(PointAtInfinity):
         while True:
             apply_word(*draw(reference))
@@ -174,6 +173,6 @@ def test_the_words_row_takes_the_public_route_alone(monkeypatch):
     monkeypatch.setattr(verify, "apply_word", counted)
     monkeypatch.setattr(verify, "_sandwich", batched)
     monkeypatch.setattr(verify, "_renormalized", batched)
-    result = verify._judge(_claim("cga2d.modular_words"), verify._Ctx(42, DEFAULT_EPS))
+    result = verify._judge(_claim("cga2d.modular_words"), verify._Ctx(42))
     assert result.passed, result.detail
     assert calls == {"apply_word": 1000}

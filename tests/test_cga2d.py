@@ -516,7 +516,7 @@ def test_pow_squares_give_the_same_floats_through_both_routes():
         assert _outcome(apply_word, word, tau) == _outcome(_reference_word, word, tau), tau
 
 
-# ---------------------------------------------------------------- maps on the term plans
+# ----------------------------------------------------------- maps on the kernel's products
 
 _MAP_KINDS = {  # constructor, parameter count, parameter reach
     "translator": (translator, 2, 3.0), "rotation": (rotation, 1, 7.0),
@@ -542,7 +542,7 @@ def _bytes_or_error(fn):
        near_pole=st.booleans(), offset=st.sampled_from([0.0, -0.0, 1e-15, -1e-12, 1e-9, 1e-6, 1e-3]),
        eps=st.sampled_from([1e-6, 1e-9, 1e-13, 1e-17]))
 def test_apply_matches_the_full_product_path_for_every_map(factors, x1, x2, near_pole, offset, eps):
-    # any conformal versor runs its term plan on four floats: every coefficient
+    # any conformal versor goes through the kernel's two products: every coefficient
     # and every error must be the long way's, points sent to infinity included
     made = []
     for kind, params in factors:
@@ -605,7 +605,7 @@ def test_a_point_sent_exactly_to_infinity_raises_at_eps_zero():
 
 
 def test_a_finite_map_makes_no_sandwich(monkeypatch):
-    # the interpreted term plans carry every map, and raise every error
+    # the kernel's products carry every map, and its floats raise every error
     # themselves: finite images, a point sent to infinity, a point with a
     # stray non-vector part and one with a part past eps go through no
     # Multivector product
@@ -630,8 +630,8 @@ def test_a_finite_map_makes_no_sandwich(monkeypatch):
 def test_apply_takes_points_with_stray_off_grade_coefficients():
     # 2 000 seeded points with 1 to 3 stray non-vector coefficients, built at
     # eps 1e-9 or 1e-6 (half of those for inversions and special conformal maps
-    # at the map's pole): within DEFAULT_EPS, at which apply runs, the terms of
-    # all 16 blades give the long way's bytes or error; a stray part past it
+    # at the map's pole): within DEFAULT_EPS, at which apply runs, the products
+    # over all 16 blades give the long way's bytes or error; a stray part past it
     # raises sandwich's grade-1 error
     rng = np.random.default_rng(909)
     strays = np.array([1e-12, -1e-12, 3e-10, -3e-10, 1e-9, 5e-7])

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from versorlab import verify
+from versorlab.algebra import DEFAULT_EPS
 from versorlab.cli import main
 from versorlab.errors import SymmetrySweepFailure
 from versorlab.verify import AtMost, Claim
@@ -210,16 +211,16 @@ def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, ca
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (["group", "A3", "--tolerance", "nan"], "--tolerance"),
-    (["roots", "A3", "--tolerance", "-1"], "--tolerance"),
-    (["classes", "A3", "--tolerance=0", "--format", "csv"], "--tolerance"),
-    (["verify", "--tolerance", "inf"], "--tolerance"),
+    (["modular", "S", "0.5", "1", "--tolerance", "nan"], "--tolerance"),
+    (["modular", "T", "0.5", "1", "--tolerance", "-1"], "--tolerance"),
+    (["modular", "", "0.5", "1", "--tolerance=0", "--format", "csv"], "--tolerance"),
+    (["modular", "S", "0.5", "1", "--tolerance", "inf"], "--tolerance"),
     (["modular", "S", "0.5", "1", "--tolerance=-inf"], "--tolerance"),
     (["roots", "A3", "--max-closure", "-5"], "--max-closure"),
     (["group", "A3", "--max-closure", "0", "--format", "markdown"], "--max-closure"),
-    (["roots", "A3", "--tolerance", "1e-16"], "--tolerance"),
+    (["modular", "S", "0.5", "1", "--tolerance", "1e-16"], "--tolerance"),
     (["modular", "S", "0.5", "1", "--tolerance", "1e-17"], "--tolerance"),
-    (["roots", "A1", "--tolerance", "1e-300", "--format", "csv"], "--tolerance"),
+    (["modular", "S", "nan", "1", "--tolerance", "1e-300", "--format", "csv"], "--tolerance"),
 ])
 def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
     rc, out, err = run_cli(capsys, *argv)
@@ -229,8 +230,8 @@ def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["roots", "A3", "--tolerance", "abc"],
-    ["roots", "A3", "--tolerance", "-inf"],  # argparse reads -inf as an option
+    ["modular", "S", "0.5", "1", "--tolerance", "abc"],
+    ["modular", "S", "0.5", "1", "--tolerance", "-inf"],  # argparse reads -inf as an option
     ["roots"],
     ["nosuch"],
     [],
@@ -254,23 +255,38 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("argv", [["classes", "A3", "--tolerance", "1"],
-                                  ["roots", "A3", "--tolerance", "1e10"]])
-def test_a_tolerance_past_a_roots_length_names_the_root(argv, capsys):
-    # A3's first unit root has length 0.9999999999999999, which a tolerance
-    # at or above 1 cannot tell from zero
-    rc, out, err = run_cli(capsys, *argv)
+@pytest.mark.parametrize("argv", [["classes"], ["roots"]])
+def test_a_tolerance_past_a_roots_length_names_the_root(argv, tmp_path, capsys):
+    # the seeds' zero-length check compares at DEFAULT_EPS, which a seed
+    # of length 5e-10 is below
+    f = tmp_path / "short.json"
+    f.write_text(json.dumps({"simple_roots": [[1.0, 0.0], [0.0, 5e-10]]}))
+    rc, out, err = run_cli(capsys, *argv, str(f))
     assert rc == 2 and out == ""
     assert json.loads(err) == {"error": "ValueError", "message": (
-        f"simple root 1 has length 0.9999999999999999, below the tolerance {float(argv[3])!r}")}
+        "simple root 2 has length 5e-10, below the tolerance 1e-09")}
+
+
+@pytest.mark.parametrize("command", [["roots", "A3"], ["group", "A3"], ["classes", "A3"],
+                                     ["induce", "A3"], ["mckay"], ["verify"]],
+                         ids=lambda command: command[0])
+@pytest.mark.parametrize("form", [["--tolerance", "0.5"], ["--tolerance=1e-6"]],
+                         ids=["spaced", "joined"])
+def test_only_modular_takes_the_tolerance(command, form, capsys):
+    rc, out, err = run_cli(capsys, *command, *form)
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "VersorlabError", "message": (
+        f"versorlab: unrecognized arguments: {' '.join(form)}")}
 
 
 def test_positive_tolerance_and_cap_pass_the_checks(capsys):
-    assert run_json(capsys, "roots", "A1", "--tolerance", "1e-15", "--max-closure", "2")[
-        "root_count"] == 2
-    assert run_json(capsys, "roots", "A3", "--tolerance", "1e-15")["root_count"] == 12
+    assert run_json(capsys, "roots", "A1", "--max-closure", "2")["root_count"] == 2
     assert run_json(capsys, "modular", "S", "0.5", "1", "--tolerance", "1e-15")[
         "versor_result"] == [-0.4, 0.8]
+    # S at 2e-5 i lands at 5e4 i: past 1/sqrt(eps) at the default, not at 1e-12
+    assert run_cli(capsys, "modular", "S", "0", "2e-5")[0] == 2
+    d = run_json(capsys, "modular", "S", "0", "2e-5", "--tolerance", "1e-12")
+    assert d["versor_result"] == pytest.approx(d["oracle_result"]) == [0.0, 5e4]
 
 
 def test_error_payload_is_single_line(capsys):
@@ -280,7 +296,7 @@ def test_error_payload_is_single_line(capsys):
 
 
 def _rows(*worst):
-    """A battery table of rows that each report one fixed residual against the run's tolerance."""
+    """A battery table of rows that each report one fixed residual against ``AtMost()``."""
     return tuple(Claim(f"wiring.row{i}", ("10",), lambda ctx, w=w: {"worst": w},
                        {"worst": AtMost()}, "worst {worst:.1e}") for i, w in enumerate(worst))
 
@@ -301,10 +317,13 @@ def test_verify_fails_when_one_row_fails(monkeypatch, capsys):
 
 
 def test_verify_tolerance_reaches_the_rows(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "CLAIMS", _rows(1e-7, 1e-7))
-    assert run_cli(capsys, "verify")[0] == 1  # default tolerance 1e-9
-    d = run_json(capsys, "verify", "--tolerance", "1e-6")
-    assert d["tolerance"] == 1e-6 and d["passed"] == 2
+    # the tolerance verify reports is the bound of every AtMost() row: DEFAULT_EPS
+    monkeypatch.setattr(verify, "CLAIMS", _rows(1e-8, 1e-10))
+    rc, out, _ = run_cli(capsys, "verify")
+    d = json.loads(out)
+    assert rc == 1 and d["tolerance"] == DEFAULT_EPS
+    assert [c["passed"] for c in d["checks"]] == [False, True]
+    assert d["checks"][0]["detail"] == "worst 1.00e-08 exceeds 1.00e-09"
 
 
 def test_crashed_row_reports_under_its_own_name(monkeypatch, capsys):
@@ -377,8 +396,8 @@ def test_a_closed_pipe_in_a_child_process_leaves_stderr_empty(argv):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
-@pytest.mark.parametrize("argv", [["nosuch"], ["roots", "A3", "--tolerance", "abc"],
-                                  ["roots", "A3", "--tolerance", "0"]])
+@pytest.mark.parametrize("argv", [["nosuch"], ["modular", "S", "0.5", "1", "--tolerance", "abc"],
+                                  ["modular", "S", "0.5", "1", "--tolerance", "0"]])
 def test_an_error_whose_stderr_reader_left_exits_2(monkeypatch, capsys, tmp_path, argv):
     with open(tmp_path / "stderr", "wb") as f:
         monkeypatch.setattr(sys, "stderr", _ClosedPipe(f.fileno()))
@@ -388,7 +407,7 @@ def test_an_error_whose_stderr_reader_left_exits_2(monkeypatch, capsys, tmp_path
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("argv", [["nosuch"], ["roots", "A3", "--tolerance", "abc"]])
+@pytest.mark.parametrize("argv", [["nosuch"], ["modular", "S", "0.5", "1", "--tolerance", "abc"]])
 def test_an_error_whose_stderr_reader_left_exits_2_in_a_child_process(argv):
     read, write = os.pipe()
     os.close(read)  # the reader leaves before the error is written
@@ -402,7 +421,7 @@ def test_an_error_whose_stderr_reader_left_exits_2_in_a_child_process(argv):
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 801])
 def test_word_draws_are_the_stream_of_a_choice_over_the_alphabet(seed):
-    ctx, ref = verify._Ctx(seed, 1e-9), np.random.default_rng(seed)
+    ctx, ref = verify._Ctx(seed), np.random.default_rng(seed)
     for _ in range(500):  # interleaved with the tau draws, as the modular-words row takes them
         word = "".join(ref.choice(np.array(["S", "T", "t"]), size=int(ref.integers(0, 13))))
         tau = (float(ref.uniform(-2, 2)), float(ref.uniform(0.05, 2.0)))

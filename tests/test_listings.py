@@ -145,11 +145,11 @@ def test_the_writer_keeps_signed_zeros_and_the_eps_boundary_as_the_reference(eps
 
 @pytest.mark.parametrize("eps", ["1e-15", "1e-12", "1e-9", "0.5"])
 def test_every_accepted_tolerance_prints_the_default_listings(eps, capsys):
-    # H3's spin elements have coefficients of size 0.309, below 0.5
-    for cmd in ("group", "classes"):
-        default = cli_out(capsys, cmd, "H3", "--kind", "spin")
-        assert cli_out(capsys, cmd, "H3", "--kind", "spin", "--tolerance", eps) == default
-    assert "0.309016994375" in default
+    # modular's tolerance only decides when a point counts as infinite, never a printed digit
+    for fmt in ("json", "csv", "markdown"):
+        default = cli_out(capsys, "modular", "STt", "0.25", "1.5", "--format", fmt)
+        assert cli_out(capsys, "modular", "STt", "0.25", "1.5", "--format", fmt,
+                       "--tolerance", eps) == default
 
 
 def test_the_text_writer_matches_the_reference_and_str():

@@ -359,19 +359,6 @@ def test_axiom_check_keys_roots_just_inside_the_key_range():
     assert report.scalar_multiples_ok and not report.reflection_closed
 
 
-_EPS_TAKERS = {
-    "close_roots": lambda eps: close_roots([[1.0, 0.0], [0.0, 1.0]], eps=eps),
-}
-
-
-@pytest.mark.parametrize("eps", [math.nan, -1.0, math.inf])
-@pytest.mark.parametrize("function", sorted(_EPS_TAKERS))
-def test_every_eps_taker_rejects_an_eps_that_is_not_finite_and_nonnegative(function, eps):
-    with pytest.raises(VersorlabError, match=rf"^eps must be finite and >= 0, got {eps}$"):
-        _EPS_TAKERS[function](eps)
-    _EPS_TAKERS[function](0.0)  # the range's floor is accepted
-
-
 def test_axiom_reports_do_not_depend_on_the_block_size(monkeypatch):
     # each block of mirrors reflects every root in its own einsum, and the
     # images are keyed FIND_ROWS rows at a time: one-root blocks, 7-row keying
