@@ -10,8 +10,8 @@ this way, named by their Coxeter matrices, the orders of the products of two
 simple reflections (Humphreys, Reflection Groups and Coxeter Groups, 5.3).
 Left/right multiplication X -> L X R permutes the induced roots; the sweep
 reads the table: its rows and columns decide every pair, the exhaustive count
-keys the n^2 composites as narrow byte rows in ``BLOCK``-bounded blocks, and
-the sampled sweep gathers only its 32-pair float product, a witness
+codes each pair by its images of 1 and the generators in ``BLOCK``-bounded
+blocks, and the sampled sweep gathers only its 32-pair float product, a witness
 independent of the table like ``reflection_agreement``'s quaternion products.
 """
 
@@ -34,6 +34,7 @@ from .algebra import (
     kernel_for,
     lex_order,
     lex_sorted,
+    quantize,
     row_keys,
 )
 from .errors import SymmetrySweepFailure, VersorlabError
@@ -183,7 +184,7 @@ def reflection_agreement(group: VersorGroup) -> ReflectionAgreement:
     product = -kern.gp_elemwise(kern.gp_elemwise(q[:, None], rq[None]), q[:, None, :])
     dev = float(np.max(np.abs(linear - product)))
     named = group._negatives[t[t[:, group.inverses()], np.arange(n)[:, None]]]  # -R1 ~R2 R1
-    off = row_keys(product) != row_keys(q[named])  # images the table does not name
+    off = np.any(quantize(product) != quantize(q)[named], axis=-1)  # images t does not name
     miss = np.zeros((np.count_nonzero(off), k3.D))
     miss[:, k3.even] = product[off]  # the even blades of ~image
     all_in = not off.any() or bool(np.all(find_ids(k3.rev(miss), group._lookup) >= 0))
@@ -205,10 +206,11 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     Once the induced roots are checked to be the group's spinor coordinates,
     row (L, R) of ``t[t[L], R]`` names the image of every X; it is row L of t,
     then column R, so t's rows and columns, sorted once, decide every pair.
-    ``pairs=None`` sweeps all of G x G and counts the distinct permutations,
-    keyed as byte rows in blocks of whole L rows, at most ``BLOCK`` entries
-    each; otherwise ``pairs`` pairs are drawn from ``seed`` and only the first
-    32 are gathered, multiplied out in floats: a witness that the table is right.
+    ``pairs=None`` sweeps G x G and counts the distinct maps by their images of 1
+    and the generators: L g R = L' g R' for those g gives R' = c R, c = L'^-1 L
+    commuting with them and -1, which generate G, so L' X R' = L' c X R = L X R.
+    Otherwise ``pairs`` pairs are drawn from ``seed`` and only the first 32 are
+    gathered, multiplied out in floats: a witness that the table is right.
     """
     if pairs is not None and not (isinstance(pairs, (int, np.integer)) and pairs >= 1):
         raise VersorlabError(f"pairs must be None or an integer >= 1, got {pairs!r}")
@@ -228,12 +230,14 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     if bad.size:
         raise SymmetrySweepFailure(f"pair (L={li[bad[0]]}, R={ri[bad[0]]}) is not a symmetry")
     if pairs is None:
-        perms, step = set(), max(1, BLOCK // (n * n))  # whole L rows, at most BLOCK entries
-        cols = t.T.astype(np.min_scalar_type(n - 1))  # cols[R, Y]: index of Y R, narrow bytes
-        for l0 in range(0, n, step):
-            imgs = cols.take(t[l0:l0 + step], axis=1)  # imgs[R, L, x]: index of L X R
-            perms.update(imgs.view(np.dtype((np.void, n * imgs.itemsize))).ravel().tolist())
-        return AutomorphismSweep(n, n * n, True, len(perms))
+        gens = np.append(group._e, group._graph[group._e])  # 1 and the generators s_i s_j
+        if n ** gens.size >= 2 ** 63:
+            raise VersorlabError(f"{gens.size} images of {n} elements overflow an int64 code")
+        codes, step = np.empty((n, n), np.int64), max(1, BLOCK // (n * gens.size))  # whole L rows
+        for l0 in range(0, n, step):  # t[t[L, g], R]: index of L g R
+            codes[l0:l0 + step] = n ** np.arange(gens.size) @ t[t[l0:l0 + step, gens]]
+        codes = np.sort(codes, None)  # not np.unique, which imports numpy.ma
+        return AutomorphismSweep(n, n * n, True, np.count_nonzero(np.diff(codes)) + 1)
     l, r, kern = li[:32], ri[:32], kernel_for(_SIG3)
     img = kern.gp_elemwise(kern.gp_elemwise(garr[l, None], garr[None]), garr[r, None])
     bad = np.flatnonzero(np.any(row_keys(img) != row_keys(garr[t[t[l], r[:, None]]]), axis=1))

@@ -15,6 +15,7 @@ McKay attaches to the group (D4, E6, E7, E8), an integer Coxeter element's order
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -104,7 +105,7 @@ def _coxeter_h(name: str) -> int:
         raise McKayMismatch(f"{name} is not simply laced: its Cartan matrix is not integral")
     eye = np.eye(len(a), dtype=np.int64)
     s = eye - eye[:, :, None] * np.rint(cartan).astype(np.int64)[:, None]  # s[i] = I - e_i A_i
-    c = power = np.linalg.multi_dot([eye, *s])  # s_1 s_2 ... s_n
+    c = power = functools.reduce(np.matmul, s)  # s_1 s_2 ... s_n
     h = 1
     while not np.array_equal(power, eye):
         power, h = power @ c, h + 1

@@ -17,9 +17,11 @@ Regenerate a file only for an intended output change.
 ``group`` and ``classes`` of A1^3, A3, B3, H3, D4 and F4 in every kind and
 every format; ``induce`` on the four 3D systems and ``mckay``, in every format;
 and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in every
-format (the csv's ``simple`` column marks the simple roots).  ``verify``
-is left out, and ``modular`` is pinned only by the files above: their low
-digits rest on the platform's libm.  ``h4_digests.json`` pins ``group`` and
+format (the csv's ``simple`` column marks the simple roots).  ``modular`` is
+pinned only by the files above: its low digits rest on the platform's libm.
+``VERIFY_DIGESTS`` pins ``verify``'s stdout at three seeds; its residuals'
+digits come from numpy's seeded generator and float products, and were
+recorded with numpy 2.4 on x86-64 Linux.  ``h4_digests.json`` pins ``group`` and
 ``classes`` of Spin(H4) in json and csv (H4's seeds, like H3's, are a
 Cholesky factor); CI checks it in child processes, so this suite does not
 pay for H4.  Only ``modular`` takes ``--tolerance``, so no tolerance decides what
@@ -89,6 +91,22 @@ def test_cli_stdout_matches_digest(command, monkeypatch, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
+
+
+VERIFY_DIGESTS = {
+    "42": "0f587a50fa9fc2faf9d5a8c3fabcd1cdcc2fd7cfcf04b1337fbe5033698b8073",
+    "7": "e1a5a5cac8870018ae501e11ff09c483cdbc61b29ef245d026d20fbaad5501fa",
+    "801": "db8cc4704ec43e6f8bb4e88bc0ff9f773b3fd157ef17543de442808669838800",
+}
+
+
+@pytest.mark.parametrize("seed", list(VERIFY_DIGESTS))
+def test_verify_stdout_matches_digest(seed, monkeypatch, capsys):
+    # a fixed VERSORLAB_SEED gives byte-identical verify output
+    monkeypatch.setenv("VERSORLAB_SEED", seed)
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == VERIFY_DIGESTS[seed]
 
 
 def refusal(capsys, argv) -> str:

@@ -1,5 +1,9 @@
 """Tests for spinor coordinates, induced 4D root systems, and symmetry sweeps."""
 
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -394,6 +398,13 @@ def test_sampled_sweep_catches_a_table_with_swapped_columns():
         spinorial_automorphisms(ind, pairs=2000, seed=5)
 
 
+def _composite_rows(t, li, ri):
+    """Rows of t[t[L], R], the index of L X R for every X, for the pairs (li, ri), n at a time."""
+    n, cols = t.shape[0], t.T.copy()
+    for c0 in range(0, li.size, n):
+        yield c0, cols.take(t[li[c0:c0 + n]] + n * ri[c0:c0 + n, None])
+
+
 def _per_pair_sweep(r, pairs=None, seed=None):
     """Reference sweep: gather n pairs of t[t[L], R] at a time, sort each row
     against 0..n-1, and key every exhaustive row as its bytes."""
@@ -407,9 +418,8 @@ def _per_pair_sweep(r, pairs=None, seed=None):
     else:
         rng = np.random.default_rng(seed)
         li, ri = rng.integers(0, n, size=pairs), rng.integers(0, n, size=pairs)
-    perms, cols = set(), t.T.copy()
-    for c0 in range(0, li.size, n):
-        imgs = cols.take(t[li[c0:c0 + n]] + n * ri[c0:c0 + n, None])
+    perms = set()
+    for c0, imgs in _composite_rows(t, li, ri):
         bad = np.flatnonzero(np.any(np.sort(imgs, axis=1) != np.arange(n), axis=1))
         if bad.size:
             k = c0 + int(bad[0])
@@ -458,12 +468,66 @@ def test_sweep_matches_the_per_pair_scan_on_intact_and_corrupted_tables(src):
     assert raised >= 20  # every corrupted table fails its exhaustive sweep at least
 
 
-@pytest.mark.parametrize("src,images", [("B3", 1152), ("H3", 7200)])
-def test_sweep_count_does_not_depend_on_the_block_size(src, images, monkeypatch):
-    # one L row per block (BLOCK = 1 and n * n), then 7 rows with a short last block
+@pytest.mark.parametrize("src", INDUCTION_TABLE)
+def test_images_of_one_and_the_generators_decide_the_whole_row(src):
+    # the sweep codes (L, R) by its images of 1 and the generators s_i s_j; grouped by that
+    # code, the n^2 pairs of each group send every X to one and the same row
     g = spin_group(src)
     ind, n = induce_4d(g), g.order
-    for block in (1, n * n, 7 * n * n):
+    li, ri = np.divmod(np.arange(n * n), n)
+    rows = np.concatenate([imgs for _, imgs in _composite_rows(g.table, li, ri)])
+    keys = rows[:, np.append(g._e, g._graph[g._e])].astype(np.int64)
+    codes = keys @ n ** np.arange(keys.shape[1])
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    first = np.repeat(starts, np.diff(np.append(starts, n * n)))  # each pair's group's first
+    assert np.array_equal(rows[order], rows[order][first])
+    assert starts.size == np.unique(rows, axis=0).shape[0] == np.unique(keys, axis=0).shape[0]
+    assert spinorial_automorphisms(ind).distinct_images == starts.size
+    assert _per_pair_sweep(ind).distinct_images == starts.size == n * n // 2
+
+
+def test_exhaustive_2i_sweep_keeps_no_row_of_images():
+    # one int64 code per pair, n^2 of them (115 kB on 2I); the n^2 byte rows they
+    # replaced peaked at 4.7 MiB
+    ind = induce_4d(spin_group("H3"))
+    ind.source.table  # built before counting starts
+    tracemalloc.start()
+    try:
+        assert spinorial_automorphisms(ind).distinct_images == 7200
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * (1 << 20), peak
+
+
+def test_exhaustive_sweep_does_not_import_numpy_ma():
+    # np.unique without options imports numpy.ma, 15-25 ms once per process
+    code = ("import sys\nfrom versorlab import catalog, generate_spin, induce_4d, "
+            "spinorial_automorphisms\n"
+            "print(spinorial_automorphisms(induce_4d(generate_spin(catalog('B3')))).distinct_images,"
+            " 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "1152 False\n"
+
+
+def test_exhaustive_sweep_refuses_a_code_past_int64():
+    # 1 and 15 generators of a 24-element group: 24^16 > 2^63 does not fit one code
+    g = spin_group("A3")
+    ind = induce_4d(g)
+    g.table
+    g._graph = np.tile(g._graph, 5)
+    with pytest.raises(VersorlabError, match="^16 images of 24 elements overflow an int64 code$"):
+        spinorial_automorphisms(ind)
+
+
+@pytest.mark.parametrize("src,images", [("B3", 1152), ("H3", 7200)])
+def test_sweep_count_does_not_depend_on_the_block_size(src, images, monkeypatch):
+    # an L row is 4 n entries, the images of 1 and the three generators under every R:
+    # one L row per block (BLOCK = 1 and 4 n), then 7 rows with a short last block
+    g = spin_group(src)
+    ind, n = induce_4d(g), g.order
+    for block in (1, 4 * n, 7 * 4 * n):
         monkeypatch.setattr(versorlab.induction, "BLOCK", block)
         assert spinorial_automorphisms(ind).distinct_images == images, block
 
