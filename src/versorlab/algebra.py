@@ -290,22 +290,6 @@ def _check_cap(name: str, cap: int) -> None:
         raise VersorlabError(f"{name} must be an integer >= 1, got {cap!r}")
 
 
-def _blade_mask(name: str, n: int) -> int:
-    if name == "1":
-        return 0
-    if not name.startswith("e") or len(name) < 2:
-        raise ValueError(f"bad blade name {name!r}")
-    mask = 0
-    prev = 0
-    for ch in name[1:]:
-        i = int(ch)
-        if i < 1 or i > n or i <= prev:
-            raise ValueError(f"bad blade name {name!r} for dimension {n}")
-        mask |= 1 << (i - 1)
-        prev = i
-    return mask
-
-
 class Multivector:
     """Immutable multivector over a fixed signature.
 
@@ -486,12 +470,15 @@ def basis(sig: Signature) -> list[Multivector]:
 
 
 def blade(sig: Signature, spec) -> Multivector:
-    """Unit basis blade from a name like "e13" or a bitmask."""
-    mask = spec if isinstance(spec, int) else _blade_mask(spec, sig.dim)
-    if not 0 <= mask < sig.blade_count:
-        raise ValueError(f"blade mask {mask} out of range")
-    arr = np.zeros(sig.blade_count)
-    arr[mask] = 1.0
+    """Unit basis blade from its name in the kernel's ``blade_names`` ("1", "e13", ...)
+    or its integral bitmask (not a bool)."""
+    names = kernel_for(sig).blade_names
+    if isinstance(spec, str) and spec in names:
+        spec = names.index(spec)
+    elif isinstance(spec, bool) or not isinstance(spec, numbers.Integral) or not 0 <= spec < len(names):
+        raise ValueError(f"no blade {spec!r} in Cl({sig.p},{sig.q})")
+    arr = np.zeros(len(names))
+    arr[spec] = 1.0
     return Multivector._wrap(sig, arr)
 
 

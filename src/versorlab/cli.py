@@ -168,7 +168,7 @@ def _cmd_roots(args):
             "roots": rs.coords.tolist(),
             "cartan_matrix": cm.entries.tolist(),
             "cartan_integral": integral,
-            "diagram_edges": [{"i": e.i, "j": e.j, "m": e.m} for e in edges],
+            "diagram_edges": [e._asdict() for e in edges],
             "axioms_ok": check_axioms(rs).ok,
         },
         csv_table=(None, ["index", *coord_headers, "simple"],
@@ -246,9 +246,7 @@ def _cmd_induce(args):
             "root_count": ind.root_count,
             "simple_roots_4d": ind.base.simple_coords.tolist(),
             "axioms_ok": check_axioms(ind.base).ok,
-            "reflection_agreement": {"pairs_tested": agreement.pairs_tested,
-                                     "max_deviation": agreement.max_deviation,
-                                     "all_in_group": agreement.all_in_group},
+            "reflection_agreement": agreement._asdict(),
             "automorphism_sweep": {"pairs_tested": sweep.pairs_tested,
                                    "exhaustive": sweep.exhaustive,
                                    "distinct_images": sweep.distinct_images},
@@ -260,19 +258,13 @@ def _cmd_mckay(args):
     return _render(
         args.format, "McKay numerology: |Phi| = sum of irrep dims = Coxeter number",
         [(None, ["3D", "4D", "affine", "binary group", "|Phi|", "sum d_i", "h", "irrep dims"],
-          ((r.threeD, r.fourD, r.lie, r.binary_group, r.phi_count, r.sum_dims,
-            r.coxeter_h, "+".join(str(d) for d in r.irrep_dims)) for r in table))],
-        lambda: {"rows": [{
-            "threeD": r.threeD, "fourD": r.fourD, "lie": r.lie,
-            "binary_group": r.binary_group, "phi_count": r.phi_count,
-            "sum_dims": r.sum_dims, "coxeter_h": r.coxeter_h,
-            "irrep_dims": list(r.irrep_dims),
-        } for r in table]})
+          ((*r[:-1], "+".join(str(d) for d in r.irrep_dims)) for r in table))],
+        lambda: {"rows": [r._asdict() for r in table]})
 
 
 def _cmd_modular(args):
-    if not (math.isfinite(args.tolerance) and args.tolerance >= 1e-15):
-        raise VersorlabError(f"--tolerance must be finite and >= 1e-15, got {args.tolerance}")
+    if not 1e-15 <= args.tolerance < 1:  # at 1, a T image's Y.n = -1 reads as infinity
+        raise VersorlabError(f"--tolerance must be in [1e-15, 1), got {args.tolerance}")
     if not (math.isfinite(args.x1) and math.isfinite(args.x2)):
         raise VersorlabError("tau must be finite")
     report = word_report(args.word, (args.x1, args.x2), eps=args.tolerance)
@@ -299,8 +291,7 @@ def _cmd_verify(args):
             "passed": report.passed,
             "failed": report.failed,
             "ok": report.ok,
-            "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                       for r in report.results],
+            "checks": [r._asdict() for r in report.results],
         },
         code=0 if report.ok else 1)
 
@@ -356,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, closure=False)
     p.add_argument("--tolerance", type=float, default=DEFAULT_EPS,
                    help="bound of the conformal point checks and of the point-at-infinity "
-                        "test (default 1e-9)")
+                        "test, in [1e-15, 1) (default 1e-9)")
     p.set_defaults(fn=_cmd_modular)
 
     p = sub.add_parser("verify", help="run the invariant battery")

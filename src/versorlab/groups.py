@@ -5,9 +5,10 @@ part, by the products s_i s_j (i < j): each is {+-v_w} over the reflection
 group W, or its rotation subgroup, closed in integers as permutations of the
 roots, on which W acts faithfully (Humphreys 1990, 1.5-1.7), so every
 antipode is exact; the simple reflections' permutations are the graph
-``close_roots`` kept.  Elements are unit versors, +R and -R distinct;
-quotient_by_sign collapses the double cover onto the plain rotation (from
-spin) or full reflection (from pin) group.
+``close_roots`` kept.  One class, ``VersorGroup``, holds every kind: the pin
+or spin double cover of unit versors, +R and -R distinct, and the full
+reflection (from pin) or plain rotation (from spin) group that
+quotient_by_sign makes of it, the cover modulo +-1.
 
 Each group keeps W's graph lifted by each edge's sign, ``graph[j, k]`` =
 index of g_j s_k, and the breadth-first tree its closure walked, each
@@ -47,7 +48,6 @@ from .roots import RootSystem
 
 __all__ = [
     "ConjugacyClass",
-    "QuotientGroup",
     "VersorGroup",
     "conjugacy_classes",
     "coxeter_number",
@@ -59,23 +59,34 @@ __all__ = [
 ]
 
 MAX_GROUP = 20_000
+_QUOTIENTS = {"pin": "reflection", "spin": "rotation"}  # a double cover's kind -> its quotient's
 
 
-class _GroupBase:
-    """Shared machinery for VersorGroup and QuotientGroup: lookup, graph, table, classes."""
+class VersorGroup:
+    """A finite group of unit versors, its rows in lex order.  Of kind pin or spin: a double
+    cover, closed under product, reverse and negation, which reverses the rows (``np.rint`` is
+    symmetric), so -g_i is row n-1-i.  Of kind rotation or reflection: that cover modulo +-1,
+    each element the one of +-R whose first nonzero quantized coefficient is positive."""
 
     def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray, tree: tuple,
-                 source: Optional[RootSystem]):
+                 source: Optional[RootSystem] = None):
+        if kind not in (*_QUOTIENTS, *_QUOTIENTS.values()):
+            raise ValueError(f"bad versor group kind {kind!r}")
         self.kind, self.sig, self.source, self._kern = kind, sig, source, kernel_for(sig)
         self._arr, self._graph = arr, graph  # graph[j, k]: index of g_j s_k
         arr.setflags(write=False)
         graph.setflags(write=False)
         self._e, *self._tree, self._layers = tree  # e; edges g_j = g_p s_k; layers' edge bounds
+        n = arr.shape[0]  # index of -g_i for each i; in a quotient [-g] = [g]
+        self._negatives = np.arange(n)[::-1] if kind in _QUOTIENTS else np.arange(n)
 
     @cached_property
     def _lookup(self) -> dict:
-        """Element key bytes -> index, built on the first value lookup."""
-        return dict(zip(row_keys(self._arr).tolist(), range(self.order)))
+        """Element key bytes -> index, built on the first value lookup; an element that is
+        its own negative, as each of a quotient's is, is found by the key of -R too."""
+        own = np.flatnonzero(self._negatives == np.arange(self.order))
+        keys = row_keys(np.vstack([self._arr, -self._arr[own]])).tolist()
+        return dict(zip(keys, [*range(self.order), *own.tolist()]))
 
     @property
     def order(self) -> int:
@@ -187,33 +198,6 @@ class _GroupBase:
         return classes, ranked[label], powers
 
 
-class VersorGroup(_GroupBase):
-    """A finite group of unit versors, closed under product, reverse and negation, its rows
-    in lex order, which negation reverses (``np.rint`` is symmetric): -g_i is row n-1-i."""
-
-    def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray, tree: tuple,
-                 source: Optional[RootSystem] = None):
-        if kind not in ("pin", "spin"):
-            raise ValueError(f"bad versor group kind {kind!r}")
-        super().__init__(kind, sig, arr, graph, tree, source)
-        self._negatives = np.arange(self.order)[::-1]  # index of -g_i for each i
-
-
-class QuotientGroup(_GroupBase):
-    """Versor group with R and -R identified; each element is the one of +-R whose
-    first nonzero quantized coefficient is positive, looked up by the key of either sign."""
-
-    def __init__(self, kind: str, covering: VersorGroup, arr: np.ndarray, graph: np.ndarray,
-                 tree: tuple):
-        super().__init__(kind, covering.sig, arr, graph, tree, covering.source)
-        self.covering, self._negatives = covering, np.arange(self.order)  # [-g] = [g]
-
-    @cached_property
-    def _lookup(self) -> dict:  # the keys of both signs: [-g] = [g]
-        keys = row_keys(np.vstack([self._arr, -self._arr])).tolist()
-        return dict(zip(keys, [*range(self.order)] * 2))
-
-
 class ConjugacyClass:
     """Member indices into the group's rows (not the group: no cycle); Versors built when read."""
 
@@ -290,18 +274,18 @@ def element_order(group, v) -> int:
     return group.element_order(v)
 
 
-def quotient_by_sign(group: VersorGroup) -> QuotientGroup:
+def quotient_by_sign(group: VersorGroup) -> VersorGroup:
     """Collapse +-R pairs; spin groups map to rotation groups, pin to full ones."""
-    if not isinstance(group, VersorGroup):
+    if not isinstance(group, VersorGroup) or group.kind not in _QUOTIENTS:
         raise VersorlabError("quotient_by_sign expects a pin or spin group")
     neg = group._negatives
     # of each pair the later row in lex order, whose leading coefficient is positive
     keep = np.flatnonzero(neg < np.arange(group.order))
     to = np.searchsorted(keep, np.maximum(neg, np.arange(group.order)))  # [g] = [-g]; [g] s = [g s]
-    kind = "rotation" if group.kind == "spin" else "reflection"
     (j, p, k), layers = group._tree, group._layers
-    return QuotientGroup(kind, group, group.element_arr()[keep], to[group._graph[keep]],
-                         (int(to[group._e]), to[j], to[p], k, layers))
+    return VersorGroup(_QUOTIENTS[group.kind], group.sig, group.element_arr()[keep],
+                       to[group._graph[keep]], (int(to[group._e]), to[j], to[p], k, layers),
+                       group.source)
 
 
 # -- spinor coordinates ---------------------------------------------------------
@@ -342,13 +326,11 @@ def coxeter_number(rs: RootSystem) -> int:
 
 def group_table_dict(group) -> dict:
     """Group-table JSON form: kind, order, and the conjugacy class list, each element
-    as its ``Multivector.to_json_dict()``, written for every element and representative."""
-    classes, arr = group.conjugacy_classes(), group.element_arr()
-    members = _json_dicts(group.sig, arr)
-    reps = _json_dicts(group.sig, arr[[cl.indices[0] for cl in classes]])
+    as its ``Multivector.to_json_dict()``, written once per element."""
+    members = _json_dicts(group.sig, group.element_arr())
     return {"kind": group.kind, "order": group.order,
             "classes": [{"size": cl.size,
                          "order": cl.element_order,
-                         "representative": rep,
+                         "representative": members[cl.indices[0]],
                          "members": [members[j] for j in cl.indices.tolist()]}
-                        for cl, rep in zip(classes, reps)]}
+                        for cl in group.conjugacy_classes()]}

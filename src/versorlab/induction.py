@@ -219,8 +219,9 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     if not np.array_equal(np.sort(row_keys(_spinor_coords(garr))),
                           np.sort(row_keys(r.base.coords))):
         raise SymmetrySweepFailure("the induced roots are not the spinor coordinates of the group")
-    if pairs is None:
-        li, ri = np.divmod(np.arange(n * n), n)
+    if pairs is None:  # (L, R) fails iff (0, R) or (L, 0) does, neither later in L-major order
+        zeros = np.zeros(n - 1, np.intp)
+        li, ri = np.append(zeros, np.arange(n)), np.append(np.arange(n), zeros)
     else:
         rng = np.random.default_rng(seed)
         li, ri = rng.integers(0, n, size=pairs), rng.integers(0, n, size=pairs)

@@ -112,14 +112,14 @@ def _coxeter_h(name: str) -> int:
     return h
 
 
-class McKayRow(NamedTuple):
+class McKayRow(NamedTuple):  # in the order of the CLI table's columns
     threeD: str
     fourD: str
     lie: str
+    binary_group: str
     phi_count: int
     sum_dims: int
     coxeter_h: int
-    binary_group: str
     irrep_dims: tuple
 
 
@@ -149,8 +149,8 @@ def mckay_table(spins: Optional[Mapping[str, VersorGroup]] = None) -> tuple[McKa
     for three_d, ade, binary_name in _ROWS:
         spin = spins[three_d] if three_d in spins else generate_spin(catalog(three_d))
         induced, dims = induce_4d(spin), irrep_dimensions(spin)
-        row = McKayRow(three_d, induced.identification, ade + "+", spin.source.root_count,
-                       dims.sum, _coxeter_h(ade), binary_name, dims.dims)
+        row = McKayRow(three_d, induced.identification, ade + "+", binary_name,
+                       spin.source.root_count, dims.sum, _coxeter_h(ade), dims.dims)
         if not (row.phi_count == row.sum_dims == row.coxeter_h):
             raise McKayMismatch(
                 f"row {three_d}: root count {row.phi_count}, irrep-dim sum "

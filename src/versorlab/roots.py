@@ -235,13 +235,6 @@ class CartanMatrix:
         self.entries = np.asarray(entries, dtype=np.float64)
         self.entries.setflags(write=False)
 
-    @property
-    def rank(self) -> int:
-        return self.entries.shape[0]
-
-    def is_integral(self) -> bool:
-        return bool(np.max(np.abs(self.entries - np.round(self.entries))) <= DEFAULT_EPS)
-
     def __repr__(self):
         return f"CartanMatrix({np.round(self.entries, 6).tolist()})"
 

@@ -353,9 +353,9 @@ _DIAGRAM_MARKS = {"A3": [3, 3], "B3": [3, 4], "H3": [3, 5], "F4": [3, 3, 4], "I2
 
 
 def _cartan_diagrams(ctx):
-    a3 = cartan_matrix(ctx.catalog("A3"))
-    a3_cartan = np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=float)
-    return {"a3_integral": a3.is_integral() and np.allclose(a3.entries, a3_cartan, atol=DEFAULT_EPS),
+    a3, a3_cartan = ctx.catalog("A3"), np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=float)
+    return {"a3_integral": bool((a3.coxeter_matrix <= 3).all())
+            and np.allclose(cartan_matrix(a3).entries, a3_cartan, atol=DEFAULT_EPS),
             "marks": {n: sorted(e.m for e in diagram(ctx.catalog(n))) for n in _DIAGRAM_MARKS}}
 
 

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -438,6 +439,17 @@ def test_blade_parsing_variants():
     assert blade(SIG3, "1").scalar == 1.0
     with pytest.raises(ValueError):
         blade(SIG3, "e7")
+
+
+@pytest.mark.parametrize("spec", [True, False, np.int64(3), 3.0, "e21", "e7", "", 8, -1])
+def test_blade_takes_a_name_or_an_integral_mask_only(spec):
+    # np.int64(3) is mask 0b011, e12; a bool, a float, an unlisted name or a mask outside
+    # 0..7 is refused with one ValueError naming the spec and the algebra
+    if isinstance(spec, np.integer):
+        assert blade(SIG3, spec) == blade(SIG3, "e12")
+        return
+    with pytest.raises(ValueError, match=re.escape(f"{spec!r} in Cl(3,0)")):
+        blade(SIG3, spec)
 
 
 def test_signature_validation():

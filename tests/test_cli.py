@@ -220,8 +220,10 @@ def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, ca
     (["group", "A3", "--max-closure", "0", "--format", "markdown"], "--max-closure"),
     (["modular", "S", "0.5", "1", "--tolerance", "1e-16"], "--tolerance"),
     (["modular", "S", "0.5", "1", "--tolerance", "1e-17"], "--tolerance"),
+    (["modular", "STt", "0.25", "1.5", "--tolerance", "1"], "--tolerance"),
+    (["modular", "S", "0.5", "1", "--tolerance", "1e300"], "--tolerance"),
     (["modular", "S", "nan", "1", "--tolerance", "1e-300", "--format", "csv"], "--tolerance"),
-])  # the last: modular checks its tolerance before tau
+])  # at 1 and above, ordinary points would read as infinity; the last: tolerance before tau
 def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == "" and len(err.splitlines()) == 1

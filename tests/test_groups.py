@@ -208,8 +208,15 @@ def test_elements_and_members_equal_the_validated_versors(name, kind):
 
 def test_quotient_requires_versor_group():
     q = quotient_by_sign(generate_spin(catalog("A1^3")))
-    with pytest.raises((VersorlabError, AttributeError, TypeError)):
+    with pytest.raises(VersorlabError, match="^quotient_by_sign expects a pin or spin group$"):
         quotient_by_sign(q)
+
+
+def test_a_versor_group_of_another_kind_is_refused():
+    g = generate_spin(catalog("A1^3"))
+    with pytest.raises(ValueError, match="bad versor group kind 'chiral'"):
+        versorlab.groups.VersorGroup("chiral", g.sig, g.element_arr(), g._graph,
+                                     (g._e, *g._tree, g._layers))
 
 
 def _spin_a3_exponentials():

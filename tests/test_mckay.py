@@ -116,11 +116,11 @@ def test_one_inverse_replay_serves_every_answer(monkeypatch):
     # irrep_dimensions and abelianization_order alike; irrep_dimensions reads
     # the class representatives' left products the class split replayed
     calls = []
-    real = versorlab.groups._GroupBase._left_products
+    real = versorlab.groups.VersorGroup._left_products
     for g in (generate_pin(catalog("F4")), quotient_by_sign(spin("B3"))):
         g.table, g.conjugacy_classes()
         calls.clear()
-        monkeypatch.setattr(versorlab.groups._GroupBase, "_left_products",
+        monkeypatch.setattr(versorlab.groups.VersorGroup, "_left_products",
                             lambda self, starts, **k: calls.append((starts.size, "hops" in k))
                             or real(self, starts, **k))
         first = g.inverses()
