@@ -251,31 +251,43 @@ def blade_name(mask: int) -> str:
     return "e" + "".join(str(i + 1) for i in range(MAX_DIM) if mask >> i & 1)
 
 
-def _kept_terms(names, values: list) -> list:
-    """(name, c) of each float c in ``values`` with |c| > DEFAULT_EPS, tested on the raw
-    float (a NaN is kept): the one mask behind every multivector's text and JSON form."""
-    eps = DEFAULT_EPS
-    return [(name, c) for name, c in zip(names, values) if not abs(c) <= eps]
+def _term_rows(names, rows: np.ndarray, table, join) -> list:
+    """``join`` of each row's terms in blade order, one per c with |c| > DEFAULT_EPS in row (n, D)
+    ``rows``, tested on the raw float (a NaN is kept): the one mask behind every listing.  Each
+    distinct (blade, c, first term of its row) is written once, by one ``table(names, values,
+    firsts)`` call on three lists, and rows are gathered from that table."""
+    i, b = np.nonzero(~(np.abs(rows) <= DEFAULT_EPS))
+    kb = 2 * b + np.concatenate(([True], i[1:] != i[:-1]))[:b.size]  # 1 more on a row's first term
+    order = np.lexsort((kb, c := rows[i, b]))  # one sort; each NaN stays its own entry
+    c, kb = c[order], kb[order]
+    new = np.concatenate(([True], (c[1:] != c[:-1]) | (kb[1:] != kb[:-1])))[:c.size]
+    made = table(np.asarray(names, object)[kb[new] >> 1].tolist(), c[new].tolist(),
+                 (kb[new] & 1).tolist())
+    terms = np.empty(c.size, object)
+    terms[order] = np.fromiter(made, object, len(made))[np.cumsum(new) - 1]
+    terms, ends = terms.tolist(), i.searchsorted(np.arange(1, len(rows) + 1)).tolist()
+    return [join(terms[a:z]) for a, z in zip([0, *ends], ends)]
 
 
 def _json_dicts(sig: Signature, rows: np.ndarray) -> list:
-    """``to_json_dict()`` of each row of (n, D) coefficients, through one ``tolist()``."""
-    (p, q), names = sig, kernel_for(sig).blade_names
-    return [{"sig": [p, q], "coeffs": dict(_kept_terms(names, values))} for values in rows.tolist()]
+    """``to_json_dict()`` of each row of (n, D) coefficients."""
+    p, q = sig
+    return _term_rows(kernel_for(sig).blade_names, rows,
+                      lambda names, values, firsts: list(zip(names, values)),
+                      lambda terms: {"sig": [p, q], "coeffs": dict(terms)})
 
 
 def _text_rows(sig: Signature, rows: np.ndarray) -> list:
-    """``str`` of each row of (n, D) coefficients, through one ``tolist()``: each c with
-    |c| > DEFAULT_EPS in blade order, magnitudes to 6 significant digits."""
-    names, out = kernel_for(sig).blade_names, []
-    for values in rows.tolist():
-        terms = []
-        for name, c in _kept_terms(names, values):
-            mag = f"{abs(c):.6g}"
+    """``str`` of each row of (n, D) coefficients: each c with |c| > DEFAULT_EPS in blade
+    order, magnitudes to 6 significant digits."""
+    def table(names, values, firsts):
+        out = []
+        for name, c, first, mag in zip(names, values, firsts, [f"{abs(c):.6g}" for c in values]):
             body = mag if name == "1" else (name if mag == "1" else mag + name)
-            terms.append((("- " if c < 0 else "+ ") if terms else ("-" if c < 0 else "")) + body)
-        out.append(" ".join(terms) or "0")
-    return out
+            out.append((("-" if c < 0 else "") if first else ("- " if c < 0 else "+ ")) + body)
+        return out
+
+    return _term_rows(kernel_for(sig).blade_names, rows, table, lambda terms: " ".join(terms) or "0")
 
 
 def _check_eps(eps: float) -> None:

@@ -33,7 +33,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .algebra import DEFAULT_EPS, _kept_terms, _text_rows, kernel_for
+from .algebra import DEFAULT_EPS, _term_rows, _text_rows, kernel_for
 from .errors import UnknownCatalogName, VersorlabError
 from .groups import MAX_GROUP, generate_pin, generate_spin, quotient_by_sign
 from .induction import induce_4d, reflection_agreement, spinorial_automorphisms
@@ -80,18 +80,29 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _cells(rows):
+    """Each row as its printed cells; a float array's distinct values are formatted once."""
+    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f":
+        values, at = np.unique(rows, return_inverse=True)
+        return np.array([_fmt(x) for x in values.tolist()], object)[at.reshape(rows.shape)].tolist()
+    return ([_fmt(c) for c in row] for row in rows)
+
+
 def _json_rows(sig, rows: np.ndarray, pad: str) -> list:
     """Each row of (n, D) coefficients as ``json.dumps(_clean(mv.to_json_dict()), indent=2)``
-    writes it, at indent ``pad``, through one ``tolist()``, each float formatted once."""
-    inner, deep, memo, out = pad + "  ", pad + "    ", {}, []
+    writes it, at indent ``pad``."""
+    inner, deep = pad + "  ", pad + "    "
     keys = [f"\n{deep}{_quote(name)}: " for name in kernel_for(sig).blade_names]
     head = f'{{\n{inner}"sig": [\n{deep}{sig.p},\n{deep}{sig.q}\n{inner}],\n{inner}"coeffs": {{'
     tail, empty = f"\n{inner}}}\n{pad}}}", f"}}\n{pad}}}"
-    for values in rows.tolist():
-        terms = ",".join([key + (memo.get(c) or memo.setdefault(c, repr(round(c, 12) + 0.0)))
-                          for key, c in _kept_terms(keys, values)])
-        out.append(head + (terms + tail if terms else empty))
-    return out
+
+    def table(prefixes, values, firsts):  # each value once; NaN, Infinity as json.dumps writes them
+        text = {c: repr(round(c, 12) + 0.0).replace("inf", "Infinity").replace("nan", "NaN")
+                for c in set(values)}
+        return [prefix + text[c] for prefix, c in zip(prefixes, values)]
+
+    return _term_rows(keys, rows, table,
+                      lambda terms: head + (",".join(terms) + tail if terms else empty))
 
 
 def _render(fmt: str, title: str, tables, payload, code: int = 0, csv_table=None):
@@ -109,14 +120,14 @@ def _render(fmt: str, title: str, tables, payload, code: int = 0, csv_table=None
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(headers)
-        writer.writerows([_fmt(c) for c in row] for row in rows)
+        writer.writerows(_cells(rows))
         return buf.getvalue(), code
     lines = [f"# {title}"]
     for heading, headers, rows in tables:
         lines += [""] + ([f"## {heading}", ""] if heading else [])
         lines += ["| " + " | ".join(headers) + " |",
                   "| " + " | ".join("---" for _ in headers) + " |"]
-        lines += ["| " + " | ".join(_fmt(c) for c in row) + " |" for row in rows]
+        lines += ["| " + " | ".join(row) + " |" for row in _cells(rows)]
     return "\n".join(lines) + "\n", code
 
 
@@ -172,7 +183,7 @@ def _cmd_roots(args):
             "axioms_ok": check_axioms(rs).ok,
         },
         csv_table=(None, ["index", *coord_headers, "simple"],
-                   ([i, *r, i in simple] for i, r in enumerate(rs.coords))))
+                   ([i, *r, i in simple] for i, r in enumerate(_cells(rs.coords)))))
 
 
 def _cmd_group(args):
@@ -204,9 +215,9 @@ def _cmd_classes(args):
                    "; ".join([text[j] for j in cl.indices.tolist()]))
 
     def payload():
-        arr = g.element_arr()
-        members = _json_rows(g.sig, arr, " " * 8)
-        reps = _json_rows(g.sig, arr[[cl.indices[0] for cl in classes]], " " * 6)
+        members = _json_rows(g.sig, g.element_arr(), " " * 8)
+        # each representative is a member, written once: two spaces less on every line
+        reps = [members[cl.indices[0]].replace("\n  ", "\n") for cl in classes]
         listed = [f'{{\n      "size": {cl.size},\n      "order": {cl.element_order},\n'
                   f'      "representative": {rep},\n      "members": [\n        '
                   + ",\n        ".join([members[j] for j in cl.indices.tolist()])
@@ -357,9 +368,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once per process: argparse parses without changing it
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if getattr(args, "max_closure", None) is not None and args.max_closure < 1:
             raise VersorlabError(f"--max-closure must be >= 1, got {args.max_closure}")
         text, code = args.fn(args)

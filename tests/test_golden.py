@@ -22,7 +22,7 @@ pinned only by the files above: its low digits rest on the platform's libm.
 ``VERIFY_DIGESTS`` pins ``verify``'s stdout at three seeds; its residuals'
 digits come from numpy's seeded generator and float products, and were
 recorded with numpy 2.4 on x86-64 Linux.  ``h4_digests.json`` pins ``group`` and
-``classes`` of Spin(H4) in json and csv (H4's seeds, like H3's, are a
+``classes`` of Spin(H4) in json, csv and markdown (H4's seeds, like H3's, are a
 Cholesky factor); CI checks it in child processes, so this suite does not
 pay for H4.  Only ``modular`` takes ``--tolerance``, so no tolerance decides what
 a listing prints: ``group H3``, ``classes H3 --kind pin``, ``roots`` and ``induce``
@@ -40,7 +40,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,6 +94,31 @@ def test_cli_stdout_matches_digest(command, monkeypatch, capsys):
     assert main(command.split()) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == DIGESTS[command]
+
+
+def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
+    # cli parses with the one parser it built at import: runs in one process, usage
+    # errors among them, each give main's stdout, stderr and exit code when run alone
+    monkeypatch.setenv("VERSORLAB_SEED", "42")
+    usage = (["roots", "A3", "--tolerance", "abc"], ["group", "A3", "--kind", "nope"])
+    alone = {" ".join(argv): subprocess.run([sys.executable, "-m", "versorlab", *argv],
+                                            capture_output=True, text=True, env=os.environ)
+             for argv in usage}
+
+    def rebuild():
+        raise AssertionError("main built a second parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    for argv in (usage[0], ["roots", "A3"], ["group", "A3", "--kind", "pin", "--format", "csv"],
+                 usage[1]):
+        command, code = " ".join(argv), main(argv)
+        out, err = capsys.readouterr()
+        if command in alone:
+            want = alone[command]
+            assert (code, out, err) == (want.returncode, want.stdout, want.stderr) and code == 2
+        else:
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
 
 
 VERIFY_DIGESTS = {

@@ -25,7 +25,7 @@ from versorlab import (
     group_table_dict,
     quotient_by_sign,
 )
-from versorlab.algebra import DEFAULT_EPS, _text_rows, blade_name
+from versorlab.algebra import DEFAULT_EPS, _json_dicts, _text_rows, blade_name
 from versorlab.cli import _clean, _json_rows, main
 
 NAMES = ("A1", "A1^3", "A1^4", "A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)")
@@ -118,6 +118,8 @@ PLANTED = np.array([
     [1.0, -1.0, 0.5, -0.5, 1e-12, -1e-12, 123456.789, math.nextafter(1e-9, 1.0)],
 ])
 NAN_ROW = [math.nan, -1e-9, -math.nan, 0.0, -math.nextafter(1e-9, 1.0), -0.0, 1e-9, 0.25]
+INF_ROWS = [[math.inf, -0.0, -math.inf, 1e-9, math.nan, 0.25, -math.inf, 0.0],
+            [-math.inf, math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, math.nan]]
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-9, 0.5])
@@ -153,13 +155,76 @@ def test_every_accepted_tolerance_prints_the_default_listings(eps, capsys):
 
 
 def test_the_text_writer_matches_the_reference_and_str():
-    rows = np.vstack([PLANTED, NAN_ROW])
+    rows = np.vstack([PLANTED, NAN_ROW, *INF_ROWS])
     want = [reference_str(SIG3, values) for values in rows.tolist()]
     assert _text_rows(SIG3, rows) == want
     assert [str(Multivector(SIG3, values)) for values in rows] == want
     # coefficients at DEFAULT_EPS and signed zeros are not printed, a NaN is, unsigned
     assert want[:3] == ["0.123457e3 + 0.333333e23 - 2e123", "0", "0"]
-    assert want[4] == "nan + nane2 - 1e-09e3 + 0.25e123"
+    assert want[4:] == ["nan + nane2 - 1e-09e3 + 0.25e123",
+                        "inf - infe2 + nane3 + 0.25e13 - infe23", "-inf + infe1 + nane123"]
     # the dict form keeps the same coefficients as the text form, a NaN among them
     assert ([list(Multivector(SIG3, values).to_json_dict()["coeffs"]) for values in rows]
             == [list(reference_dict(SIG3, values)["coeffs"]) for values in rows.tolist()])
+
+
+def test_the_json_writer_writes_non_finite_coefficients_as_json_dumps():
+    # NaN, Infinity and -Infinity, as json.dumps writes them, not Python's nan and inf
+    rows = np.array([NAN_ROW, *INF_ROWS])
+    got = _json_rows(SIG3, rows, "")
+    assert got == [json.dumps(_clean(reference_dict(SIG3, values)), indent=2)
+                   for values in rows.tolist()]
+    assert '"1": NaN' in got[0] and '"1": Infinity' in got[1] and '"1": -Infinity' in got[2]
+
+
+EMPTY = np.arange(0, 2000, 25)  # rows with nothing listed: 0.0, -0.0, eps and -eps in turn
+
+
+def _planted_table():
+    """A seeded (2 000, 16) Cl(3,1) table whose values repeat across rows and blades, with
+    NaN, +-inf, +-DEFAULT_EPS and their neighbours, signed zeros and all-zero rows planted,
+    and values that are the first term of some rows and a later term of others."""
+    rng = np.random.default_rng(2024)
+    eps = DEFAULT_EPS
+    special = [math.nan, -math.nan, math.inf, -math.inf, eps, -eps, -0.0, 0.0,
+               math.nextafter(eps, 0.0), math.nextafter(eps, 1.0),
+               -math.nextafter(eps, 0.0), -math.nextafter(eps, 1.0)]
+    pool = np.array(special + [0.5, -0.5, 1.0, -1.0, 1 / 3, 1e-6, 123456.789]
+                    + rng.standard_normal(20).tolist())
+    rows = np.where(rng.random((2000, 16)) < 0.5, 0.0, rng.choice(pool, (2000, 16)))
+    rows[rng.random((2000, 16)) < 0.1] = -0.0
+    # 0.5 and -0.5 on e2 (blade 2): the first term of some rows, a later term of others
+    rows[3::7, :2] = 0.0
+    rows[3::7, 2] = 0.5
+    rows[4::7, 0] = 1.0
+    rows[4::7, 2] = 0.5
+    rows[5::7, :2] = 0.0
+    rows[5::7, 2] = -0.5
+    rows[6::7, 1] = 1.0
+    rows[6::7, 2] = -0.5
+    rows[EMPTY] = [[0.0], [-0.0], [eps], [-eps]] * (len(EMPTY) // 4)
+    return rows
+
+
+def test_the_gathered_listings_match_the_reference_writers_row_by_row():
+    sig, rows = Signature(3, 1), _planted_table()
+    values = rows.tolist()
+    text, dicts = _text_rows(sig, rows), _json_dicts(sig, rows)
+    assert text == [reference_str(sig, v) for v in values]
+    assert _json_rows(sig, rows, "  ") == [json.dumps(_clean(reference_dict(sig, v)), indent=2)
+                                           .replace("\n", "\n  ") for v in values]
+    # json.dumps writes each float by its repr, so equal dumps are equal keys and floats
+    want = [json.dumps(reference_dict(sig, v)) for v in values]
+    assert [json.dumps(d) for d in dicts] == want
+    mvs = [Multivector(sig, row) for row in rows]
+    assert [str(mv) for mv in mvs] == text
+    assert [json.dumps(mv.to_json_dict()) for mv in mvs] == want
+    # the plants are there: rows with nothing listed, each special value kept or dropped
+    # by |c| > DEFAULT_EPS, and 0.5 and -0.5 on e2 as a row's first term and a later one
+    assert [text[j] for j in EMPTY] == ["0"] * len(EMPTY)
+    kept = {repr(c) for d in dicts for c in d["coeffs"].values()}
+    above = math.nextafter(DEFAULT_EPS, 1.0)
+    assert {"nan", "inf", "-inf", repr(above), repr(-above)} <= kept
+    assert not {"0.0", "-0.0", repr(DEFAULT_EPS), repr(math.nextafter(DEFAULT_EPS, 0.0))} & kept
+    assert all(any(t.startswith(head) for t in text) for head in ("0.5e2 ", "-0.5e2 "))
+    assert all(any(f" {term} " in t for t in text) for term in ("+ 0.5e2", "- 0.5e2"))
