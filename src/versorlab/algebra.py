@@ -22,7 +22,8 @@ The package's one set of key helpers sits next to ``quantize``: ``row_keys``
 per table, which ``key_ids`` fills (a new key takes the next id) and
 ``find_ids`` reads (-1 where a key is absent), ``FIND_ROWS`` rows at a time.
 On them stands ``orbit``, the one closure routine for roots and reflection
-groups, which also returns the orbit's graph, which row each action hit.
+groups, which also returns the orbit's graph, which row each action hit, and
+finds a block's new rows where its running maximum id first reaches each new id.
 """
 
 from __future__ import annotations
@@ -220,29 +221,30 @@ def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
     found, in row blocks of at most ``BLOCK`` results (none is wider than a
     generator).  Each result is looked up by key in a dict of the known rows,
     where a new key takes the next row index: rows keep their first-seen
-    order and the value of their first path, whatever the block size.  Past
+    order and the value of their first path, whatever the block size; a block's
+    new rows are where its running maximum id first reaches each new id.  Past
     ``cap`` rows it raises ``ClosureCapExceeded(message.format(cap=cap))``.
 
     Returns the rows and the orbit's graph: ``graph[j, k]`` is the index of
     the row that row j hit under generator k.
     """
-    index, edges = {}, []
-    known = new = seeds[np.unique(key_ids(seeds, index), return_index=True)[1]]
-    step = max(1, BLOCK // max(gens.size, 1))
-    while new.shape[0]:
-        start = known.shape[0]
+    index, edges, known, step = {}, [], [], max(1, BLOCK // max(gens.size, 1))
+
+    def fresh(block, out) -> np.ndarray:  # block's ids; appends to out the rows of the new ids
+        start, hit = len(index), key_ids(block, index)
+        out.append(block[np.searchsorted(np.maximum.accumulate(hit), np.arange(start, len(index)))])
+        return hit
+
+    fresh(seeds, known)
+    while known[-1].shape[0]:
+        new, found = known[-1], []
         for i in range(0, new.shape[0], step):
-            # checked before each block, so the seeds and every block count
-            if known.shape[0] > cap:
+            if len(index) > cap:  # the seeds and every block count
                 raise ClosureCapExceeded(message.format(cap=cap))
-            rows = new[i:i + step]
-            block = act(rows, gens).reshape(-1, known.shape[1])
-            hit = key_ids(block, index)
-            edges.append(hit.reshape(rows.shape[0], -1))
-            ids, first = np.unique(hit, return_index=True)
-            known = np.concatenate([known, block[first[ids >= known.shape[0]]]])
-        new = known[start:]
-    return known, np.concatenate(edges)
+            edges.append(fresh(act(new[i:i + step], gens).reshape(-1, seeds.shape[1]), found))
+        known.append(np.concatenate(found))
+    known = np.concatenate(known)
+    return known, np.concatenate(edges).reshape(known.shape[0], -1)
 
 
 def blade_name(mask: int) -> str:

@@ -18,8 +18,8 @@ index of g_i g_j and the powers behind element orders; inverses follow
 (g_p s_k)^-1 = s_k^-1 g_p^-1.  Root systems are positive definite, so the
 classes R -> ~G R G are the orbits of x -> s^-1 x s over the generators s,
 ordered by (size, least index), the rows being in quantized lex order, to
-print identically run to run.  The dict of ``Multivector.key()`` bytes that
-looks elements up by value is built on first use; a quotient's holds both signs.
+print identically run to run.  A value is found by its bytes among the rows, else by its
+``Multivector.key()``, either sign in a quotient; each dict is built on first use.
 """
 
 from __future__ import annotations
@@ -81,9 +81,14 @@ class VersorGroup:
         self._negatives = np.arange(n)[::-1] if kind in _QUOTIENTS else np.arange(n)
 
     @cached_property
+    def _rows(self) -> dict:  # each row's own bytes -> its index, built on the first lookup
+        rows = np.ascontiguousarray(self._arr)
+        return dict(zip(rows.view((np.void, rows[0].nbytes)).ravel().tolist(), range(self.order)))
+
+    @cached_property
     def _lookup(self) -> dict:
-        """Element key bytes -> index, built on the first value lookup; an element that is
-        its own negative, as each of a quotient's is, is found by the key of -R too."""
+        """Element key bytes -> index, built on the first lookup ``_rows`` misses; an element
+        that is its own negative, as each of a quotient's is, is found by the key of -R too."""
         own = np.flatnonzero(self._negatives == np.arange(self.order))
         keys = row_keys(np.vstack([self._arr, -self._arr[own]])).tolist()
         return dict(zip(keys, [*range(self.order), *own.tolist()]))
@@ -106,18 +111,17 @@ class VersorGroup:
         src = self.source.name if self.source is not None and self.source.name else "?"
         return f"<{type(self).__name__} {self.kind}({src}) order {self.order}>"
 
-    def _coerce_arr(self, v) -> np.ndarray:
+    def index_of(self, v) -> int:
         if isinstance(v, Versor):
             v = v.mv
         if isinstance(v, Multivector):
             if v.sig != self.sig:
                 raise VersorlabError("element lives in a different algebra")
-            return v.coeffs
-        return np.asarray(v, dtype=np.float64)
-
-    def index_of(self, v) -> int:
-        row = self._coerce_arr(v)
-        i = self._lookup.get(qkey(row)) if row.shape[-1:] == (self._kern.D,) else None
+            v = v.coeffs
+        row, i = np.asarray(v, dtype=np.float64), None
+        if row.shape[-1:] == (self._kern.D,):  # its own bytes among the rows, else its key
+            i = self._rows.get(row.tobytes())
+            i = self._lookup.get(qkey(row)) if i is None else i
         if i is None:
             raise VersorlabError("element is not in the group")
         return i
@@ -161,9 +165,13 @@ class VersorGroup:
         return self._inverses
 
     def element_order(self, v) -> int:
-        """Least k with v^k = 1."""
+        """Least k with v^k = 1, read off a list of each element's order."""
+        return self._element_orders[self.index_of(v)]
+
+    @cached_property
+    def _element_orders(self) -> list:
         classes, label, _ = self._class_split
-        return classes[label[self.index_of(v)]].element_order
+        return np.array([c.element_order for c in classes])[label].tolist()
 
     def conjugacy_classes(self) -> tuple["ConjugacyClass", ...]:
         return self._class_split[0]

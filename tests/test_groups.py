@@ -99,6 +99,57 @@ def test_membership_and_index_errors():
             g.index_of(bad)
 
 
+LOOKUP_NAMES = ["A1^3", "A3", "B3", "H3", "D4"]
+KINDS = ["pin", "spin", "full", "chiral"]
+
+
+def count_keys(mp) -> list:
+    """Record every row ``groups.qkey`` quantizes, by monkeypatching."""
+    keyed = []
+    mp.setattr(versorlab.groups, "qkey", lambda row, _f=versorlab.groups.qkey:
+               keyed.append(row) or _f(row))
+    return keyed
+
+
+@pytest.mark.parametrize("name", LOOKUP_NAMES)
+def test_a_census_of_the_groups_own_rows_quantizes_nothing(name, monkeypatch):
+    keyed = count_keys(monkeypatch)
+    for g in (group_of(name, kind) for kind in KINDS):
+        orders = np.empty(g.order, dtype=int)
+        for c in conjugacy_classes(g):
+            orders[c.indices] = c.element_order
+        assert [g.element_order(row) for row in g.element_arr()] == orders.tolist()
+        assert [g.element_order(v) for v in g.elements] == orders.tolist()
+        assert [g.index_of(v) for v in g.elements] == list(range(g.order))
+    assert keyed == []
+    g.index_of(g.element_arr()[0] * (1 + 1e-12))  # the counter counts: other bytes are keyed
+    assert len(keyed) == 1
+
+
+@pytest.mark.parametrize("name", LOOKUP_NAMES)
+def test_the_key_decides_every_value_that_is_not_a_rows_own_bytes(name, monkeypatch):
+    keyed = count_keys(monkeypatch)
+    for g in (group_of(name, kind) for kind in KINDS):
+        arr, n, calls = g.element_arr(), g.order, len(keyed)
+        signed = arr.copy()
+        signed[arr == 0] *= -1  # each zero's sign flipped: other bytes, the same key
+        # moved by under a quarter cell: the same key unless a coefficient crosses a cell boundary
+        moved = arr + 0.24 * versorlab.algebra.HASH_GRID * (-1.0) ** np.arange(arr.shape[1])
+        same = (quantize(moved) == quantize(arr)).all(axis=1)
+        for i in range(n):
+            assert signed[i].tobytes() != arr[i].tobytes() and g.index_of(signed[i]) == i
+            if same[i]:
+                assert g.index_of(moved[i]) == i
+            else:
+                with pytest.raises(VersorlabError, match="not in the group"):
+                    g.index_of(moved[i])
+            # -g_i is g's row n-1-i, bytes and all; in a quotient only its key finds [g_i]
+            assert g.index_of(-arr[i]) == g._negatives[i]
+        with pytest.raises(VersorlabError, match="not in the group"):
+            g.index_of(arr[:2])  # a 2-row array is no element, though it starts with one
+        assert len(keyed) - calls == 2 * n + 1 + (n if g.kind in ("reflection", "rotation") else 0)
+
+
 def test_element_orders():
     g = generate_spin(catalog("A3"))
     assert g.element_order(scalar_mv(SIG3, 1.0)) == 1
@@ -377,10 +428,11 @@ def test_closure_cap_boundary():
 
 
 def test_closure_is_independent_of_block_size(monkeypatch):
-    def closures():
-        return [catalog("E8").coords, catalog("H4").coords,
-                generate_pin(catalog("H3")).element_arr(),
-                generate_spin(catalog("D4")).element_arr()]
+    def closures():  # the roots and reflections, and each group's rows, graph and tree
+        out = [a for rs in map(catalog, ("E8", "H4")) for a in (rs.coords, rs.reflections)]
+        for g in (generate_pin(catalog("H3")), generate_spin(catalog("D4"))):
+            out += [g.element_arr(), g._graph, np.array(g._e), *g._tree, g._layers]
+        return out
 
     default = closures()
     # an orbit block is max(1, BLOCK // gens.size) rows, and the smallest
@@ -390,7 +442,8 @@ def test_closure_is_independent_of_block_size(monkeypatch):
     for block in (16, 1024):
         monkeypatch.setattr(versorlab.algebra, "BLOCK", block)
         monkeypatch.setattr(versorlab.groups, "BLOCK", block)
-        for small, big in zip(closures(), default):
+        for small, big in zip(closures(), default, strict=True):
+            assert small.dtype == big.dtype and small.shape == big.shape
             assert small.tobytes() == big.tobytes()
     with pytest.raises(ClosureCapExceeded):  # the seed of test_closure_cap_trips_on_irrational_angle
         close_roots([[1.0, 0.0], [-math.cos(1.0), math.sin(1.0)]], sig=Signature(2, 0),
@@ -629,9 +682,9 @@ def test_integer_answers_build_no_key_dict(name, generate):
         h.table
         conjugacy_classes(h)
         h.inverses()
-    assert "_lookup" not in g.__dict__ and "_lookup" not in q.__dict__
+    assert not {"_rows", "_lookup"} & (g.__dict__.keys() | q.__dict__.keys())
     assert q.index_of(-g.element_arr()[1]) == q.index_of(g.element_arr()[1])
-    assert "_lookup" in q.__dict__ and "_lookup" not in g.__dict__
+    assert {"_rows", "_lookup"} <= q.__dict__.keys() and "_lookup" not in g.__dict__
 
 
 @pytest.mark.parametrize("kind", ["pin", "spin", "full", "chiral"])
@@ -647,7 +700,7 @@ def test_listings_build_no_key_dict(command, kind, monkeypatch, capsys):
         assert main([command, "H3", "--kind", kind, "--format", fmt]) == 0
     assert capsys.readouterr().out
     assert len(built) == (3 if kind in ("pin", "spin") else 6)
-    assert not [h for h in built if "_lookup" in h.__dict__]
+    assert not [h for h in built if {"_rows", "_lookup"} & h.__dict__.keys()]
 
 
 @pytest.mark.parametrize("name,kind", [("F4", "pin"), ("H3", "spin"), ("B3", "full"), ("A1", "spin")])
