@@ -4,8 +4,8 @@ Basis blades are indexed by bitmask: bit i set means the generator e_{i+1}
 is a factor of the blade, with factors stored in ascending index order.
 Generator e_{i+1} squares to +1 for i < p and to -1 otherwise.  A
 multivector is a dense float64 coefficient vector over all 2**(p+q) blades.
-Every geometric product, single or batched, is one contraction against a
-per-signature D x D sign table (``_Kernel``).
+Every geometric product, single or batched, is one contraction of A against
+B's signed D x D operand, gathered by per-signature tables (``_Kernel``).
 
 Two numbers decide sameness and closeness:
 
@@ -43,6 +43,7 @@ KEY_BOUND = 2.0 ** 62 * HASH_GRID  # about 4.6e12: half the range where keys are
 MAX_DIM = 8
 BLOCK = 1 << 22  # floats per block of a batched computation
 FIND_ROWS = 4096  # rows keyed at a time by find_ids
+SIGNED_GATHER = 64  # blades from which a single product gathers its signed operand in one pass
 _REAL = (int, float, numbers.Real)  # int and float first skip the slow ABC instance check
 
 __all__ = [
@@ -73,6 +74,8 @@ class Signature:
 
     def __post_init__(self):
         p, q = self.p, self.q
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (p, q)):
+            raise ValueError(f"signature p and q must be integers (not bools), got ({p!r}, {q!r})")
         if p < 0 or q < 0 or p + q < 1 or p + q > MAX_DIM:
             raise ValueError(f"signature ({p},{q}) out of range, need 1 <= p+q <= {MAX_DIM}")
         object.__setattr__(self, "p", int(p))
@@ -99,7 +102,11 @@ class _Kernel:
     The blade product e_a e_b is +-e_(a^b) (bitmap blades, Dorst, Fontijne &
     Mann 2007, ch. 19).  With ``xor[a, k] = a ^ k`` and ``sign[a, k]`` the
     sign of e_a e_(a^k), output blade k of A B is sum_a A[a] B[a^k] sign[a, k]:
-    every product, single or batched, is that one contraction.
+    every product, single or batched, is that one contraction.  Its operand
+    sign[a, k] B[a^k] is one gather off [B, -1.0 * B] by ``signed_xor`` (a ^ k,
+    plus D where the sign is -1); a product with +-1.0 is exact, so the floats
+    are the same, and a batch holds one D x D operand per row, not two.  Single
+    products below ``SIGNED_GATHER`` blades gather, then sign: faster there.
 
     Built once per signature and cached with it: ``grades`` (the grade of
     each blade), ``blade_names`` (indexed by mask), the read-only grade
@@ -128,6 +135,7 @@ class _Kernel:
         negs = (bits * (np.arange(n) >= p)) @ bits.T
         self.xor = blades[:, None] ^ blades[None, :]
         self.sign = np.where((swaps + negs) % 2, -1.0, 1.0)[blades[:, None], self.xor]
+        self.signed_xor = self.xor + D * (self.sign < 0)  # sign[a, k] * B[a ^ k] in [B, -B]
         self.metric = self.sign[:, 0].copy()
         self._grade_masks = tuple(self.grades == g for g in range(n + 1))
         self.odd = self.grades % 2 == 1
@@ -137,7 +145,9 @@ class _Kernel:
             arr.setflags(write=False)
 
     def gp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("a,ak->k", a, b[self.xor] * self.sign)
+        if self.D < SIGNED_GATHER:
+            return np.einsum("a,ak->k", a, b[self.xor] * self.sign)
+        return np.einsum("a,ak->k", a, np.concatenate((b, b * -1.0))[self.signed_xor])
 
     def scalar_part(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """``gp(a, b)[0]``, the same floats, of each pair of rows over broadcast leading axes."""
@@ -145,7 +155,8 @@ class _Kernel:
 
     def gp_elemwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Broadcasting batched product over leading axes of (..., D) arrays."""
-        return np.einsum("...a,...ak->...k", A, B[..., self.xor] * self.sign)
+        return np.einsum("...a,...ak->...k", A,
+                         np.concatenate((B, B * -1.0), axis=-1)[..., self.signed_xor])
 
     def rev(self, A: np.ndarray) -> np.ndarray:
         return A * self.rev_sign
@@ -396,8 +407,8 @@ class Multivector:
 
     def grade(self, k_: int) -> "Multivector":
         k = kernel_for(self.sig)
-        if not 0 <= k_ <= k.n:
-            raise ValueError(f"grade {k_} out of range for Cl{tuple(self.sig)}")
+        if isinstance(k_, bool) or not isinstance(k_, numbers.Integral) or not 0 <= k_ <= k.n:
+            raise ValueError(f"grade {k_!r} out of range for Cl{tuple(self.sig)}: integers 0..{k.n}")
         return Multivector._wrap(self.sig, np.where(k.grade_mask(k_), self.coeffs, 0.0))
 
     def grades_present(self):
@@ -622,7 +633,9 @@ def reflect(v: Multivector, alpha: Multivector) -> Multivector:
 
 
 def exp_bivector(B: Multivector, theta: float) -> Versor:
-    """exp(B * theta) = cos(theta) + B sin(theta) for a unit bivector B (B^2 = -1)."""
+    """exp(B * theta) = cos(theta) + B sin(theta) for a unit bivector B (B^2 = -1), theta finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"exp_bivector needs a finite theta, got {theta!r}")
     if not B.is_grade(2):
         raise ValueError("exp_bivector expects a grade-2 argument")
     k = kernel_for(B.sig)

@@ -279,6 +279,22 @@ def test_exp_bivector_rejects_bad_arguments():
         exp_bivector(2.0 * blade(SIG3, "e12"), 1.0)  # B^2 = -4, not -1
 
 
+@pytest.mark.parametrize("call,arg", [
+    (lambda a: vector(SIG31, [1, 2, 3, 4]).grade(a), 1.5),
+    (lambda a: vector(SIG31, [1, 2, 3, 4]).grade(a), True),
+    (lambda a: vector(SIG31, [1, 2, 3, 4]).grade(a), np.float64(1.0)),
+    (lambda a: exp_bivector(blade(SIG3, "e12"), a), math.inf),
+    (lambda a: exp_bivector(blade(SIG3, "e12"), a), -math.inf),
+    (lambda a: exp_bivector(blade(SIG3, "e12"), a), math.nan),
+])
+def test_grade_and_angle_arguments_are_checked_where_they_enter(call, arg):
+    # a grade is an integer (not a bool) and an angle is finite; before, grade(1.5) leaked
+    # a TypeError about tuple indices, grade(True) was grade 1, and exp_bivector raised
+    # "math domain error" at inf and NotAVersor at nan
+    with pytest.raises(ValueError, match=re.escape(repr(arg))):
+        call(arg)
+
+
 # ---------------------------------------------------------------- kernel reference
 
 REFERENCE_SIGS = [(1, 0), (3, 0), (3, 1), (2, 3), (5, 0), (4, 4), (8, 0)]
@@ -359,6 +375,61 @@ def test_kernel_scalar_part_is_the_products_scalar_bitwise(p, q):
     assert np.array_equal(k.scalar_part(A, B[0]), [k.scalar_part(a, B[0]) for a in A])
     # (20 rows: a batched product expands B to rows * D**2 floats)
     assert np.array_equal(k.gp_elemwise(A[:20], B[:20]), [k.gp(a, b) for a, b in zip(A[:20], B)])
+
+
+SIGNED_SIGS = [(1, 0), (3, 0), (3, 1), (2, 3), (5, 0), (6, 0), (3, 3), (4, 4), (8, 0)]
+
+
+def spread_rows(rng, shape):
+    """Coefficients over twelve decades, a quarter of them +-0.0, and one inf, one -inf and
+    one NaN in the first three rows over the leading axes, of at least six; the rest are finite."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    x[rng.random(shape) < 0.25] = np.copysign(0.0, rng.normal())
+    x[rng.random(shape) < 0.1] = -0.0
+    rows = x.reshape(-1, shape[-1])
+    for i, special in zip(range(rows.shape[0] // 2), (math.inf, -math.inf, math.nan)):
+        rows[i, rng.integers(shape[-1])] = special
+    return x
+
+
+def same_floats(got, want):
+    """Equal bit for bit, the sign of a zero included; a NaN is compared by position."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(np.where(nan, 0.0, got).view(np.int64),
+                               np.where(nan, 0.0, want).view(np.int64)))
+
+
+@pytest.mark.parametrize("p,q", SIGNED_SIGS)
+def test_products_equal_gathering_then_signing_bit_for_bit(p, q):
+    # the reference is the gather-then-sign operand B[..., xor] * sign: one gather off
+    # [B, -1.0 * B] must hand einsum the same floats, so every product is the same
+    k = kernel_for(Signature(p, q))
+    rng = np.random.default_rng(31 * p + q)
+    D = k.D
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf make NaNs on purpose
+        A, B = spread_rows(rng, (8, D)), spread_rows(rng, (8, D))
+        for a, b in [*zip(A, B), *zip(A, B[::-1])]:
+            assert same_floats(k.gp(a, b), np.einsum("a,ak->k", a, b[k.xor] * k.sign))
+        assert not np.isnan(k.gp(A[5], B[6])).any()  # finite rows stay finite
+        shapes = [((8, D), (8, D)), ((8, D), (D,)), ((8, 1, D), (1, 8, D)), ((6, 1, D), (8, D))]
+        for sa, sb in shapes:
+            A, B = spread_rows(rng, sa), spread_rows(rng, sb)
+            want = np.einsum("...a,...ak->...k", A, B[..., k.xor] * k.sign)
+            assert same_floats(k.gp_elemwise(A, B), want), (sa, sb)
+
+
+def test_a_batched_product_holds_one_operand_table():
+    # by count, not clock: gathering B and then signing it held two (rows, D, D) tables
+    k = kernel_for(SIG31)
+    A, B = RNG.normal(size=(2, 1000, k.D))
+    tracemalloc.start()
+    try:
+        k.gp_elemwise(A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 1000 * k.D * k.D * 8
 
 
 # ---------------------------------------------------------------- hashing / io
@@ -456,6 +527,12 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         Signature(7, 3)  # dimension above 8 unsupported
     assert Signature(3, 1).blade_count == 16
+    # numpy integers pass and become ints; a float, a bool or a string does not, as in blade()
+    sig = Signature(np.int64(3), np.int32(1))
+    assert sig == SIG31 and type(sig.p) is int and type(sig.q) is int
+    for p, q in [(2.5, 0), (3, 0.9), (True, 0), (3, False), (np.float64(3.0), 0), ("3", 0)]:
+        with pytest.raises(ValueError, match=re.escape(f"got ({p!r}, {q!r})")):
+            Signature(p, q)
 
 
 def test_orbit_graph_is_each_rows_product_looked_up():

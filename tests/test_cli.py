@@ -198,7 +198,8 @@ def test_spin_closure_fails_fast_under_memory_limit():
     # seeds not 2-D, empty, non-finite, or with a squared length past the float range
     ({"simple_roots": seeds}, "simple_roots")
     for seeds in ([], [1, 2], [[]], [[[1, 0]]], [[float("nan"), 0], [0, 1]],
-                  [[float("inf"), 0], [0, 1]], [[1e300, 0], [0, 1]], [[1e200, 0], [0, 1]])])
+                  [[float("inf"), 0], [0, 1]], [[1e300, 0], [0, 1]], [[1e200, 0], [0, 1]])]
+    + [({"sig": [2.5, 0], "simple_roots": [[1, 0]]}, '"sig"')])  # a float p keeps this message
 def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(data))
