@@ -109,8 +109,8 @@ class _Kernel:
     products below ``SIGNED_GATHER`` blades gather, then sign: faster there.
 
     Built once per signature and cached with it: ``grades`` (the grade of
-    each blade), ``blade_names`` (indexed by mask), the read-only grade
-    masks behind ``grade_mask``, the parity masks ``odd`` and ``even``, and
+    each blade), ``blade_names`` (indexed by mask), ``grade_masks[g]``, the
+    read-only mask of grade g, the parity masks ``odd`` and ``even``, and
     the metric diagonal ``metric`` (``metric[a] = sign[a, 0]``, the scalar
     e_a e_a).  The scalar part of A B is sum_a A[a] B[a] metric[a];
     ``scalar_part`` takes that sum in the contraction's own order, so it
@@ -137,11 +137,11 @@ class _Kernel:
         self.sign = np.where((swaps + negs) % 2, -1.0, 1.0)[blades[:, None], self.xor]
         self.signed_xor = self.xor + D * (self.sign < 0)  # sign[a, k] * B[a ^ k] in [B, -B]
         self.metric = self.sign[:, 0].copy()
-        self._grade_masks = tuple(self.grades == g for g in range(n + 1))
+        self.grade_masks = tuple(self.grades == g for g in range(n + 1))
         self.odd = self.grades % 2 == 1
         self.even = ~self.odd
         self.by_parity = np.concatenate([np.flatnonzero(self.odd), np.flatnonzero(self.even)])
-        for arr in (self.metric, self.odd, self.even, *self._grade_masks):
+        for arr in (self.metric, self.odd, self.even, *self.grade_masks):
             arr.setflags(write=False)
 
     def gp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,9 +160,6 @@ class _Kernel:
 
     def rev(self, A: np.ndarray) -> np.ndarray:
         return A * self.rev_sign
-
-    def grade_mask(self, k: int) -> np.ndarray:
-        return self._grade_masks[k] if 0 <= k <= self.n else self.grades == k
 
 
 @lru_cache(maxsize=None)
@@ -224,7 +221,7 @@ def find_ids(arr: np.ndarray, index: dict) -> np.ndarray:
 
 
 def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
-          message: str) -> tuple[np.ndarray, np.ndarray]:
+          message: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orbit of the rows of ``seeds`` under ``gens`` by breadth-first search, at most ``cap`` rows.
 
     ``act(A, gens)`` acts on each row of A by each generator, shape
@@ -236,8 +233,10 @@ def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
     new rows are where its running maximum id first reaches each new id.  Past
     ``cap`` rows it raises ``ClosureCapExceeded(message.format(cap=cap))``.
 
-    Returns the rows and the orbit's graph: ``graph[j, k]`` is the index of
-    the row that row j hit under generator k.
+    Returns the rows, the distinct seeds first; the graph, ``graph[j, k]`` the row that row j
+    hit under generator k; the breadth-first tree, ``first[i]`` = j * len(gens) + k of the
+    edge that first reached row s + i, s the seeds' rows; and the layers' row bounds, layer L
+    being rows ``layers[L]:layers[L + 1]``, layer 0 the seeds.
     """
     index, edges, known, step = {}, [], [], max(1, BLOCK // max(gens.size, 1))
 
@@ -254,8 +253,11 @@ def orbit(seeds: np.ndarray, gens: np.ndarray, act, cap: int,
                 raise ClosureCapExceeded(message.format(cap=cap))
             edges.append(fresh(act(new[i:i + step], gens).reshape(-1, seeds.shape[1]), found))
         known.append(np.concatenate(found))
-    known = np.concatenate(known)
-    return known, np.concatenate(edges).reshape(known.shape[0], -1)
+    layers = np.cumsum([0, *map(len, known)])[:-1]  # the last layer is empty
+    known, graph = np.concatenate(known), np.concatenate(edges)
+    # ids are handed out in order: a row's first edge is where the running maximum id reaches it
+    first = np.flatnonzero(np.diff(np.maximum.accumulate(np.r_[layers[1] - 1, graph])))
+    return known, graph.reshape(known.shape[0], -1), first, layers
 
 
 def blade_name(mask: int) -> str:
@@ -405,20 +407,22 @@ class Multivector:
         k = kernel_for(self.sig)
         return Multivector._wrap(self.sig, k.rev(self.coeffs))
 
-    def grade(self, k_: int) -> "Multivector":
-        k = kernel_for(self.sig)
-        if isinstance(k_, bool) or not isinstance(k_, numbers.Integral) or not 0 <= k_ <= k.n:
-            raise ValueError(f"grade {k_!r} out of range for Cl{tuple(self.sig)}: integers 0..{k.n}")
-        return Multivector._wrap(self.sig, np.where(k.grade_mask(k_), self.coeffs, 0.0))
+    def _grade_mask(self, k: int) -> np.ndarray:
+        n = self.sig.dim
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= n:
+            raise ValueError(f"grade {k!r} out of range for Cl{tuple(self.sig)}: integers 0..{n}")
+        return kernel_for(self.sig).grade_masks[k]
+
+    def grade(self, k: int) -> "Multivector":
+        return Multivector._wrap(self.sig, np.where(self._grade_mask(k), self.coeffs, 0.0))
 
     def grades_present(self):
         k = kernel_for(self.sig)
         return {g for g in range(k.n + 1)
-                if np.abs(self.coeffs[k.grade_mask(g)]).max(initial=0.0) > DEFAULT_EPS}
+                if np.abs(self.coeffs[k.grade_masks[g]]).max(initial=0.0) > DEFAULT_EPS}
 
-    def is_grade(self, k_: int) -> bool:
-        k = kernel_for(self.sig)
-        return np.abs(self.coeffs).max(where=~k.grade_mask(k_), initial=0.0) <= DEFAULT_EPS
+    def is_grade(self, k: int) -> bool:
+        return np.abs(self.coeffs).max(where=~self._grade_mask(k), initial=0.0) <= DEFAULT_EPS
 
     # -- views --------------------------------------------------------------
 
@@ -613,7 +617,7 @@ def sandwich(v: Multivector, A) -> Multivector:
     out = k.gp(k.gp(k.rev(A.mv.coeffs), v.coeffs), A.mv.coeffs)
     if A.parity == 1:
         out = -out
-    out = np.where(k.grade_mask(1), out, 0.0)
+    out = np.where(k.grade_masks[1], out, 0.0)
     return Multivector._wrap(v.sig, out)
 
 
@@ -628,7 +632,7 @@ def reflect(v: Multivector, alpha: Multivector) -> Multivector:
     if abs(abs(n2) - 1.0) > DEFAULT_EPS:
         raise ValueError(f"mirror vector must be unit, got alpha^2 = {n2}")
     out = -k.gp(k.gp(alpha.coeffs, v.coeffs), alpha.coeffs)
-    out = np.where(k.grade_mask(1), out, 0.0)
+    out = np.where(k.grade_masks[1], out, 0.0)
     return Multivector._wrap(v.sig, out)
 
 

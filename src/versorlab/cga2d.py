@@ -104,7 +104,7 @@ def _point_tests(X: np.ndarray, eps: float) -> tuple:
     except OverflowError:
         raise VersorlabError(f"conformal points must be null: the test's bound overflows squaring "
                              f"a coefficient of magnitude {float(peak.max())!r}") from None
-    return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_mask(1), initial=0.0) <= eps,
+    return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_masks[1], initial=0.0) <= eps,
             ~(np.abs(_KERNEL.scalar_part(X, X)) > bound),
             ~(np.abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound),
             np.isfinite(X).all(-1))

@@ -10,9 +10,9 @@ or spin double cover of unit versors, +R and -R distinct, and the full
 reflection (from pin) or plain rotation (from spin) group that
 quotient_by_sign makes of it, the cover modulo +-1.
 
-Each group keeps W's graph lifted by each edge's sign, ``graph[j, k]`` =
-index of g_j s_k, and the breadth-first tree its closure walked, each
-g_j = g_p s_k from the layer before.  Integer answers replay the tree, with
+Each group keeps its source root system, W's graph lifted by each edge's sign,
+``graph[j, k]`` = index of g_j s_k, and the breadth-first tree and layers that
+``orbit`` returned for W, each g_j = g_p s_k from the layer before.  Integer answers replay the tree, with
 no float product or search: left products give the lazy ``table[i, j]`` =
 index of g_i g_j and the powers behind element orders; inverses follow
 (g_p s_k)^-1 = s_k^-1 g_p^-1.  Root systems are positive definite, so the
@@ -25,7 +25,6 @@ print identically run to run.  A value is found by its bytes among the rows, els
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from typing import Optional
 
 import numpy as np
 
@@ -68,11 +67,11 @@ class VersorGroup:
     symmetric), so -g_i is row n-1-i.  Of kind rotation or reflection: that cover modulo +-1,
     each element the one of +-R whose first nonzero quantized coefficient is positive."""
 
-    def __init__(self, kind: str, sig: Signature, arr: np.ndarray, graph: np.ndarray, tree: tuple,
-                 source: Optional[RootSystem] = None):
+    def __init__(self, kind: str, source: RootSystem, arr: np.ndarray, graph: np.ndarray,
+                 tree: tuple):
         if kind not in (*_QUOTIENTS, *_QUOTIENTS.values()):
             raise ValueError(f"bad versor group kind {kind!r}")
-        self.kind, self.sig, self.source, self._kern = kind, sig, source, kernel_for(sig)
+        self.kind, self.source, self.sig = kind, source, source.sig
         self._arr, self._graph = arr, graph  # graph[j, k]: index of g_j s_k
         arr.setflags(write=False)
         graph.setflags(write=False)
@@ -108,8 +107,7 @@ class VersorGroup:
         return self._arr
 
     def __repr__(self):
-        src = self.source.name if self.source is not None and self.source.name else "?"
-        return f"<{type(self).__name__} {self.kind}({src}) order {self.order}>"
+        return f"<{type(self).__name__} {self.kind}({self.source.name or '?'}) order {self.order}>"
 
     def index_of(self, v) -> int:
         if isinstance(v, Versor):
@@ -119,7 +117,7 @@ class VersorGroup:
                 raise VersorlabError("element lives in a different algebra")
             v = v.coeffs
         row, i = np.asarray(v, dtype=np.float64), None
-        if row.shape[-1:] == (self._kern.D,):  # its own bytes among the rows, else its key
+        if row.shape[-1:] == self._arr.shape[1:]:  # its own bytes among the rows, else its key
             i = self._rows.get(row.tobytes())
             i = self._lookup.get(qkey(row)) if i is None else i
         if i is None:
@@ -222,25 +220,23 @@ class ConjugacyClass:
         return Versor._trusted(self.sig, self.rows[self.indices])
 
 
-def _generate(kind: str, rs: RootSystem, simple: np.ndarray, perms: np.ndarray,
-              factors: np.ndarray, cap: int) -> VersorGroup:
-    """{+-v_w} over W, the orbit of the simple roots' indices under the root
+def _generate(kind: str, rs: RootSystem, perms: np.ndarray, factors: np.ndarray,
+              cap: int) -> VersorGroup:
+    """{+-v_w} over W, the orbit of the simple roots' indices ``rs.simple`` under the root
     permutations ``perms`` (w, then generator k maps images b to perms[k][b]).
-    Versor generator k, the product of the rows ``factors[k]``, lifts W down the
-    breadth-first tree of first edges (q, k), v = v_q s_k, which the group keeps,
-    in blocks of at most ``BLOCK`` floats.  Each edge's product must be +-v of
-    its end to 1e-9, checked per ``BLOCK`` of held products, whose ends are all
-    known, and that sign lifts W's graph to the cover's."""
+    Versor generator k, the product of the rows ``factors[k]``, lifts W layer by
+    layer down the orbit's breadth-first tree of first edges (q, k), v = v_q s_k,
+    which the group keeps, in blocks of at most ``BLOCK`` floats.  Each edge's
+    product must be +-v of its end to 1e-9, checked per ``BLOCK`` of held products,
+    whose ends are all known, and that sign lifts W's graph to the cover's."""
     _check_cap("max_elements", cap)
-    images, graph = orbit(simple[None], perms, lambda b, p: p[:, b].swapaxes(0, 1), cap // 2,
-                          f"versor closure exceeded {cap} elements")
+    _, graph, first, layers = orbit(rs.simple[None], perms, lambda b, p: p[:, b].swapaxes(0, 1),
+                                    cap // 2, f"versor closure exceeded {cap} elements")
     kern, (n, m) = kernel_for(rs.sig), graph.shape
     gens = reduce(kern.gp_elemwise, factors.swapaxes(0, 1))
-    first = np.unique(graph, return_index=True)[1][1:]  # q * m + k of each first edge (q, k)
-    v, dots, held, layers = np.zeros((n, kern.D)), np.empty((n, m)), [], [0, 1]  # rows by layer
+    v, dots, held = np.zeros((n, kern.D)), np.empty((n, m)), []
     v[0, 0], step, checked = 1.0, max(1, BLOCK // max(m * kern.D, 1)), 0
-    while layers[-1] > layers[-2]:
-        lo, hi = layers[-2:]
+    for lo, hi in zip(layers, layers[1:]):
         for a in range(lo, hi, step):
             b = min(hi, a + step)
             if b - checked > step:  # the held products' ends are all known: check them
@@ -249,28 +245,27 @@ def _generate(kind: str, rs: RootSystem, simple: np.ndarray, perms: np.ndarray,
             held.append(kern.gp_elemwise(v[a:b, None], gens))
             c, d = np.searchsorted(first, [a * m, b * m])  # the rows first reached from a..b-1
             v[1 + c:1 + d] = held[-1].reshape(-1, kern.D)[first[c:d] - a * m]
-        layers.append(1 + int(d))  # the next layer: the rows first reached from this one
     dots[checked:] = np.einsum("qkd,qkd->qk", np.concatenate(held), v[graph[checked:]])
     if not np.all(np.abs(np.abs(dots) - 1.0) <= 1e-9):  # NaN fails too
         raise VersorlabError("the versor generators do not lift the root permutations")
     cover = graph + np.where(dots < 0, n, 0)  # row i + n is -v_i
     arr, graph, plus = lex_sorted(np.vstack([v, -v]), np.vstack([cover, (cover + n) % (2 * n)]),
                                   np.arange(n))  # plus[i]: the row of +v_i
-    tree = (int(plus[0]), plus[1:], plus[first // m], first % m, np.subtract(layers[1:-1], 1))
-    return VersorGroup(kind, rs.sig, arr, graph, tree, source=rs)
+    tree = (int(plus[0]), plus[1:], plus[first // m], first % m, layers[1:] - 1)
+    return VersorGroup(kind, rs, arr, graph, tree)
 
 
 def generate_pin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """The group generated by the simple-root vectors, with +-1."""
-    (simple, perms), s = rs.simple_reflections(), vector_rows(rs.sig, rs.simple_coords)
-    return _generate("pin", rs, simple, perms, s[:, None], max_elements)
+    s = vector_rows(rs.sig, rs.simple_coords)
+    return _generate("pin", rs, rs.reflections, s[:, None], max_elements)
 
 
 def generate_spin(rs: RootSystem, *, max_elements: int = MAX_GROUP) -> VersorGroup:
     """The even subgroup of Pin, generated by the products s_i s_j (i < j), with +-1."""
-    (simple, perms), s = rs.simple_reflections(), vector_rows(rs.sig, rs.simple_coords)
+    perms, s = rs.reflections, vector_rows(rs.sig, rs.simple_coords)
     i, j = np.triu_indices(rs.rank, 1)  # s_i s_j permutes the roots as s_i, then s_j
-    return _generate("spin", rs, simple, perms[j[:, None], perms[i]], np.stack([s[i], s[j]], 1),
+    return _generate("spin", rs, perms[j[:, None], perms[i]], np.stack([s[i], s[j]], 1),
                      max_elements)
 
 
@@ -291,9 +286,8 @@ def quotient_by_sign(group: VersorGroup) -> VersorGroup:
     keep = np.flatnonzero(neg < np.arange(group.order))
     to = np.searchsorted(keep, np.maximum(neg, np.arange(group.order)))  # [g] = [-g]; [g] s = [g s]
     (j, p, k), layers = group._tree, group._layers
-    return VersorGroup(_QUOTIENTS[group.kind], group.sig, group.element_arr()[keep],
-                       to[group._graph[keep]], (int(to[group._e]), to[j], to[p], k, layers),
-                       group.source)
+    return VersorGroup(_QUOTIENTS[group.kind], group.source, group.element_arr()[keep],
+                       to[group._graph[keep]], (int(to[group._e]), to[j], to[p], k, layers))
 
 
 # -- spinor coordinates ---------------------------------------------------------
@@ -326,7 +320,7 @@ def coxeter_number(rs: RootSystem) -> int:
     root permutations, which ``close_roots`` kept."""
     if rs.rank != rs.sig.dim:
         raise VersorlabError("coxeter_number needs a full-rank root system")
-    return int(_order(reduce(lambda acc, p: p[acc], rs.simple_reflections()[1])))  # s_1 first
+    return int(_order(reduce(lambda acc, p: p[acc], rs.reflections)))  # s_1 first
 
 
 # -- serialization ---------------------------------------------------------------

@@ -91,9 +91,8 @@ class InducedRootSystem4D(NamedTuple):
         return self.base.root_count
 
     def __repr__(self):
-        src = self.source.source.name if self.source.source else "?"
         return (f"<InducedRootSystem4D {self.identification} "
-                f"({self.base.root_count} roots from Spin({src}))>")
+                f"({self.base.root_count} roots from Spin({self.source.source.name or '?'}))>")
 
 
 def _generic_functional(coords: np.ndarray) -> np.ndarray:
@@ -134,7 +133,7 @@ def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
     simple = _extract_simple_coords(coords)
     refl = group._negatives[t[t[simple][:, group.inverses()], simple[:, None]]]  # -R_k ~R_j R_k
     coords, refl, simple = lex_sorted(coords, refl.T, simple)
-    rs = RootSystem(_SIG4, coords[simple], coords, simple=simple, reflections=refl.T)
+    rs = RootSystem(_SIG4, coords, simple, refl.T)
     rs.name = identify_4d(rs)
     return InducedRootSystem4D(rs, group, rs.name)
 

@@ -5,6 +5,9 @@ closed under reflection in each of its members, with no scalar multiples
 beyond the antipode.  Systems are built by closing a simple-root seed set
 under all reflections; the catalog provides standard seeds whose closures
 have the classical root counts (A3 -> 12, B3 -> 18, H3 -> 30, E8 -> 240, ...).
+Every system carries the closure that built it: the rows of its simple roots
+and each simple reflection as a permutation of the rows, the graph that Pin,
+Spin, the Coxeter matrix and the Coxeter number read.
 
 Simple roots in the catalog are unit length and pairwise at the obtuse
 angles pi - pi/m read off the Coxeter diagram.  Where no explicit coordinate
@@ -24,6 +27,7 @@ import numpy as np
 from .algebra import (
     BLOCK,
     DEFAULT_EPS,
+    HASH_GRID,
     KEY_BOUND,
     Multivector,
     Signature,
@@ -54,37 +58,27 @@ MAX_ROOTS = 10_000
 
 
 class RootSystem:
-    """Finite reflection-closed set of unit vectors, with its simple-root seed and, from
-    ``close_roots``, its closure's reflection graph: ``simple[k]``, the row of simple root k,
-    and ``reflections[k, i]``, the row of root i reflected in simple root k.  A system built
-    by hand has neither, and Pin, Spin, ``coxeter_matrix`` and all else that reads them refuse it."""
+    """Finite reflection-closed set of unit vectors with the closure's reflection graph:
+    ``simple[k]``, the row of simple root k, and ``reflections[k, i]``, the row of root i
+    reflected in simple root k, each reflection a permutation of the rows."""
 
-    def __init__(self, sig: Signature, simple_coords: np.ndarray, coords: np.ndarray,
-                 name: Optional[str] = None, simple=None, reflections=None):
+    def __init__(self, sig: Signature, coords: np.ndarray, simple: np.ndarray,
+                 reflections: np.ndarray, name: Optional[str] = None):
         self.sig, self.name, self.simple, self.reflections = sig, name, simple, reflections
-        self.simple_coords = np.asarray(simple_coords, dtype=np.float64)
         self.coords = np.asarray(coords, dtype=np.float64)
-        for arr in (self.simple_coords, self.coords, simple, reflections):
-            if arr is not None:
-                arr.setflags(write=False)
-        if reflections is not None and not (
-                (self.coords[simple] == self.simple_coords).all()
-                and (np.sort(reflections, axis=1) == np.arange(self.root_count)).all()):
+        self.rank, self.root_count = len(simple), len(self.coords)
+        self.simple_coords = self.coords[simple]
+        for arr in (self.coords, self.simple_coords, simple, reflections):
+            arr.setflags(write=False)
+        if not (np.sort(reflections, axis=1) == np.arange(self.root_count)).all():
             raise VersorlabError("the simple reflections do not permute the roots")
-
-    def simple_reflections(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(simple, reflections)``, or a ``VersorlabError`` for a system built by hand."""
-        if self.reflections is None:
-            raise VersorlabError(f"{self!r} was built by hand and has no reflection graph; "
-                                 "build it with close_roots or catalog")
-        return self.simple, self.reflections
 
     @cached_property
     def coxeter_matrix(self) -> np.ndarray:
         """Read-only m[a, b], the order of s_a s_b (Humphreys 1990, 5.3), 1 on the diagonal.
         s_a s_b rotates the plane of simple roots a and b and fixes its complement, so m_ab is
         the least k with (s_a s_b)^k a = a: one gather per step on the graph, every pair at once."""
-        simple, refl = self.simple_reflections()
+        simple, refl = self.simple, self.reflections
         a, b = np.indices((self.rank, self.rank))
         m, x, k = np.zeros(a.shape, dtype=np.intp), simple[a], 0
         while not m.all():  # each s_a s_b permutes the roots, so every pair returns
@@ -92,14 +86,6 @@ class RootSystem:
             m[(m == 0) & (x == simple[a])] = k
         m.setflags(write=False)
         return m
-
-    @property
-    def rank(self) -> int:
-        return self.simple_coords.shape[0]
-
-    @property
-    def root_count(self) -> int:
-        return self.coords.shape[0]
 
     @property
     def roots(self) -> tuple[Multivector, ...]:
@@ -123,8 +109,10 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
     The orbit of +-simple under the reflections in the simple mirrors.  The
     reflection in w(s) is w s w^-1, so this is also the closure under
     reflection in every root found (Humphreys 1990, section 1.5), and the orbit's
-    graph is W acting on the roots.  Raises ClosureCapExceeded past ``max_roots``
-    roots, which signals a non-finite (or degenerate) seed configuration.
+    graph is W acting on the roots, kept as the system's ``reflections``.  Its first
+    2 rank rows must be +-simple exactly: two seeds, or a seed and a negated seed, that
+    share a ``HASH_GRID`` key raise VersorlabError naming them.  Raises ClosureCapExceeded
+    past ``max_roots`` roots, which signals a non-finite (or degenerate) seed configuration.
     """
     simple = np.asarray(simple_roots, dtype=np.float64)
     with np.errstate(over="ignore"):
@@ -145,12 +133,19 @@ def close_roots(simple_roots, sig: Optional[Signature] = None, *, name: Optional
                          f"tolerance {DEFAULT_EPS!r}")
     if np.linalg.matrix_rank(simple, tol=1e-8) < simple.shape[0]:
         raise ValueError("simple roots must be linearly independent")
-    simple = simple / norms[:, None]
-    coords, graph = orbit(np.vstack([simple, -simple]), simple, _reflect_pairs, max_roots,
-                   "reflection closure exceeded {cap} roots; seed is likely not a finite system")
-    # the orbit's first rows are its distinct seeds: simple root k is row k (RootSystem checks)
-    coords, graph, ids = lex_sorted(coords, graph, np.arange(simple.shape[0]))
-    return RootSystem(sig, simple, coords, name=name, simple=ids, reflections=graph.T)
+    r, simple = simple.shape[0], simple / norms[:, None]
+    seeds = np.vstack([simple, -simple])
+    coords, graph, _, _ = orbit(seeds, simple, _reflect_pairs, max_roots, "reflection closure "
+                                "exceeded {cap} roots; seed is likely not a finite system")
+    if not np.array_equal(coords[:2 * r], seeds):  # the orbit's first rows are its distinct seeds
+        ids = key_ids(seeds, {})
+        if i := int(np.argmax(ids != np.arange(2 * r))):  # the first seed keyed as an earlier one
+            a, b = (f"{'-' * (j >= r)}simple root {j % r + 1}" for j in (int(ids[i]), i))
+            raise VersorlabError(f"{a} and {b} share a HASH_GRID key: the simple roots and their "
+                                 f"negatives must be distinct at {HASH_GRID:g}")
+        raise VersorlabError("the simple reflections do not permute the roots")
+    coords, graph, ids = lex_sorted(coords, graph, np.arange(r))
+    return RootSystem(sig, coords, ids, graph.T, name=name)
 
 
 class AxiomViolation(NamedTuple):

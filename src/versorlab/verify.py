@@ -143,7 +143,7 @@ def _unit(ctx, n) -> np.ndarray:
 
 
 def _vector(ctx, sig) -> np.ndarray:
-    return ctx.rng.normal(size=sig.blade_count) * kernel_for(sig).grade_mask(1)
+    return ctx.rng.normal(size=sig.blade_count) * kernel_for(sig).grade_masks[1]
 
 
 def _same_elements(got, expected) -> tuple:
@@ -193,7 +193,7 @@ def _sampled(ctx, blocks, batch, public):
 
 
 def _graded(kern, X, k) -> np.ndarray:
-    return np.abs(X[:, ~kern.grade_mask(k)]).max(axis=1, initial=0.0) <= DEFAULT_EPS
+    return np.abs(X[:, ~kern.grade_masks[k]]).max(axis=1, initial=0.0) <= DEFAULT_EPS
 
 
 def _versor_checks(kern, R):
@@ -215,7 +215,7 @@ def _sandwich(kern, R, odd, X):
     R = np.broadcast_to(R, X.shape)
     out = kern.gp_elemwise(kern.gp_elemwise(kern.rev(R), X), R)
     out = np.where(np.reshape(odd, (-1, 1)), -out, out)
-    return np.where(kern.grade_mask(1), out, 0.0), _graded(kern, X, 1)
+    return np.where(kern.grade_masks[1], out, 0.0), _graded(kern, X, 1)
 
 
 def _reflection_public(draw):
@@ -241,7 +241,7 @@ def _reflection_batch(drawn):
 def _mirror_draws(ctx, n, sig):
     """n draws of (sig, ``_unit``, ``_vector``) from one array, row by row the same floats."""
     X = ctx.rng.normal(size=(n, sig.dim + sig.blade_count))
-    A, V = X[:, :sig.dim], X[:, sig.dim:] * kernel_for(sig).grade_mask(1)
+    A, V = X[:, :sig.dim], X[:, sig.dim:] * kernel_for(sig).grade_masks[1]
     return [(sig, a / math.sqrt(a.dot(a)), v) for a, v in zip(A, V)]
 
 

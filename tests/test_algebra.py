@@ -283,13 +283,19 @@ def test_exp_bivector_rejects_bad_arguments():
     (lambda a: vector(SIG31, [1, 2, 3, 4]).grade(a), 1.5),
     (lambda a: vector(SIG31, [1, 2, 3, 4]).grade(a), True),
     (lambda a: vector(SIG31, [1, 2, 3, 4]).grade(a), np.float64(1.0)),
+    pytest.param(lambda a: vector(SIG31, [1, 2, 3, 4]).is_grade(a), 1.5, id="is_grade-1.5"),
+    pytest.param(lambda a: vector(SIG31, [1, 2, 3, 4]).is_grade(a), True, id="is_grade-True"),
+    pytest.param(lambda a: vector(SIG31, [1, 2, 3, 4]).is_grade(a), np.float64(1.0), id="is_grade-1.0"),
+    pytest.param(lambda a: vector(SIG31, [1, 2, 3, 4]).is_grade(a), -1, id="is_grade--1"),
+    pytest.param(lambda a: vector(SIG31, [1, 2, 3, 4]).is_grade(a), 5, id="is_grade-5"),
     (lambda a: exp_bivector(blade(SIG3, "e12"), a), math.inf),
     (lambda a: exp_bivector(blade(SIG3, "e12"), a), -math.inf),
     (lambda a: exp_bivector(blade(SIG3, "e12"), a), math.nan),
 ])
 def test_grade_and_angle_arguments_are_checked_where_they_enter(call, arg):
-    # a grade is an integer (not a bool) and an angle is finite; before, grade(1.5) leaked
-    # a TypeError about tuple indices, grade(True) was grade 1, and exp_bivector raised
+    # a grade is an integer 0..n (not a bool) and an angle is finite; before, grade(1.5) and
+    # is_grade(1.5) leaked a TypeError about tuple indices, grade(True) and is_grade(True) were
+    # grade 1, is_grade(5) asked whether the vector is 0, and exp_bivector raised
     # "math domain error" at inf and NotAVersor at nan
     with pytest.raises(ValueError, match=re.escape(repr(arg))):
         call(arg)
@@ -546,10 +552,10 @@ def test_orbit_graph_is_each_rows_product_looked_up():
     gens[:, [1, 2, 4]] = h3.simple_coords
     cases.append((gens, lambda A, B: kern.gp_elemwise(A[:, None], B[None]),
                   np.eye(1, 8) * [[1.0], [-1.0]]))
-    simple, perms = h3.simple_reflections()  # the graph close_roots kept
-    cases.append((perms, lambda b, p: p[:, b].swapaxes(0, 1), simple[None]))
+    # the graph close_roots kept
+    cases.append((h3.reflections, lambda b, p: p[:, b].swapaxes(0, 1), h3.simple[None]))
     for gens, act, seeds in cases:
-        rows, graph = orbit(seeds, gens, act, 1000, "cap {cap}")
+        rows, graph, _, _ = orbit(seeds, gens, act, 1000, "cap {cap}")
         assert graph.shape == (rows.shape[0], gens.shape[0])
         products = act(rows, gens).reshape(-1, rows.shape[1])
         # the reference: the one row whose quantized coefficients equal the product's

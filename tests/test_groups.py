@@ -1,5 +1,6 @@
 """Tests for Pin/Spin generation, conjugacy structure, and Coxeter numbers."""
 
+import functools
 import itertools
 import math
 import re
@@ -16,7 +17,6 @@ import versorlab.roots
 from versorlab import (
     ClosureCapExceeded,
     Multivector,
-    RootSystem,
     Signature,
     Versor,
     VersorlabError,
@@ -266,7 +266,7 @@ def test_quotient_requires_versor_group():
 def test_a_versor_group_of_another_kind_is_refused():
     g = generate_spin(catalog("A1^3"))
     with pytest.raises(ValueError, match="bad versor group kind 'chiral'"):
-        versorlab.groups.VersorGroup("chiral", g.sig, g.element_arr(), g._graph,
+        versorlab.groups.VersorGroup("chiral", g.source, g.element_arr(), g._graph,
                                      (g._e, *g._tree, g._layers))
 
 
@@ -354,16 +354,6 @@ def test_coxeter_number_needs_full_rank():
         coxeter_number(a2_in_3d)
 
 
-def test_coxeter_number_needs_the_roots_permuted():
-    # the element's order is read off the simple reflections' permutations of
-    # the roots, which only close_roots builds: a root set made by hand has none
-    rs = catalog("B3")
-    short = RootSystem(rs.sig, rs.simple_coords, rs.coords[1:], name="B3 less a root")
-    with pytest.raises(VersorlabError, match="has no reflection graph; build it with "
-                                             "close_roots or catalog$"):
-        coxeter_number(short)
-
-
 WITHIN_CAPS = ("A1", "A1^3", "A1^4", "A3", "B3", "D4", "F4", "H3", "I2(5)", "I2(7)", "I2(12)")
 
 
@@ -382,20 +372,6 @@ def test_closures_and_coxeter_number_key_no_root_again(monkeypatch):
     for name in WITHIN_CAPS:
         assert generate_pin(systems[name]).order == 2 * generate_spin(systems[name]).order, name
     assert generate_spin(systems["H4"]).order == 14_400  # Pin(H4), E6, E7 and E8 pass MAX_GROUP
-
-
-def test_hand_built_root_systems_have_no_reflection_graph():
-    # a RootSystem built from coordinates has no closure graph: the group
-    # closures and h refuse it with one typed error
-    by_hand = [RootSystem(rs.sig, rs.simple_coords, rs.coords, name=f"{name} by hand")
-               for name, rs in (("B3", catalog("B3")), ("D4", catalog("D4")))]
-    for base in by_hand:
-        assert base.simple is None and base.reflections is None
-        for answer in (generate_pin, generate_spin, coxeter_number):
-            with pytest.raises(VersorlabError, match=r"^<RootSystem (B3|D4) by hand: .*> was "
-                                                     r"built by hand and has no reflection graph; "
-                                                     r"build it with close_roots or catalog$"):
-                answer(base)
 
 
 def test_group_table_dict_shape():
@@ -725,8 +701,8 @@ def reference_closure(kind, rs):
     s = vector_rows(rs.sig, rs.simple_coords)
     i, j = np.triu_indices(rs.rank, 1)
     gens = s if kind == "pin" else kern.gp_elemwise(s[i], s[j])
-    arr, graph = orbit(np.eye(1, kern.D) * [[1.0], [-1.0]], gens,
-                       lambda A, B: kern.gp_elemwise(A[:, None], B[None]), MAX_GROUP, "{cap}")
+    arr, graph, _, _ = orbit(np.eye(1, kern.D) * [[1.0], [-1.0]], gens,
+                             lambda A, B: kern.gp_elemwise(A[:, None], B[None]), MAX_GROUP, "{cap}")
     return lex_sorted(arr, graph)
 
 
@@ -753,11 +729,35 @@ def test_lifted_closure_equals_the_float_versor_orbit(name, kind):
         assert np.array_equal(h._negatives, find_ids(-h.element_arr(), h._lookup))
 
 
+# the degrees d_i of W: prod (1 + q + ... + q^(d_i - 1)) counts its elements by length
+DEGREES = {"A3": (2, 3, 4), "B3": (2, 4, 6), "H3": (2, 6, 10), "D4": (2, 4, 4, 6), "I2(5)": (2, 5)}
+
+
+@pytest.mark.parametrize("name", DEGREES)
+def test_orbit_layers_of_w_count_its_elements_by_length(name):
+    # under Pin's generators, the simple reflections, W's breadth-first layer L holds the
+    # elements of length L, counted by the Poincare polynomial (Humphreys 1990, 1.11)
+    rs = catalog(name)
+    _, graph, first, layers = orbit(rs.simple[None], rs.reflections,
+                                    lambda b, p: p[:, b].swapaxes(0, 1), MAX_GROUP, "{cap}")
+    counts = functools.reduce(np.convolve, [np.ones(d, dtype=int) for d in DEGREES[name]])
+    assert np.diff(layers).tolist() == counts.tolist()
+    assert name != "A3" or counts.tolist() == [1, 3, 5, 6, 5, 3, 1]
+    # the tree: each row but e is first hit by edge first[i - 1] = j m + k, from the layer before
+    assert np.array_equal(first, np.unique(graph, return_index=True)[1][1:])
+    rows = np.arange(1, graph.shape[0])
+    assert np.array_equal(np.searchsorted(layers, first // graph.shape[1], side="right"),
+                          np.searchsorted(layers, rows, side="right") - 1)
+    # Pin, and its quotient, keep those layers as bounds on the tree's edges, e's row left out
+    g = generate_pin(rs)
+    for group in (g, quotient_by_sign(g)):
+        assert np.array_equal(group._layers, layers[1:] - 1)
+
+
 @pytest.mark.parametrize("kind", ["pin", "spin"])
 def test_generators_that_disagree_with_the_permutations_are_refused(kind):
     rs = catalog("A3")
-    simple, perms = rs.simple_reflections()
-    s = vector_rows(rs.sig, rs.simple_coords)
+    perms, s = rs.reflections, vector_rows(rs.sig, rs.simple_coords)
     i, j = np.triu_indices(rs.rank, 1)
     if kind == "pin":  # s_1 and s_2 swapped (reversing all three is A3's diagram automorphism)
         factors = s[[1, 0, 2], None]
@@ -765,7 +765,7 @@ def test_generators_that_disagree_with_the_permutations_are_refused(kind):
         perms, factors = perms[j[:, None], perms[i]], np.stack([s[j], s[i]], 1)
     with pytest.raises(VersorlabError, match="^the versor generators do not lift the root "
                                              "permutations$"):
-        versorlab.groups._generate(kind, rs, simple, perms, factors, MAX_GROUP)
+        versorlab.groups._generate(kind, rs, perms, factors, MAX_GROUP)
 
 
 @pytest.mark.parametrize("name,generate", [("E6", generate_spin), ("E8", generate_pin)])

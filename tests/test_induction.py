@@ -191,8 +191,7 @@ def test_induced_bases_carry_the_reflection_graph():
     # the base's graph comes from the table, so h and Pin answer on it as on the catalog
     for src, h in (("A1^3", 2), ("A3", 6), ("B3", 12), ("H3", 30)):
         ind = induce_4d(spin_group(src))
-        simple, refl = ind.base.simple_reflections()
-        assert np.array_equal(ind.base.coords[simple], ind.base.simple_coords)
+        assert np.array_equal(ind.base.simple, _extract_simple_coords(ind.base.coords))
         assert coxeter_number(ind.base) == coxeter_number(catalog(ind.identification)) == h
         if src != "H3":
             assert generate_pin(ind.base).order == generate_pin(catalog(ind.identification)).order
@@ -362,7 +361,7 @@ def test_automorphism_sweep_detects_broken_symmetry():
     coords = ind.base.coords.copy()
     coords[0] = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2)  # not a root of A1^4
     tampered = ind._replace(base=ind.base.__class__(
-        ind.base.sig, ind.base.simple_coords, coords, name=ind.base.name))
+        ind.base.sig, coords, ind.base.simple, ind.base.reflections, name=ind.base.name))
     with pytest.raises(SymmetrySweepFailure):
         spinorial_automorphisms(tampered)
 

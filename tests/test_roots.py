@@ -78,7 +78,7 @@ def test_all_roots_are_unit_and_closed():
 
 def test_antipodes_always_present():
     rs = catalog("H3")
-    neg = RootSystem(rs.sig, rs.simple_coords, -rs.coords)
+    neg = RootSystem(rs.sig, -rs.coords, rs.simple, rs.reflections)  # s(-x) = -s(x)
     assert set(row_keys(neg.coords).tolist()) == set(row_keys(rs.coords).tolist())
 
 
@@ -116,14 +116,40 @@ def test_a_planted_graph_that_is_no_permutation_is_refused(monkeypatch):
     # close_roots checks the graph the orbit hands it: a reflection that sends
     # two roots to one row, or simple roots that are not the orbit's first rows
     real = versorlab.roots.orbit
-    for plant in (lambda coords, graph: (coords, np.where(graph == 3, 4, graph)),
-                  lambda coords, graph: (coords[::-1], graph[::-1])):
+    for plant in (lambda coords, graph, *tree: (coords, np.where(graph == 3, 4, graph), *tree),
+                  lambda coords, graph, *tree: (coords[::-1], graph[::-1], *tree)):
         monkeypatch.setattr(versorlab.roots, "orbit", lambda *a, plant=plant: plant(*real(*a)))
         with pytest.raises(VersorlabError, match="^the simple reflections do not permute the "
                                                  "roots$"):
             catalog("B3")
     monkeypatch.setattr(versorlab.roots, "orbit", real)
     assert catalog("B3").reflections.shape == (3, 18)
+
+
+@pytest.mark.parametrize("seeds,pair", [([[1, 0], [1, 1e-7]], "simple root 1 and simple root 2"),
+                                        ([[1, 0], [-1, 1e-7]], "simple root 2 and -simple root 1"),
+                                        ([[1, 0, 0], [0, 1, 0], [0, -1, 1e-7]],
+                                         "simple root 3 and -simple root 2")])
+def test_seeds_that_share_a_key_are_refused_by_name(seeds, pair):
+    # the orbit's first 2 rank rows must be +-simple, and are not where two seeds, or a seed
+    # and a negated seed, round to one key: before, the first case said the simple reflections
+    # do not permute the roots and the second closed to a "rank 2" system of 2 roots
+    with pytest.raises(VersorlabError, match=f"^{pair} share a HASH_GRID key: the simple roots "
+                                             "and their negatives must be distinct at 1e-06$"):
+        close_roots(seeds)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if n != "I2(n)"]
+                         + ["I2(5)", "I2(7)", "I2(12)", "I2(60)"])
+def test_every_catalog_seed_passes_the_seed_check_in_any_frame(name):
+    # the catalog frame and a rotated one: +-simple are the orbit's first rows, so the
+    # simple rows hold the normalized seed itself and the closure has the catalog's roots
+    seed = versorlab.roots._catalog_seed(name)
+    frame = random_frame(seed.shape[1], np.random.default_rng(44))
+    for simple in (seed, seed @ frame.T):
+        rs = close_roots(simple)
+        assert np.array_equal(rs.simple_coords, simple / np.linalg.norm(simple, axis=1)[:, None])
+        assert rs.root_count == catalog(name).root_count
 
 
 def test_closure_normalizes_seed_lengths():
@@ -411,7 +437,7 @@ MATRIX_NAMES = [n for n in catalog_names() if n != "I2(n)"] + [f"I2({m})" for m 
 
 def assert_matrix_reads_the_diagram(rs):
     # the reference: the order of each whole permutation s_a s_b (s_b, then s_a), all r^2 pairs
-    refl = rs.simple_reflections()[1]
+    refl = rs.reflections
     m = rs.coxeter_matrix
     assert np.array_equal(m, _order(np.take_along_axis(refl[:, None], refl[None], axis=-1))), rs
     edges = [(i + 1, j + 1, int(m[i, j])) for i in range(rs.rank)
@@ -436,8 +462,7 @@ def test_diagram_reads_the_graph_not_the_other_coordinates():
     rs = catalog("F4")
     coords = rs.coords + np.random.default_rng(5).normal(scale=0.3, size=rs.coords.shape)
     coords[rs.simple] = rs.coords[rs.simple]
-    moved = RootSystem(rs.sig, rs.simple_coords, coords, simple=rs.simple.copy(),
-                       reflections=rs.reflections.copy())
+    moved = RootSystem(rs.sig, coords, rs.simple.copy(), rs.reflections.copy())
     assert np.array_equal(moved.coxeter_matrix, rs.coxeter_matrix)
     assert diagram(moved) == diagram(rs) == [(1, 2, 3), (2, 3, 4), (3, 4, 3)]
 
@@ -448,12 +473,6 @@ def test_coxeter_matrix_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         m[0, 1] = 3
     assert catalog("A1").coxeter_matrix.tolist() == [[1]]
-
-
-def test_diagram_refuses_a_system_built_by_hand():
-    rs = RootSystem(Signature(2, 0), np.eye(2), np.vstack([np.eye(2), -np.eye(2)]))
-    with pytest.raises(VersorlabError, match="built by hand and has no reflection graph"):
-        diagram(rs)
 
 
 def test_diagram_rejects_acute_simple_roots():
