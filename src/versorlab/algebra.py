@@ -13,9 +13,7 @@ Two numbers decide sameness and closeness:
   giving the integer key that is identity: ``==``, ``hash``, sets, ``key_ids``
   and ``find_ids`` all compare keys.  Quantities in this package (halves,
   1/sqrt(2), the golden ratio, ...) sit far from cell boundaries.
-* ``DEFAULT_EPS`` (1e-9): tolerance of every floating comparison, ``close_to``
-  among them; only ``cga2d``'s conformal checks take another (the CLI's
-  ``modular --tolerance``).
+* ``DEFAULT_EPS`` (1e-9): the tolerance of every floating comparison, ``close_to`` among them.
 
 The package's one set of key helpers sits next to ``quantize``: ``row_keys``
 (a void view of quantized rows), ``lex_order``, and one dict of key bytes
@@ -303,12 +301,6 @@ def _text_rows(sig: Signature, rows: np.ndarray) -> list:
         return out
 
     return _term_rows(kernel_for(sig).blade_names, rows, table, lambda terms: " ".join(terms) or "0")
-
-
-def _check_eps(eps: float) -> None:
-    """The one check of a tolerance where it enters: finite and >= 0."""
-    if not (math.isfinite(eps) and eps >= 0):
-        raise VersorlabError(f"eps must be finite and >= 0, got {eps}")
 
 
 def _check_cap(name: str, cap: int) -> None:

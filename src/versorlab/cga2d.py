@@ -20,16 +20,15 @@ tau -> -1/tau and tau -> tau + 1, which is checked against independent
 complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
 versors is a double cover of the group of maps, -1 acting as the identity.
 
-The letters S, T, t = T^-1 act through term plans, the nonzero terms of the sandwich
-~A X A off the kernel's sign table, in its einsum's order (from +0.0 by ascending index;
-a zero term changes no partial sum), ``exec``'d at import as straight-line steps,
-``0.0 + z2 * 1.0 + z0 * -0.5 + ...`` (a float's ``repr`` reads back as that float), so
-they give the floats of ``ConformalVersor.apply``, which takes any versor through the
-kernel's two products, over all 16 blades of a point with stray off-grade coefficients
-within DEFAULT_EPS (past it, ``sandwich``'s grade-1 ``ValueError``).  Points are four
-floats, checked as ``ConformalPoint`` checks them, that raise every error themselves: one
-failing a check is built for ``ConformalPoint`` to refuse.  ``translator``, ``rotation``,
-``dilator`` and ``special_conformal`` write the floats of their multivector expressions.
+In null coordinates (x1, x2, p, q), X = x1 e1 + x2 e2 + p n + q nbar, a point has p = |x|^2/2
+and q = -1/2.  There S, T and t = T^-1 are 4 x 4 integer matrices, read once off the kernel's
+sandwich of e1, e2, n and nbar, and ``apply_word`` takes each letter as one matrix product on
+four floats, a rescale to q = -1/2 and a null check, re-embedding the image from its x1, x2.
+``ConformalVersor.apply`` takes any versor through the kernel's two products, over all 16
+blades of a point with stray off-grade coefficients within DEFAULT_EPS (past it, ``sandwich``'s
+grade-1 ``ValueError``), and checks its image's four floats as ``ConformalPoint`` does.
+``translator``, ``rotation``, ``dilator`` and ``special_conformal`` write the floats of their
+multivector expressions.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from .algebra import (
     Multivector,
     Signature,
     Versor,
-    _check_eps,
     blade,
     kernel_for,
 )
@@ -90,21 +88,22 @@ NBAR = EPLUS - EMINUS          # nbar, null direction at the origin
 _KERNEL = kernel_for(CGA_SIG)
 
 
-def _bounds(eps: float, peak: np.ndarray, power: int) -> np.ndarray:
-    """eps max(1, peak ** power) of each row's largest |coefficient|, in Python floats as
-    ``_on_cone`` takes them: ``**`` is libm's pow, and a finite square can overflow."""
-    return np.reshape([eps * max(1.0, m ** power) for m in peak.ravel().tolist()], peak.shape)
+def _bounds(peak: np.ndarray, power: int) -> np.ndarray:
+    """DEFAULT_EPS max(1, peak ** power) of each row's largest |coefficient|, in Python floats
+    as ``_on_cone`` takes them: ``**`` is libm's pow, and a finite square can overflow."""
+    return np.reshape([DEFAULT_EPS * max(1.0, m ** power) for m in peak.ravel().tolist()],
+                      peak.shape)
 
 
-def _point_tests(X: np.ndarray, eps: float) -> tuple:
+def _point_tests(X: np.ndarray) -> tuple:
     """``ConformalPoint``'s four tests on each row of (..., 16) coefficients: grade 1, null
     and X . n = -1, each failing as its ``if x > bound: raise`` does, and finite."""
     try:
-        bound = _bounds(eps, peak := np.abs(X).max(axis=-1), 2)
+        bound = _bounds(peak := np.abs(X).max(axis=-1), 2)
     except OverflowError:
         raise VersorlabError(f"conformal points must be null: the test's bound overflows squaring "
                              f"a coefficient of magnitude {float(peak.max())!r}") from None
-    return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_masks[1], initial=0.0) <= eps,
+    return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_masks[1], initial=0.0) <= DEFAULT_EPS,
             ~(np.abs(_KERNEL.scalar_part(X, X)) > bound),
             ~(np.abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound),
             np.isfinite(X).all(-1))
@@ -114,7 +113,7 @@ def _renormalized(Y: np.ndarray) -> tuple:
     """Each row of (..., 16) coefficients scaled to X . n = -1, and whether it is finite,
     |Y . n| not below DEFAULT_EPS max(1, max |Y|): a row at infinity is left as it is."""
     s = _KERNEL.scalar_part(Y, NINF.coeffs)
-    finite = ~(np.abs(s) < _bounds(DEFAULT_EPS, np.abs(Y).max(axis=-1), 1))
+    finite = ~(np.abs(s) < _bounds(np.abs(Y).max(axis=-1), 1))
     return Y * (-1.0 / np.where(finite, s, -1.0))[..., None], finite
 
 
@@ -123,9 +122,8 @@ class ConformalPoint:
 
     __slots__ = ("X",)
 
-    def __init__(self, X: Multivector, eps: float = DEFAULT_EPS):
-        _check_eps(eps)
-        tests = _point_tests(X.coeffs, eps) if X.sig == CGA_SIG else (False,)
+    def __init__(self, X: Multivector):
+        tests = _point_tests(X.coeffs) if X.sig == CGA_SIG else (False,)
         for passed, message in zip(tests, ("conformal points are grade-1 vectors of Cl(3,1)",
                                            "conformal points must be null",
                                            "conformal points must satisfy X . n = -1",
@@ -162,15 +160,15 @@ def _point(z, zero: float = 0.0) -> ConformalPoint:
     return p
 
 
-def _on_cone(z0: float, z1: float, z2: float, z3: float, eps: float) -> bool:
+def _on_cone(z0: float, z1: float, z2: float, z3: float) -> bool:
     """``ConformalPoint``'s null and X . n = -1 tests on e1..e4 floats, which must be finite."""
-    bound = eps * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
+    bound = DEFAULT_EPS * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
     return (math.isfinite(z0 + z1 + z2 + z3)
             and not abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
             and not abs(0.0 + z2 - z3 + 1.0) > bound)
 
 
-def _embedding(x1: float, x2: float, eps: float) -> tuple:
+def _embedding(x1: float, x2: float) -> tuple:
     """``embed``'s e1..e4 floats, which are (x^2 n + 2x - nbar)/2's.  A coordinate that is
     not finite raises as that expression does, its 0 * inf landing off grade 1; a point
     whose squares overflow raises, named; ``ConformalPoint`` refuses a point off the cone."""
@@ -180,8 +178,8 @@ def _embedding(x1: float, x2: float, eps: float) -> tuple:
         sq = x1 ** 2 + x2 ** 2
         z = (x1 + 0.0, x2 + 0.0, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)
         if math.isfinite(sq):
-            if not _on_cone(*z, eps):
-                ConformalPoint(_mv(dict(zip(_GRADE1, z))), eps)
+            if not _on_cone(*z):
+                ConformalPoint(_mv(dict(zip(_GRADE1, z))))
             return z
     except OverflowError:
         pass
@@ -191,7 +189,7 @@ def _embedding(x1: float, x2: float, eps: float) -> tuple:
 def embed(x1: float, x2: float) -> ConformalPoint:
     """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1.
     It squares with ``**``, libm's pow: x * x would change printed digits."""
-    return _point(_embedding(float(x1), float(x2), DEFAULT_EPS))
+    return _point(_embedding(float(x1), float(x2)))
 
 
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
@@ -208,22 +206,22 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
     return (float(Y[1]), float(Y[2]))  # e1, e2
 
 
-def _checked(y: Sequence[float], eps: float) -> tuple:
+def _checked(y: Sequence[float]) -> tuple:
     """``apply``'s renormalization of an image's e1..e4 floats and its checks, those of
     ``_on_cone`` inline: the point's floats and -1 / (Y . n).  An image at infinity, Y . n = 0
-    at any eps included, raises ``PointAtInfinity``; ``ConformalPoint`` refuses one failing a
-    check, built from these floats (no zero's sign changes a check); an overflow raises."""
+    included, raises ``PointAtInfinity``; ``ConformalPoint`` refuses one failing a check,
+    built from these floats (no zero's sign changes a check); an overflow raises."""
     y0, y1, y2, y3 = y
     s = 0.0 + y2 - y3  # Y . n
-    if s == 0 or abs(s) < eps * max(1.0, abs(y0), abs(y1), abs(y2), abs(y3)):
+    if abs(s) < DEFAULT_EPS * max(1.0, abs(y0), abs(y1), abs(y2), abs(y3)):
         raise PointAtInfinity("image point is at infinity")
     r = -1.0 / s
     z0, z1, z2, z3 = z = (y0 * r, y1 * r, y2 * r, y3 * r)
-    bound = eps * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
+    bound = DEFAULT_EPS * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
     if not (math.isfinite(z0 + z1 + z2 + z3)
             and not abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
             and not abs(0.0 + z2 - z3 + 1.0) > bound):
-        ConformalPoint(_mv(dict(zip(_GRADE1, z)), 0.0 * r), eps)
+        ConformalPoint(_mv(dict(zip(_GRADE1, z)), 0.0 * r))
     return z, r
 
 
@@ -244,13 +242,14 @@ class ConformalVersor:
     def apply(self, p: ConformalPoint) -> ConformalPoint:
         """Sandwich ~A X A by the kernel's products and renormalize back to X . n = -1,
         stray off-grade coefficients of X within DEFAULT_EPS included, or ``sandwich``'s
-        error if one is past.  An odd A's sign is left out, as in ``_term_plan``."""
+        error if one is past.  An odd A's sign is left out: Y (-1 / Y . n) is the same
+        float for -Y."""
         X = p.X.coeffs
         if any(stray := _OTHERS(X.tolist())) and max(map(abs, stray)) > DEFAULT_EPS:
             raise ValueError("sandwich expects a grade-1 argument")
         A = self.mv.coeffs
         y = _KERNEL.gp(_KERNEL.gp(A * _KERNEL.rev_sign, X), A)
-        z, r = _checked(_COORDS(y.tolist()), DEFAULT_EPS)  # the zero blades times -1 / (Y . n),
+        z, r = _checked(_COORDS(y.tolist()))  # the zero blades times -1 / (Y . n),
         return _point(z, 0.0 * (-r if self.v.parity else r))  # an odd Y negated
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
@@ -342,70 +341,63 @@ def modular_T() -> ConformalVersor:
     return translator(1.0, 0.0)
 
 
-_SIGN, _REV = _KERNEL.sign.tolist(), _KERNEL.rev_sign.tolist()
-# per blade a of A, for each grade-1 blade b, i its index: (a ^ b, i, sign of A_a X_b in
-# ~A X), and (a ^ b, i, sign of (~A X)_(a^b) A_a in (~A X) A)
-_INNER = [[(a ^ b, i, _REV[a] * _SIGN[a][a ^ b]) for i, b in enumerate(_GRADE1)]
-          for a in range(16)]
-_OUTER = [[(a ^ b, i, _SIGN[a ^ b][b]) for i, b in enumerate(_GRADE1)] for a in range(16)]
+def _null_matrix(versor: ConformalVersor) -> tuple:
+    """The versor's sandwich ~A X A on null coordinates (x1, x2, p, q): columns the kernel's
+    images of e1, e2, n and nbar, each exactly an integer vector of grade 1 or refused."""
+    B = np.array([E1.coeffs, E2.coeffs, NINF.coeffs, NBAR.coeffs])
+    A = np.broadcast_to(versor.mv.coeffs, B.shape)
+    Y = _KERNEL.gp_elemwise(_KERNEL.gp_elemwise(A * _KERNEL.rev_sign, B), A)
+    y1, y2, ye, yb = Y[:, list(_GRADE1)].T  # p n + q nbar = (p + q) e + (p - q) ebar
+    M = np.array([y1, y2, (ye + yb) / 2, (ye - yb) / 2])
+    if (M != np.round(M)).any() or Y[:, ~_KERNEL.grade_masks[1]].any():
+        raise VersorlabError(f"{versor!r} has no integer matrix on null coordinates")
+    return tuple(tuple(int(m) for m in row) for row in M.tolist())
 
 
-def _term_plan(versor: ConformalVersor):
-    """``versor``'s grade-1 sandwich ~A X A as one straight-line ``step(z0, z1, z2, z3)``:
-    A's nonzero coefficients' terms, each sum (a blade u of ~A X, then an image coordinate)
-    written out from 0.0 in the kernel's order, each coefficient as its ``repr``.  An odd
-    A's sign is left out: Y (-1 / Y . n) is the same float for -Y."""
-    nonzero = [(a, c) for a, c in enumerate(versor.mv.coeffs.tolist()) if c != 0.0]
-    blades, images = {}, [["0.0"] for _ in _GRADE1]
-    for a, c in nonzero:  # repr of a float reads back as that float
-        for u, i, s in _INNER[a]:
-            blades.setdefault(u, ["0.0"]).append(f"z{i} * {c * s!r}")
-    for u, i, c in sorted([(u, i, c * s) for a, c in nonzero for u, i, s in _OUTER[a]]):
-        images[i].append(f"u{u} * {c!r}")
-    exec("\n    ".join(["def step(z0, z1, z2, z3):",
-                        *(f"u{j} = {' + '.join(terms)}" for j, terms in blades.items()),
-                        "return " + ", ".join(" + ".join(terms) for terms in images)]),
-         namespace := {})
-    return namespace["step"]
-
-
-# the alphabet of modular words, each letter's versor and compiled step built once
-_LETTERS = {"S": modular_S(), "T": modular_T(), "t": modular_T().inverse()}
-_PLANS = {letter: _term_plan(versor) for letter, versor in _LETTERS.items()}
+# the alphabet of modular words, each letter's matrix on null coordinates read once
+_MATRICES = {"S": _null_matrix(modular_S()), "T": _null_matrix(modular_T()),
+             "t": _null_matrix(modular_T().inverse())}
 
 
 def _letters(word: Iterable[str]) -> tuple:
     """The letters of a word over S (tau -> -1/tau), T (tau -> tau+1) and t = T^-1."""
     letters = tuple(word)
-    bad = [c for c in letters if c not in _LETTERS]
+    bad = [c for c in letters if c not in _MATRICES]
     if bad:
         raise VersorlabError(f"unknown modular letters {bad!r}; alphabet is S, T, t")
     return letters
 
 
-def apply_word(word: Iterable[str], tau: Sequence[float],
-               eps: float = DEFAULT_EPS) -> Tuple[float, float]:
-    """Act on the point tau = (x1, x2), x2 > 0, by versor sandwiches, one
-    letter at a time left to right; raises PointAtInfinity if an
-    intermediate image has no finite coordinates.  Past |tau| of about
-    1/sqrt(eps) an image counts as infinite: at the default eps, S at
-    (0, 1e-4) gives 1e4 i but S at (0, 2e-5) raises (the oracle gives 5e4 i)."""
+def apply_word(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]:
+    """Act on tau = (x1, x2), x2 > 0, checked as ``embed`` checks it, by the letters' matrices
+    left to right on (x1, x2, |x|^2/2, -1/2).  An image with q = 0 raises PointAtInfinity;
+    one whose p, at q = -1/2, is not |x|^2/2 within DEFAULT_EPS max(1, |x|^2/2) is not null
+    (nor is one whose squares overflow).  Each image is re-embedded from its x1 and x2."""
     letters = _letters(word)
-    _check_eps(eps)
     x1, x2 = float(tau[0]), float(tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
-    z = _embedding(x1, x2, eps)
+    x1, x2 = _embedding(x1, x2)[:2]  # embed's checks and messages, and its x + 0.0
+    p = (x1 * x1 + x2 * x2) * 0.5
     for letter in letters:
-        z = _checked(_PLANS[letter](*z), eps)[0]
-    return z[0], z[1]
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = _MATRICES[letter]
+        q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
+        if q == 0:
+            raise PointAtInfinity("image point is at infinity")
+        r = -0.5 / q
+        x1, x2, p = ((a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3) * r,
+                     (b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3) * r,
+                     (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r)
+        h = (x1 * x1 + x2 * x2) * 0.5
+        if not abs(p - h) <= DEFAULT_EPS * max(1.0, h) < math.inf:
+            raise VersorlabError("conformal points must be null")
+        p = h
+    return x1, x2
 
 
-def mobius_oracle(word: Iterable[str], tau: Sequence[float],
-                  eps: float = DEFAULT_EPS) -> Tuple[float, float]:
+def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]:
     """The same word evaluated by plain complex arithmetic on x1 + i x2."""
     letters = _letters(word)
-    _check_eps(eps)
     z = complex(float(tau[0]), float(tau[1]))
     if not z.imag > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
@@ -415,18 +407,17 @@ def mobius_oracle(word: Iterable[str], tau: Sequence[float],
         elif letter == "t":
             z = z - 1.0
         else:
-            if z == 0 or abs(z) < eps:
+            if abs(z) < DEFAULT_EPS:
                 raise PointAtInfinity("Mobius map sends the point to infinity")
             z = -1.0 / z
     return (z.real, z.imag)
 
 
-def word_report(word: Iterable[str], tau: Sequence[float],
-                eps: float = DEFAULT_EPS) -> dict:
+def word_report(word: Iterable[str], tau: Sequence[float]) -> dict:
     """Versor route vs complex-arithmetic route, with their max deviation."""
     word = _letters(word)
-    versor_xy = apply_word(word, tau, eps=eps)
-    oracle_xy = mobius_oracle(word, tau, eps=eps)
+    versor_xy = apply_word(word, tau)
+    oracle_xy = mobius_oracle(word, tau)
     dev = max(abs(versor_xy[0] - oracle_xy[0]), abs(versor_xy[1] - oracle_xy[1]))
     return {
         "input": [float(tau[0]), float(tau[1])],

@@ -13,9 +13,9 @@ byte-identical across runs: element orderings are canonical upstream and
 floats are rounded to 12 decimals (-0.0 as 0.0).  ``group`` and ``classes``
 are written straight from the element arrays, JSON in ``json.dumps(indent=2)``'s
 layout and csv and markdown as each element's ``str``; every format lists each
-coefficient with |c| > 1e-9.  Only ``modular`` takes ``--tolerance``: it bounds the
-conformal point checks and the point-at-infinity test.  Randomized checks in ``verify``
-read VERSORLAB_SEED (default 42).
+coefficient with |c| > 1e-9.  No subcommand takes a tolerance: every check runs at
+DEFAULT_EPS.  Randomized checks in ``verify`` and ``induce`` read VERSORLAB_SEED, a
+non-negative integer (default 42).
 Failures print one JSON line on stderr and exit 2, even if its reader has left; a reader
 that closes stdout early gets exit 141 (as SIGPIPE), stderr empty.
 """
@@ -54,7 +54,10 @@ DEFAULT_SEED = 42
 
 
 def _seed() -> int:
-    return int(os.environ.get("VERSORLAB_SEED", str(DEFAULT_SEED)))
+    raw = os.environ.get("VERSORLAB_SEED", str(DEFAULT_SEED))
+    if not (raw.isascii() and raw.isdigit()):
+        raise VersorlabError(f"VERSORLAB_SEED must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def _clean(obj):
@@ -274,11 +277,9 @@ def _cmd_mckay(args):
 
 
 def _cmd_modular(args):
-    if not 1e-15 <= args.tolerance < 1:  # at 1, a T image's Y.n = -1 reads as infinity
-        raise VersorlabError(f"--tolerance must be in [1e-15, 1), got {args.tolerance}")
     if not (math.isfinite(args.x1) and math.isfinite(args.x2)):
         raise VersorlabError("tau must be finite")
-    report = word_report(args.word, (args.x1, args.x2), eps=args.tolerance)
+    report = word_report(args.word, (args.x1, args.x2))
     x1, x2 = report["input"]
     return _render(
         args.format, f"Modular word `{report['word'] or '(identity)'}` at ({_fmt(x1)}, {_fmt(x2)})",
@@ -356,9 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("x1", type=float, help="real part of tau")
     p.add_argument("x2", type=float, help="imaginary part of tau (> 0)")
     common(p, closure=False)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_EPS,
-                   help="bound of the conformal point checks and of the point-at-infinity "
-                        "test, in [1e-15, 1) (default 1e-9)")
     p.set_defaults(fn=_cmd_modular)
 
     p = sub.add_parser("verify", help="run the invariant battery")

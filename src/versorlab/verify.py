@@ -467,8 +467,7 @@ def _translation_batch(drawn):
     ok, odd = _versor_checks(_CGA, T)
     Y, graded = _sandwich(_CGA, T, odd, X)
     got, finite = _renormalized(Y)
-    if not np.all([ok, graded, finite, *_point_tests(X, DEFAULT_EPS),
-                   *_point_tests(got, DEFAULT_EPS)]):
+    if not np.all([ok, graded, finite, *_point_tests(X), *_point_tests(got)]):
         return None
     got = got[:, 1:3]
     return np.column_stack([got, np.abs(got - np.column_stack([x1 + a1, x2 + a2])).max(axis=1)])

@@ -138,7 +138,7 @@ def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
 
 def test_a_rejected_word_fails_its_row_with_apply_words_error(monkeypatch):
     """The words row takes each draw through ``apply_word``, which raises its own error."""
-    real, planted = verify._word_draw, ("STt", (0.0, 1e-5))  # S sends 1e-5 i to infinity
+    real, planted = verify._word_draw, ("STt", (0.0, 1e-170))  # |tau|^2 / 2 underflows: q = 0
 
     def draw(ctx):
         word, tau = real(ctx)

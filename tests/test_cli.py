@@ -224,12 +224,13 @@ def test_malformed_rootsystem_file_is_a_one_line_error(data, field, tmp_path, ca
     (["modular", "STt", "0.25", "1.5", "--tolerance", "1"], "--tolerance"),
     (["modular", "S", "0.5", "1", "--tolerance", "1e300"], "--tolerance"),
     (["modular", "S", "nan", "1", "--tolerance", "1e-300", "--format", "csv"], "--tolerance"),
-])  # at 1 and above, ordinary points would read as infinity; the last: tolerance before tau
+])  # no subcommand takes --tolerance, modular included; the last: refused before tau
 def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and out == "" and len(err.splitlines()) == 1
     payload = json.loads(err)
-    assert payload["error"] == "VersorlabError" and payload["message"].startswith(flag)
+    refusal = "versorlab: unrecognized arguments: " if flag == "--tolerance" else ""
+    assert payload["error"] == "VersorlabError" and payload["message"].startswith(refusal + flag)
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,14 +283,24 @@ def test_only_modular_takes_the_tolerance(command, form, capsys):
         f"versorlab: unrecognized arguments: {' '.join(form)}")}
 
 
-def test_positive_tolerance_and_cap_pass_the_checks(capsys):
+def test_a_positive_cap_passes_and_modular_reaches_the_oracle_near_zero(capsys):
     assert run_json(capsys, "roots", "A1", "--max-closure", "2")["root_count"] == 2
-    assert run_json(capsys, "modular", "S", "0.5", "1", "--tolerance", "1e-15")[
-        "versor_result"] == [-0.4, 0.8]
-    # S at 2e-5 i lands at 5e4 i: past 1/sqrt(eps) at the default, not at 1e-12
-    assert run_cli(capsys, "modular", "S", "0", "2e-5")[0] == 2
-    d = run_json(capsys, "modular", "S", "0", "2e-5", "--tolerance", "1e-12")
-    assert d["versor_result"] == pytest.approx(d["oracle_result"]) == [0.0, 5e4]
+    assert run_json(capsys, "modular", "S", "0.5", "1")["versor_result"] == [-0.4, 0.8]
+    # S at 2e-5 i lands at 5e4 i, with the oracle's floats
+    d = run_json(capsys, "modular", "S", "0", "2e-5")
+    assert d["versor_result"] == d["oracle_result"] == [0.0, 49999.99999999999]
+    assert d["max_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1e3"])
+@pytest.mark.parametrize("command", [["verify"], ["induce", "H3"]], ids=["verify", "induce"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_refused(command, value, monkeypatch,
+                                                              capsys):
+    monkeypatch.setenv("VERSORLAB_SEED", value)
+    rc, out, err = run_cli(capsys, *command)
+    assert rc == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "VersorlabError", "message": (
+        f"VERSORLAB_SEED must be a non-negative integer, got {value!r}")}
 
 
 def test_error_payload_is_single_line(capsys):

@@ -7,10 +7,11 @@ so their digits do not depend on the machine's LAPACK.  The exceptions are
 and ``induce H3``, which pins the seeded 2 000-pair sampled sweep: H3's
 seeds are the Cholesky factor of a 3x3 Gram matrix, which is taken to print
 the same to 12 decimals everywhere.  The ``modular`` files pin the versor
-route of a word, which goes one sandwich per letter, in json, csv and
-markdown: a 7-letter and a 16-letter word, and ``tSt`` from 1.0001 +
-0.0001i, which passes within 1.5e-4 of tau = 0 and lands near -5001 +
-5000i, where the 12 printed decimals hold every digit of the float.
+route of a word, which goes one integer matrix per letter in null
+coordinates, in json, csv and markdown: a 7-letter and a 16-letter word,
+and ``tSt`` from 1.0001 + 0.0001i, which passes within 1.5e-4 of tau = 0
+and lands near -5001 + 5000i, where the 12 printed decimals hold every
+digit of the float.
 Regenerate a file only for an intended output change.
 
 ``cli_digests.json`` pins many more commands by the sha256 of their stdout:
@@ -18,13 +19,13 @@ Regenerate a file only for an intended output change.
 every format; ``induce`` on the four 3D systems and ``mckay``, in every format;
 and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in every
 format (the csv's ``simple`` column marks the simple roots).  ``modular`` is
-pinned only by the files above: its low digits rest on the platform's libm.
+pinned only by the files above.
 ``VERIFY_DIGESTS`` pins ``verify``'s stdout at three seeds; its residuals'
 digits come from numpy's seeded generator and float products, and were
 recorded with numpy 2.4 on x86-64 Linux.  ``h4_digests.json`` pins ``group`` and
 ``classes`` of Spin(H4) in json, csv and markdown (H4's seeds, like H3's, are a
 Cholesky factor); CI checks it in child processes, so this suite does not
-pay for H4.  Only ``modular`` takes ``--tolerance``, so no tolerance decides what
+pay for H4.  No subcommand takes ``--tolerance``, so no tolerance decides what
 a listing prints: ``group H3``, ``classes H3 --kind pin``, ``roots`` and ``induce``
 given one exit 2 with nothing on stdout.
 
@@ -33,7 +34,9 @@ its diagrams, Cartan matrix and axiom verdict, and H3's inner products to 6
 decimals.  ``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``,
 run in process: A3's seeds are explicit, so its digits do not depend on LAPACK.
 ``demo_05.txt`` is the stdout of ``demos/05_ade_numerology.py``, which prints
-only integers and labels.
+only integers and labels.  ``demo_06.txt`` is the stdout of
+``demos/06_conformal_modular.py``, run in process: its maps' floats come from
+the kernel's products, and its words' from the letter matrices.
 """
 
 import contextlib
@@ -122,9 +125,9 @@ def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
 
 
 VERIFY_DIGESTS = {
-    "42": "0f587a50fa9fc2faf9d5a8c3fabcd1cdcc2fd7cfcf04b1337fbe5033698b8073",
-    "7": "e1a5a5cac8870018ae501e11ff09c483cdbc61b29ef245d026d20fbaad5501fa",
-    "801": "db8cc4704ec43e6f8bb4e88bc0ff9f773b3fd157ef17543de442808669838800",
+    "42": "64955b1f8271c8ece82cf48ed43508877d5f30a3bd6f39e05b72594a0fec9ec4",
+    "7": "62827c12d50a584f72f195b400a8db06d459f7d846c976825e65a972284c3dd2",
+    "801": "b34ef999ca849936631e739aaaba34cf73b6b2ca96a7d596977216938b9847d5",
 }
 
 
@@ -203,3 +206,7 @@ def test_demo_03_stdout_matches_golden():
 
 def test_demo_05_stdout_matches_golden():
     assert _demo_stdout("05_ade_numerology.py") == (GOLDEN / "demo_05.txt").read_bytes()
+
+
+def test_demo_06_stdout_matches_golden():
+    assert _demo_stdout("06_conformal_modular.py") == (GOLDEN / "demo_06.txt").read_bytes()

@@ -145,15 +145,6 @@ def test_the_writer_keeps_signed_zeros_and_the_eps_boundary_as_the_reference(eps
     assert list(coeffs[4]) == above + ["e13"]
 
 
-@pytest.mark.parametrize("eps", ["1e-15", "1e-12", "1e-9", "0.5"])
-def test_every_accepted_tolerance_prints_the_default_listings(eps, capsys):
-    # modular's tolerance only decides when a point counts as infinite, never a printed digit
-    for fmt in ("json", "csv", "markdown"):
-        default = cli_out(capsys, "modular", "STt", "0.25", "1.5", "--format", fmt)
-        assert cli_out(capsys, "modular", "STt", "0.25", "1.5", "--format", fmt,
-                       "--tolerance", eps) == default
-
-
 def test_the_text_writer_matches_the_reference_and_str():
     rows = np.vstack([PLANTED, NAN_ROW, *INF_ROWS])
     want = [reference_str(SIG3, values) for values in rows.tolist()]
