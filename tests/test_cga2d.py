@@ -106,13 +106,16 @@ def test_conformal_point_validation():
         ConformalPoint(scalar_mv(SIG31, 1.0))  # not grade 1
 
 
-def test_conformal_point_needs_finite_coefficients():
-    # an infinite bound, or a NaN, passes the other three tests
+@pytest.mark.parametrize("x1", [1e-9, 1e-3, 0.0])
+def test_conformal_point_needs_finite_coefficients(x1):
+    # an infinite bound, or a NaN, passes the other three tests, wherever the point sits
     inf_e1 = np.zeros(16)
     inf_e1[1] = math.inf  # X . n = 0
-    nan_e1 = embed(0.5, 2.0).X.coeffs.copy()
+    nan_e1 = embed(x1, 2.0).X.coeffs.copy()
     nan_e1[1] = math.nan  # X . n = -1 but for the NaN
-    for coeffs in (inf_e1, nan_e1):
+    inf_e4 = embed(x1, 2.0).X.coeffs.copy()
+    inf_e4[8] = math.inf  # an infinite bound on a point otherwise at X . n = -1
+    for coeffs in (inf_e1, nan_e1, inf_e4):
         with pytest.raises(VersorlabError, match="^conformal points must have finite coefficients$"):
             ConformalPoint(Multivector(SIG31, coeffs))
 
