@@ -20,21 +20,18 @@ tau -> -1/tau and tau -> tau + 1, which is checked against independent
 complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
 versors is a double cover of the group of maps, -1 acting as the identity.
 
-In null coordinates (x1, x2, p, q), X = x1 e1 + x2 e2 + p n + q nbar, a point has p = |x|^2/2
-and q = -1/2.  There S, T and t = T^-1 are 4 x 4 integer matrices, read once off the kernel's
-sandwich of e1, e2, n and nbar, and ``apply_word`` takes each letter as one matrix product on
-four floats, a rescale to q = -1/2 and a null check, re-embedding the image from its x1, x2.
-``ConformalVersor.apply`` takes any versor through the kernel's two products, over all 16
-blades of a point with stray off-grade coefficients within DEFAULT_EPS (past it, ``sandwich``'s
-grade-1 ``ValueError``), and checks its image's four floats as ``ConformalPoint`` does.
-``translator``, ``rotation``, ``dilator`` and ``special_conformal`` write the floats of their
-multivector expressions.
+In null coordinates (x1, x2, p, q), X = x1 e1 + x2 e2 + p n + q nbar, a point is
+(x1, x2, |x|^2/2, -1/2) and a versor's sandwich is a 4 x 4 matrix ``M``: the named maps write
+it (``special_conformal`` as J T_a J, J the inversion's), products multiply it, any other versor
+reads it off the kernel.  ``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0
+is PointAtInfinity; the image at q = -1/2 must have p = |x|^2/2 (one whose |x|^2/2 overflows is
+too far out) and is re-embedded.  S, T and t = T^-1 are integer, equal to the kernel's reading.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from operator import itemgetter
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -88,33 +85,19 @@ NBAR = EPLUS - EMINUS          # nbar, null direction at the origin
 _KERNEL = kernel_for(CGA_SIG)
 
 
-def _bounds(peak: np.ndarray, power: int) -> np.ndarray:
-    """DEFAULT_EPS max(1, peak ** power) of each row's largest |coefficient|, in Python floats
-    as ``_on_cone`` takes them: ``**`` is libm's pow, and a finite square can overflow."""
-    return np.reshape([DEFAULT_EPS * max(1.0, m ** power) for m in peak.ravel().tolist()],
-                      peak.shape)
-
-
 def _point_tests(X: np.ndarray) -> tuple:
-    """``ConformalPoint``'s four tests on each row of (..., 16) coefficients: grade 1, null
-    and X . n = -1, each failing as its ``if x > bound: raise`` does, and finite."""
-    try:
-        bound = _bounds(peak := np.abs(X).max(axis=-1), 2)
-    except OverflowError:
+    """``ConformalPoint``'s four tests on each row of (..., 16) coefficients: grade 1, null and
+    X . n = -1, each failing as its ``if x > bound: raise`` does (the bound DEFAULT_EPS
+    max(1, m * m), m the row's largest |coefficient|, in Python floats), and finite."""
+    peak = np.abs(X).max(axis=-1)
+    bound = np.reshape([DEFAULT_EPS * max(1.0, m * m) for m in peak.ravel().tolist()], peak.shape)
+    if (np.isinf(bound) & np.isfinite(peak)).any():
         raise VersorlabError(f"conformal points must be null: the test's bound overflows squaring "
-                             f"a coefficient of magnitude {float(peak.max())!r}") from None
+                             f"a coefficient of magnitude {float(peak.max())!r}")
     return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_masks[1], initial=0.0) <= DEFAULT_EPS,
             ~(np.abs(_KERNEL.scalar_part(X, X)) > bound),
             ~(np.abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound),
             np.isfinite(X).all(-1))
-
-
-def _renormalized(Y: np.ndarray) -> tuple:
-    """Each row of (..., 16) coefficients scaled to X . n = -1, and whether it is finite,
-    |Y . n| not below DEFAULT_EPS max(1, max |Y|): a row at infinity is left as it is."""
-    s = _KERNEL.scalar_part(Y, NINF.coeffs)
-    finite = ~(np.abs(s) < _bounds(np.abs(Y).max(axis=-1), 1))
-    return Y * (-1.0 / np.where(finite, s, -1.0))[..., None], finite
 
 
 class ConformalPoint:
@@ -142,7 +125,6 @@ class ConformalPoint:
 
 
 _GRADE1 = (1, 2, 4, 8)  # blades e1, e2, e3, e4: a point's four coordinates
-_COORDS, _OTHERS = itemgetter(*_GRADE1), itemgetter(0, 3, 5, 6, 7, 9, 10, 11, 12, 13, 14, 15)
 
 
 def _mv(blades: dict, zero: float = 0.0) -> Multivector:
@@ -153,16 +135,17 @@ def _mv(blades: dict, zero: float = 0.0) -> Multivector:
     return Multivector._wrap(CGA_SIG, np.array(coeffs))
 
 
-def _point(z, zero: float = 0.0) -> ConformalPoint:
+def _point(z) -> ConformalPoint:
     """The point with the e1..e4 floats z, already checked as ``ConformalPoint`` checks."""
     p = object.__new__(ConformalPoint)
-    p.X = _mv(dict(zip(_GRADE1, z)), zero)
+    p.X = _mv(dict(zip(_GRADE1, z)))
     return p
 
 
 def _on_cone(z0: float, z1: float, z2: float, z3: float) -> bool:
     """``ConformalPoint``'s null and X . n = -1 tests on e1..e4 floats, which must be finite."""
-    bound = DEFAULT_EPS * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
+    peak = max(abs(z0), abs(z1), abs(z2), abs(z3))
+    bound = DEFAULT_EPS * max(1.0, peak * peak)
     return (math.isfinite(z0 + z1 + z2 + z3)
             and not abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
             and not abs(0.0 + z2 - z3 + 1.0) > bound)
@@ -171,24 +154,21 @@ def _on_cone(z0: float, z1: float, z2: float, z3: float) -> bool:
 def _embedding(x1: float, x2: float) -> tuple:
     """``embed``'s e1..e4 floats, which are (x^2 n + 2x - nbar)/2's.  A coordinate that is
     not finite raises as that expression does, its 0 * inf landing off grade 1; a point
-    whose squares overflow raises, named; ``ConformalPoint`` refuses a point off the cone."""
+    whose squares overflow, the cone tests' square of (x^2 + 1)/2 included, raises, named;
+    ``ConformalPoint`` refuses a point off the cone."""
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise VersorlabError("conformal points are grade-1 vectors of Cl(3,1)")
-    try:
-        sq = x1 ** 2 + x2 ** 2
-        z = (x1 + 0.0, x2 + 0.0, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)
-        if math.isfinite(sq):
-            if not _on_cone(*z):
-                ConformalPoint(_mv(dict(zip(_GRADE1, z))))
-            return z
-    except OverflowError:
-        pass
+    sq = x1 * x1 + x2 * x2
+    z = (x1 + 0.0, x2 + 0.0, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)
+    if z[3] * z[3] < math.inf:  # (x^2 + 1)/2 is the largest coefficient
+        if not _on_cone(*z):
+            ConformalPoint(_mv(dict(zip(_GRADE1, z))))
+        return z
     raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares overflow")
 
 
 def embed(x1: float, x2: float) -> ConformalPoint:
-    """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1.
-    It squares with ``**``, libm's pow: x * x would change printed digits."""
+    """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1, squaring as x * x."""
     return _point(_embedding(float(x1), float(x2)))
 
 
@@ -200,62 +180,63 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
     """
     if isinstance(X, ConformalPoint):
         return X.coords
-    Y, finite = _renormalized(X.coeffs)
-    if not finite:
+    s = float(_KERNEL.scalar_part(X.coeffs, NINF.coeffs))  # X . n, against max(1, max |X|)
+    if abs(s) < DEFAULT_EPS * max(1.0, float(np.abs(X.coeffs).max())):
         raise PointAtInfinity("null vector has X . n = 0")
-    return (float(Y[1]), float(Y[2]))  # e1, e2
+    return (float(X.coeffs[1] * (-1.0 / s)), float(X.coeffs[2] * (-1.0 / s)))  # e1, e2
 
 
-def _checked(y: Sequence[float]) -> tuple:
-    """``apply``'s renormalization of an image's e1..e4 floats and its checks, those of
-    ``_on_cone`` inline: the point's floats and -1 / (Y . n).  An image at infinity, Y . n = 0
-    included, raises ``PointAtInfinity``; ``ConformalPoint`` refuses one failing a check,
-    built from these floats (no zero's sign changes a check); an overflow raises."""
-    y0, y1, y2, y3 = y
-    s = 0.0 + y2 - y3  # Y . n
-    if abs(s) < DEFAULT_EPS * max(1.0, abs(y0), abs(y1), abs(y2), abs(y3)):
-        raise PointAtInfinity("image point is at infinity")
-    r = -1.0 / s
-    z0, z1, z2, z3 = z = (y0 * r, y1 * r, y2 * r, y3 * r)
-    bound = DEFAULT_EPS * max(1.0, max(abs(z0), abs(z1), abs(z2), abs(z3)) ** 2)
-    if not (math.isfinite(z0 + z1 + z2 + z3)
-            and not abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
-            and not abs(0.0 + z2 - z3 + 1.0) > bound):
-        ConformalPoint(_mv(dict(zip(_GRADE1, z)), 0.0 * r))
-    return z, r
+def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
+    """One letter step per matrix M, in turn: y = M (x1, x2, p, -1/2), p = |x|^2/2, and q = 0
+    raises PointAtInfinity; the image at q = -1/2 is not null unless p is |x|^2/2 within
+    DEFAULT_EPS max(1, |x|^2/2), or too far out past a finite |x|^2/2.  Squares as x * x."""
+    p = (x1 * x1 + x2 * x2) * 0.5
+    for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
+        q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
+        if q == 0:
+            raise PointAtInfinity("image point is at infinity")
+        r = -0.5 / q
+        y1, y2 = a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3, b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3
+        x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
+        h = (x1 * x1 + x2 * x2) * 0.5
+        if not abs(p - h) <= DEFAULT_EPS * max(1.0, h) < math.inf:
+            if math.isinf(h) or math.isinf(r):  # named as embed names it, by y / q: r may overflow
+                raise VersorlabError(f"point ({-0.5 * y1 / q!r}, {-0.5 * y2 / q!r}) is too far "
+                                     f"out to embed: its squares overflow")
+            raise VersorlabError("conformal points must be null")
+        p = h
+    return x1, x2, p
+
+
+def _compose(B: tuple, A: tuple) -> tuple:
+    """The matrix product B A: the map A, then B."""
+    return tuple(tuple(b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3 for a0, a1, a2, a3 in zip(*A))
+                 for b0, b1, b2, b3 in B)
 
 
 class ConformalVersor:
-    """A versor of Cl(3,1), acting on conformal points by sandwich."""
+    """A versor of Cl(3,1), acting by its sandwich ~A X A: on null coordinates the matrix ``M``."""
 
-    __slots__ = ("v",)
+    __slots__ = ("v", "M")
 
     def __init__(self, v: Versor):
         if v.mv.sig != CGA_SIG:
             raise VersorlabError("conformal versors live in Cl(3,1)")
-        self.v = v
+        self.v, self.M = v, _reading(v)[0]
 
     @property
     def mv(self) -> Multivector:
         return self.v.mv
 
     def apply(self, p: ConformalPoint) -> ConformalPoint:
-        """Sandwich ~A X A by the kernel's products and renormalize back to X . n = -1,
-        stray off-grade coefficients of X within DEFAULT_EPS included, or ``sandwich``'s
-        error if one is past.  An odd A's sign is left out: Y (-1 / Y . n) is the same
-        float for -Y."""
-        X = p.X.coeffs
-        if any(stray := _OTHERS(X.tolist())) and max(map(abs, stray)) > DEFAULT_EPS:
-            raise ValueError("sandwich expects a grade-1 argument")
-        A = self.mv.coeffs
-        y = _KERNEL.gp(_KERNEL.gp(A * _KERNEL.rev_sign, X), A)
-        z, r = _checked(_COORDS(y.tolist()))  # the zero blades times -1 / (Y . n),
-        return _point(z, 0.0 * (-r if self.v.parity else r))  # an odd Y negated
+        """p's plane point taken by ``apply_word``'s letter step on ``M``, then re-embedded."""
+        x1, x2, h = _steps((self.M,), *p.coords)
+        return _point((x1, x2, h - 0.5, h + 0.5))
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
         if not isinstance(other, ConformalVersor):
             return NotImplemented
-        return ConformalVersor(self.v * other.v)
+        return _versor(self.v * other.v, _compose(other.M, self.M))  # self acts first
 
     def reverse(self) -> "ConformalVersor":
         return ConformalVersor(self.v.reverse())
@@ -265,6 +246,23 @@ class ConformalVersor:
 
     def __repr__(self):
         return f"<ConformalVersor {self.mv}>"
+
+
+def _versor(v: Versor, M: tuple) -> ConformalVersor:
+    """The conformal versor v carrying M, written from its parameters or a product's."""
+    c = object.__new__(ConformalVersor)
+    c.v, c.M = v, M
+    return c
+
+
+def _reading(v: Versor) -> tuple:
+    """v's sandwich ~A X A on null coordinates (x1, x2, p, q), read off the kernel: the matrix
+    whose columns are the images of e1, e2, n and nbar, and the images' rows of coefficients."""
+    B = np.array([E1.coeffs, E2.coeffs, NINF.coeffs, NBAR.coeffs])
+    A = np.broadcast_to(v.mv.coeffs, B.shape)
+    Y = _KERNEL.gp_elemwise(_KERNEL.gp_elemwise(A * _KERNEL.rev_sign, B), A)
+    y1, y2, ye, yb = Y[:, list(_GRADE1)].T  # p n + q nbar = (p + q) e + (p - q) ebar
+    return tuple(map(tuple, np.array([y1, y2, (ye + yb) / 2, (ye - yb) / 2]).tolist())), Y
 
 
 MAX_DILATION = 15.0  # past it cosh^2 - sinh^2 can miss 1 by over DEFAULT_EPS (first at 15.45)
@@ -279,25 +277,37 @@ def _finite(**params) -> list:
     return [float(value) for value in params.values()]
 
 
-def _half_shift(a1: float, a2: float) -> list:
-    """a/2 as 1 - na/2 writes it (never -0.0), for finite a with |a| <= ``MAX_TRANSLATION``."""
+def _half_shift(a1: float, a2: float) -> tuple:
+    """a as floats, finite and within ``MAX_TRANSLATION`` of 0; a/2 as 1 - na/2 writes it."""
     a1, a2 = _finite(a1=a1, a2=a2)
     if math.hypot(a1, a2) > MAX_TRANSLATION:
         raise VersorlabError(f"(a1, a2) must be within {MAX_TRANSLATION:g} of 0, got {(a1, a2)!r}")
-    return [0.0 - 0.5 * (0.0 - a) for a in (a1, a2)]
+    return (a1, a2), [0.0 - 0.5 * (0.0 - a) for a in (a1, a2)]
+
+
+def _translation(a1, a2) -> tuple:
+    """x -> x + a on null coordinates, for floats or arrays a1, a2."""
+    return ((1.0, 0.0, 0.0, -2.0 * a1), (0.0, 1.0, 0.0, -2.0 * a2),
+            (a1, a2, 1.0, -(a1 * a1 + a2 * a2)), (0.0, 0.0, 0.0, 1.0))
+
+
+_J = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))  # e's sandwich: x -> x / x^2
 
 
 def translator(a1: float, a2: float) -> ConformalVersor:
     """Versor acting as x -> x + a, |a| <= ``MAX_TRANSLATION``.  As a multivector it is 1 - na/2."""
-    c1, c2 = _half_shift(a1, a2)  # n a = -a1 (e13 + e14) - a2 (e23 + e24)
-    return ConformalVersor(Versor(_mv({0: 1.0, 5: c1, 6: c2, 9: c1, 10: c2})))
+    a, (c1, c2) = _half_shift(a1, a2)  # n a = -a1 (e13 + e14) - a2 (e23 + e24)
+    return _versor(Versor(_mv({0: 1.0, 5: c1, 6: c2, 9: c1, 10: c2})), _translation(*a))
 
 
 def rotation(theta: float) -> ConformalVersor:
     """Rotor cos(theta/2) + sin(theta/2) e1 e2: a counterclockwise rotation by theta."""
     theta, = _finite(theta=theta)
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    return ConformalVersor(Versor(_mv({0: c + 0.0 * s, 3: 0.0 * c + s}, 0.0 * c + 0.0 * s)))
+    cos, sin = math.cos(theta), math.sin(theta)
+    return _versor(Versor(_mv({0: c + 0.0 * s, 3: 0.0 * c + s}, 0.0 * c + 0.0 * s)),
+                   ((cos, -sin, 0.0, 0.0), (sin, cos, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
+                    (0.0, 0.0, 0.0, 1.0)))
 
 
 def dilator(alpha: float) -> ConformalVersor:
@@ -307,7 +317,9 @@ def dilator(alpha: float) -> ConformalVersor:
     if abs(alpha) > MAX_DILATION:
         raise VersorlabError(f"alpha must be within +-{MAX_DILATION:g}, got {alpha!r}")
     c, s = math.cosh(0.5 * alpha), math.sinh(0.5 * alpha)
-    return ConformalVersor(Versor(_mv({0: c + 0.0 * s, 12: 0.0 * c + s}, 0.0 * c + 0.0 * s)))
+    return _versor(Versor(_mv({0: c + 0.0 * s, 12: 0.0 * c + s}, 0.0 * c + 0.0 * s)),
+                   ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, math.exp(alpha), 0.0),
+                    (0.0, 0.0, 0.0, math.exp(-alpha))))
 
 
 def reflection(a1: float, a2: float) -> ConformalVersor:
@@ -321,19 +333,20 @@ def reflection(a1: float, a2: float) -> ConformalVersor:
 
 def inversion_versor() -> ConformalVersor:
     """The odd versor e: its action sends x to x / x^2 (unit circle inversion)."""
-    return ConformalVersor(Versor(EPLUS))
+    return _versor(Versor(EPLUS), _J)
 
 
 def special_conformal(a1: float, a2: float) -> ConformalVersor:
     """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion.  It takes a as
     ``translator`` does; its floats are e T_a e's, the translator's negated on e13 and e23."""
-    c1, c2 = _half_shift(a1, a2)
-    return ConformalVersor(Versor(_mv({0: 1.0, 5: 0.0 - c1, 6: 0.0 - c2, 9: c1, 10: c2})))
+    a, (c1, c2) = _half_shift(a1, a2)
+    return _versor(Versor(_mv({0: 1.0, 5: 0.0 - c1, 6: 0.0 - c2, 9: c1, 10: c2})),
+                   _compose(_J, _compose(_translation(*a), _J)))
 
 
 def modular_S() -> ConformalVersor:
-    """The versor e e1, acting on tau = x1 + i x2 as tau -> -1/tau."""
-    return ConformalVersor(Versor(EPLUS * E1))
+    """The versor e e1, acting on tau = x1 + i x2 as tau -> -1/tau: J, then diag(1, -1, -1, -1)."""
+    return _versor(Versor(EPLUS * E1), ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))
 
 
 def modular_T() -> ConformalVersor:
@@ -342,21 +355,18 @@ def modular_T() -> ConformalVersor:
 
 
 def _null_matrix(versor: ConformalVersor) -> tuple:
-    """The versor's sandwich ~A X A on null coordinates (x1, x2, p, q): columns the kernel's
-    images of e1, e2, n and nbar, each exactly an integer vector of grade 1 or refused."""
-    B = np.array([E1.coeffs, E2.coeffs, NINF.coeffs, NBAR.coeffs])
-    A = np.broadcast_to(versor.mv.coeffs, B.shape)
-    Y = _KERNEL.gp_elemwise(_KERNEL.gp_elemwise(A * _KERNEL.rev_sign, B), A)
-    y1, y2, ye, yb = Y[:, list(_GRADE1)].T  # p n + q nbar = (p + q) e + (p - q) ebar
-    M = np.array([y1, y2, (ye + yb) / 2, (ye - yb) / 2])
-    if (M != np.round(M)).any() or Y[:, ~_KERNEL.grade_masks[1]].any():
+    """A letter's written matrix on null coordinates as integers, refused unless the kernel's
+    reading equals it exactly, every entry is an integer and no image leaves grade 1."""
+    M, Y = _reading(versor.v)
+    if (M != versor.M or Y[:, ~_KERNEL.grade_masks[1]].any()
+            or any(m != round(m) for row in M for m in row)):
         raise VersorlabError(f"{versor!r} has no integer matrix on null coordinates")
-    return tuple(tuple(int(m) for m in row) for row in M.tolist())
+    return tuple(tuple(int(m) for m in row) for row in M)
 
 
-# the alphabet of modular words, each letter's matrix on null coordinates read once
+# the alphabet of modular words, each letter's matrix on null coordinates checked once
 _MATRICES = {"S": _null_matrix(modular_S()), "T": _null_matrix(modular_T()),
-             "t": _null_matrix(modular_T().inverse())}
+             "t": _null_matrix(translator(-1.0, 0.0))}  # t = T^-1
 
 
 def _letters(word: Iterable[str]) -> tuple:
@@ -370,33 +380,20 @@ def _letters(word: Iterable[str]) -> tuple:
 
 def apply_word(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]:
     """Act on tau = (x1, x2), x2 > 0, checked as ``embed`` checks it, by the letters' matrices
-    left to right on (x1, x2, |x|^2/2, -1/2).  An image with q = 0 raises PointAtInfinity;
-    one whose p, at q = -1/2, is not |x|^2/2 within DEFAULT_EPS max(1, |x|^2/2) is not null
-    (nor is one whose squares overflow).  Each image is re-embedded from its x1 and x2."""
+    left to right on (x1, x2, |x|^2/2, -1/2), one letter step each: an image with q = 0 raises
+    PointAtInfinity, one that is not null or too far out is refused, and each image is
+    re-embedded from its x1 and x2."""
     letters = _letters(word)
     x1, x2 = float(tau[0]), float(tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
     x1, x2 = _embedding(x1, x2)[:2]  # embed's checks and messages, and its x + 0.0
-    p = (x1 * x1 + x2 * x2) * 0.5
-    for letter in letters:
-        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = _MATRICES[letter]
-        q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
-        if q == 0:
-            raise PointAtInfinity("image point is at infinity")
-        r = -0.5 / q
-        x1, x2, p = ((a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3) * r,
-                     (b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3) * r,
-                     (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r)
-        h = (x1 * x1 + x2 * x2) * 0.5
-        if not abs(p - h) <= DEFAULT_EPS * max(1.0, h) < math.inf:
-            raise VersorlabError("conformal points must be null")
-        p = h
-    return x1, x2
+    return _steps(map(_MATRICES.__getitem__, letters), x1, x2)[:2]
 
 
 def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]:
-    """The same word evaluated by plain complex arithmetic on x1 + i x2."""
+    """The same word evaluated by plain complex arithmetic on x1 + i x2.  S at z = 0, or an
+    image -1/z that is not finite, raises PointAtInfinity."""
     letters = _letters(word)
     z = complex(float(tau[0]), float(tau[1]))
     if not z.imag > 0:
@@ -406,10 +403,8 @@ def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, flo
             z = z + 1.0
         elif letter == "t":
             z = z - 1.0
-        else:
-            if abs(z) < DEFAULT_EPS:
-                raise PointAtInfinity("Mobius map sends the point to infinity")
-            z = -1.0 / z
+        elif z == 0 or not cmath.isfinite(z := -1.0 / z):
+            raise PointAtInfinity("Mobius map sends the point to infinity")
     return (z.real, z.imag)
 
 

@@ -17,9 +17,9 @@ and ``translator(...).apply(embed(...))``.  They draw the numbers that route dre
 in its order, so a seed keeps its meaning; a row drawing from one distribution
 draws a block as one array.  Then they evaluate all draws at once as array
 expressions on ``gp_elemwise``, ``rev``, the grade masks and the batched scalar
-part, which give the route's floats bit for bit, and make each of the route's
-checks on all draws at once (``cga2d.translations`` with ``cga2d``'s own point tests
-and renormalization).  When a check fails, the generator is rewound and
+part (``cga2d.translations``: ``apply``'s letter step on the translator's matrix),
+which give the route's floats bit for bit, and make each of the route's checks on
+all draws at once.  When a check fails, the generator is rewound and
 the draws are replayed through the public route, drawing as they go, so the row
 fails with that route's own error.  The first 32 draws of each algebra a row
 samples also take the public route as a witness: ``witness_mismatches`` counts
@@ -62,7 +62,7 @@ from .cga2d import (
     NBAR,
     NINF,
     _point_tests,
-    _renormalized,
+    _translation,
     apply_word,
     dilator,
     embed,
@@ -461,15 +461,17 @@ def _translation_batch(drawn):
     na = _CGA.gp_elemwise(np.broadcast_to(NINF.coeffs, (len(a1), _CGA.D)),
                           vector_rows(CGA_SIG, np.column_stack([a1, a2])))
     T = scalar_mv(CGA_SIG, 1.0).coeffs - 0.5 * na  # translator's 1 - n a / 2
-    sq = np.array([float(a) ** 2 + float(b) ** 2 for a, b in zip(x1, x2)])  # embed's ** squares
+    sq = x1 * x1 + x2 * x2  # embed's squares
     X = (sq[:, None] * NINF.coeffs + 2.0 * vector_rows(CGA_SIG, np.column_stack([x1, x2]))
          - NBAR.coeffs) * 0.5
-    ok, odd = _versor_checks(_CGA, T)
-    Y, graded = _sandwich(_CGA, T, odd, X)
-    got, finite = _renormalized(Y)
-    if not np.all([ok, graded, finite, *_point_tests(X), *_point_tests(got)]):
+    y1, y2, yp, q = (m0 * x1 + m1 * x2 + m2 * (sq * 0.5) - 0.5 * m3  # apply's letter step
+                     for m0, m1, m2, m3 in _translation(a1, a2))
+    r = -0.5 / np.where(q == 0, -0.5, q)
+    got, p = np.column_stack([y1 * r, y2 * r]), yp * r
+    h = (got[:, 0] * got[:, 0] + got[:, 1] * got[:, 1]) * 0.5
+    if not np.all([_versor_checks(_CGA, T)[0], *_point_tests(X), q != 0,
+                   np.abs(p - h) <= DEFAULT_EPS * np.maximum(1.0, h), np.isfinite(h)]):
         return None
-    got = got[:, 1:3]
     return np.column_stack([got, np.abs(got - np.column_stack([x1 + a1, x2 + a2])).max(axis=1)])
 
 

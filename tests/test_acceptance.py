@@ -7,7 +7,9 @@ over the rows serving it: ``test_criterion_03_conjugacy_tables[groups.conjugacy_
 The same run counts its catalog closures; a second run, with two residuals
 made NaN, checks that a NaN fails its row.  Single rows check that the
 batched rows' public-route witness compares bits, that a draw failing a
-batched check fails its row with the public route's own error, and that the
+batched check fails its row with the public route's own error (in the
+reflection, isometry and exp twins), that a batch failing where the public
+route passes is named (in the translations twin), and that the
 words row evaluates each word through ``apply_word`` alone, failing with its error.
 """
 
@@ -136,6 +138,51 @@ def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
     assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("name, error", [
+    ("kernel.sandwich_isometry", "NotAVersor: mv * ~mv = 4 is not a unit scalar"),
+    ("kernel.exp_additivity", "ValueError: bivector must square to -1, got B^2 = -4")])
+def test_a_planted_draw_replays_the_isometry_and_exp_twins(name, error, monkeypatch):
+    """The 100th unit vector drawn, doubled, fails the batch; the replay fails the public route."""
+    real, planted, spoiled = verify._unit, [], []
+
+    def unit(ctx, n):  # planted by its floats, so the rewound replay draws it again
+        v = real(ctx, n)
+        unit.calls += 1
+        if unit.calls == 100:
+            planted.append(v)
+        if any(np.array_equal(v, p) for p in planted):
+            spoiled.append(unit.calls)
+            return 2.0 * v
+        return v
+
+    unit.calls = 0
+    monkeypatch.setattr(verify, "_unit", unit)
+    result = verify._judge(_claim(name), verify._Ctx(42))
+    assert not result.passed and result.detail.startswith(error), result.detail
+    # spoiled once in the batch, which drew all 1000 draws, and once in the replay
+    assert len(spoiled) == 2 and spoiled[0] == 100 and spoiled[1] > 1000
+
+
+def test_a_batch_that_fails_where_the_public_route_passes_is_named(monkeypatch):
+    """A batched translation step sent to infinity, which the public route does not reach:
+    the whole block is replayed through it, and the row says the batch failed alone."""
+    real = verify._translation
+
+    def spoiled(a1, a2):  # draw 500's q row reads 0, so its batched q is 0
+        *rows, (d0, d1, d2, d3) = real(a1, a2)
+        return (*rows, (d0, d1, d2, np.where(np.arange(len(a1)) == 500, 0.0, d3)))
+
+    monkeypatch.setattr(verify, "_translation", spoiled)
+    ctx = verify._Ctx(42)
+    result = verify._judge(_claim("cga2d.translations"), ctx)
+    assert (result.passed, result.detail) == (
+        False, "VersorlabError: a batched check failed where the public route passed")
+    reference = verify._Ctx(42)
+    for _ in range(1000):  # the replay drew the block as the public route does, one by one
+        reference.rng.uniform(-5, 5, size=(1, 4))
+    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
 def test_a_rejected_word_fails_its_row_with_apply_words_error(monkeypatch):
     """The words row takes each draw through ``apply_word``, which raises its own error."""
     real, planted = verify._word_draw, ("STt", (0.0, 1e-170))  # |tau|^2 / 2 underflows: q = 0
@@ -160,7 +207,7 @@ def test_a_rejected_word_fails_its_row_with_apply_words_error(monkeypatch):
 
 
 def test_the_words_row_takes_the_public_route_alone(monkeypatch):
-    """1000 ``apply_word`` calls, and no batched sandwich or normalization beside them."""
+    """1000 ``apply_word`` calls, and no batched sandwich or letter step beside them."""
     calls = collections.Counter()
 
     def counted(*args, **kwargs):
@@ -172,7 +219,7 @@ def test_the_words_row_takes_the_public_route_alone(monkeypatch):
 
     monkeypatch.setattr(verify, "apply_word", counted)
     monkeypatch.setattr(verify, "_sandwich", batched)
-    monkeypatch.setattr(verify, "_renormalized", batched)
+    monkeypatch.setattr(verify, "_translation", batched)
     result = verify._judge(_claim("cga2d.modular_words"), verify._Ctx(42))
     assert result.passed, result.detail
     assert calls == {"apply_word": 1000}

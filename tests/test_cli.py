@@ -161,6 +161,13 @@ def test_modular_overflow_is_a_json_error(argv, capsys):
                                f"point {tau!r} is too far out to embed: its squares overflow"}
 
 
+def test_modular_names_an_image_too_far_out_to_embed(capsys):
+    # S sends 1e-160 i to about 1e160 i, whose |x|^2 / 2 overflows: named as embed names tau
+    assert run_cli(capsys, "modular", "S", "0", "1e-160") == (
+        2, "", '{"error": "VersorlabError", "message": "point (0.0, 1.000011132941258e+160) '
+               'is too far out to embed: its squares overflow"}\n')
+
+
 @pytest.mark.parametrize("argv", [("", "inf", "1"), ("S", "0.5", "inf"), ("S", "nan", "1")])
 def test_modular_non_finite_tau_is_one_json_line(argv, capsys):
     # rejected before evaluating, so numpy prints no warning first
@@ -290,6 +297,9 @@ def test_a_positive_cap_passes_and_modular_reaches_the_oracle_near_zero(capsys):
     d = run_json(capsys, "modular", "S", "0", "2e-5")
     assert d["versor_result"] == d["oracle_result"] == [0.0, 49999.99999999999]
     assert d["max_deviation"] == 0.0
+    # and at 1e-10 i, which the oracle no longer refuses as |z| < DEFAULT_EPS
+    d = run_json(capsys, "modular", "S", "0", "1e-10")
+    assert (d["versor_result"], d["oracle_result"]) == ([0.0, 9999999999.999998], [0.0, 1e10])
 
 
 @pytest.mark.parametrize("value", ["abc", "-1", "1e3"])

@@ -35,8 +35,8 @@ decimals.  ``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``,
 run in process: A3's seeds are explicit, so its digits do not depend on LAPACK.
 ``demo_05.txt`` is the stdout of ``demos/05_ade_numerology.py``, which prints
 only integers and labels.  ``demo_06.txt`` is the stdout of
-``demos/06_conformal_modular.py``, run in process: its maps' floats come from
-the kernel's products, and its words' from the letter matrices.
+``demos/06_conformal_modular.py``, run in process: its maps' and its words'
+floats come from their matrices on null coordinates, through one letter step.
 """
 
 import contextlib
@@ -125,9 +125,9 @@ def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
 
 
 VERIFY_DIGESTS = {
-    "42": "64955b1f8271c8ece82cf48ed43508877d5f30a3bd6f39e05b72594a0fec9ec4",
-    "7": "62827c12d50a584f72f195b400a8db06d459f7d846c976825e65a972284c3dd2",
-    "801": "b34ef999ca849936631e739aaaba34cf73b6b2ca96a7d596977216938b9847d5",
+    "42": "cb7ce2a9ac16185aba29a901f048288c4acb6e95e725a54ab223183a3ad2e3e2",
+    "7": "a3dd8570f6d2a73d026556d4d0bc017b5f227fe5bce858531215dc4ca04a3148",
+    "801": "c5ab5d57dcb31d2bf116d0aef607411d3c6a602c7652e8eed94518a2e36beaba",
 }
 
 
