@@ -39,5 +39,5 @@ for m in (3, 5, 8):
 print()
 print("H3 needs the golden ratio; its 30 roots form an icosidodecahedron:")
 h3 = catalog("H3")
-gram = np.unique(np.round(h3.coords @ h3.coords.T, 6))
+gram = np.unique(np.round(h3.coords @ h3.coords.T, 6) + 0.0)
 print("  distinct pairwise inner products:", gram)

@@ -20,12 +20,13 @@ tau -> -1/tau and tau -> tau + 1, which is checked against independent
 complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
 versors is a double cover of the group of maps, -1 acting as the identity.
 
-In null coordinates (x1, x2, p, q), X = x1 e1 + x2 e2 + p n + q nbar, a point is
-(x1, x2, |x|^2/2, -1/2) and a versor's sandwich is a 4 x 4 matrix ``M``: the named maps write
-it (``special_conformal`` as J T_a J, J the inversion's), products multiply it, any other versor
-reads it off the kernel.  ``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0
-is PointAtInfinity; the image at q = -1/2 must have p = |x|^2/2 (one whose |x|^2/2 overflows is
-too far out) and is re-embedded.  S, T and t = T^-1 are integer, equal to the kernel's reading.
+In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, |x|^2/2, -1/2): on
+the cone for any finite x whose squares do not overflow.  A versor acts by a 4 x 4 matrix ``M``:
+the named maps write it (``special_conformal`` as J T_a J), products multiply it, ``reverse`` and
+``inverse`` take its exact adjoint, ``ConformalVersor(v)`` and ``reflection`` read it off the
+kernel.  ``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0 is
+PointAtInfinity; the image at q = -1/2 must have p = |x|^2/2 (too far out if that overflows) and
+is re-embedded.  S, T and t = T^-1 are integer, equal to the kernel's reading.
 """
 
 from __future__ import annotations
@@ -86,18 +87,17 @@ _KERNEL = kernel_for(CGA_SIG)
 
 
 def _point_tests(X: np.ndarray) -> tuple:
-    """``ConformalPoint``'s four tests on each row of (..., 16) coefficients: grade 1, null and
-    X . n = -1, each failing as its ``if x > bound: raise`` does (the bound DEFAULT_EPS
-    max(1, m * m), m the row's largest |coefficient|, in Python floats), and finite."""
-    peak = np.abs(X).max(axis=-1)
-    bound = np.reshape([DEFAULT_EPS * max(1.0, m * m) for m in peak.ravel().tolist()], peak.shape)
-    if (np.isinf(bound) & np.isfinite(peak)).any():
+    """``ConformalPoint``'s four tests on a point's 16 coefficients: grade 1, null and X . n = -1
+    as ``if x > DEFAULT_EPS max(1, m * m): raise`` tests them, m the largest |X_i|, and finite."""
+    peak = float(np.abs(X).max())
+    bound = DEFAULT_EPS * max(1.0, peak * peak)
+    if math.isinf(bound) and math.isfinite(peak):
         raise VersorlabError(f"conformal points must be null: the test's bound overflows squaring "
-                             f"a coefficient of magnitude {float(peak.max())!r}")
-    return (np.abs(X).max(axis=-1, where=~_KERNEL.grade_masks[1], initial=0.0) <= DEFAULT_EPS,
-            ~(np.abs(_KERNEL.scalar_part(X, X)) > bound),
-            ~(np.abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound),
-            np.isfinite(X).all(-1))
+                             f"a coefficient of magnitude {peak!r}")
+    return (np.abs(X[~_KERNEL.grade_masks[1]]).max() <= DEFAULT_EPS,
+            not abs(_KERNEL.scalar_part(X, X)) > bound,
+            not abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound,
+            np.isfinite(X).all())
 
 
 class ConformalPoint:
@@ -142,27 +142,15 @@ def _point(z) -> ConformalPoint:
     return p
 
 
-def _on_cone(z0: float, z1: float, z2: float, z3: float) -> bool:
-    """``ConformalPoint``'s null and X . n = -1 tests on e1..e4 floats, which must be finite."""
-    peak = max(abs(z0), abs(z1), abs(z2), abs(z3))
-    bound = DEFAULT_EPS * max(1.0, peak * peak)
-    return (math.isfinite(z0 + z1 + z2 + z3)
-            and not abs(0.0 + z0 * z0 + z1 * z1 + z2 * z2 - z3 * z3) > bound
-            and not abs(0.0 + z2 - z3 + 1.0) > bound)
-
-
 def _embedding(x1: float, x2: float) -> tuple:
-    """``embed``'s e1..e4 floats, which are (x^2 n + 2x - nbar)/2's.  A coordinate that is
-    not finite raises as that expression does, its 0 * inf landing off grade 1; a point
-    whose squares overflow, the cone tests' square of (x^2 + 1)/2 included, raises, named;
-    ``ConformalPoint`` refuses a point off the cone."""
+    """``embed``'s e1..e4 floats, (x^2 n + 2x - nbar)/2's.  A coordinate not finite raises as that
+    expression does, its 0 * inf off grade 1; squares that overflow, (x^2 + 1)/2's included, raise,
+    named.  Any other point is on the cone: its residuals are a few ulps of its largest square."""
     if not (math.isfinite(x1) and math.isfinite(x2)):
         raise VersorlabError("conformal points are grade-1 vectors of Cl(3,1)")
     sq = x1 * x1 + x2 * x2
     z = (x1 + 0.0, x2 + 0.0, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)
-    if z[3] * z[3] < math.inf:  # (x^2 + 1)/2 is the largest coefficient
-        if not _on_cone(*z):
-            ConformalPoint(_mv(dict(zip(_GRADE1, z))))
+    if z[3] * z[3] < math.inf:
         return z
     raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares overflow")
 
@@ -236,23 +224,35 @@ class ConformalVersor:
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
         if not isinstance(other, ConformalVersor):
             return NotImplemented
-        return _versor(self.v * other.v, _compose(other.M, self.M))  # self acts first
+        return _trusted((self.mv * other.mv).coeffs, _compose(other.M, self.M))  # self acts first
 
     def reverse(self) -> "ConformalVersor":
-        return ConformalVersor(self.v.reverse())
+        return _trusted(_KERNEL.rev(self.mv.coeffs), _adjoint(self.M))
 
     def inverse(self) -> "ConformalVersor":
-        return ConformalVersor(self.v.inverse())
+        return _trusted(_KERNEL.rev(self.mv.coeffs) * self.v.norm_sign, _adjoint(self.M))
 
     def __repr__(self):
         return f"<ConformalVersor {self.mv}>"
 
 
 def _versor(v: Versor, M: tuple) -> ConformalVersor:
-    """The conformal versor v carrying M, written from its parameters or a product's."""
+    """The conformal versor v carrying M, written from its parameters."""
     c = object.__new__(ConformalVersor)
     c.v, c.M = v, M
     return c
+
+
+def _trusted(row: np.ndarray, M: tuple) -> ConformalVersor:
+    """The conformal versor of a row that a product or reverse of unit versors built, unchecked."""
+    return _versor(Versor._trusted(CGA_SIG, row[None])[0], M)
+
+
+def _adjoint(M: tuple) -> tuple:
+    """M's adjoint under x1^2 + x2^2 + 4pq, a versor matrix's inverse: (i, j) is M[s_j][s_i] w_j /
+    w_i, s = (0, 1, 3, 2), w = (1, 1, 2, 2): it only permutes, halves and doubles, so is exact."""
+    s, w = (0, 1, 3, 2), (1, 1, 2, 2)
+    return tuple(tuple(M[s[j]][s[i]] * (w[j] / w[i]) for j in range(4)) for i in range(4))
 
 
 def _reading(v: Versor) -> tuple:

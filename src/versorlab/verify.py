@@ -59,9 +59,9 @@ from .cga2d import (
     E1,
     E2,
     EPLUS,
+    MAX_TRANSLATION,
     NBAR,
     NINF,
-    _point_tests,
     _translation,
     apply_word,
     dilator,
@@ -139,7 +139,7 @@ class _Ctx:
 
 def _unit(ctx, n) -> np.ndarray:
     v = ctx.rng.normal(size=n)
-    return v / math.sqrt(v.dot(v))  # np.linalg.norm's own floats for a 1-D vector
+    return v / math.sqrt(math.fsum([x * x for x in v.tolist()]))  # the same on every CPU: no BLAS
 
 
 def _vector(ctx, sig) -> np.ndarray:
@@ -242,7 +242,7 @@ def _mirror_draws(ctx, n, sig):
     """n draws of (sig, ``_unit``, ``_vector``) from one array, row by row the same floats."""
     X = ctx.rng.normal(size=(n, sig.dim + sig.blade_count))
     A, V = X[:, :sig.dim], X[:, sig.dim:] * kernel_for(sig).grade_masks[1]
-    return [(sig, a / math.sqrt(a.dot(a)), v) for a, v in zip(A, V)]
+    return [(sig, a / math.sqrt(math.fsum([x * x for x in a.tolist()])), v) for a, v in zip(A, V)]
 
 
 def _reflection_formula(ctx):
@@ -456,20 +456,19 @@ def _translation_public(draw):
     return [*got, np.max([abs(got[0] - (x1 + a1)), abs(got[1] - (x2 + a2))])]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a draw too far out fails a test, not a warning
 def _translation_batch(drawn):
     a1, a2, x1, x2 = np.array(drawn).T
-    na = _CGA.gp_elemwise(np.broadcast_to(NINF.coeffs, (len(a1), _CGA.D)),
-                          vector_rows(CGA_SIG, np.column_stack([a1, a2])))
+    na = _CGA.gp_elemwise(NINF.coeffs, vector_rows(CGA_SIG, np.column_stack([a1, a2])))
     T = scalar_mv(CGA_SIG, 1.0).coeffs - 0.5 * na  # translator's 1 - n a / 2
-    sq = x1 * x1 + x2 * x2  # embed's squares
-    X = (sq[:, None] * NINF.coeffs + 2.0 * vector_rows(CGA_SIG, np.column_stack([x1, x2]))
-         - NBAR.coeffs) * 0.5
+    sq = x1 * x1 + x2 * x2  # embed's squares; its one test: (sq + 1)/2 squares to a finite float
     y1, y2, yp, q = (m0 * x1 + m1 * x2 + m2 * (sq * 0.5) - 0.5 * m3  # apply's letter step
                      for m0, m1, m2, m3 in _translation(a1, a2))
     r = -0.5 / np.where(q == 0, -0.5, q)
     got, p = np.column_stack([y1 * r, y2 * r]), yp * r
     h = (got[:, 0] * got[:, 0] + got[:, 1] * got[:, 1]) * 0.5
-    if not np.all([_versor_checks(_CGA, T)[0], *_point_tests(X), q != 0,
+    if not np.all([np.hypot(a1, a2) <= MAX_TRANSLATION, _versor_checks(_CGA, T)[0],
+                   ((sq + 1.0) * 0.5) ** 2 < np.inf, q != 0,
                    np.abs(p - h) <= DEFAULT_EPS * np.maximum(1.0, h), np.isfinite(h)]):
         return None
     return np.column_stack([got, np.abs(got - np.column_stack([x1 + a1, x2 + a2])).max(axis=1)])

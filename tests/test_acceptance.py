@@ -8,12 +8,13 @@ The same run counts its catalog closures; a second run, with two residuals
 made NaN, checks that a NaN fails its row.  Single rows check that the
 batched rows' public-route witness compares bits, that a draw failing a
 batched check fails its row with the public route's own error (in the
-reflection, isometry and exp twins), that a batch failing where the public
-route passes is named (in the translations twin), and that the
+reflection, isometry, exp and translations twins), that a batch failing where
+the public route passes is named (in the isometry, exp and translations twins), and that the
 words row evaluates each word through ``apply_word`` alone, failing with its error.
 """
 
 import collections
+import re
 import types
 
 import numpy as np
@@ -180,6 +181,52 @@ def test_a_batch_that_fails_where_the_public_route_passes_is_named(monkeypatch):
     reference = verify._Ctx(42)
     for _ in range(1000):  # the replay drew the block as the public route does, one by one
         reference.rng.uniform(-5, 5, size=(1, 4))
+    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("scale, error", [
+    ((1.0, 1.0, 1e200, 1.0), r"VersorlabError: point \(\S+e\+200, \S+\) is too far out to embed: "
+                             r"its squares overflow$"),
+    ((1e4, 1.0, 1.0, 1.0), r"VersorlabError: \(a1, a2\) must be within 1000 of 0, got ")])
+def test_a_planted_draw_replays_the_translations_twin(scale, error, monkeypatch):
+    """Draw 300, scaled past what embed or translator accepts, fails the batch's own test of
+    it; the rewound replay takes it through the public route, which raises its own error."""
+    real, planted, spoiled = verify._sampled, [], []
+
+    def sampled(ctx, blocks, batch, public):
+        def draw(c, n, real_draw=blocks[0][1]):  # planted by its floats, as the replay draws it
+            out = real_draw(c, n)
+            if n > 1:
+                planted.append(out[300].copy())
+            hit = [i for i, row in enumerate(out) if any(np.array_equal(row, p) for p in planted)]
+            spoiled.extend(hit)
+            out[hit] *= scale
+            return out
+        return real(ctx, [(blocks[0][0], draw)], batch, public)
+
+    monkeypatch.setattr(verify, "_sampled", sampled)
+    result = verify._judge(_claim("cga2d.translations"), verify._Ctx(42))
+    assert not result.passed and re.match(error, result.detail), result.detail
+    assert spoiled == [300, 0]  # in the batch, then in the replay's draw 300
+
+
+@pytest.mark.parametrize("name", ["kernel.sandwich_isometry", "kernel.exp_additivity"])
+def test_an_isometry_or_exp_batch_that_fails_alone_is_named(name, monkeypatch):
+    """A spoiled ``Versor`` check on draw 500 fails the batch; the public route passes every
+    draw, so the row says the batch failed alone, drawn as a passing run draws."""
+    reference = verify._Ctx(42)
+    assert verify._judge(_claim(name), reference).passed
+    real = verify._versor_checks
+
+    def spoiled(kern, R):
+        passes, odd = real(kern, R)
+        return passes & (np.arange(len(R)) != 500), odd
+
+    monkeypatch.setattr(verify, "_versor_checks", spoiled)
+    ctx = verify._Ctx(42)
+    result = verify._judge(_claim(name), ctx)
+    assert (result.passed, result.detail) == (
+        False, "VersorlabError: a batched check failed where the public route passed")
     assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
 
 

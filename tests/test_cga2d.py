@@ -132,6 +132,16 @@ def test_a_point_whose_squares_overflow_is_refused_by_name():
             ConformalPoint(X)
 
 
+def test_every_point_embed_accepts_is_a_conformal_point():
+    # embed checks only that x is finite and its squares do not overflow: 100 000 seeded
+    # points with |x_i| log-uniform in [1e-320, 1e77] and random signs, each accepted by
+    # ConformalPoint's four tests, which embed no longer makes
+    rng = np.random.default_rng(1977)
+    xs = rng.choice([-1.0, 1.0], (100_000, 2)) * 10.0 ** rng.uniform(-320, 77, (100_000, 2))
+    for x in xs.tolist():
+        ConformalPoint(embed(*x).X)
+
+
 # ---------------------------------------------------------------- versors
 
 def test_translator_moves_points():
@@ -805,6 +815,34 @@ def test_no_dilator_refuses_a_point_whose_image_is_finite():
                      (15.0, (1e77, -5e76)), (-15.0, (1e77, -5e76))] + draws:
         got = dilator(alpha).apply(embed(*x)).coords
         assert _deviation(got, _exact_map_image([("dilator", [alpha])], x)) <= 1e-15, (alpha, x)
+
+
+def test_products_of_maps_are_never_refused():
+    # the product of two unit versors is one: before, dilator(10) * dilator(10) raised
+    # NotAVersor (scalar part 0.9999999850988388), and 251 of 4 000 products of one to three
+    # maps at the accuracy draws' ranges were refused; now each is made, dilator(10) twice
+    # acting as e^20 within the exact oracle's 1e-15
+    x = (0.75, -0.5)
+    factors = [("dilator", [10.0])] * 2
+    assert _deviation(_made(factors).apply(embed(*x)).coords, _exact_map_image(factors, x)) <= 1e-15
+    rng = np.random.default_rng(2028)
+    kinds = ["translator", "rotation", "dilator", "special_conformal"]
+    for i in range(4000):
+        _made([(kind, _accuracy_draws(rng, kind)[0]) for kind in rng.choice(kinds, size=1 + i % 3)])
+
+
+def test_reverse_and_inverse_are_the_exact_adjoint():
+    # reverse and inverse carry M's adjoint, read off no kernel: over 2 000 seeded draws each
+    # map's inverse matrix is the opposite map's, entry for entry
+    rng = np.random.default_rng(4)
+    for _ in range(2000):
+        a, theta, alpha = rng.uniform(-50, 50, 2).tolist(), rng.uniform(-7, 7), rng.uniform(-15, 15)
+        for method in (cga2d.ConformalVersor.reverse, cga2d.ConformalVersor.inverse):
+            assert method(translator(*a)).M == translator(-a[0], -a[1]).M, a
+            assert method(rotation(theta)).M == rotation(-theta).M, theta
+            assert method(dilator(alpha)).M == dilator(-alpha).M, alpha
+    # before: 1.5e-10 relative off, the kernel's reading of dilator(-15)'s inverse
+    assert dilator(-15).inverse().apply(embed(1, 0.5)).coords == (math.exp(15), 0.5 * math.exp(15))
 
 
 def test_written_matrices_are_the_kernels_reading():

@@ -21,8 +21,10 @@ and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in every
 format (the csv's ``simple`` column marks the simple roots).  ``modular`` is
 pinned only by the files above.
 ``VERIFY_DIGESTS`` pins ``verify``'s stdout at three seeds; its residuals'
-digits come from numpy's seeded generator and float products, and were
-recorded with numpy 2.4 on x86-64 Linux.  ``h4_digests.json`` pins ``group`` and
+digits come from numpy's seeded generator and float products, with unit
+draws normalized by ``math.fsum`` rather than BLAS, and were recorded with
+numpy 2.4 on x86-64 Linux; CI reruns this file under forced OpenBLAS kernels
+and numpy dispatch levels, which must not move them.  ``h4_digests.json`` pins ``group`` and
 ``classes`` of Spin(H4) in json, csv and markdown (H4's seeds, like H3's, are a
 Cholesky factor); CI checks it in child processes, so this suite does not
 pay for H4.  No subcommand takes ``--tolerance``, so no tolerance decides what
@@ -31,8 +33,9 @@ given one exit 2 with nothing on stdout.
 
 ``demo_02.txt`` is the stdout of ``demos/02_root_systems.py``, run in process:
 its diagrams, Cartan matrix and axiom verdict, and H3's inner products to 6
-decimals.  ``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``,
-run in process: A3's seeds are explicit, so its digits do not depend on LAPACK.
+decimals, plus 0.0, so that no -0.0 prints whatever sign a kernel leaves.
+``demo_03.txt`` is the stdout of ``demos/03_tetrahedral_groups.py``, run in
+process: A3's seeds are explicit, so its digits do not depend on LAPACK.
 ``demo_05.txt`` is the stdout of ``demos/05_ade_numerology.py``, which prints
 only integers and labels.  ``demo_06.txt`` is the stdout of
 ``demos/06_conformal_modular.py``, run in process: its maps' and its words'
@@ -125,9 +128,9 @@ def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
 
 
 VERIFY_DIGESTS = {
-    "42": "cb7ce2a9ac16185aba29a901f048288c4acb6e95e725a54ab223183a3ad2e3e2",
-    "7": "a3dd8570f6d2a73d026556d4d0bc017b5f227fe5bce858531215dc4ca04a3148",
-    "801": "c5ab5d57dcb31d2bf116d0aef607411d3c6a602c7652e8eed94518a2e36beaba",
+    "42": "4e7c444deb0827829d89534ce239af5e8d0390a5fdb30c9d67e18a3effd18a41",
+    "7": "da5a2d9f1a4cd796703b0d58e7cbc6b4293dc331553022e22bb0eef5068d36bb",
+    "801": "ac7a89de6914f4caca4578689150a6af6917ae8222174b32388eb1b40c75e6f8",
 }
 
 

@@ -1,5 +1,6 @@
 """Tests for spinor coordinates, induced 4D root systems, and symmetry sweeps."""
 
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -102,6 +103,28 @@ def test_extracted_simple_roots_regenerate_the_system():
         ind = induce_4d(spin_group(src))
         reclosed = close_roots(ind.base.simple_coords, sig=Signature(4, 0))
         assert np.array_equal(row_keys(reclosed.coords), row_keys(ind.base.coords))
+
+
+def test_a_frame_that_defeats_the_first_functional_takes_the_retry(monkeypatch):
+    # A1^3's simple roots as the columns of an orthonormal frame whose first column is
+    # orthogonal to (1/pi, 1/pi^2, 1/pi^3): two of the eight induced roots sit on
+    # the first functional's zero set, so _generic_functional retries, and the
+    # induction still gives A1^4
+    w = np.array([math.pi ** -1, math.pi ** -2, math.pi ** -3])
+    a = np.array([1.0, -math.pi, 0.0]) / math.hypot(1.0, math.pi)
+    frame = np.column_stack([a, w / np.linalg.norm(w), np.cross(a, w / np.linalg.norm(w))])
+    assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-15
+    chosen = []
+
+    def spied(coords):
+        chosen.append(_generic_functional(coords))
+        return chosen[-1]
+
+    monkeypatch.setattr(versorlab.induction, "_generic_functional", spied)
+    ind = induce_4d(generate_spin(close_roots(frame.T, name="A1^3")))
+    assert (ind.root_count, ind.identification) == (8, "A1^4")
+    first = np.array([math.pi ** -i for i in range(4)])
+    assert len(chosen) == 1 and not np.array_equal(chosen[0], first)
 
 
 def _decomposition_search(coords):
