@@ -43,6 +43,7 @@ BLOCK = 1 << 22  # floats per block of a batched computation
 FIND_ROWS = 4096  # rows keyed at a time by find_ids
 SIGNED_GATHER = 64  # blades from which a single product gathers its signed operand in one pass
 _REAL = (int, float, numbers.Real)  # int and float first skip the slow ABC instance check
+_einsum = getattr(np.einsum, "_implementation", np.einsum)  # np.einsum, minus its dispatch
 
 __all__ = [
     "DEFAULT_EPS",
@@ -144,16 +145,16 @@ class _Kernel:
 
     def gp(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.D < SIGNED_GATHER:
-            return np.einsum("a,ak->k", a, b[self.xor] * self.sign)
-        return np.einsum("a,ak->k", a, np.concatenate((b, b * -1.0))[self.signed_xor])
+            return _einsum("a,ak->k", a, b[self.xor] * self.sign)
+        return _einsum("a,ak->k", a, np.concatenate((b, b * -1.0))[self.signed_xor])
 
     def scalar_part(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """``gp(a, b)[0]``, the same floats, of each pair of rows over broadcast leading axes."""
-        return np.einsum("...a,...a,a->...", A, B, self.metric)
+        return _einsum("...a,...a,a->...", A, B, self.metric)
 
     def gp_elemwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """Broadcasting batched product over leading axes of (..., D) arrays."""
-        return np.einsum("...a,...ak->...k", A,
+        return _einsum("...a,...ak->...k", A,
                          np.concatenate((B, B * -1.0), axis=-1)[..., self.signed_xor])
 
     def rev(self, A: np.ndarray) -> np.ndarray:

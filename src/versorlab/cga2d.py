@@ -26,7 +26,8 @@ the named maps write it (``special_conformal`` as J T_a J), products multiply it
 ``inverse`` take its exact adjoint, ``ConformalVersor(v)`` and ``reflection`` read it off the
 kernel.  ``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0 is
 PointAtInfinity; the image at q = -1/2 must have p = |x|^2/2 (too far out if that overflows) and
-is re-embedded.  S, T and t = T^-1 are integer, equal to the kernel's reading.
+is re-embedded.  S, T and t = T^-1 are integer, equal to the kernel's reading, and held as exact
+floats, so that the step multiplies float by float.
 """
 
 from __future__ import annotations
@@ -178,7 +179,7 @@ def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
     """One letter step per matrix M, in turn: y = M (x1, x2, p, -1/2), p = |x|^2/2, and q = 0
     raises PointAtInfinity; the image at q = -1/2 is not null unless p is |x|^2/2 within
     DEFAULT_EPS max(1, |x|^2/2), or too far out past a finite |x|^2/2.  Squares as x * x."""
-    p = (x1 * x1 + x2 * x2) * 0.5
+    eps, inf, p = DEFAULT_EPS, math.inf, (x1 * x1 + x2 * x2) * 0.5
     for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
         q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
         if q == 0:
@@ -187,7 +188,7 @@ def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
         y1, y2 = a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3, b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3
         x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
         h = (x1 * x1 + x2 * x2) * 0.5
-        if not abs(p - h) <= DEFAULT_EPS * max(1.0, h) < math.inf:
+        if not abs(p - h) <= eps * (h if h > 1.0 else 1.0) < inf:
             if math.isinf(h) or math.isinf(r):  # named as embed names it, by y / q: r may overflow
                 raise VersorlabError(f"point ({-0.5 * y1 / q!r}, {-0.5 * y2 / q!r}) is too far "
                                      f"out to embed: its squares overflow")
@@ -355,13 +356,14 @@ def modular_T() -> ConformalVersor:
 
 
 def _null_matrix(versor: ConformalVersor) -> tuple:
-    """A letter's written matrix on null coordinates as integers, refused unless the kernel's
-    reading equals it exactly, every entry is an integer and no image leaves grade 1."""
+    """A letter's written matrix on null coordinates, refused unless the kernel's reading equals
+    it exactly, every entry is an integer and no image leaves grade 1.  The integers are held as
+    exact floats, so that the step multiplies float by float; ``int(m)`` reads one back."""
     M, Y = _reading(versor.v)
     if (M != versor.M or Y[:, ~_KERNEL.grade_masks[1]].any()
             or any(m != round(m) for row in M for m in row)):
         raise VersorlabError(f"{versor!r} has no integer matrix on null coordinates")
-    return tuple(tuple(int(m) for m in row) for row in M)
+    return tuple(tuple(float(int(m)) for m in row) for row in M)
 
 
 # the alphabet of modular words, each letter's matrix on null coordinates checked once

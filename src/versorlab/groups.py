@@ -34,6 +34,7 @@ from .algebra import (
     Signature,
     Versor,
     _check_cap,
+    _einsum,
     _json_dicts,
     kernel_for,
     lex_sorted,
@@ -240,12 +241,12 @@ def _generate(kind: str, rs: RootSystem, perms: np.ndarray, factors: np.ndarray,
         for a in range(lo, hi, step):
             b = min(hi, a + step)
             if b - checked > step:  # the held products' ends are all known: check them
-                dots[checked:a], held, checked = np.einsum(
+                dots[checked:a], held, checked = _einsum(
                     "qkd,qkd->qk", np.concatenate(held), v[graph[checked:a]]), [], a
             held.append(kern.gp_elemwise(v[a:b, None], gens))
             c, d = np.searchsorted(first, [a * m, b * m])  # the rows first reached from a..b-1
             v[1 + c:1 + d] = held[-1].reshape(-1, kern.D)[first[c:d] - a * m]
-    dots[checked:] = np.einsum("qkd,qkd->qk", np.concatenate(held), v[graph[checked:]])
+    dots[checked:] = _einsum("qkd,qkd->qk", np.concatenate(held), v[graph[checked:]])
     if not np.all(np.abs(np.abs(dots) - 1.0) <= 1e-9):  # NaN fails too
         raise VersorlabError("the versor generators do not lift the root permutations")
     cover = graph + np.where(dots < 0, n, 0)  # row i + n is -v_i

@@ -32,6 +32,7 @@ from .algebra import (
     Multivector,
     Signature,
     _check_cap,
+    _einsum,
     find_ids,
     key_ids,
     lex_sorted,
@@ -98,7 +99,7 @@ class RootSystem:
 
 def _reflect_pairs(roots: np.ndarray, mirrors: np.ndarray) -> np.ndarray:
     """[i, j] = root i reflected in unit mirror j (einsum: BLAS rounding varies by shape)."""
-    dots = np.einsum("id,jd->ij", roots, mirrors)
+    dots = _einsum("id,jd->ij", roots, mirrors)
     return roots[:, None, :] - 2.0 * dots[:, :, None] * mirrors[None, :, :]
 
 
@@ -236,7 +237,7 @@ class CartanMatrix:
 
 def cartan_matrix(rs: RootSystem) -> CartanMatrix:
     s = rs.simple_coords
-    gram = s @ s.T
+    gram = _einsum("id,jd->ij", s, s)
     return CartanMatrix(2.0 * gram / np.diag(gram)[None, :])
 
 
@@ -252,7 +253,7 @@ def diagram(rs: RootSystem) -> list[DiagramEdge]:
     names: a cosine within ``DEFAULT_EPS`` of 0 for m = 2, else pi / acos(-cos) within 1e-6 m
     of m.  An acute or non-simple seed raises ValueError naming the pair."""
     s, m, edges = rs.simple_coords, rs.coxeter_matrix.tolist(), []
-    cos = (s @ s.T).tolist()  # unit roots
+    cos = _einsum("id,jd->ij", s, s).tolist()  # unit roots
     for i in range(rs.rank):
         for j in range(i + 1, rs.rank):
             c, mij = cos[i][j], m[i][j]

@@ -506,11 +506,76 @@ def test_letter_matrices_are_integer():
     assert sorted(cga2d._MATRICES) == ["S", "T", "t"]
     for letter, matrix in cga2d._MATRICES.items():
         assert [len(row) for row in matrix] == [4, 4, 4, 4], letter
-        assert all(type(m) is int and abs(m) <= 2 for row in matrix for m in row), letter
+        assert all(type(m) is float and m.is_integer() and abs(m) <= 2
+                   for row in matrix for m in row), letter
     # a map whose sandwich is not integer on null coordinates is refused where it is read
     for versor in (rotation(0.3), translator(0.5, 0.0), dilator(0.4)):
         with pytest.raises(VersorlabError, match="has no integer matrix on null coordinates$"):
             cga2d._null_matrix(versor)
+
+
+def _integer_steps(matrices, x1, x2):
+    """``cga2d._steps`` as it stepped on integer letter matrices: int * float products, and
+    ``DEFAULT_EPS`` and ``math.inf`` read as globals."""
+    p = (x1 * x1 + x2 * x2) * 0.5
+    for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
+        q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
+        if q == 0:
+            raise PointAtInfinity("image point is at infinity")
+        r = -0.5 / q
+        y1, y2 = a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3, b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3
+        x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
+        h = (x1 * x1 + x2 * x2) * 0.5
+        if not abs(p - h) <= DEFAULT_EPS * max(1.0, h) < math.inf:
+            if math.isinf(h) or math.isinf(r):
+                raise VersorlabError(f"point ({-0.5 * y1 / q!r}, {-0.5 * y2 / q!r}) is too far "
+                                     f"out to embed: its squares overflow")
+            raise VersorlabError("conformal points must be null")
+        p = h
+    return x1, x2, p
+
+
+_INTEGER_MATRICES = {letter: tuple(tuple(int(m) for m in row) for row in matrix)
+                     for letter, matrix in cga2d._MATRICES.items()}
+
+
+def _integer_word(word, tau):
+    """``apply_word`` stepping on the integer letter matrices."""
+    x1, x2 = cga2d._embedding(float(tau[0]), float(tau[1]))[:2]
+    return _integer_steps([_INTEGER_MATRICES[letter] for letter in word], x1, x2)[:2]
+
+
+def _bits(fn, word, tau):
+    """The floats as ``float.hex``, so the sign of zero counts, or what was raised."""
+    try:
+        return [float.hex(v) for v in fn(word, tau)]
+    except (ArithmeticError, VersorlabError) as exc:
+        return type(exc), str(exc)
+
+
+def test_float_letter_step_is_bitwise_the_integer_step():
+    # the letters' integer entries held as floats multiply to the same bits: on
+    # verify's draws, near the real axis, at x1 = +-0.0, and where S raises
+    rng = np.random.default_rng(4242)
+    ctx = verify._Ctx(4242)
+    draws = [verify._word_draw(ctx) for _ in range(8000)]
+    draws += _near_axis_draws(6000, seed=4242)
+    draws += [("".join(rng.choice(["S", "T", "t"], size=int(rng.integers(0, 17)))),
+               (float(rng.choice([0.0, -0.0])), float(10.0 ** rng.uniform(-8, 1))))
+              for _ in range(4000)]
+    draws += [("S" + "".join(rng.choice(["S", "T", "t"], size=int(rng.integers(0, 5)))),
+               (float(rng.choice([0.0, -0.0, 1e-200])), float(rng.choice([1e-170, 1e-160]))))
+              for _ in range(2000)]
+    assert len(draws) == 20000
+    raised = []
+    for word, tau in draws:
+        want = _bits(_integer_word, word, tau)
+        assert _bits(apply_word, word, tau) == want, (word, tau)
+        if isinstance(want, tuple):
+            raised.append(want)
+    assert {kind for kind, _ in raised} == {PointAtInfinity, VersorlabError}
+    assert any("too far out to embed" in message for _, message in raised)
+    assert {math.copysign(1.0, tau[0]) for _, tau in draws if tau[0] == 0} == {1.0, -1.0}
 
 
 def test_letter_matrices_satisfy_the_modular_relations_exactly():
