@@ -1,27 +1,27 @@
 """Dense multivector arithmetic for real Clifford algebras Cl(p, q) with p + q <= 8.
 
-Basis blades are indexed by bitmask: bit i set means the generator e_{i+1}
-is a factor of the blade, with factors stored in ascending index order.
-Generator e_{i+1} squares to +1 for i < p and to -1 otherwise.  A
-multivector is a dense float64 coefficient vector over all 2**(p+q) blades.
-Every geometric product, single or batched, is one contraction of A against
-B's signed D x D operand, gathered by per-signature tables (``_Kernel``).
+Basis blades are indexed by bitmask: bit i set means the generator e_{i+1} is a factor of the
+blade, with factors stored in ascending index order.  Generator e_{i+1} squares to +1 for i < p
+and to -1 otherwise.  A multivector is a dense float64 coefficient vector over all 2**(p+q)
+blades.  Every geometric product, single or batched, is one contraction of A against B's signed
+D x D operand, gathered by per-signature tables (``_Kernel``).
 
 Two numbers decide sameness and closeness:
 
-* ``HASH_GRID`` (1e-6): ``quantize`` rounds each coefficient once to this grid,
-  giving the integer key that is identity: ``==``, ``hash``, sets, ``key_ids``
-  and ``find_ids`` all compare keys.  Quantities in this package (halves,
-  1/sqrt(2), the golden ratio, ...) sit far from cell boundaries.
+* ``HASH_GRID`` (1e-6): ``quantize`` rounds each coefficient once to this grid, giving the
+  integer key that is identity: ``==``, ``hash``, sets, ``key_ids`` and ``find_ids`` all compare
+  keys.  Quantities in this package (halves, 1/sqrt(2), the golden ratio, ...) sit far from
+  cell boundaries.
 * ``DEFAULT_EPS`` (1e-9): the tolerance of every floating comparison, ``close_to`` among them.
+  ``Versor``, ``is_grade`` and ``sandwich`` test one object on one ``tolist()`` of its floats,
+  each as -eps <= x <= eps, so that a NaN or an inf fails.
 
-The package's one set of key helpers sits next to ``quantize``: ``row_keys``
-(a void view of quantized rows), ``lex_order``, and one dict of key bytes
-per table, which ``key_ids`` fills (a new key takes the next id) and
-``find_ids`` reads (-1 where a key is absent), ``FIND_ROWS`` rows at a time.
-On them stands ``orbit``, the one closure routine for roots and reflection
-groups, which also returns the orbit's graph, which row each action hit, and
-finds a block's new rows where its running maximum id first reaches each new id.
+The package's one set of key helpers sits next to ``quantize``: ``row_keys`` (a void view of
+quantized rows), ``lex_order``, and one dict of key bytes per table, which ``key_ids`` fills (a
+new key takes the next id) and ``find_ids`` reads (-1 where a key is absent), ``FIND_ROWS`` rows
+at a time.  On them stands ``orbit``, the one closure routine for roots and reflection groups,
+which also returns the orbit's graph, which row each action hit, and finds a block's new rows
+where its running maximum id first reaches each new id.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -107,12 +107,12 @@ class _Kernel:
     are the same, and a batch holds one D x D operand per row, not two.  Single
     products below ``SIGNED_GATHER`` blades gather, then sign: faster there.
 
-    Built once per signature and cached with it: ``grades`` (the grade of
-    each blade), ``blade_names`` (indexed by mask), ``grade_masks[g]``, the
-    read-only mask of grade g, the parity masks ``odd`` and ``even``, and
-    the metric diagonal ``metric`` (``metric[a] = sign[a, 0]``, the scalar
-    e_a e_a).  The scalar part of A B is sum_a A[a] B[a] metric[a];
-    ``scalar_part`` takes that sum in the contraction's own order, so it
+    Built once per signature and cached with it: ``grades`` (the grade of each blade),
+    ``blade_names`` (indexed by mask), ``grade_masks[g]``, the read-only mask of grade g,
+    and ``off_grade[g]``, the tuple of the other blades, the parity masks ``odd`` and
+    ``even`` and their tuples of blades ``parity_blades``, and the metric diagonal ``metric``
+    (``metric[a] = sign[a, 0]``, the scalar e_a e_a).  The scalar part of A B is sum_a A[a]
+    B[a] metric[a]; ``scalar_part`` takes that sum in the contraction's own order, so it
     equals ``gp(A, B)[0]`` bit for bit, row by row over leading axes.
     """
 
@@ -139,7 +139,8 @@ class _Kernel:
         self.grade_masks = tuple(self.grades == g for g in range(n + 1))
         self.odd = self.grades % 2 == 1
         self.even = ~self.odd
-        self.by_parity = np.concatenate([np.flatnonzero(self.odd), np.flatnonzero(self.even)])
+        self.off_grade = tuple(tuple(np.flatnonzero(~m).tolist()) for m in self.grade_masks)
+        self.parity_blades = tuple(tuple(np.flatnonzero(m).tolist()) for m in (self.odd, self.even))
         for arr in (self.metric, self.odd, self.even, *self.grade_masks):
             arr.setflags(write=False)
 
@@ -402,7 +403,7 @@ class Multivector:
 
     def _grade_mask(self, k: int) -> np.ndarray:
         n = self.sig.dim
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= n:
+        if isinstance(k, bool) or not isinstance(k, (int, numbers.Integral)) or not 0 <= k <= n:
             raise ValueError(f"grade {k!r} out of range for Cl{tuple(self.sig)}: integers 0..{n}")
         return kernel_for(self.sig).grade_masks[k]
 
@@ -415,7 +416,9 @@ class Multivector:
                 if np.abs(self.coeffs[k.grade_masks[g]]).max(initial=0.0) > DEFAULT_EPS}
 
     def is_grade(self, k: int) -> bool:
-        return np.abs(self.coeffs).max(where=~self._grade_mask(k), initial=0.0) <= DEFAULT_EPS
+        self._grade_mask(k)  # refuses what is not a grade
+        eps, c = DEFAULT_EPS, self.coeffs.tolist()
+        return all(-eps <= c[i] <= eps for i in kernel_for(self.sig).off_grade[k])
 
     # -- views --------------------------------------------------------------
 
@@ -511,24 +514,24 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 class Versor(object):
     """A multivector that is (numerically) a product of unit vectors.
 
-    Validated on construction: support purely even or purely odd, and
-    mv * ~mv equal to +1 or -1 within tolerance.  Both tests fail closed, so a
-    NaN is no versor.  The sign is kept in ``norm_sign`` (it can be -1 in mixed
-    signatures such as Cl(3,1)).
+    Validated on construction, on one ``tolist()`` of the coefficients and one of mv * ~mv, each
+    float tested as -eps <= x <= eps: support purely even or purely odd, and mv * ~mv equal to
+    +1 or -1 within tolerance.  Both tests fail closed, so a NaN is no versor.  The sign is
+    kept in ``norm_sign`` (it can be -1 in mixed signatures such as Cl(3,1)).
     """
 
     __slots__ = ("mv", "parity", "norm_sign")
 
     def __init__(self, mv: Multivector):
-        k, eps = kernel_for(mv.sig), DEFAULT_EPS
-        # the largest magnitudes on odd and on even blades, half of the blades each
-        even, odd = np.abs(mv.coeffs)[k.by_parity].reshape(2, -1).max(axis=1).tolist()
-        if not (even <= eps or odd <= eps):
+        k, eps, c = kernel_for(mv.sig), DEFAULT_EPS, mv.coeffs.tolist()
+        odd, even = k.parity_blades
+        even_only = all(-eps <= c[i] <= eps for i in odd)  # zero within eps on every odd blade
+        if not (even_only or all(-eps <= c[i] <= eps for i in even)):
             raise NotAVersor("mixed even/odd support")
-        parity = 0 if even <= eps else 1
+        parity = 0 if even_only else 1
         norm = k.gp(mv.coeffs, k.rev(mv.coeffs))
-        s = float(norm[0])
-        if not (abs(abs(s) - 1.0) <= eps and np.abs(norm[1:]).max() <= eps):
+        s, *rest = norm.tolist()
+        if not (abs(abs(s) - 1.0) <= eps and all(-eps <= x <= eps for x in rest)):
             raise NotAVersor(f"mv * ~mv = {Multivector._wrap(mv.sig, norm)} is not a unit "
                              f"scalar (scalar part {s!r})")
         object.__setattr__(self, "mv", mv)
@@ -559,7 +562,10 @@ class Versor(object):
         if not vectors:
             raise ValueError("need at least one vector")
         acc = vectors[0]
-        for v in vectors[1:]:
+        if all(type(v) is Multivector and v.sig == acc.sig for v in vectors):  # raw rows, one wrap
+            return cls(Multivector._wrap(acc.sig, reduce(kernel_for(acc.sig).gp,
+                                                         [v.coeffs for v in vectors])))
+        for v in vectors[1:]:  # anything else, with the operators' errors
             acc = acc * v
         return cls(acc)
 
@@ -608,10 +614,7 @@ def sandwich(v: Multivector, A) -> Multivector:
         raise ValueError("sandwich expects a grade-1 argument")
     k = kernel_for(v.sig)
     out = k.gp(k.gp(k.rev(A.mv.coeffs), v.coeffs), A.mv.coeffs)
-    if A.parity == 1:
-        out = -out
-    out = np.where(k.grade_masks[1], out, 0.0)
-    return Multivector._wrap(v.sig, out)
+    return Multivector._wrap(v.sig, np.where(k.grade_masks[1], -out if A.parity else out, 0.0))
 
 
 def reflect(v: Multivector, alpha: Multivector) -> Multivector:
@@ -622,7 +625,7 @@ def reflect(v: Multivector, alpha: Multivector) -> Multivector:
         raise ValueError("reflect expects grade-1 arguments")
     k = kernel_for(v.sig)
     n2 = float(k.scalar_part(alpha.coeffs, alpha.coeffs))
-    if abs(abs(n2) - 1.0) > DEFAULT_EPS:
+    if not abs(abs(n2) - 1.0) <= DEFAULT_EPS:  # a NaN fails
         raise ValueError(f"mirror vector must be unit, got alpha^2 = {n2}")
     out = -k.gp(k.gp(alpha.coeffs, v.coeffs), alpha.coeffs)
     out = np.where(k.grade_masks[1], out, 0.0)
@@ -637,7 +640,7 @@ def exp_bivector(B: Multivector, theta: float) -> Versor:
         raise ValueError("exp_bivector expects a grade-2 argument")
     k = kernel_for(B.sig)
     sq = k.gp(B.coeffs, B.coeffs)
-    if abs(sq[0] + 1.0) > DEFAULT_EPS or np.max(np.abs(sq[1:])) > DEFAULT_EPS:
+    if not (abs(sq[0] + 1.0) <= DEFAULT_EPS and np.max(np.abs(sq[1:])) <= DEFAULT_EPS):  # NaN fails
         raise ValueError(f"bivector must square to -1, got B^2 = {Multivector._wrap(B.sig, sq)}")
     arr = B.coeffs * math.sin(theta)
     arr[0] += math.cos(theta)

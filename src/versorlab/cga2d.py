@@ -1,24 +1,21 @@
 """2D conformal model in Cl(3,1) and the modular group as versors.
 
-A plane point x = (x1, x2) embeds as a null vector of Cl(3,1) via
-F(x) = x^2 n + 2x - nbar, where the extra generators e (square +1) and
-ebar (square -1) combine into the null directions n = e + ebar and
-nbar = e - ebar.  Points are kept at the normalization X . n = -1, under
-which translations, rotations, dilations, special conformal maps,
-reflections and inversions all act by versor sandwiches.
+A plane point x = (x1, x2) embeds as a null vector of Cl(3,1) via F(x) = x^2 n + 2x - nbar,
+where the extra generators e (square +1) and ebar (square -1) combine into the null directions
+n = e + ebar and nbar = e - ebar.  Points are kept at the normalization X . n = -1, under which
+translations, rotations, dilations, special conformal maps, reflections and inversions all act
+by versor sandwiches.
 
-All sandwiches here use the fixed ordering X -> ~A X A (with a minus sign
-for odd A).  Under that ordering the versor implementing a named map is
-the *reverse* of the form usually displayed with the opposite ordering;
-e.g. the translator below is 1 - na/2, and reversing it recovers the
-familiar 1 + na/2.  The action contracts (translate by +a, scale by
-e^{+alpha}, tau -> tau+1, tau -> -1/tau) are what the tests pin down.
+All sandwiches here use the fixed ordering X -> ~A X A (with a minus sign for odd A).  Under
+that ordering the versor implementing a named map is the *reverse* of the form usually
+displayed with the opposite ordering; e.g. the translator below is 1 - na/2, and reversing it
+recovers the familiar 1 + na/2.  The action contracts (translate by +a, scale by e^{+alpha},
+tau -> tau+1, tau -> -1/tau) are what the tests pin down.
 
-The modular group enters through tau = x1 + i x2: the versors S = e e1 and
-T = translator(1,0) act on embedded points exactly as the Mobius maps
-tau -> -1/tau and tau -> tau + 1, which is checked against independent
-complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the group of
-versors is a double cover of the group of maps, -1 acting as the identity.
+The modular group enters through tau = x1 + i x2: the versors S = e e1 and T = translator(1,0)
+act on embedded points exactly as the Mobius maps tau -> -1/tau and tau -> tau + 1, which is
+checked against independent complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the
+group of versors is a double cover of the group of maps, -1 acting as the identity.
 
 In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, |x|^2/2, -1/2): on
 the cone for any finite x whose squares do not overflow.  A versor acts by a 4 x 4 matrix ``M``:
@@ -27,7 +24,9 @@ the named maps write it (``special_conformal`` as J T_a J), products multiply it
 kernel.  ``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0 is
 PointAtInfinity; the image at q = -1/2 must have p = |x|^2/2 (too far out if that overflows) and
 is re-embedded.  S, T and t = T^-1 are integer, equal to the kernel's reading, and held as exact
-floats, so that the step multiplies float by float.
+floats, so that the step multiplies float by float.  A point that ``embed`` or ``apply`` makes
+holds its four e1..e4 floats and writes its Multivector X only when X is read: ``coords`` and
+the step read the floats, so a map's ``apply`` makes no numpy call.
 """
 
 from __future__ import annotations
@@ -102,9 +101,9 @@ def _point_tests(X: np.ndarray) -> tuple:
 
 
 class ConformalPoint:
-    """Null grade-1 vector of Cl(3,1) at the normalization X . n = -1."""
+    """Null grade-1 vector of Cl(3,1) at X . n = -1; a point from embed or apply writes X on read."""
 
-    __slots__ = ("X",)
+    __slots__ = ("_X", "_z")
 
     def __init__(self, X: Multivector):
         tests = _point_tests(X.coeffs) if X.sig == CGA_SIG else (False,)
@@ -114,11 +113,17 @@ class ConformalPoint:
                                            "conformal points must have finite coefficients")):
             if not passed:
                 raise VersorlabError(message)
-        self.X = X
+        self._X, self._z = X, X.coeffs[list(_GRADE1)].tolist()
+
+    @property
+    def X(self) -> Multivector:  # a caller's checked X, or written once from the four floats
+        if self._X is None:
+            self._X = _mv(dict(zip(_GRADE1, self._z)))
+        return self._X
 
     @property
     def coords(self) -> Tuple[float, float]:
-        return (float(self.X.coeffs[1]), float(self.X.coeffs[2]))  # e1, e2
+        return self._z[0], self._z[1]  # e1, e2
 
     def __repr__(self):
         x1, x2 = self.coords
@@ -139,7 +144,7 @@ def _mv(blades: dict, zero: float = 0.0) -> Multivector:
 def _point(z) -> ConformalPoint:
     """The point with the e1..e4 floats z, already checked as ``ConformalPoint`` checks."""
     p = object.__new__(ConformalPoint)
-    p.X = _mv(dict(zip(_GRADE1, z)))
+    p._X, p._z = None, z
     return p
 
 
@@ -270,17 +275,17 @@ MAX_DILATION = 15.0  # past it cosh^2 - sinh^2 can miss 1 by over DEFAULT_EPS (f
 MAX_TRANSLATION = 1000.0  # T ~T is 1 within 3e-11 up to it, within DEFAULT_EPS only to 5.8e3
 
 
-def _finite(**params) -> list:
-    """The parameters as floats; the first that is not finite raises, named."""
-    for name, value in params.items():
+def _finite(names: str, *values) -> list:
+    """The values as floats; the first that is not finite raises, named by its word in ``names``."""
+    for name, value in zip(names.split(), values):
         if not math.isfinite(value):
             raise VersorlabError(f"{name} must be finite, got {float(value)!r}")
-    return [float(value) for value in params.values()]
+    return [float(value) for value in values]
 
 
 def _half_shift(a1: float, a2: float) -> tuple:
     """a as floats, finite and within ``MAX_TRANSLATION`` of 0; a/2 as 1 - na/2 writes it."""
-    a1, a2 = _finite(a1=a1, a2=a2)
+    a1, a2 = _finite("a1 a2", a1, a2)
     if math.hypot(a1, a2) > MAX_TRANSLATION:
         raise VersorlabError(f"(a1, a2) must be within {MAX_TRANSLATION:g} of 0, got {(a1, a2)!r}")
     return (a1, a2), [0.0 - 0.5 * (0.0 - a) for a in (a1, a2)]
@@ -303,7 +308,7 @@ def translator(a1: float, a2: float) -> ConformalVersor:
 
 def rotation(theta: float) -> ConformalVersor:
     """Rotor cos(theta/2) + sin(theta/2) e1 e2: a counterclockwise rotation by theta."""
-    theta, = _finite(theta=theta)
+    theta, = _finite("theta", theta)
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     cos, sin = math.cos(theta), math.sin(theta)
     return _versor(Versor(_mv({0: c + 0.0 * s, 3: 0.0 * c + s}, 0.0 * c + 0.0 * s)),
@@ -314,7 +319,7 @@ def rotation(theta: float) -> ConformalVersor:
 def dilator(alpha: float) -> ConformalVersor:
     """Versor cosh(a/2) + sinh(a/2) e ebar, acting as x -> e^{+alpha} x, for
     |alpha| <= ``MAX_DILATION`` (a factor up to e^15, about 3.3e6)."""
-    alpha, = _finite(alpha=alpha)
+    alpha, = _finite("alpha", alpha)
     if abs(alpha) > MAX_DILATION:
         raise VersorlabError(f"alpha must be within +-{MAX_DILATION:g}, got {alpha!r}")
     c, s = math.cosh(0.5 * alpha), math.sinh(0.5 * alpha)
@@ -325,7 +330,7 @@ def dilator(alpha: float) -> ConformalVersor:
 
 def reflection(a1: float, a2: float) -> ConformalVersor:
     """Odd versor reflecting the plane in the line through 0 orthogonal to a."""
-    a1, a2 = _finite(a1=a1, a2=a2)
+    a1, a2 = _finite("a1 a2", a1, a2)
     norm = math.hypot(a1, a2)
     if norm < DEFAULT_EPS:
         raise VersorlabError("reflection mirror must be a nonzero plane vector")
@@ -340,9 +345,10 @@ def inversion_versor() -> ConformalVersor:
 def special_conformal(a1: float, a2: float) -> ConformalVersor:
     """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion.  It takes a as
     ``translator`` does; its floats are e T_a e's, the translator's negated on e13 and e23."""
-    a, (c1, c2) = _half_shift(a1, a2)
+    (a1, a2), (c1, c2) = _half_shift(a1, a2)  # M is J T_a J's floats, as _compose makes them
     return _versor(Versor(_mv({0: 1.0, 5: 0.0 - c1, 6: 0.0 - c2, 9: c1, 10: c2})),
-                   _compose(_J, _compose(_translation(*a), _J)))
+                   ((1.0, 0.0, 2.0 * a1 + 0.0, 0.0), (0.0, 1.0, 2.0 * a2 + 0.0, 0.0),
+                    (0.0, 0.0, 1.0, 0.0), (0.0 - a1, 0.0 - a2, 0.0 - (a1 * a1 + a2 * a2), 1.0)))
 
 
 def modular_S() -> ConformalVersor:

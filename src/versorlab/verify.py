@@ -200,8 +200,8 @@ def _versor_checks(kern, R):
     """``Versor``'s checks on each row of R, and its parity: (passes, odd).
 
     Like every batched check here it passes exactly where the public route's
-    own test passes (``x <= bound`` for Versor's fail-closed tests, elsewhere
-    ``~(x > bound)`` for ``if x > bound: raise``), so a NaN passes or fails both alike.
+    own test passes: each is ``x <= bound``, which fails closed on both routes,
+    so a NaN fails both alike.
     """
     odd = np.abs(R[:, kern.odd]).max(axis=1, initial=0.0)
     even = np.abs(R[:, kern.even]).max(axis=1, initial=0.0)
@@ -231,7 +231,7 @@ def _reflection_batch(drawn):
     sigs, a, V = zip(*drawn)
     kern, A, V = kernel_for(sigs[0]), vector_rows(sigs[0], a), np.array(V)
     lhs, graded = _sandwich(kern, A, True, V)  # ~a = a for a vector
-    unit = ~(np.abs(np.abs(kern.scalar_part(A, A)) - 1.0) > DEFAULT_EPS)
+    unit = np.abs(np.abs(kern.scalar_part(A, A)) - 1.0) <= DEFAULT_EPS
     if not (graded & _graded(kern, A, 1) & unit).all():
         return None
     dot = (kern.scalar_part(V, A) + kern.scalar_part(A, V)) * 0.5
@@ -324,7 +324,7 @@ def _exp_batch(drawn):
         rotors[-1][:, 0] += [math.cos(x) for x in t]
     lhs, rhs = k.gp_elemwise(rotors[0], rotors[1]), rotors[2]
     square = np.abs(k.gp_elemwise(B, B) + np.eye(1, k.D)).max(axis=1)  # B^2 = -1
-    ok = _graded(k, B, 2) & ~(square > DEFAULT_EPS)
+    ok = _graded(k, B, 2) & (square <= DEFAULT_EPS)
     if not (ok & np.all([_versor_checks(k, R)[0] for R in (*rotors, lhs)], axis=0)).all():
         return None
     return np.column_stack([lhs, rhs, np.abs(lhs - rhs).max(axis=1)])

@@ -139,6 +139,24 @@ def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
     assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
+def test_a_nan_mirror_fails_the_batch_and_the_public_route_alike(monkeypatch):
+    """Draw 200 of the Cl(3,0) block gets a NaN mirror: the batch's unit test fails closed as
+    ``reflect``'s does, so the replay names reflect's own error, not NaN residuals."""
+    real, planted = verify._mirror_draws, []
+
+    def draws(ctx, n, sig):
+        out = real(ctx, n, sig)
+        if sig == Signature(3, 0) and n > 1:
+            planted.append(out[200][1])
+        return [(s, np.full_like(a, np.nan) if any(np.array_equal(a, p) for p in planted) else a, v)
+                for s, a, v in out]
+
+    monkeypatch.setattr(verify, "_mirror_draws", draws)
+    result = verify._judge(_claim("kernel.reflection_formula"), verify._Ctx(42))
+    assert (result.passed, result.detail) == (
+        False, "ValueError: mirror vector must be unit, got alpha^2 = nan")
+
+
 @pytest.mark.parametrize("name, error", [
     ("kernel.sandwich_isometry", "NotAVersor: mv * ~mv = 4 is not a unit scalar"),
     ("kernel.exp_additivity", "ValueError: bivector must square to -1, got B^2 = -4")])

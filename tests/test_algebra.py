@@ -243,6 +243,62 @@ def test_reflect_requires_unit_mirror():
         reflect(vector(SIG3, [1, 0, 0]), vector(SIG3, [0.5, 0, 0]))
 
 
+def test_reflect_refuses_a_nan_mirror():
+    # the unit test on alpha^2 fails closed: before, a NaN mirror passed it and the
+    # reflection came back as nane1 + nane2 + nane3
+    nan_mirror = Multivector(SIG3, [0, math.nan, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"^mirror vector must be unit, got alpha\^2 = nan$"):
+        reflect(vector(SIG3, [1, 0, 0]), nan_mirror)
+
+
+def test_versor_checks_take_one_product_and_a_sandwich_two(monkeypatch):
+    # Versor's check is one product, m ~m; a sandwich is two; from_vectors of m vectors
+    # multiplies m - 1 raw rows and wraps one Multivector, the versor's own
+    vs = [random_unit_vector(SIG3) for _ in range(3)]
+    V, u = Versor.from_vectors(vs), vector(SIG3, [0.5, -1.0, 2.0])
+    gp, wrap = versorlab.algebra._Kernel.gp, Multivector._wrap
+    calls = []
+    monkeypatch.setattr(versorlab.algebra._Kernel, "gp",
+                        lambda self, a, b: calls.append("gp") or gp(self, a, b))
+    monkeypatch.setattr(Multivector, "_wrap",
+                        classmethod(lambda cls, sig, arr: calls.append("wrap") or wrap(sig, arr)))
+    Versor(V.mv)
+    assert calls == ["gp"]
+    calls.clear()
+    sandwich(u, V)
+    assert calls == ["gp", "gp", "wrap"]
+    calls.clear()
+    Versor.from_vectors(vs)
+    assert calls == ["gp", "gp", "wrap", "gp"]
+
+
+def test_from_vectors_gives_the_operators_floats_and_errors():
+    # the raw-row products are the * chain's floats, and any list the chain would
+    # refuse (or take) goes through the chain itself, with its errors
+    def outcome(fn):
+        try:
+            V = fn()
+        except Exception as exc:  # the error's type and message are the outcome
+            return type(exc), str(exc)
+        return V.parity, V.norm_sign, V.mv.coeffs.tobytes()
+
+    rng = np.random.default_rng(49)
+    for sig in (Signature(2, 0), SIG3, Signature(4, 0), SIG31, Signature(2, 2)):
+        for m in range(1, 5):
+            vs = [vector(sig, c) for c in rng.normal(size=(m, sig.dim))]
+            vs = [v * (1.0 / math.sqrt(abs((v * v).scalar))) for v in vs]
+            want = outcome(lambda: Versor(functools.reduce(lambda a, b: a * b, vs)))
+            assert outcome(lambda: Versor.from_vectors(vs)) == want, (sig, m)
+            assert outcome(lambda: Versor.from_vectors(tuple(vs))) == want, (sig, m)
+    e1, f1 = vector(SIG3, [1, 0, 0]), vector(SIG31, [1, 0, 0, 0])
+    for vectors, error in (([e1, f1], SignatureMismatch), ([e1, "e2"], TypeError),
+                           ([2.0], AttributeError), ([], ValueError)):
+        with pytest.raises(error):
+            Versor.from_vectors(vectors)
+    assert Versor.from_vectors([Versor(e1), e1]).mv == scalar_mv(SIG3, 1.0)
+    assert Versor.from_vectors([e1, 1.0]).mv == e1
+
+
 # ---------------------------------------------------------------- exponentials
 
 def test_exp_bivector_closed_form():
@@ -277,6 +333,14 @@ def test_exp_bivector_rejects_bad_arguments():
         exp_bivector(vector(SIG3, [1, 0, 0]), 1.0)
     with pytest.raises(ValueError):
         exp_bivector(2.0 * blade(SIG3, "e12"), 1.0)  # B^2 = -4, not -1
+
+
+def test_exp_bivector_refuses_a_nan_bivector_itself():
+    # the B^2 = -1 test fails closed: before, a NaN bivector passed it and only the
+    # rotor's own Versor check refused it, with NotAVersor
+    nan_e12 = Multivector(SIG3, [0, 0, 0, math.nan, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"^bivector must square to -1, got B\^2 = nan"):
+        exp_bivector(nan_e12, 0.5)
 
 
 @pytest.mark.parametrize("call,arg", [

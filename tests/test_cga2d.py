@@ -926,6 +926,54 @@ def test_written_matrices_are_the_kernels_reading():
     assert (T * R).M == cga2d._compose(R.M, T.M)
 
 
+def test_special_conformal_writes_j_t_j_bit_for_bit():
+    # M is written entry by entry: each entry is the float that J T_a J, two _compose
+    # calls, makes, by float.hex, signed zeros included, over zero, subnormal, tiny,
+    # limit and seeded parameters
+    rng, J = np.random.default_rng(12), cga2d._J
+    edge = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-160, 1e-8, 700.0, -700.0, 1000.0, -1000.0]
+    pairs = [(a, b) for a in edge for b in edge if math.hypot(a, b) <= cga2d.MAX_TRANSLATION]
+    pairs += [tuple(rng.uniform(-r, r, 2).tolist()) for r in (1e-3, 1.0, 700.0) for _ in range(1000)]
+    for a1, a2 in pairs:
+        want = cga2d._compose(J, cga2d._compose(cga2d._translation(a1, a2), J))
+        got = special_conformal(a1, a2).M
+        assert [list(map(float.hex, row)) for row in got] == [list(map(float.hex, row))
+                                                             for row in want], (a1, a2)
+
+
+def test_library_points_hold_their_floats_until_x_is_read(monkeypatch):
+    # embed, apply and coords make no numpy call and wrap no Multivector: a point the
+    # library makes holds its four floats, and writes its X once, when X is first read
+    rng = np.random.default_rng(49)
+    versors = [_made([(kind, rng.uniform(-reach, reach, count).tolist())])
+               for kind, (_, count, reach) in sorted(_MAP_KINDS.items())]
+    versors.append(_made([("translator", [0.5, 0.5]), ("rotation", [0.3]), ("dilator", [0.2])]))
+    cases = [(versor, rng.uniform(-2, 2, 2).tolist()) for versor in versors for _ in range(5)]
+    want = [(_outcome(lambda: embed(*x).coords), _outcome(lambda: v.apply(embed(*x)).coords))
+            for v, x in cases]
+    assert not any(isinstance(w, tuple) for pair in want for w in pair)
+    wrap, wraps, points = Multivector._wrap, [], []
+    monkeypatch.setattr(Multivector, "_wrap",
+                        classmethod(lambda cls, sig, arr: wraps.append(sig) or wrap(sig, arr)))
+    with monkeypatch.context() as m:
+        m.setattr(cga2d, "np", None)
+        for (versor, x), expected in zip(cases, want):
+            p = embed(*x)
+            q = versor.apply(p)
+            assert (_outcome(lambda: p.coords), _outcome(lambda: q.coords)) == expected, x
+            points += [p, q]
+        with pytest.raises(PointAtInfinity):
+            inversion_versor().apply(embed(0.0, 0.0))
+        with pytest.raises(VersorlabError, match="too far out to embed"):
+            embed(1e200, 1.0)
+    assert wraps == []
+    for p in points:
+        X = p.X
+        assert X is p.X and X.coeffs[[1, 2]].tolist() == list(p.coords)
+        assert ConformalPoint(X).coords == p.coords  # X passes a caller's checks
+    assert len(wraps) == len(points)
+
+
 def _multivector_route(kind, *params):
     """translator, rotation and dilator, and embed's point, as multivector expressions."""
     one = scalar_mv(SIG31, 1.0)

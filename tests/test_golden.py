@@ -31,6 +31,12 @@ pay for H4.  No subcommand takes ``--tolerance``, so no tolerance decides what
 a listing prints: ``group H3``, ``classes H3 --kind pin``, ``roots`` and ``induce``
 given one exit 2 with nothing on stdout.
 
+``SINGLE_OBJECT_DIGEST`` pins no stdout but the float.hex of seeded one-object calls:
+sandwiches in Cl(3,0), Cl(4,0) and Cl(3,1) with their versors' parity and ``norm_sign``,
+``embed`` and ``apply`` (coords and the bytes of X) and the conformal constructors' M and v.
+It was recorded before the versor checks moved to one ``tolist`` and library points to their
+four floats, and reads the same under the forced kernels above.
+
 ``demo_02.txt`` is the stdout of ``demos/02_root_systems.py``, run in process:
 its diagrams, Cartan matrix and axiom verdict, and H3's inner products to 6
 decimals, plus 0.0, so that no -0.0 prints whatever sign a kernel leaves.
@@ -46,16 +52,18 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from versorlab import cli
-from versorlab.algebra import Multivector
+from versorlab import cga2d, cli
+from versorlab.algebra import Multivector, Signature, Versor, sandwich, vector
 from versorlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -141,6 +149,49 @@ def test_verify_stdout_matches_digest(seed, monkeypatch, capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == VERIFY_DIGESTS[seed]
+
+
+SINGLE_OBJECT_DIGEST = "3a27540670fb6a0067e0874023ccffbed451f1cdf8e6206185a3eedddd0e7d26"
+
+
+def _single_object_floats() -> list:
+    """float.hex of seeded one-object calls, one line each: ``sandwich`` in Cl(3,0), Cl(4,0) and
+    Cl(3,1) by versors of 1 to 4 unit vectors, with the versor's parity, ``norm_sign`` and
+    coefficients; ``embed`` and ``apply``, the points' coords and the bytes of their X; and the
+    five parametrized conformal constructors' M and v.  The unit vectors are scaled in Python
+    floats (``math.fsum``), so no BLAS call makes an input."""
+    rng, lines = np.random.default_rng(4901), []
+    hexes = lambda xs: ",".join(float.hex(float(x)) for x in xs)
+    for sig in (Signature(3, 0), Signature(4, 0), Signature(3, 1)):
+        signs = [1.0] * sig.p + [-1.0] * sig.q
+        for i in range(120):
+            vectors = []
+            while len(vectors) < 1 + i % 4:
+                c = rng.standard_normal(sig.dim).tolist()
+                n2 = math.fsum(s * x * x for s, x in zip(signs, c))
+                if abs(n2) > 0.25:
+                    vectors.append(vector(sig, [x / math.sqrt(abs(n2)) for x in c]))
+            V = Versor.from_vectors(vectors)
+            image = sandwich(vector(sig, rng.standard_normal(sig.dim).tolist()), V)
+            lines.append(f"{V.parity} {V.norm_sign} {hexes(V.mv.coeffs)} {hexes(image.coeffs)}")
+    makers = {"translator": 2, "rotation": 1, "dilator": 1, "special_conformal": 2, "reflection": 2}
+    for i in range(300):
+        kind = sorted(makers)[i % 5]
+        made = getattr(cga2d, kind)(*rng.uniform(-1.5, 1.5, makers[kind]).tolist())
+        point = cga2d.embed(*rng.uniform(-2, 2, 2).tolist())
+        image = made.apply(point)
+        lines.append(" ".join([kind, hexes(x for row in made.M for x in row), hexes(made.v.mv.coeffs),
+                               f"{made.v.parity} {made.v.norm_sign}", hexes(point.coords),
+                               point.X.coeffs.tobytes().hex(), hexes(image.coords),
+                               image.X.coeffs.tobytes().hex()]))
+    return lines
+
+
+def test_single_object_floats_match_digest():
+    # one-object calls keep their floats, bit for bit: this digest was recorded before
+    # the versor checks moved to one tolist and library points to their four floats
+    digest = hashlib.sha256("\n".join(_single_object_floats()).encode()).hexdigest()
+    assert digest == SINGLE_OBJECT_DIGEST
 
 
 def refusal(capsys, argv) -> str:
