@@ -514,10 +514,11 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
 class Versor(object):
     """A multivector that is (numerically) a product of unit vectors.
 
-    Validated on construction, on one ``tolist()`` of the coefficients and one of mv * ~mv, each
-    float tested as -eps <= x <= eps: support purely even or purely odd, and mv * ~mv equal to
-    +1 or -1 within tolerance.  Both tests fail closed, so a NaN is no versor.  The sign is
-    kept in ``norm_sign`` (it can be -1 in mixed signatures such as Cl(3,1)).
+    Checked where it enters (``Versor(mv)``, ``from_vectors``, ``sandwich`` of a multivector) on
+    one ``tolist()`` of mv and one of mv * ~mv, each float as -eps <= x <= eps: support purely
+    even or purely odd, and mv * ~mv = +-1.  Both tests fail closed, so a NaN is no versor.  The
+    sign is ``norm_sign`` (-1 is possible in mixed signatures such as Cl(3,1)).  One built from
+    versors is not checked again: ``*`` adds parities and multiplies signs, inverses keep them.
     """
 
     __slots__ = ("mv", "parity", "norm_sign")
@@ -542,47 +543,51 @@ class Versor(object):
         raise AttributeError("Versor is immutable")
 
     @classmethod
+    def _of(cls, mv: Multivector, parity: int, norm_sign: int) -> "Versor":
+        """The versor mv, unchecked: the library knows its parity and ``norm_sign``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "mv", mv)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "norm_sign", norm_sign)
+        return self
+
+    @classmethod
     def _trusted(cls, sig: Signature, rows: np.ndarray) -> tuple:
         """Versors of rows the library built as unit versors, unchecked: the parity
         from the odd mask, ``norm_sign`` from each row's scalar part of m ~m."""
         k = kernel_for(sig)
         odd = np.abs(rows[:, k.odd]).max(axis=1, initial=0.0) > DEFAULT_EPS
         norms = k.scalar_part(rows, k.rev(rows))
-        out = []
-        for row, parity, s in zip(rows, odd, norms):
-            self = object.__new__(cls)
-            object.__setattr__(self, "mv", Multivector._wrap(sig, row))
-            object.__setattr__(self, "parity", int(parity))
-            object.__setattr__(self, "norm_sign", 1 if s > 0 else -1)
-            out.append(self)
-        return tuple(out)
+        return tuple(cls._of(Multivector._wrap(sig, row), int(parity), 1 if s > 0 else -1)
+                     for row, parity, s in zip(rows, odd, norms))
 
     @classmethod
     def from_vectors(cls, vectors: list[Multivector]) -> "Versor":
         if not vectors:
             raise ValueError("need at least one vector")
-        acc = vectors[0]
-        if all(type(v) is Multivector and v.sig == acc.sig for v in vectors):  # raw rows, one wrap
-            return cls(Multivector._wrap(acc.sig, reduce(kernel_for(acc.sig).gp,
-                                                         [v.coeffs for v in vectors])))
-        for v in vectors[1:]:  # anything else, with the operators' errors
-            acc = acc * v
-        return cls(acc)
+        first = vectors[0]
+        for v in vectors:
+            if not isinstance(v, Multivector):
+                raise TypeError(f"from_vectors takes Multivectors, got {type(v).__name__}")
+            first._check_sig(v)
+        return cls(Multivector._wrap(first.sig, reduce(kernel_for(first.sig).gp,
+                                                       [v.coeffs for v in vectors])))
 
     @property
     def sig(self) -> Signature:
         return self.mv.sig
 
     def __mul__(self, other):
-        if isinstance(other, Versor):
-            return Versor(self.mv * other.mv)
+        if isinstance(other, Versor):  # AB ~(AB) = A (B ~B) ~A: the signs multiply
+            return Versor._of(self.mv * other.mv, self.parity ^ other.parity,
+                              self.norm_sign * other.norm_sign)
         return self.mv * other
 
     def reverse(self) -> "Versor":
-        return Versor(self.mv.reverse())
+        return Versor._of(self.mv.reverse(), self.parity, self.norm_sign)
 
     def inverse(self) -> "Versor":
-        return Versor(self.mv.reverse() * self.norm_sign)
+        return Versor._of(self.mv.reverse() * self.norm_sign, self.parity, self.norm_sign)
 
     def __eq__(self, other):
         if isinstance(other, Versor):
@@ -618,18 +623,16 @@ def sandwich(v: Multivector, A) -> Multivector:
 
 
 def reflect(v: Multivector, alpha: Multivector) -> Multivector:
-    """Reflection of v in the hyperplane orthogonal to the unit vector alpha."""
+    """Reflection of v in the hyperplane orthogonal to the unit vector alpha: once alpha is
+    checked as a mirror, ``sandwich`` of v by alpha as an odd versor."""
     if v.sig != alpha.sig:
         raise SignatureMismatch("vector and mirror signatures differ")
     if not v.is_grade(1) or not alpha.is_grade(1):
         raise ValueError("reflect expects grade-1 arguments")
-    k = kernel_for(v.sig)
-    n2 = float(k.scalar_part(alpha.coeffs, alpha.coeffs))
+    n2 = float(kernel_for(v.sig).scalar_part(alpha.coeffs, alpha.coeffs))
     if not abs(abs(n2) - 1.0) <= DEFAULT_EPS:  # a NaN fails
         raise ValueError(f"mirror vector must be unit, got alpha^2 = {n2}")
-    out = -k.gp(k.gp(alpha.coeffs, v.coeffs), alpha.coeffs)
-    out = np.where(k.grade_masks[1], out, 0.0)
-    return Multivector._wrap(v.sig, out)
+    return sandwich(v, Versor._of(alpha, 1, 1 if n2 > 0 else -1))
 
 
 def exp_bivector(B: Multivector, theta: float) -> Versor:
@@ -644,4 +647,4 @@ def exp_bivector(B: Multivector, theta: float) -> Versor:
         raise ValueError(f"bivector must square to -1, got B^2 = {Multivector._wrap(B.sig, sq)}")
     arr = B.coeffs * math.sin(theta)
     arr[0] += math.cos(theta)
-    return Versor(Multivector._wrap(B.sig, arr))
+    return Versor._of(Multivector._wrap(B.sig, arr), 0, 1)

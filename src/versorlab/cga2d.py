@@ -19,14 +19,14 @@ group of versors is a double cover of the group of maps, -1 acting as the identi
 
 In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, |x|^2/2, -1/2): on
 the cone for any finite x whose squares do not overflow.  A versor acts by a 4 x 4 matrix ``M``:
-the named maps write it (``special_conformal`` as J T_a J), products multiply it, ``reverse`` and
-``inverse`` take its exact adjoint, ``ConformalVersor(v)`` and ``reflection`` read it off the
-kernel.  ``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0 is
-PointAtInfinity; the image at q = -1/2 must have p = |x|^2/2 (too far out if that overflows) and
-is re-embedded.  S, T and t = T^-1 are integer, equal to the kernel's reading, and held as exact
-floats, so that the step multiplies float by float.  A point that ``embed`` or ``apply`` makes
-holds its four e1..e4 floats and writes its Multivector X only when X is read: ``coords`` and
-the step read the floats, so a map's ``apply`` makes no numpy call.
+the named maps write it, and their versor unchecked, from their parameters (``special_conformal``
+as J T_a J), products multiply it, ``reverse`` and ``inverse`` take its exact adjoint, and
+``ConformalVersor(v)`` reads it off the kernel.  ``apply``, and ``apply_word`` per letter, take
+one step: y = M z; q = 0 is PointAtInfinity; the image at q = -1/2 must have p = |x|^2/2 (too
+far out if that overflows) and is re-embedded.  S, T and t = T^-1 are integer, equal to the
+kernel's reading, and held as exact floats, so that the step multiplies float by float.  A point
+that ``embed`` or ``apply`` makes holds its four e1..e4 floats and writes its Multivector X only
+when X is read: ``coords`` and the step read the floats, so a map's ``apply`` makes no numpy call.
 """
 
 from __future__ import annotations
@@ -230,28 +230,23 @@ class ConformalVersor:
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
         if not isinstance(other, ConformalVersor):
             return NotImplemented
-        return _trusted((self.mv * other.mv).coeffs, _compose(other.M, self.M))  # self acts first
+        return _versor(self.v * other.v, _compose(other.M, self.M))  # self acts first
 
     def reverse(self) -> "ConformalVersor":
-        return _trusted(_KERNEL.rev(self.mv.coeffs), _adjoint(self.M))
+        return _versor(self.v.reverse(), _adjoint(self.M))
 
     def inverse(self) -> "ConformalVersor":
-        return _trusted(_KERNEL.rev(self.mv.coeffs) * self.v.norm_sign, _adjoint(self.M))
+        return _versor(self.v.inverse(), _adjoint(self.M))
 
     def __repr__(self):
         return f"<ConformalVersor {self.mv}>"
 
 
 def _versor(v: Versor, M: tuple) -> ConformalVersor:
-    """The conformal versor v carrying M, written from its parameters."""
+    """The conformal versor v carrying M, v's matrix as the library writes or composes it."""
     c = object.__new__(ConformalVersor)
     c.v, c.M = v, M
     return c
-
-
-def _trusted(row: np.ndarray, M: tuple) -> ConformalVersor:
-    """The conformal versor of a row that a product or reverse of unit versors built, unchecked."""
-    return _versor(Versor._trusted(CGA_SIG, row[None])[0], M)
 
 
 def _adjoint(M: tuple) -> tuple:
@@ -271,8 +266,8 @@ def _reading(v: Versor) -> tuple:
     return tuple(map(tuple, np.array([y1, y2, (ye + yb) / 2, (ye - yb) / 2]).tolist())), Y
 
 
-MAX_DILATION = 15.0  # past it cosh^2 - sinh^2 can miss 1 by over DEFAULT_EPS (first at 15.45)
-MAX_TRANSLATION = 1000.0  # T ~T is 1 within 3e-11 up to it, within DEFAULT_EPS only to 5.8e3
+MAX_DILATION = 15.0  # keeps v in Versor's check: cosh^2 - sinh^2 misses 1 by > eps from 15.45
+MAX_TRANSLATION = 1000.0  # keeps v in Versor's check: T ~T is 1 within 3e-11, eps only to 5.8e3
 
 
 def _finite(names: str, *values) -> list:
@@ -303,7 +298,7 @@ _J = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))  # e's sandwich:
 def translator(a1: float, a2: float) -> ConformalVersor:
     """Versor acting as x -> x + a, |a| <= ``MAX_TRANSLATION``.  As a multivector it is 1 - na/2."""
     a, (c1, c2) = _half_shift(a1, a2)  # n a = -a1 (e13 + e14) - a2 (e23 + e24)
-    return _versor(Versor(_mv({0: 1.0, 5: c1, 6: c2, 9: c1, 10: c2})), _translation(*a))
+    return _versor(Versor._of(_mv({0: 1.0, 5: c1, 6: c2, 9: c1, 10: c2}), 0, 1), _translation(*a))
 
 
 def rotation(theta: float) -> ConformalVersor:
@@ -311,7 +306,7 @@ def rotation(theta: float) -> ConformalVersor:
     theta, = _finite("theta", theta)
     c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
     cos, sin = math.cos(theta), math.sin(theta)
-    return _versor(Versor(_mv({0: c + 0.0 * s, 3: 0.0 * c + s}, 0.0 * c + 0.0 * s)),
+    return _versor(Versor._of(_mv({0: c + 0.0 * s, 3: 0.0 * c + s}, 0.0 * c + 0.0 * s), 0, 1),
                    ((cos, -sin, 0.0, 0.0), (sin, cos, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0),
                     (0.0, 0.0, 0.0, 1.0)))
 
@@ -323,37 +318,42 @@ def dilator(alpha: float) -> ConformalVersor:
     if abs(alpha) > MAX_DILATION:
         raise VersorlabError(f"alpha must be within +-{MAX_DILATION:g}, got {alpha!r}")
     c, s = math.cosh(0.5 * alpha), math.sinh(0.5 * alpha)
-    return _versor(Versor(_mv({0: c + 0.0 * s, 12: 0.0 * c + s}, 0.0 * c + 0.0 * s)),
+    return _versor(Versor._of(_mv({0: c + 0.0 * s, 12: 0.0 * c + s}, 0.0 * c + 0.0 * s), 0, 1),
                    ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, math.exp(alpha), 0.0),
                     (0.0, 0.0, 0.0, math.exp(-alpha))))
 
 
 def reflection(a1: float, a2: float) -> ConformalVersor:
-    """Odd versor reflecting the plane in the line through 0 orthogonal to a."""
+    """Odd versor u = a/|a| reflecting the plane in the line through 0 orthogonal to a."""
     a1, a2 = _finite("a1 a2", a1, a2)
     norm = math.hypot(a1, a2)
     if norm < DEFAULT_EPS:
         raise VersorlabError("reflection mirror must be a nonzero plane vector")
-    return ConformalVersor(Versor((a1 * E1 + a2 * E2) * (1.0 / norm)))
+    u = (a1 * E1 + a2 * E2) * (1.0 / norm)
+    u1, u2 = u.coeffs[1:3].tolist()
+    c, s = u1 * u1 - u2 * u2, 2.0 * u1 * u2  # M: -(I - 2 u u^T) on (x1, x2), -1 on p and q
+    return _versor(Versor._of(u, 1, 1), ((c, s, 0.0, 0.0), (s, -c, 0.0, 0.0),
+                                        (0.0, 0.0, -1.0, 0.0), (0.0, 0.0, 0.0, -1.0)))
 
 
 def inversion_versor() -> ConformalVersor:
     """The odd versor e: its action sends x to x / x^2 (unit circle inversion)."""
-    return _versor(Versor(EPLUS), _J)
+    return _versor(Versor._of(EPLUS, 1, 1), _J)
 
 
 def special_conformal(a1: float, a2: float) -> ConformalVersor:
     """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion.  It takes a as
     ``translator`` does; its floats are e T_a e's, the translator's negated on e13 and e23."""
     (a1, a2), (c1, c2) = _half_shift(a1, a2)  # M is J T_a J's floats, as _compose makes them
-    return _versor(Versor(_mv({0: 1.0, 5: 0.0 - c1, 6: 0.0 - c2, 9: c1, 10: c2})),
+    return _versor(Versor._of(_mv({0: 1.0, 5: 0.0 - c1, 6: 0.0 - c2, 9: c1, 10: c2}), 0, 1),
                    ((1.0, 0.0, 2.0 * a1 + 0.0, 0.0), (0.0, 1.0, 2.0 * a2 + 0.0, 0.0),
                     (0.0, 0.0, 1.0, 0.0), (0.0 - a1, 0.0 - a2, 0.0 - (a1 * a1 + a2 * a2), 1.0)))
 
 
 def modular_S() -> ConformalVersor:
     """The versor e e1, acting on tau = x1 + i x2 as tau -> -1/tau: J, then diag(1, -1, -1, -1)."""
-    return _versor(Versor(EPLUS * E1), ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))
+    return _versor(Versor._of(EPLUS * E1, 0, 1),
+                   ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (0, 0, -1, 0)))
 
 
 def modular_T() -> ConformalVersor:

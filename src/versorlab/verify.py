@@ -61,7 +61,6 @@ from .cga2d import (
     EPLUS,
     MAX_TRANSLATION,
     NBAR,
-    NINF,
     _translation,
     apply_word,
     dilator,
@@ -164,7 +163,7 @@ def _by_field(results) -> dict:
 # -- the sampled rows: public route per draw, and the same floats as one batch ----
 
 _WITNESS = 32  # leading draws of each block that also take the public route
-_CL3, _CGA = Signature(3, 0), kernel_for(CGA_SIG)
+_CL3 = Signature(3, 0)
 
 
 def _sampled(ctx, blocks, batch, public):
@@ -197,7 +196,7 @@ def _graded(kern, X, k) -> np.ndarray:
 
 
 def _versor_checks(kern, R):
-    """``Versor``'s checks on each row of R, and its parity: (passes, odd).
+    """``from_vectors``' ``Versor`` checks on each row of R, and its parity: (passes, odd).
 
     Like every batched check here it passes exactly where the public route's
     own test passes: each is ``x <= bound``, which fails closed on both routes,
@@ -318,15 +317,15 @@ def _exp_batch(drawn):
     (b, t1, t2), k, e = map(np.array, zip(*drawn)), kernel_for(_CL3), basis(_CL3)
     B = (b[:, :1] * (e[1] * e[2]).coeffs + b[:, 1:2] * (e[2] * e[0]).coeffs
          + b[:, 2:] * (e[0] * e[1]).coeffs)
+    square = np.abs(k.gp_elemwise(B, B) + np.eye(1, k.D)).max(axis=1)  # B^2 = -1
+    # exp_bivector's tests, none on its rotors; t1 + t2 is finite where t1, t2 and it all are
+    if not (np.isfinite(t1 + t2) & _graded(k, B, 2) & (square <= DEFAULT_EPS)).all():
+        return None
     rotors = []
     for t in (t1, t2, t1 + t2):  # exp_bivector, with math's sin and cos
         rotors.append(B * np.array([math.sin(x) for x in t])[:, None])
         rotors[-1][:, 0] += [math.cos(x) for x in t]
     lhs, rhs = k.gp_elemwise(rotors[0], rotors[1]), rotors[2]
-    square = np.abs(k.gp_elemwise(B, B) + np.eye(1, k.D)).max(axis=1)  # B^2 = -1
-    ok = _graded(k, B, 2) & (square <= DEFAULT_EPS)
-    if not (ok & np.all([_versor_checks(k, R)[0] for R in (*rotors, lhs)], axis=0)).all():
-        return None
     return np.column_stack([lhs, rhs, np.abs(lhs - rhs).max(axis=1)])
 
 
@@ -459,16 +458,13 @@ def _translation_public(draw):
 @np.errstate(over="ignore", invalid="ignore")  # a draw too far out fails a test, not a warning
 def _translation_batch(drawn):
     a1, a2, x1, x2 = np.array(drawn).T
-    na = _CGA.gp_elemwise(NINF.coeffs, vector_rows(CGA_SIG, np.column_stack([a1, a2])))
-    T = scalar_mv(CGA_SIG, 1.0).coeffs - 0.5 * na  # translator's 1 - n a / 2
     sq = x1 * x1 + x2 * x2  # embed's squares; its one test: (sq + 1)/2 squares to a finite float
     y1, y2, yp, q = (m0 * x1 + m1 * x2 + m2 * (sq * 0.5) - 0.5 * m3  # apply's letter step
                      for m0, m1, m2, m3 in _translation(a1, a2))
     r = -0.5 / np.where(q == 0, -0.5, q)
     got, p = np.column_stack([y1 * r, y2 * r]), yp * r
     h = (got[:, 0] * got[:, 0] + got[:, 1] * got[:, 1]) * 0.5
-    if not np.all([np.hypot(a1, a2) <= MAX_TRANSLATION, _versor_checks(_CGA, T)[0],
-                   ((sq + 1.0) * 0.5) ** 2 < np.inf, q != 0,
+    if not np.all([np.hypot(a1, a2) <= MAX_TRANSLATION, ((sq + 1.0) * 0.5) ** 2 < np.inf, q != 0,
                    np.abs(p - h) <= DEFAULT_EPS * np.maximum(1.0, h), np.isfinite(h)]):
         return None
     return np.column_stack([got, np.abs(got - np.column_stack([x1 + a1, x2 + a2])).max(axis=1)])

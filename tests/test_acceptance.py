@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from versorlab import Multivector, PointAtInfinity, Signature, apply_word, sandwich, verify
+from versorlab.algebra import _Kernel
 from versorlab.verify import CLAIMS, run_battery
 
 CRITERIA = {
@@ -230,17 +231,29 @@ def test_a_planted_draw_replays_the_translations_twin(scale, error, monkeypatch)
 
 @pytest.mark.parametrize("name", ["kernel.sandwich_isometry", "kernel.exp_additivity"])
 def test_an_isometry_or_exp_batch_that_fails_alone_is_named(name, monkeypatch):
-    """A spoiled ``Versor`` check on draw 500 fails the batch; the public route passes every
-    draw, so the row says the batch failed alone, drawn as a passing run draws."""
+    """A spoiled check on draw 500, the isometry twin's ``Versor`` check or the exp twin's
+    B^2 = -1 test, fails the batch; the public route passes every draw, so the row says the
+    batch failed alone, drawn as a passing run draws."""
     reference = verify._Ctx(42)
     assert verify._judge(_claim(name), reference).passed
-    real = verify._versor_checks
+    if name == "kernel.sandwich_isometry":
+        real = verify._versor_checks
 
-    def spoiled(kern, R):
-        passes, odd = real(kern, R)
-        return passes & (np.arange(len(R)) != 500), odd
+        def spoiled(kern, R):
+            passes, odd = real(kern, R)
+            return passes & (np.arange(len(R)) != 500), odd
 
-    monkeypatch.setattr(verify, "_versor_checks", spoiled)
+        monkeypatch.setattr(verify, "_versor_checks", spoiled)
+    else:
+        real = _Kernel.gp_elemwise
+
+        def spoiled(self, A, B):  # B^2 is the exp twin's one product of an array by itself
+            out = real(self, A, B)
+            if A is B:
+                out[500, 0] += 1.0
+            return out
+
+        monkeypatch.setattr(_Kernel, "gp_elemwise", spoiled)
     ctx = verify._Ctx(42)
     result = verify._judge(_claim(name), ctx)
     assert (result.passed, result.detail) == (

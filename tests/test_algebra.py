@@ -30,6 +30,7 @@ from versorlab import (
     vector,
 )
 import versorlab.algebra
+from versorlab import cga2d
 from versorlab.algebra import KEY_BOUND, find_ids, kernel_for, key_ids, orbit, quantize
 from versorlab.cli import _clean, _json_rows
 from versorlab.roots import _reflect_pairs
@@ -207,6 +208,104 @@ def test_versor_norm_sign_in_mixed_signature():
     assert (V * V.inverse()).mv.close_to(scalar_mv(SIG31, 1.0))
 
 
+def _unit_vectors(rng, sig, count):
+    """count seeded vectors of sig scaled to v^2 = +-1, none from a draw with |v^2| <= 0.25."""
+    out = []
+    while len(out) < count:
+        v = vector(sig, rng.normal(size=sig.dim))
+        if abs(n2 := (v * v).scalar) > 0.25:
+            out.append(v * (1.0 / math.sqrt(abs(n2))))
+    return out
+
+
+def test_the_checked_constructor_is_the_reference_for_unchecked_versors():
+    # a versor built from versors is not checked again: on over 100 000 seeded draws each one
+    # (products, reverses and inverses in five signatures, exp_bivector, the conformal
+    # constructors and their products) keeps the parity and norm_sign that Versor(result.mv)
+    # gives wherever that check passes, and every conformal constructor's versor passes it
+    rng, signs, passed = np.random.default_rng(50), set(), [0]
+
+    def agree(V, must_pass=False):
+        try:
+            W = Versor(V.mv)
+        except NotAVersor:
+            assert not must_pass, V
+            return
+        assert (V.parity, V.norm_sign) == (W.parity, W.norm_sign), V
+        signs.add(V.norm_sign)
+        passed[0] += 1
+
+    for sig in (Signature(2, 0), SIG3, Signature(4, 0), SIG31, Signature(2, 2)):
+        pool = [Versor.from_vectors(_unit_vectors(rng, sig, 1 + i % 4)) for i in range(64)]
+        for i, j in rng.integers(0, 64, size=(4000, 2)).tolist():
+            A, B = pool[i], pool[j]
+            for V in (A * B, (A * B).reverse(), A.reverse(), A.inverse(), A * B.inverse() * A):
+                agree(V)
+    for sig in (SIG3, Signature(4, 0), SIG31):
+        for theta in rng.uniform(-10, 10, 1500).tolist():
+            u, w = _unit_vectors(rng, sig, 2)
+            B = (u * w).grade(2)
+            if (B * B).scalar < -0.25:  # a simple bivector: B^2 = -|B|^2
+                R = exp_bivector(B * (1.0 / math.sqrt(-(B * B).scalar)), theta)
+                for V in (R, R.inverse() * R * R, R.reverse()):
+                    agree(V)
+    for i in range(1500):  # |a| from 1e-9 to just inside MAX_TRANSLATION
+        t, r = rng.uniform(-4, 4), 10.0 ** rng.uniform(-9, 2.99)
+        maps = [cga2d.translator(r * math.cos(t), r * math.sin(t)),
+                cga2d.special_conformal(r * math.cos(t), r * math.sin(t)),
+                cga2d.rotation(rng.uniform(-50, 50)), cga2d.dilator(rng.uniform(-15, 15)),
+                cga2d.inversion_versor(), cga2d.modular_S(),
+                cga2d.reflection(*(rng.normal(size=2) * 10.0 ** rng.uniform(-6, 8)))]
+        for c in maps:
+            agree(c.v, must_pass=True)
+        for c in (maps[i % 7] * maps[(i + 3) % 7], maps[i % 7].reverse(), maps[i % 7].inverse()):
+            agree(c.v)
+    assert passed[0] >= 100_000 and signs == {1, -1}, (passed, signs)
+    # before, both were refused with NotAVersor (scalar part 0.9999999850988388)
+    D = cga2d.dilator(10)
+    for V in (D.v * D.v, (D * D).v.reverse()):
+        assert (V.parity, V.norm_sign) == (0, 1)
+
+
+def test_a_versor_is_checked_once_where_it_enters(monkeypatch):
+    # Versor's check runs once for from_vectors and for sandwich of a raw multivector, and
+    # never for a versor the library builds: a re-check cannot creep back unnoticed
+    vs, u = _unit_vectors(np.random.default_rng(51), SIG3, 3), vector(SIG3, [0.5, -1.0, 2.0])
+    alpha = vector(SIG3, [0.0, 0.6, 0.8])
+    A, B = Versor.from_vectors(vs), Versor.from_vectors(vs[:2])
+    T, R = cga2d.translator(0.5, -2.0), cga2d.rotation(0.3)
+    init, calls = Versor.__init__, []
+    monkeypatch.setattr(Versor, "__init__", lambda self, mv: calls.append(mv) or init(self, mv))
+
+    def checks(fn):
+        calls.clear()
+        fn()
+        return len(calls)
+
+    unchecked = {
+        "translator": lambda: cga2d.translator(0.5, -2.0),
+        "rotation": lambda: cga2d.rotation(0.3),
+        "dilator": lambda: cga2d.dilator(-1.5),
+        "special_conformal": lambda: cga2d.special_conformal(1.0, 2.0),
+        "reflection": lambda: cga2d.reflection(0.3, -0.4),
+        "inversion_versor": cga2d.inversion_versor,
+        "modular_S": cga2d.modular_S,
+        "modular_T": cga2d.modular_T,
+        "*": lambda: A * B,
+        "reverse": A.reverse,
+        "inverse": A.inverse,
+        "exp_bivector": lambda: exp_bivector(blade(SIG3, "e12"), 0.3),
+        "reflect": lambda: reflect(u, alpha),
+        "sandwich(v, versor)": lambda: sandwich(u, A),
+        "conformal *": lambda: T * R,
+        "conformal reverse": T.reverse,
+        "conformal inverse": T.inverse,
+    }
+    assert {name: checks(fn) for name, fn in unchecked.items()} == dict.fromkeys(unchecked, 0)
+    assert checks(lambda: Versor.from_vectors(vs)) == 1
+    assert checks(lambda: sandwich(u, A.mv)) == 1
+
+
 # ---------------------------------------------------------------- sandwich
 
 def test_single_vector_sandwich_is_a_reflection():
@@ -273,8 +372,9 @@ def test_versor_checks_take_one_product_and_a_sandwich_two(monkeypatch):
 
 
 def test_from_vectors_gives_the_operators_floats_and_errors():
-    # the raw-row products are the * chain's floats, and any list the chain would
-    # refuse (or take) goes through the chain itself, with its errors
+    # the raw-row products are the * chain's floats, checked once; an entry that is not a
+    # Multivector (before, a float or a Versor went through the * chain) is refused by type,
+    # and mixed signatures keep the operators' message
     def outcome(fn):
         try:
             V = fn()
@@ -291,12 +391,14 @@ def test_from_vectors_gives_the_operators_floats_and_errors():
             assert outcome(lambda: Versor.from_vectors(vs)) == want, (sig, m)
             assert outcome(lambda: Versor.from_vectors(tuple(vs))) == want, (sig, m)
     e1, f1 = vector(SIG3, [1, 0, 0]), vector(SIG31, [1, 0, 0, 0])
-    for vectors, error in (([e1, f1], SignatureMismatch), ([e1, "e2"], TypeError),
-                           ([2.0], AttributeError), ([], ValueError)):
-        with pytest.raises(error):
+    with pytest.raises(SignatureMismatch, match=r"^cannot combine Cl\(3, 0\) with Cl\(3, 1\)$"):
+        Versor.from_vectors([e1, f1, "e2"])
+    for vectors, name in (([e1, "e2"], "str"), ([2.0], "float"), ([Versor(e1), e1], "Versor"),
+                          ([e1, 1.0], "float")):
+        with pytest.raises(TypeError, match=rf"^from_vectors takes Multivectors, got {name}$"):
             Versor.from_vectors(vectors)
-    assert Versor.from_vectors([Versor(e1), e1]).mv == scalar_mv(SIG3, 1.0)
-    assert Versor.from_vectors([e1, 1.0]).mv == e1
+    with pytest.raises(ValueError, match=r"^need at least one vector$"):
+        Versor.from_vectors([])
 
 
 # ---------------------------------------------------------------- exponentials

@@ -35,7 +35,8 @@ given one exit 2 with nothing on stdout.
 sandwiches in Cl(3,0), Cl(4,0) and Cl(3,1) with their versors' parity and ``norm_sign``,
 ``embed`` and ``apply`` (coords and the bytes of X) and the conformal constructors' M and v.
 It was recorded before the versor checks moved to one ``tolist`` and library points to their
-four floats, and reads the same under the forced kernels above.
+four floats, and reads the same under the forced kernels above; ``reflection``'s lines were
+recorded again when it came to write its M from its parameters, not read it off the kernel.
 
 ``demo_02.txt`` is the stdout of ``demos/02_root_systems.py``, run in process:
 its diagrams, Cartan matrix and axiom verdict, and H3's inner products to 6
@@ -151,7 +152,7 @@ def test_verify_stdout_matches_digest(seed, monkeypatch, capsys):
     assert hashlib.sha256(out).hexdigest() == VERIFY_DIGESTS[seed]
 
 
-SINGLE_OBJECT_DIGEST = "3a27540670fb6a0067e0874023ccffbed451f1cdf8e6206185a3eedddd0e7d26"
+SINGLE_OBJECT_DIGEST = "ffe3d10a95bdbb466a85a74e18c6fd8613ead5ba09684ec082d34985a4b32dfe"
 
 
 def _single_object_floats() -> list:
@@ -189,7 +190,8 @@ def _single_object_floats() -> list:
 
 def test_single_object_floats_match_digest():
     # one-object calls keep their floats, bit for bit: this digest was recorded before
-    # the versor checks moved to one tolist and library points to their four floats
+    # the versor checks moved to one tolist and library points to their four floats, and
+    # again for reflection's lines alone when its M came to be written from its parameters
     digest = hashlib.sha256("\n".join(_single_object_floats()).encode()).hexdigest()
     assert digest == SINGLE_OBJECT_DIGEST
 
