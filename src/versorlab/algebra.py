@@ -14,7 +14,7 @@ Two numbers decide sameness and closeness:
   cell boundaries.
 * ``DEFAULT_EPS`` (1e-9): the tolerance of every floating comparison, ``close_to`` among them.
   ``Versor``, ``is_grade`` and ``sandwich`` test one object on one ``tolist()`` of its floats,
-  each as -eps <= x <= eps, so that a NaN or an inf fails.
+  each within eps (mv * ~mv within eps max(1, sum c^2)), so that a NaN or an inf fails.
 
 The package's one set of key helpers sits next to ``quantize``: ``row_keys`` (a void view of
 quantized rows), ``lex_order``, and one dict of key bytes per table, which ``key_ids`` fills (a
@@ -515,8 +515,10 @@ class Versor(object):
     """A multivector that is (numerically) a product of unit vectors.
 
     Checked where it enters (``Versor(mv)``, ``from_vectors``, ``sandwich`` of a multivector) on
-    one ``tolist()`` of mv and one of mv * ~mv, each float as -eps <= x <= eps: support purely
-    even or purely odd, and mv * ~mv = +-1.  Both tests fail closed, so a NaN is no versor.  The
+    one ``tolist()`` of mv and of mv * ~mv: support purely even or odd within eps, and mv * ~mv =
+    +-1 within eps max(1, sum c^2) over mv's coefficients c, as its float error grows with that
+    sum; in Cl(p, 0) that moves a verdict by at most eps^2, as sum c^2 is mv * ~mv's scalar part.
+    Both tests fail closed: a NaN, or a sum c^2 that overflows, is no versor.  The
     sign is ``norm_sign`` (-1 is possible in mixed signatures such as Cl(3,1)).  One built from
     versors is not checked again: ``*`` adds parities and multiplies signs, inverses keep them.
     """
@@ -530,9 +532,9 @@ class Versor(object):
         if not (even_only or all(-eps <= c[i] <= eps for i in even)):
             raise NotAVersor("mixed even/odd support")
         parity = 0 if even_only else 1
-        norm = k.gp(mv.coeffs, k.rev(mv.coeffs))
-        s, *rest = norm.tolist()
-        if not (abs(abs(s) - 1.0) <= eps and all(-eps <= x <= eps for x in rest)):
+        norm, tol = k.gp(mv.coeffs, k.rev(mv.coeffs)), eps * max(1.0, (r := math.hypot(*c)) * r)
+        s, *rest = norm.tolist()  # r * r is sum c^2, or inf where it overflows
+        if not (abs(abs(s) - 1.0) <= tol < math.inf and all(-tol <= x <= tol for x in rest)):
             raise NotAVersor(f"mv * ~mv = {Multivector._wrap(mv.sig, norm)} is not a unit "
                              f"scalar (scalar part {s!r})")
         object.__setattr__(self, "mv", mv)

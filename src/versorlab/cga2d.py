@@ -57,8 +57,6 @@ __all__ = [
     "NINF",
     "ConformalPoint",
     "ConformalVersor",
-    "MAX_DILATION",
-    "MAX_TRANSLATION",
     "apply_word",
     "dilator",
     "embed",
@@ -169,11 +167,13 @@ def embed(x1: float, x2: float) -> ConformalPoint:
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
     """Plane coordinates of a (possibly unnormalized) null vector.
 
-    Homogeneous: extract(lambda X) = extract(X).  A representative with
-    X . n = 0 has no finite preimage and raises PointAtInfinity.
+    Homogeneous: extract(lambda X) = extract(X).  A coefficient that is not finite is refused; a
+    representative with X . n = 0 has no finite preimage and raises PointAtInfinity.
     """
     if isinstance(X, ConformalPoint):
         return X.coords
+    if not np.isfinite(X.coeffs).all():
+        raise VersorlabError("conformal points must have finite coefficients")
     s = float(_KERNEL.scalar_part(X.coeffs, NINF.coeffs))  # X . n, against max(1, max |X|)
     if abs(s) < DEFAULT_EPS * max(1.0, float(np.abs(X.coeffs).max())):
         raise PointAtInfinity("null vector has X . n = 0")
@@ -202,10 +202,17 @@ def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
     return x1, x2, p
 
 
+def _finite_matrix(M: tuple, made: str) -> tuple:
+    """M, or a refusal naming the overflow where an entry of the ``made`` matrix is not finite."""
+    if all(map(math.isfinite, M[0] + M[1] + M[2] + M[3])):
+        return M
+    raise VersorlabError(f"the {made} matrix overflows: an entry is not finite")
+
+
 def _compose(B: tuple, A: tuple) -> tuple:
-    """The matrix product B A: the map A, then B."""
-    return tuple(tuple(b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3 for a0, a1, a2, a3 in zip(*A))
-                 for b0, b1, b2, b3 in B)
+    """The matrix product B A: the map A, then B; refused where an entry overflows."""
+    return _finite_matrix(tuple(tuple(b0 * a0 + b1 * a1 + b2 * a2 + b3 * a3 for a0, a1, a2, a3
+                                      in zip(*A)) for b0, b1, b2, b3 in B), "product's")
 
 
 class ConformalVersor:
@@ -251,9 +258,10 @@ def _versor(v: Versor, M: tuple) -> ConformalVersor:
 
 def _adjoint(M: tuple) -> tuple:
     """M's adjoint under x1^2 + x2^2 + 4pq, a versor matrix's inverse: (i, j) is M[s_j][s_i] w_j /
-    w_i, s = (0, 1, 3, 2), w = (1, 1, 2, 2): it only permutes, halves and doubles, so is exact."""
+    w_i, s = (0, 1, 3, 2), w = (1, 1, 2, 2): it permutes, halves, doubles: exact, or refused."""
     s, w = (0, 1, 3, 2), (1, 1, 2, 2)
-    return tuple(tuple(M[s[j]][s[i]] * (w[j] / w[i]) for j in range(4)) for i in range(4))
+    return _finite_matrix(tuple(tuple(M[s[j]][s[i]] * (w[j] / w[i]) for j in range(4))
+                                for i in range(4)), "inverse's")
 
 
 def _reading(v: Versor) -> tuple:
@@ -266,10 +274,6 @@ def _reading(v: Versor) -> tuple:
     return tuple(map(tuple, np.array([y1, y2, (ye + yb) / 2, (ye - yb) / 2]).tolist())), Y
 
 
-MAX_DILATION = 15.0  # keeps v in Versor's check: cosh^2 - sinh^2 misses 1 by > eps from 15.45
-MAX_TRANSLATION = 1000.0  # keeps v in Versor's check: T ~T is 1 within 3e-11, eps only to 5.8e3
-
-
 def _finite(names: str, *values) -> list:
     """The values as floats; the first that is not finite raises, named by its word in ``names``."""
     for name, value in zip(names.split(), values):
@@ -279,10 +283,10 @@ def _finite(names: str, *values) -> list:
 
 
 def _half_shift(a1: float, a2: float) -> tuple:
-    """a as floats, finite and within ``MAX_TRANSLATION`` of 0; a/2 as 1 - na/2 writes it."""
+    """a as floats, finite, and a1^2 + a2^2 finite; a/2 as 1 - na/2 writes it."""
     a1, a2 = _finite("a1 a2", a1, a2)
-    if math.hypot(a1, a2) > MAX_TRANSLATION:
-        raise VersorlabError(f"(a1, a2) must be within {MAX_TRANSLATION:g} of 0, got {(a1, a2)!r}")
+    if not a1 * a1 + a2 * a2 < math.inf:
+        raise VersorlabError(f"(a1, a2) = {(a1, a2)!r} is too large: a1^2 + a2^2 overflows")
     return (a1, a2), [0.0 - 0.5 * (0.0 - a) for a in (a1, a2)]
 
 
@@ -296,7 +300,7 @@ _J = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))  # e's sandwich:
 
 
 def translator(a1: float, a2: float) -> ConformalVersor:
-    """Versor acting as x -> x + a, |a| <= ``MAX_TRANSLATION``.  As a multivector it is 1 - na/2."""
+    """Versor acting as x -> x + a, a1^2 + a2^2 finite (else named).  As a multivector: 1 - na/2."""
     a, (c1, c2) = _half_shift(a1, a2)  # n a = -a1 (e13 + e14) - a2 (e23 + e24)
     return _versor(Versor._of(_mv({0: 1.0, 5: c1, 6: c2, 9: c1, 10: c2}), 0, 1), _translation(*a))
 
@@ -312,15 +316,17 @@ def rotation(theta: float) -> ConformalVersor:
 
 
 def dilator(alpha: float) -> ConformalVersor:
-    """Versor cosh(a/2) + sinh(a/2) e ebar, acting as x -> e^{+alpha} x, for
-    |alpha| <= ``MAX_DILATION`` (a factor up to e^15, about 3.3e6)."""
+    """Versor cosh(a/2) + sinh(a/2) e ebar, acting as x -> e^{+alpha} x, for any finite alpha
+    whose e^|alpha| does not overflow (|alpha| up to about 709.78; past it, refused, named)."""
     alpha, = _finite("alpha", alpha)
-    if abs(alpha) > MAX_DILATION:
-        raise VersorlabError(f"alpha must be within +-{MAX_DILATION:g}, got {alpha!r}")
+    try:
+        up, down = math.exp(alpha), math.exp(-alpha)
+    except OverflowError:
+        raise VersorlabError(f"alpha = {alpha!r} is too large: e^|alpha| overflows") from None
     c, s = math.cosh(0.5 * alpha), math.sinh(0.5 * alpha)
     return _versor(Versor._of(_mv({0: c + 0.0 * s, 12: 0.0 * c + s}, 0.0 * c + 0.0 * s), 0, 1),
-                   ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, math.exp(alpha), 0.0),
-                    (0.0, 0.0, 0.0, math.exp(-alpha))))
+                   ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, up, 0.0),
+                    (0.0, 0.0, 0.0, down)))
 
 
 def reflection(a1: float, a2: float) -> ConformalVersor:
@@ -342,8 +348,8 @@ def inversion_versor() -> ConformalVersor:
 
 
 def special_conformal(a1: float, a2: float) -> ConformalVersor:
-    """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion.  It takes a as
-    ``translator`` does; its floats are e T_a e's, the translator's negated on e13 and e23."""
+    """Versor e T_a e = 1 + nbar a/2: inversion, translation by a, inversion, a taken as by
+    ``translator``; its floats are e T_a e's, the translator's negated on e13 and e23."""
     (a1, a2), (c1, c2) = _half_shift(a1, a2)  # M is J T_a J's floats, as _compose makes them
     return _versor(Versor._of(_mv({0: 1.0, 5: 0.0 - c1, 6: 0.0 - c2, 9: c1, 10: c2}), 0, 1),
                    ((1.0, 0.0, 2.0 * a1 + 0.0, 0.0), (0.0, 1.0, 2.0 * a2 + 0.0, 0.0),

@@ -30,6 +30,7 @@ import numpy as np
 
 from .algebra import (
     BLOCK,
+    DEFAULT_EPS,
     Multivector,
     Signature,
     Versor,
@@ -228,7 +229,7 @@ def _generate(kind: str, rs: RootSystem, perms: np.ndarray, factors: np.ndarray,
     Versor generator k, the product of the rows ``factors[k]``, lifts W layer by
     layer down the orbit's breadth-first tree of first edges (q, k), v = v_q s_k,
     which the group keeps, in blocks of at most ``BLOCK`` floats.  Each edge's
-    product must be +-v of its end to 1e-9, checked per ``BLOCK`` of held products,
+    product must be +-v of its end to DEFAULT_EPS, checked per ``BLOCK`` of held products,
     whose ends are all known, and that sign lifts W's graph to the cover's."""
     _check_cap("max_elements", cap)
     _, graph, first, layers = orbit(rs.simple[None], perms, lambda b, p: p[:, b].swapaxes(0, 1),
@@ -247,7 +248,7 @@ def _generate(kind: str, rs: RootSystem, perms: np.ndarray, factors: np.ndarray,
             c, d = np.searchsorted(first, [a * m, b * m])  # the rows first reached from a..b-1
             v[1 + c:1 + d] = held[-1].reshape(-1, kern.D)[first[c:d] - a * m]
     dots[checked:] = _einsum("qkd,qkd->qk", np.concatenate(held), v[graph[checked:]])
-    if not np.all(np.abs(np.abs(dots) - 1.0) <= 1e-9):  # NaN fails too
+    if not np.all(np.abs(np.abs(dots) - 1.0) <= DEFAULT_EPS):  # NaN fails too
         raise VersorlabError("the versor generators do not lift the root permutations")
     cover = graph + np.where(dots < 0, n, 0)  # row i + n is -v_i
     arr, graph, plus = lex_sorted(np.vstack([v, -v]), np.vstack([cover, (cover + n) % (2 * n)]),

@@ -237,7 +237,7 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
         for l0 in range(0, n, step):  # t[t[L, g], R]: index of L g R
             codes[l0:l0 + step] = n ** np.arange(gens.size) @ t[t[l0:l0 + step, gens]]
         codes = np.sort(codes, None)  # not np.unique, which imports numpy.ma
-        return AutomorphismSweep(n, n * n, True, np.count_nonzero(np.diff(codes)) + 1)
+        return AutomorphismSweep(n, n * n, True, int(np.count_nonzero(np.diff(codes))) + 1)
     l, r, kern = li[:32], ri[:32], kernel_for(_SIG3)
     img = kern.gp_elemwise(kern.gp_elemwise(garr[l, None], garr[None]), garr[r, None])
     bad = np.flatnonzero(np.any(row_keys(img) != row_keys(garr[t[t[l], r[:, None]]]), axis=1))

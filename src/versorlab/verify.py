@@ -59,7 +59,6 @@ from .cga2d import (
     E1,
     E2,
     EPLUS,
-    MAX_TRANSLATION,
     NBAR,
     _translation,
     apply_word,
@@ -200,13 +199,14 @@ def _versor_checks(kern, R):
 
     Like every batched check here it passes exactly where the public route's
     own test passes: each is ``x <= bound``, which fails closed on both routes,
-    so a NaN fails both alike.
+    so a NaN fails both alike; R ~R's bound is Versor's, from ``math.hypot`` of the row.
     """
     odd = np.abs(R[:, kern.odd]).max(axis=1, initial=0.0)
     even = np.abs(R[:, kern.even]).max(axis=1, initial=0.0)
     norm = np.abs(kern.gp_elemwise(R, kern.rev(R)))  # R ~R = +-1
-    return (((odd <= DEFAULT_EPS) | (even <= DEFAULT_EPS))
-            & (np.abs(norm - np.eye(1, kern.D)).max(axis=1) <= DEFAULT_EPS)), odd > DEFAULT_EPS
+    tol = DEFAULT_EPS * np.maximum(1.0, np.array([math.hypot(*r) for r in R.tolist()]) ** 2)
+    return (((odd <= DEFAULT_EPS) | (even <= DEFAULT_EPS)) & (tol < np.inf)
+            & (np.abs(norm - np.eye(1, kern.D)).max(axis=1) <= tol)), odd > DEFAULT_EPS
 
 
 def _sandwich(kern, R, odd, X):
@@ -464,7 +464,7 @@ def _translation_batch(drawn):
     r = -0.5 / np.where(q == 0, -0.5, q)
     got, p = np.column_stack([y1 * r, y2 * r]), yp * r
     h = (got[:, 0] * got[:, 0] + got[:, 1] * got[:, 1]) * 0.5
-    if not np.all([np.hypot(a1, a2) <= MAX_TRANSLATION, ((sq + 1.0) * 0.5) ** 2 < np.inf, q != 0,
+    if not np.all([((sq + 1.0) * 0.5) ** 2 < np.inf, q != 0,
                    np.abs(p - h) <= DEFAULT_EPS * np.maximum(1.0, h), np.isfinite(h)]):
         return None
     return np.column_stack([got, np.abs(got - np.column_stack([x1 + a1, x2 + a2])).max(axis=1)])

@@ -206,10 +206,12 @@ def test_a_batch_that_fails_where_the_public_route_passes_is_named(monkeypatch):
 @pytest.mark.parametrize("scale, error", [
     ((1.0, 1.0, 1e200, 1.0), r"VersorlabError: point \(\S+e\+200, \S+\) is too far out to embed: "
                              r"its squares overflow$"),
-    ((1e4, 1.0, 1.0, 1.0), r"VersorlabError: \(a1, a2\) must be within 1000 of 0, got ")])
+    ((1e200, 1.0, 1.0, 1.0), r"VersorlabError: \(a1, a2\) = \(\S+e\+199, \S+\) is too large: "
+                             r"a1\^2 \+ a2\^2 overflows$")])
 def test_a_planted_draw_replays_the_translations_twin(scale, error, monkeypatch):
-    """Draw 300, scaled past what embed or translator accepts, fails the batch's own test of
-    it; the rewound replay takes it through the public route, which raises its own error."""
+    """Draw 300, scaled past what embed or translator accepts (squares that overflow), fails
+    the batch's own test of it; the rewound replay takes it through the public route, which
+    raises its own error."""
     real, planted, spoiled = verify._sampled, [], []
 
     def sampled(ctx, blocks, batch, public):

@@ -31,7 +31,7 @@ from versorlab import (
 )
 import versorlab.algebra
 from versorlab import cga2d
-from versorlab.algebra import KEY_BOUND, find_ids, kernel_for, key_ids, orbit, quantize
+from versorlab.algebra import DEFAULT_EPS, KEY_BOUND, find_ids, kernel_for, key_ids, orbit, quantize
 from versorlab.cli import _clean, _json_rows
 from versorlab.roots import _reflect_pairs
 
@@ -184,6 +184,64 @@ def test_versor_rejects_nan_and_names_the_failing_scalar():
         Versor(scalar_mv(SIG3, math.sqrt(1.0000001)))
 
 
+def test_versor_check_scales_eps_only_where_sum_c2_passes_1():
+    # in Cl(p, 0) the scalar part of mv * ~mv is sum c^2, so the bound eps max(1, sum c^2)
+    # moves a verdict only where |s - 1| is within eps^2 of eps: the first c e1 whose
+    # c^2 passes 1 + eps is refused, as by an absolute eps, and the last within it passes
+    eps, e1 = DEFAULT_EPS, blade(SIG3, "e1")
+    c = math.sqrt(1.0 + eps)
+    while c * c - 1.0 <= eps:
+        c = math.nextafter(c, 2.0)
+    while c * c - 1.0 > eps:
+        c = math.nextafter(c, 0.0)
+    assert Versor(c * e1).norm_sign == 1
+    past = math.nextafter(c, 2.0)
+    with pytest.raises(NotAVersor, match=rf"\(scalar part {re.escape(repr(past * past))}\)$"):
+        Versor(past * e1)
+    # 102 000 seeded Euclidean candidates next to the bound: unit versors scaled by
+    # sqrt(1 + d), |d| <= 1.1 eps, plus noise up to eps/2 on one blade of either parity;
+    # Versor's verdict is an absolute eps's, on the same floats of mv * ~mv, wherever no
+    # |s| - 1 and no other coefficient of mv * ~mv is within 2 eps^2 of eps in magnitude
+    rng, compared, passed = np.random.default_rng(52), 0, 0
+    for sig in (Signature(2, 0), SIG3, Signature(4, 0)):
+        k, n = kernel_for(sig), 34_000
+        pool = np.array([Versor.from_vectors(_unit_vectors(rng, sig, 1 + i % 4)).mv.coeffs
+                         for i in range(64)])
+        scale = np.sqrt(1.0 + rng.uniform(-1.1 * eps, 1.1 * eps, n))
+        rows = pool[rng.integers(0, 64, n)] * scale[:, None]
+        rows[np.arange(n), rng.integers(0, k.D, n)] += rng.uniform(-eps / 2, eps / 2, n)
+        norms = np.array([k.gp(row, k.rev(row)) for row in rows])  # Versor's own floats
+        off = np.abs(np.abs(norms) - np.eye(k.D)[0])  # | |s| - 1 | and |x|
+        pure = ((np.abs(rows[:, k.odd]) <= eps).all(axis=1)
+                | (np.abs(rows[:, k.even]) <= eps).all(axis=1))
+        before = pure & (off <= eps).all(axis=1)
+        clear = (np.abs(off - eps) > 2 * eps * eps).all(axis=1)
+        for row, was in zip(rows[clear], before[clear].tolist()):
+            try:
+                now = Versor(Multivector(sig, row)).norm_sign == 1
+            except NotAVersor:
+                now = False
+            assert now == was, (sig, row.tolist())
+            passed += now
+        compared += int(clear.sum())
+    assert compared >= 100_000 and 10_000 <= passed <= compared - 10_000, (compared, passed)
+
+
+def test_versor_check_refuses_a_sum_c2_that_overflows():
+    # 1 - c^2 + c^2, the scalar part of a translator-shaped mv in Cl(3,1), rounds to 0 for
+    # large c, within the bound eps sum c^2 of 1; once sum c^2 overflows there is no bound
+    for c, passes in ((1e153, True), (9e153, True), (1e154, False), (1e200, False)):
+        mv = Multivector(SIG31, [1.0, 0, 0, 0, 0, c, 0, 0, 0, c] + [0.0] * 6)  # 1 + c e1 n
+        if passes:
+            assert Versor(mv).parity == 0, c
+        else:
+            with pytest.raises(NotAVersor):
+                Versor(mv)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NotAVersor):
+            Versor(Multivector(SIG31, [1.0, 0, 0, 0, 0, bad, 0, 0, 0, bad] + [0.0] * 6))
+
+
 def test_a_key_past_key_bound_names_it():
     # the int64 cast would wrap or warn ("invalid value encountered in cast")
     for c in (1e13, -1e13, 1e300, math.inf, math.nan):
@@ -249,7 +307,7 @@ def test_the_checked_constructor_is_the_reference_for_unchecked_versors():
                 R = exp_bivector(B * (1.0 / math.sqrt(-(B * B).scalar)), theta)
                 for V in (R, R.inverse() * R * R, R.reverse()):
                     agree(V)
-    for i in range(1500):  # |a| from 1e-9 to just inside MAX_TRANSLATION
+    for i in range(1500):  # |a| from 1e-9 to about 977
         t, r = rng.uniform(-4, 4), 10.0 ** rng.uniform(-9, 2.99)
         maps = [cga2d.translator(r * math.cos(t), r * math.sin(t)),
                 cga2d.special_conformal(r * math.cos(t), r * math.sin(t)),

@@ -1,6 +1,7 @@
 """Tests for the 2D conformal model and its modular-group action."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,18 @@ def test_extract_point_at_infinity():
         extract(NINF)
     with pytest.raises(PointAtInfinity):
         extract(-3.0 * NINF)
+
+
+def test_extract_refuses_a_coefficient_that_is_not_finite():
+    # before, a NaN on e1 or e3 gave (nan, nan) and an inf on e3 gave (-0.0, -0.0)
+    X = embed(0.5, 0.25).X.coeffs
+    for b, bad in ((1, math.nan), (4, math.nan), (4, math.inf), (2, -math.inf), (8, math.inf),
+                   (5, math.nan)):
+        coeffs = X.copy()
+        coeffs[b] = bad
+        with pytest.raises(VersorlabError, match=r"^conformal points must have finite "
+                                                 r"coefficients$"):
+            extract(Multivector(SIG31, coeffs))
 
 
 def test_conformal_point_validation():
@@ -924,6 +937,22 @@ def test_written_matrices_are_the_kernels_reading():
     # a product multiplies the matrices, the left factor acting first
     T, R = translator(1.0, 2.0), rotation(0.3)
     assert (T * R).M == cga2d._compose(R.M, T.M)
+    # the letters S, T and t: the kernel's reading is the held matrix exactly, every entry
+    # is an integer, and every image's coefficient off grade 1 is exactly 0
+    off_grade = ~kernel_for(SIG31).grade_masks[1]
+    for letter, versor in (("S", modular_S()), ("T", modular_T()), ("t", translator(-1.0, 0.0))):
+        read, images = cga2d._reading(versor.v)
+        assert read == cga2d._MATRICES[letter], letter
+        assert all(m == int(m) for row in read for m in row), letter
+        assert not images[:, off_grade].any(), letter
+    # wide parameters, |a| up to 1e150 and |alpha| up to 700: within 4 ulps of the largest entry
+    for _ in range(500):
+        a = (rng.normal(size=2) * 10.0 ** rng.uniform(0, 150)).tolist()
+        alpha = rng.uniform(-700, 700)
+        for versor in (translator(*a), special_conformal(*a), dilator(alpha)):
+            read = np.array(cga2d._reading(versor.v)[0])
+            assert (np.abs(read - np.array(versor.M)).max()
+                    <= 4 * np.spacing(np.abs(read).max())), (versor, a, alpha)
 
 
 def test_reflection_writes_its_matrix_within_an_ulp_of_the_exact_oracle():
@@ -946,7 +975,7 @@ def test_special_conformal_writes_j_t_j_bit_for_bit():
     # limit and seeded parameters
     rng, J = np.random.default_rng(12), cga2d._J
     edge = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-160, 1e-8, 700.0, -700.0, 1000.0, -1000.0]
-    pairs = [(a, b) for a in edge for b in edge if math.hypot(a, b) <= cga2d.MAX_TRANSLATION]
+    pairs = [(a, b) for a in edge for b in edge]
     pairs += [tuple(rng.uniform(-r, r, 2).tolist()) for r in (1e-3, 1.0, 700.0) for _ in range(1000)]
     for a1, a2 in pairs:
         want = cga2d._compose(J, cga2d._compose(cga2d._translation(a1, a2), J))
@@ -1003,10 +1032,17 @@ def _multivector_route(kind, *params):
     return math.cosh(h) * one + math.sinh(h) * (EPLUS * EMINUS)
 
 
+def _exp_is_finite(x):
+    try:
+        return math.isfinite(math.exp(x))
+    except OverflowError:
+        return False
+
+
 def test_constructors_and_embed_write_the_multivector_routes_floats():
     # the direct coefficient lists must be the multivector expressions' floats,
     # bit for bit, or raise the same error: random, signed-zero, tiny, huge
-    # and pow-sensitive inputs; a translation past MAX_TRANSLATION is named
+    # and pow-sensitive inputs; a dilator whose e^|theta| overflows is named
     rng = np.random.default_rng(88)
     zeros = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300]
     xs = [float(x) for x in rng.uniform(-5, 5, size=100_000)]
@@ -1015,61 +1051,78 @@ def test_constructors_and_embed_write_the_multivector_routes_floats():
                + [float(x) for x in rng.uniform(-1, 1, 200) * 10.0 ** rng.uniform(-8, 8, 200)])
     pairs = ([(a, b) for a in zeros for b in zeros] + list(zip(scalars, scalars[::-1]))
              + list(zip(pow_off[0::2], pow_off[1::2])))
-    past = 0
-    for a1, a2 in pairs:
-        if math.hypot(a1, a2) > cga2d.MAX_TRANSLATION:
-            past += 1
-            named = (VersorlabError, f"(a1, a2) must be within 1000 of 0, got {(a1, a2)!r}")
-            assert _bytes_or_error(lambda: translator(a1, a2).mv) == named, (a1, a2)
-            assert _bytes_or_error(lambda: special_conformal(a1, a2).mv) == named, (a1, a2)
-        else:
-            want = _bytes_or_error(lambda: Versor(_multivector_route("translator", a1, a2)).mv)
-            assert not isinstance(want, tuple), (a1, a2, want)
-            assert _bytes_or_error(lambda: translator(a1, a2).mv) == want, (a1, a2)
-            # special_conformal is e T e's floats
-            assert _bytes_or_error(lambda: special_conformal(a1, a2).mv) == _bytes_or_error(
-                lambda: EPLUS * translator(a1, a2).mv * EPLUS), (a1, a2)
+    for a1, a2 in pairs:  # every |a|^2 here is finite
+        want = _bytes_or_error(lambda: Versor(_multivector_route("translator", a1, a2)).mv)
+        assert not isinstance(want, tuple), (a1, a2, want)
+        assert _bytes_or_error(lambda: translator(a1, a2).mv) == want, (a1, a2)
+        # special_conformal is e T e's floats
+        assert _bytes_or_error(lambda: special_conformal(a1, a2).mv) == _bytes_or_error(
+            lambda: EPLUS * translator(a1, a2).mv * EPLUS), (a1, a2)
         if abs(a1) < 1e7 and abs(a2) < 1e7:
             want = _bytes_or_error(lambda: ConformalPoint(_multivector_route("embed", a1, a2)).X)
             assert _bytes_or_error(lambda: embed(a1, a2).X) == want, (a1, a2)
-    assert 0 < past < len(pairs) // 4
+    past = 0
     for theta in scalars:
         assert rotation(theta).mv.coeffs.tobytes() == Versor(
             _multivector_route("rotation", theta)).mv.coeffs.tobytes(), theta
-        if abs(theta) <= cga2d.MAX_DILATION:
+        if _exp_is_finite(abs(theta)):
             assert dilator(theta).mv.coeffs.tobytes() == Versor(
                 _multivector_route("dilator", theta)).mv.coeffs.tobytes(), theta
+        else:
+            past += 1
+            named = (VersorlabError, f"alpha = {theta!r} is too large: e^|alpha| overflows")
+            assert _bytes_or_error(lambda: dilator(theta).mv) == named, theta
+    assert 0 < past < len(scalars) // 4
 
 
 def test_translations_up_to_the_limit_are_versors():
-    # 100 000 seeded directions, half at |a| = MAX_TRANSLATION (a hair inside),
-    # half at log-uniform |a| below it: T ~T, batched as Versor computes it, is
-    # 1 within DEFAULT_EPS for T and e T e; the 100 worst and 200 more take the
-    # public constructors, whose rows and T ~T match the batch bit for bit
+    # 100 000 seeded directions, half at |a| = 1000 (a hair inside), half at log-uniform
+    # |a| below it, and 20 000 more at log-uniform |a| from 1 to 1e150: T ~T, batched as
+    # Versor computes it, is 1 within 1e-15 max(1, sum c^2) for T and e T e, a millionth of
+    # Versor's relative bound; the 100 worst and 400 more take the public constructors,
+    # whose rows and T ~T match the batch bit for bit, and pass Versor's check, with
+    # norm_sign +1 wherever eps sum c^2 < 1 pins the sign of the scalar part (past |a| of
+    # about 3e4 the 1 in T ~T is inside the rounding, and only the parity is asserted);
+    # every 100th wide draw acts within 1e-15 of the exact oracle; a translation by an a
+    # with a finite a1^2 + a2^2 is taken, and one where it overflows is named
     rng, kern = np.random.default_rng(27), kernel_for(SIG31)
     theta = rng.uniform(-math.pi, math.pi, 100_000)
-    radius = cga2d.MAX_TRANSLATION * np.concatenate(
+    radius = 1000.0 * np.concatenate(
         [np.full(50_000, 1 - 1e-12), 10.0 ** rng.uniform(-6, 0, 50_000)])
+    theta = np.append(theta, rng.uniform(-math.pi, math.pi, 20_000))
+    radius = np.append(radius, 10.0 ** rng.uniform(0, 150, 20_000))
     a = radius[:, None] * np.stack([np.cos(theta), np.sin(theta)], 1)
     c = 0.0 - 0.5 * (0.0 - a)
     for make, c_near in ((translator, c), (special_conformal, 0.0 - c)):  # on e13, e23
         rows = np.zeros((a.shape[0], 16))
         rows[:, 0], rows[:, [5, 6]], rows[:, [9, 10]] = 1.0, c_near, c
-        norm = np.concatenate([kern.gp_elemwise(b, kern.rev(b)) for b in np.split(rows, 10)])
-        dev = np.maximum(np.abs(norm[:, 0] - 1.0), np.abs(norm[:, 1:]).max(axis=1))
-        assert dev.max() <= 0.05 * DEFAULT_EPS, make  # 3e-11: a 30-fold margin
-        for i in np.concatenate([np.argsort(dev)[-100:], np.arange(200)]):
+        norm = np.concatenate([kern.gp_elemwise(b, kern.rev(b)) for b in np.split(rows, 12)])
+        scale = np.maximum(1.0, (rows * rows).sum(axis=1))
+        dev = np.maximum(np.abs(norm[:, 0] - 1.0), np.abs(norm[:, 1:]).max(axis=1)) / scale
+        assert dev.max() <= 1e-15, make  # 2.8e-16
+        for i in np.concatenate([np.argsort(dev)[-100:], np.arange(200), 100_000 + np.arange(200)]):
             got = make(*a[i].tolist()).mv
             assert got.coeffs.tobytes() == rows[i].tobytes(), (make, a[i])
             assert kern.gp(got.coeffs, kern.rev(got.coeffs)).tobytes() == norm[i].tobytes()
-            assert (Versor(got).parity, Versor(got).norm_sign) == (0, 1), (make, a[i])
-    for a1, a2 in ((1000.0, 0.0), (0.0, -1000.0), (600.0, -800.0)):  # |a| exactly at the limit
+            V = Versor(got)
+            assert V.parity == 0 and (V.norm_sign == 1 or DEFAULT_EPS * scale[i] >= 1), (make, a[i])
+    for i in 100_000 + np.arange(0, 20_000, 100):  # the wide draws act: within 1e-15
+        for kind in ("translator", "special_conformal"):
+            got = _MAP_KINDS[kind][0](*a[i].tolist()).apply(embed(0.5, -0.25)).coords
+            want = _exact_map_image([(kind, a[i].tolist())], (0.5, -0.25))
+            assert _deviation(got, want) <= 1e-15, (kind, a[i])
+    for a1, a2 in ((1000.0, 0.0), (0.0, -1000.0), (600.0, -800.0), (600.0, 800.000001)):
         approx_pt(translator(a1, a2).apply(embed(0.5, 0.25)).coords, (a1 + 0.5, a2 + 0.25))
         for make in (translator, special_conformal):  # the constructors check no versor
             assert Versor(make(a1, a2).mv).norm_sign == 1
-    with pytest.raises(VersorlabError, match=r"^\(a1, a2\) must be within 1000 of 0, "
-                                             r"got \(600.0, 800.000001\)$"):
-        special_conformal(600.0, 800.000001)
+    for a1, a2 in ((1.3e154, 0.0), (-9e153, 9e153), (1e-300, -1.3e154)):  # a1^2 + a2^2 finite
+        for make in (translator, special_conformal):
+            assert Versor(make(a1, a2).mv).parity == 0, (make, a1, a2)
+    for a1, a2 in ((1.4e154, 0.0), (1e154, -1e154), (0.0, -1e200), (3e300, 1.0)):  # overflows
+        message = re.escape(f"(a1, a2) = {(a1, a2)!r} is too large: a1^2 + a2^2 overflows")
+        for make in (translator, special_conformal):
+            with pytest.raises(VersorlabError, match=f"^{message}$"):
+                make(a1, a2)
 
 
 def test_embed_names_a_point_whose_squares_overflow():
@@ -1098,14 +1151,56 @@ def test_conformal_constructors_name_a_parameter_that_is_not_finite(make, params
 
 
 def test_dilator_accepts_its_range_and_names_alpha_past_it():
-    # cosh^2 - sinh^2 rounds away from 1 past about 15.45; within +-15 every
-    # dilator is a unit versor and scales by e^alpha
-    for alpha in np.arange(-300, 301) * 0.05:  # dilator checks no versor: check it here
-        assert (Versor(dilator(alpha).mv).parity, Versor(dilator(alpha).mv).norm_sign) == (0, 1)
+    # cosh^2 - sinh^2 rounds away from 1 by about u cosh(alpha), which Versor's check,
+    # relative to sum c^2 = cosh(alpha), allows: every alpha with a finite e^|alpha| makes a
+    # dilator that passes it, with norm_sign +1 wherever eps cosh(alpha) < 1 pins the sign
+    # of the scalar part, and scales by e^alpha; past e^|alpha|'s overflow alpha is named
+    wide = np.arange(-7000, 7001) * 0.1  # up to |alpha| = 700
+    for alpha in np.concatenate([np.arange(-300, 301) * 0.05, wide, [709.78, -709.78]]).tolist():
+        V = Versor(dilator(alpha).mv)  # dilator checks no versor: check it here
+        assert V.parity == 0 and (V.norm_sign == 1 or DEFAULT_EPS * math.cosh(alpha) >= 1), alpha
     for alpha in (15.0, -15.0):
         D = dilator(alpha)
         assert (D * D.inverse()).mv.close_to(scalar_mv(SIG31, 1.0))
     approx_pt(dilator(-15.0).apply(embed(1.0, 0.5)).coords, (math.exp(-15.0), 0.5 * math.exp(-15.0)))
-    for alpha in (20.0, -20.0, 37.0, -37.0, 15.5):
-        with pytest.raises(VersorlabError, match=rf"^alpha must be within \+-15, got {alpha!r}$"):
+    # 3 000 seeded alpha in [-700, 700] and seven refused before (past 15), each at a point
+    # |x| log-uniform from 1e-153 (its squares stay normal) to 1e76 (embed squares
+    # (|x|^2 + 1)/2), or less where the exact image's squares would overflow: apply is
+    # within 1e-15 of the exact oracle, relative to max(1, |image|)
+    rng = np.random.default_rng(51)
+    refused_before = [20.0, -20.0, 37.0, -37.0, 15.5, 700.0, -700.0]
+    for alpha in refused_before + rng.uniform(-700, 700, 3000).tolist():
+        top = min(76, 153 - alpha / math.log(10))
+        x = (10.0 ** rng.uniform(-153, top) * np.array([math.cos(t := rng.uniform(-4, 4)),
+                                                        math.sin(t)])).tolist()
+        got = dilator(alpha).apply(embed(*x)).coords
+        assert _deviation(got, _exact_map_image([("dilator", [alpha])], x)) <= 1e-15, (alpha, x)
+    for alpha in (709.79, -709.79, 710.0, 1e6, -1.7e308):
+        with pytest.raises(VersorlabError, match=rf"^alpha = {re.escape(repr(alpha))} is too "
+                                                 r"large: e\^\|alpha\| overflows$"):
             dilator(alpha)
+
+
+def test_a_product_or_inverse_whose_matrix_overflows_is_named():
+    # before, the product of 61 dilator(15)s carried M[2][2] = nan (e^915 overflows, then
+    # inf * 0), and its apply said only "conformal points must be null"; the 47th still acts
+    D, product = dilator(15.0), None
+    for k in range(1, 62):
+        try:
+            product = D if product is None else product * D
+        except VersorlabError as exc:
+            assert (k, str(exc)) == (48, "the product's matrix overflows: an entry is not finite")
+            break
+        x1, x2 = product.apply(embed(5e-153, 2e-153)).coords
+        assert abs(x1 / (5e-153 * math.exp(15.0 * k)) - 1) <= 1e-13, k
+    else:
+        raise AssertionError("61 dilator(15)s multiplied")
+    with pytest.raises(VersorlabError, match=r"^the product's matrix overflows: an entry is not "
+                                             r"finite$"):
+        dilator(700.0) * dilator(700.0)
+    # the adjoint doubles M[3][0] = -0.9 e^709.5 past the float range
+    K = special_conformal(0.9, 0.0) * dilator(-709.5)
+    for method in (cga2d.ConformalVersor.reverse, cga2d.ConformalVersor.inverse):
+        with pytest.raises(VersorlabError, match=r"^the inverse's matrix overflows: an entry is "
+                                                 r"not finite$"):
+            method(K)

@@ -14,6 +14,10 @@ when some module reads it outside its own definition, as an identifier where
 that module's own binding or its ``from .module import`` resolves to it, or in
 such an import.
 
+And a ratchet on unnamed tolerances: every float literal below 1e-2 in magnitude
+in ``src/``, outside the definitions of ``DEFAULT_EPS`` and ``HASH_GRID``, is
+pinned as a (module, value) pair, so a new unnamed tolerance fails here.
+
 And one for a dead-tolerance rule: an ``eps``, ``tol`` or ``tolerance``
 parameter counts as set when some call in the package passes it a value, by
 keyword, by position or through a starred argument, that is neither
@@ -167,6 +171,38 @@ def test_tolerance_checker_flags_a_parameter_nothing_sets():
 def test_every_tolerance_parameter_is_set_by_some_call():
     sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unset_tolerances(sources) == []
+
+
+def small_literals(sources: dict) -> list:
+    """(module, value) of each float literal 0 < |x| < 1e-2, outside the assignments of
+    ``DEFAULT_EPS`` and ``HASH_GRID``, sorted."""
+    found = []
+    for module, source in sources.items():
+        tree, named = ast.parse(source), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id in ("DEFAULT_EPS", "HASH_GRID")
+                    for t in node.targets):
+                named |= {id(c) for c in ast.walk(node.value)}
+        found += [(module, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and type(node.value) is float
+                  and 0 < abs(node.value) < 1e-2 and id(node) not in named]
+    return sorted(found)
+
+
+def test_small_literal_checker_skips_only_the_two_named_constants():
+    sources = {"a": "DEFAULT_EPS = 1e-9\nHASH_GRID = 1e-6\nx = 0.5 * 1e-3 + 0.0\n",
+               "b": "def f(y, tol=-1e-8):\n    return y < 2e-2 or y < 5e-324\n"}
+    # -1e-8 is its literal 1e-8, negated; 2e-2 is not below 1e-2
+    assert small_literals(sources) == [("a", 0.001), ("b", 5e-324), ("b", 1e-08)]
+
+
+def test_no_new_unnamed_tolerance_in_src():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert small_literals(sources) == [
+        ("induction", 1e-08), ("induction", 1e-08), ("induction", 0.001),
+        ("mckay", 1e-09), ("mckay", 1e-09), ("mckay", 1e-06),
+        ("roots", 1e-08), ("roots", 1e-06), ("verify", 1e-06)]
 
 
 def test_dead_name_checker_flags_a_helper_nothing_calls():

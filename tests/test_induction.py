@@ -359,6 +359,7 @@ def test_automorphism_sweep_exhaustive_counts(src, images):
     assert sweep.failures == 0
     # (L, R) and (-L, -R) act identically, everything else is distinct
     assert sweep.distinct_images == g.order ** 2 // 2 == images
+    assert type(sweep.distinct_images) is int  # not numpy.int64
 
 
 def test_automorphism_sweep_sampled_is_seed_deterministic():
