@@ -14,7 +14,7 @@ Two numbers decide sameness and closeness:
   cell boundaries.
 * ``DEFAULT_EPS`` (1e-9): the tolerance of every floating comparison, ``close_to`` among them.
   ``Versor``, ``is_grade`` and ``sandwich`` test one object on one ``tolist()`` of its floats,
-  each within eps (mv * ~mv within eps max(1, sum c^2)), so that a NaN or an inf fails.
+  each within eps (mv * ~mv within eps max(1, sum c^2) < 1/2), so that a NaN or an inf fails.
 
 The package's one set of key helpers sits next to ``quantize``: ``row_keys`` (a void view of
 quantized rows), ``lex_order``, and one dict of key bytes per table, which ``key_ids`` fills (a
@@ -511,16 +511,23 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return a * b
 
 
+def _norm_tol(c: list) -> float:
+    """``Versor``'s bound on mv * ~mv -+ 1, mv's coefficients c: eps max(1, sum c^2), as its float
+    error grows with sum c^2; from 1/2 on it cannot tell +1 from -1 or 0, so it is NaN: all fail."""
+    r = math.hypot(*c)  # r * r is sum c^2, or inf where it overflows
+    return tol if (tol := DEFAULT_EPS * max(1.0, r * r)) < 0.5 else math.nan
+
+
 class Versor(object):
     """A multivector that is (numerically) a product of unit vectors.
 
     Checked where it enters (``Versor(mv)``, ``from_vectors``, ``sandwich`` of a multivector) on
     one ``tolist()`` of mv and of mv * ~mv: support purely even or odd within eps, and mv * ~mv =
-    +-1 within eps max(1, sum c^2) over mv's coefficients c, as its float error grows with that
-    sum; in Cl(p, 0) that moves a verdict by at most eps^2, as sum c^2 is mv * ~mv's scalar part.
-    Both tests fail closed: a NaN, or a sum c^2 that overflows, is no versor.  The
-    sign is ``norm_sign`` (-1 is possible in mixed signatures such as Cl(3,1)).  One built from
-    versors is not checked again: ``*`` adds parities and multiplies signs, inverses keep them.
+    +-1 within ``_norm_tol``, eps max(1, sum c^2); in Cl(p, 0) that moves a verdict by at most
+    eps^2, as sum c^2 is mv * ~mv's scalar part.  Both fail closed: a NaN is no versor, nor is an
+    mv whose eps sum c^2 reaches 1/2, where in a mixed signature the bound would pass 0 or -1.
+    The sign is ``norm_sign`` (-1 is possible in mixed signatures such as Cl(3,1)).  One built
+    from versors is not checked again: ``*`` adds parities and multiplies signs, inverses keep them.
     """
 
     __slots__ = ("mv", "parity", "norm_sign")
@@ -532,11 +539,12 @@ class Versor(object):
         if not (even_only or all(-eps <= c[i] <= eps for i in even)):
             raise NotAVersor("mixed even/odd support")
         parity = 0 if even_only else 1
-        norm, tol = k.gp(mv.coeffs, k.rev(mv.coeffs)), eps * max(1.0, (r := math.hypot(*c)) * r)
-        s, *rest = norm.tolist()  # r * r is sum c^2, or inf where it overflows
-        if not (abs(abs(s) - 1.0) <= tol < math.inf and all(-tol <= x <= tol for x in rest)):
+        norm, tol = k.gp(mv.coeffs, k.rev(mv.coeffs)), _norm_tol(c)
+        s, *rest = norm.tolist()
+        if not (abs(abs(s) - 1.0) <= tol and all(-tol <= x <= tol for x in rest)):
             raise NotAVersor(f"mv * ~mv = {Multivector._wrap(mv.sig, norm)} is not a unit "
-                             f"scalar (scalar part {s!r})")
+                             f"scalar (scalar part {s!r})" if tol == tol else
+                             "mv * ~mv = +-1 is not decided: eps sum c^2 reaches 1/2")
         object.__setattr__(self, "mv", mv)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "norm_sign", 1 if s > 0 else -1)

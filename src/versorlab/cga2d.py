@@ -21,12 +21,13 @@ In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, |x|^2
 the cone for any finite x whose squares do not overflow.  A versor acts by a 4 x 4 matrix ``M``:
 the named maps write it, and their versor unchecked, from their parameters (``special_conformal``
 as J T_a J), products multiply it, ``reverse`` and ``inverse`` take its exact adjoint, and
-``ConformalVersor(v)`` reads it off the kernel.  ``apply``, and ``apply_word`` per letter, take
-one step: y = M z; q = 0 is PointAtInfinity; the image at q = -1/2 must have p = |x|^2/2 (too
-far out if that overflows) and is re-embedded.  S, T and t = T^-1 are integer, equal to the
-kernel's reading, and held as exact floats, so that the step multiplies float by float.  A point
-that ``embed`` or ``apply`` makes holds its four e1..e4 floats and writes its Multivector X only
-when X is read: ``coords`` and the step read the floats, so a map's ``apply`` makes no numpy call.
+``ConformalVersor(v)`` reads it off the kernel; those three refuse an entry that overflows.
+``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0 is PointAtInfinity; the
+image at q = -1/2 must have p = |x|^2/2 (too far out if that overflows) and is re-embedded.  S,
+T and t = T^-1 are integer, equal to the kernel's reading, and held as exact floats, so that the
+step multiplies float by float.  A point that ``embed`` or ``apply`` makes holds its four e1..e4
+floats and writes its Multivector X only when X is read: ``coords`` and the step read the
+floats, so a map's ``apply`` makes no numpy call.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ class ConformalVersor:
     def __init__(self, v: Versor):
         if v.mv.sig != CGA_SIG:
             raise VersorlabError("conformal versors live in Cl(3,1)")
-        self.v, self.M = v, _reading(v)[0]
+        self.v, self.M = v, _finite_matrix(_reading(v)[0], "reading's")
 
     @property
     def mv(self) -> Multivector:
@@ -264,6 +265,7 @@ def _adjoint(M: tuple) -> tuple:
                                 for i in range(4)), "inverse's")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an entry that overflows is named, not warned
 def _reading(v: Versor) -> tuple:
     """v's sandwich ~A X A on null coordinates (x1, x2, p, q), read off the kernel: the matrix
     whose columns are the images of e1, e2, n and nbar, and the images' rows of coefficients."""

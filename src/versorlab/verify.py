@@ -44,6 +44,7 @@ from .algebra import (
     Multivector,
     Signature,
     Versor,
+    _norm_tol,
     basis,
     blade,
     exp_bivector,
@@ -199,13 +200,13 @@ def _versor_checks(kern, R):
 
     Like every batched check here it passes exactly where the public route's
     own test passes: each is ``x <= bound``, which fails closed on both routes,
-    so a NaN fails both alike; R ~R's bound is Versor's, from ``math.hypot`` of the row.
+    so a NaN fails both alike; R ~R's bound is Versor's own ``_norm_tol`` of the row.
     """
     odd = np.abs(R[:, kern.odd]).max(axis=1, initial=0.0)
     even = np.abs(R[:, kern.even]).max(axis=1, initial=0.0)
     norm = np.abs(kern.gp_elemwise(R, kern.rev(R)))  # R ~R = +-1
-    tol = DEFAULT_EPS * np.maximum(1.0, np.array([math.hypot(*r) for r in R.tolist()]) ** 2)
-    return (((odd <= DEFAULT_EPS) | (even <= DEFAULT_EPS)) & (tol < np.inf)
+    tol = np.array([_norm_tol(r) for r in R.tolist()])
+    return (((odd <= DEFAULT_EPS) | (even <= DEFAULT_EPS))
             & (np.abs(norm - np.eye(1, kern.D)).max(axis=1) <= tol)), odd > DEFAULT_EPS
 
 

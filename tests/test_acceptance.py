@@ -9,19 +9,34 @@ made NaN, checks that a NaN fails its row.  Single rows check that the
 batched rows' public-route witness compares bits, that a draw failing a
 batched check fails its row with the public route's own error (in the
 reflection, isometry, exp and translations twins), that a batch failing where
-the public route passes is named (in the isometry, exp and translations twins), and that the
-words row evaluates each word through ``apply_word`` alone, failing with its error.
+the public route passes is named (in the isometry, exp and translations twins), that the
+batched ``Versor`` check passes exactly the rows ``Versor`` takes, and that the words row
+evaluates each word through ``apply_word`` alone, failing with its error.
 """
 
 import collections
+import math
 import re
 import types
 
 import numpy as np
 import pytest
 
-from versorlab import Multivector, PointAtInfinity, Signature, apply_word, sandwich, verify
-from versorlab.algebra import _Kernel
+from versorlab import (
+    Multivector,
+    NotAVersor,
+    PointAtInfinity,
+    Signature,
+    Versor,
+    apply_word,
+    blade,
+    dilator,
+    sandwich,
+    scalar_mv,
+    translator,
+    verify,
+)
+from versorlab.algebra import _Kernel, kernel_for
 from versorlab.verify import CLAIMS, run_battery
 
 CRITERIA = {
@@ -156,6 +171,26 @@ def test_a_nan_mirror_fails_the_batch_and_the_public_route_alike(monkeypatch):
     result = verify._judge(_claim("kernel.reflection_formula"), verify._Ctx(42))
     assert (result.passed, result.detail) == (
         False, "ValueError: mirror vector must be unit, got alpha^2 = nan")
+
+
+def test_the_batched_versor_checks_pass_exactly_where_versor_passes():
+    """``_versor_checks`` reads ``Versor``'s own bound, so it passes the rows ``Versor`` takes,
+    in Cl(3,1) past eps sum c^2 = 1/2 too, where both refuse 3 + 1e5 (e13 + e14) (m ~m = 9)."""
+    sig = Signature(3, 1)
+    one, e1n = scalar_mv(sig, 1.0), blade(sig, "e13") + blade(sig, "e14")
+    mvs = ([translator(a, 0.0).mv for a in (1.0, 3e4, 3.2e4, 3e8, 1e150)]
+           + [dilator(alpha).mv for alpha in (20.0, 21.0)]
+           + [3.0 * one + 1e5 * e1n, 1e5 * e1n, Multivector(sig, [math.nan] + [0.0] * 15)])
+
+    def public(mv):
+        try:
+            return Versor(mv).parity == 0
+        except NotAVersor:
+            return False
+
+    passes = verify._versor_checks(kernel_for(sig), np.array([mv.coeffs for mv in mvs]))[0]
+    assert passes.tolist() == [public(mv) for mv in mvs] == [True, True] + [False] * 3 + [
+        True] + [False] * 4
 
 
 @pytest.mark.parametrize("name, error", [

@@ -227,16 +227,22 @@ def test_versor_check_scales_eps_only_where_sum_c2_passes_1():
     assert compared >= 100_000 and 10_000 <= passed <= compared - 10_000, (compared, passed)
 
 
-def test_versor_check_refuses_a_sum_c2_that_overflows():
-    # 1 - c^2 + c^2, the scalar part of a translator-shaped mv in Cl(3,1), rounds to 0 for
-    # large c, within the bound eps sum c^2 of 1; once sum c^2 overflows there is no bound
-    for c, passes in ((1e153, True), (9e153, True), (1e154, False), (1e200, False)):
-        mv = Multivector(SIG31, [1.0, 0, 0, 0, 0, c, 0, 0, 0, c] + [0.0] * 6)  # 1 + c e1 n
-        if passes:
-            assert Versor(mv).parity == 0, c
-        else:
-            with pytest.raises(NotAVersor):
-                Versor(mv)
+def test_versor_check_fails_closed_where_eps_sum_c2_reaches_half():
+    # in Cl(3,1) terms of mv * ~mv cancel, so where eps sum c^2 reaches 1/2 the bound would
+    # pass an mv * ~mv of 9, 0 or -1 for +1: such an mv is refused, whatever its mv * ~mv;
+    # below it 1 + c (e13 + e14), whose mv * ~mv is exactly 1, passes with norm_sign +1
+    one, e1n = scalar_mv(SIG31, 1.0), blade(SIG31, "e13") + blade(SIG31, "e14")
+    for c in (1.0, 1e3, 1e4, 15_811.0):  # eps (1 + 2 c^2) < 1/2 up to c = 15 811.38
+        assert (Versor(one + c * e1n).parity, Versor(one + c * e1n).norm_sign) == (0, 1), c
+    undecided = r"^mv \* ~mv = \+-1 is not decided: eps sum c\^2 reaches 1/2$"
+    # the bound would pass 3 + 1e5 (e13 + e14), whose mv * ~mv is 9, the null 1e5 (e13 + e14),
+    # and the translator by 3e8, whose floats give mv * ~mv a scalar part <= 0
+    for mv in [one + c * e1n for c in (15_812.0, 3e8, 1e153, 1e154, 1e200)] + [
+            3.0 * one + 1e5 * e1n, 1e5 * e1n, cga2d.translator(3e8, 0.0).mv]:
+        with pytest.raises(NotAVersor, match=undecided):
+            Versor(mv)
+    with pytest.raises(NotAVersor, match=undecided):
+        sandwich(blade(SIG31, "e2"), 3.0 * one + 1e5 * e1n)
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(NotAVersor):
             Versor(Multivector(SIG31, [1.0, 0, 0, 0, 0, bad, 0, 0, 0, bad] + [0.0] * 6))
