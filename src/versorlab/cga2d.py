@@ -17,17 +17,18 @@ act on embedded points exactly as the Mobius maps tau -> -1/tau and tau -> tau +
 checked against independent complex arithmetic.  At the versor level S^2 = (ST)^3 = -1: the
 group of versors is a double cover of the group of maps, -1 acting as the identity.
 
-In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, |x|^2/2, -1/2): on
-the cone for any finite x whose squares do not overflow.  A versor acts by a 4 x 4 matrix ``M``:
-the named maps write it, and their versor unchecked, from their parameters (``special_conformal``
-as J T_a J), products multiply it, ``reverse`` and ``inverse`` take its exact adjoint, and
-``ConformalVersor(v)`` reads it off the kernel; those three refuse an entry that overflows.
-``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0 is PointAtInfinity; the
-image at q = -1/2 must have p = |x|^2/2 (too far out if that overflows) and is re-embedded.  S,
-T and t = T^-1 are integer, equal to the kernel's reading, and held as exact floats, so that the
-step multiplies float by float.  A point that ``embed`` or ``apply`` makes holds its four e1..e4
-floats and writes its Multivector X only when X is read: ``coords`` and the step read the
-floats, so a map's ``apply`` makes no numpy call.
+In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, h, -1/2), h = |x|^2/2,
+for any finite x whose squares do not overflow.  One rule decides a point: too far out if h
+overflows, null if |p - h| <= DEFAULT_EPS max(1, h), and X . n = 2q = -1 if |q + 1/2| is within
+that bound.  A versor acts by a 4 x 4 matrix ``M``: the named maps write it, and their versor
+unchecked, from their parameters (``special_conformal`` as J T_a J), products multiply it,
+``reverse`` and ``inverse`` take its exact adjoint, and ``ConformalVersor(v)`` reads it off the
+kernel; those three refuse an entry that overflows.  ``apply``, and ``apply_word`` per letter,
+take one step: y = M z; q = 0 is PointAtInfinity; the image, rescaled to q = -1/2, is decided
+and re-embedded.  S, T and t = T^-1 are the integer matrices their versors write, held as exact
+floats, so that the step multiplies float by float.  A point that ``embed`` or ``apply`` makes
+holds its four e1..e4 floats and writes its Multivector X only when X is read: ``coords`` and
+the step read the floats, so a map's ``apply`` makes no numpy call.
 """
 
 from __future__ import annotations
@@ -85,34 +86,29 @@ NBAR = EPLUS - EMINUS          # nbar, null direction at the origin
 _KERNEL = kernel_for(CGA_SIG)
 
 
-def _point_tests(X: np.ndarray) -> tuple:
-    """``ConformalPoint``'s four tests on a point's 16 coefficients: grade 1, null and X . n = -1
-    as ``if x > DEFAULT_EPS max(1, m * m): raise`` tests them, m the largest |X_i|, and finite."""
-    peak = float(np.abs(X).max())
-    bound = DEFAULT_EPS * max(1.0, peak * peak)
-    if math.isinf(bound) and math.isfinite(peak):
-        raise VersorlabError(f"conformal points must be null: the test's bound overflows squaring "
-                             f"a coefficient of magnitude {peak!r}")
-    return (np.abs(X[~_KERNEL.grade_masks[1]]).max() <= DEFAULT_EPS,
-            not abs(_KERNEL.scalar_part(X, X)) > bound,
-            not abs(_KERNEL.scalar_part(X, NINF.coeffs) + 1.0) > bound,
-            np.isfinite(X).all())
-
-
 class ConformalPoint:
-    """Null grade-1 vector of Cl(3,1) at X . n = -1; a point from embed or apply writes X on read."""
+    """Finite null grade-1 vector of Cl(3,1) at X . n = -1, by the point rule; writes X on read."""
 
     __slots__ = ("_X", "_z")
 
     def __init__(self, X: Multivector):
-        tests = _point_tests(X.coeffs) if X.sig == CGA_SIG else (False,)
-        for passed, message in zip(tests, ("conformal points are grade-1 vectors of Cl(3,1)",
-                                           "conformal points must be null",
-                                           "conformal points must satisfy X . n = -1",
-                                           "conformal points must have finite coefficients")):
-            if not passed:
-                raise VersorlabError(message)
-        self._X, self._z = X, X.coeffs[list(_GRADE1)].tolist()
+        c, eps = X.coeffs.tolist(), DEFAULT_EPS  # grade 1 as is_grade tests it
+        if X.sig != CGA_SIG or not all(-eps <= c[i] <= eps for i in _KERNEL.off_grade[1]):
+            raise VersorlabError("conformal points are grade-1 vectors of Cl(3,1)")
+        x1, x2, z3, z4 = z = [c[b] for b in _GRADE1]
+        if not all(map(math.isfinite, z)):
+            raise VersorlabError("conformal points must have finite coefficients")
+        h = (x1 * x1 + x2 * x2) * 0.5
+        if math.isinf(h):  # named as embed names it
+            raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares "
+                                 f"overflow")
+        p, q = 0.5 * z3 + 0.5 * z4, 0.5 * z3 - 0.5 * z4  # halved first: no sum overflows
+        bound = eps * max(1.0, h)
+        if not abs(p - h) <= bound:
+            raise VersorlabError("conformal points must be null")
+        if not abs(q + 0.5) <= bound:
+            raise VersorlabError("conformal points must satisfy X . n = -1")
+        self._X, self._z = X, z
 
     @property
     def X(self) -> Multivector:  # a caller's checked X, or written once from the four floats
@@ -162,7 +158,10 @@ def _embedding(x1: float, x2: float) -> tuple:
 
 def embed(x1: float, x2: float) -> ConformalPoint:
     """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1, squaring as x * x."""
-    return _point(_embedding(float(x1), float(x2)))
+    try:
+        return _point(_embedding(float(x1), float(x2)))
+    except OverflowError:
+        return embed(*_finite("x1 x2", x1, x2))  # names the number past the float range
 
 
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
@@ -183,8 +182,8 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
 
 def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
     """One letter step per matrix M, in turn: y = M (x1, x2, p, -1/2), p = |x|^2/2, and q = 0
-    raises PointAtInfinity; the image at q = -1/2 is not null unless p is |x|^2/2 within
-    DEFAULT_EPS max(1, |x|^2/2), or too far out past a finite |x|^2/2.  Squares as x * x."""
+    raises PointAtInfinity; the image at q = -1/2 is decided null, or too far out, by the point
+    rule.  Squares as x * x."""
     eps, inf, p = DEFAULT_EPS, math.inf, (x1 * x1 + x2 * x2) * 0.5
     for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
         q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
@@ -224,7 +223,7 @@ class ConformalVersor:
     def __init__(self, v: Versor):
         if v.mv.sig != CGA_SIG:
             raise VersorlabError("conformal versors live in Cl(3,1)")
-        self.v, self.M = v, _finite_matrix(_reading(v)[0], "reading's")
+        self.v, self.M = v, _finite_matrix(_reading(v), "reading's")
 
     @property
     def mv(self) -> Multivector:
@@ -268,19 +267,23 @@ def _adjoint(M: tuple) -> tuple:
 @np.errstate(over="ignore", invalid="ignore")  # an entry that overflows is named, not warned
 def _reading(v: Versor) -> tuple:
     """v's sandwich ~A X A on null coordinates (x1, x2, p, q), read off the kernel: the matrix
-    whose columns are the images of e1, e2, n and nbar, and the images' rows of coefficients."""
+    whose columns are the images of e1, e2, n and nbar."""
     B = np.array([E1.coeffs, E2.coeffs, NINF.coeffs, NBAR.coeffs])
     A = np.broadcast_to(v.mv.coeffs, B.shape)
     Y = _KERNEL.gp_elemwise(_KERNEL.gp_elemwise(A * _KERNEL.rev_sign, B), A)
     y1, y2, ye, yb = Y[:, list(_GRADE1)].T  # p n + q nbar = (p + q) e + (p - q) ebar
-    return tuple(map(tuple, np.array([y1, y2, (ye + yb) / 2, (ye - yb) / 2]).tolist())), Y
+    return tuple(map(tuple, np.array([y1, y2, (ye + yb) / 2, (ye - yb) / 2]).tolist()))
 
 
 def _finite(names: str, *values) -> list:
-    """The values as floats; the first that is not finite raises, named by its word in ``names``."""
-    for name, value in zip(names.split(), values):
-        if not math.isfinite(value):
-            raise VersorlabError(f"{name} must be finite, got {float(value)!r}")
+    """The values as floats; the first past the float range (not written out: str() refuses an int
+    past 4 300 digits) or not finite raises, named by its word in ``names``."""
+    try:
+        for name, value in zip(names.split(), values):
+            if not math.isfinite(value):
+                raise VersorlabError(f"{name} must be finite, got {float(value)!r}")
+    except OverflowError:
+        raise VersorlabError(f"{name} is too large: it does not convert to a float") from None
     return [float(value) for value in values]
 
 
@@ -369,20 +372,10 @@ def modular_T() -> ConformalVersor:
     return translator(1.0, 0.0)
 
 
-def _null_matrix(versor: ConformalVersor) -> tuple:
-    """A letter's written matrix on null coordinates, refused unless the kernel's reading equals
-    it exactly, every entry is an integer and no image leaves grade 1.  The integers are held as
-    exact floats, so that the step multiplies float by float; ``int(m)`` reads one back."""
-    M, Y = _reading(versor.v)
-    if (M != versor.M or Y[:, ~_KERNEL.grade_masks[1]].any()
-            or any(m != round(m) for row in M for m in row)):
-        raise VersorlabError(f"{versor!r} has no integer matrix on null coordinates")
-    return tuple(tuple(float(int(m)) for m in row) for row in M)
-
-
-# the alphabet of modular words, each letter's matrix on null coordinates checked once
-_MATRICES = {"S": _null_matrix(modular_S()), "T": _null_matrix(modular_T()),
-             "t": _null_matrix(translator(-1.0, 0.0))}  # t = T^-1
+# the modular letters' written integer matrices, held as exact floats with unsigned zeros so that
+# the step multiplies float by float; int(m) reads an entry back
+_MATRICES = {letter: tuple(tuple(m + 0.0 for m in row) for row in versor.M) for letter, versor
+             in (("S", modular_S()), ("T", modular_T()), ("t", translator(-1.0, 0.0)))}  # t = T^-1
 
 
 def _letters(word: Iterable[str]) -> tuple:
@@ -400,7 +393,10 @@ def apply_word(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]
     PointAtInfinity, one that is not null or too far out is refused, and each image is
     re-embedded from its x1 and x2."""
     letters = _letters(word)
-    x1, x2 = float(tau[0]), float(tau[1])
+    try:
+        x1, x2 = float(tau[0]), float(tau[1])
+    except OverflowError:
+        x1, x2 = _finite("tau[0] tau[1]", tau[0], tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
     x1, x2 = _embedding(x1, x2)[:2]  # embed's checks and messages, and its x + 0.0
@@ -411,7 +407,10 @@ def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, flo
     """The same word evaluated by plain complex arithmetic on x1 + i x2.  S at z = 0, or an
     image -1/z that is not finite, raises PointAtInfinity."""
     letters = _letters(word)
-    z = complex(float(tau[0]), float(tau[1]))
+    try:
+        z = complex(float(tau[0]), float(tau[1]))
+    except OverflowError:
+        z = complex(*_finite("tau[0] tau[1]", tau[0], tau[1]))
     if not z.imag > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
     for letter in letters:

@@ -112,12 +112,26 @@ def test_extract_refuses_a_coefficient_that_is_not_finite():
 
 
 def test_conformal_point_validation():
-    with pytest.raises(VersorlabError):
-        ConformalPoint(blade(SIG31, "e1"))  # not null
-    with pytest.raises(VersorlabError):
+    with pytest.raises(VersorlabError, match="^conformal points must be null$"):
+        ConformalPoint(blade(SIG31, "e1"))
+    with pytest.raises(VersorlabError, match=r"^conformal points must satisfy X \. n = -1$"):
         ConformalPoint(NBAR)  # null, but X . n = 2 instead of -1
-    with pytest.raises(VersorlabError):
-        ConformalPoint(scalar_mv(SIG31, 1.0))  # not grade 1
+    with pytest.raises(VersorlabError, match=r"^conformal points are grade-1 vectors of Cl\(3,1\)$"):
+        ConformalPoint(scalar_mv(SIG31, 1.0))
+
+
+def test_a_scaled_or_off_cone_vector_is_not_a_conformal_point():
+    # before, the null and X . n tests were bounded by eps max(1, m^2), m the largest
+    # coefficient: 2 embed(x).X passed from x of about 178 and read as (2x, 0), and at
+    # x = 1e5 a vector 20% off the cone passed; the bound is now eps max(1, |x|^2/2)
+    for scale in (2.0, 1.5, 1.0 + 1e-6):
+        for x in (200.0, 1e3, 3e4, 1e5):
+            with pytest.raises(VersorlabError, match="^conformal points must be null$"):
+                ConformalPoint(scale * embed(x, 0.0).X)
+    lifted = embed(1e5, 0.0).X.coeffs.copy()
+    lifted[[4, 8]] += 1e9  # p raised by 1e9, q = -1/2 kept
+    with pytest.raises(VersorlabError, match="^conformal points must be null$"):
+        ConformalPoint(Multivector(SIG31, lifted))
 
 
 @pytest.mark.parametrize("x1", [1e-9, 1e-3, 0.0])
@@ -135,15 +149,20 @@ def test_conformal_point_needs_finite_coefficients(x1):
 
 
 def test_a_point_whose_squares_overflow_is_refused_by_name():
-    # before: a bare OverflowError "(34, 'Numerical result out of range')" from the bound
+    # before: a bare OverflowError "(34, 'Numerical result out of range')" from the bound;
+    # an x whose |x|^2/2 overflows is named as embed names it, and a coefficient whose
+    # square overflows elsewhere is no longer squared: that vector is off the cone
     big_e4 = embed(1.0, 0.0).X.coeffs.copy()
-    big_e4[8] = 2e154  # a coefficient whose square passes the float range
-    cases = ((1e200 * blade(SIG31, "e1"), r"1e\+200"), (Multivector(SIG31, big_e4), r"2e\+154"))
-    for X, peak in cases:
-        with pytest.raises(VersorlabError, match=r"^conformal points must be null: the test's "
-                                                 r"bound overflows squaring a coefficient of "
-                                                 rf"magnitude {peak}$"):
+    big_e4[8] = 2e154
+    cases = ((1e200 * blade(SIG31, "e1"),
+              r"point \(1e\+200, 0\.0\) is too far out to embed: its squares overflow"),
+             (Multivector(SIG31, big_e4), "conformal points must be null"))
+    for X, message in cases:
+        with pytest.raises(VersorlabError, match=f"^{message}$"):
             ConformalPoint(X)
+    # an image whose |x|^2/2 is finite passes, however far out: before, its bound overflowed
+    for P in (dilator(700).apply(embed(1e-150, 3e-151)), dilator(709).apply(embed(1.5e-154, 0.0))):
+        assert ConformalPoint(P.X).coords == P.coords
 
 
 def test_every_point_embed_accepts_is_a_conformal_point():
@@ -517,15 +536,15 @@ def _relation_defects():
 
 
 def test_letter_matrices_are_integer():
-    assert sorted(cga2d._MATRICES) == ["S", "T", "t"]
-    for letter, matrix in cga2d._MATRICES.items():
-        assert [len(row) for row in matrix] == [4, 4, 4, 4], letter
-        assert all(type(m) is float and m.is_integer() and abs(m) <= 2
-                   for row in matrix for m in row), letter
-    # a map whose sandwich is not integer on null coordinates is refused where it is read
-    for versor in (rotation(0.3), translator(0.5, 0.0), dilator(0.4)):
-        with pytest.raises(VersorlabError, match="has no integer matrix on null coordinates$"):
-            cga2d._null_matrix(versor)
+    # the letters' matrices by float.hex, signed zeros included: every zero is +0.0, where
+    # T and t as translators write -0.0 at row 1, column 3
+    o, i, j = "0x0.0p+0", "0x1.0000000000000p+0", "-0x1.0000000000000p+0"
+    two, minus_two = "0x1.0000000000000p+1", "-0x1.0000000000000p+1"
+    held = {"S": ((j, o, o, o), (o, i, o, o), (o, o, o, j), (o, o, j, o)),
+            "T": ((i, o, o, minus_two), (o, i, o, o), (i, o, i, j), (o, o, o, i)),
+            "t": ((i, o, o, two), (o, i, o, o), (j, o, i, j), (o, o, o, i))}
+    assert {letter: tuple(tuple(map(float.hex, row)) for row in matrix)
+            for letter, matrix in cga2d._MATRICES.items()} == held
 
 
 def _integer_steps(matrices, x1, x2):
@@ -933,7 +952,7 @@ def test_written_matrices_are_the_kernels_reading():
         for _ in range(50):
             params = rng.uniform(-5, 5, count).tolist()
             versor = make(*params)
-            read = np.array(cga2d._reading(versor.v)[0])
+            read = np.array(cga2d._reading(versor.v))
             assert np.abs(read - np.array(versor.M)).max() <= 1e-14 * np.abs(read).max(), (kind, params)
     # a product multiplies the matrices, the left factor acting first
     T, R = translator(1.0, 2.0), rotation(0.3)
@@ -942,16 +961,17 @@ def test_written_matrices_are_the_kernels_reading():
     # is an integer, and every image's coefficient off grade 1 is exactly 0
     off_grade = ~kernel_for(SIG31).grade_masks[1]
     for letter, versor in (("S", modular_S()), ("T", modular_T()), ("t", translator(-1.0, 0.0))):
-        read, images = cga2d._reading(versor.v)
+        read = cga2d._reading(versor.v)
         assert read == cga2d._MATRICES[letter], letter
         assert all(m == int(m) for row in read for m in row), letter
-        assert not images[:, off_grade].any(), letter
+        for b in (cga2d.E1, cga2d.E2, NINF, NBAR):
+            assert not sandwich(b, versor.v).coeffs[off_grade].any(), (letter, b)
     # wide parameters, |a| up to 1e150 and |alpha| up to 700: within 4 ulps of the largest entry
     for _ in range(500):
         a = (rng.normal(size=2) * 10.0 ** rng.uniform(0, 150)).tolist()
         alpha = rng.uniform(-700, 700)
         for versor in (translator(*a), special_conformal(*a), dilator(alpha)):
-            read = np.array(cga2d._reading(versor.v)[0])
+            read = np.array(cga2d._reading(versor.v))
             assert (np.abs(read - np.array(versor.M)).max()
                     <= 4 * np.spacing(np.abs(read).max())), (versor, a, alpha)
 
@@ -996,6 +1016,15 @@ def test_library_points_hold_their_floats_until_x_is_read(monkeypatch):
     want = [(_outcome(lambda: embed(*x).coords), _outcome(lambda: v.apply(embed(*x)).coords))
             for v, x in cases]
     assert not any(isinstance(w, tuple) for pair in want for w in pair)
+    # a caller's X is decided on its four floats, with no numpy call and no kernel product
+    inf_e1 = np.zeros(16)
+    inf_e1[1] = math.inf
+    callers = [(embed(*x).X, None) for _, x in cases[:5]] + [
+        (2.0 * embed(300.0, 0.0).X, "^conformal points must be null$"),
+        (NBAR, r"^conformal points must satisfy X \. n = -1$"),
+        (blade(SIG31, "e12"), r"^conformal points are grade-1 vectors"),
+        (Multivector(SIG31, inf_e1), "^conformal points must have finite coefficients$"),
+        (1e200 * blade(SIG31, "e1"), "too far out to embed")]
     wrap, wraps, points = Multivector._wrap, [], []
     monkeypatch.setattr(Multivector, "_wrap",
                         classmethod(lambda cls, sig, arr: wraps.append(sig) or wrap(sig, arr)))
@@ -1010,6 +1039,13 @@ def test_library_points_hold_their_floats_until_x_is_read(monkeypatch):
             inversion_versor().apply(embed(0.0, 0.0))
         with pytest.raises(VersorlabError, match="too far out to embed"):
             embed(1e200, 1.0)
+        m.setattr(cga2d._KERNEL, "scalar_part", None)
+        for X, refusal in callers:
+            if refusal is None:
+                assert ConformalPoint(X).coords == tuple(X.coeffs[[1, 2]].tolist())
+            else:
+                with pytest.raises(VersorlabError, match=refusal):
+                    ConformalPoint(X)
     assert wraps == []
     for p in points:
         X = p.X
@@ -1172,6 +1208,22 @@ def test_conformal_constructors_name_a_parameter_that_is_not_finite(make, params
     bad = [p for p in params if not math.isfinite(p)][0]
     with pytest.raises(VersorlabError, match=rf"^{name} must be finite, got {bad!r}$"):
         make(*params)
+
+
+@pytest.mark.parametrize("call, args, name", [
+    (translator, (10**400, 0), "a1"), (translator, (0, -10**400), "a2"),
+    (special_conformal, (1, 10**400), "a2"), (reflection, (10**400, 1), "a1"),
+    (rotation, (10**400,), "theta"), (dilator, (-10**5000,), "alpha"),
+    (embed, (10**400, 0), "x1"), (embed, (0.5, 10**400), "x2"),
+    (apply_word, ("S", (10**400, 1.0)), "tau[0]"), (apply_word, ("T", (0.5, 10**5000)), "tau[1]"),
+    (mobius_oracle, ("S", (10**400, 1.0)), "tau[0]"), (mobius_oracle, ("S", (0, 10**400)), "tau[1]"),
+    (word_report, ("S", (-10**400, 1.0)), "tau[0]")])
+def test_a_number_past_the_float_range_is_named(call, args, name):
+    # before: a bare OverflowError "int too large to convert to float"; the number is not
+    # written out, since str() refuses an int past 4 300 digits
+    with pytest.raises(VersorlabError, match=rf"^{re.escape(name)} is too large: it does not "
+                                             r"convert to a float$"):
+        call(*args)
 
 
 def test_dilator_accepts_its_range_and_names_alpha_past_it():
