@@ -417,8 +417,7 @@ class Multivector:
 
     def is_grade(self, k: int) -> bool:
         self._grade_mask(k)  # refuses what is not a grade
-        eps, c = DEFAULT_EPS, self.coeffs.tolist()
-        return all(-eps <= c[i] <= eps for i in kernel_for(self.sig).off_grade[k])
+        return _near_zero(self.coeffs.tolist(), kernel_for(self.sig).off_grade[k])
 
     # -- views --------------------------------------------------------------
 
@@ -509,6 +508,12 @@ def blade(sig: Signature, spec) -> Multivector:
 
 def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return a * b
+
+
+def _near_zero(c: list, blades) -> bool:
+    """Each c[b] for b in blades within eps: ``is_grade``'s test, on coefficients already listed."""
+    eps = DEFAULT_EPS
+    return all(-eps <= c[b] <= eps for b in blades)
 
 
 def _norm_tol(c: list) -> float:

@@ -21,14 +21,13 @@ In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, h, -1
 for any finite x whose squares do not overflow.  One rule decides a point: too far out if h
 overflows, null if |p - h| <= DEFAULT_EPS max(1, h), and X . n = 2q = -1 if |q + 1/2| is within
 that bound.  A versor acts by a 4 x 4 matrix ``M``: the named maps write it, and their versor
-unchecked, from their parameters (``special_conformal`` as J T_a J), products multiply it,
-``reverse`` and ``inverse`` take its exact adjoint, and ``ConformalVersor(v)`` reads it off the
-kernel; those three refuse an entry that overflows.  ``apply``, and ``apply_word`` per letter,
-take one step: y = M z; q = 0 is PointAtInfinity; the image, rescaled to q = -1/2, is decided
-and re-embedded.  S, T and t = T^-1 are the integer matrices their versors write, held as exact
-floats, so that the step multiplies float by float.  A point that ``embed`` or ``apply`` makes
-holds its four e1..e4 floats and writes its Multivector X only when X is read: ``coords`` and
-the step read the floats, so a map's ``apply`` makes no numpy call.
+unchecked, from their parameters, products multiply it, ``reverse`` and ``inverse`` take its exact
+adjoint, and ``ConformalVersor(v)`` reads it off the kernel; those three refuse an entry that
+overflows.  ``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0 is
+PointAtInfinity; the image, rescaled to q = -1/2, is decided and re-embedded.  S, T and t = T^-1
+are the integer matrices their versors write, held as exact floats.  A point that ``embed`` or
+``apply`` makes holds its four e1..e4 floats and writes its Multivector X only when X is read:
+``coords`` and the step read the floats, so a map's ``apply`` makes no numpy call.
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ from .algebra import (
     Multivector,
     Signature,
     Versor,
+    _near_zero,
     blade,
     kernel_for,
 )
@@ -92,19 +92,17 @@ class ConformalPoint:
     __slots__ = ("_X", "_z")
 
     def __init__(self, X: Multivector):
-        c, eps = X.coeffs.tolist(), DEFAULT_EPS  # grade 1 as is_grade tests it
-        if X.sig != CGA_SIG or not all(-eps <= c[i] <= eps for i in _KERNEL.off_grade[1]):
+        c = X.coeffs.tolist()
+        if X.sig != CGA_SIG or not _near_zero(c, _KERNEL.off_grade[1]):  # is_grade's test
             raise VersorlabError("conformal points are grade-1 vectors of Cl(3,1)")
         x1, x2, z3, z4 = z = [c[b] for b in _GRADE1]
         if not all(map(math.isfinite, z)):
             raise VersorlabError("conformal points must have finite coefficients")
-        h = (x1 * x1 + x2 * x2) * 0.5
-        if math.isinf(h):  # named as embed names it
+        if math.isinf(h := (x1 * x1 + x2 * x2) * 0.5):  # named as embed names it
             raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares "
                                  f"overflow")
         p, q = 0.5 * z3 + 0.5 * z4, 0.5 * z3 - 0.5 * z4  # halved first: no sum overflows
-        bound = eps * max(1.0, h)
-        if not abs(p - h) <= bound:
+        if not abs(p - h) <= (bound := DEFAULT_EPS * max(1.0, h)):
             raise VersorlabError("conformal points must be null")
         if not abs(q + 0.5) <= bound:
             raise VersorlabError("conformal points must satisfy X . n = -1")
@@ -158,10 +156,7 @@ def _embedding(x1: float, x2: float) -> tuple:
 
 def embed(x1: float, x2: float) -> ConformalPoint:
     """Embed a plane point as (x^2 n + 2x - nbar)/2, normalized to X . n = -1, squaring as x * x."""
-    try:
-        return _point(_embedding(float(x1), float(x2)))
-    except OverflowError:
-        return embed(*_finite("x1 x2", x1, x2))  # names the number past the float range
+    return _point(_embedding(*_floats("x1 x2", x1, x2)))
 
 
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
@@ -287,6 +282,14 @@ def _finite(names: str, *values) -> list:
     return [float(value) for value in values]
 
 
+def _floats(names: str, a, b) -> tuple:
+    """a and b as floats, inf and NaN passing; one past the float range is named by ``_finite``."""
+    try:
+        return float(a), float(b)
+    except OverflowError:
+        return tuple(_finite(names, a, b))
+
+
 def _half_shift(a1: float, a2: float) -> tuple:
     """a as floats, finite, and a1^2 + a2^2 finite; a/2 as 1 - na/2 writes it."""
     a1, a2 = _finite("a1 a2", a1, a2)
@@ -372,8 +375,7 @@ def modular_T() -> ConformalVersor:
     return translator(1.0, 0.0)
 
 
-# the modular letters' written integer matrices, held as exact floats with unsigned zeros so that
-# the step multiplies float by float; int(m) reads an entry back
+# the letters' written integer matrices as exact floats, zeros unsigned: the step is float by float
 _MATRICES = {letter: tuple(tuple(m + 0.0 for m in row) for row in versor.M) for letter, versor
              in (("S", modular_S()), ("T", modular_T()), ("t", translator(-1.0, 0.0)))}  # t = T^-1
 
@@ -381,8 +383,7 @@ _MATRICES = {letter: tuple(tuple(m + 0.0 for m in row) for row in versor.M) for 
 def _letters(word: Iterable[str]) -> tuple:
     """The letters of a word over S (tau -> -1/tau), T (tau -> tau+1) and t = T^-1."""
     letters = tuple(word)
-    bad = [c for c in letters if c not in _MATRICES]
-    if bad:
+    if bad := [c for c in letters if c not in _MATRICES]:
         raise VersorlabError(f"unknown modular letters {bad!r}; alphabet is S, T, t")
     return letters
 
@@ -393,10 +394,7 @@ def apply_word(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]
     PointAtInfinity, one that is not null or too far out is refused, and each image is
     re-embedded from its x1 and x2."""
     letters = _letters(word)
-    try:
-        x1, x2 = float(tau[0]), float(tau[1])
-    except OverflowError:
-        x1, x2 = _finite("tau[0] tau[1]", tau[0], tau[1])
+    x1, x2 = _floats("tau[0] tau[1]", tau[0], tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
     x1, x2 = _embedding(x1, x2)[:2]  # embed's checks and messages, and its x + 0.0
@@ -407,10 +405,7 @@ def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, flo
     """The same word evaluated by plain complex arithmetic on x1 + i x2.  S at z = 0, or an
     image -1/z that is not finite, raises PointAtInfinity."""
     letters = _letters(word)
-    try:
-        z = complex(float(tau[0]), float(tau[1]))
-    except OverflowError:
-        z = complex(*_finite("tau[0] tau[1]", tau[0], tau[1]))
+    z = complex(*_floats("tau[0] tau[1]", tau[0], tau[1]))
     if not z.imag > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
     for letter in letters:
