@@ -639,15 +639,18 @@ def sandwich(v: Multivector, A) -> Multivector:
 
 def reflect(v: Multivector, alpha: Multivector) -> Multivector:
     """Reflection of v in the hyperplane orthogonal to the unit vector alpha: once alpha is
-    checked as a mirror, ``sandwich`` of v by alpha as an odd versor."""
+    checked as a mirror, -~alpha v alpha masked to grade 1, ``sandwich``'s floats for v by
+    alpha as an odd versor, without its checks again."""
     if v.sig != alpha.sig:
         raise SignatureMismatch("vector and mirror signatures differ")
     if not v.is_grade(1) or not alpha.is_grade(1):
         raise ValueError("reflect expects grade-1 arguments")
-    n2 = float(kernel_for(v.sig).scalar_part(alpha.coeffs, alpha.coeffs))
+    k = kernel_for(v.sig)
+    n2 = float(k.scalar_part(alpha.coeffs, alpha.coeffs))
     if not abs(abs(n2) - 1.0) <= DEFAULT_EPS:  # a NaN fails
         raise ValueError(f"mirror vector must be unit, got alpha^2 = {n2}")
-    return sandwich(v, Versor._of(alpha, 1, 1 if n2 > 0 else -1))
+    out = k.gp(k.gp(k.rev(alpha.coeffs), v.coeffs), alpha.coeffs)
+    return Multivector._wrap(v.sig, np.where(k.grade_masks[1], -out, 0.0))
 
 
 def exp_bivector(B: Multivector, theta: float) -> Versor:

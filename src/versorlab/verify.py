@@ -14,8 +14,11 @@ command line), so a given seed gives byte-identical reports;
 The five batched rows (the four ``kernel.*`` rows and ``cga2d.translations``)
 check the public route: ``reflect``, ``Versor``, ``sandwich``, ``exp_bivector``
 and ``translator(...).apply(embed(...))``.  They draw the numbers that route drew,
-in its order, so a seed keeps its meaning; a row drawing from one distribution
-draws a block as one array.  Then they evaluate all draws at once as array
+in its order, so a seed keeps its meaning, in the fewest generator calls that give
+the same stream: one per distribution per draw, or one per block where a row draws
+from one distribution (``normal`` fills its array one value at a time, and
+``uniform(lo, hi)`` is lo + (hi - lo) ``random()``).  Each block's unit vectors are
+normalized, and its vectors masked, as arrays.  Then they evaluate all draws at once as array
 expressions on ``gp_elemwise``, ``rev``, the grade masks and the batched scalar
 part (``cga2d.translations``: ``apply``'s letter step on the translator's matrix),
 which give the route's floats bit for bit, and make each of the route's checks on
@@ -136,15 +139,6 @@ class _Ctx:
         self.induced = functools.cache(lambda name: induce_4d(spin(name)))
 
 
-def _unit(ctx, n) -> np.ndarray:
-    v = ctx.rng.normal(size=n)
-    return v / math.sqrt(math.fsum([x * x for x in v.tolist()]))  # the same on every CPU: no BLAS
-
-
-def _vector(ctx, sig) -> np.ndarray:
-    return ctx.rng.normal(size=sig.blade_count) * kernel_for(sig).grade_masks[1]
-
-
 def _same_elements(got, expected) -> tuple:
     """(same grid-key sets, each element within DEFAULT_EPS of exactly one on the other side)."""
     keys_agree = {g.key() for g in got} == {x.key() for x in expected}
@@ -164,16 +158,23 @@ def _by_field(results) -> dict:
 
 _WITNESS = 32  # leading draws of each block that also take the public route
 _CL3 = Signature(3, 0)
+_E23, _E31, _E12 = (basis(_CL3)[i] * basis(_CL3)[j] for i, j in ((1, 2), (2, 0), (0, 1)))
+
+
+def _fsum_units(X) -> np.ndarray:
+    """Each row of X over its length, the square root of the ``math.fsum`` of its squares:
+    the same on every CPU, as no BLAS sums them."""
+    return X / np.sqrt(list(map(math.fsum, (X * X).tolist())))[:, None]
 
 
 def _sampled(ctx, blocks, batch, public):
     """Fields ``worst`` and ``witness_mismatches`` of (n, draw) blocks.
 
-    ``draw(ctx, n)`` gives n draws, ``public`` takes one through the public route,
-    ``batch`` takes a block's draws to one record row each (outputs, then the residual),
-    or to None when a draw fails one of the public route's checks.  Then the
-    generator is rewound and the block replayed through ``public``, one
-    ``draw(ctx, 1)`` at a time, so the row fails with that route's error.
+    ``draw(ctx, n)`` gives a block of n draws, ``public(drawn, i)`` takes draw i of a
+    block through the public route, ``batch`` takes a block to one record row per draw
+    (outputs, then the residual), or to None when a draw fails one of the public route's
+    checks.  Then the generator is rewound and the block replayed through ``public``,
+    one ``draw(ctx, 1)`` at a time, so the row fails with that route's error.
     """
     worst, mismatches = [], 0
     for n, draw in blocks:
@@ -183,9 +184,9 @@ def _sampled(ctx, blocks, batch, public):
         if rec is None:
             ctx.rng.bit_generator.state = state
             for _ in range(n):
-                public(draw(ctx, 1)[0])
+                public(draw(ctx, 1), 0)
             raise VersorlabError("a batched check failed where the public route passed")
-        witness = np.array([public(d) for d in drawn[:_WITNESS]])
+        witness = np.array([public(drawn, i) for i in range(min(n, _WITNESS))])
         mismatches += int((witness != rec[:_WITNESS]).any(axis=1).sum())
         worst += [rec[:, -1].max(), witness[:, -1].max()]
     return {"worst": np.max(worst), "witness_mismatches": mismatches}
@@ -218,18 +219,18 @@ def _sandwich(kern, R, odd, X):
     return np.where(kern.grade_masks[1], out, 0.0), _graded(kern, X, 1)
 
 
-def _reflection_public(draw):
-    sig, a, v = draw
-    a, v = vector(sig, a), Multivector(sig, v)
+def _reflection_public(drawn, i):
+    sig, A, V = drawn
+    a, v = vector(sig, A[i]), Multivector(sig, V[i])
     lhs = reflect(v, a)
     dot = (v * a + a * v).scalar * 0.5
     rhs = v - 2.0 * dot * a
-    return [*lhs.coeffs, np.abs((lhs - rhs).coeffs).max()]
+    return [*lhs.coeffs.tolist(), np.abs((lhs - rhs).coeffs).max()]
 
 
 def _reflection_batch(drawn):
-    sigs, a, V = zip(*drawn)
-    kern, A, V = kernel_for(sigs[0]), vector_rows(sigs[0], a), np.array(V)
+    sig, a, V = drawn
+    kern, A = kernel_for(sig), vector_rows(sig, a)
     lhs, graded = _sandwich(kern, A, True, V)  # ~a = a for a vector
     unit = np.abs(np.abs(kern.scalar_part(A, A)) - 1.0) <= DEFAULT_EPS
     if not (graded & _graded(kern, A, 1) & unit).all():
@@ -239,10 +240,9 @@ def _reflection_batch(drawn):
 
 
 def _mirror_draws(ctx, n, sig):
-    """n draws of (sig, ``_unit``, ``_vector``) from one array, row by row the same floats."""
+    """n draws of a unit mirror and a vector of sig, one ``normal`` call: (sig, A, V)."""
     X = ctx.rng.normal(size=(n, sig.dim + sig.blade_count))
-    A, V = X[:, :sig.dim], X[:, sig.dim:] * kernel_for(sig).grade_masks[1]
-    return [(sig, a / math.sqrt(math.fsum([x * x for x in a.tolist()])), v) for a, v in zip(A, V)]
+    return sig, _fsum_units(X[:, :sig.dim]), X[:, sig.dim:] * kernel_for(sig).grade_masks[1]
 
 
 def _reflection_formula(ctx):
@@ -251,21 +251,33 @@ def _reflection_formula(ctx):
     return _sampled(ctx, blocks, _reflection_batch, _reflection_public)
 
 
-def _isometry_public(draw):
-    vectors, u, v = draw
-    A = Versor.from_vectors([vector(_CL3, w) for w in vectors])
-    u, v = Multivector(_CL3, u), Multivector(_CL3, v)
+def _isometry_public(drawn, i):
+    W, count, U, V = drawn
+    A = Versor.from_vectors([vector(_CL3, w) for w in W[i, :count[i]]])
+    u, v = Multivector(_CL3, U[i]), Multivector(_CL3, V[i])
     u2, v2 = sandwich(u, A), sandwich(v, A)
     before = (u * v + v * u).scalar * 0.5
     after = (u2 * v2 + v2 * u2).scalar * 0.5
-    return [*u2.coeffs, *v2.coeffs, abs(before - after)]
+    return [*u2.coeffs.tolist(), *v2.coeffs.tolist(), abs(before - after)]
+
+
+def _isometry_draws(ctx, n):
+    """n draws of 1 to 4 unit vectors and two vectors u, v of Cl(3,0): ``integers(1, 5)``,
+    then one ``normal`` call.  (W, count, U, V): W holds each draw's units padded to 4 with
+    its first, (n, 4, 3)."""
+    rows = [ctx.rng.normal(size=3 * int(ctx.rng.integers(1, 5)) + 16) for _ in range(n)]
+    size = np.array([r.size for r in rows])
+    X, count = np.concatenate(rows), (size - 16) // 3
+    tail = np.cumsum(size)[:, None] + np.arange(-16, 0)  # u and v: each draw's last 16 floats
+    U, V = (X[tail[:, s:s + 8]] * kernel_for(_CL3).grade_masks[1] for s in (0, 8))
+    units = _fsum_units(np.delete(X, tail).reshape(-1, 3))
+    padded = np.where(np.arange(4) < count[:, None], np.arange(4), 0)
+    return units[(np.cumsum(count) - count)[:, None] + padded], count, U, V
 
 
 def _isometry_batch(drawn):
-    vectors, U, V = zip(*drawn)
-    k, U, V = kernel_for(_CL3), np.array(U), np.array(V)
-    count = np.array([len(w) for w in vectors])
-    W = np.array([w + w[:1] * (4 - len(w)) for w in vectors])  # padded to 4 vectors each
+    W, count, U, V = drawn
+    k = kernel_for(_CL3)
     R = vector_rows(_CL3, W[:, 0])
     for j in range(1, 4):  # Versor.from_vectors' left-to-right products
         R = np.where((count > j)[:, None], k.gp_elemwise(R, vector_rows(_CL3, W[:, j])), R)
@@ -279,45 +291,49 @@ def _isometry_batch(drawn):
 
 
 def _sandwich_isometry(ctx):
-    draw = lambda c, n: [([_unit(c, 3) for _ in range(int(c.rng.integers(1, 5)))],
-                          _vector(c, _CL3), _vector(c, _CL3)) for _ in range(n)]
-    return _sampled(ctx, [(1000, draw)], _isometry_batch, _isometry_public)
+    return _sampled(ctx, [(1000, _isometry_draws)], _isometry_batch, _isometry_public)
 
 
-def _reversal_public(draw):
-    sig, A, B = draw
-    A, B = Multivector(sig, A), Multivector(sig, B)
+def _reversal_public(drawn, i):
+    sig, AB = drawn
+    A, B = (Multivector(sig, x) for x in AB[i])
     delta = (A * B).reverse() - B.reverse() * A.reverse()
-    return [*delta.coeffs, np.abs(delta.coeffs).max()]
+    return [*delta.coeffs.tolist(), np.abs(delta.coeffs).max()]
 
 
 def _reversal_batch(drawn):
-    sigs, A, B = zip(*drawn)
-    k, A, B = kernel_for(sigs[0]), np.array(A), np.array(B)
+    sig, AB = drawn
+    # C-ordered A and B, as einsum's order of summation may follow the strides
+    k, (A, B) = kernel_for(sig), np.ascontiguousarray(AB.swapaxes(0, 1))
     delta = k.rev(k.gp_elemwise(A, B)) - k.gp_elemwise(k.rev(B), k.rev(A))
     return np.column_stack([delta, np.abs(delta).max(axis=1)])
 
 
 def _reversal_antiautomorphism(ctx):
-    blocks = [(500, lambda c, n, s=sig: [(s, *AB) for AB in
-                                         c.rng.normal(size=(n, 2, s.blade_count))])
+    blocks = [(500, lambda c, n, s=sig: (s, c.rng.normal(size=(n, 2, s.blade_count))))
               for sig in (Signature(3, 0), Signature(3, 1))]
     return _sampled(ctx, blocks, _reversal_batch, _reversal_public)
 
 
-def _exp_public(draw):
-    b, t1, t2 = draw
-    e = basis(_CL3)
-    B = b[0] * (e[1] * e[2]) + b[1] * (e[2] * e[0]) + b[2] * (e[0] * e[1])
+def _exp_public(drawn, i):
+    b, t1, t2 = (x[i] for x in drawn)
+    B = b[0] * _E23 + b[1] * _E31 + b[2] * _E12
     lhs = (exp_bivector(B, t1) * exp_bivector(B, t2)).mv
     rhs = exp_bivector(B, t1 + t2).mv
-    return [*lhs.coeffs, *rhs.coeffs, np.abs((lhs - rhs).coeffs).max()]
+    return [*lhs.coeffs.tolist(), *rhs.coeffs.tolist(), np.abs((lhs - rhs).coeffs).max()]
+
+
+def _exp_draws(ctx, n):
+    """n draws of a unit vector b and t1, t2: ``normal(size=3)``, then ``random(2)`` taken
+    to [-2, 2) as ``uniform(-2, 2, size=2)`` takes it, the same floats.  (b, t1, t2)."""
+    b, d = zip(*[(ctx.rng.normal(size=3), ctx.rng.random(2)) for _ in range(n)])
+    t = -2.0 + 4.0 * np.array(d)
+    return _fsum_units(np.array(b)), t[:, 0], t[:, 1]
 
 
 def _exp_batch(drawn):
-    (b, t1, t2), k, e = map(np.array, zip(*drawn)), kernel_for(_CL3), basis(_CL3)
-    B = (b[:, :1] * (e[1] * e[2]).coeffs + b[:, 1:2] * (e[2] * e[0]).coeffs
-         + b[:, 2:] * (e[0] * e[1]).coeffs)
+    (b, t1, t2), k = drawn, kernel_for(_CL3)
+    B = b[:, :1] * _E23.coeffs + b[:, 1:2] * _E31.coeffs + b[:, 2:] * _E12.coeffs
     square = np.abs(k.gp_elemwise(B, B) + np.eye(1, k.D)).max(axis=1)  # B^2 = -1
     # exp_bivector's tests, none on its rotors; t1 + t2 is finite where t1, t2 and it all are
     if not (np.isfinite(t1 + t2) & _graded(k, B, 2) & (square <= DEFAULT_EPS)).all():
@@ -331,8 +347,7 @@ def _exp_batch(drawn):
 
 
 def _exp_additivity(ctx):
-    draw = lambda c, n: [(_unit(c, 3), *c.rng.uniform(-2, 2, size=2)) for _ in range(n)]
-    return _sampled(ctx, [(1000, draw)], _exp_batch, _exp_public)
+    return _sampled(ctx, [(1000, _exp_draws)], _exp_batch, _exp_public)
 
 
 _ROOT_COUNTS = {
@@ -450,8 +465,8 @@ def _conformal_relations(ctx):
             "rotation_error": (abs(rot[0]), abs(rot[1] - 1.0))}
 
 
-def _translation_public(draw):
-    a1, a2, x1, x2 = draw
+def _translation_public(drawn, i):
+    a1, a2, x1, x2 = drawn[i]
     got = translator(a1, a2).apply(embed(x1, x2)).coords
     return [*got, np.max([abs(got[0] - (x1 + a1)), abs(got[1] - (x2 + a2))])]
 
@@ -477,9 +492,11 @@ def _translations(ctx):
 
 
 def _word_draw(ctx):
+    """A word of 0 to 12 letters, and tau: ``random(2)`` taken as ``uniform(-2, 2)`` and
+    ``uniform(0.05, 2.0)`` take it, the same floats."""
     letters = ctx.rng.integers(0, 3, size=int(ctx.rng.integers(0, 13)))
-    word = "".join(["STt"[i] for i in letters.tolist()])
-    return word, (float(ctx.rng.uniform(-2, 2)), float(ctx.rng.uniform(0.05, 2.0)))
+    x, y = ctx.rng.random(2).tolist()
+    return "".join(["STt"[i] for i in letters.tolist()]), (-2.0 + 4.0 * x, 0.05 + (2.0 - 0.05) * y)
 
 
 def _modular_words(ctx):

@@ -134,11 +134,11 @@ def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
     real, planted = verify._mirror_draws, []
 
     def draws(ctx, n, sig):  # draw 200 of the Cl(3,0) block, by its floats, gets a doubled mirror
-        out = real(ctx, n, sig)
+        s, A, V = real(ctx, n, sig)
         if sig == Signature(3, 0) and n > 1:
-            planted.append(out[200][1])
-        return [(s, 2.0 * a if any(np.array_equal(a, p) for p in planted) else a, v)
-                for s, a, v in out]
+            planted.append(A[200].copy())
+        A[[any(np.array_equal(a, p) for p in planted) for a in A]] *= 2.0
+        return s, A, V
 
     monkeypatch.setattr(verify, "_mirror_draws", draws)
     ctx = verify._Ctx(42)
@@ -151,7 +151,7 @@ def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
     with pytest.raises(ValueError, match="mirror vector must be unit"):
         for sig in (Signature(2, 0), Signature(3, 0)):
             for _ in range(400):
-                verify._reflection_public(draws(reference, 1, sig)[0])
+                verify._reflection_public(draws(reference, 1, sig), 0)
     assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
@@ -161,11 +161,11 @@ def test_a_nan_mirror_fails_the_batch_and_the_public_route_alike(monkeypatch):
     real, planted = verify._mirror_draws, []
 
     def draws(ctx, n, sig):
-        out = real(ctx, n, sig)
+        s, A, V = real(ctx, n, sig)
         if sig == Signature(3, 0) and n > 1:
-            planted.append(out[200][1])
-        return [(s, np.full_like(a, np.nan) if any(np.array_equal(a, p) for p in planted) else a, v)
-                for s, a, v in out]
+            planted.append(A[200].copy())
+        A[[any(np.array_equal(a, p) for p in planted) for a in A]] = np.nan
+        return s, A, V
 
     monkeypatch.setattr(verify, "_mirror_draws", draws)
     result = verify._judge(_claim("kernel.reflection_formula"), verify._Ctx(42))
@@ -197,25 +197,32 @@ def test_the_batched_versor_checks_pass_exactly_where_versor_passes():
     ("kernel.sandwich_isometry", "NotAVersor: mv * ~mv = 4 is not a unit scalar"),
     ("kernel.exp_additivity", "ValueError: bivector must square to -1, got B^2 = -4")])
 def test_a_planted_draw_replays_the_isometry_and_exp_twins(name, error, monkeypatch):
-    """The 100th unit vector drawn, doubled, fails the batch; the replay fails the public route."""
-    real, planted, spoiled = verify._unit, [], []
+    """The first unit vector of draw 100, doubled, fails the batch; the replay fails the public
+    route, and stops drawing at that draw."""
+    attr = {"kernel.sandwich_isometry": "_isometry_draws", "kernel.exp_additivity": "_exp_draws"}
+    real, planted, spoiled = getattr(verify, attr[name]), [], []
 
-    def unit(ctx, n):  # planted by its floats, so the rewound replay draws it again
-        v = real(ctx, n)
-        unit.calls += 1
-        if unit.calls == 100:
-            planted.append(v)
-        if any(np.array_equal(v, p) for p in planted):
-            spoiled.append(unit.calls)
-            return 2.0 * v
-        return v
+    def draws(ctx, n):  # planted by its floats, so the rewound replay draws it again
+        units, *rest = real(ctx, n)  # (n, ..., 3): the isometry's padded with each draw's first
+        if n > 1:
+            planted.append(units.reshape(n, -1, 3)[99, 0].copy())
+        hit = np.zeros(units.shape[:-1], dtype=bool)
+        for p in planted:
+            hit |= (units == p).all(axis=-1)
+        units[hit] *= 2.0
+        spoiled.extend(np.flatnonzero(hit.reshape(n, -1).any(axis=1)).tolist())
+        return units, *rest
 
-    unit.calls = 0
-    monkeypatch.setattr(verify, "_unit", unit)
-    result = verify._judge(_claim(name), verify._Ctx(42))
+    monkeypatch.setattr(verify, attr[name], draws)
+    ctx = verify._Ctx(42)
+    result = verify._judge(_claim(name), ctx)
     assert not result.passed and result.detail.startswith(error), result.detail
-    # spoiled once in the batch, which drew all 1000 draws, and once in the replay
-    assert len(spoiled) == 2 and spoiled[0] == 100 and spoiled[1] > 1000
+    # spoiled once in the batch, which drew all 1000 draws, and once in the replay's draw 100
+    assert len(planted) == 1 and spoiled == [99, 0]
+    reference = verify._Ctx(42)
+    for _ in range(100):
+        draws(reference, 1)
+    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 def test_a_batch_that_fails_where_the_public_route_passes_is_named(monkeypatch):
@@ -338,3 +345,38 @@ def test_the_words_row_takes_the_public_route_alone(monkeypatch):
     result = verify._judge(_claim("cga2d.modular_words"), verify._Ctx(42))
     assert result.passed, result.detail
     assert calls == {"apply_word": 1000}
+
+
+class _CountingGenerator:
+    """A generator's proxy that counts the calls of its methods; other attributes pass through."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        attr = getattr(self.rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def test_each_row_draws_in_one_generator_call_per_distribution_per_draw():
+    """Generator calls per row at seed 42, a count no machine moves: the isometry twin's
+    ``integers(1, 5)`` and one ``normal`` per draw, the exp twin's ``normal`` and ``random``,
+    the words row's two ``integers`` and one ``random``, and one ``normal`` or ``uniform``
+    per block elsewhere."""
+    ctx, calls = verify._Ctx(42), {}
+    rng = ctx.rng
+    for claim in CLAIMS:
+        ctx.rng = _CountingGenerator(rng)
+        assert verify._judge(claim, ctx).passed
+        calls[claim.name] = ctx.rng.calls
+    assert {name: n for name, n in calls.items() if n} == {
+        "kernel.reflection_formula": 3, "kernel.sandwich_isometry": 2000,
+        "kernel.reversal_antiautomorphism": 2, "kernel.exp_additivity": 2000,
+        "induction.automorphism_sweeps": 1, "cga2d.translations": 1,
+        "cga2d.modular_words": 3000}

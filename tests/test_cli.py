@@ -450,3 +450,34 @@ def test_word_draws_are_the_stream_of_a_choice_over_the_alphabet(seed):
         word = "".join(ref.choice(np.array(["S", "T", "t"]), size=int(ref.integers(0, 13))))
         tau = (float(ref.uniform(-2, 2)), float(ref.uniform(0.05, 2.0)))
         assert verify._word_draw(ctx) == (word, tau)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal float64 bits, so the sign of a zero counts."""
+    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 801])
+def test_sampled_blocks_are_the_stream_of_one_draw_at_a_time(seed):
+    """Each sampled block equals its draws taken one at a time, in order: the mirrors, the
+    isometry twin's ``integers(1, 5)`` unit vectors and two masked ``normal(size=8)`` vectors,
+    the exp twin's unit vector and ``uniform(-2, 2, size=2)``, and the same generator state."""
+    sig, mask = verify._CL3, verify.kernel_for(verify._CL3).grade_masks[1]
+    unit = lambda v: v / math.sqrt(math.fsum([x * x for x in v.tolist()]))
+    ctx, ref = verify._Ctx(seed), np.random.default_rng(seed)
+    s, A, V = verify._mirror_draws(ctx, 100, sig)
+    for i in range(100):
+        assert _same_bits(A[i], unit(ref.normal(size=3)))
+        assert _same_bits(V[i], ref.normal(size=8) * mask)
+    W, count, U, V = verify._isometry_draws(ctx, 300)
+    for i in range(300):
+        units = [unit(ref.normal(size=3)) for _ in range(int(ref.integers(1, 5)))]
+        assert count[i] == len(units)
+        assert _same_bits(W[i], units + units[:1] * (4 - len(units)))  # padded with the first
+        assert _same_bits(U[i], ref.normal(size=8) * mask)
+        assert _same_bits(V[i], ref.normal(size=8) * mask)
+    b, t1, t2 = verify._exp_draws(ctx, 300)
+    for i in range(300):
+        assert _same_bits(b[i], unit(ref.normal(size=3)))
+        assert _same_bits([t1[i], t2[i]], ref.uniform(-2, 2, size=2))
+    assert s == sig and ctx.rng.bit_generator.state == ref.bit_generator.state

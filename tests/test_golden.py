@@ -20,7 +20,7 @@ every format; ``induce`` on the four 3D systems and ``mckay``, in every format;
 and ``roots`` on every catalog name, with I2 as I2(5) and I2(7), in every
 format (the csv's ``simple`` column marks the simple roots).  ``modular`` is
 pinned only by the files above.
-``VERIFY_DIGESTS`` pins ``verify``'s stdout at three seeds; its residuals'
+``VERIFY_DIGESTS`` pins ``verify``'s stdout at six seeds; its residuals'
 digits come from numpy's seeded generator and float products, with unit
 draws normalized by ``math.fsum`` rather than BLAS, and were recorded with
 numpy 2.4 on x86-64 Linux; CI reruns this file under forced OpenBLAS kernels
@@ -140,6 +140,9 @@ VERIFY_DIGESTS = {
     "42": "4e7c444deb0827829d89534ce239af5e8d0390a5fdb30c9d67e18a3effd18a41",
     "7": "da5a2d9f1a4cd796703b0d58e7cbc6b4293dc331553022e22bb0eef5068d36bb",
     "801": "ac7a89de6914f4caca4578689150a6af6917ae8222174b32388eb1b40c75e6f8",
+    "1": "c3fdbed58cd6ef95a4694bd0fd818db7172cdc7b374b2f7aace7eb783f3d6593",
+    "2": "4939e4cd5e0e8504686cc500c7aa47e697e7f5bb310a663f25e58d94fb7dc548",
+    "3": "1546a844322a593cca443a1ee48127d28a03b0ed68d282ca7dd4806a4a340546",
 }
 
 
