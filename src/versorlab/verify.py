@@ -13,24 +13,22 @@ command line), so a given seed gives byte-identical reports;
 
 The five batched rows (the four ``kernel.*`` rows and ``cga2d.translations``)
 check the public route: ``reflect``, ``Versor``, ``sandwich``, ``exp_bivector``
-and ``translator(...).apply(embed(...))``.  They draw the numbers that route drew,
-in its order, so a seed keeps its meaning, in the fewest generator calls that give
-the same stream: one per distribution per draw, or one per block where a row draws
-from one distribution (``normal`` fills its array one value at a time, and
-``uniform(lo, hi)`` is lo + (hi - lo) ``random()``).  Each block's unit vectors are
-normalized, and its vectors masked, as arrays.  Then they evaluate all draws at once as array
-expressions on ``gp_elemwise``, ``rev``, the grade masks and the batched scalar
-part (``cga2d.translations``: ``apply``'s letter step on the translator's matrix),
-which give the route's floats bit for bit, and make each of the route's checks on
-all draws at once.  When a check fails, the generator is rewound and
-the draws are replayed through the public route, drawing as they go, so the row
-fails with that route's own error.  The first 32 draws of each algebra a row
-samples also take the public route as a witness: ``witness_mismatches`` counts
-the draws whose outputs differ from the batch in any bit, and ``worst`` is the
-worst residual of the batch and the witness.  ``cga2d.modular_words`` takes each
-draw through ``apply_word`` and ``mobius_oracle`` as it is drawn, so a word the
-route rejects fails the row with that route's own error.  ``groups.exp_structure``
-reads each element of Spin(A3) as +-exp(B theta) off its spinor coordinates.
+and ``translator(...).apply(embed(...))``.  A row draws every block it samples
+before it checks any, in one generator call per distribution per block, so a row
+that fails leaves the draws of the rows after it alone.  Each block's unit vectors
+are normalized, and its vectors masked, as arrays.  Then the rows evaluate all draws
+at once as array expressions on ``gp_elemwise``, ``rev``, the grade masks and the
+batched scalar part (``cga2d.translations``: ``apply``'s letter step on the
+translator's matrix), which give the route's floats bit for bit, and make each of
+the route's checks on all draws at once.  When a check fails, the block's own draws
+are replayed through the public route, so the row fails with that route's own
+error.  The first 32 draws of each algebra a row samples also take the public route
+as a witness: ``witness_mismatches`` counts the draws whose outputs differ from the
+batch in any bit, and ``worst`` is the worst residual of the batch and the witness.
+``cga2d.modular_words`` draws its 1000 words in three calls, then takes each through
+``apply_word`` and ``mobius_oracle``, so a word the route rejects fails the row with
+that route's own error.  ``groups.exp_structure`` reads each element of Spin(A3) as
++-exp(B theta) off its spinor coordinates.
 """
 
 from __future__ import annotations
@@ -173,18 +171,16 @@ def _sampled(ctx, blocks, batch, public):
     ``draw(ctx, n)`` gives a block of n draws, ``public(drawn, i)`` takes draw i of a
     block through the public route, ``batch`` takes a block to one record row per draw
     (outputs, then the residual), or to None when a draw fails one of the public route's
-    checks.  Then the generator is rewound and the block replayed through ``public``,
-    one ``draw(ctx, 1)`` at a time, so the row fails with that route's error.
+    checks.  Then the block's own draws are replayed through ``public``, so the row
+    fails with that route's error.  Every block is drawn before any is checked, so a
+    failing row draws what a passing one does.
     """
     worst, mismatches = [], 0
-    for n, draw in blocks:
-        state = ctx.rng.bit_generator.state
-        drawn = draw(ctx, n)
+    for n, drawn in [(n, draw(ctx, n)) for n, draw in blocks]:
         rec = batch(drawn)
         if rec is None:
-            ctx.rng.bit_generator.state = state
-            for _ in range(n):
-                public(draw(ctx, 1), 0)
+            for i in range(n):
+                public(drawn, i)
             raise VersorlabError("a batched check failed where the public route passed")
         witness = np.array([public(drawn, i) for i in range(min(n, _WITNESS))])
         mismatches += int((witness != rec[:_WITNESS]).any(axis=1).sum())
@@ -263,16 +259,11 @@ def _isometry_public(drawn, i):
 
 def _isometry_draws(ctx, n):
     """n draws of 1 to 4 unit vectors and two vectors u, v of Cl(3,0): ``integers(1, 5)``,
-    then one ``normal`` call.  (W, count, U, V): W holds each draw's units padded to 4 with
-    its first, (n, 4, 3)."""
-    rows = [ctx.rng.normal(size=3 * int(ctx.rng.integers(1, 5)) + 16) for _ in range(n)]
-    size = np.array([r.size for r in rows])
-    X, count = np.concatenate(rows), (size - 16) // 3
-    tail = np.cumsum(size)[:, None] + np.arange(-16, 0)  # u and v: each draw's last 16 floats
-    U, V = (X[tail[:, s:s + 8]] * kernel_for(_CL3).grade_masks[1] for s in (0, 8))
-    units = _fsum_units(np.delete(X, tail).reshape(-1, 3))
-    padded = np.where(np.arange(4) < count[:, None], np.arange(4), 0)
-    return units[(np.cumsum(count) - count)[:, None] + padded], count, U, V
+    then ``normal`` for six 3-vectors a draw: slots 0-3 unit vectors, the first ``count`` of
+    which make the versor, and slots 4 and 5 u and v.  (W, count, U, V), W (n, 4, 3)."""
+    count, X = ctx.rng.integers(1, 5, size=n), ctx.rng.normal(size=(n, 6, 3))
+    W = _fsum_units(X[:, :4].reshape(-1, 3)).reshape(n, 4, 3)
+    return W, count, vector_rows(_CL3, X[:, 4]), vector_rows(_CL3, X[:, 5])
 
 
 def _isometry_batch(drawn):
@@ -324,11 +315,10 @@ def _exp_public(drawn, i):
 
 
 def _exp_draws(ctx, n):
-    """n draws of a unit vector b and t1, t2: ``normal(size=3)``, then ``random(2)`` taken
-    to [-2, 2) as ``uniform(-2, 2, size=2)`` takes it, the same floats.  (b, t1, t2)."""
-    b, d = zip(*[(ctx.rng.normal(size=3), ctx.rng.random(2)) for _ in range(n)])
-    t = -2.0 + 4.0 * np.array(d)
-    return _fsum_units(np.array(b)), t[:, 0], t[:, 1]
+    """n draws of a unit vector b and t1, t2: ``normal`` for the b, then ``random`` for the
+    t taken to [-2, 2) as ``uniform(-2, 2)`` takes it, the same floats.  (b, t1, t2)."""
+    b, t = ctx.rng.normal(size=(n, 3)), -2.0 + 4.0 * ctx.rng.random((n, 2))
+    return _fsum_units(b), t[:, 0], t[:, 1]
 
 
 def _exp_batch(drawn):
@@ -491,17 +481,19 @@ def _translations(ctx):
     return _sampled(ctx, [(1000, draw)], _translation_batch, _translation_public)
 
 
-def _word_draw(ctx):
-    """A word of 0 to 12 letters, and tau: ``random(2)`` taken as ``uniform(-2, 2)`` and
-    ``uniform(0.05, 2.0)`` take it, the same floats."""
-    letters = ctx.rng.integers(0, 3, size=int(ctx.rng.integers(0, 13)))
-    x, y = ctx.rng.random(2).tolist()
-    return "".join(["STt"[i] for i in letters.tolist()]), (-2.0 + 4.0 * x, 0.05 + (2.0 - 0.05) * y)
+def _word_draws(ctx, n):
+    """n words of 0 to 12 letters, and their tau: ``integers`` for the lengths, then for
+    all the letters, then ``random`` for the tau, taken as ``uniform(-2, 2)`` and
+    ``uniform(0.05, 2.0)`` take it, the same floats.  [(word, tau)]."""
+    ends = np.cumsum(ctx.rng.integers(0, 13, size=n)).tolist()
+    text = "".join(["STt"[i] for i in ctx.rng.integers(0, 3, size=ends[-1]).tolist()])
+    tau = (np.array([-2.0, 0.05]) + np.array([4.0, 2.0 - 0.05]) * ctx.rng.random((n, 2))).tolist()
+    return [(text[a:b], tuple(t)) for a, b, t in zip([0, *ends], ends, tau)]
 
 
 def _modular_words(ctx):
     vx, ox = np.hsplit(np.array([[*apply_word(*d), *mobius_oracle(*d)]
-                                 for d in (_word_draw(ctx) for _ in range(1000))]), 2)
+                                 for d in _word_draws(ctx, 1000)]), 2)
     res = np.abs(vx - ox) / np.maximum(1.0, np.abs(ox).max(axis=1))[:, None]
     return {"upper_half_plane": bool((vx[:, 1] > 0).all()), "worst": res.max()}
 

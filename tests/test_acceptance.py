@@ -10,8 +10,9 @@ batched rows' public-route witness compares bits, that a draw failing a
 batched check fails its row with the public route's own error (in the
 reflection, isometry, exp and translations twins), that a batch failing where
 the public route passes is named (in the isometry, exp and translations twins), that the
-batched ``Versor`` check passes exactly the rows ``Versor`` takes, and that the words row
-evaluates each word through ``apply_word`` alone, failing with its error.
+batched ``Versor`` check passes exactly the rows ``Versor`` takes, that the words row
+evaluates each word through ``apply_word`` alone, failing with its error, and that a
+failing row leaves every other row, and the generator's end state, as a passing run has them.
 """
 
 import collections
@@ -129,45 +130,46 @@ def test_the_witness_compares_bits(monkeypatch):
     assert (result.passed, result.detail) == (False, "witness_mismatches = 32, expected 0")
 
 
-def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
-    """A draw the batch rejects fails the row with the public route's own error."""
+def _passing_state(name):
+    """The generator's state after a passing run of row ``name`` at seed 42."""
+    reference = verify._Ctx(42)
+    assert verify._judge(_claim(name), reference).passed
+    return reference.rng.bit_generator.state
+
+
+def _planted_mirror(monkeypatch, value):
+    """Draw 200 of the reflection row's Cl(3,0) block gets its mirror times ``value``; returns
+    the list of blocks planted."""
     real, planted = verify._mirror_draws, []
 
-    def draws(ctx, n, sig):  # draw 200 of the Cl(3,0) block, by its floats, gets a doubled mirror
+    def draws(ctx, n, sig):
         s, A, V = real(ctx, n, sig)
-        if sig == Signature(3, 0) and n > 1:
-            planted.append(A[200].copy())
-        A[[any(np.array_equal(a, p) for p in planted) for a in A]] *= 2.0
+        if sig == Signature(3, 0):
+            A[200] *= value
+            planted.append(n)
         return s, A, V
 
     monkeypatch.setattr(verify, "_mirror_draws", draws)
+    return planted
+
+
+def test_a_failed_batch_check_replays_the_public_route(monkeypatch):
+    """A draw the batch rejects fails the row with the public route's own error."""
+    planted = _planted_mirror(monkeypatch, 2.0)
     ctx = verify._Ctx(42)
     result = verify._judge(_claim("kernel.reflection_formula"), ctx)
     assert (result.passed, result.detail) == (
         False, "ValueError: mirror vector must be unit, got alpha^2 = 4.0")
-    assert len(planted) == 1
-    # the replay drew as the public route does, stopping at the draw that raised
-    reference = verify._Ctx(42)
-    with pytest.raises(ValueError, match="mirror vector must be unit"):
-        for sig in (Signature(2, 0), Signature(3, 0)):
-            for _ in range(400):
-                verify._reflection_public(draws(reference, 1, sig), 0)
-    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
+    # the replay took the block's own draws, and every block was drawn as a passing run draws
+    assert planted == [400]
+    monkeypatch.undo()
+    assert ctx.rng.bit_generator.state == _passing_state("kernel.reflection_formula")
 
 
 def test_a_nan_mirror_fails_the_batch_and_the_public_route_alike(monkeypatch):
     """Draw 200 of the Cl(3,0) block gets a NaN mirror: the batch's unit test fails closed as
     ``reflect``'s does, so the replay names reflect's own error, not NaN residuals."""
-    real, planted = verify._mirror_draws, []
-
-    def draws(ctx, n, sig):
-        s, A, V = real(ctx, n, sig)
-        if sig == Signature(3, 0) and n > 1:
-            planted.append(A[200].copy())
-        A[[any(np.array_equal(a, p) for p in planted) for a in A]] = np.nan
-        return s, A, V
-
-    monkeypatch.setattr(verify, "_mirror_draws", draws)
+    _planted_mirror(monkeypatch, np.nan)
     result = verify._judge(_claim("kernel.reflection_formula"), verify._Ctx(42))
     assert (result.passed, result.detail) == (
         False, "ValueError: mirror vector must be unit, got alpha^2 = nan")
@@ -193,36 +195,35 @@ def test_the_batched_versor_checks_pass_exactly_where_versor_passes():
         True] + [False] * 4
 
 
+def _planted_unit(monkeypatch, name):
+    """The first unit vector of draw 100 of the isometry or exp twin's block, doubled; returns
+    the list of blocks planted."""
+    attr = {"kernel.sandwich_isometry": "_isometry_draws", "kernel.exp_additivity": "_exp_draws"}
+    real, planted = getattr(verify, attr[name]), []
+
+    def draws(ctx, n):
+        units, *rest = real(ctx, n)  # (n, 3), or the isometry's (n, 4, 3)
+        units.reshape(n, -1, 3)[99, 0] *= 2.0
+        planted.append(n)
+        return units, *rest
+
+    monkeypatch.setattr(verify, attr[name], draws)
+    return planted
+
+
 @pytest.mark.parametrize("name, error", [
     ("kernel.sandwich_isometry", "NotAVersor: mv * ~mv = 4 is not a unit scalar"),
     ("kernel.exp_additivity", "ValueError: bivector must square to -1, got B^2 = -4")])
 def test_a_planted_draw_replays_the_isometry_and_exp_twins(name, error, monkeypatch):
-    """The first unit vector of draw 100, doubled, fails the batch; the replay fails the public
-    route, and stops drawing at that draw."""
-    attr = {"kernel.sandwich_isometry": "_isometry_draws", "kernel.exp_additivity": "_exp_draws"}
-    real, planted, spoiled = getattr(verify, attr[name]), [], []
-
-    def draws(ctx, n):  # planted by its floats, so the rewound replay draws it again
-        units, *rest = real(ctx, n)  # (n, ..., 3): the isometry's padded with each draw's first
-        if n > 1:
-            planted.append(units.reshape(n, -1, 3)[99, 0].copy())
-        hit = np.zeros(units.shape[:-1], dtype=bool)
-        for p in planted:
-            hit |= (units == p).all(axis=-1)
-        units[hit] *= 2.0
-        spoiled.extend(np.flatnonzero(hit.reshape(n, -1).any(axis=1)).tolist())
-        return units, *rest
-
-    monkeypatch.setattr(verify, attr[name], draws)
+    """The first unit vector of draw 100, doubled, fails the batch; the replay of the block's
+    own draws fails the public route, and the generator ends where a passing run's does."""
+    planted = _planted_unit(monkeypatch, name)
     ctx = verify._Ctx(42)
     result = verify._judge(_claim(name), ctx)
     assert not result.passed and result.detail.startswith(error), result.detail
-    # spoiled once in the batch, which drew all 1000 draws, and once in the replay's draw 100
-    assert len(planted) == 1 and spoiled == [99, 0]
-    reference = verify._Ctx(42)
-    for _ in range(100):
-        draws(reference, 1)
-    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
+    assert planted == [1000]  # drawn once, as one block
+    monkeypatch.undo()
+    assert ctx.rng.bit_generator.state == _passing_state(name)
 
 
 def test_a_batch_that_fails_where_the_public_route_passes_is_named(monkeypatch):
@@ -239,10 +240,8 @@ def test_a_batch_that_fails_where_the_public_route_passes_is_named(monkeypatch):
     result = verify._judge(_claim("cga2d.translations"), ctx)
     assert (result.passed, result.detail) == (
         False, "VersorlabError: a batched check failed where the public route passed")
-    reference = verify._Ctx(42)
-    for _ in range(1000):  # the replay drew the block as the public route does, one by one
-        reference.rng.uniform(-5, 5, size=(1, 4))
-    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
+    monkeypatch.undo()  # the replay took the block's own draws, and drew nothing more
+    assert ctx.rng.bit_generator.state == _passing_state("cga2d.translations")
 
 
 @pytest.mark.parametrize("scale, error", [
@@ -252,25 +251,22 @@ def test_a_batch_that_fails_where_the_public_route_passes_is_named(monkeypatch):
                              r"a1\^2 \+ a2\^2 overflows$")])
 def test_a_planted_draw_replays_the_translations_twin(scale, error, monkeypatch):
     """Draw 300, scaled past what embed or translator accepts (squares that overflow), fails
-    the batch's own test of it; the rewound replay takes it through the public route, which
-    raises its own error."""
-    real, planted, spoiled = verify._sampled, [], []
+    the batch's own test of it; the replay takes the block's own draws through the public
+    route, which raises its own error."""
+    real, planted = verify._sampled, []
 
     def sampled(ctx, blocks, batch, public):
-        def draw(c, n, real_draw=blocks[0][1]):  # planted by its floats, as the replay draws it
+        def draw(c, n, real_draw=blocks[0][1]):
             out = real_draw(c, n)
-            if n > 1:
-                planted.append(out[300].copy())
-            hit = [i for i, row in enumerate(out) if any(np.array_equal(row, p) for p in planted)]
-            spoiled.extend(hit)
-            out[hit] *= scale
+            out[300] *= scale
+            planted.append(n)
             return out
         return real(ctx, [(blocks[0][0], draw)], batch, public)
 
     monkeypatch.setattr(verify, "_sampled", sampled)
     result = verify._judge(_claim("cga2d.translations"), verify._Ctx(42))
     assert not result.passed and re.match(error, result.detail), result.detail
-    assert spoiled == [300, 0]  # in the batch, then in the replay's draw 300
+    assert planted == [1000]  # drawn once, as one block
 
 
 @pytest.mark.parametrize("name", ["kernel.sandwich_isometry", "kernel.exp_additivity"])
@@ -305,27 +301,54 @@ def test_an_isometry_or_exp_batch_that_fails_alone_is_named(name, monkeypatch):
     assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
+_REJECTED_WORD = ("STt", (0.0, 1e-170))  # |tau|^2 / 2 underflows: q = 0
+
+
+def _planted_word(monkeypatch):
+    """Word 500 of the words row's block is ``_REJECTED_WORD``."""
+    real = verify._word_draws
+
+    def draws(ctx, n):
+        out = real(ctx, n)
+        out[500] = _REJECTED_WORD
+        return out
+
+    monkeypatch.setattr(verify, "_word_draws", draws)
+
+
 def test_a_rejected_word_fails_its_row_with_apply_words_error(monkeypatch):
     """The words row takes each draw through ``apply_word``, which raises its own error."""
-    real, planted = verify._word_draw, ("STt", (0.0, 1e-170))  # |tau|^2 / 2 underflows: q = 0
-
-    def draw(ctx):
-        word, tau = real(ctx)
-        return planted if 1.9 < tau[0] else (word, tau)
-
-    monkeypatch.setattr(verify, "_word_draw", draw)
     with pytest.raises(PointAtInfinity) as exc:
-        apply_word(*planted)
+        apply_word(*_REJECTED_WORD)
+    _planted_word(monkeypatch)
     ctx = verify._Ctx(42)
     result = verify._judge(_claim("cga2d.modular_words"), ctx)
     assert (result.passed, result.detail) == (False, f"PointAtInfinity: {exc.value}")
     assert result.detail == "PointAtInfinity: image point is at infinity"
-    # the row stopped drawing at the draw that raised
-    reference = verify._Ctx(42)
-    with pytest.raises(PointAtInfinity):
-        while True:
-            apply_word(*draw(reference))
-    assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
+    monkeypatch.undo()  # the row drew its whole block before the word that raised
+    assert ctx.rng.bit_generator.state == _passing_state("cga2d.modular_words")
+
+
+def _rows():
+    """Every row's ``CheckResult`` at seed 42, in table order, and the generator's end state."""
+    ctx = verify._Ctx(42)
+    return [verify._judge(claim, ctx) for claim in CLAIMS], ctx.rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["kernel.sandwich_isometry", "cga2d.modular_words"])
+def test_a_failing_row_leaves_the_rows_after_it_alone(name, monkeypatch):
+    """A planted failing draw in the isometry twin's block, or a rejected word, fails its row
+    alone: every other row's result, and the generator's end state, are a passing run's."""
+    passing, passing_end = _rows()
+    if name == "cga2d.modular_words":
+        _planted_word(monkeypatch)
+    else:
+        _planted_unit(monkeypatch, name)
+    failing, failing_end = _rows()
+    row = [claim.name for claim in CLAIMS].index(name)
+    assert not failing[row].passed and passing[row].passed
+    assert failing[:row] + failing[row + 1:] == passing[:row] + passing[row + 1:]
+    assert failing_end == passing_end
 
 
 def test_the_words_row_takes_the_public_route_alone(monkeypatch):
@@ -365,10 +388,10 @@ class _CountingGenerator:
 
 
 def test_each_row_draws_in_one_generator_call_per_distribution_per_draw():
-    """Generator calls per row at seed 42, a count no machine moves: the isometry twin's
-    ``integers(1, 5)`` and one ``normal`` per draw, the exp twin's ``normal`` and ``random``,
-    the words row's two ``integers`` and one ``random``, and one ``normal`` or ``uniform``
-    per block elsewhere."""
+    """Generator calls per row at seed 42, a count no machine moves: one call per distribution
+    per block, so the isometry twin's ``integers(1, 5)`` and ``normal``, the exp twin's
+    ``normal`` and ``random``, the words row's two ``integers`` and one ``random``, and one
+    ``normal`` or ``uniform`` per block elsewhere."""
     ctx, calls = verify._Ctx(42), {}
     rng = ctx.rng
     for claim in CLAIMS:
@@ -376,7 +399,7 @@ def test_each_row_draws_in_one_generator_call_per_distribution_per_draw():
         assert verify._judge(claim, ctx).passed
         calls[claim.name] = ctx.rng.calls
     assert {name: n for name, n in calls.items() if n} == {
-        "kernel.reflection_formula": 3, "kernel.sandwich_isometry": 2000,
-        "kernel.reversal_antiautomorphism": 2, "kernel.exp_additivity": 2000,
+        "kernel.reflection_formula": 3, "kernel.sandwich_isometry": 2,
+        "kernel.reversal_antiautomorphism": 2, "kernel.exp_additivity": 2,
         "induction.automorphism_sweeps": 1, "cga2d.translations": 1,
-        "cga2d.modular_words": 3000}
+        "cga2d.modular_words": 3}

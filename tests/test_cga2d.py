@@ -591,7 +591,7 @@ def test_float_letter_step_is_bitwise_the_integer_step():
     # verify's draws, near the real axis, at x1 = +-0.0, and where S raises
     rng = np.random.default_rng(4242)
     ctx = verify._Ctx(4242)
-    draws = [verify._word_draw(ctx) for _ in range(8000)]
+    draws = verify._word_draws(ctx, 8000)
     draws += _near_axis_draws(6000, seed=4242)
     draws += [("".join(rng.choice(["S", "T", "t"], size=int(rng.integers(0, 17)))),
                (float(rng.choice([0.0, -0.0])), float(10.0 ** rng.uniform(-8, 1))))
@@ -617,7 +617,7 @@ def test_letter_matrices_satisfy_the_modular_relations_exactly():
 
 def test_apply_word_is_within_1e_14_of_the_exact_oracle_on_verify_draws():
     ctx = verify._Ctx(2718)
-    worst = max(_relative_deviation(*verify._word_draw(ctx)) for _ in range(2000))
+    worst = max(_relative_deviation(*draw) for draw in verify._word_draws(ctx, 2000))
     assert worst <= 1e-14, worst
 
 

@@ -445,11 +445,16 @@ def test_an_error_whose_stderr_reader_left_exits_2_in_a_child_process(argv):
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 801])
 def test_word_draws_are_the_stream_of_a_choice_over_the_alphabet(seed):
+    """The words row's block is its three documented calls: the lengths, a choice over the
+    alphabet for all the letters, and tau as ``uniform`` over [-2, 2) x [0.05, 2.0)."""
     ctx, ref = verify._Ctx(seed), np.random.default_rng(seed)
-    for _ in range(500):  # interleaved with the tau draws, as the modular-words row takes them
-        word = "".join(ref.choice(np.array(["S", "T", "t"]), size=int(ref.integers(0, 13))))
-        tau = (float(ref.uniform(-2, 2)), float(ref.uniform(0.05, 2.0)))
-        assert verify._word_draw(ctx) == (word, tau)
+    draws = verify._word_draws(ctx, 500)
+    ends = np.cumsum(ref.integers(0, 13, size=500)).tolist()
+    text = "".join(ref.choice(np.array(["S", "T", "t"]), size=ends[-1]))
+    tau = ref.uniform([-2.0, 0.05], [2.0, 2.0], size=(500, 2))
+    assert [word for word, _ in draws] == [text[a:b] for a, b in zip([0, *ends], ends)]
+    assert _same_bits([t for _, t in draws], tau)
+    assert ctx.rng.bit_generator.state == ref.bit_generator.state
 
 
 def _same_bits(got, want) -> bool:
@@ -459,25 +464,27 @@ def _same_bits(got, want) -> bool:
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 801])
 def test_sampled_blocks_are_the_stream_of_one_draw_at_a_time(seed):
-    """Each sampled block equals its draws taken one at a time, in order: the mirrors, the
-    isometry twin's ``integers(1, 5)`` unit vectors and two masked ``normal(size=8)`` vectors,
-    the exp twin's unit vector and ``uniform(-2, 2, size=2)``, and the same generator state."""
-    sig, mask = verify._CL3, verify.kernel_for(verify._CL3).grade_masks[1]
+    """Each sampled block is its documented calls, and each call's array is its draws taken
+    one at a time, in order: the mirrors; the isometry twin's ``integers(1, 5)``, then six
+    3-vectors per draw, four units and u, v; the exp twin's unit vectors, then its
+    ``uniform(-2, 2, size=2)`` per draw; and the same generator state."""
+    sig = verify._CL3
     unit = lambda v: v / math.sqrt(math.fsum([x * x for x in v.tolist()]))
+    vec = lambda v: verify.vector_rows(sig, v)
     ctx, ref = verify._Ctx(seed), np.random.default_rng(seed)
     s, A, V = verify._mirror_draws(ctx, 100, sig)
     for i in range(100):
         assert _same_bits(A[i], unit(ref.normal(size=3)))
-        assert _same_bits(V[i], ref.normal(size=8) * mask)
+        assert _same_bits(V[i], ref.normal(size=8) * verify.kernel_for(sig).grade_masks[1])
     W, count, U, V = verify._isometry_draws(ctx, 300)
+    assert count.tolist() == ref.integers(1, 5, size=300).tolist()
     for i in range(300):
-        units = [unit(ref.normal(size=3)) for _ in range(int(ref.integers(1, 5)))]
-        assert count[i] == len(units)
-        assert _same_bits(W[i], units + units[:1] * (4 - len(units)))  # padded with the first
-        assert _same_bits(U[i], ref.normal(size=8) * mask)
-        assert _same_bits(V[i], ref.normal(size=8) * mask)
+        assert _same_bits(W[i], [unit(ref.normal(size=3)) for _ in range(4)])
+        assert _same_bits(U[i], vec(ref.normal(size=3)))
+        assert _same_bits(V[i], vec(ref.normal(size=3)))
     b, t1, t2 = verify._exp_draws(ctx, 300)
     for i in range(300):
         assert _same_bits(b[i], unit(ref.normal(size=3)))
+    for i in range(300):
         assert _same_bits([t1[i], t2[i]], ref.uniform(-2, 2, size=2))
     assert s == sig and ctx.rng.bit_generator.state == ref.bit_generator.state

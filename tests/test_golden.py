@@ -23,8 +23,9 @@ pinned only by the files above.
 ``VERIFY_DIGESTS`` pins ``verify``'s stdout at six seeds; its residuals'
 digits come from numpy's seeded generator and float products, with unit
 draws normalized by ``math.fsum`` rather than BLAS, and were recorded with
-numpy 2.4 on x86-64 Linux; CI reruns this file under forced OpenBLAS kernels
-and numpy dispatch levels, which must not move them.  ``h4_digests.json`` pins ``group`` and
+numpy 2.4 on x86-64 Linux, when the sampled rows came to draw each block in
+one generator call per distribution; CI reruns this file under forced OpenBLAS
+kernels and numpy dispatch levels, which must not move them.  ``h4_digests.json`` pins ``group`` and
 ``classes`` of Spin(H4) in json, csv and markdown (H4's seeds, like H3's, are a
 Cholesky factor); CI checks it in child processes, so this suite does not
 pay for H4.  No subcommand takes ``--tolerance``, so no tolerance decides what
@@ -137,12 +138,12 @@ def test_one_parser_serves_every_call_in_a_process(monkeypatch, capsys):
 
 
 VERIFY_DIGESTS = {
-    "42": "4e7c444deb0827829d89534ce239af5e8d0390a5fdb30c9d67e18a3effd18a41",
-    "7": "da5a2d9f1a4cd796703b0d58e7cbc6b4293dc331553022e22bb0eef5068d36bb",
-    "801": "ac7a89de6914f4caca4578689150a6af6917ae8222174b32388eb1b40c75e6f8",
-    "1": "c3fdbed58cd6ef95a4694bd0fd818db7172cdc7b374b2f7aace7eb783f3d6593",
-    "2": "4939e4cd5e0e8504686cc500c7aa47e697e7f5bb310a663f25e58d94fb7dc548",
-    "3": "1546a844322a593cca443a1ee48127d28a03b0ed68d282ca7dd4806a4a340546",
+    "42": "d3506edbaf52d1cfca423ee721eb9726504c0778028353c8f0c37734d0bff4f2",
+    "7": "1ff4bece11292754b29d36523c93d82e8a8bb2608a6fc970ecc481223dbb5df0",
+    "801": "3ca9ccf61c25c978cd3978404b61962115beac8e80092a24748b34ce7fb61a49",
+    "1": "282fa9629c0a0dceca2070c41159a55bcc118c65ac82980df7ba595a6ac4cc27",
+    "2": "1b152ee47eba1f38be41cd751b5a3e0cd7159b08fa41fe0030999e8030e889ba",
+    "3": "2d6b3f3dc78b1e8e319c35833380b9ab2cd6676ed950b99d060878705187ca08",
 }
 
 
