@@ -20,14 +20,15 @@ group of versors is a double cover of the group of maps, -1 acting as the identi
 In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, h, -1/2), h = |x|^2/2,
 for any finite x whose squares do not overflow.  One rule decides a point: too far out if h
 overflows, null if |p - h| <= DEFAULT_EPS max(1, h), and X . n = 2q = -1 if |q + 1/2| is within
-that bound.  A versor acts by a 4 x 4 matrix ``M``: the named maps write it, and their versor
-unchecked, from their parameters, products multiply it, ``reverse`` and ``inverse`` take its exact
-adjoint, and ``ConformalVersor(v)`` reads it off the kernel; those three refuse an entry that
-overflows.  ``apply``, and ``apply_word`` per letter, take one step: y = M z; q = 0 is
-PointAtInfinity; the image, rescaled to q = -1/2, is decided and re-embedded.  S, T and t = T^-1
-are the integer matrices their versors write, held as exact floats.  A point that ``embed`` or
-``apply`` makes holds its four e1..e4 floats and writes its Multivector X only when X is read:
-``coords`` and the step read the floats, so a map's ``apply`` makes no numpy call.
+that bound; ``extract`` applies it to X over its own -X . n.  A versor acts by a 4 x 4 matrix
+``M``: the named maps write it, and their versor unchecked, from their parameters, products
+multiply it, ``reverse`` and ``inverse`` take its exact adjoint, and ``ConformalVersor(v)`` reads
+it off the kernel; those three refuse an entry that overflows.  ``apply``, and ``apply_word`` per
+letter, take one step: y = M z; q = 0 is PointAtInfinity; the image, rescaled to q = -1/2, is
+decided and re-embedded, or named from the step's start, scaled by 2^2k, if too far out.  S, T and
+t = T^-1 are the integer matrices their versors write, held as exact floats.  A point that
+``embed`` or ``apply`` makes holds its e1..e4 floats and writes its Multivector X only when X is
+read: ``coords`` and the step read the floats, so a map's ``apply`` makes no numpy call.
 """
 
 from __future__ import annotations
@@ -98,9 +99,8 @@ class ConformalPoint:
         x1, x2, z3, z4 = z = [c[b] for b in _GRADE1]
         if not all(map(math.isfinite, z)):
             raise VersorlabError("conformal points must have finite coefficients")
-        if math.isinf(h := (x1 * x1 + x2 * x2) * 0.5):  # named as embed names it
-            raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares "
-                                 f"overflow")
+        if math.isinf(h := (x1 * x1 + x2 * x2) * 0.5):
+            raise VersorlabError(_TOO_FAR.format(x1, x2))
         p, q = 0.5 * z3 + 0.5 * z4, 0.5 * z3 - 0.5 * z4  # halved first: no sum overflows
         if not abs(p - h) <= (bound := DEFAULT_EPS * max(1.0, h)):
             raise VersorlabError("conformal points must be null")
@@ -124,6 +124,7 @@ class ConformalPoint:
 
 
 _GRADE1 = (1, 2, 4, 8)  # blades e1, e2, e3, e4: a point's four coordinates
+_TOO_FAR = "point ({!r}, {!r}) is too far out to embed: its squares overflow"  # all routes
 
 
 def _mv(blades: dict, zero: float = 0.0) -> Multivector:
@@ -151,7 +152,7 @@ def _embedding(x1: float, x2: float) -> tuple:
     z = (x1 + 0.0, x2 + 0.0, (sq - 1.0) * 0.5, (sq + 1.0) * 0.5)
     if z[3] * z[3] < math.inf:
         return z
-    raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares overflow")
+    raise VersorlabError(_TOO_FAR.format(x1, x2))
 
 
 def embed(x1: float, x2: float) -> ConformalPoint:
@@ -160,25 +161,30 @@ def embed(x1: float, x2: float) -> ConformalPoint:
 
 
 def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
-    """Plane coordinates of a (possibly unnormalized) null vector.
-
-    Homogeneous: extract(lambda X) = extract(X).  A coefficient that is not finite is refused; a
-    representative with X . n = 0 has no finite preimage and raises PointAtInfinity.
-    """
+    """Plane coordinates of a null vector, scaled or not: X over -X . n, times k = 2 ebar / (|x|^2
+    + 1), 1 on the cone, for digits X . n lost to cancellation, decided by the point rule; a
+    coefficient not finite is refused, and X . n = 0 or a quotient off the cone raises
+    PointAtInfinity.  Past |x| = 2^26.5 (about 9.49e7) embed's e and ebar, (|x|^2 -+ 1)/2, are
+    one float, so p.X reads X . n = 0, while p.coords and ConformalPoint(p.X) still hold p."""
     if isinstance(X, ConformalPoint):
         return X.coords
-    if not np.isfinite(X.coeffs).all():
+    c = X.coeffs.tolist()
+    if not all(map(math.isfinite, c)):
         raise VersorlabError("conformal points must have finite coefficients")
-    s = float(_KERNEL.scalar_part(X.coeffs, NINF.coeffs))  # X . n, against max(1, max |X|)
-    if abs(s) < DEFAULT_EPS * max(1.0, float(np.abs(X.coeffs).max())):
-        raise PointAtInfinity("null vector has X . n = 0")
-    return (float(X.coeffs[1] * (-1.0 / s)), float(X.coeffs[2] * (-1.0 / s)))  # e1, e2
+    if s := c[4] - c[8]:  # X . n: blades e and ebar
+        x1, x2 = c[1] * (r := -1.0 / s), c[2] * r
+        k = 2.0 * c[8] * r / (x1 * x1 + x2 * x2 + 1.0)
+        x1, x2, p = x1 * k, x2 * k, (0.5 * c[4] + 0.5 * c[8]) * r * k  # q is -k/2
+        bound = DEFAULT_EPS * max(1.0, h := (x1 * x1 + x2 * x2) * 0.5)
+        if abs(p - h) <= bound < math.inf and abs(0.5 - 0.5 * k) <= bound:
+            return x1, x2
+    raise PointAtInfinity("null vector has X . n = 0")
 
 
 def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
     """One letter step per matrix M, in turn: y = M (x1, x2, p, -1/2), p = |x|^2/2, and q = 0
-    raises PointAtInfinity; the image at q = -1/2 is decided null, or too far out, by the point
-    rule.  Squares as x * x."""
+    raises PointAtInfinity; the image at q = -1/2 is decided null by the point rule, and None is
+    returned for one too far out, which the caller names by ``_named``.  Squares as x * x."""
     eps, inf, p = DEFAULT_EPS, math.inf, (x1 * x1 + x2 * x2) * 0.5
     for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
         q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
@@ -189,12 +195,25 @@ def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
         x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
         h = (x1 * x1 + x2 * x2) * 0.5
         if not abs(p - h) <= eps * (h if h > 1.0 else 1.0) < inf:
-            if math.isinf(h) or math.isinf(r):  # named as embed names it, by y / q: r may overflow
-                raise VersorlabError(f"point ({-0.5 * y1 / q!r}, {-0.5 * y2 / q!r}) is too far "
-                                     f"out to embed: its squares overflow")
+            if math.isinf(h) or math.isinf(r):
+                return None
             raise VersorlabError("conformal points must be null")
         p = h
     return x1, x2, p
+
+
+def _named(matrices: Iterable[tuple], x1: float, x2: float):
+    """Raise the refusal of the first of these steps whose image is too far out, named from its
+    start z = (x1, x2, |x|^2/2, -1/2) m^2, m = 2^k, k in [0, 511] and m |x| >= 2^-501 if it can
+    be: y = M z is homogeneous and m exact, so no subnormal |x|^2/2 costs the name digits."""
+    for M in matrices:
+        if not (stepped := _steps((M,), x1, x2)):
+            m = 2.0 ** min(511, max(0, -500 - math.frexp(max(abs(x1), abs(x2)))[1]))
+            u1, u2 = m * x1, m * x2
+            z1, z2, z3, z4 = m * u1, m * u2, (u1 * u1 + u2 * u2) * 0.5, -0.5 * m * m
+            y1, y2, _, q = (a0 * z1 + a1 * z2 + a2 * z3 + a3 * z4 for a0, a1, a2, a3 in M)
+            raise VersorlabError(_TOO_FAR.format(-0.5 * y1 / q, -0.5 * y2 / q))
+        x1, x2 = stepped[:2]
 
 
 def _finite_matrix(M: tuple, made: str) -> tuple:
@@ -226,7 +245,7 @@ class ConformalVersor:
 
     def apply(self, p: ConformalPoint) -> ConformalPoint:
         """p's plane point taken by ``apply_word``'s letter step on ``M``, then re-embedded."""
-        x1, x2, h = _steps((self.M,), *p.coords)
+        x1, x2, h = _steps((self.M,), *p.coords) or _named((self.M,), *p.coords)
         return _point((x1, x2, h - 0.5, h + 0.5))
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
@@ -398,7 +417,8 @@ def apply_word(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
     x1, x2 = _embedding(x1, x2)[:2]  # embed's checks and messages, and its x + 0.0
-    return _steps(map(_MATRICES.__getitem__, letters), x1, x2)[:2]
+    return (_steps(map(_MATRICES.__getitem__, letters), x1, x2)
+            or _named(map(_MATRICES.__getitem__, letters), x1, x2))[:2]
 
 
 def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]:

@@ -28,6 +28,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -61,13 +62,9 @@ def _seed() -> int:
 
 
 def _clean(obj):
-    """Round floats to 12 decimals (normalizing -0.0) for stable output."""
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
+    """Round floats to 12 decimals (normalizing -0.0): payloads hold only plain Python types."""
+    if isinstance(obj, float):
         return round(float(obj), 12) + 0.0
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -78,7 +75,7 @@ def _clean(obj):
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "yes" if x else "no"
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         return f"{round(float(x), 12) + 0.0:.12g}"
     return str(x)
 
@@ -309,6 +306,10 @@ def _cmd_verify(args):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # -1e-05, -inf and -nan are values, as -1 and -.5 are
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
     def error(self, message):  # a usage error is main's one JSON line, not argparse's usage text
         raise VersorlabError(f"{self.prog}: {message}")
 

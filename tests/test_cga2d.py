@@ -93,10 +93,72 @@ def test_point_distance_from_inner_product():
 
 
 def test_extract_point_at_infinity():
+    # n's images under maps that fix infinity are multiples of n: X . n = 0; vectors whose
+    # X . n is rounding-sized beside small e1, e2 fail the point rule once divided by it, and
+    # so do vectors off the cone: e, and a point with 1e-6 more e
+    maps = [translator(3.0, -2.0), translator(1e8, 3.0), rotation(1.0), reflection(1.0, 2.0),
+            dilator(15.0), dilator(700.0), dilator(-700.0)]
+    refused = [NINF, -3.0 * NINF] + [sandwich(NINF, V.inverse().v) for V in maps]
+    refused += [NINF + 1e-16 * EPLUS + 1e-16 * blade(SIG31, "e1"),
+                NINF - 1e-16 * EMINUS + 3e-17 * blade(SIG31, "e2"),
+                EPLUS, 2.0 * EPLUS + 0.1 * blade(SIG31, "e1"), embed(0.5, 0.25).X + 1e-6 * EPLUS]
+    for X in refused:
+        with pytest.raises(PointAtInfinity, match=r"^null vector has X \. n = 0$"):
+            extract(X)
+    # a pole still extracts: K's and J's
+    K = special_conformal(0.5, -0.25)
+    assert extract(sandwich(NINF, K.inverse().v)) == pytest.approx((-1.6, 0.8), rel=1e-15)
+    assert extract(sandwich(NINF, inversion_versor().v)) == (0.0, 0.0)
+
+
+def _ulps(got, want):
+    """The larger coordinate error, in ulps of want's larger coordinate."""
+    return max(abs(g - w) for g, w in zip(got, want)) / math.ulp(max(map(abs, want)))
+
+
+def test_extract_reads_every_scaled_representative_by_the_point_rule():
+    # X over its own -X . n, rescaled from ebar where X . n has lost digits, for |x| up to 9e7:
+    # bit for bit where X . n reads -1 exactly, as it does for most of embed's points, and by
+    # 2^600 and 2^-600, which scale exactly; -7.25 rounds each coefficient once
+    rng = np.random.default_rng(55)
+    radius, angle = 10.0 ** rng.uniform(-3, math.log10(9e7), 4000), rng.uniform(0, 2 * np.pi, 4000)
+    inexact = []
+    for x in zip((radius * np.cos(angle)).tolist(), (radius * np.sin(angle)).tolist()):
+        p = embed(*x)
+        got = extract(p.X)
+        c = p.X.coeffs.tolist()
+        if c[4] - c[8] == -1.0:
+            assert got == p.coords, x
+        else:
+            inexact.append(x)
+            assert _ulps(got, p.coords) <= 2, x
+        assert extract(2.0 ** 600 * p.X) == extract(2.0 ** -600 * p.X) == got, x
+        assert _ulps(extract(-7.25 * p.X), p.coords) <= 4, x
+    assert len(inexact) < 40
+    # the coordinates that an absolute bound on X . n, reaching 1 at a coefficient of 1e9, refused
+    assert extract(embed(45000.0, 0.0).X) == (45000.0, 0.0)
+    P = dilator(12.0).apply(embed(1.0, 0.0))
+    assert extract(P.X) == P.coords
+    assert extract(-7.25 * embed(0.3, -0.2).X) == (0.3, -0.2)
+    assert extract(2.0 ** -600 * embed(3e7, 1.0).X) == (3e7, 1.0)
+    # past |x| = 2^26.5, about 9.49e7, embed's e and ebar, (|x|^2 -+ 1)/2, are one float
+    assert extract(embed(9.4e7, 0.0).X) == (9.4e7, 0.0)
+    p = embed(9.5e7, 0.0)
+    assert p.coords == ConformalPoint(p.X).coords == (9.5e7, 0.0)
     with pytest.raises(PointAtInfinity):
-        extract(NINF)
-    with pytest.raises(PointAtInfinity):
-        extract(-3.0 * NINF)
+        extract(p.X)
+
+
+def test_extract_holds_the_points_whose_ebar_rounded():
+    # just below |x|^2 = 2^k, embed's (|x|^2 + 1)/2 rounds, so X . n reads -1 +- 2^(k - 54):
+    # divided by X . n alone, x = 5792.6 is 1.9e-9 off, past the point rule's bound
+    worst = 0.0
+    for k in range(20, 53):
+        x = math.sqrt(2.0 ** k)
+        for _ in range(40):
+            x = math.nextafter(x, 0.0)
+            worst = max(worst, _ulps(extract(embed(x, 0.0).X), (x, 0.0)))
+    assert worst <= 2
 
 
 def test_extract_refuses_a_coefficient_that_is_not_finite():
@@ -248,11 +310,14 @@ def test_versor_route_reaches_the_oracle_near_zero():
 
 
 def test_an_image_whose_squares_overflow_is_named_as_embed_names_it():
-    # before: "conformal points must be null", as the null check failed on the overflow;
-    # the image is named from y / q, since -0.5 / q itself overflows here
-    image = "1.000011132941258e+160"
+    # named with embed's message, not "must be null"; |tau|^2 / 2 is subnormal at these starts,
+    # so the name comes from the step redone on its start scaled by a power of two
+    image = "1e+160"
     cases = ((lambda: apply_word("S", (0.0, 1e-160)), f"(0.0, {image})"),
              (lambda: apply_word("TtS", (0.0, 1e-160)), f"(0.0, {image})"),
+             (lambda: apply_word("TS", (-1.0, 1e-160)), f"(0.0, {image})"),
+             (lambda: apply_word("S", (0.0, 1e-158)), "(0.0, 1e+158)"),
+             (lambda: apply_word("S", (0.0, 1.5e-155)), "(0.0, 6.666666666666667e+154)"),
              (lambda: modular_S().apply(embed(0.0, 1e-160)), f"(0.0, {image})"),
              (lambda: inversion_versor().apply(embed(0.0, 1e-160)), f"(-0.0, {image})"),
              (lambda: inversion_versor().apply(embed(1e-160, 0.0)), f"({image}, -0.0)"))
@@ -261,6 +326,31 @@ def test_an_image_whose_squares_overflow_is_named_as_embed_names_it():
             fn()
         assert str(info.value) == f"point {point} is too far out to embed: its squares overflow"
     assert apply_word("S", (0.0, 1e-154)) == (0.0, 1e154)
+
+
+def test_a_refused_image_is_named_within_two_ulps():
+    # the refused step is redone on its start scaled by a power of two, so a subnormal |x|^2 / 2
+    # costs the name no digits: S at tau names -1 / tau, the inversion at x names x / |x|^2,
+    # each coordinate within the roundings of |x|^2 / 2 and one quotient
+    rng = np.random.default_rng(56)
+    size = 10.0 ** rng.uniform(-162, -154, (400, 2))
+    named = 0
+    for x1, x2 in zip((size[:, 0] * rng.uniform(-1, 1, 400)).tolist(), size[:, 1].tolist()):
+        n = Fraction(x1) ** 2 + Fraction(x2) ** 2
+        for fn, want in ((lambda: apply_word("S", (x1, x2)), (-Fraction(x1) / n, Fraction(x2) / n)),
+                         (lambda: inversion_versor().apply(embed(x1, x2)),
+                          (Fraction(x1) / n, Fraction(x2) / n))):
+            try:
+                fn()
+            except PointAtInfinity:
+                continue
+            except VersorlabError as exc:
+                got = re.fullmatch(r"point \((\S+), (\S+)\) is too far out to embed: its squares "
+                                   r"overflow", str(exc)).groups()
+                for g, w in zip(map(float, got), want):
+                    assert abs(Fraction(g) - w) <= 2 * Fraction(math.ulp(float(w))), (x1, x2, got)
+                named += 1
+    assert named > 500
 
 
 def test_special_conformal_matches_inversion_sandwich():
@@ -549,7 +639,9 @@ def test_letter_matrices_are_integer():
 
 def _integer_steps(matrices, x1, x2):
     """``cga2d._steps`` as it stepped on integer letter matrices: int * float products, and
-    ``DEFAULT_EPS`` and ``math.inf`` read as globals."""
+    ``DEFAULT_EPS`` and ``math.inf`` read as globals; an image too far out is named from the
+    step's start times 2^(2k), its x times 2^k put near 1 by ``math.ldexp``, where the library
+    puts it near 2^-501: scalings by powers of two that stay normal give the same bits."""
     p = (x1 * x1 + x2 * x2) * 0.5
     for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
         q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
@@ -557,10 +649,17 @@ def _integer_steps(matrices, x1, x2):
             raise PointAtInfinity("image point is at infinity")
         r = -0.5 / q
         y1, y2 = a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3, b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3
-        x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
+        s1, s2, x1, x2, p = x1, x2, y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
         h = (x1 * x1 + x2 * x2) * 0.5
         if not abs(p - h) <= DEFAULT_EPS * max(1.0, h) < math.inf:
             if math.isinf(h) or math.isinf(r):
+                k = min(511, max(0, -math.frexp(max(abs(s1), abs(s2)))[1]))
+                u1, u2 = math.ldexp(s1, k), math.ldexp(s2, k)
+                z = (math.ldexp(u1, k), math.ldexp(u2, k), (u1 * u1 + u2 * u2) * 0.5,
+                     -math.ldexp(0.5, 2 * k))
+                y1 = a0 * z[0] + a1 * z[1] + a2 * z[2] + a3 * z[3]
+                y2 = b0 * z[0] + b1 * z[1] + b2 * z[2] + b3 * z[3]
+                q = d0 * z[0] + d1 * z[1] + d2 * z[2] + d3 * z[3]
                 raise VersorlabError(f"point ({-0.5 * y1 / q!r}, {-0.5 * y2 / q!r}) is too far "
                                      f"out to embed: its squares overflow")
             raise VersorlabError("conformal points must be null")
@@ -1028,6 +1127,11 @@ def test_library_points_hold_their_floats_until_x_is_read(monkeypatch):
         (blade(SIG31, "e12"), r"^conformal points are grade-1 vectors"),
         (Multivector(SIG31, inf_e1), "^conformal points must have finite coefficients$"),
         (1e200 * blade(SIG31, "e1"), "too far out to embed")]
+    extracted = [(X, tuple(X.coeffs[[1, 2]].tolist())) for X, _ in callers[:5]]
+    extracted += [(-0.25 * X, want) for X, want in extracted]  # scaled exactly
+    extracted += [(2.0 * embed(300.0, 0.0).X, (300.0, 0.0)),
+                  (Multivector(SIG31, inf_e1), VersorlabError), (NINF, PointAtInfinity),
+                  (1e200 * blade(SIG31, "e1"), PointAtInfinity)]
     wrap, wraps, points = Multivector._wrap, [], []
     monkeypatch.setattr(Multivector, "_wrap",
                         classmethod(lambda cls, sig, arr: wraps.append(sig) or wrap(sig, arr)))
@@ -1049,6 +1153,13 @@ def test_library_points_hold_their_floats_until_x_is_read(monkeypatch):
             else:
                 with pytest.raises(VersorlabError, match=refusal):
                     ConformalPoint(X)
+        for X, want in extracted:  # extract reads a caller's X by the same rule, scaled or not
+            if isinstance(want, tuple):
+                assert extract(X) == want
+            else:
+                with pytest.raises(want) as info:
+                    extract(X)
+                assert type(info.value) is want
     assert wraps == []
     for p in points:
         X = p.X

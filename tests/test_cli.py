@@ -1,17 +1,23 @@
 """End-to-end tests for the versorlab command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from versorlab import verify
 from versorlab.algebra import DEFAULT_EPS
-from versorlab.cli import main
+from versorlab.cga2d import word_report
+from versorlab.cli import _clean, main
 from versorlab.errors import SymmetrySweepFailure
 from versorlab.verify import AtMost, Claim
 
@@ -162,13 +168,54 @@ def test_modular_overflow_is_a_json_error(argv, capsys):
 
 
 def test_modular_names_an_image_too_far_out_to_embed(capsys):
-    # S sends 1e-160 i to about 1e160 i, whose |x|^2 / 2 overflows: named as embed names tau
+    # S sends 1e-160 i to 1e160 i, whose |x|^2 / 2 overflows: named as embed names tau, to the
+    # ulp, though |tau|^2 / 2 is subnormal at the start
     assert run_cli(capsys, "modular", "S", "0", "1e-160") == (
-        2, "", '{"error": "VersorlabError", "message": "point (0.0, 1.000011132941258e+160) '
+        2, "", '{"error": "VersorlabError", "message": "point (0.0, 1e+160) '
                'is too far out to embed: its squares overflow"}\n')
 
 
-@pytest.mark.parametrize("argv", [("", "inf", "1"), ("S", "0.5", "inf"), ("S", "nan", "1")])
+@pytest.mark.parametrize("argv", [("S", "-1e-05", "1"), ("S", "-2.5e-07", "0.3"),
+                                  ("T", "-1E+2", "1"), ("", "0.5", "-1e-05")])
+def test_modular_reads_a_negative_tau_in_exponent_notation(argv, capsys):
+    # argparse's own test reads only the -1 and -.5 forms as numbers, and repr writes x1 below
+    # 1e-4 in exponent form, as the benchmark passes it
+    rc, out, err = run_cli(capsys, "modular", *argv)
+    tau = (float(argv[1]), float(argv[2]))
+    if tau[1] > 0:
+        assert (rc, err) == (0, "") and json.loads(out)["input"] == list(tau)
+    else:
+        assert (rc, out) == (2, "") and json.loads(err) == {
+            "error": "VersorlabError",
+            "message": "modular words act on the upper half-plane (x2 > 0)"}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(word=st.text("STt", max_size=40),
+       x1=st.floats() | st.floats(-1e-4, 0.0),
+       x2=st.floats() | st.floats(0.0, 10.0) | st.floats(1e-170, 1e-150))
+def test_modular_prints_its_report_or_one_json_line(word, x1, x2):
+    # any word and floats, passed as repr writes them (subnormals, -0.0, inf and nan included):
+    # exit 0 prints word_report's payload, exit 2 one JSON line naming what it raises; never a
+    # traceback, and never a warning
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        rc = main(["modular", word, repr(x1), repr(x2)])
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        want = (2, "", '{"error": "VersorlabError", "message": "tau must be finite"}\n')
+    else:
+        try:
+            want = (0, json.dumps(_clean(word_report(word, (x1, x2))), indent=2) + "\n", "")
+        except Exception as exc:
+            want = (2, "", json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+    assert (rc, out.getvalue(), err.getvalue()) == want
+
+
+@pytest.mark.parametrize("argv", [("", "inf", "1"), ("S", "0.5", "inf"), ("S", "nan", "1"),
+                                  ("S", "-inf", "1"), ("S", "0.5", "-Infinity"),
+                                  ("S", "-nan", "1"), ("t", "0.5", "-NaN")])
 def test_modular_non_finite_tau_is_one_json_line(argv, capsys):
     # rejected before evaluating, so numpy prints no warning first
     assert run_cli(capsys, "modular", *argv) == (
@@ -242,7 +289,7 @@ def test_bad_tolerance_or_cap_is_a_one_line_error(argv, flag, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["modular", "S", "0.5", "1", "--tolerance", "abc"],
-    ["modular", "S", "0.5", "1", "--tolerance", "-inf"],  # argparse reads -inf as an option
+    ["modular", "S", "0.5", "1", "--tolerance", "-inf"],  # -inf a stray value
     ["roots"],
     ["nosuch"],
     [],
