@@ -19,22 +19,21 @@ group of versors is a double cover of the group of maps, -1 acting as the identi
 
 In null coordinates, X = x1 e1 + x2 e2 + p n + q nbar, a point is (x1, x2, h, -1/2), h = |x|^2/2,
 for any finite x whose squares do not overflow.  One rule decides a point: too far out if h
-overflows, null if |p - h| <= DEFAULT_EPS max(1, h), and X . n = 2q = -1 if |q + 1/2| is within
-that bound; ``extract`` applies it to X over its own -X . n.  A versor acts by a 4 x 4 matrix
-``M``: the named maps write it, and their versor unchecked, from their parameters, products
+overflows, null if |p - h| <= DEFAULT_EPS max(1, h), and X . n = 2q = -1 if |q + 1/2| <=
+DEFAULT_EPS + 4 ulp(h); ``extract`` applies it to X over its own -X . n.  A versor acts by a 4 x 4
+matrix ``M``: the named maps write it, and their versor unchecked, from their parameters, products
 multiply it, ``reverse`` and ``inverse`` take its exact adjoint, and ``ConformalVersor(v)`` reads
 it off the kernel; those three refuse an entry that overflows.  ``apply``, and ``apply_word`` per
-letter, take one step: y = M z; q = 0 is PointAtInfinity; the image, rescaled to q = -1/2, is
-decided and re-embedded, or named from the step's start, scaled by 2^2k, if too far out.  S, T and
-t = T^-1 are the integer matrices their versors write, held as exact floats.  A point that
-``embed`` or ``apply`` makes holds its e1..e4 floats and writes its Multivector X only when X is
-read: ``coords`` and the step read the floats, so a map's ``apply`` makes no numpy call.
+letter, step z to M z at q = -1/2 in floats and redo a step they refuse in rationals, rounded once;
+S, T and t = T^-1 are integer matrices held as floats.  A point that ``embed`` or ``apply`` makes
+holds its e1..e4 floats and writes X only when X is read, so a map's ``apply`` makes no numpy call.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence, Tuple, Union
 
 import numpy as np
@@ -102,9 +101,9 @@ class ConformalPoint:
         if math.isinf(h := (x1 * x1 + x2 * x2) * 0.5):
             raise VersorlabError(_TOO_FAR.format(x1, x2))
         p, q = 0.5 * z3 + 0.5 * z4, 0.5 * z3 - 0.5 * z4  # halved first: no sum overflows
-        if not abs(p - h) <= (bound := DEFAULT_EPS * max(1.0, h)):
+        if not abs(p - h) <= DEFAULT_EPS * max(1.0, h):
             raise VersorlabError("conformal points must be null")
-        if not abs(q + 0.5) <= bound:
+        if not _at_minus_half(q, h):
             raise VersorlabError("conformal points must satisfy X . n = -1")
         self._X, self._z = X, z
 
@@ -125,6 +124,11 @@ class ConformalPoint:
 
 _GRADE1 = (1, 2, 4, 8)  # blades e1, e2, e3, e4: a point's four coordinates
 _TOO_FAR = "point ({!r}, {!r}) is too far out to embed: its squares overflow"  # all routes
+
+
+def _at_minus_half(q: float, h: float) -> bool:
+    """X . n = 2q = -1 by the point rule: q's own rounding in a point is about ulp(h), not eps h."""
+    return abs(q + 0.5) <= DEFAULT_EPS + 4 * math.ulp(h)
 
 
 def _mv(blades: dict, zero: float = 0.0) -> Multivector:
@@ -175,45 +179,47 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
         x1, x2 = c[1] * (r := -1.0 / s), c[2] * r
         k = 2.0 * c[8] * r / (x1 * x1 + x2 * x2 + 1.0)
         x1, x2, p = x1 * k, x2 * k, (0.5 * c[4] + 0.5 * c[8]) * r * k  # q is -k/2
-        bound = DEFAULT_EPS * max(1.0, h := (x1 * x1 + x2 * x2) * 0.5)
-        if abs(p - h) <= bound < math.inf and abs(0.5 - 0.5 * k) <= bound:
+        h = (x1 * x1 + x2 * x2) * 0.5
+        if abs(p - h) <= DEFAULT_EPS * max(1.0, h) < math.inf and _at_minus_half(-0.5 * k, h):
             return x1, x2
     raise PointAtInfinity("null vector has X . n = 0")
 
 
 def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
-    """One letter step per matrix M, in turn: y = M (x1, x2, p, -1/2), p = |x|^2/2, and q = 0
-    raises PointAtInfinity; the image at q = -1/2 is decided null by the point rule, and None is
-    returned for one too far out, which the caller names by ``_named``.  Squares as x * x."""
+    """One letter step per matrix M, in turn: y = M (x1, x2, |x|^2/2, -1/2) at q = -1/2, decided
+    by the point rule, squares as x * x; None where q = 0 or the image is not a point."""
     eps, inf, p = DEFAULT_EPS, math.inf, (x1 * x1 + x2 * x2) * 0.5
     for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
         q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
         if q == 0:
-            raise PointAtInfinity("image point is at infinity")
+            return None
         r = -0.5 / q
         y1, y2 = a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3, b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3
         x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
         h = (x1 * x1 + x2 * x2) * 0.5
         if not abs(p - h) <= eps * (h if h > 1.0 else 1.0) < inf:
-            if math.isinf(h) or math.isinf(r):
-                return None
-            raise VersorlabError("conformal points must be null")
+            return None
         p = h
     return x1, x2, p
 
 
-def _named(matrices: Iterable[tuple], x1: float, x2: float):
-    """Raise the refusal of the first of these steps whose image is too far out, named from its
-    start z = (x1, x2, |x|^2/2, -1/2) m^2, m = 2^k, k in [0, 511] and m |x| >= 2^-501 if it can
-    be: y = M z is homogeneous and m exact, so no subnormal |x|^2/2 costs the name digits."""
+def _exact(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
+    """``_steps`` per matrix, a refused step redone in rationals from its float start and matrix:
+    PointAtInfinity at q = 0, not null off the cone, else rounded once and named if too far out."""
     for M in matrices:
         if not (stepped := _steps((M,), x1, x2)):
-            m = 2.0 ** min(511, max(0, -500 - math.frexp(max(abs(x1), abs(x2)))[1]))
-            u1, u2 = m * x1, m * x2
-            z1, z2, z3, z4 = m * u1, m * u2, (u1 * u1 + u2 * u2) * 0.5, -0.5 * m * m
-            y1, y2, _, q = (a0 * z1 + a1 * z2 + a2 * z3 + a3 * z4 for a0, a1, a2, a3 in M)
-            raise VersorlabError(_TOO_FAR.format(-0.5 * y1 / q, -0.5 * y2 / q))
+            z = (u1 := Fraction(x1), u2 := Fraction(x2), (u1 * u1 + u2 * u2) / 2, Fraction(-1, 2))
+            y1, y2, p, q = (sum(Fraction(m) * c for m, c in zip(row, z)) for row in M)
+            if q == 0:
+                raise PointAtInfinity("image point is at infinity")
+            y1, y2, p = y1 / (-2 * q), y2 / (-2 * q), p / (-2 * q)
+            if abs(p - (h := (y1 * y1 + y2 * y2) / 2)) > Fraction(DEFAULT_EPS) * max(1, h):
+                raise VersorlabError("conformal points must be null")
+            x1, x2 = stepped = _finite("image.x1 image.x2", y1, y2)
+            if math.isinf((x1 * x1 + x2 * x2) * 0.5):
+                raise VersorlabError(_TOO_FAR.format(x1, x2))
         x1, x2 = stepped[:2]
+    return x1, x2, (x1 * x1 + x2 * x2) * 0.5
 
 
 def _finite_matrix(M: tuple, made: str) -> tuple:
@@ -245,7 +251,7 @@ class ConformalVersor:
 
     def apply(self, p: ConformalPoint) -> ConformalPoint:
         """p's plane point taken by ``apply_word``'s letter step on ``M``, then re-embedded."""
-        x1, x2, h = _steps((self.M,), *p.coords) or _named((self.M,), *p.coords)
+        x1, x2, h = _steps((self.M,), *p.coords) or _exact((self.M,), *p.coords)
         return _point((x1, x2, h - 0.5, h + 0.5))
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
@@ -409,16 +415,15 @@ def _letters(word: Iterable[str]) -> tuple:
 
 def apply_word(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]:
     """Act on tau = (x1, x2), x2 > 0, checked as ``embed`` checks it, by the letters' matrices
-    left to right on (x1, x2, |x|^2/2, -1/2), one letter step each: an image with q = 0 raises
-    PointAtInfinity, one that is not null or too far out is refused, and each image is
-    re-embedded from its x1 and x2."""
+    left to right on (x1, x2, |x|^2/2, -1/2), one letter step each, a refused one redone exactly,
+    and each image re-embedded from its x1 and x2."""
     letters = _letters(word)
     x1, x2 = _floats("tau[0] tau[1]", tau[0], tau[1])
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
     x1, x2 = _embedding(x1, x2)[:2]  # embed's checks and messages, and its x + 0.0
     return (_steps(map(_MATRICES.__getitem__, letters), x1, x2)
-            or _named(map(_MATRICES.__getitem__, letters), x1, x2))[:2]
+            or _exact(map(_MATRICES.__getitem__, letters), x1, x2))[:2]
 
 
 def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]:
@@ -441,13 +446,8 @@ def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, flo
 def word_report(word: Iterable[str], tau: Sequence[float]) -> dict:
     """Versor route vs complex-arithmetic route, with their max deviation."""
     word = _letters(word)
-    versor_xy = apply_word(word, tau)
-    oracle_xy = mobius_oracle(word, tau)
+    versor_xy, oracle_xy = apply_word(word, tau), mobius_oracle(word, tau)
     dev = max(abs(versor_xy[0] - oracle_xy[0]), abs(versor_xy[1] - oracle_xy[1]))
-    return {
-        "input": [float(tau[0]), float(tau[1])],
-        "word": "".join(word),
-        "versor_result": [versor_xy[0], versor_xy[1]],
-        "oracle_result": [oracle_xy[0], oracle_xy[1]],
-        "max_deviation": dev,
-    }
+    return {"input": [float(tau[0]), float(tau[1])], "word": "".join(word),
+            "versor_result": list(versor_xy), "oracle_result": list(oracle_xy),
+            "max_deviation": dev}

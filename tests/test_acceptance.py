@@ -26,9 +26,9 @@ import pytest
 from versorlab import (
     Multivector,
     NotAVersor,
-    PointAtInfinity,
     Signature,
     Versor,
+    VersorlabError,
     apply_word,
     blade,
     dilator,
@@ -301,7 +301,7 @@ def test_an_isometry_or_exp_batch_that_fails_alone_is_named(name, monkeypatch):
     assert ctx.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
-_REJECTED_WORD = ("STt", (0.0, 1e-170))  # |tau|^2 / 2 underflows: q = 0
+_REJECTED_WORD = ("STt", (0.0, 1e-170))  # S's image 1e170 i is too far out to embed
 
 
 def _planted_word(monkeypatch):
@@ -318,13 +318,14 @@ def _planted_word(monkeypatch):
 
 def test_a_rejected_word_fails_its_row_with_apply_words_error(monkeypatch):
     """The words row takes each draw through ``apply_word``, which raises its own error."""
-    with pytest.raises(PointAtInfinity) as exc:
+    with pytest.raises(VersorlabError) as exc:
         apply_word(*_REJECTED_WORD)
     _planted_word(monkeypatch)
     ctx = verify._Ctx(42)
     result = verify._judge(_claim("cga2d.modular_words"), ctx)
-    assert (result.passed, result.detail) == (False, f"PointAtInfinity: {exc.value}")
-    assert result.detail == "PointAtInfinity: image point is at infinity"
+    assert (result.passed, result.detail) == (False, f"VersorlabError: {exc.value}")
+    assert result.detail == ("VersorlabError: point (0.0, 1e+170) is too far out to embed: its "
+                             "squares overflow")
     monkeypatch.undo()  # the row drew its whole block before the word that raised
     assert ctx.rng.bit_generator.state == _passing_state("cga2d.modular_words")
 

@@ -196,6 +196,44 @@ def test_a_scaled_or_off_cone_vector_is_not_a_conformal_point():
         ConformalPoint(Multivector(SIG31, lifted))
 
 
+def test_the_x_dot_n_bound_is_eps_plus_four_ulps_of_h():
+    # q's own rounding in a point is about ulp(h), not eps h: before, |q + 1/2| within
+    # eps max(1, h) passed X . n = 0 past h = 1/(2 eps), so 45000 e1 + (45000^2 / 2) n, off the
+    # cone by |x|^2 + 4pq = 2.0e9, read as (45000, 0), and with e one ulp up extract read it too
+    X = 45000.0 * blade(SIG31, "e1") + (45000.0 ** 2 / 2) * NINF
+    nudged = X.coeffs.copy()
+    nudged[4] = math.nextafter(nudged[4], math.inf)
+    for V in (X, Multivector(SIG31, nudged)):
+        with pytest.raises(VersorlabError, match=r"^conformal points must satisfy X \. n = -1$"):
+            ConformalPoint(V)
+        with pytest.raises(PointAtInfinity, match=r"^null vector has X \. n = 0$"):
+            extract(V)
+    # at h = 45000^2 / 2, 4 ulp(h) is 8 ulps of embed's e: one ulp inside the bound, at 8 ulps
+    # either way, the point passes both, and one ulp outside, at 9, fails both
+    for toward in (math.inf, -math.inf):
+        coeffs = embed(45000.0, 0.0).X.coeffs.copy()
+        for ulps in range(1, 10):
+            coeffs[4] = math.nextafter(coeffs[4], toward)
+            V = Multivector(SIG31, coeffs.copy())
+            if ulps <= 8:
+                assert ConformalPoint(V).coords == (45000.0, 0.0)
+                assert _ulps(extract(V), (45000.0, 0.0)) <= 8
+                continue
+            with pytest.raises(VersorlabError, match=r"^conformal points must satisfy X \. n"):
+                ConformalPoint(V)
+            with pytest.raises(PointAtInfinity):
+                extract(V)
+    # at x = 0, eps alone: X = -q (e - ebar) = -2q (-nbar / 2) with q one ulp inside and outside
+    q = -0.5 + DEFAULT_EPS
+    while q + 0.5 > DEFAULT_EPS:
+        q = math.nextafter(q, -1.0)
+    inside, outside = q, math.nextafter(q, 0.0)
+    assert outside + 0.5 > DEFAULT_EPS >= inside + 0.5
+    assert ConformalPoint(inside * EPLUS - inside * EMINUS).coords == (0.0, 0.0)
+    with pytest.raises(VersorlabError, match=r"^conformal points must satisfy X \. n = -1$"):
+        ConformalPoint(outside * EPLUS - outside * EMINUS)
+
+
 @pytest.mark.parametrize("x1", [1e-9, 1e-3, 0.0])
 def test_conformal_point_needs_finite_coefficients(x1):
     # an infinite bound, or a NaN, passes the other three tests, wherever the point sits
@@ -302,8 +340,13 @@ def test_versor_route_reaches_the_oracle_near_zero():
     assert apply_word("S", (0.0, 2e-5)) == (0.0, 49999.99999999999)
     assert apply_word("S", (0.0, 1e-9)) == (0.0, 999999999.9999999)
     assert apply_word("S", (0.0, 1e-100)) == (0.0, 1e100)
-    with pytest.raises(PointAtInfinity, match="^image point is at infinity$"):
-        apply_word("S", (0.0, 1e-170))  # |tau|^2 / 2 underflows to 0: q = 0
+    # where |tau|^2 / 2 underflows to 0, q = 0 in floats, the step is redone exactly: before,
+    # S at 1e-170 i and 1e-300 i raised PointAtInfinity; their images, the oracle's at 1e-300 i,
+    # are finite and too far out to embed
+    assert mobius_oracle("S", (0.0, 1e-300)) == (0.0, 9.999999999999999e+299)
+    for x2, image in ((1e-170, "1e+170"), (1e-300, "9.999999999999999e+299")):
+        with pytest.raises(VersorlabError, match=rf"^point \(0\.0, {re.escape(image)}\) is too"):
+            apply_word("S", (0.0, x2))
     # the oracle refuses only z = 0 or an image that is not finite, so it reaches 1e10 i too
     assert apply_word("S", (0.0, 1e-10)) == (0.0, 9999999999.999998)
     assert mobius_oracle("S", (0.0, 1e-10)) == (0.0, 10000000000.0)
@@ -311,46 +354,49 @@ def test_versor_route_reaches_the_oracle_near_zero():
 
 def test_an_image_whose_squares_overflow_is_named_as_embed_names_it():
     # named with embed's message, not "must be null"; |tau|^2 / 2 is subnormal at these starts,
-    # so the name comes from the step redone on its start scaled by a power of two
+    # so the name comes from the step redone in exact rationals and rounded once: a rational has
+    # no -0.0, so the inversion names 0.0 where the float step wrote -0.0
     image = "1e+160"
     cases = ((lambda: apply_word("S", (0.0, 1e-160)), f"(0.0, {image})"),
              (lambda: apply_word("TtS", (0.0, 1e-160)), f"(0.0, {image})"),
              (lambda: apply_word("TS", (-1.0, 1e-160)), f"(0.0, {image})"),
              (lambda: apply_word("S", (0.0, 1e-158)), "(0.0, 1e+158)"),
              (lambda: apply_word("S", (0.0, 1.5e-155)), "(0.0, 6.666666666666667e+154)"),
+             (lambda: apply_word("S", (0.0, 1e-170)), "(0.0, 1e+170)"),
+             (lambda: apply_word("S", (0.0, 1e-300)), "(0.0, 9.999999999999999e+299)"),
              (lambda: modular_S().apply(embed(0.0, 1e-160)), f"(0.0, {image})"),
-             (lambda: inversion_versor().apply(embed(0.0, 1e-160)), f"(-0.0, {image})"),
-             (lambda: inversion_versor().apply(embed(1e-160, 0.0)), f"({image}, -0.0)"))
+             (lambda: inversion_versor().apply(embed(0.0, 1e-160)), f"(0.0, {image})"),
+             (lambda: inversion_versor().apply(embed(1e-160, 0.0)), f"({image}, 0.0)"))
     for fn, point in cases:
         with pytest.raises(VersorlabError) as info:
             fn()
         assert str(info.value) == f"point {point} is too far out to embed: its squares overflow"
     assert apply_word("S", (0.0, 1e-154)) == (0.0, 1e154)
+    # an image past the float range, -1 / tau at 5e-324 i among them, is named by its coordinate
+    for fn in (lambda: apply_word("S", (0.0, 5e-324)), lambda: apply_word("tS", (1.0, 5e-324)),
+               lambda: inversion_versor().apply(embed(0.0, 5e-324))):
+        with pytest.raises(VersorlabError, match=r"^image\.x2 is too large: it does not convert "
+                                                 r"to a float$"):
+            fn()
 
 
-def test_a_refused_image_is_named_within_two_ulps():
-    # the refused step is redone on its start scaled by a power of two, so a subnormal |x|^2 / 2
-    # costs the name no digits: S at tau names -1 / tau, the inversion at x names x / |x|^2,
-    # each coordinate within the roundings of |x|^2 / 2 and one quotient
+def test_a_refused_image_is_named_within_half_an_ulp():
+    # the refused step is redone in exact rationals and rounded once, so a subnormal |x|^2 / 2,
+    # or one that underflows to 0, costs the name no digits: S at tau names -1 / tau, the
+    # inversion at x names x / |x|^2, each coordinate correctly rounded
     rng = np.random.default_rng(56)
-    size = 10.0 ** rng.uniform(-162, -154, (400, 2))
-    named = 0
+    size = 10.0 ** rng.uniform(-300, -154, (400, 2))
     for x1, x2 in zip((size[:, 0] * rng.uniform(-1, 1, 400)).tolist(), size[:, 1].tolist()):
         n = Fraction(x1) ** 2 + Fraction(x2) ** 2
         for fn, want in ((lambda: apply_word("S", (x1, x2)), (-Fraction(x1) / n, Fraction(x2) / n)),
                          (lambda: inversion_versor().apply(embed(x1, x2)),
                           (Fraction(x1) / n, Fraction(x2) / n))):
-            try:
+            with pytest.raises(VersorlabError) as info:
                 fn()
-            except PointAtInfinity:
-                continue
-            except VersorlabError as exc:
-                got = re.fullmatch(r"point \((\S+), (\S+)\) is too far out to embed: its squares "
-                                   r"overflow", str(exc)).groups()
-                for g, w in zip(map(float, got), want):
-                    assert abs(Fraction(g) - w) <= 2 * Fraction(math.ulp(float(w))), (x1, x2, got)
-                named += 1
-    assert named > 500
+            got = re.fullmatch(r"point \((\S+), (\S+)\) is too far out to embed: its squares "
+                               r"overflow", str(info.value)).groups()
+            for g, w in zip(map(float, got), want):
+                assert abs(Fraction(g) - w) <= Fraction(math.ulp(float(w))) / 2, (x1, x2, got)
 
 
 def test_special_conformal_matches_inversion_sandwich():
@@ -550,13 +596,14 @@ def _no_products(monkeypatch):
 
 
 def test_a_finite_word_makes_no_sandwich(monkeypatch):
-    # the letter matrices carry every word, and its floats raise every error
-    # themselves: a finite word and one sent to infinity go through no
-    # Multivector product
+    # the letter matrices carry every word, and their floats, or the refused step redone in
+    # rationals, raise every error: a finite word and one whose image is too far out go
+    # through no Multivector product
     words = _random_words(np.random.default_rng(6), 34)
     cases = [(word, (0.3, 0.7)) for word in words] + [("tS", (1.0, 1e-170))]
     want = [_outcome(apply_word, word, tau) for word, tau in cases]
-    assert want[-1] == (PointAtInfinity, "image point is at infinity")
+    assert want[-1] == (VersorlabError, "point (0.0, 1e+170) is too far out to embed: its squares "
+                                        "overflow")
     assert not any(isinstance(w, tuple) for w in want[:-1])
     _no_products(monkeypatch)
     for (word, tau), expected in zip(cases, want):
@@ -639,30 +686,18 @@ def test_letter_matrices_are_integer():
 
 def _integer_steps(matrices, x1, x2):
     """``cga2d._steps`` as it stepped on integer letter matrices: int * float products, and
-    ``DEFAULT_EPS`` and ``math.inf`` read as globals; an image too far out is named from the
-    step's start times 2^(2k), its x times 2^k put near 1 by ``math.ldexp``, where the library
-    puts it near 2^-501: scalings by powers of two that stay normal give the same bits."""
+    ``DEFAULT_EPS`` and ``math.inf`` read as globals; None where a step refuses in floats."""
     p = (x1 * x1 + x2 * x2) * 0.5
     for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
         q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
         if q == 0:
-            raise PointAtInfinity("image point is at infinity")
+            return None
         r = -0.5 / q
         y1, y2 = a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3, b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3
-        s1, s2, x1, x2, p = x1, x2, y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
+        x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
         h = (x1 * x1 + x2 * x2) * 0.5
         if not abs(p - h) <= DEFAULT_EPS * max(1.0, h) < math.inf:
-            if math.isinf(h) or math.isinf(r):
-                k = min(511, max(0, -math.frexp(max(abs(s1), abs(s2)))[1]))
-                u1, u2 = math.ldexp(s1, k), math.ldexp(s2, k)
-                z = (math.ldexp(u1, k), math.ldexp(u2, k), (u1 * u1 + u2 * u2) * 0.5,
-                     -math.ldexp(0.5, 2 * k))
-                y1 = a0 * z[0] + a1 * z[1] + a2 * z[2] + a3 * z[3]
-                y2 = b0 * z[0] + b1 * z[1] + b2 * z[2] + b3 * z[3]
-                q = d0 * z[0] + d1 * z[1] + d2 * z[2] + d3 * z[3]
-                raise VersorlabError(f"point ({-0.5 * y1 / q!r}, {-0.5 * y2 / q!r}) is too far "
-                                     f"out to embed: its squares overflow")
-            raise VersorlabError("conformal points must be null")
+            return None
         p = h
     return x1, x2, p
 
@@ -672,9 +707,17 @@ _INTEGER_MATRICES = {letter: tuple(tuple(int(m) for m in row) for row in matrix)
 
 
 def _integer_word(word, tau):
-    """``apply_word`` stepping on the integer letter matrices."""
+    """``apply_word`` stepping on the integer letter matrices, a letter whose step refuses taken
+    from its float start by ``_exact_image``, each coordinate rounded once, and named as embed
+    names a point if its squares overflow."""
     x1, x2 = cga2d._embedding(float(tau[0]), float(tau[1]))[:2]
-    return _integer_steps([_INTEGER_MATRICES[letter] for letter in word], x1, x2)[:2]
+    for letter in word:
+        stepped = _integer_steps([_INTEGER_MATRICES[letter]], x1, x2)
+        x1, x2 = stepped[:2] if stepped else map(float, _exact_image(letter, (x1, x2)))
+        if math.isinf((x1 * x1 + x2 * x2) * 0.5):
+            raise VersorlabError(f"point ({x1!r}, {x2!r}) is too far out to embed: its squares "
+                                 f"overflow")
+    return x1, x2
 
 
 def _bits(fn, word, tau):
@@ -705,8 +748,8 @@ def test_float_letter_step_is_bitwise_the_integer_step():
         assert _bits(apply_word, word, tau) == want, (word, tau)
         if isinstance(want, tuple):
             raised.append(want)
-    assert {kind for kind, _ in raised} == {PointAtInfinity, VersorlabError}
-    assert any("too far out to embed" in message for _, message in raised)
+    assert {kind for kind, _ in raised} == {VersorlabError}
+    assert all("too far out to embed" in message for _, message in raised)
     assert {math.copysign(1.0, tau[0]) for _, tau in draws if tau[0] == 0} == {1.0, -1.0}
 
 
@@ -855,37 +898,40 @@ def test_apply_matches_the_exact_oracle_for_every_map(factors, x1, x2, near_pole
 
 def test_maps_reach_every_outcome_of_the_letter_step():
     # one fixed case per outcome, whatever the property draws: dilator(10) at (1e-6, 5e-7)
-    # is no longer refused (the sandwich route's rounding made it "not null"), and next to
-    # K's pole the image's q has lost its digits
+    # is no longer refused (the sandwich route's rounding made it "not null"); next to K's
+    # pole the image's q has lost its digits, and the step redone exactly is finite (before,
+    # "must be null"); at 1e-300 dilator(700)'s |x|^2 / 2 underflows, and so does the
+    # inversion's at 1e-160, whose image is too far out
     K = special_conformal(0.5, -0.25)
     pole = extract(sandwich(NINF, K.inverse().v))
     cases = {"finite": ([("translator", [1.0, 2.0])], (0.5, 0.5)),
              "dilated": ([("dilator", [10.0])], (1e-6, 5e-7)),
              "inversion's pole": ([("inversion", [])], (0.0, 0.0)),
              "next to K's pole": ([("special_conformal", [0.5, -0.25])], (pole[0] + 1e-6, pole[1])),
+             "underflow": ([("dilator", [700.0])], (1e-300, 1e-301)),
              "too far out": ([("inversion", [])], (0.0, 1e-160))}
     seen = {name: _judged(factors, _made(factors), embed(*tau))
             for name, (factors, tau) in cases.items()}
     assert seen == {"finite": "finite", "dilated": "finite",
                     "inversion's pole": (PointAtInfinity, "image point is at infinity"),
-                    "next to K's pole": (VersorlabError, "conformal points must be null"),
+                    "next to K's pole": "finite", "underflow": "finite",
                     "too far out": (VersorlabError, "too far out")}
     assert dilator(10.0).apply(embed(1e-6, 5e-7)).coords == pytest.approx((0.0220, 0.0110), rel=2e-3)
 
 
 def test_a_point_sent_exactly_to_infinity_raises():
     # Y . n = 0 (q = 0 in null coordinates, z = 0 for the oracle) is a point at
-    # infinity, not a division by zero; a NaN q is no point at infinity
+    # infinity, not a division by zero: q = 0 in floats refuses the step, which is redone
+    # exactly, and an exact q = 0 raises; a NaN q is a refusal, no point at infinity
     cases = [lambda: inversion_versor().apply(embed(0.0, 0.0)),
-             lambda: cga2d._steps([cga2d._J], 0.0, 0.0),  # inversion's image of 0
-             lambda: apply_word("S", (0.0, 1e-170)),  # |tau|^2 / 2 underflows to 0
-             lambda: apply_word("tS", (1.0, 5e-324)),  # t's image 5e-324 i has p = 0
+             lambda: modular_S().apply(embed(0.0, 0.0)),  # S's image of 0
+             lambda: inversion_versor().apply(embed(-0.0, -0.0)),
              lambda: mobius_oracle("S", (0.0, 5e-324))]  # -1 / z is not finite
     for case in cases:
-        with pytest.raises(PointAtInfinity):
+        with pytest.raises(PointAtInfinity, match="^image point is at infinity$|^Mobius map"):
             case()
-    with pytest.raises(VersorlabError, match="^conformal points must be null$"):
-        cga2d._steps([cga2d._J], 0.0, math.nan)
+    assert cga2d._steps([cga2d._J], 0.0, 0.0) is None  # inversion's image of 0
+    assert cga2d._steps([cga2d._J], 0.0, math.nan) is None
 
 
 def test_a_finite_map_makes_no_sandwich(monkeypatch):
@@ -1012,6 +1058,16 @@ def test_no_dilator_refuses_a_point_whose_image_is_finite():
                      (15.0, (1e77, -5e76)), (-15.0, (1e77, -5e76))] + draws:
         got = dilator(alpha).apply(embed(*x)).coords
         assert _deviation(got, _exact_map_image([("dilator", [alpha])], x)) <= 1e-15, (alpha, x)
+    # where |x|^2 / 2 underflows to 0 the float step reads p = 0 beside the image's h and
+    # refuses it; redone in exact rationals, the image is rounded once, within 2 ulps (before,
+    # each raised "conformal points must be null")
+    for alpha, x in [(700.0, (1e-300, 1e-301)), (700.0, (1e-200, 0.0)),
+                     (700.0, (-3e-250, 2e-170)), (650.0, (5e-324, 0.0))]:
+        got = dilator(alpha).apply(embed(*x)).coords
+        for g, w in zip(got, _exact_map_image([("dilator", [alpha])], x)):
+            assert abs(Fraction(g) - w) <= 2 * Fraction(math.ulp(float(w))), (alpha, x, got)
+    assert dilator(700.0).apply(embed(1e-300, 1e-301)).coords == (10142.320547350046,
+                                                                  1014.2320547350046)
 
 
 def test_products_of_maps_are_never_refused():

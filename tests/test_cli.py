@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from versorlab import verify
 from versorlab.algebra import DEFAULT_EPS
-from versorlab.cga2d import word_report
+from versorlab.cga2d import mobius_oracle, word_report
 from versorlab.cli import _clean, main
-from versorlab.errors import SymmetrySweepFailure
+from versorlab.errors import SymmetrySweepFailure, VersorlabError
 from versorlab.verify import AtMost, Claim
 
 
@@ -193,11 +193,13 @@ def test_modular_reads_a_negative_tau_in_exponent_notation(argv, capsys):
 @settings(derandomize=True, database=None, deadline=None, max_examples=600)
 @given(word=st.text("STt", max_size=40),
        x1=st.floats() | st.floats(-1e-4, 0.0),
-       x2=st.floats() | st.floats(0.0, 10.0) | st.floats(1e-170, 1e-150))
+       x2=st.floats() | st.floats(0.0, 10.0) | st.floats(1e-170, 1e-150)
+       | st.floats(-320.0, -150.0).map(lambda e: 10.0 ** e))
 def test_modular_prints_its_report_or_one_json_line(word, x1, x2):
     # any word and floats, passed as repr writes them (subnormals, -0.0, inf and nan included):
     # exit 0 prints word_report's payload, exit 2 one JSON line naming what it raises; never a
-    # traceback, and never a warning
+    # traceback, and never a warning; and where the oracle's image is finite, no point at
+    # infinity (before, S at 1e-300 i exited with PointAtInfinity)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -211,6 +213,11 @@ def test_modular_prints_its_report_or_one_json_line(word, x1, x2):
         except Exception as exc:
             want = (2, "", json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
     assert (rc, out.getvalue(), err.getvalue()) == want
+    try:
+        finite = all(map(math.isfinite, mobius_oracle(word, (x1, x2))))
+    except VersorlabError:
+        finite = False
+    assert not (finite and '"error": "PointAtInfinity"' in err.getvalue()), (word, x1, x2)
 
 
 @pytest.mark.parametrize("argv", [("", "inf", "1"), ("S", "0.5", "inf"), ("S", "nan", "1"),
