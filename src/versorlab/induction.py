@@ -10,9 +10,9 @@ this way, named by their Coxeter matrices, the orders of the products of two
 simple reflections (Humphreys, Reflection Groups and Coxeter Groups, 5.3).
 Left/right multiplication X -> L X R permutes the induced roots; the sweep
 reads the table: its rows and columns decide every pair, the exhaustive count
-codes each pair by its images of 1 and the generators in ``BLOCK``-bounded
-blocks, and the sampled sweep gathers only its 32-pair float product, a witness
-independent of the table like ``reflection_agreement``'s quaternion products.
+is n^2 / |Z(G)| with the center counted on the table, and the sampled sweep
+gathers only its 32-pair float product, a witness independent of the table
+like ``reflection_agreement``'s quaternion products.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .algebra import (
-    BLOCK,
     DEFAULT_EPS,
     Multivector,
     Signature,
@@ -205,9 +204,9 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     Once the induced roots are checked to be the group's spinor coordinates,
     row (L, R) of ``t[t[L], R]`` names the image of every X; it is row L of t,
     then column R, so t's rows and columns, sorted once, decide every pair.
-    ``pairs=None`` sweeps G x G and counts the distinct maps by their images of 1
-    and the generators: L g R = L' g R' for those g gives R' = c R, c = L'^-1 L
-    commuting with them and -1, which generate G, so L' X R' = L' c X R = L X R.
+    ``pairs=None`` sweeps G x G and counts its n^2 / |Z(G)| maps: L X R = L' X R' for every X
+    iff R' = c R, c = L'^-1 L central; Z(G) is read off the table as the elements commuting
+    with the generators s_i s_j, which with the central -1 generate G.
     Otherwise ``pairs`` pairs are drawn from ``seed`` and only the first 32 are
     gathered, multiplied out in floats: a witness that the table is right.
     """
@@ -230,14 +229,9 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     if bad.size:
         raise SymmetrySweepFailure(f"pair (L={li[bad[0]]}, R={ri[bad[0]]}) is not a symmetry")
     if pairs is None:
-        gens = np.append(group._e, group._graph[group._e])  # 1 and the generators s_i s_j
-        if n ** gens.size >= 2 ** 63:
-            raise VersorlabError(f"{gens.size} images of {n} elements overflow an int64 code")
-        codes, step = np.empty((n, n), np.int64), max(1, BLOCK // (n * gens.size))  # whole L rows
-        for l0 in range(0, n, step):  # t[t[L, g], R]: index of L g R
-            codes[l0:l0 + step] = n ** np.arange(gens.size) @ t[t[l0:l0 + step, gens]]
-        codes = np.sort(codes, None)  # not np.unique, which imports numpy.ma
-        return AutomorphismSweep(n, n * n, True, int(np.count_nonzero(np.diff(codes))) + 1)
+        gens = group._graph[group._e]
+        center = int(np.count_nonzero(np.all(t[:, gens] == t[gens].T, axis=1)))
+        return AutomorphismSweep(n, n * n, True, n * n // center)
     l, r, kern = li[:32], ri[:32], kernel_for(_SIG3)
     img = kern.gp_elemwise(kern.gp_elemwise(garr[l, None], garr[None]), garr[r, None])
     bad = np.flatnonzero(np.any(row_keys(img) != row_keys(garr[t[t[l], r[:, None]]]), axis=1))

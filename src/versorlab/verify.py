@@ -28,7 +28,7 @@ batch in any bit, and ``worst`` is the worst residual of the batch and the witne
 ``cga2d.modular_words`` draws its 1000 words in three calls, then takes each through
 ``apply_word`` and ``mobius_oracle``, so a word the route rejects fails the row with
 that route's own error.  ``groups.exp_structure`` reads each element of Spin(A3) as
-+-exp(B theta) off its spinor coordinates.
++-exp(B theta), theta from its element order on the table, sign and axis in floats.
 """
 
 from __future__ import annotations
@@ -396,18 +396,18 @@ _PI3_PATTERNS = {tuple(round(s / math.sqrt(3.0), 9) for s in signs): [-1, 1]
 
 
 def _exp_structure(ctx):
-    """Each element of Spin(A3) as sign (cos theta + B sin theta), read off its spinor
-    coordinates (a0, b): theta = atan2(|b|, |a0|), the sign of a0 and B's axis b / |b|."""
-    rows = ctx.spin("A3").element_arr()
+    """Each element of Spin(A3) as sign (cos theta + B sin theta): theta is pi/3, pi/2 or 0 as
+    its order is 3 or 6, 4, or 1 or 2; sign and axis b / |b| are floats off spinor (a0, b)."""
+    rows = (spin := ctx.spin("A3")).element_arr()
+    order = np.array([spin.element_order(row) for row in rows])
     a0, b = _spinor_coords(rows)[:, 0], _spinor_coords(rows)[:, 1:]
     bmag, sign = np.linalg.norm(b, axis=1), np.where(a0 < -DEFAULT_EPS, -1, 1)
-    pi_3, pi_2 = (np.flatnonzero(np.abs(np.arctan2(bmag, np.abs(a0)) - t) <= DEFAULT_EPS)
-                  for t in (math.pi / 3, math.pi / 2))
+    pi_3, pi_2 = np.flatnonzero((order == 3) | (order == 6)), np.flatnonzero(order == 4)
     signs, bivectors = {}, [Multivector(_CL3, row) for row in rows[pi_2]]
     for i in pi_3.tolist():
         axis = tuple(round(c, 9) for c in (sign[i] * b[i] / bmag[i]).tolist())
         signs.setdefault(axis, []).append(int(sign[i]))
-    return {"at_pi_3": pi_3.size, "at_pi_2": pi_2.size, "scalars": int((bmag <= DEFAULT_EPS).sum()),
+    return {"at_pi_3": pi_3.size, "at_pi_2": pi_2.size, "scalars": int((order <= 2).sum()),
             "pi_3_signs": {p: sorted(s) for p, s in signs.items()},
             "pi_2_bivectors": _same_elements(bivectors, _a3_bivectors())}
 

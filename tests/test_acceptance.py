@@ -130,6 +130,19 @@ def test_the_witness_compares_bits(monkeypatch):
     assert (result.passed, result.detail) == (False, "witness_mismatches = 32, expected 0")
 
 
+def test_a_planted_wrong_element_order_fails_the_exp_structure_row(monkeypatch):
+    """One order-4 element of Spin(A3) read as order 3 moves it from pi/2 to pi/3."""
+    ctx = verify._Ctx(42)
+    spin = ctx.spin("A3")
+    orders = list(spin._element_orders)
+    orders[orders.index(4)] = 3
+    monkeypatch.setattr(spin, "_element_orders", orders)
+    result = verify._judge(_claim("groups.exp_structure"), ctx)
+    assert not result.passed
+    assert result.detail.startswith("at_pi_3 = 17, expected 16; at_pi_2 = 5, expected 6; "), \
+        result.detail
+
+
 def _passing_state(name):
     """The generator's state after a passing run of row ``name`` at seed 42."""
     reference = verify._Ctx(42)

@@ -8,10 +8,11 @@ import os
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from versorlab import verify
@@ -218,6 +219,80 @@ def test_modular_prints_its_report_or_one_json_line(word, x1, x2):
     except VersorlabError:
         finite = False
     assert not (finite and '"error": "PointAtInfinity"' in err.getvalue()), (word, x1, x2)
+
+
+# any JSON value: what a root-system file may hold in any field, or as a whole
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+                     lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=8), inner, max_size=4), max_leaves=12)
+_ROWS = st.lists(st.lists(st.floats(), min_size=1, max_size=4), min_size=1, max_size=4)
+
+
+@st.composite
+def _coxeter_seed(draw):
+    """Three unit rows at angles pi - pi/m_ij (m_13 = 2), in a random frame, plus noise up to
+    1e-3 per coefficient: finite systems, and near misses whose closure does not end."""
+    m12, m23 = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    c12, c23 = -math.cos(math.pi / m12), -math.cos(math.pi / m23)
+    gram = np.array([[1.0, c12, 0.0], [c12, 1.0, c23], [0.0, c23, 1.0]])
+    assume(np.linalg.eigvalsh(gram)[0] > 1e-9)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    noise = draw(st.sampled_from([0.0, 1e-12, 1e-9]) | st.floats(0.0, 1e-3))
+    rows = np.linalg.cholesky(gram) @ (q * np.sign(np.diag(r))).T
+    return {"simple_roots": (rows + noise * rng.standard_normal((3, 3))).tolist()}
+
+
+_SIGS = st.lists(st.integers(-1, 9), min_size=2, max_size=2)
+_ROOT_FILES = (st.fixed_dictionaries({}, optional={"simple_roots": _JSON | _ROWS,
+                                                   "sig": _JSON | _SIGS, "name": _JSON})
+               | _JSON | _coxeter_seed())
+# a cap past 100 000 only lets a near miss close for longer, so the draw stops there
+_CLI_TAIL = st.tuples(st.none() | st.integers(max_value=100_000),
+                      st.sampled_from(["json", "csv", "markdown"]),
+                      st.none() | st.text(st.characters(exclude_categories=("Cs",),
+                                                        exclude_characters="\x00"), max_size=6)
+                      | st.integers(0, 2 ** 70).map(str))
+
+
+@pytest.fixture(scope="module")
+def system_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "system.json"
+
+
+def _one_outcome(system_file, command, data, tail):
+    """Run ``command`` on ``data`` written as a JSON file, through ``main`` in process: exit 0
+    with output and nothing on stderr, or exit 2 with one JSON line on stderr and no output."""
+    cap, fmt, seed = tail
+    system_file.write_text(json.dumps(data))
+    argv = [command, str(system_file), "--format", fmt] + ([] if cap is None else ["--max-closure", str(cap)])
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), warnings.catch_warnings(), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("VERSORLAB_SEED", None)
+        os.environ.update({} if seed is None else {"VERSORLAB_SEED": seed})
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main(argv)
+    if rc == 0:
+        assert out.getvalue() and err.getvalue() == "", (argv, data)
+    else:
+        assert rc == 2 and out.getvalue() == "", (argv, data, rc)
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), (argv, data)
+        assert set(json.loads(err.getvalue())) == {"error", "message"}, (argv, data)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=_ROOT_FILES, tail=_CLI_TAIL)
+def test_roots_prints_its_report_or_one_json_line(system_file, data, tail):
+    _one_outcome(system_file, "roots", data, tail)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=_ROOT_FILES, tail=_CLI_TAIL)
+def test_induce_prints_its_report_or_one_json_line(system_file, data, tail):
+    _one_outcome(system_file, "induce", data, tail)
 
 
 @pytest.mark.parametrize("argv", [("", "inf", "1"), ("S", "0.5", "inf"), ("S", "nan", "1"),

@@ -18,6 +18,10 @@ And a ratchet on unnamed tolerances: every float literal below 1e-2 in magnitude
 in ``src/``, outside the definitions of ``DEFAULT_EPS`` and ``HASH_GRID``, is
 pinned as a (module, value) pair, so a new unnamed tolerance fails here.
 
+And a ratchet on size: the code lines of ``src/versorlab/*.py``, every line that holds
+a token other than a comment or a docstring, are pinned as one count, so a change that
+grows or shrinks ``src/`` moves the pin in its own diff.
+
 And one for a dead-tolerance rule: an ``eps``, ``tol`` or ``tolerance``
 parameter counts as set when some call in the package passes it a value, by
 keyword, by position or through a starred argument, that is neither
@@ -28,6 +32,7 @@ import ast
 import contextlib
 import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -203,6 +208,37 @@ def test_no_new_unnamed_tolerance_in_src():
         ("induction", 1e-08), ("induction", 1e-08), ("induction", 0.001),
         ("mckay", 1e-09), ("mckay", 1e-09), ("mckay", 1e-06),
         ("roots", 1e-08), ("roots", 1e-06), ("verify", 1e-06)]
+
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines holding a token other than a comment or layout, docstrings left out; a token
+    over several lines, such as a long string, counts each of them."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and ast.get_docstring(node) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def test_code_line_counter_skips_docstrings_comments_and_blank_lines():
+    source = ('"""Module\ndocstring."""\n\n# a comment\nx = 1  # trailing\n\n\n'
+              'def f(a,\n      b):\n    """Doc."""\n    return """not\na docstring"""\n')
+    # x = 1, the def's two lines and the return's two
+    assert code_lines(source) == 5
+
+
+def test_src_code_lines_are_pinned():
+    # a change that moves this count updates it and says so in CHANGES.md
+    assert sum(code_lines(p.read_text()) for p in sorted(SRC.glob("*.py"))) == 2117
 
 
 def test_dead_name_checker_flags_a_helper_nothing_calls():

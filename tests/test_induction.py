@@ -493,26 +493,26 @@ def test_sweep_matches_the_per_pair_scan_on_intact_and_corrupted_tables(src):
 
 @pytest.mark.parametrize("src", INDUCTION_TABLE)
 def test_images_of_one_and_the_generators_decide_the_whole_row(src):
-    # the sweep codes (L, R) by its images of 1 and the generators s_i s_j; grouped by that
-    # code, the n^2 pairs of each group send every X to one and the same row
+    # every row of t[t[L], R], enumerated pair by pair: pairs that agree on 1 and the
+    # generators s_i s_j agree on every X, and the n^2 pairs give n^2 / |Z(G)| rows, the
+    # center being the elements whose row of the table equals their column (here +-1)
     g = spin_group(src)
-    ind, n = induce_4d(g), g.order
+    ind, n, t = induce_4d(g), g.order, g.table
     li, ri = np.divmod(np.arange(n * n), n)
-    rows = np.concatenate([imgs for _, imgs in _composite_rows(g.table, li, ri)])
-    keys = rows[:, np.append(g._e, g._graph[g._e])].astype(np.int64)
-    codes = keys @ n ** np.arange(keys.shape[1])
-    order = np.argsort(codes, kind="stable")
-    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
-    first = np.repeat(starts, np.diff(np.append(starts, n * n)))  # each pair's group's first
-    assert np.array_equal(rows[order], rows[order][first])
-    assert starts.size == np.unique(rows, axis=0).shape[0] == np.unique(keys, axis=0).shape[0]
-    assert spinorial_automorphisms(ind).distinct_images == starts.size
-    assert _per_pair_sweep(ind).distinct_images == starts.size == n * n // 2
+    rows = np.concatenate([imgs for _, imgs in _composite_rows(t, li, ri)])
+    keys = rows[:, np.append(g._e, g._graph[g._e])]
+    distinct, keyed = (np.unique(a, axis=0).shape[0] for a in (rows, keys))
+    assert np.unique(np.hstack([keys, rows]), axis=0).shape[0] == keyed == distinct
+    center = np.count_nonzero(np.all(t == t.T, axis=1))
+    assert center == 2
+    assert spinorial_automorphisms(ind).distinct_images == distinct == n * n // center
+    assert _per_pair_sweep(ind).distinct_images == distinct
 
 
 def test_exhaustive_2i_sweep_keeps_no_row_of_images():
-    # one int64 code per pair, n^2 of them (115 kB on 2I); the n^2 byte rows they
-    # replaced peaked at 4.7 MiB
+    # beyond the sorted rows and columns of the table, the count reads 3 n table cells;
+    # the one int64 code per pair it replaced peaked at 0.78 MiB, the n^2 byte rows
+    # before those at 4.7 MiB
     ind = induce_4d(spin_group("H3"))
     ind.source.table  # built before counting starts
     tracemalloc.start()
@@ -521,7 +521,7 @@ def test_exhaustive_2i_sweep_keeps_no_row_of_images():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.4 * (1 << 20), peak
+    assert peak < 0.4 * (1 << 20), peak
 
 
 def test_exhaustive_sweep_does_not_import_numpy_ma():
@@ -532,27 +532,6 @@ def test_exhaustive_sweep_does_not_import_numpy_ma():
             " 'numpy.ma' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout == "1152 False\n"
-
-
-def test_exhaustive_sweep_refuses_a_code_past_int64():
-    # 1 and 15 generators of a 24-element group: 24^16 > 2^63 does not fit one code
-    g = spin_group("A3")
-    ind = induce_4d(g)
-    g.table
-    g._graph = np.tile(g._graph, 5)
-    with pytest.raises(VersorlabError, match="^16 images of 24 elements overflow an int64 code$"):
-        spinorial_automorphisms(ind)
-
-
-@pytest.mark.parametrize("src,images", [("B3", 1152), ("H3", 7200)])
-def test_sweep_count_does_not_depend_on_the_block_size(src, images, monkeypatch):
-    # an L row is 4 n entries, the images of 1 and the three generators under every R:
-    # one L row per block (BLOCK = 1 and 4 n), then 7 rows with a short last block
-    g = spin_group(src)
-    ind, n = induce_4d(g), g.order
-    for block in (1, 4 * n, 7 * 4 * n):
-        monkeypatch.setattr(versorlab.induction, "BLOCK", block)
-        assert spinorial_automorphisms(ind).distinct_images == images, block
 
 
 def test_induced_gram_spectra_match_catalog():
