@@ -25,8 +25,10 @@ matrix ``M``: the named maps write it, and their versor unchecked, from their pa
 multiply it, ``reverse`` and ``inverse`` take its exact adjoint, and ``ConformalVersor(v)`` reads
 it off the kernel; those three refuse an entry that overflows.  ``apply``, and ``apply_word`` per
 letter, step z to M z at q = -1/2 in floats and redo a step they refuse in rationals, rounded once;
-S, T and t = T^-1 are integer matrices held as floats.  A point that ``embed`` or ``apply`` makes
-holds its e1..e4 floats and writes X only when X is read, so a map's ``apply`` makes no numpy call.
+S, T and t = T^-1 are integer matrices held as floats.  The letter step is one branch-free body,
+which steps a numpy column of points, as ``verify``'s translations batch does, to the same bits.
+A point that ``embed`` or ``apply`` makes holds its e1..e4 floats and writes X only when X is
+read, so a map's ``apply`` makes no numpy call.
 """
 
 from __future__ import annotations
@@ -185,29 +187,29 @@ def extract(X: Union[ConformalPoint, Multivector]) -> Tuple[float, float]:
     raise PointAtInfinity("null vector has X . n = 0")
 
 
-def _steps(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
+def _steps(matrices: Iterable[tuple], x1, x2) -> tuple:
     """One letter step per matrix M, in turn: y = M (x1, x2, |x|^2/2, -1/2) at q = -1/2, decided
-    by the point rule, squares as x * x; None where q = 0 or the image is not a point."""
+    by the point rule, squares as x * x: (x1, x2, p, ok), ok false where q = 0 or an image is not
+    a point.  One body for floats and for numpy columns, whose q = 0 steps to inf, not ok."""
     eps, inf, p = DEFAULT_EPS, math.inf, (x1 * x1 + x2 * x2) * 0.5
-    for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
-        q = d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3
-        if q == 0:
-            return None
-        r = -0.5 / q
-        y1, y2 = a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3, b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3
-        x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
-        h = (x1 * x1 + x2 * x2) * 0.5
-        if not abs(p - h) <= eps * (h if h > 1.0 else 1.0) < inf:
-            return None
-        p = h
-    return x1, x2, p
+    ok = True
+    try:
+        for (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) in matrices:
+            r = -0.5 / (d0 * x1 + d1 * x2 + d2 * p - 0.5 * d3)
+            y1, y2 = a0 * x1 + a1 * x2 + a2 * p - 0.5 * a3, b0 * x1 + b1 * x2 + b2 * p - 0.5 * b3
+            x1, x2, p = y1 * r, y2 * r, (c0 * x1 + c1 * x2 + c2 * p - 0.5 * c3) * r
+            d = abs(p - (h := (x1 * x1 + x2 * x2) * 0.5))  # |p - h| <= eps max(1, h) < inf
+            ok, p = ok & ((d <= eps) | (d <= eps * h)) & (h < inf), h
+    except ZeroDivisionError:  # a float q = 0
+        ok = False
+    return x1, x2, p, ok
 
 
 def _exact(matrices: Iterable[tuple], x1: float, x2: float) -> tuple:
     """``_steps`` per matrix, a refused step redone in rationals from its float start and matrix:
     PointAtInfinity at q = 0, not null off the cone, else rounded once and named if too far out."""
     for M in matrices:
-        if not (stepped := _steps((M,), x1, x2)):
+        if not (stepped := _steps((M,), x1, x2))[3]:
             z = (u1 := Fraction(x1), u2 := Fraction(x2), (u1 * u1 + u2 * u2) / 2, Fraction(-1, 2))
             y1, y2, p, q = (sum(Fraction(m) * c for m, c in zip(row, z)) for row in M)
             if q == 0:
@@ -251,7 +253,9 @@ class ConformalVersor:
 
     def apply(self, p: ConformalPoint) -> ConformalPoint:
         """p's plane point taken by ``apply_word``'s letter step on ``M``, then re-embedded."""
-        x1, x2, h = _steps((self.M,), *p.coords) or _exact((self.M,), *p.coords)
+        x1, x2, h, ok = _steps((self.M,), *p.coords)
+        if not ok:
+            x1, x2, h = _exact((self.M,), *p.coords)
         return _point((x1, x2, h - 0.5, h + 0.5))
 
     def __mul__(self, other: "ConformalVersor") -> "ConformalVersor":
@@ -422,8 +426,8 @@ def apply_word(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]
     if not x2 > 0:
         raise VersorlabError("modular words act on the upper half-plane (x2 > 0)")
     x1, x2 = _embedding(x1, x2)[:2]  # embed's checks and messages, and its x + 0.0
-    return (_steps(map(_MATRICES.__getitem__, letters), x1, x2)
-            or _exact(map(_MATRICES.__getitem__, letters), x1, x2))[:2]
+    y1, y2, _, ok = _steps(map(_MATRICES.__getitem__, letters), x1, x2)
+    return (y1, y2) if ok else _exact(map(_MATRICES.__getitem__, letters), x1, x2)[:2]
 
 
 def mobius_oracle(word: Iterable[str], tau: Sequence[float]) -> Tuple[float, float]:

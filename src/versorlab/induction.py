@@ -4,15 +4,19 @@ An even element of Cl(3,0) is a spinor R = a0 + a1 e2e3 + a2 e3e1 + a3 e1e2.
 Reading (a0, a1, a2, a3) as coordinates turns a finite spin group into a set
 of unit 4D vectors, and that set is itself a root system: the group-level
 identity -R1 ~R2 R1 = R2 - 2 (R1,R2)/(R1,R1) R1 shows closure of the set
-under 4D reflections, each a permutation of the group's integer table.  The
+under 4D reflections, each a permutation of the group's integer table.  One
+gather of that table gives every positive root's reflection, and the simple
+roots are the ones whose reflection sends a single positive root negative:
+no float geometry past the functional that picks the positive side.  The
 three irreducible rank-3 systems plus A1^3 induce exactly A1^4, D4, F4, H4
 this way, named by their Coxeter matrices, the orders of the products of two
 simple reflections (Humphreys, Reflection Groups and Coxeter Groups, 5.3).
 Left/right multiplication X -> L X R permutes the induced roots; the sweep
 reads the table: its rows and columns decide every pair, the exhaustive count
-is n^2 / |Z(G)| with the center counted on the table, and the sampled sweep
-gathers only its 32-pair float product, a witness independent of the table
-like ``reflection_agreement``'s quaternion products.
+is n^2 / |Z(G)| with the center counted on the table (a table with no center
+is no group's, and refused), and the sampled sweep gathers only its 32-pair
+float product, a witness independent of the table like
+``reflection_agreement``'s quaternion products.
 """
 
 from __future__ import annotations
@@ -104,34 +108,24 @@ def _generic_functional(coords: np.ndarray) -> np.ndarray:
     raise VersorlabError("could not find a functional separating the roots")
 
 
-def _extract_simple_coords(coords: np.ndarray) -> np.ndarray:
-    """Rows of the simple roots: positive roots whose reflection makes one positive root negative.
-
-    The length of w is the number of positive roots w sends to the negative
-    side (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7), and the
-    simple reflections are the reflections of length 1, so a positive root a
-    is simple exactly when s_a inverts a alone.  f(s_a b) = f(b) - 2 (a|b)/(a|a) f(a)
-    counts that for every pair at once; images of roots are roots, so no
-    value sits within the functional's margin of 0.  Rows come in their roots' lex order.
-    """
-    f = _generic_functional(coords)
-    P = coords[pos := np.flatnonzero(coords @ f > 0)]
-    fp, gram = P @ f, P @ P.T
-    images = fp[None, :] - 2.0 * (gram / np.diag(gram)[:, None]) * fp[:, None]
-    S = pos[np.count_nonzero(images < 0, axis=1) == 1]
-    if S.size != coords.shape[1] or np.linalg.matrix_rank(coords[S], tol=1e-8) != coords.shape[1]:
-        raise VersorlabError(f"simple-root extraction found {S.size} indecomposables")
-    return S[lex_order(coords[S])]
-
-
 def induce_4d(group: VersorGroup) -> InducedRootSystem4D:
-    """Read a Cl(3,0) spin group as a 4D root system, its reflection graph off the table."""
+    """Read a Cl(3,0) spin group as a 4D root system, its simple roots and reflection graph off
+    the table.  The reflection in positive root R_a sends R_j to -R_a ~R_j R_a, so one gather of
+    the table gives every positive root's row.  The length of w is the number of positive roots
+    w sends to the negative side (Humphreys, Reflection Groups and Coxeter Groups, 1.6-1.7), and
+    the simple reflections are the reflections of length 1, so a positive root is simple exactly
+    when its row sends one positive root negative.  Simple roots come in their lex order."""
     if group.kind != "spin" or group.sig != _SIG3:
         raise VersorlabError("induce_4d expects a spin group in Cl(3,0)")
     coords, t = _spinor_coords(group.element_arr()), group.table
-    simple = _extract_simple_coords(coords)
-    refl = group._negatives[t[t[simple][:, group.inverses()], simple[:, None]]]  # -R_k ~R_j R_k
-    coords, refl, simple = lex_sorted(coords, refl.T, simple)
+    positive = coords @ _generic_functional(coords) > 0
+    pos = np.flatnonzero(positive)
+    refl = group._negatives[t[t[pos][:, group.inverses()], pos[:, None]]]  # -R_a ~R_j R_a
+    simple = np.flatnonzero(np.count_nonzero(positive & ~positive[refl], axis=1) == 1)
+    if simple.size != coords.shape[1]:
+        raise VersorlabError(f"simple-root extraction found {simple.size} indecomposables")
+    simple = simple[lex_order(coords[pos[simple]])]
+    coords, refl, simple = lex_sorted(coords, refl[simple].T, pos[simple])
     rs = RootSystem(_SIG4, coords, simple, refl.T)
     rs.name = identify_4d(rs)
     return InducedRootSystem4D(rs, group, rs.name)
@@ -206,7 +200,8 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
     then column R, so t's rows and columns, sorted once, decide every pair.
     ``pairs=None`` sweeps G x G and counts its n^2 / |Z(G)| maps: L X R = L' X R' for every X
     iff R' = c R, c = L'^-1 L central; Z(G) is read off the table as the elements commuting
-    with the generators s_i s_j, which with the central -1 generate G.
+    with the generators s_i s_j, which with the central -1 generate G; a table where none
+    does, not even the identity, is no group's and is refused.
     Otherwise ``pairs`` pairs are drawn from ``seed`` and only the first 32 are
     gathered, multiplied out in floats: a witness that the table is right.
     """
@@ -230,7 +225,8 @@ def spinorial_automorphisms(r: InducedRootSystem4D, *, pairs: Optional[int] = No
         raise SymmetrySweepFailure(f"pair (L={li[bad[0]]}, R={ri[bad[0]]}) is not a symmetry")
     if pairs is None:
         gens = group._graph[group._e]
-        center = int(np.count_nonzero(np.all(t[:, gens] == t[gens].T, axis=1)))
+        if not (center := int(np.count_nonzero(np.all(t[:, gens] == t[gens].T, axis=1)))):
+            raise SymmetrySweepFailure(f"{group!r}'s table is not a group's: nothing is central")
         return AutomorphismSweep(n, n * n, True, n * n // center)
     l, r, kern = li[:32], ri[:32], kernel_for(_SIG3)
     img = kern.gp_elemwise(kern.gp_elemwise(garr[l, None], garr[None]), garr[r, None])

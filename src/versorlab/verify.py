@@ -18,13 +18,14 @@ before it checks any, in one generator call per distribution per block, so a row
 that fails leaves the draws of the rows after it alone.  Each block's unit vectors
 are normalized, and its vectors masked, as arrays.  Then the rows evaluate all draws
 at once as array expressions on ``gp_elemwise``, ``rev``, the grade masks and the
-batched scalar part (``cga2d.translations``: ``apply``'s letter step on the
-translator's matrix), which give the route's floats bit for bit, and make each of
-the route's checks on all draws at once.  When a check fails, the block's own draws
-are replayed through the public route, so the row fails with that route's own
-error.  The first 32 draws of each algebra a row samples also take the public route
-as a witness: ``witness_mismatches`` counts the draws whose outputs differ from the
-batch in any bit, and ``worst`` is the worst residual of the batch and the witness.
+batched scalar part (``cga2d.translations``: ``apply``'s own letter step,
+``cga2d._steps``, on numpy columns of the translators' matrices), which give the
+route's floats bit for bit, and make each of the route's checks on all draws at
+once.  When a check fails, the block's own draws are replayed through the public
+route, so the row fails with that route's own error.  The first 32 draws of each
+algebra a row samples also take the public route as a witness: ``witness_mismatches``
+counts the draws whose outputs differ from the batch in any bit, and ``worst`` is the
+worst residual of the batch and the witness.
 ``cga2d.modular_words`` draws its 1000 words in three calls, then takes each through
 ``apply_word`` and ``mobius_oracle``, so a word the route rejects fails the row with
 that route's own error.  ``groups.exp_structure`` reads each element of Spin(A3) as
@@ -62,6 +63,7 @@ from .cga2d import (
     E2,
     EPLUS,
     NBAR,
+    _steps,
     _translation,
     apply_word,
     dilator,
@@ -461,18 +463,13 @@ def _translation_public(drawn, i):
     return [*got, np.max([abs(got[0] - (x1 + a1)), abs(got[1] - (x2 + a2))])]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a draw too far out fails a test, not a warning
+@np.errstate(all="ignore")  # a draw too far out, or sent to infinity, fails a test, not a warning
 def _translation_batch(drawn):
     a1, a2, x1, x2 = np.array(drawn).T
-    sq = x1 * x1 + x2 * x2  # embed's squares; its one test: (sq + 1)/2 squares to a finite float
-    y1, y2, yp, q = (m0 * x1 + m1 * x2 + m2 * (sq * 0.5) - 0.5 * m3  # apply's letter step
-                     for m0, m1, m2, m3 in _translation(a1, a2))
-    r = -0.5 / np.where(q == 0, -0.5, q)
-    got, p = np.column_stack([y1 * r, y2 * r]), yp * r
-    h = (got[:, 0] * got[:, 0] + got[:, 1] * got[:, 1]) * 0.5
-    if not np.all([((sq + 1.0) * 0.5) ** 2 < np.inf, q != 0,
-                   np.abs(p - h) <= DEFAULT_EPS * np.maximum(1.0, h), np.isfinite(h)]):
+    y1, y2, _, ok = _steps((_translation(a1, a2),), x1 + 0.0, x2 + 0.0)  # apply's letter step
+    if not (ok & (((x1 * x1 + x2 * x2 + 1.0) * 0.5) ** 2 < np.inf)).all():  # and embed's test
         return None
+    got = np.column_stack([y1, y2])
     return np.column_stack([got, np.abs(got - np.column_stack([x1 + a1, x2 + a2])).max(axis=1)])
 
 

@@ -753,6 +753,51 @@ def test_float_letter_step_is_bitwise_the_integer_step():
     assert {math.copysign(1.0, tau[0]) for _, tau in draws if tau[0] == 0} == {1.0, -1.0}
 
 
+def _step_bits(x1, x2, p, ok):
+    """A letter step's floats as ``float.hex``, so the sign of zero counts, and its verdict,
+    per point: a numpy column's entries are taken apart into Python floats and bools."""
+    columns = [np.ravel(v).tolist() for v in (x1, x2, p)]
+    return [(*map(float.hex, z), bool(k)) for *z, k in zip(*columns, np.ravel(ok).tolist())]
+
+
+def test_the_letter_step_gives_a_column_the_bits_it_gives_each_point(monkeypatch):
+    # one body steps floats and numpy columns: verify's translation draws at seeds 0-49, and
+    # 1 000 seeded words, with 200 that S sends too far out, one letter position at a time
+    monkeypatch.setattr(verify, "_sampled", lambda ctx, blocks, *_: blocks[0][1](ctx, 1000))
+    for seed in range(50):
+        a1, a2, x1, x2 = verify._translations(verify._Ctx(seed)).T
+        with np.errstate(all="raise"):
+            column = cga2d._steps((cga2d._translation(a1, a2),), x1 + 0.0, x2 + 0.0)
+        points = [cga2d._steps((cga2d._translation(b1, b2),), y1 + 0.0, y2 + 0.0)
+                  for b1, b2, y1, y2 in zip(a1.tolist(), a2.tolist(), x1.tolist(), x2.tolist())]
+        assert _step_bits(*column) == [bits for z in points for bits in _step_bits(*z)], seed
+    rng = np.random.default_rng(5858)
+    draws = verify._word_draws(verify._Ctx(5858), 1000)
+    draws += [("S" + "".join(rng.choice(["S", "T", "t"], size=int(rng.integers(0, 5)))),
+               (float(rng.choice([0.0, -0.0])), float(rng.choice([1e-170, 1e-160]))))
+              for _ in range(200)]
+    words, x = [w for w, _ in draws], [cga2d._embedding(*tau)[:2] for _, tau in draws]
+    refused = poles = 0
+    for k in range(max(map(len, words))):
+        at = [i for i, word in enumerate(words) if len(word) > k]
+        M, (x1, x2) = np.array([cga2d._MATRICES[words[i][k]] for i in at]), np.array(x)[at].T
+        points = [cga2d._steps((cga2d._MATRICES[words[i][k]],), *x[i]) for i in at]
+        # where q is 0 in floats, a point's step stops on ZeroDivisionError and keeps its
+        # start's floats: there only the verdicts compare, and the column's inf warns nothing
+        # under the caller's errstate (a RuntimeWarning fails the test)
+        with np.errstate(all="ignore"):
+            column = cga2d._steps((tuple(map(tuple, M.transpose(1, 2, 0))),), x1, x2)
+            d0, d1, d2, d3 = M[:, 3].T
+            pole = d0 * x1 + d1 * x2 + d2 * ((x1 * x1 + x2 * x2) * 0.5) - 0.5 * d3 == 0
+        got, want = _step_bits(*column), [bits for z in points for bits in _step_bits(*z)]
+        assert ([g[3:] if q else g for g, q in zip(got, pole)]
+                == [w[3:] if q else w for w, q in zip(want, pole)]), k
+        refused, poles = refused + sum(not z[3] for z in points), poles + int(pole.sum())
+        for i, z in zip(at, points):
+            x[i] = z[:2]
+    assert refused > poles > 0
+
+
 def test_letter_matrices_satisfy_the_modular_relations_exactly():
     assert _relation_defects() == []
 
@@ -930,8 +975,8 @@ def test_a_point_sent_exactly_to_infinity_raises():
     for case in cases:
         with pytest.raises(PointAtInfinity, match="^image point is at infinity$|^Mobius map"):
             case()
-    assert cga2d._steps([cga2d._J], 0.0, 0.0) is None  # inversion's image of 0
-    assert cga2d._steps([cga2d._J], 0.0, math.nan) is None
+    assert cga2d._steps([cga2d._J], 0.0, 0.0)[3] is False  # inversion's image of 0
+    assert cga2d._steps([cga2d._J], 0.0, math.nan)[3] is False
 
 
 def test_a_finite_map_makes_no_sandwich(monkeypatch):

@@ -255,17 +255,22 @@ _CLI_TAIL = st.tuples(st.none() | st.integers(max_value=100_000),
                       | st.integers(0, 2 ** 70).map(str))
 
 
+_KINDS = st.sampled_from(["pin", "spin", "chiral", "full"])
+
+
 @pytest.fixture(scope="module")
 def system_file(tmp_path_factory):
     return tmp_path_factory.mktemp("property") / "system.json"
 
 
-def _one_outcome(system_file, command, data, tail):
-    """Run ``command`` on ``data`` written as a JSON file, through ``main`` in process: exit 0
-    with output and nothing on stderr, or exit 2 with one JSON line on stderr and no output."""
+def _one_outcome(system_file, command, data, tail, *options):
+    """Run ``command`` on ``data`` written as a JSON file, with ``options``, through ``main`` in
+    process: exit 0 with output and nothing on stderr, or exit 2 with one JSON line on stderr and
+    no output."""
     cap, fmt, seed = tail
     system_file.write_text(json.dumps(data))
-    argv = [command, str(system_file), "--format", fmt] + ([] if cap is None else ["--max-closure", str(cap)])
+    argv = [command, str(system_file), *options, "--format", fmt] + (
+        [] if cap is None else ["--max-closure", str(cap)])
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), warnings.catch_warnings(), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -293,6 +298,20 @@ def test_roots_prints_its_report_or_one_json_line(system_file, data, tail):
 @given(data=_ROOT_FILES, tail=_CLI_TAIL)
 def test_induce_prints_its_report_or_one_json_line(system_file, data, tail):
     _one_outcome(system_file, "induce", data, tail)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=_ROOT_FILES, tail=_CLI_TAIL, kind=_KINDS)
+def test_group_prints_its_listing_or_one_json_line(system_file, data, tail, kind):
+    _one_outcome(system_file, "group", data, tail, "--kind", kind)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=_ROOT_FILES, tail=_CLI_TAIL, kind=_KINDS)
+def test_classes_prints_its_table_or_one_json_line(system_file, data, tail, kind):
+    _one_outcome(system_file, "classes", data, tail, "--kind", kind)
 
 
 @pytest.mark.parametrize("argv", [("", "inf", "1"), ("S", "0.5", "inf"), ("S", "nan", "1"),

@@ -1,5 +1,6 @@
 """Tests for spinor coordinates, induced 4D root systems, and symmetry sweeps."""
 
+import itertools
 import math
 import subprocess
 import sys
@@ -33,11 +34,7 @@ from versorlab import (
 )
 from versorlab.algebra import find_ids, lex_order, row_keys
 from versorlab.groups import _spinor_coords
-from versorlab.induction import (
-    AutomorphismSweep,
-    _extract_simple_coords,
-    _generic_functional,
-)
+from versorlab.induction import AutomorphismSweep, _generic_functional
 
 RNG = np.random.default_rng(8821)
 SIG3 = Signature(3, 0)
@@ -170,30 +167,20 @@ def _frames(count, seed):
 
 @pytest.mark.parametrize("src", INDUCTION_TABLE)
 def test_inversion_count_picks_the_search_roots_in_any_frame(src):
+    # the table's length-one reflections are the roots no positive combination of two others
     rs = catalog(src)
     for frame in _frames(20, seed=4410):
-        turned = close_roots(rs.simple_coords @ frame.T, SIG3)
-        coords = _spinor_coords(generate_spin(turned).element_arr())
-        coords = coords[lex_order(coords)]
-        got, want = coords[_extract_simple_coords(coords)], _decomposition_search(coords)
+        base = induce_4d(generate_spin(close_roots(rs.simple_coords @ frame.T, SIG3))).base
+        got, want = base.simple_coords, _decomposition_search(base.coords)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", ["A1^4", "A3", "B3", "H3", "D4", "F4", "H4",
-                                  "E6", "E7", "E8", "I2(7)"])
-def test_inversion_count_picks_the_search_roots_of_catalog_systems(name):
-    coords = catalog(name).coords
-    got, want = coords[_extract_simple_coords(coords)], _decomposition_search(coords)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
-def test_extraction_rejects_rank_deficient_and_unclosed_sets():
-    a3_in_4d = np.hstack([catalog("A3").coords, np.zeros((12, 1))])
-    half = np.full((1, 4), 0.5)
-    unclosed = np.vstack([np.eye(4), -np.eye(4), half, -half])  # not reflection-closed
-    for coords in (a3_in_4d, unclosed):
-        with pytest.raises(VersorlabError, match="simple-root extraction found 3"):
-            _extract_simple_coords(coords)
+def test_induction_refuses_a_rank_deficient_spin_group():
+    # a rank-2 seed in Cl(3,0): its spin group's spinor coordinates span a plane of R^4
+    c, s = math.cos(math.pi / 5), math.sin(math.pi / 5)
+    group = generate_spin(close_roots([[1.0, 0.0, 0.0], [-c, s, 0.0]], SIG3))
+    with pytest.raises(VersorlabError, match="simple-root extraction found 2 indecomposables"):
+        induce_4d(group)
 
 
 def test_induce_requires_spin_in_cl3():
@@ -214,7 +201,7 @@ def test_induced_bases_carry_the_reflection_graph():
     # the base's graph comes from the table, so h and Pin answer on it as on the catalog
     for src, h in (("A1^3", 2), ("A3", 6), ("B3", 12), ("H3", 30)):
         ind = induce_4d(spin_group(src))
-        assert np.array_equal(ind.base.simple, _extract_simple_coords(ind.base.coords))
+        assert ind.base.simple_coords.tobytes() == _decomposition_search(ind.base.coords).tobytes()
         assert coxeter_number(ind.base) == coxeter_number(catalog(ind.identification)) == h
         if src != "H3":
             assert generate_pin(ind.base).order == generate_pin(catalog(ind.identification)).order
@@ -234,9 +221,10 @@ def test_the_coxeter_matrix_decides_not_the_root_count():
 def test_a_table_cell_that_breaks_a_reflection_is_refused():
     # refl[k, j] reads t[s_k, inv[j]]: a duplicate there makes s_k no permutation
     g = spin_group("A3")
-    simple = _extract_simple_coords(_spinor_coords(g.element_arr()))
+    k = np.flatnonzero((_spinor_coords(g.element_arr()) == induce_4d(g).base.simple_coords[0])
+                       .all(axis=1))[0]  # the group's row of the first simple root
     inv, t = g.inverses(), g.table.copy()
-    t[simple[0], inv[0]] = t[simple[0], inv[1]]
+    t[k, inv[0]] = t[k, inv[1]]
     g.table = t
     with pytest.raises(VersorlabError, match="do not permute the roots"):
         induce_4d(g)
@@ -419,6 +407,23 @@ def test_sampled_sweep_catches_a_table_with_swapped_columns():
     assert spinorial_automorphisms(ind).exhaustive
     with pytest.raises(SymmetrySweepFailure, match="disagrees with the table"):
         spinorial_automorphisms(ind, pairs=2000, seed=5)
+
+
+def test_a_table_with_no_center_is_refused_not_divided_by():
+    # every swap of two columns of 2T's table: a Latin square still, but 66 of the 276 leave
+    # no element commuting with every generator, so |Z(G)| would read 0
+    g = spin_group("A3")
+    ind, intact, refused = induce_4d(g), g.table, 0
+    for i, j in itertools.combinations(range(g.order), 2):
+        t = intact.copy()
+        t[:, [i, j]] = t[:, [j, i]]
+        g.table = t
+        try:
+            assert spinorial_automorphisms(ind).exhaustive
+        except SymmetrySweepFailure as exc:
+            refused += str(exc) == ("<VersorGroup spin(A3) order 24>'s table is not a group's: "
+                                    "nothing is central")
+    assert refused == 66
 
 
 def _composite_rows(t, li, ri):
